@@ -35,6 +35,16 @@ let host_meta () =
     ("word_size", Num (float_of_int Sys.word_size));
   ]
 
+(* Write a BENCH_*.json artifact: the [benchmark] name, then {!host_meta},
+   then the experiment's own [fields], pretty-printed with a trailing
+   newline. *)
+let write_bench_json path ~benchmark fields =
+  let open Minup_obs.Json in
+  let json = Obj ((("benchmark", Str benchmark) :: host_meta ()) @ fields) in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string ~pretty:true json);
+      output_char oc '\n')
+
 let pp_seconds s =
   if s < 1e-3 then Printf.sprintf "%.1fus" (s *. 1e6)
   else if s < 1.0 then Printf.sprintf "%.2fms" (s *. 1e3)

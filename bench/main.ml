@@ -537,40 +537,31 @@ let throughput () =
     ~header:[ "workload"; "attrs"; "jobs"; "wall ms"; "solves/s"; "lub"; "leq" ]
     rows;
   let results = List.rev !results in
-  let json =
+  let fields =
     let open Minup_obs.Json in
     let num_i i = Num (float_of_int i) in
-    Obj
-      ([ ("benchmark", Str "throughput") ]
-      @ host_meta ()
-      @ [
-          ( "results",
-            Arr
-              (List.map
-                 (fun (name, n_attrs, n_problems, jobs, wall_ms, sps, lub, leq)
-                    ->
-                   Obj
-                     [
-                       ("experiment", Str name);
-                       ("n_attrs", num_i n_attrs);
-                       ("n_problems", num_i n_problems);
-                       ("jobs", num_i jobs);
-                       ("wall_ms", Num (Float.round (wall_ms *. 1e3) /. 1e3));
-                       ("solves_per_sec", Num (Float.round (sps *. 10.) /. 10.));
-                       ("lub", num_i lub);
-                       ("leq", num_i leq);
-                     ])
-                 results) );
-          ( "phase_metrics",
-            Obj (List.rev_map (fun (name, m) -> (name, m)) !phase_metrics) );
-        ])
+    [
+      ( "results",
+        Arr
+          (List.map
+             (fun (name, n_attrs, n_problems, jobs, wall_ms, sps, lub, leq)
+                ->
+               Obj
+                 [
+                   ("experiment", Str name);
+                   ("n_attrs", num_i n_attrs);
+                   ("n_problems", num_i n_problems);
+                   ("jobs", num_i jobs);
+                   ("wall_ms", Num (Float.round (wall_ms *. 1e3) /. 1e3));
+                   ("solves_per_sec", Num (Float.round (sps *. 10.) /. 10.));
+                   ("lub", num_i lub);
+                   ("leq", num_i leq);
+                 ])
+             results) );
+      ("phase_metrics", Obj (List.rev !phase_metrics));
+    ]
   in
-  let oc = open_out bench_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Minup_obs.Json.to_string ~pretty:true json);
-      output_char oc '\n');
+  write_bench_json bench_json_path ~benchmark:"throughput" fields;
   Printf.printf
     "wrote %s  (parallel output verified equal to sequential; this host \
      recommends %d domains)\n"
@@ -705,45 +696,36 @@ let supervision () =
     List.fold_left (fun acc (_, _, _, _, _, o) -> max acc o) neg_infinity
       results
   in
-  let json =
+  let fields =
     let open Minup_obs.Json in
     let num_i i = Num (float_of_int i) in
-    Obj
-      ([ ("benchmark", Str "supervision") ]
-      @ host_meta ()
-      @ [
-          ( "policy",
-            Obj
-              [
-                ("deadline_ms", num_i 3_600_000);
-                ("max_steps", Str "max_int");
-                ("retries", num_i policy.Minup_core.Engine.retries);
-              ] );
-          ( "results",
-            Arr
-              (List.map
-                 (fun (name, n_attrs, jobs, base, sup, overhead_pct) ->
-                   Obj
-                     [
-                       ("workload", Str name);
-                       ("n_attrs", num_i n_attrs);
-                       ("jobs", num_i jobs);
-                       ("baseline_ms", Num (base *. 1e3));
-                       ("supervised_ms", Num (sup *. 1e3));
-                       ("overhead_pct", Num overhead_pct);
-                     ])
-                 results) );
-          ("overhead_pct_max", Num worst);
-          ( "phase_metrics",
-            Obj (List.rev_map (fun (name, m) -> (name, m)) !phase_metrics) );
-        ])
+    [
+      ( "policy",
+        Obj
+          [
+            ("deadline_ms", num_i 3_600_000);
+            ("max_steps", Str "max_int");
+            ("retries", num_i policy.Minup_core.Engine.retries);
+          ] );
+      ( "results",
+        Arr
+          (List.map
+             (fun (name, n_attrs, jobs, base, sup, overhead_pct) ->
+               Obj
+                 [
+                   ("workload", Str name);
+                   ("n_attrs", num_i n_attrs);
+                   ("jobs", num_i jobs);
+                   ("baseline_ms", Num (base *. 1e3));
+                   ("supervised_ms", Num (sup *. 1e3));
+                   ("overhead_pct", Num overhead_pct);
+                 ])
+             results) );
+      ("overhead_pct_max", Num worst);
+      ("phase_metrics", Obj (List.rev !phase_metrics));
+    ]
   in
-  let oc = open_out supervision_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Minup_obs.Json.to_string ~pretty:true json);
-      output_char oc '\n');
+  write_bench_json supervision_json_path ~benchmark:"supervision" fields;
   Printf.printf "wrote %s  (worst-case supervision overhead %+.2f%%)\n"
     supervision_json_path worst
 
@@ -843,47 +825,39 @@ let session_incremental () =
        per_kind);
   let overall = median (List.map speedup samples) in
   let stats = Sess.stats sess in
-  let json =
+  let fields =
     let open Minup_obs.Json in
     let num_i i = Num (float_of_int i) in
-    Obj
-      ([ ("benchmark", Str "session_incremental") ]
-      @ host_meta ()
-      @ [
-          ("n_attrs", num_i n);
-          ("n_deltas", num_i n_deltas);
-          ( "results",
-            Arr
-              (List.map
-                 (fun (kind, count, inc_ms, scratch_ms, sp) ->
-                   Obj
-                     [
-                       ("delta", Str kind);
-                       ("count", num_i count);
-                       ("median_resolve_ms", Num inc_ms);
-                       ("median_scratch_ms", Num scratch_ms);
-                       ("median_speedup", Num sp);
-                     ])
-                 per_kind) );
-          ("median_speedup", Num overall);
-          ( "session_stats",
-            Obj
-              [
-                ("resolves", num_i stats.Sess.resolves);
-                ("cached", num_i stats.Sess.cached);
-                ("patched", num_i stats.Sess.patched);
-                ("incremental", num_i stats.Sess.incremental);
-                ("full", num_i stats.Sess.full);
-                ("frozen", num_i stats.Sess.frozen);
-              ] );
-        ])
+    [
+      ("n_attrs", num_i n);
+      ("n_deltas", num_i n_deltas);
+      ( "results",
+        Arr
+          (List.map
+             (fun (kind, count, inc_ms, scratch_ms, sp) ->
+               Obj
+                 [
+                   ("delta", Str kind);
+                   ("count", num_i count);
+                   ("median_resolve_ms", Num inc_ms);
+                   ("median_scratch_ms", Num scratch_ms);
+                   ("median_speedup", Num sp);
+                 ])
+             per_kind) );
+      ("median_speedup", Num overall);
+      ( "session_stats",
+        Obj
+          [
+            ("resolves", num_i stats.Sess.resolves);
+            ("cached", num_i stats.Sess.cached);
+            ("patched", num_i stats.Sess.patched);
+            ("incremental", num_i stats.Sess.incremental);
+            ("full", num_i stats.Sess.full);
+            ("frozen", num_i stats.Sess.frozen);
+          ] );
+    ]
   in
-  let oc = open_out session_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Minup_obs.Json.to_string ~pretty:true json);
-      output_char oc '\n');
+  write_bench_json session_json_path ~benchmark:"session_incremental" fields;
   Printf.printf
     "wrote %s  (median incremental speedup %.1fx; every resolve verified \
      equal to scratch)\n"

@@ -93,12 +93,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   let classify = function
     | Fault.Injection description -> Fault.Injected { description }
-    | Solver.Cancelled { reason; progress } -> (
-        match reason with
-        | Solver.Deadline { deadline_ms; elapsed_ms } ->
-            Fault.Deadline_exceeded { deadline_ms; elapsed_ms }
-        | Solver.Steps { max_steps } ->
-            Fault.Budget_exhausted { max_steps; steps = progress.steps })
+    | Solver.Cancelled { reason; progress } ->
+        Solver.fault_of_cancelled reason progress
     | e -> Fault.Solver_error { exn = Printexc.to_string e }
 
   (* Work distribution is a single atomic counter: workers claim the next
@@ -150,11 +146,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       | None -> ()
       | Some (_, dl, bg, inj, err) ->
           Metrics.incr
-            (match f with
-            | Fault.Deadline_exceeded _ -> dl
-            | Fault.Budget_exhausted _ -> bg
-            | Fault.Injected _ -> inj
-            | Fault.Solver_error _ -> err)
+            (match (f : Fault.t) with
+            | Deadline_exceeded _ -> dl
+            | Budget_exhausted _ -> bg
+            | Injected _ -> inj
+            | Solver_error _ -> err)
     in
     let need_budget = policy.deadline_ms <> None || policy.max_steps <> None in
     (* One supervised attempt.  The fault-injection hook (if any) rides the

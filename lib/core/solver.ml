@@ -91,6 +91,13 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                what progress.n_finalized progress.n_attrs progress.steps)
       | _ -> None)
 
+  let fault_of_cancelled reason progress =
+    match reason with
+    | Deadline { deadline_ms; elapsed_ms } ->
+        Fault.Deadline_exceeded { deadline_ms; elapsed_ms }
+    | Steps { max_steps } ->
+        Fault.Budget_exhausted { max_steps; steps = progress.steps }
+
   exception Try_failed
 
   module Config = struct
@@ -818,22 +825,4 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                solve_internal ~config
                  ~init:(fun a -> ub.(a))
                  ~bounds_mode:true problem))
-
-  (* Transition wrappers for the pre-Config optional-argument API
-     (deprecated in the mli; dropped after one release). *)
-  let solve_args ?on_event ?residual ?upgrade_preference ?check_aggregate
-      ?budget problem =
-    solve
-      ~config:
-        (Config.make ?on_event ?residual ?upgrade_preference ?check_aggregate
-           ?budget ())
-      problem
-
-  let solve_with_bounds_args ?on_event ?residual ?upgrade_preference
-      ?check_aggregate ?budget problem bounds =
-    solve_with_bounds
-      ~config:
-        (Config.make ?on_event ?residual ?upgrade_preference ?check_aggregate
-           ?budget ())
-      problem bounds
 end

@@ -123,6 +123,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       steps only notices its deadline at that final poll. *)
   exception Cancelled of { reason : cancel_reason; progress : progress }
 
+  (** The {!Fault.t} a cancelled solve reports: a [Deadline] becomes
+      [Deadline_exceeded], a [Steps] budget becomes [Budget_exhausted]
+      with the steps taken.  The one home of this mapping — the batch
+      engine and [mlsclassify serve] both report cancellations through it. *)
+  val fault_of_cancelled : cancel_reason -> progress -> Fault.t
+
   (** {2 Configuration}
 
       Every knob of a solve — the event stream, the lattice shortcuts, the
@@ -207,18 +213,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
   val reuse_priorities :
     problem -> L.level Minup_constraints.Problem.t -> problem
 
-  (** Transition wrapper for the pre-{!Config} optional-argument API;
-      removed after one release. *)
-  val solve_args :
-    ?on_event:(event -> unit) ->
-    ?residual:(L.t -> target:L.level -> others:L.level -> L.level) ->
-    ?upgrade_preference:(string -> int) ->
-    ?check_aggregate:bool ->
-    ?budget:budget ->
-    problem ->
-    solution
-  [@@ocaml.deprecated "use solve ?config with Solver.Make(L).Config.t"]
-
   (** [find problem solution attr]. *)
   val find : problem -> solution -> string -> L.level option
 
@@ -257,18 +251,4 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
     problem ->
     (string * L.level) list ->
     (solution, inconsistency) result
-
-  (** Transition wrapper for the pre-{!Config} optional-argument API;
-      removed after one release. *)
-  val solve_with_bounds_args :
-    ?on_event:(event -> unit) ->
-    ?residual:(L.t -> target:L.level -> others:L.level -> L.level) ->
-    ?upgrade_preference:(string -> int) ->
-    ?check_aggregate:bool ->
-    ?budget:budget ->
-    problem ->
-    (string * L.level) list ->
-    (solution, inconsistency) result
-  [@@ocaml.deprecated
-    "use solve_with_bounds ?config with Solver.Make(L).Config.t"]
 end

@@ -2,7 +2,6 @@ module Json = Minup_obs.Json
 module Trace = Minup_obs.Trace
 module Metrics = Minup_obs.Metrics
 module Wire = Minup_core.Wire
-module Fault = Minup_core.Fault
 module Explicit = Minup_lattice.Explicit
 module Lattice_file = Minup_lattice.Lattice_file
 module Parse = Minup_constraints.Parse
@@ -112,52 +111,41 @@ let resolve_op conn problem session doc =
   let want_stats =
     match Json.member "stats" doc with Some (Json.Bool true) -> true | _ -> false
   in
+  (* [Ok None]: a plain resolve; [Ok (Some bl)]: a §6 upper-bounded one. *)
   let bounds =
     match Json.member "bounds" doc with
     | Some (Json.Obj fields) ->
-        Some
-          (List.fold_left
-             (fun acc (a, j) ->
-               match acc with
-               | Error _ -> acc
-               | Ok bl -> (
-                   match j with
-                   | Json.Str s -> (
-                       match Explicit.level_of_string lat s with
-                       | Some l -> Ok ((a, l) :: bl)
-                       | None -> Error (Printf.sprintf "unknown level %S" s))
-                   | _ -> Error (Printf.sprintf "bound of %S is not a string" a)))
-             (Ok []) fields
-          |> Result.map List.rev)
-    | Some _ -> Some (Error "\"bounds\" is not an object")
-    | None -> None
+        List.fold_left
+          (fun acc (a, j) ->
+            match acc with
+            | Error _ -> acc
+            | Ok bl -> (
+                match j with
+                | Json.Str s -> (
+                    match Explicit.level_of_string lat s with
+                    | Some l -> Ok ((a, l) :: bl)
+                    | None -> Error (Printf.sprintf "unknown level %S" s))
+                | _ -> Error (Printf.sprintf "bound of %S is not a string" a)))
+          (Ok []) fields
+        |> Result.map (fun bl -> Some (List.rev bl))
+    | Some _ -> Error "\"bounds\" is not an object"
+    | None -> Ok None
   in
-  let solution_env (sol : Solver.solution) =
-    Wire.v1 ~problem
-      (Wire.Solution
-         {
-           assignment = render_assignment lat sol.Solver.assignment;
-           stats = (if want_stats then Some sol.Solver.stats else None);
-         })
+  let solve = function
+    | None -> Ok (S.resolve ~config session)
+    | Some bl -> S.resolve_with_bounds ~config session bl
   in
   match bounds with
-  | Some (Error detail) -> err ~problem ("resolve: " ^ detail)
-  | None -> (
-      match S.resolve ~config session with
-      | sol -> solution_env sol
-      | exception Solver.Cancelled { reason; progress } ->
-          let fault =
-            match reason with
-            | Solver.Deadline { deadline_ms; elapsed_ms } ->
-                Fault.Deadline_exceeded { deadline_ms; elapsed_ms }
-            | Solver.Steps { max_steps } ->
-                Fault.Budget_exhausted
-                  { max_steps; steps = progress.Solver.steps }
-          in
-          Wire.v1 ~problem (Wire.Fault { fault; attempts = 1; task = None }))
-  | Some (Ok bl) -> (
-      match S.resolve_with_bounds ~config session bl with
-      | Ok sol -> solution_env sol
+  | Error detail -> err ~problem ("resolve: " ^ detail)
+  | Ok bounds -> (
+      match solve bounds with
+      | Ok (sol : Solver.solution) ->
+          Wire.v1 ~problem
+            (Wire.Solution
+               {
+                 assignment = render_assignment lat sol.Solver.assignment;
+                 stats = (if want_stats then Some sol.Solver.stats else None);
+               })
       | Error (Solver.Unknown_attr a) ->
           errf ~problem "resolve: bound on unknown attribute %S" a
       | Error inc ->
@@ -165,14 +153,7 @@ let resolve_op conn problem session doc =
             (Wire.Infeasible
                { detail = Format.asprintf "%a" (Solver.pp_inconsistency lat) inc })
       | exception Solver.Cancelled { reason; progress } ->
-          let fault =
-            match reason with
-            | Solver.Deadline { deadline_ms; elapsed_ms } ->
-                Fault.Deadline_exceeded { deadline_ms; elapsed_ms }
-            | Solver.Steps { max_steps } ->
-                Fault.Budget_exhausted
-                  { max_steps; steps = progress.Solver.steps }
-          in
+          let fault = Solver.fault_of_cancelled reason progress in
           Wire.v1 ~problem (Wire.Fault { fault; attempts = 1; task = None }))
 
 let dispatch conn op problem session doc =

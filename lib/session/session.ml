@@ -45,12 +45,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     mutable bound_order : string list;  (** first-set order *)
     mutable pending : delta list;  (** reversed *)
     mutable compiled : compiled option;
-    mutable n_resolves : int;
-    mutable n_cached : int;
-    mutable n_patched : int;
-    mutable n_incremental : int;
-    mutable n_full : int;
-    mutable n_frozen : int;
+    mutable stats : stats;
   }
 
   let lattice t = t.lattice
@@ -81,12 +76,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         bound_order = [];
         pending = [];
         compiled = None;
-        n_resolves = 0;
-        n_cached = 0;
-        n_patched = 0;
-        n_incremental = 0;
-        n_full = 0;
-        n_frozen = 0;
+        stats =
+          { resolves = 0; cached = 0; patched = 0; incremental = 0; full = 0; frozen = 0 };
       }
     in
     List.iter (register t) attrs;
@@ -230,8 +221,34 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   let full_resolve ~config t =
     let problem, keys = compile_now t in
-    t.n_full <- t.n_full + 1;
+    t.stats <- { t.stats with full = t.stats.full + 1 };
     finish t problem keys (Solver.solve ~config problem)
+
+  (* The re-solve both delta paths share: close the seeds into the dirty
+     cone, then re-run the Bigloop over that cone only, freezing every
+     clean attribute of the previous universe at its previous level — or
+     solve in full if the cone reaches a cycle. *)
+  let resolve_dirty ~config t (old : compiled) problem keys seeds =
+    let dirty = close_dirty problem.Solver.prob seeds in
+    let n_old = Array.length old.solution.Solver.levels in
+    let s = t.stats in
+    let solution =
+      if any_dirty_cycle problem dirty then begin
+        t.stats <- { s with full = s.full + 1 };
+        Solver.solve ~config problem
+      end
+      else begin
+        t.stats <-
+          { s with incremental = s.incremental + 1; frozen = s.frozen + count_frozen dirty };
+        Solver.solve_incremental ~config
+          ~frozen:(fun a ->
+            if a < n_old && not dirty.(a) then
+              Some old.solution.Solver.levels.(a)
+            else None)
+          problem
+      end
+    in
+    finish t problem keys solution
 
   (* Every pending delta re-tightens a bound that already existed at the
      last compile: patch the Rlevel right-hand sides in place and keep the
@@ -257,23 +274,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         (prob0, []) pending
     in
     let problem = Solver.reuse_priorities old.problem prob' in
-    t.n_patched <- t.n_patched + 1;
-    let dirty = close_dirty prob' seeds in
-    let solution =
-      if any_dirty_cycle problem dirty then begin
-        t.n_full <- t.n_full + 1;
-        Solver.solve ~config problem
-      end
-      else begin
-        t.n_incremental <- t.n_incremental + 1;
-        t.n_frozen <- t.n_frozen + count_frozen dirty;
-        Solver.solve_incremental ~config
-          ~frozen:(fun a ->
-            if dirty.(a) then None else Some old.solution.Solver.levels.(a))
-          problem
-      end
-    in
-    finish t problem old.keys solution
+    t.stats <- { t.stats with patched = t.stats.patched + 1 };
+    resolve_dirty ~config t old problem old.keys seeds
 
   let general_resolve ~config t (old : compiled) pending =
     let problem, keys = compile_now t in
@@ -311,31 +313,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                   (fun a -> seeds := a :: !seeds)
                   prob'.Problem.csts.(ci).Problem.lhs)
       keys;
-    let dirty = close_dirty prob' !seeds in
-    let solution =
-      if any_dirty_cycle problem dirty then begin
-        t.n_full <- t.n_full + 1;
-        Solver.solve ~config problem
-      end
-      else begin
-        t.n_incremental <- t.n_incremental + 1;
-        t.n_frozen <- t.n_frozen + count_frozen dirty;
-        Solver.solve_incremental ~config
-          ~frozen:(fun a ->
-            if a < n_old && not dirty.(a) then
-              Some old.solution.Solver.levels.(a)
-            else None)
-          problem
-      end
-    in
-    finish t problem keys solution
+    resolve_dirty ~config t old problem keys !seeds
 
   let resolve ?(config = Solver.Config.default) t =
     Trace.with_span ~cat:"session" "session.resolve" @@ fun () ->
-    t.n_resolves <- t.n_resolves + 1;
+    t.stats <- { t.stats with resolves = t.stats.resolves + 1 };
     match (t.pending, t.compiled) with
     | [], Some c ->
-        t.n_cached <- t.n_cached + 1;
+        t.stats <- { t.stats with cached = t.stats.cached + 1 };
         c.solution
     | pending_rev, old -> (
         let pending = List.rev pending_rev in
@@ -351,19 +336,16 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             else general_resolve ~config t old pending)
 
   let resolve_with_bounds ?(config = Solver.Config.default) t ubounds =
-    if t.pending <> [] || t.compiled = None then ignore (resolve t);
+    (* The catch-up resolve runs under the caller's budget too, but keeps
+       the default solution-selecting fields, which must not vary between
+       resolves of one session. *)
+    if t.pending <> [] || t.compiled = None then
+      ignore
+        (resolve ~config:{ Solver.Config.default with budget = config.Solver.Config.budget } t);
     let problem = (Option.get t.compiled).problem in
     Solver.solve_with_bounds ~config problem ubounds
 
   let solution t = if t.pending = [] then Option.map (fun c -> c.solution) t.compiled else None
 
-  let stats t =
-    {
-      resolves = t.n_resolves;
-      cached = t.n_cached;
-      patched = t.n_patched;
-      incremental = t.n_incremental;
-      full = t.n_full;
-      frozen = t.n_frozen;
-    }
+  let stats t = t.stats
 end

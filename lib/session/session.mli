@@ -86,9 +86,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       this call.  Raises [Solver.Cancelled] like the underlying solve. *)
   val resolve : ?config:Solver.Config.t -> t -> Solver.solution
 
-  (** Apply queued deltas (with a default-config resolve if any are
+  (** Apply queued deltas (with a catch-up {!resolve} if any are
       pending), then run the §6 upper-bounded solve on the compiled
-      problem.  [config] applies to the bounded solve only.  The bounded
+      problem.  [config] applies to the bounded solve; its [budget] also
+      covers the catch-up resolve, which otherwise runs under
+      {!Solver.Config.default}.  A cancelled catch-up raises
+      [Solver.Cancelled] and leaves the deltas queued.  The bounded
       solution is not cached — it is not the session's minimal solution. *)
   val resolve_with_bounds :
     ?config:Solver.Config.t ->

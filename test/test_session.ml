@@ -96,6 +96,20 @@ let cycle_falls_back_to_full () =
   Alcotest.(check int) "full twice" 2 st.Session.full;
   Alcotest.(check int) "never incremental" 0 st.Session.incremental
 
+let bounded_catch_up_obeys_budget () =
+  let sess = Session.create ~lattice:fig1b (base_csts ()) in
+  ignore (Session.resolve sess);
+  Session.set_lower_bound sess "dept" (Some (lvl "L1"));
+  (* The pending delta forces a catch-up resolve before the bounded solve;
+     a zero-step budget must cancel it, leaving the delta queued. *)
+  let config =
+    { SS.Config.default with budget = Some (Minup_core.Solver.budget ~max_steps:0 ()) }
+  in
+  (match Session.resolve_with_bounds ~config sess [ ("salary", lvl "L4") ] with
+  | _ -> Alcotest.fail "expected Cancelled"
+  | exception SS.Cancelled _ -> ());
+  Alcotest.(check bool) "delta still queued" true (Session.solution sess = None)
+
 let untouched_subgraph_is_frozen () =
   (* Two disconnected chains; editing one must freeze the other. *)
   let sess =
@@ -332,6 +346,20 @@ let serve_faults_and_infeasible () =
   | { Wire.body = Wire.Fault { fault; attempts = 1; task = None }; _ } ->
       Alcotest.(check string) "kind" "budget" (Fault.label fault)
   | w -> Alcotest.failf "expected fault, got %s" (Wire.status w));
+  (* The bounds branch reports a cancellation the same way — here of the
+     catch-up resolve of the still-queued delta. *)
+  (match
+     serve_req conn
+       [
+         ("op", Json.Str "resolve");
+         ("problem", Json.Str "p");
+         ("bounds", Json.Obj [ ("name", Json.Str "TopSecret") ]);
+         ("max_steps", Json.Num 0.);
+       ]
+   with
+  | { Wire.body = Wire.Fault { fault; attempts = 1; task = None }; _ } ->
+      Alcotest.(check string) "bounded kind" "budget" (Fault.label fault)
+  | w -> Alcotest.failf "expected bounded fault, got %s" (Wire.status w));
   (* And the session still answers afterwards. *)
   check_status "recovers" "ok"
     (serve_req conn [ ("op", Json.Str "resolve"); ("problem", Json.Str "p") ])
@@ -390,6 +418,7 @@ let suite =
     case "delta sequence matches scratch" delta_sequence_matches_scratch;
     case "stats classify resolve paths" stats_classify_paths;
     case "cycle falls back to full solve" cycle_falls_back_to_full;
+    case "bounded catch-up obeys budget" bounded_catch_up_obeys_budget;
     case "untouched subgraph is frozen" untouched_subgraph_is_frozen;
     case "random sessions match scratch" random_sessions;
     case "wire round-trips" wire_roundtrips;
