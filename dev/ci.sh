@@ -20,6 +20,11 @@ dune exec -- mlsclassify batch -l test/cli.t/fig1b.lat --jobs 2 \
 dune exec dev/validate_trace.exe -- "$obs_tmp/trace.json"
 dune exec dev/validate_trace.exe -- --json "$obs_tmp/metrics.json"
 
+# Pinned solver counters: Instr totals on one acyclic and one cyclic
+# instance must equal their recorded values (exit 1 on any drift), so a
+# change of data layout cannot silently change what the solver computes.
+dune exec dev/counters_check.exe
+
 # Differential self-check: a pinned-seed bounded run of the property
 # harness (solver vs oracle/baselines/round-trips across all backends),
 # which must include the session delta-parity and wire round-trip checks.

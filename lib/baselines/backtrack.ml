@@ -84,9 +84,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       && rhs_final c
       && Array.for_all (fun a -> a = chosen ci || final.(a)) c.lhs
     in
-    let raisers a =
-      (* constraint indices that can raise attribute a under this choice *)
-      List.filter (fun ci -> chosen ci = a) prob.P.constr_of.(a)
+    let raises_unfired a =
+      (* some constraint that can raise attribute a under this choice has
+         not fired yet *)
+      let r = ref false in
+      P.iter_constr_of prob a (fun ci -> if chosen ci = a && not fired.(ci) then r := true);
+      !r
     in
     let exact = ref true in
     let progress = ref true in
@@ -94,7 +97,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       progress := false;
       Array.iteri (fun ci _ -> if ready ci then begin fire ci; progress := true end) csts;
       for a = 0 to n - 1 do
-        if (not final.(a)) && List.for_all (fun ci -> fired.(ci)) (raisers a)
+        if (not final.(a)) && not (raises_unfired a)
         then begin
           final.(a) <- true;
           progress := true

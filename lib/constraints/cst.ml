@@ -7,15 +7,21 @@ let pp_error ppf = function
   | Duplicate_lhs a ->
       Format.fprintf ppf "attribute %S repeated in left-hand side" a
 
-let rec find_dup seen = function
-  | [] -> None
-  | a :: rest ->
-      if List.mem a seen then Some a else find_dup (a :: seen) rest
+module SS = Set.Make (String)
+
+(* The first member equal to an earlier one, through a set of the members
+   seen so far: a [lub{...}] of k members costs O(k log k), not O(k²). *)
+let find_dup lhs =
+  let rec scan seen = function
+    | [] -> None
+    | a :: rest -> if SS.mem a seen then Some a else scan (SS.add a seen) rest
+  in
+  scan SS.empty lhs
 
 let make ~lhs ~rhs =
   if lhs = [] then Error Empty_lhs
   else
-    match find_dup [] lhs with
+    match find_dup lhs with
     | Some a -> Error (Duplicate_lhs a)
     | None -> Ok { lhs; rhs }
 

@@ -81,6 +81,8 @@ let attrs_rest line =
   else None
 
 let parse text =
+  (* All three accumulate in reverse, so a policy parses in linear time
+     however its declarations are split across lines. *)
   let decls = ref [] and lowers = ref [] and uppers = ref [] in
   let do_line lineno raw =
     let line =
@@ -91,7 +93,8 @@ let parse text =
     let line = String.trim line in
     if line <> "" then
       match attrs_rest line with
-      | Some rest -> decls := !decls @ List.map check_ident (split_commas rest)
+      | Some rest ->
+          decls := List.rev_append (List.map check_ident (split_commas rest)) !decls
       | None -> (
           match split_on_op line with
           | None -> fail "expected 'attrs', '... >= ...' or '... <= ...'"
@@ -109,7 +112,8 @@ let parse text =
   in
   let lines = String.split_on_char '\n' text in
   let rec go lineno = function
-    | [] -> Ok { decls = !decls; lowers = List.rev !lowers; uppers = List.rev !uppers }
+    | [] ->
+        Ok { decls = List.rev !decls; lowers = List.rev !lowers; uppers = List.rev !uppers }
     | l :: rest -> (
         match do_line lineno l with
         | () -> go (lineno + 1) rest

@@ -1,95 +1,123 @@
 type t = { priority : int array; sets : int array array; max_priority : int }
 
-let forward_succs p a =
-  List.filter_map
-    (fun ci ->
-      match (p.Problem.csts.(ci)).Problem.rhs with
-      | Problem.Rattr b -> Some b
-      | Problem.Rlevel _ -> None)
-    p.Problem.constr_of.(a)
-
-let backward_preds p a =
-  List.concat_map
-    (fun ci -> Array.to_list (p.Problem.csts.(ci)).Problem.lhs)
-    p.Problem.incoming.(a)
-
-(* Iterative DFS.  [on_finish] fires when a node's subtree is exhausted;
-   [on_discover] when it is first reached.  Successor lists are consumed
-   left to right, so the traversal order matches the recursive
-   presentation in the paper. *)
-let dfs ~succs ~visit ~on_discover ~on_finish root =
-  if not visit.(root) then begin
-    visit.(root) <- true;
-    on_discover root;
-    let stack = ref [ (root, succs root) ] in
-    let continue = ref true in
-    while !continue do
-      match !stack with
-      | [] -> continue := false
-      | (a, []) :: tl ->
-          on_finish a;
-          stack := tl
-      | (a, b :: more) :: tl ->
-          stack := (a, more) :: tl;
-          if not visit.(b) then begin
-            visit.(b) <- true;
-            on_discover b;
-            stack := (b, succs b) :: !stack
-          end
-    done
-  end
-
+(* Both passes are iterative DFS over the CSR indexes, with the explicit
+   call stack held in preallocated int arrays ([node], [pos], and for the
+   backward pass [lpos]): a frame is a node plus a cursor into its
+   successors, advanced one successor at a time, so the traversal order
+   matches the recursive presentation in the paper.  Each attribute is
+   pushed at most once per pass, so [n] frames suffice. *)
 let compute p =
   Minup_obs.Trace.with_span ~cat:"constraints"
     ~args:[ ("attrs", Minup_obs.Trace.Int (Problem.n_attrs p)) ]
     "priorities.compute"
   @@ fun () ->
   let n = Problem.n_attrs p in
+  let csts = p.Problem.csts in
   let visit = Array.make n false in
-  let finish_stack = ref [] in
-  (* Pass 1: forward DFS, recording attributes as their visit concludes. *)
+  let node = Array.make n 0 and pos = Array.make n 0 in
+  (* Pass 1: forward DFS (edges lhs member → rhs attribute, in constraint
+     order), recording attributes as their visit concludes. *)
+  let finish = Array.make n 0 and n_finished = ref 0 in
   Minup_obs.Trace.with_span ~cat:"constraints" "priorities.dfs_forward"
     (fun () ->
-      for a = 0 to n - 1 do
-        dfs ~succs:(forward_succs p) ~visit
-          ~on_discover:(fun _ -> ())
-          ~on_finish:(fun x -> finish_stack := x :: !finish_stack)
-          a
+      let { Problem.off; tgt } = p.Problem.constr_of in
+      for root = 0 to n - 1 do
+        if not visit.(root) then begin
+          visit.(root) <- true;
+          node.(0) <- root;
+          pos.(0) <- off.(root);
+          let sp = ref 1 in
+          while !sp > 0 do
+            let top = !sp - 1 in
+            let a = node.(top) and i = pos.(top) in
+            if i = off.(a + 1) then begin
+              finish.(!n_finished) <- a;
+              incr n_finished;
+              sp := top
+            end
+            else begin
+              pos.(top) <- i + 1;
+              match csts.(tgt.(i)).Problem.rhs with
+              | Problem.Rattr b when not visit.(b) ->
+                  visit.(b) <- true;
+                  node.(!sp) <- b;
+                  pos.(!sp) <- off.(b);
+                  incr sp
+              | _ -> ()
+            end
+          done
+        end
       done);
-  (* Pass 2: walk the stack, assigning a fresh priority to each unvisited
-     attribute and sweeping its backward-reachable unvisited region into the
-     same priority set. *)
-  let visit2 = Array.make n false in
+  (* Pass 2: walk the attributes in reverse finishing order, assigning a
+     fresh priority to each unvisited one and sweeping its
+     backward-reachable unvisited region (edges rhs → every lhs member)
+     into the same priority set.  [members] holds every set back to back,
+     in discovery order; set [k] starts at [starts.(k)]. *)
+  Array.fill visit 0 n false;
   let priority = Array.make n 0 in
-  let sets = ref [] in
+  let members = Array.make n 0 and n_members = ref 0 in
+  let starts = Array.make (n + 1) 0 in
   let max_priority = ref 0 in
+  let discover x =
+    visit.(x) <- true;
+    priority.(x) <- !max_priority;
+    members.(!n_members) <- x;
+    incr n_members
+  in
   Minup_obs.Trace.with_span ~cat:"constraints" "priorities.dfs_backward"
     (fun () ->
-      List.iter
-        (fun a ->
-          if not visit2.(a) then begin
-            incr max_priority;
-            let members = ref [] in
-            dfs ~succs:(backward_preds p) ~visit:visit2
-              ~on_discover:(fun x ->
-                priority.(x) <- !max_priority;
-                members := x :: !members)
-              ~on_finish:(fun _ -> ())
-              a;
-            sets := Array.of_list (List.rev !members) :: !sets
-          end)
-        !finish_stack);
+      let { Problem.off; tgt } = p.Problem.incoming in
+      let lpos = Array.make n 0 in
+      for k = n - 1 downto 0 do
+        let root = finish.(k) in
+        if not visit.(root) then begin
+          starts.(!max_priority) <- !n_members;
+          incr max_priority;
+          discover root;
+          node.(0) <- root;
+          pos.(0) <- off.(root);
+          lpos.(0) <- 0;
+          let sp = ref 1 in
+          while !sp > 0 do
+            let top = !sp - 1 in
+            let a = node.(top) and i = pos.(top) in
+            if i = off.(a + 1) then sp := top
+            else begin
+              let lhs = csts.(tgt.(i)).Problem.lhs and j = lpos.(top) in
+              if j = Array.length lhs then begin
+                pos.(top) <- i + 1;
+                lpos.(top) <- 0
+              end
+              else begin
+                lpos.(top) <- j + 1;
+                let b = lhs.(j) in
+                if not visit.(b) then begin
+                  discover b;
+                  node.(!sp) <- b;
+                  pos.(!sp) <- off.(b);
+                  lpos.(!sp) <- 0;
+                  incr sp
+                end
+              end
+            end
+          done
+        end
+      done);
+  starts.(!max_priority) <- n;
   {
     priority;
-    sets = Array.of_list (List.rev !sets);
+    sets =
+      Array.init !max_priority (fun k ->
+          Array.sub members starts.(k) (starts.(k + 1) - starts.(k)));
     max_priority = !max_priority;
   }
 
 let in_cycle t p a =
   Array.length t.sets.(t.priority.(a) - 1) > 1
-  || List.exists
-       (fun ci ->
-         match (p.Problem.csts.(ci)).Problem.rhs with
-         | Problem.Rattr b -> b = a
-         | Problem.Rlevel _ -> false)
-       p.Problem.constr_of.(a)
+  ||
+  let self = ref false in
+  Problem.iter_constr_of p a (fun ci ->
+      match p.Problem.csts.(ci).Problem.rhs with
+      | Problem.Rattr b -> if b = a then self := true
+      | Problem.Rlevel _ -> ());
+  !self

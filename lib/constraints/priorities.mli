@@ -24,7 +24,10 @@ type t = private {
 }
 
 (** Deterministic: follows attribute-id order for roots and constraint-index
-    order for edges, matching the paper's presentation. *)
+    order for edges, matching the paper's presentation.  Linear in the
+    constraint size: both DFS passes run on preallocated int stacks over
+    the {!Problem.csr} indexes and allocate a constant number of words per
+    attribute. *)
 val compute : 'lvl Problem.t -> t
 
 (** [in_cycle t p a] — attribute [a] shares its priority with another

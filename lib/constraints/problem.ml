@@ -1,17 +1,21 @@
 type 'lvl rhs = Rlevel of 'lvl | Rattr of int
 type 'lvl cst = { lhs : int array; rhs : 'lvl rhs }
 
+type csr = { off : int array; tgt : int array }
+
+module Names = Hashtbl.Make (String)
+
 type 'lvl t = {
   attr_names : string array;
-  attr_index : (string, int) Hashtbl.t;
+  attr_index : int Names.t;
   csts : 'lvl cst array;
   lhs_len : int array;
   complex : bool array;
   complex_idx : int array;
   n_complex : int;
-  constr_of : int list array;
-  complex_constr_of : int array array;
-  incoming : int list array;
+  constr_of : csr;
+  complex_constr_of : csr;
+  incoming : csr;
   dropped : 'lvl Cst.t list;
 }
 
@@ -24,82 +28,132 @@ let pp_error ppf = function
 
 exception Err of error
 
+(* [csr n each] — the CSR index over [n] rows of the (row, target) pairs
+   [each f] enumerates (it calls [f row target] once per pair, the same
+   sequence on both of the two calls).  Row [r] lists its targets in
+   enumeration order.  Counts go to [off.(r+1)], prefix sums turn them
+   into row ends, the fill advances [off.(r)] as each row's cursor, and a
+   final shift restores the row starts: no scratch array. *)
+let csr n each =
+  let off = Array.make (n + 1) 0 in
+  each (fun r _ -> off.(r + 1) <- off.(r + 1) + 1);
+  for r = 1 to n do
+    off.(r) <- off.(r) + off.(r - 1)
+  done;
+  let tgt = Array.make off.(n) 0 in
+  each (fun r x ->
+      tgt.(off.(r)) <- x;
+      off.(r) <- off.(r) + 1);
+  for r = n downto 1 do
+    off.(r) <- off.(r - 1)
+  done;
+  off.(0) <- 0;
+  { off; tgt }
+
+let csr_iter c r f =
+  for i = c.off.(r) to c.off.(r + 1) - 1 do
+    f c.tgt.(i)
+  done
+
+(* Sort a compiled lhs in place.  [Array.sort] allocates its helper
+   closures on every call, so the short lhs that make up nearly every
+   policy are sorted by insertion, which allocates nothing. *)
+let sort_lhs a =
+  let k = Array.length a in
+  if k > 8 then Array.sort Int.compare a
+  else
+    for i = 1 to k - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
 let compile ?(attrs = []) ?(strict = false) csts =
   Minup_obs.Trace.with_span ~cat:"constraints" "problem.compile" @@ fun () ->
   try
-    let names = ref [] and index = Hashtbl.create 64 and next = ref 0 in
+    let names = ref [] and index = Names.create 64 and next = ref 0 in
     let declare a =
-      if not (Hashtbl.mem index a) then begin
-        Hashtbl.add index a !next;
-        names := a :: !names;
-        incr next
-      end
+      Names.add index a !next;
+      names := a :: !names;
+      incr next
     in
-    List.iter declare attrs;
+    List.iter (fun a -> if not (Names.mem index a) then declare a) attrs;
+    (* [find] rather than [find_opt]: no [Some] box per lookup. *)
     let intern a =
-      match Hashtbl.find_opt index a with
-      | Some i -> i
-      | None ->
+      match Names.find index a with
+      | i -> i
+      | exception Not_found ->
           if strict then raise (Err (Undeclared_attr a));
           declare a;
-          Hashtbl.find index a
+          !next - 1
     in
-    let kept, dropped = List.partition (fun c -> not (Cst.is_trivial c)) csts in
-    let compiled =
-      List.map
-        (fun (c : _ Cst.t) ->
-          let lhs = Array.of_list (List.map intern c.lhs) in
-          Array.sort compare lhs;
+    let rec fill lhs i = function
+      | [] -> ()
+      | a :: rest ->
+          lhs.(i) <- intern a;
+          fill lhs (i + 1) rest
+    in
+    (* Trivially satisfied constraints (rhs ∈ lhs) are dropped, §3. *)
+    let kept = ref [] and n_kept = ref 0 and dropped = ref [] in
+    List.iter
+      (fun (c : _ Cst.t) ->
+        if Cst.is_trivial c then dropped := c :: !dropped
+        else begin
+          let lhs = Array.make (List.length c.lhs) 0 in
+          fill lhs 0 c.lhs;
+          sort_lhs lhs;
           let rhs =
             match c.rhs with
             | Cst.Level l -> Rlevel l
             | Cst.Attr a -> Rattr (intern a)
           in
-          { lhs; rhs })
-        kept
-    in
+          kept := { lhs; rhs } :: !kept;
+          incr n_kept
+        end)
+      csts;
+    let dropped = List.rev !dropped in
     (* Intern attributes of dropped constraints too: they are part of the
        universe and must still receive a (default ⊥) classification. *)
-    List.iter (fun c -> List.iter (fun a -> ignore (intern a)) (Cst.attrs c)) dropped;
-    let n = !next in
-    let csts = Array.of_list compiled in
+    List.iter (fun (c : _ Cst.t) -> List.iter (fun a -> ignore (intern a)) c.lhs) dropped;
+    let n = !next and m = !n_kept in
+    let csts = Array.make m { lhs = [||]; rhs = Rattr 0 } in
+    List.iteri (fun i c -> csts.(m - 1 - i) <- c) !kept;
     (* Per-constraint metadata the solver's hot loop would otherwise
-       recompute on every visit. *)
+       recompute on every visit, and a dense numbering of the complex
+       constraints: the solver keeps one incremental lhs-lub aggregate per
+       *complex* constraint, indexed by [complex_idx] (-1 for simple
+       ones). *)
     let lhs_len = Array.map (fun c -> Array.length c.lhs) csts in
     let complex = Array.map (fun len -> len > 1) lhs_len in
-    let constr_of = Array.make n [] and incoming = Array.make n [] in
-    Array.iteri
-      (fun ci c ->
-        Array.iter (fun a -> constr_of.(a) <- ci :: constr_of.(a)) c.lhs;
-        match c.rhs with
-        | Rattr a -> incoming.(a) <- ci :: incoming.(a)
-        | Rlevel _ -> ())
-      csts;
-    let ascending = Array.map List.rev in
-    let constr_of = ascending constr_of in
-    (* Compact numbering of the complex constraints: the solver keeps one
-       incremental lhs-lub aggregate per *complex* constraint, so give them
-       dense ids ([complex_idx], -1 for simple ones) and index the complex
-       subset of [constr_of] directly by those dense ids — walking it skips
-       the (typically dominant) simple constraints. *)
-    let complex_idx = Array.make (Array.length csts) (-1) in
+    let complex_idx = Array.make m (-1) in
     let n_complex = ref 0 in
-    Array.iteri
-      (fun ci is_complex ->
-        if is_complex then begin
-          complex_idx.(ci) <- !n_complex;
-          incr n_complex
-        end)
-      complex;
-    let complex_constr_of =
-      Array.map
-        (fun cis ->
-          Array.of_list
-            (List.filter_map
-               (fun ci ->
-                 if complex.(ci) then Some complex_idx.(ci) else None)
-               cis))
-        constr_of
+    for ci = 0 to m - 1 do
+      if complex.(ci) then begin
+        complex_idx.(ci) <- !n_complex;
+        incr n_complex
+      end
+    done;
+    (* The three indexes enumerate constraints in ascending index, so
+       every row is ascending. *)
+    let each_lhs only_complex f =
+      for ci = 0 to m - 1 do
+        if complex.(ci) || not only_complex then begin
+          let lhs = csts.(ci).lhs in
+          let x = if only_complex then complex_idx.(ci) else ci in
+          for i = 0 to Array.length lhs - 1 do
+            f lhs.(i) x
+          done
+        end
+      done
+    in
+    let each_rhs f =
+      for ci = 0 to m - 1 do
+        match csts.(ci).rhs with Rattr b -> f b ci | Rlevel _ -> ()
+      done
     in
     Ok
       {
@@ -110,9 +164,9 @@ let compile ?(attrs = []) ?(strict = false) csts =
         complex;
         complex_idx;
         n_complex = !n_complex;
-        constr_of;
-        complex_constr_of;
-        incoming = ascending incoming;
+        constr_of = csr n (each_lhs false);
+        complex_constr_of = csr n (each_lhs true);
+        incoming = csr n each_rhs;
         dropped;
       }
   with Err e -> Error e
@@ -124,12 +178,14 @@ let compile_exn ?attrs ?strict csts =
 
 let n_attrs p = Array.length p.attr_names
 let n_csts p = Array.length p.csts
+let iter_constr_of p a f = csr_iter p.constr_of a f
+let iter_incoming p a f = csr_iter p.incoming a f
 
 let total_size p =
   Array.fold_left (fun acc len -> acc + len + 1) 0 p.lhs_len
 
 let attr_name p a = p.attr_names.(a)
-let attr_id p a = Hashtbl.find_opt p.attr_index a
+let attr_id p a = Names.find_opt p.attr_index a
 
 let attr_id_exn p a =
   match attr_id p a with
@@ -163,10 +219,8 @@ let is_acyclic p =
     if color.(a) = 1 then cyclic := true
     else if color.(a) = 0 then begin
       color.(a) <- 1;
-      List.iter
-        (fun ci ->
-          match p.csts.(ci).rhs with Rattr b -> visit b | Rlevel _ -> ())
-        p.constr_of.(a);
+      iter_constr_of p a (fun ci ->
+          match p.csts.(ci).rhs with Rattr b -> visit b | Rlevel _ -> ());
       color.(a) <- 2
     end
   in

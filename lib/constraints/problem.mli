@@ -12,9 +12,19 @@ type 'lvl rhs = Rlevel of 'lvl | Rattr of int
 type 'lvl cst = { lhs : int array; rhs : 'lvl rhs }
 (** A compiled constraint; [lhs] is sorted and duplicate-free. *)
 
+(** A compressed-sparse-row index over attribute ids: row [a] is
+    [tgt.(off.(a)) .. tgt.(off.(a+1) - 1)], so [off] has [n_attrs + 1]
+    entries and [off.(n_attrs) = Array.length tgt].  Every row is in
+    ascending order. *)
+type csr = { off : int array; tgt : int array }
+
+(** Hash tables keyed by attribute name, with string equality and hash
+    (cheaper per lookup than the polymorphic [Hashtbl]). *)
+module Names : Hashtbl.S with type key = string
+
 type 'lvl t = private {
   attr_names : string array;
-  attr_index : (string, int) Hashtbl.t;
+  attr_index : int Names.t;
   csts : 'lvl cst array;
   lhs_len : int array;
       (** [lhs_len.(ci) = Array.length csts.(ci).lhs], precomputed so the
@@ -24,21 +34,26 @@ type 'lvl t = private {
       (** dense numbering of the complex constraints: [complex_idx.(ci)] is
           a dense id in [0 .. n_complex-1], or [-1] if [ci] is simple *)
   n_complex : int;  (** number of complex constraints *)
-  constr_of : int list array;
-      (** [constr_of.(a)] — indices of constraints with [a] in their lhs,
-          ascending *)
-  complex_constr_of : int array array;
-      (** [complex_constr_of.(a)] — dense ids ([complex_idx]) of the complex
-          constraints with [a] in their lhs, ascending; the solver's
-          incremental lhs-lub aggregates walk this, skipping the (typically
-          dominant) simple constraints *)
-  incoming : int list array;
-      (** [incoming.(a)] — indices of constraints whose rhs is [a],
-          ascending *)
+  constr_of : csr;
+      (** row [a] — indices of constraints with [a] in their lhs
+          ([Constr[A]] in the paper) *)
+  complex_constr_of : csr;
+      (** row [a] — dense ids ([complex_idx]) of the complex constraints
+          with [a] in their lhs; the solver's incremental lhs-lub
+          aggregates walk this, skipping the (typically dominant) simple
+          constraints *)
+  incoming : csr;  (** row [a] — indices of constraints whose rhs is [a] *)
   dropped : 'lvl Cst.t list;
       (** trivially satisfied constraints (rhs ∈ lhs) removed at compile
           time, §3 *)
 }
+(** The three indexes are flat int arrays, built in two linear sweeps over
+    the constraints (count, then fill) in ascending constraint index.
+    That ascending order is an invariant the solver relies on: its
+    Bigloop, [Try] and the priority DFS visit constraints row by row, so
+    the visit order — and with it every level and every [Instr] counter —
+    is fixed by it.  Compiling allocates a constant number of words per
+    constraint and per attribute. *)
 
 type error = Cst_error of Cst.error | Undeclared_attr of string
 
@@ -55,6 +70,14 @@ val compile_exn : ?attrs:string list -> ?strict:bool -> 'lvl Cst.t list -> 'lvl 
 
 val n_attrs : 'lvl t -> int
 val n_csts : 'lvl t -> int
+
+(** [iter_constr_of p a f] calls [f ci] for each constraint with [a] in
+    its lhs, ascending; [iter_incoming p a f] for each constraint whose
+    rhs is [a], ascending.  For callers off the solver's hot loops, which
+    index the {!csr} arrays directly. *)
+val iter_constr_of : 'lvl t -> int -> (int -> unit) -> unit
+
+val iter_incoming : 'lvl t -> int -> (int -> unit) -> unit
 
 (** Total constraint size [S = Σ (|lhs| + 1)] from the complexity analysis. *)
 val total_size : 'lvl t -> int

@@ -1,12 +1,12 @@
 type t = { component : int array; members : int array array; n_components : int }
 
 let succs p a =
-  List.filter_map
-    (fun ci ->
-      match (p.Problem.csts.(ci)).Problem.rhs with
-      | Problem.Rattr b -> Some b
-      | Problem.Rlevel _ -> None)
-    p.Problem.constr_of.(a)
+  let acc = ref [] in
+  Problem.iter_constr_of p a (fun ci ->
+      match p.Problem.csts.(ci).Problem.rhs with
+      | Problem.Rattr b -> acc := b :: !acc
+      | Problem.Rlevel _ -> ());
+  List.rev !acc
 
 let compute p =
   Minup_obs.Trace.with_span ~cat:"constraints"

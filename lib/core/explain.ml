@@ -36,8 +36,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let failure = ref None in
     while (not (Queue.is_empty queue)) && !failure = None do
       let x = Queue.pop queue in
-      List.iter
-        (fun ci ->
+      Problem.iter_constr_of prob x (fun ci ->
           if !failure = None then begin
             let c = prob.Problem.csts.(ci) in
             let combined =
@@ -54,7 +53,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                   Queue.push b queue
                 end
           end)
-        prob.Problem.constr_of.(x)
     done;
     match !failure with None -> Ok () | Some f -> Error f
 

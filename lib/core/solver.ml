@@ -100,6 +100,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   exception Try_failed
 
+  (* Where an attribute stands in the current [Try] call: in neither of
+     the paper's maps, in Tocheck, or in Tolower (never in both). *)
+  type pending = Idle | To_check | To_lower
+
   module Config = struct
     type t = {
       on_event : (event -> unit) option;
@@ -290,16 +294,16 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
        body — so no guard flag is needed, and ⊥ levels are skipped outright
        since ⊥ is the lub identity. *)
     let agg = Array.make prob.Problem.n_complex bottom in
-    let complex_constr_of = prob.Problem.complex_constr_of in
+    (* The hot loops walk the CSR rows directly. *)
+    let { Problem.off = co_off; tgt = co_tgt } = prob.Problem.constr_of in
+    let { Problem.off = cco_off; tgt = cco_tgt } = prob.Problem.complex_constr_of in
     let finalize a =
       let la = lam.(a) in
-      if la != bottom then begin
-        let ks = complex_constr_of.(a) in
-        for i = 0 to Array.length ks - 1 do
-          let k = ks.(i) in
+      if la != bottom then
+        for i = cco_off.(a) to cco_off.(a + 1) - 1 do
+          let k = cco_tgt.(i) in
           agg.(k) <- lub agg.(k) la
         done
-      end
     in
     let rhs_level (c : _ Problem.cst) =
       match c.rhs with Problem.Rlevel l -> l | Problem.Rattr b -> lam.(b)
@@ -324,11 +328,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
               skip.(a) <- true;
               done_.(a) <- true;
               lam.(a) <- l;
-              List.iter
-                (fun ci ->
-                  if prob.Problem.complex.(ci) then
-                    unlabeled.(ci) <- unlabeled.(ci) - 1)
-                prob.Problem.constr_of.(a)
+              for i = co_off.(a) to co_off.(a + 1) - 1 do
+                let ci = co_tgt.(i) in
+                if prob.Problem.complex.(ci) then
+                  unlabeled.(ci) <- unlabeled.(ci) - 1
+              done
         done;
         for a = 0 to n - 1 do
           if skip.(a) then finalize a
@@ -399,85 +403,89 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     (* TRY(A, l): propagate the candidate lowering λ(A) := l forward through
        the not-yet-done part of the constraint graph.  Returns the set of
        simultaneous lowerings that keeps every constraint satisfied, or
-       None if some constraint with a finalized right-hand side breaks. *)
+       None if some constraint with a finalized right-hand side breaks.
+
+       The paper's Tocheck and Tolower maps share one scratch pair,
+       allocated once per solve: [pend.(x)] says which map holds [x], and
+       [pend_lvl.(x)] the level recorded there.  Every attribute a call
+       writes is on [touched], and the call resets exactly those entries
+       on the way out, whether it succeeds or fails — so a call costs its
+       own work, not O(n). *)
+    let pend = Array.make n Idle and pend_lvl = Array.make n bottom in
+    let queue = Queue.create () in
     let try_lower a0 l0 =
       stats.Instr.try_calls <- stats.Instr.try_calls + 1;
-      let tocheck = Array.make n None and tolower = Array.make n None in
-      let queue = Queue.create () in
-      tocheck.(a0) <- Some l0;
+      pend.(a0) <- To_check;
+      pend_lvl.(a0) <- l0;
       Queue.push a0 queue;
       let touched = ref [ a0 ] in
       (* [touched] lets us read the final Tolower cheaply. *)
       let enqueue b lvl =
-        if tocheck.(b) = None && tolower.(b) = None then touched := b :: !touched;
-        tocheck.(b) <- Some lvl;
+        if pend.(b) = Idle then touched := b :: !touched;
+        pend.(b) <- To_check;
+        pend_lvl.(b) <- lvl;
         Queue.push b queue
       in
-      try
-        while not (Queue.is_empty queue) do
-          check_fine ();
-          let x = Queue.pop queue in
-          match tocheck.(x) with
-          | None -> () (* stale entry: the pair was moved or replaced *)
-          | Some lx ->
-              tocheck.(x) <- None;
-              tolower.(x) <- Some lx;
+      let result =
+        try
+          while not (Queue.is_empty queue) do
+            check_fine ();
+            let x = Queue.pop queue in
+            (* A popped attribute no longer in Tocheck is a stale entry:
+               the pair was moved or replaced. *)
+            if pend.(x) = To_check then begin
+              pend.(x) <- To_lower;
               stats.Instr.try_iterations <- stats.Instr.try_iterations + 1;
-              List.iter
-                (fun ci ->
-                  stats.Instr.constraint_checks <-
-                    stats.Instr.constraint_checks + 1;
-                  let c = csts.(ci) in
-                  let level =
-                    Array.fold_left
-                      (fun acc a'' ->
-                        match tolower.(a'') with
-                        | Some l'' -> lub acc l''
-                        | None -> lub acc lam.(a''))
-                      bottom c.lhs
-                  in
-                  if rhs_done c then begin
-                    if not (leq (rhs_level c) level) then raise Try_failed
-                  end
-                  else
-                    match c.rhs with
-                    | Problem.Rlevel _ -> assert false
-                    | Problem.Rattr b ->
-                        if not (leq lam.(b) level) then begin
-                          let newlevel = glb lam.(b) level in
-                          let pending =
-                            match tolower.(b) with
-                            | Some l'' -> Some (`Lower, l'')
-                            | None -> (
-                                match tocheck.(b) with
-                                | Some l'' -> Some (`Check, l'')
-                                | None -> None)
-                          in
-                          match pending with
-                          | None -> enqueue b newlevel
-                          | Some (where, l'') ->
-                              if not (leq l'' newlevel) then begin
-                                (* The recorded lowering and the one now
-                                   required are incomparable (or ours is
-                                   lower): the attribute must end below
-                                   both, i.e. at their glb. *)
-                                let nl = glb l'' newlevel in
-                                (match where with
-                                | `Lower -> tolower.(b) <- None
-                                | `Check -> ());
-                                enqueue b nl
-                              end
+              for i = co_off.(x) to co_off.(x + 1) - 1 do
+                let ci = co_tgt.(i) in
+                stats.Instr.constraint_checks <-
+                  stats.Instr.constraint_checks + 1;
+                let c = csts.(ci) in
+                let level =
+                  Array.fold_left
+                    (fun acc a'' ->
+                      if pend.(a'') = To_lower then lub acc pend_lvl.(a'')
+                      else lub acc lam.(a''))
+                    bottom c.lhs
+                in
+                if rhs_done c then begin
+                  if not (leq (rhs_level c) level) then raise Try_failed
+                end
+                else
+                  match c.rhs with
+                  | Problem.Rlevel _ -> assert false
+                  | Problem.Rattr b ->
+                      if not (leq lam.(b) level) then begin
+                        let newlevel = glb lam.(b) level in
+                        if pend.(b) = Idle then enqueue b newlevel
+                        else begin
+                          let l'' = pend_lvl.(b) in
+                          if not (leq l'' newlevel) then begin
+                            (* The recorded lowering and the one now
+                               required are incomparable (or ours is
+                               lower): the attribute must end below both,
+                               i.e. at their glb. *)
+                            let nl = glb l'' newlevel in
+                            if pend.(b) = To_lower then pend.(b) <- Idle;
+                            enqueue b nl
+                          end
                           (* Otherwise the pending lowering already implies
                              satisfaction; leave it alone. *)
-                        end)
-                prob.Problem.constr_of.(x)
-        done;
-        Some
-          (List.filter_map
-             (fun x ->
-               match tolower.(x) with Some l -> Some (x, l) | None -> None)
-             !touched)
-      with Try_failed -> None
+                        end
+                      end
+              done
+            end
+          done;
+          Some
+            (List.filter_map
+               (fun x ->
+                 if pend.(x) = To_lower then Some (x, pend_lvl.(x)) else None)
+               !touched)
+        with Try_failed -> None
+      in
+      List.iter (fun x -> pend.(x) <- Idle) !touched;
+      Queue.clear queue;
+      result
     in
     (* BIGLOOP. *)
     let attr_name = Problem.attr_name prob in
@@ -562,8 +570,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     if tracing then Trace.begin_span ~cat:"solver" "bigloop";
     List.iter
       (fun p ->
-      let members = Array.copy prio.Priorities.sets.(p - 1) in
-      Array.sort (fun a b -> compare (member_key a) (member_key b)) members;
+      let members =
+        match prio.Priorities.sets.(p - 1) with
+        | [| _ |] as singleton -> singleton
+        | set ->
+            let members = Array.copy set in
+            Array.sort (fun a b -> compare (member_key a) (member_key b)) members;
+            members
+      in
       (* A span per non-trivial priority set (= SCC subject to forward
          lowering); singleton sets are far too numerous on acyclic inputs
          to each deserve a span of their own. *)
@@ -582,18 +596,18 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           let t_attr0 = if tracing then Clock.now_ns () else 0L in
           done_.(a) <- true;
           let l = ref bottom in
-          List.iter
-            (fun ci ->
-              let c = csts.(ci) in
-              let complex = prob.Problem.complex.(ci) in
-              if complex then unlabeled.(ci) <- unlabeled.(ci) - 1;
-              if rhs_done c then begin
-                if not complex then l := lub !l (rhs_level c)
-                else if unlabeled.(ci) = 0 || bounds_mode then
-                  l := lub !l (minlevel a ci c)
-              end
-              else done_.(a) <- false)
-            prob.Problem.constr_of.(a);
+          for i = co_off.(a) to co_off.(a + 1) - 1 do
+            let ci = co_tgt.(i) in
+            let c = csts.(ci) in
+            let complex = prob.Problem.complex.(ci) in
+            if complex then unlabeled.(ci) <- unlabeled.(ci) - 1;
+            if rhs_done c then begin
+              if not complex then l := lub !l (rhs_level c)
+              else if unlabeled.(ci) = 0 || bounds_mode then
+                l := lub !l (minlevel a ci c)
+            end
+            else done_.(a) <- false
+          done;
           if done_.(a) then begin
             lam.(a) <- !l;
             finalize a;
@@ -791,7 +805,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             let nb = L.glb lat ub.(b) incoming in
             if not (L.equal lat nb ub.(b)) then begin
               ub.(b) <- nb;
-              List.iter (fun cj -> Queue.push cj queue) prob.Problem.constr_of.(b)
+              Problem.iter_constr_of prob b (fun cj -> Queue.push cj queue)
             end
       done;
       (* Inconsistencies surface at security-level nodes: a level-rhs

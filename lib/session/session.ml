@@ -2,6 +2,7 @@ module Cst = Minup_constraints.Cst
 module Problem = Minup_constraints.Problem
 module Priorities = Minup_constraints.Priorities
 module Trace = Minup_obs.Trace
+module Names = Problem.Names
 
 module Make (L : Minup_lattice.Lattice_intf.S) = struct
   module Solver = Minup_core.Solver.Make (L)
@@ -35,14 +36,39 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             place *)
     | D_attr of string
 
+  (* Id-addressed append-only slots: [items.(i)] for [i < len] is the
+     value pushed as the [i]-th, or [None] once removed (a tombstone).
+     Push is amortized O(1), removal O(1), and a walk visits the live
+     values in push order in time linear in [len]. *)
+  type 'a slots = { mutable items : 'a option array; mutable len : int }
+
+  let slots () = { items = [||]; len = 0 }
+
+  let push s x =
+    if s.len = Array.length s.items then begin
+      let items = Array.make (max 16 (2 * s.len)) None in
+      Array.blit s.items 0 items 0 s.len;
+      s.items <- items
+    end;
+    s.items.(s.len) <- Some x;
+    s.len <- s.len + 1;
+    s.len - 1
+
+  let fold_live f s init =
+    let acc = ref init in
+    for i = s.len - 1 downto 0 do
+      match s.items.(i) with Some x -> acc := f i x !acc | None -> ()
+    done;
+    !acc
+
   type t = {
     lattice : L.t;
-    mutable attrs : string list;  (** interning order, append-only *)
-    attr_set : (string, unit) Hashtbl.t;
-    mutable entries : (int * L.level Cst.t) list;  (** id order *)
-    mutable next_id : int;
-    bounds : (string, L.level) Hashtbl.t;
-    mutable bound_order : string list;  (** first-set order *)
+    mutable attrs_rev : string list;  (** interning order, reversed *)
+    attr_set : unit Names.t;
+    entries : L.level Cst.t slots;  (** user constraints; slot = id *)
+    bounds : (int * L.level) Names.t;
+        (** attr ↦ (slot in [bound_order], level) *)
+    bound_order : string slots;  (** bounded attributes, first-set order *)
     mutable pending : delta list;  (** reversed *)
     mutable compiled : compiled option;
     mutable stats : stats;
@@ -51,29 +77,30 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let lattice t = t.lattice
 
   let register t a =
-    if not (Hashtbl.mem t.attr_set a) then begin
-      Hashtbl.add t.attr_set a ();
-      t.attrs <- t.attrs @ [ a ]
+    if not (Names.mem t.attr_set a) then begin
+      Names.add t.attr_set a ();
+      t.attrs_rev <- a :: t.attrs_rev
     end
 
+  (* [Cst.attrs] order, without building its list. *)
+  let register_cst t (c : _ Cst.t) =
+    List.iter (register t) c.lhs;
+    match c.rhs with Cst.Attr a -> register t a | Cst.Level _ -> ()
+
   let add_constraint t c =
-    List.iter (register t) (Cst.attrs c);
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    t.entries <- t.entries @ [ (id, c) ];
+    register_cst t c;
     t.pending <- D_add c :: t.pending;
-    id
+    push t.entries c
 
   let create ~lattice ?(attrs = []) csts =
     let t =
       {
         lattice;
-        attrs = [];
-        attr_set = Hashtbl.create 64;
-        entries = [];
-        next_id = 0;
-        bounds = Hashtbl.create 16;
-        bound_order = [];
+        attrs_rev = [];
+        attr_set = Names.create 64;
+        entries = slots ();
+        bounds = Names.create 16;
+        bound_order = slots ();
         pending = [];
         compiled = None;
         stats =
@@ -85,33 +112,37 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     t
 
   let remove_constraint t id =
-    match List.assoc_opt id t.entries with
-    | None -> false
-    | Some c ->
-        t.entries <- List.filter (fun (i, _) -> i <> id) t.entries;
-        t.pending <- D_remove c :: t.pending;
-        true
+    if id < 0 || id >= t.entries.len then false
+    else
+      match t.entries.items.(id) with
+      | None -> false
+      | Some c ->
+          t.entries.items.(id) <- None;
+          t.pending <- D_remove c :: t.pending;
+          true
 
   let set_lower_bound t attr lvl =
     register t attr;
-    match lvl with
-    | None ->
-        if Hashtbl.mem t.bounds attr then begin
-          Hashtbl.remove t.bounds attr;
-          t.bound_order <- List.filter (fun a -> a <> attr) t.bound_order;
-          t.pending <- D_bound { attr; patched = false } :: t.pending
-        end
-    | Some l ->
-        let existing = Hashtbl.mem t.bounds attr in
-        Hashtbl.replace t.bounds attr l;
-        if not existing then t.bound_order <- t.bound_order @ [ attr ];
-        t.pending <- D_bound { attr; patched = existing } :: t.pending
+    match (lvl, Names.find_opt t.bounds attr) with
+    | None, None -> ()
+    | None, Some (slot, _) ->
+        Names.remove t.bounds attr;
+        t.bound_order.items.(slot) <- None;
+        t.pending <- D_bound { attr; patched = false } :: t.pending
+    | Some l, Some (slot, _) ->
+        Names.replace t.bounds attr (slot, l);
+        t.pending <- D_bound { attr; patched = true } :: t.pending
+    | Some l, None ->
+        Names.replace t.bounds attr (push t.bound_order attr, l);
+        t.pending <- D_bound { attr; patched = false } :: t.pending
 
   let add_attribute t a =
-    if not (Hashtbl.mem t.attr_set a) then begin
+    if not (Names.mem t.attr_set a) then begin
       register t a;
       t.pending <- D_attr a :: t.pending
     end
+
+  let bound_level t a = snd (Names.find t.bounds a)
 
   (* The compile input, with the session key of every constraint.  Bound
      constraints come after user constraints so user constraint indices
@@ -119,13 +150,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      session's insertion order, so recompiles of an unchanged session are
      literally identical. *)
   let keyed_csts t =
-    List.map (fun (id, c) -> (K_user id, c)) t.entries
-    @ List.map
-        (fun a ->
-          (K_bound a, Cst.make_exn ~lhs:[ a ] ~rhs:(Cst.Level (Hashtbl.find t.bounds a))))
-        t.bound_order
+    fold_live (fun id c acc -> (K_user id, c) :: acc) t.entries
+      (fold_live
+         (fun _ a acc ->
+           (K_bound a, Cst.make_exn ~lhs:[ a ] ~rhs:(Cst.Level (bound_level t a)))
+           :: acc)
+         t.bound_order [])
 
-  let snapshot t = (t.attrs, List.map snd (keyed_csts t))
+  let snapshot t = (List.rev t.attrs_rev, List.map snd (keyed_csts t))
 
   let compile_now t =
     let keyed = keyed_csts t in
@@ -136,7 +168,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let kept = List.filter (fun (_, c) -> not (Cst.is_trivial c)) keyed in
     let keys = Array.of_list (List.map fst kept) in
     let problem =
-      Solver.compile_exn ~lattice:t.lattice ~attrs:t.attrs (List.map snd keyed)
+      Solver.compile_exn ~lattice:t.lattice ~attrs:(List.rev t.attrs_rev)
+        (List.map snd keyed)
     in
     (problem, keys)
 
@@ -186,10 +219,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       | [] -> continue := false
       | x :: rest ->
           stack := rest;
-          List.iter mark_lhs prob.Problem.incoming.(x);
-          List.iter
-            (fun ci -> if prob.Problem.complex.(ci) then mark_lhs ci)
-            prob.Problem.constr_of.(x)
+          Problem.iter_incoming prob x mark_lhs;
+          Problem.iter_constr_of prob x (fun ci ->
+              if prob.Problem.complex.(ci) then mark_lhs ci)
     done;
     dirty
 
@@ -268,7 +300,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           match d with
           | D_bound { attr; _ } ->
               let ci = Hashtbl.find ci_of_bound attr in
-              let l = Hashtbl.find t.bounds attr in
+              let l = bound_level t attr in
               (Problem.set_rlevel prob ci l, Problem.attr_id_exn prob attr :: seeds)
           | _ -> assert false)
         (prob0, []) pending

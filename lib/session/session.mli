@@ -28,7 +28,26 @@
     ({!Make.snapshot}) would return.  Which path was taken shows up only
     in {!Make.stats} and in the solve's operation counters.
 
-    Sessions are single-domain values: no internal locking. *)
+    Sessions are single-domain values: no internal locking.
+
+    {b Costs.}  The editor state is flat: the attribute universe is a list
+    kept in reverse plus a hash set, user constraints and bounded
+    attributes live in id-addressed append-only arrays where removal
+    leaves a tombstone, and bounds are a hash table.  With [k] the size
+    of the constraint involved:
+    - {!Make.create}: linear in its input (attributes plus total
+      constraint size);
+    - {!Make.add_constraint}: O(k) amortized;
+    - {!Make.remove_constraint}, {!Make.set_lower_bound},
+      {!Make.add_attribute}: O(1) amortized;
+    - {!Make.snapshot}, and the recompile of a {!Make.resolve} that takes
+      the general path: linear in the attributes, the constraint size and
+      the number of constraint ids and bounded attributes ever handed out
+      (tombstones included), plus the compile itself;
+    - the patch path of {!Make.resolve}: no compile; linear in the
+      compiled constraints for each queued bound change
+      ({!Minup_constraints.Problem.set_rlevel} copies the constraint
+      array). *)
 
 module Make (L : Minup_lattice.Lattice_intf.S) : sig
   (** The session's own solver instance.  Exposed so callers can name the

@@ -61,9 +61,37 @@ let pp () =
   in
   Alcotest.(check string) "render simple" "λ(x) ⊒ λ(y)" s2
 
+(* The duplicate check names the first member equal to an earlier one,
+   not the first one that has a later twin, however long the lhs. *)
+let long_lhs_duplicates () =
+  let names k = List.init k (Printf.sprintf "a%d") in
+  let dup lhs =
+    match Cst.make ~lhs ~rhs:(Cst.Level 0) with
+    | Error (Cst.Duplicate_lhs a) -> Some a
+    | Error Cst.Empty_lhs -> Alcotest.fail "empty lhs"
+    | Ok _ -> None
+  in
+  Alcotest.(check (option string)) "no duplicate" None (dup (names 100));
+  Alcotest.(check (option string)) "first repeat wins" (Some "a50")
+    (dup (names 100 @ [ "a50"; "a3" ]));
+  Alcotest.(check (option string)) "adjacent repeat" (Some "a7")
+    (dup ([ "a7"; "a7" ] @ names 40));
+  Alcotest.(check (option string)) "first member repeated last" (Some "a0")
+    (dup (names 16 @ [ "a0" ]));
+  (* A hostile 32k-member lhs: a pairwise scan takes seconds here. *)
+  Alcotest.(check (option string)) "32k members" (Some "a31999")
+    (dup (names 32_000 @ [ "a31999" ]));
+  match Cst.make ~lhs:(names 20 @ [ "a4" ]) ~rhs:(Cst.Level 0) with
+  | Error e ->
+      Alcotest.(check string) "error text"
+        "attribute \"a4\" repeated in left-hand side"
+        (Format.asprintf "%a" Cst.pp_error e)
+  | Ok _ -> Alcotest.fail "accepted duplicate lhs"
+
 let suite =
   [
     case "make validation" make_validation;
+    case "long lhs duplicates" long_lhs_duplicates;
     case "simple/complex classification" classify;
     case "trivial detection" trivial;
     case "mentioned attributes" attrs;

@@ -190,9 +190,34 @@ let render_roundtrip =
                r.Parse.csts r'.Parse.csts
           && List.length r'.Parse.upper_bounds = 1)
 
+(* Policies shaped to hit the parser's worst cases: one declaration per
+   line (the declaration list used to be appended to, quadratically) and
+   a single huge association.  Declaration order, the duplicate reported,
+   and the line number of an error must not depend on the shape. *)
+let hostile_shapes () =
+  let k = 32_000 in
+  let names = List.init k (Printf.sprintf "x%d") in
+  let one_per_line = String.concat "" (List.map (fun a -> "attrs " ^ a ^ "\n") names) in
+  (match Parse.parse one_per_line with
+  | Ok ast -> Alcotest.(check (list string)) "declaration order" names ast.Parse.decls
+  | Error e -> Alcotest.failf "%a" Parse.pp_error e);
+  (match Parse.parse (one_per_line ^ "attrs ok, b@d\n") with
+  | Error { line; message } ->
+      Alcotest.(check int) "error line" (k + 1) line;
+      Alcotest.(check string) "error text" "invalid identifier \"b@d\"" message
+  | Ok _ -> Alcotest.fail "accepted an invalid identifier");
+  let lub = "lub{" ^ String.concat ", " names ^ ", x17} >= Secret\n" in
+  match Parse.parse_resolve ~level_of_string:(Total.level_of_string ladder) lub with
+  | Error { line; message } ->
+      Alcotest.(check int) "dup line" 1 line;
+      Alcotest.(check string) "dup text" "attribute \"x17\" repeated in left-hand side"
+        message
+  | Ok _ -> Alcotest.fail "accepted a duplicate lhs member"
+
 let suite =
   [
     case "parse" parse_ok;
+    case "hostile shapes stay linear" hostile_shapes;
     case "resolve" resolve_ok;
     case "attribute shadows level" attr_shadows_level;
     case "compartmented level rhs" compartment_rhs;

@@ -35,9 +35,14 @@ let indexes () =
   let p = Problem.compile_exn csts in
   let a = Option.get (Problem.attr_id p "a") in
   let c = Option.get (Problem.attr_id p "c") in
-  Alcotest.(check (list int)) "Constr[a]" [ 0; 1 ] p.Problem.constr_of.(a);
-  Alcotest.(check (list int)) "Constr[c]" [ 2 ] p.Problem.constr_of.(c);
-  Alcotest.(check (list int)) "incoming c" [ 1 ] p.Problem.incoming.(c);
+  let row iter a =
+    let acc = ref [] in
+    iter p a (fun ci -> acc := ci :: !acc);
+    List.rev !acc
+  in
+  Alcotest.(check (list int)) "Constr[a]" [ 0; 1 ] (row Problem.iter_constr_of a);
+  Alcotest.(check (list int)) "Constr[c]" [ 2 ] (row Problem.iter_constr_of c);
+  Alcotest.(check (list int)) "incoming c" [ 1 ] (row Problem.iter_incoming c);
   (* lhs arrays are sorted *)
   Array.iter
     (fun (cst : _ Problem.cst) ->

@@ -1,0 +1,104 @@
+(* No hidden quadratic costs: the words a layer allocates must grow
+   linearly with its input.  Words allocated are a hardware-independent
+   signal, so these bounds hold on any host.  Each layer runs at two sizes
+   4x apart; a linear layer allocates about 4x as much at the larger one,
+   a quadratic one about 16x. *)
+open Minup_constraints
+module Gen = Minup_workload.Gen_constraints
+module Prng = Minup_workload.Prng
+module Session = Minup_session.Session.Make (Minup_lattice.Total)
+
+let case = Helpers.case
+let small = 2_000
+let large = 8_000
+let max_growth = 4.6
+
+(* Words allocated by [f], direct major-heap allocations included: the
+   quantity [Gc.allocated_bytes] reports, read as [Gc.minor_words] plus
+   major minus promoted words from [Gc.counters], whose own minor count
+   is not in words on OCaml 5.1. *)
+let words f =
+  Gc.minor ();
+  let total () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = total () in
+  ignore (Sys.opaque_identity (f ()));
+  total () -. w0
+
+let ladder = Minup_lattice.Total.create (List.init 16 (Printf.sprintf "S%d"))
+
+(* The shape of the Thm. 5.2 acyclic experiments. *)
+let acyclic n =
+  Gen.acyclic (Prng.create 5)
+    {
+      Gen.n_attrs = n;
+      n_simple = 2 * n;
+      n_complex = n / 2;
+      max_lhs = 4;
+      n_constants = n / 4;
+      constants = List.init 16 Fun.id;
+    }
+
+let inputs = lazy (acyclic small, acyclic large)
+
+let check_growth name ~small:w_small ~large:w_large =
+  let growth = w_large /. w_small in
+  if growth > max_growth then
+    Alcotest.failf "%s: allocation grew %.2fx for 4x the input (bound %.1fx)"
+      name growth max_growth
+
+(* The words [f] allocates on the small and on the large input. *)
+let both f =
+  let s, l = Lazy.force inputs in
+  (words (fun () -> f s), words (fun () -> f l))
+
+let compile_linear () =
+  let compile (attrs, csts) = Problem.compile_exn ~attrs csts in
+  let w_small, w_large = both compile in
+  check_growth "Problem.compile" ~small:w_small ~large:w_large;
+  let _, (attrs, csts) = Lazy.force inputs in
+  let n_csts = float_of_int (Problem.n_csts (compile (attrs, csts))) in
+  let per_cst = w_large /. n_csts in
+  if per_cst > 30. then
+    Alcotest.failf "Problem.compile: %.1f words per constraint (bound 30)" per_cst
+
+let priorities_linear () =
+  let compiled (attrs, csts) = Problem.compile_exn ~attrs csts in
+  let s, l = Lazy.force inputs in
+  let ps = compiled s and pl = compiled l in
+  let w_small = words (fun () -> Priorities.compute ps) in
+  let w_large = words (fun () -> Priorities.compute pl) in
+  check_growth "Priorities.compute" ~small:w_small ~large:w_large
+
+let session_create_linear () =
+  let w_small, w_large =
+    both (fun (attrs, csts) -> Session.create ~lattice:ladder ~attrs csts)
+  in
+  check_growth "Session.create" ~small:w_small ~large:w_large
+
+(* The parser's hostile shapes: one [attrs] declaration per line, and a
+   single association over every attribute. *)
+let parser_linear () =
+  let names n = List.init n (Printf.sprintf "x%d") in
+  let per_line n = String.concat "" (List.map (fun a -> "attrs " ^ a ^ "\n") (names n)) in
+  let one_lub n = "lub{" ^ String.concat ", " (names n) ^ "} >= S3\n" in
+  let parse text =
+    Parse.parse_resolve ~level_of_string:(Minup_lattice.Total.level_of_string ladder) text
+  in
+  List.iter
+    (fun (name, shape) ->
+      let ts = shape small and tl = shape large in
+      let w_small = words (fun () -> parse ts) in
+      let w_large = words (fun () -> parse tl) in
+      check_growth name ~small:w_small ~large:w_large)
+    [ ("Parse: one declaration per line", per_line); ("Parse: one huge lub", one_lub) ]
+
+let suite =
+  [
+    case "Problem.compile allocation is linear" compile_linear;
+    case "Priorities.compute allocation is linear" priorities_linear;
+    case "Session.create allocation is linear" session_create_linear;
+    case "parser allocation is linear on hostile shapes" parser_linear;
+  ]

@@ -189,6 +189,107 @@ let random_sessions () =
     random_session seed
   done
 
+(* {2 State model}
+
+   A seeded run of edits checked, after every edit, against a naive
+   list-based model of the session state: the attribute universe in
+   first-mention order, user constraints in id order, bounds in first-set
+   order (a cleared bound that is set again goes to the end), and what
+   [remove_constraint] answers.  [snapshot] order is what keeps compiled
+   constraint indices stable from one resolve to the next. *)
+
+type model = {
+  mutable m_attrs : string list;
+  mutable m_entries : (int * Explicit.level Cst.t) list;
+  mutable m_next : int;
+  mutable m_bounds : (string * Explicit.level) list;
+}
+
+let session_state_model () =
+  let rng = Prng.create 2024 in
+  let levels = Array.of_seq (Explicit.levels fig1b) in
+  let level () = levels.(Prng.int rng (Array.length levels)) in
+  let n_names = ref 8 in
+  let name () =
+    (* Mostly known names, sometimes a fresh one. *)
+    if Prng.int rng 10 = 0 then incr n_names;
+    Printf.sprintf "x%d" (Prng.int rng !n_names)
+  in
+  let sess = Session.create ~lattice:fig1b [] in
+  let m = { m_attrs = []; m_entries = []; m_next = 0; m_bounds = [] } in
+  let register a = if not (List.mem a m.m_attrs) then m.m_attrs <- m.m_attrs @ [ a ] in
+  let render c = Format.asprintf "%a" (Cst.pp (Explicit.pp_level fig1b)) c in
+  let check step =
+    let attrs, csts = Session.snapshot sess in
+    let expected =
+      List.map snd m.m_entries
+      @ List.map
+          (fun (a, l) -> Cst.make_exn ~lhs:[ a ] ~rhs:(Cst.Level l))
+          m.m_bounds
+    in
+    Alcotest.(check (list string)) (Printf.sprintf "step %d attrs" step) m.m_attrs attrs;
+    Alcotest.(check (list string))
+      (Printf.sprintf "step %d constraints" step)
+      (List.map render expected) (List.map render csts)
+  in
+  let removed = ref [] in
+  for step = 1 to 2_000 do
+    (match Prng.int rng 7 with
+    | 0 | 1 ->
+        let k = 1 + Prng.int rng 3 in
+        let lhs = List.sort_uniq compare (List.init k (fun _ -> name ())) in
+        let rhs = if Prng.bool rng then Cst.Attr (name ()) else Cst.Level (level ()) in
+        let c = Cst.make_exn ~lhs ~rhs in
+        List.iter register (Cst.attrs c);
+        let id = Session.add_constraint sess c in
+        Alcotest.(check int) (Printf.sprintf "step %d id" step) m.m_next id;
+        m.m_entries <- m.m_entries @ [ (id, c) ];
+        m.m_next <- id + 1
+    | 2 -> (
+        match m.m_entries with
+        | [] -> ()
+        | live ->
+            let id, _ = List.nth live (Prng.int rng (List.length live)) in
+            Alcotest.(check bool) (Printf.sprintf "step %d remove" step) true
+              (Session.remove_constraint sess id);
+            m.m_entries <- List.filter (fun (i, _) -> i <> id) m.m_entries;
+            removed := id :: !removed)
+    | 3 ->
+        (* Removing again, or an id never handed out, answers false. *)
+        let id =
+          match !removed with
+          | _ :: _ when Prng.bool rng -> List.nth !removed (Prng.int rng (List.length !removed))
+          | _ -> if Prng.bool rng then m.m_next + Prng.int rng 3 else -1 - Prng.int rng 3
+        in
+        Alcotest.(check bool) (Printf.sprintf "step %d re-remove" step) false
+          (Session.remove_constraint sess id)
+    | 4 ->
+        let a = name () and l = level () in
+        Session.set_lower_bound sess a (Some l);
+        register a;
+        m.m_bounds <-
+          (if List.mem_assoc a m.m_bounds then
+             List.map (fun (b, l') -> if b = a then (b, l) else (b, l')) m.m_bounds
+           else m.m_bounds @ [ (a, l) ])
+    | 5 ->
+        let a =
+          match m.m_bounds with
+          | _ :: _ when Prng.int rng 4 > 0 ->
+              fst (List.nth m.m_bounds (Prng.int rng (List.length m.m_bounds)))
+          | _ -> name ()
+        in
+        Session.set_lower_bound sess a None;
+        register a;
+        m.m_bounds <- List.remove_assoc a m.m_bounds
+    | _ ->
+        let a = name () in
+        Session.add_attribute sess a;
+        register a);
+    check step;
+    if step mod 250 = 0 then
+      check_matches ~ctx:(Printf.sprintf "model step %d" step) fig1b sess
+  done
+
 (* {2 Wire envelopes} *)
 
 let wire_roundtrip w =
@@ -421,6 +522,7 @@ let suite =
     case "bounded catch-up obeys budget" bounded_catch_up_obeys_budget;
     case "untouched subgraph is frozen" untouched_subgraph_is_frozen;
     case "random sessions match scratch" random_sessions;
+    case "state matches a list model" session_state_model;
     case "wire round-trips" wire_roundtrips;
     case "wire rejects bad envelopes" wire_rejects;
     case "serve basic flow" serve_basic_flow;
