@@ -163,28 +163,29 @@ let solve_cmd lattice_path policy_path bounds events check_minimal explain
     @ List.map (fun spec -> or_die (parse_bound lattice spec)) bounds
   in
   let on_event =
-    if not events then fun _ -> ()
+    if not events then None
     else
       let lvl l = Explicit.level_to_string lattice l in
-      fun (e : Solver.event) ->
-        match e with
-        | Solver.Consider { attr; priority } ->
-            Printf.eprintf "consider %s (priority %d)\n" attr priority
-        | Solver.Back_assigned { attr; level } ->
-            Printf.eprintf "  assign %s := %s\n" attr (lvl level)
-        | Solver.Try_lower { attr; target; lowered = None } ->
-            Printf.eprintf "  try(%s, %s) fails\n" attr (lvl target)
-        | Solver.Try_lower { attr; target; lowered = Some l } ->
-            Printf.eprintf "  try(%s, %s) lowers %s\n" attr (lvl target)
-              (String.concat ","
-                 (List.map (fun (a, v) -> a ^ "->" ^ lvl v) l))
-        | Solver.Finalized { attr; level } ->
-            Printf.eprintf "  done %s = %s\n" attr (lvl level)
+      Some
+        (fun (e : Solver.event) ->
+          match e with
+          | Solver.Consider { attr; priority } ->
+              Printf.eprintf "consider %s (priority %d)\n" attr priority
+          | Solver.Back_assigned { attr; level } ->
+              Printf.eprintf "  assign %s := %s\n" attr (lvl level)
+          | Solver.Try_lower { attr; target; lowered = None } ->
+              Printf.eprintf "  try(%s, %s) fails\n" attr (lvl target)
+          | Solver.Try_lower { attr; target; lowered = Some l } ->
+              Printf.eprintf "  try(%s, %s) lowers %s\n" attr (lvl target)
+                (String.concat ","
+                   (List.map (fun (a, v) -> a ^ "->" ^ lvl v) l))
+          | Solver.Finalized { attr; level } ->
+              Printf.eprintf "  done %s = %s\n" attr (lvl level))
   in
   let solution =
     with_obs obs (fun () ->
         let s =
-          let config = Solver.Config.make ~on_event () in
+          let config = Solver.Config.make ?on_event () in
           if bounds = [] then Solver.solve ~config problem
           else
             match Solver.solve_with_bounds ~config problem bounds with

@@ -1,11 +1,16 @@
-(* Pinned Instr counters on two fixed instances: the acyclic n=2000
-   workload (bench seed 17), where every attribute is back-propagated, and
-   one single-cycle instance, where the forward lowering ([Try]) runs.
-   Any drift means a change altered what the solver computes or how it
-   counts.  Prints both lines; exits 1 if either differs from its pin. *)
+(* Pinned Instr counters on three fixed instances: the acyclic n=2000
+   workload (bench seed 17), where every attribute is back-propagated; one
+   single-cycle instance, where the forward lowering ([Try]) runs; and a
+   small instance over the pentagon lattice N5 where, inside one [Try], an
+   attribute's pending lowering is replaced by a glb and the attribute
+   re-enters Tocheck.  Any drift means a change altered what the solver
+   computes or how it counts.  Prints every line; exits 1 if any differs
+   from its pin. *)
 open Minup_lattice
 module ST = Minup_core.Solver.Make (Total)
 module SP = Minup_core.Solver.Make (Powerset)
+module SE = Minup_core.Solver.Make (Explicit)
+module Cst = Minup_constraints.Cst
 module Instr = Minup_core.Instr
 module Gen = Minup_workload.Gen_constraints
 module Prng = Minup_workload.Prng
@@ -22,6 +27,44 @@ let powerset (attrs, csts) =
   let p = SP.compile_exn ~lattice:powerset4 ~attrs csts in
   Format.asprintf "%a" Instr.pp (SP.solve p).SP.stats
 
+(* In a chain or a powerset all the lowerings one [Try] asks of an
+   attribute are equal, so the glb branch never runs there; the pentagon
+   is one of the smallest lattices where it does. *)
+let pentagon =
+  Explicit.create_exn ~names:[ "bot"; "a"; "b"; "c"; "top" ]
+    ~order:[ ("bot", "a"); ("a", "b"); ("b", "top"); ("bot", "c"); ("c", "top") ]
+
+let explicit lat (attrs, csts) =
+  let p = SE.compile_exn ~lattice:lat ~attrs csts in
+  Format.asprintf "%a" Instr.pp (SE.solve p).SE.stats
+
+(* [x2]'s Try to [b] lowers [x5] to bot, which then asks [x2] for [a]:
+   [x2] re-enters Tocheck at glb(b, a) = a, and the Try fails.  The cycles
+   [y0] >= [yi] >= [zi] >= [y0] next to it make one [Try] push 19
+   attributes at once. *)
+let glb_meet =
+  let lv = Explicit.of_name_exn pentagon in
+  let x i = Printf.sprintf "x%d" i and y i = Printf.sprintf "y%d" i in
+  let z i = Printf.sprintf "z%d" i in
+  ( List.init 6 x @ List.init 20 y @ List.init 19 (fun i -> z (i + 1)),
+    [
+      Cst.simple (x 1) (Cst.Level (lv "c"));
+      Cst.simple (x 4) (Cst.Level (lv "a"));
+      Cst.make_exn ~lhs:[ x 5; x 0 ] ~rhs:(Cst.Attr (x 2));
+      Cst.simple (x 1) (Cst.Attr (x 5));
+      Cst.make_exn ~lhs:[ x 4; x 5 ] ~rhs:(Cst.Attr (x 1));
+      Cst.simple (x 0) (Cst.Attr (x 4));
+      Cst.make_exn ~lhs:[ x 5; x 3; x 4 ] ~rhs:(Cst.Attr (x 0));
+      Cst.make_exn ~lhs:[ x 4; x 0; x 2 ] ~rhs:(Cst.Attr (x 5));
+    ]
+    @ List.concat
+        (List.init 19 (fun i ->
+             [
+               Cst.simple (y 0) (Cst.Attr (y (i + 1)));
+               Cst.simple (y (i + 1)) (Cst.Attr (z (i + 1)));
+               Cst.simple (z (i + 1)) (Cst.Attr (y 0));
+             ])) )
+
 let acyclic =
   Gen.acyclic (Prng.create 17)
     { Gen.n_attrs = 2000; n_simple = 4000; n_complex = 1000; max_lhs = 4;
@@ -36,6 +79,7 @@ let pins =
   [
     ("acyclic", total acyclic, "lub=4278 glb=0 leq=1517 minlevel=1000 try=0 try_iters=0 checks=0");
     ("cyclic", powerset cyclic, "lub=4153 glb=0 leq=10719 minlevel=70 try=718 try_iters=3661 checks=9247");
+    ("glb", explicit pentagon glb_meet, "lub=32 glb=120 leq=280 minlevel=3 try=10 try_iters=130 checks=201");
   ]
 
 let () =

@@ -135,12 +135,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      incremental path — see {!solve_incremental} for the contract). *)
   let solve_internal ~(config : Config.t) ?frozen ~init ~bounds_mode
       { lat; prob; prio } =
-    let on_event = match config.Config.on_event with
-      | None -> fun _ -> ()
-      | Some f -> f
-    in
     let residual = config.Config.residual in
-    let upgrade_preference = config.Config.upgrade_preference in
     let check_aggregate = config.Config.check_aggregate in
     let budget = config.Config.budget in
     let n = Problem.n_attrs prob in
@@ -401,36 +396,60 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           end
     in
     (* TRY(A, l): propagate the candidate lowering λ(A) := l forward through
-       the not-yet-done part of the constraint graph.  Returns the set of
-       simultaneous lowerings that keeps every constraint satisfied, or
-       None if some constraint with a finalized right-hand side breaks.
+       the not-yet-done part of the constraint graph.  Returns whether some
+       set of simultaneous lowerings keeps every constraint satisfied; if
+       so it has already written them into [lam], and they are the
+       attributes [touched.(0 .. !n_touched - 1)] of the call.  A
+       constraint whose finalized right-hand side breaks fails the call.
 
-       The paper's Tocheck and Tolower maps share one scratch pair,
-       allocated once per solve: [pend.(x)] says which map holds [x], and
-       [pend_lvl.(x)] the level recorded there.  Every attribute a call
-       writes is on [touched], and the call resets exactly those entries
-       on the way out, whether it succeeds or fails — so a call costs its
-       own work, not O(n). *)
+       All bookkeeping lives in flat scratch allocated once per solve, so
+       a worklist iteration allocates nothing:
+       - the paper's Tocheck and Tolower maps share [pend] (which map holds
+         [x]) and [pend_lvl] (the level recorded there);
+       - the Tocheck worklist is the int FIFO [fifo.(head .. !fifo_len - 1)],
+         emptied by every call; it starts small and doubles, since a
+         re-entry pushes an attribute a second time;
+       - [touched] is a stack holding each attribute the call writes once,
+         so the reset on the way out — success or [Try_failed] — costs the
+         call's own work, not O(n).
+       When a call succeeds every touched attribute is in Tolower: each
+       move into Tocheck pushes a worklist entry, whose pop moves it on. *)
     let pend = Array.make n Idle and pend_lvl = Array.make n bottom in
-    let queue = Queue.create () in
+    let fifo = ref (Array.make 16 0) and fifo_len = ref 0 in
+    let touched = Array.make n 0 and n_touched = ref 0 in
+    (* [a], full at [len] entries, doubled. *)
+    let grow a len fill =
+      let grown = Array.make (2 * len) fill in
+      Array.blit a 0 grown 0 len;
+      grown
+    in
+    let push x =
+      if !fifo_len = Array.length !fifo then fifo := grow !fifo !fifo_len 0;
+      !fifo.(!fifo_len) <- x;
+      incr fifo_len
+    in
+    (* Record the pending lowering [x := lvl] in Tocheck. *)
+    let to_check x lvl =
+      if pend.(x) = Idle then begin
+        touched.(!n_touched) <- x;
+        incr n_touched
+      end;
+      pend.(x) <- To_check;
+      pend_lvl.(x) <- lvl;
+      push x
+    in
     let try_lower a0 l0 =
       stats.Instr.try_calls <- stats.Instr.try_calls + 1;
-      pend.(a0) <- To_check;
-      pend_lvl.(a0) <- l0;
-      Queue.push a0 queue;
-      let touched = ref [ a0 ] in
-      (* [touched] lets us read the final Tolower cheaply. *)
-      let enqueue b lvl =
-        if pend.(b) = Idle then touched := b :: !touched;
-        pend.(b) <- To_check;
-        pend_lvl.(b) <- lvl;
-        Queue.push b queue
-      in
-      let result =
+      n_touched := 0;
+      fifo_len := 0;
+      to_check a0 l0;
+      let head = ref 0 in
+      let ok =
         try
-          while not (Queue.is_empty queue) do
+          while !head < !fifo_len do
             check_fine ();
-            let x = Queue.pop queue in
+            let x = !fifo.(!head) in
+            incr head;
             (* A popped attribute no longer in Tocheck is a stale entry:
                the pair was moved or replaced. *)
             if pend.(x) = To_check then begin
@@ -441,51 +460,75 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                 stats.Instr.constraint_checks <-
                   stats.Instr.constraint_checks + 1;
                 let c = csts.(ci) in
-                let level =
-                  Array.fold_left
-                    (fun acc a'' ->
-                      if pend.(a'') = To_lower then lub acc pend_lvl.(a'')
-                      else lub acc lam.(a''))
-                    bottom c.lhs
-                in
-                if rhs_done c then begin
-                  if not (leq (rhs_level c) level) then raise Try_failed
-                end
-                else
-                  match c.rhs with
-                  | Problem.Rlevel _ -> assert false
-                  | Problem.Rattr b ->
-                      if not (leq lam.(b) level) then begin
-                        let newlevel = glb lam.(b) level in
-                        if pend.(b) = Idle then enqueue b newlevel
-                        else begin
-                          let l'' = pend_lvl.(b) in
-                          if not (leq l'' newlevel) then begin
-                            (* The recorded lowering and the one now
-                               required are incomparable (or ours is
-                               lower): the attribute must end below both,
-                               i.e. at their glb. *)
-                            let nl = glb l'' newlevel in
-                            if pend.(b) = To_lower then pend.(b) <- Idle;
-                            enqueue b nl
-                          end
-                          (* Otherwise the pending lowering already implies
-                             satisfaction; leave it alone. *)
-                        end
+                let lhs = c.lhs in
+                let level = ref bottom in
+                for j = 0 to Array.length lhs - 1 do
+                  let a'' = lhs.(j) in
+                  level :=
+                    lub !level
+                      (if pend.(a'') = To_lower then pend_lvl.(a'') else lam.(a''))
+                done;
+                let level = !level in
+                match c.rhs with
+                | Problem.Rlevel target ->
+                    if not (leq target level) then raise Try_failed
+                | Problem.Rattr b ->
+                    if done_.(b) then begin
+                      if not (leq lam.(b) level) then raise Try_failed
+                    end
+                    else if not (leq lam.(b) level) then begin
+                      let newlevel = glb lam.(b) level in
+                      if pend.(b) = Idle then to_check b newlevel
+                      else begin
+                        let l'' = pend_lvl.(b) in
+                        if not (leq l'' newlevel) then
+                          (* The recorded lowering and the one now
+                             required are incomparable (or ours is
+                             lower): the attribute must end below both,
+                             i.e. at their glb, and is checked again. *)
+                          to_check b (glb l'' newlevel)
+                        (* Otherwise the pending lowering already implies
+                           satisfaction; leave it alone. *)
                       end
+                    end
               done
             end
           done;
-          Some
-            (List.filter_map
-               (fun x ->
-                 if pend.(x) = To_lower then Some (x, pend_lvl.(x)) else None)
-               !touched)
-        with Try_failed -> None
+          true
+        with Try_failed -> false
       in
-      List.iter (fun x -> pend.(x) <- Idle) !touched;
-      Queue.clear queue;
-      result
+      for i = 0 to !n_touched - 1 do
+        let x = touched.(i) in
+        if ok then lam.(x) <- pend_lvl.(x);
+        pend.(x) <- Idle
+      done;
+      ok
+    in
+    (* The lowerings of the last successful [try_lower], newest first, for
+       the [Try_lower] event. *)
+    let lowered () =
+      let acc = ref [] in
+      for i = 0 to !n_touched - 1 do
+        let x = touched.(i) in
+        acc := (Problem.attr_name prob x, lam.(x)) :: !acc
+      done;
+      !acc
+    in
+    (* DSet(A, l): the covers of λ(A) that dominate [l] — exactly the
+       maximal levels strictly below λ(A) that still dominate it — in
+       cover order, into [dset.(0 .. !dset_len - 1)]. *)
+    let dset = ref (Array.make 4 bottom) and dset_len = ref 0 in
+    let compute_dset a l =
+      dset_len := 0;
+      List.iter
+        (fun l' ->
+          if leq l l' then begin
+            if !dset_len = Array.length !dset then
+              dset := grow !dset !dset_len bottom;
+            !dset.(!dset_len) <- l';
+            incr dset_len
+          end)
+        (L.covers_below lat lam.(a))
     in
     (* BIGLOOP. *)
     let attr_name = Problem.attr_name prob in
@@ -496,23 +539,31 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
        different valid order: the attribute that absorbs a complex
        constraint's upgrade is the last of its lhs to be labeled, so sets
        and, within a set, attributes holding low-preference attributes are
-       scheduled first and high-preference ones last. *)
-    let member_key =
-      match upgrade_preference with
-      | None -> fun a -> (0, a)
-      | Some pref -> fun a -> (pref (Problem.attr_name prob a), a)
+       scheduled first and high-preference ones last.  The preference is
+       asked once per attribute. *)
+    let pref =
+      Option.map
+        (fun f -> Array.init n (fun a -> f (attr_name a)))
+        config.Config.upgrade_preference
+    in
+    (* Attributes ordered by (preference, id). *)
+    let by_pref a b =
+      match pref with
+      | None -> Int.compare a b
+      | Some pref -> (
+          match Int.compare pref.(a) pref.(b) with 0 -> Int.compare a b | c -> c)
     in
     let compute_set_order () =
-      match upgrade_preference with
-      | None ->
-          List.init prio.Priorities.max_priority (fun i ->
-              prio.Priorities.max_priority - i)
-      | Some pref ->
+      let np = prio.Priorities.max_priority in
+      match pref with
+      | None -> List.init np (fun i -> np - i)
+      | Some _ ->
           (* Kahn over the condensation, following edges lhs-set → rhs-set
              backward: a set is available once every set it depends on
              (reachable via constraints) is labeled.  Among available sets,
-             take the one holding the least-preferred attribute first. *)
-          let np = prio.Priorities.max_priority in
+             take the one holding the least-preferred attribute first.  A
+             set's key is that attribute, (preference, id): computed once,
+             and unique, since the sets are disjoint. *)
           let module IS = Set.Make (Int) in
           let out = Array.make (np + 1) IS.empty in
           let into = Array.make (np + 1) IS.empty in
@@ -531,34 +582,32 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                       end)
                     c.lhs)
             csts;
-          let set_key p =
-            Array.fold_left
-              (fun acc a -> min acc (pref (Problem.attr_name prob a), a))
-              (max_int, max_int)
+          let key = Array.make (np + 1) (-1) in
+          for p = 1 to np do
+            Array.iter
+              (fun a -> if key.(p) < 0 || by_pref a key.(p) < 0 then key.(p) <- a)
               prio.Priorities.sets.(p - 1)
-          in
+          done;
+          let module Avail = Set.Make (struct
+            type t = int
+
+            let compare p q =
+              match by_pref key.(p) key.(q) with 0 -> Int.compare p q | c -> c
+          end) in
+          let available = ref Avail.empty in
+          for p = 1 to np do
+            if IS.is_empty out.(p) then available := Avail.add p !available
+          done;
           let order = ref [] in
-          let available =
-            ref
-              (List.filter
-                 (fun p -> IS.is_empty out.(p))
-                 (List.init np (fun i -> i + 1)))
-          in
           for _ = 1 to np do
-            match
-              List.sort
-                (fun p q -> compare (set_key p) (set_key q))
-                !available
-            with
-            | [] -> assert false
-            | p :: rest ->
-                order := p :: !order;
-                available := rest;
-                IS.iter
-                  (fun q ->
-                    out.(q) <- IS.remove p out.(q);
-                    if IS.is_empty out.(q) then available := q :: !available)
-                  into.(p)
+            let p = Avail.min_elt !available in
+            order := p :: !order;
+            available := Avail.remove p !available;
+            IS.iter
+              (fun q ->
+                out.(q) <- IS.remove p out.(q);
+                if IS.is_empty out.(q) then available := Avail.add q !available)
+              into.(p)
           done;
           List.rev !order
     in
@@ -567,6 +616,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         Trace.with_span ~cat:"solver" "schedule" compute_set_order
       else compute_set_order ()
     in
+    (* Event values are built only when someone listens. *)
+    let on_event = config.Config.on_event in
     if tracing then Trace.begin_span ~cat:"solver" "bigloop";
     List.iter
       (fun p ->
@@ -575,7 +626,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         | [| _ |] as singleton -> singleton
         | set ->
             let members = Array.copy set in
-            Array.sort (fun a b -> compare (member_key a) (member_key b)) members;
+            Array.sort by_pref members;
             members
       in
       (* A span per non-trivial priority set (= SCC subject to forward
@@ -592,7 +643,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           if skip.(a) then ()
           else begin
           check_fine ();
-          on_event (Consider { attr = attr_name a; priority = p });
+          (match on_event with
+          | Some f -> f (Consider { attr = attr_name a; priority = p })
+          | None -> ());
           let t_attr0 = if tracing then Clock.now_ns () else 0L in
           done_.(a) <- true;
           let l = ref bottom in
@@ -608,8 +661,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             end
             else done_.(a) <- false
           done;
+          let l = !l in
           if done_.(a) then begin
-            lam.(a) <- !l;
+            lam.(a) <- l;
             finalize a;
             (* Whether the scan was a back-propagation is only known now,
                so the span is emitted retroactively from the timestamp
@@ -623,7 +677,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             (match m with
             | Some (back, _, _) -> Metrics.incr back
             | None -> ());
-            on_event (Back_assigned { attr = attr_name a; level = !l })
+            match on_event with
+            | Some f -> f (Back_assigned { attr = attr_name a; level = l })
+            | None -> ()
           end
           else begin
             if tracing then begin
@@ -638,38 +694,29 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             end;
             let tries0 = stats.Instr.try_calls
             and iters0 = stats.Instr.try_iterations in
-            (* Forward lowering through the cycle: DSet holds the maximal
-               levels strictly below λ(A) that still dominate the lower
-               bound l — exactly the covers of λ(A) dominating l. *)
-            let dset () =
-              List.filter (fun l' -> leq !l l') (L.covers_below lat lam.(a))
-            in
-            let ds = ref (dset ()) in
-            let continue = ref true in
-            while !continue do
-              match !ds with
-              | [] -> continue := false
-              | l'' :: rest -> (
-                  ds := rest;
-                  match try_lower a l'' with
-                  | Some lowers ->
-                      List.iter (fun (a', l') -> lam.(a') <- l') lowers;
-                      on_event
-                        (Try_lower
-                           {
-                             attr = attr_name a;
-                             target = l'';
-                             lowered =
-                               Some
-                                 (List.map
-                                    (fun (a', l') -> (attr_name a', l'))
-                                    lowers);
-                           });
-                      ds := dset ()
-                  | None ->
-                      on_event
-                        (Try_lower
-                           { attr = attr_name a; target = l''; lowered = None }))
+            (* Forward lowering through the cycle: try each DSet candidate
+               in turn, and start over from the new λ(A)'s DSet after every
+               success. *)
+            compute_dset a l;
+            let next = ref 0 in
+            while !next < !dset_len do
+              let target = !dset.(!next) in
+              incr next;
+              let ok = try_lower a target in
+              (match on_event with
+              | Some f ->
+                  f
+                    (Try_lower
+                       {
+                         attr = attr_name a;
+                         target;
+                         lowered = (if ok then Some (lowered ()) else None);
+                       })
+              | None -> ());
+              if ok then begin
+                compute_dset a l;
+                next := 0
+              end
             done;
             done_.(a) <- true;
             finalize a;
@@ -687,7 +734,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                 Metrics.incr fwd;
                 Metrics.observe iters_h try_iters
             | None -> ());
-            on_event (Finalized { attr = attr_name a; level = lam.(a) })
+            match on_event with
+            | Some f -> f (Finalized { attr = attr_name a; level = lam.(a) })
+            | None -> ()
           end
           end)
         members;

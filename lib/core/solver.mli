@@ -140,7 +140,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
   module Config : sig
     type t = {
       on_event : (event -> unit) option;
-          (** trace callback, invoked in execution order *)
+          (** trace callback, invoked in execution order; with [None] no
+              event value is built *)
       residual : (L.t -> target:L.level -> others:L.level -> L.level) option;
           (** replaces the [Minlevel] lattice walk with a direct
               computation of the least level [m] such that
@@ -156,7 +157,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
               that order).  The preference selects among the valid
               sink-first schedules of the SCC condensation, so the result
               is a minimal solution either way; it is best-effort where
-              the constraint structure forces an order. *)
+              the constraint structure forces an order.  Called once per
+              attribute per solve. *)
       check_aggregate : bool;
           (** cross-check, at every [Minlevel] call, the incremental
               lhs-lub aggregate against the reference refold of the whole

@@ -1,12 +1,13 @@
 (* No hidden quadratic costs: the words a layer allocates must grow
    linearly with its input.  Words allocated are a hardware-independent
    signal, so these bounds hold on any host.  Each layer runs at two sizes
-   4x apart; a linear layer allocates about 4x as much at the larger one,
-   a quadratic one about 16x. *)
+   4x apart (the quadratic [Try] case 2x apart); a linear layer allocates
+   about 4x as much at the larger one, a quadratic one about 16x. *)
 open Minup_constraints
 module Gen = Minup_workload.Gen_constraints
 module Prng = Minup_workload.Prng
 module Session = Minup_session.Session.Make (Minup_lattice.Total)
+module Solver = Minup_core.Solver.Make (Minup_lattice.Total)
 
 let case = Helpers.case
 let small = 2_000
@@ -43,11 +44,12 @@ let acyclic n =
 
 let inputs = lazy (acyclic small, acyclic large)
 
-let check_growth name ~small:w_small ~large:w_large =
+let check_growth ?(ratio = 4) ?(bound = max_growth) name ~small:w_small
+    ~large:w_large =
   let growth = w_large /. w_small in
-  if growth > max_growth then
-    Alcotest.failf "%s: allocation grew %.2fx for 4x the input (bound %.1fx)"
-      name growth max_growth
+  if growth > bound then
+    Alcotest.failf "%s: allocation grew %.2fx for %dx the input (bound %.1fx)"
+      name growth ratio bound
 
 (* The words [f] allocates on the small and on the large input. *)
 let both f =
@@ -95,10 +97,54 @@ let parser_linear () =
       check_growth name ~small:w_small ~large:w_large)
     [ ("Parse: one declaration per line", per_line); ("Parse: one huge lub", one_lub) ]
 
+(* With an upgrade preference the solver schedules the priority sets by
+   preference instead of by priority number; picking the next set must not
+   cost a sort of all the available ones. *)
+let preference_linear () =
+  let config =
+    Solver.Config.make ~upgrade_preference:(fun a -> Hashtbl.hash a land 15) ()
+  in
+  let s, l = Lazy.force inputs in
+  let compiled (attrs, csts) = Solver.compile_exn ~lattice:ladder ~attrs csts in
+  let ps = compiled s and pl = compiled l in
+  let w_small = words (fun () -> Solver.solve ~config ps) in
+  let w_large = words (fun () -> Solver.solve ~config pl) in
+  check_growth "Solver.solve with an upgrade preference" ~small:w_small
+    ~large:w_large
+
+(* The paper's quadratic case, the shape of the batch-cyclic benchmark: one
+   cycle A0 >= A1 >= ... >= A0 with a floor on the middle attribute, so
+   every [Try] walks most of the cycle and Try iterations grow 4x per
+   doubling of the attributes.  The forward lowering's bookkeeping is
+   flat scratch allocated once per solve, so allocation grows with the
+   attributes, not with the iterations. *)
+let cycle n =
+  let name = Printf.sprintf "A%d" in
+  ( List.init n name,
+    Cst.simple (name (n / 2)) (Cst.Level 8)
+    :: List.init n (fun i -> Cst.simple (name i) (Cst.Attr (name ((i + 1) mod n)))) )
+
+let try_allocation_flat () =
+  let compiled n =
+    let attrs, csts = cycle n in
+    Solver.compile_exn ~lattice:ladder ~attrs csts
+  in
+  let ps = compiled 400 and pl = compiled 800 in
+  let w_small = words (fun () -> Solver.solve ps) in
+  let w_large = words (fun () -> Solver.solve pl) in
+  check_growth ~ratio:2 ~bound:2.2 "Solver.solve on a single cycle" ~small:w_small
+    ~large:w_large;
+  let iters = (Solver.solve pl).Solver.stats.Minup_core.Instr.try_iterations in
+  let per_iter = w_large /. float_of_int iters in
+  if per_iter > 2. then
+    Alcotest.failf "Solver.solve: %.2f words per Try iteration (bound 2)" per_iter
+
 let suite =
   [
     case "Problem.compile allocation is linear" compile_linear;
     case "Priorities.compute allocation is linear" priorities_linear;
     case "Session.create allocation is linear" session_create_linear;
     case "parser allocation is linear on hostile shapes" parser_linear;
+    case "preference scheduling allocation is linear" preference_linear;
+    case "Try allocates nothing per iteration" try_allocation_flat;
   ]

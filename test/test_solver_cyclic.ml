@@ -150,6 +150,95 @@ let random_mixed_prop =
       | Ok b -> b
       | Error `Too_large -> true (* oracle out of budget: skip this case *))
 
+(* One solve's [Try] calls share their scratch, so every call must leave
+   it clean.  In a chain or a powerset all the lowerings one call asks of
+   an attribute are equal, and every lattice of four levels or fewer is
+   one of those; the pentagon N5 is one of the smallest lattices where two
+   pending lowerings meet at a glb.  Here [x2]'s Try to [b] lowers [x5] to
+   bot, which asks [x2] for [a]: [x2] re-enters Tocheck at glb(b, a) = a,
+   and the call fails; the next call, to [c], succeeds.  Beside it, the
+   cycles [y0] >= [yi] >= [zi] >= [y0] make one call push 19 attributes
+   at once, more than the worklist starts with, and each of them is the
+   only way to its [zi]. *)
+let pentagon =
+  Explicit.create_exn ~names:[ "bot"; "a"; "b"; "c"; "top" ]
+    ~order:[ ("bot", "a"); ("a", "b"); ("b", "top"); ("bot", "c"); ("c", "top") ]
+
+let x i = Printf.sprintf "x%d" i
+let y i = Printf.sprintf "y%d" i
+let z i = Printf.sprintf "z%d" i
+
+let glb_reentry =
+  let lv = Explicit.of_name_exn pentagon in
+  ( List.init 6 x @ List.init 20 y @ List.init 19 (fun i -> z (i + 1)),
+    [
+      Cst.simple (x 1) (Cst.Level (lv "c"));
+      Cst.simple (x 4) (Cst.Level (lv "a"));
+      Cst.make_exn ~lhs:[ x 5; x 0 ] ~rhs:(Cst.Attr (x 2));
+      Cst.simple (x 1) (Cst.Attr (x 5));
+      Cst.make_exn ~lhs:[ x 4; x 5 ] ~rhs:(Cst.Attr (x 1));
+      Cst.simple (x 0) (Cst.Attr (x 4));
+      Cst.make_exn ~lhs:[ x 5; x 3; x 4 ] ~rhs:(Cst.Attr (x 0));
+      Cst.make_exn ~lhs:[ x 4; x 0; x 2 ] ~rhs:(Cst.Attr (x 5));
+    ]
+    @ List.concat
+        (List.init 19 (fun i ->
+             [
+               Cst.simple (y 0) (Cst.Attr (y (i + 1)));
+               Cst.simple (y (i + 1)) (Cst.Attr (z (i + 1)));
+               Cst.simple (z (i + 1)) (Cst.Attr (y 0));
+             ])) )
+
+let try_scratch_reuse () =
+  let attrs, csts = glb_reentry in
+  let name = Explicit.level_to_string pentagon in
+  let tries = ref [] in
+  let on_event = function
+    | S.Try_lower { attr; target; lowered } ->
+        let lowered =
+          match lowered with
+          | None -> "fails"
+          | Some l -> String.concat " " (List.map (fun (a, v) -> a ^ "=" ^ name v) l)
+        in
+        tries := Printf.sprintf "%s %s: %s" attr (name target) lowered :: !tries
+    | _ -> ()
+  in
+  let p = S.compile_exn ~lattice:pentagon ~attrs csts in
+  let sol = S.solve ~config:(S.Config.make ~on_event ()) p in
+  Alcotest.(check (list (pair string string)))
+    "levels"
+    ([ ("x0", "a"); ("x1", "c"); ("x2", "c"); ("x3", "bot"); ("x4", "a"); ("x5", "c") ]
+    @ List.init 20 (fun i -> (y i, "bot"))
+    @ List.init 19 (fun i -> (z (i + 1), "bot")))
+    (List.map (fun (a, l) -> (a, name l)) sol.S.assignment);
+  Alcotest.(check bool)
+    "minimal (exhaustive oracle)" true
+    (V.is_minimal_solution p sol.S.levels = Ok true);
+  let fresh = S.solve (S.compile_exn ~lattice:pentagon ~attrs csts) in
+  Alcotest.(check bool) "fresh solve agrees" true
+    (V.equal_assignment pentagon sol.S.levels fresh.S.levels
+    && sol.S.stats = fresh.S.stats);
+  let star l =
+    List.init 19 (fun i -> z (19 - i)) @ List.init 20 (fun i -> y (19 - i))
+    |> List.map (fun a -> a ^ "=" ^ l)
+    |> String.concat " "
+  in
+  Alcotest.(check (list string))
+    "Try_lower events"
+    [
+      "x0 b: x4=b x0=b";
+      "x0 a: x4=a x0=a";
+      "x0 bot: fails";
+      "x1 c: x5=c x1=c";
+      "x2 b: fails";
+      "x2 c: x2=c";
+      "x2 bot: fails";
+      "y0 b: " ^ star "b";
+      "y0 a: " ^ star "a";
+      "y0 bot: " ^ star "bot";
+    ]
+    (List.rev !tries)
+
 let suite =
   [
     case "simple cycle with one floor" simple_cycle_uniform;
@@ -159,6 +248,7 @@ let suite =
     case "nondisjoint complex cycles" nondisjoint_complex_cycles;
     case "cycle feeds acyclic tail" cycle_feeding_acyclic_tail;
     case "incomparable floors" incomparable_floors_in_cycle;
+    case "Try scratch survives failures, glb re-entry and growth" try_scratch_reuse;
     Helpers.qcheck random_cyclic_prop;
     Helpers.qcheck random_mixed_prop;
   ]
