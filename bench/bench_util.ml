@@ -13,38 +13,6 @@ let time_it ?(runs = 3) f =
   | [] -> 0.0
   | sorted -> List.nth sorted (runs / 2)
 
-(* Host/build provenance stamped into every BENCH_*.json artifact so a
-   result file is interpretable without the shell session that produced
-   it.  [git_rev] degrades to "unknown" outside a checkout. *)
-let git_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> "unknown"
-  | ic -> (
-      let line = In_channel.input_line ic in
-      match (Unix.close_process_in ic, line) with
-      | Unix.WEXITED 0, Some rev when rev <> "" -> rev
-      | _ -> "unknown")
-
-let host_meta () =
-  let open Minup_obs.Json in
-  [
-    ("host_domains", Num (float_of_int (Domain.recommended_domain_count ())));
-    ("ocaml_version", Str Sys.ocaml_version);
-    ("git_rev", Str (git_rev ()));
-    ("os_type", Str Sys.os_type);
-    ("word_size", Num (float_of_int Sys.word_size));
-  ]
-
-(* Write a BENCH_*.json artifact: the [benchmark] name, then {!host_meta},
-   then the experiment's own [fields], pretty-printed with a trailing
-   newline. *)
-let write_bench_json path ~benchmark fields =
-  let open Minup_obs.Json in
-  let json = Obj ((("benchmark", Str benchmark) :: host_meta ()) @ fields) in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (to_string ~pretty:true json);
-      output_char oc '\n')
-
 let pp_seconds s =
   if s < 1e-3 then Printf.sprintf "%.1fus" (s *. 1e6)
   else if s < 1.0 then Printf.sprintf "%.2fms" (s *. 1e3)

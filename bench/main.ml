@@ -455,415 +455,6 @@ let ext_verify () =
     \   the same answer in polynomial time — see Explain's documentation)"
 
 (* ------------------------------------------------------------------ *)
-(* THROUGHPUT — batch-engine scaling across worker counts (PR 1).      *)
-
-let bench_json_path = "BENCH_PR1.json"
-
-let throughput () =
-  section "THROUGHPUT: parallel batch engine (writes BENCH_PR1.json)";
-  let module Engine = Minup_core.Engine.Make (Total) in
-  let jobs_levels = [ 1; 2; 4; 8 ] in
-  let workloads =
-    [
-      ("acyclic", 2_000, 48, fun seed -> acyclic_workload seed 2_000);
-      ("cyclic", 200, 48, fun seed -> cyclic_workload seed 200);
-    ]
-  in
-  let results = ref [] in
-  let phase_metrics = ref [] in
-  let rows =
-    List.concat_map
-      (fun (name, n_attrs, n_problems, gen) ->
-        let problems =
-          Array.init n_problems (fun i ->
-              let attrs, csts = gen (1_000 + i) in
-              ST.compile_exn ~lattice:ladder16 ~attrs csts)
-        in
-        (* The jobs=1 run is the reference every parallel run must equal. *)
-        let reference =
-          Engine.ok_exn (Engine.solve_batch ~jobs:1 problems)
-        in
-        (* Phase breakdown: one metered run at the widest worker count,
-           outside the timed loop so the timing rows stay unobserved. *)
-        let module Metrics = Minup_obs.Metrics in
-        Metrics.enable ();
-        Metrics.reset ();
-        let metered =
-          Engine.solve_batch ~jobs:(List.fold_left max 1 jobs_levels) problems
-        in
-        Instr.to_metrics metered.Engine.stats;
-        phase_metrics := (name, Metrics.to_json ()) :: !phase_metrics;
-        Metrics.disable ();
-        List.map
-          (fun jobs ->
-            let best = ref infinity and report = ref None in
-            for _ = 1 to 3 do
-              let t0 = Unix.gettimeofday () in
-              let r = Engine.solve_batch ~jobs problems in
-              let dt = Unix.gettimeofday () -. t0 in
-              if dt < !best then best := dt;
-              report := Some r
-            done;
-            let r = Option.get !report in
-            Array.iteri
-              (fun i (s : ST.solution) ->
-                if s.ST.levels <> reference.(i).ST.levels then
-                  failwith
-                    (Printf.sprintf
-                       "throughput: jobs=%d diverged from the sequential \
-                        solve on %s problem %d"
-                       jobs name i))
-              (Engine.ok_exn r);
-            let wall_ms = !best *. 1e3 in
-            let sps = float_of_int n_problems /. !best in
-            let lub = r.Engine.stats.Instr.lub
-            and leq = r.Engine.stats.Instr.leq in
-            results :=
-              (name, n_attrs, n_problems, jobs, wall_ms, sps, lub, leq)
-              :: !results;
-            [
-              name;
-              string_of_int n_attrs;
-              string_of_int jobs;
-              Printf.sprintf "%.1f" wall_ms;
-              Printf.sprintf "%.1f" sps;
-              string_of_int lub;
-              string_of_int leq;
-            ])
-          jobs_levels)
-      workloads
-  in
-  table
-    ~header:[ "workload"; "attrs"; "jobs"; "wall ms"; "solves/s"; "lub"; "leq" ]
-    rows;
-  let results = List.rev !results in
-  let fields =
-    let open Minup_obs.Json in
-    let num_i i = Num (float_of_int i) in
-    [
-      ( "results",
-        Arr
-          (List.map
-             (fun (name, n_attrs, n_problems, jobs, wall_ms, sps, lub, leq)
-                ->
-               Obj
-                 [
-                   ("experiment", Str name);
-                   ("n_attrs", num_i n_attrs);
-                   ("n_problems", num_i n_problems);
-                   ("jobs", num_i jobs);
-                   ("wall_ms", Num (Float.round (wall_ms *. 1e3) /. 1e3));
-                   ("solves_per_sec", Num (Float.round (sps *. 10.) /. 10.));
-                   ("lub", num_i lub);
-                   ("leq", num_i leq);
-                 ])
-             results) );
-      ("phase_metrics", Obj (List.rev !phase_metrics));
-    ]
-  in
-  write_bench_json bench_json_path ~benchmark:"throughput" fields;
-  Printf.printf
-    "wrote %s  (parallel output verified equal to sequential; this host \
-     recommends %d domains)\n"
-    bench_json_path
-    (Domain.recommended_domain_count ())
-
-(* A fast jobs=2 parity check for CI (dev/ci.sh): small batches, no JSON,
-   nonzero exit on the first parallel/sequential divergence. *)
-let throughput_smoke () =
-  section "THROUGHPUT-SMOKE: jobs=2 parity vs sequential (CI)";
-  let module Engine = Minup_core.Engine.Make (Total) in
-  let compile gen seed0 count n =
-    Array.init count (fun i ->
-        let attrs, csts = gen (seed0 + i) n in
-        ST.compile_exn ~lattice:ladder16 ~attrs csts)
-  in
-  List.iter
-    (fun (name, problems) ->
-      let seq = Engine.ok_exn (Engine.solve_batch ~jobs:1 problems) in
-      let par = Engine.ok_exn (Engine.solve_batch ~jobs:2 problems) in
-      Array.iteri
-        (fun i (s : ST.solution) ->
-          if s.ST.levels <> seq.(i).ST.levels then
-            failwith
-              (Printf.sprintf
-                 "throughput-smoke: jobs=2 diverged from sequential on %s \
-                  problem %d"
-                 name i))
-        par;
-      Printf.printf "%-8s %2d problems: jobs=2 output = sequential\n" name
-        (Array.length problems))
-    [
-      ("acyclic", compile acyclic_workload 2_000 12 300);
-      ("cyclic", compile cyclic_workload 3_000 12 60);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* SUPERVISION — the cost of per-task budgets + retry bookkeeping on    *)
-(* the PR1 throughput workloads when no fault fires (PR 4).             *)
-
-let supervision_json_path = "BENCH_PR4.json"
-
-let supervision () =
-  section "SUPERVISION: fault-supervision overhead (writes BENCH_PR4.json)";
-  let module Engine = Minup_core.Engine.Make (Total) in
-  (* Generous budgets that never trip: the run measures the bookkeeping
-     (deadline polls + step counting in the solver hot path, retry
-     machinery in the engine), not fault handling. *)
-  let policy =
-    {
-      Minup_core.Engine.default_policy with
-      Minup_core.Engine.deadline_ms = Some 3_600_000;
-      max_steps = Some max_int;
-      retries = 2;
-    }
-  in
-  let workloads =
-    [
-      ("acyclic", 2_000, 24, fun seed -> acyclic_workload seed 2_000);
-      ("cyclic", 600, 24, fun seed -> cyclic_workload seed 600);
-    ]
-  in
-  let jobs_levels = [ 1; 4 ] in
-  let results = ref [] in
-  let phase_metrics = ref [] in
-  let rows =
-    List.concat_map
-      (fun (name, n_attrs, n_problems, gen) ->
-        let problems =
-          Array.init n_problems (fun i ->
-              let attrs, csts = gen (4_000 + i) in
-              ST.compile_exn ~lattice:ladder16 ~attrs csts)
-        in
-        (* Phase breakdown for the supervised run, outside the timed
-           loop: the engine registers its fault counters up front, so
-           the JSON must show engine/retries = 0 etc., proving no fault
-           fired during the measurement. *)
-        let module Metrics = Minup_obs.Metrics in
-        Metrics.enable ();
-        Metrics.reset ();
-        let metered = Engine.solve_batch ~policy ~jobs:2 problems in
-        Instr.to_metrics metered.Engine.stats;
-        phase_metrics := (name, Metrics.to_json ()) :: !phase_metrics;
-        Metrics.disable ();
-        if metered.Engine.failed > 0 then
-          failwith "supervision: a generous budget tripped";
-        List.map
-          (fun jobs ->
-            (* Interleave the two variants so drift hits both alike. *)
-            let best_base = ref infinity and best_sup = ref infinity in
-            let supervised = ref None in
-            for _ = 1 to 5 do
-              let t0 = Unix.gettimeofday () in
-              let base = Engine.solve_batch ~jobs problems in
-              let t1 = Unix.gettimeofday () in
-              let sup = Engine.solve_batch ~policy ~jobs problems in
-              let t2 = Unix.gettimeofday () in
-              best_base := min !best_base (t1 -. t0);
-              best_sup := min !best_sup (t2 -. t1);
-              supervised := Some (base, sup)
-            done;
-            let base, sup = Option.get !supervised in
-            let base_sols = Engine.ok_exn base
-            and sup_sols = Engine.ok_exn sup in
-            Array.iteri
-              (fun i (s : ST.solution) ->
-                if s.ST.levels <> sup_sols.(i).ST.levels then
-                  failwith
-                    (Printf.sprintf
-                       "supervision: budgeted solve diverged on %s problem %d"
-                       name i))
-              base_sols;
-            let overhead_pct = 100. *. ((!best_sup /. !best_base) -. 1.) in
-            results := (name, n_attrs, jobs, !best_base, !best_sup, overhead_pct) :: !results;
-            [
-              name;
-              string_of_int n_attrs;
-              string_of_int jobs;
-              Printf.sprintf "%.1f" (!best_base *. 1e3);
-              Printf.sprintf "%.1f" (!best_sup *. 1e3);
-              Printf.sprintf "%+.2f%%" overhead_pct;
-            ])
-          jobs_levels)
-      workloads
-  in
-  table
-    ~header:
-      [ "workload"; "attrs"; "jobs"; "base ms"; "supervised ms"; "overhead" ]
-    rows;
-  let results = List.rev !results in
-  let worst =
-    List.fold_left (fun acc (_, _, _, _, _, o) -> max acc o) neg_infinity
-      results
-  in
-  let fields =
-    let open Minup_obs.Json in
-    let num_i i = Num (float_of_int i) in
-    [
-      ( "policy",
-        Obj
-          [
-            ("deadline_ms", num_i 3_600_000);
-            ("max_steps", Str "max_int");
-            ("retries", num_i policy.Minup_core.Engine.retries);
-          ] );
-      ( "results",
-        Arr
-          (List.map
-             (fun (name, n_attrs, jobs, base, sup, overhead_pct) ->
-               Obj
-                 [
-                   ("workload", Str name);
-                   ("n_attrs", num_i n_attrs);
-                   ("jobs", num_i jobs);
-                   ("baseline_ms", Num (base *. 1e3));
-                   ("supervised_ms", Num (sup *. 1e3));
-                   ("overhead_pct", Num overhead_pct);
-                 ])
-             results) );
-      ("overhead_pct_max", Num worst);
-      ("phase_metrics", Obj (List.rev !phase_metrics));
-    ]
-  in
-  write_bench_json supervision_json_path ~benchmark:"supervision" fields;
-  Printf.printf "wrote %s  (worst-case supervision overhead %+.2f%%)\n"
-    supervision_json_path worst
-
-(* ------------------------------------------------------------------ *)
-(* SESSION — incremental resolve vs from-scratch on single deltas       *)
-(* (PR 5).                                                              *)
-
-let session_json_path = "BENCH_PR5.json"
-
-let session_incremental () =
-  section
-    "SESSION: incremental resolve vs from-scratch solve (writes \
-     BENCH_PR5.json)";
-  let module Sess = Minup_session.Session.Make (Total) in
-  let n = 2_000 in
-  let attrs, csts = acyclic_workload 7_000 n in
-  let sess = Sess.create ~lattice:ladder16 ~attrs csts in
-  let rng = Prng.create 7_001 in
-  let attr_arr = Array.of_list attrs in
-  (* Pre-seed lower bounds on a slice of attributes: a later
-     re-tightening of one of these only changes the level of a bound
-     constraint the compiled problem already contains, which is the
-     session's cheapest (patch) path. *)
-  let bounded = Array.of_list (Prng.sample rng 200 attrs) in
-  Array.iter
-    (fun a -> Sess.set_lower_bound sess a (Some (2 + Prng.int rng 6)))
-    bounded;
-  ignore (Sess.resolve sess);
-  let n_deltas = 40 in
-  let samples = ref [] in
-  for k = 0 to n_deltas - 1 do
-    (* Three re-tightenings for every added constraint: the acceptance
-       target is single-constraint deltas, with the add path keeping the
-       recompile-and-reuse path honest. *)
-    let kind =
-      if k mod 4 = 3 then begin
-        let a = attr_arr.(Prng.int rng (Array.length attr_arr)) in
-        ignore
-          (Sess.add_constraint sess
-             (Cst.simple a (Cst.Level (1 + Prng.int rng 8)))
-            : int);
-        "add"
-      end
-      else begin
-        let a = bounded.(Prng.int rng (Array.length bounded)) in
-        Sess.set_lower_bound sess a (Some (1 + Prng.int rng 15));
-        "retighten"
-      end
-    in
-    let t0 = Unix.gettimeofday () in
-    let inc = Sess.resolve sess in
-    let inc_s = Unix.gettimeofday () -. t0 in
-    let attrs', csts' = Sess.snapshot sess in
-    let scratch_sol = ref None in
-    let scratch_s =
-      time_it (fun () ->
-          let p = ST.compile_exn ~lattice:ladder16 ~attrs:attrs' csts' in
-          scratch_sol := Some (ST.solve p))
-    in
-    let scratch = Option.get !scratch_sol in
-    if inc.Sess.Solver.levels <> scratch.ST.levels then
-      failwith
-        (Printf.sprintf "session-incremental: delta %d diverged from scratch"
-           k);
-    samples := (kind, inc_s, scratch_s) :: !samples
-  done;
-  let samples = List.rev !samples in
-  let median xs =
-    match List.sort compare xs with
-    | [] -> 0.0
-    | s -> List.nth s (List.length s / 2)
-  in
-  let speedup (_, inc_s, scratch_s) = scratch_s /. Float.max inc_s 1e-9 in
-  let kinds = [ "retighten"; "add" ] in
-  let per_kind =
-    List.map
-      (fun kind ->
-        let ks = List.filter (fun (k, _, _) -> k = kind) samples in
-        ( kind,
-          List.length ks,
-          median (List.map (fun (_, i, _) -> i) ks) *. 1e3,
-          median (List.map (fun (_, _, s) -> s) ks) *. 1e3,
-          median (List.map speedup ks) ))
-      kinds
-  in
-  table
-    ~header:[ "delta"; "count"; "resolve ms"; "scratch ms"; "speedup" ]
-    (List.map
-       (fun (kind, count, inc_ms, scratch_ms, sp) ->
-         [
-           kind;
-           string_of_int count;
-           Printf.sprintf "%.3f" inc_ms;
-           Printf.sprintf "%.3f" scratch_ms;
-           Printf.sprintf "%.1fx" sp;
-         ])
-       per_kind);
-  let overall = median (List.map speedup samples) in
-  let stats = Sess.stats sess in
-  let fields =
-    let open Minup_obs.Json in
-    let num_i i = Num (float_of_int i) in
-    [
-      ("n_attrs", num_i n);
-      ("n_deltas", num_i n_deltas);
-      ( "results",
-        Arr
-          (List.map
-             (fun (kind, count, inc_ms, scratch_ms, sp) ->
-               Obj
-                 [
-                   ("delta", Str kind);
-                   ("count", num_i count);
-                   ("median_resolve_ms", Num inc_ms);
-                   ("median_scratch_ms", Num scratch_ms);
-                   ("median_speedup", Num sp);
-                 ])
-             per_kind) );
-      ("median_speedup", Num overall);
-      ( "session_stats",
-        Obj
-          [
-            ("resolves", num_i stats.Sess.resolves);
-            ("cached", num_i stats.Sess.cached);
-            ("patched", num_i stats.Sess.patched);
-            ("incremental", num_i stats.Sess.incremental);
-            ("full", num_i stats.Sess.full);
-            ("frozen", num_i stats.Sess.frozen);
-          ] );
-    ]
-  in
-  write_bench_json session_json_path ~benchmark:"session_incremental" fields;
-  Printf.printf
-    "wrote %s  (median incremental speedup %.1fx; every resolve verified \
-     equal to scratch)\n"
-    session_json_path overall
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -877,10 +468,6 @@ let experiments =
     ("ablation-backtrack", ablation_backtrack);
     ("qian-quality", qian_quality);
     ("ext-verify", ext_verify);
-    ("throughput", throughput);
-    ("throughput-smoke", throughput_smoke);
-    ("supervision", supervision);
-    ("session-incremental", session_incremental);
   ]
 
 let () =

@@ -1,14 +1,16 @@
 #!/bin/sh
-# Repo CI: build everything, run the full test suite, then a fast parity
-# smoke of the parallel batch engine (jobs=2 vs sequential on small
-# acyclic + cyclic batches; the experiment exits nonzero on the first
-# divergence).
+# Repo CI: build everything and run the full test suite, then drive the
+# CLI end to end.  Every gate is deterministic — counters, allocated
+# words, clock reads, envelopes — so it passes or fails alike on any
+# host.  The suite itself covers the engine's jobs parity on the
+# benchmark batch shapes and the supervision cost (test_engine), and the
+# session patch path's compile-free, allocation-bounded resolve
+# (test_scaling).
 set -eu
 cd "$(dirname "$0")/.."
 
 dune build
 dune runtest
-dune exec bench/main.exe -- throughput-smoke
 
 # Observability smoke: a traced + metered parallel batch, then validate
 # the artifacts (Chrome-trace span nesting, JSON well-formedness).
@@ -96,33 +98,5 @@ for kind in raise stall blowout; do
   }
   echo "ci: inject-fault $kind caught, isolated, and shrunk"
 done
-
-# Supervision overhead gate: budgets + retry bookkeeping on the PR1
-# throughput workloads (no fault fires) must stay within 2% of the
-# unsupervised engine; the experiment also re-checks output parity and
-# that the fault counters report 0 in phase_metrics.
-dune exec bench/main.exe -- supervision
-grep -q '"engine/retries": 0' BENCH_PR4.json || {
-  echo "ci: BENCH_PR4.json is missing zero-valued fault counters" >&2
-  exit 1
-}
-overhead=$(sed -n 's/.*"overhead_pct_max": \([-0-9.e+]*\).*/\1/p' BENCH_PR4.json)
-awk "BEGIN { exit !($overhead <= 2.0) }" || {
-  echo "ci: supervision overhead ${overhead}% exceeds the 2% budget" >&2
-  exit 1
-}
-echo "ci: supervision overhead ${overhead}% (budget 2%)"
-
-# Session incrementality gate: single-constraint deltas on an acyclic
-# problem must resolve at least 2x faster through a session than a
-# from-scratch compile-and-solve (the experiment also re-checks that
-# every incremental resolve equals the scratch solution bit for bit).
-dune exec bench/main.exe -- session-incremental
-speedup=$(sed -n 's/.*"median_speedup": \([-0-9.e+]*\),.*/\1/p' BENCH_PR5.json | tail -n 1)
-awk "BEGIN { exit !($speedup >= 2.0) }" || {
-  echo "ci: session incremental speedup ${speedup}x below the 2x floor" >&2
-  exit 1
-}
-echo "ci: session incremental speedup ${speedup}x (floor 2x)"
 
 echo "ci: OK"

@@ -7,14 +7,18 @@ module Clock = Minup_obs.Clock
    (it involves no lattice types).  [steps] counts scheduling iterations —
    one per Bigloop attribute visit, one per Try worklist pop — the units of
    progress the algorithm is guaranteed to make; [charge] lets
-   fault-injection hooks burn budget without doing work.  The wall clock is
-   an injectable [now] so tests (and the fault simulator) can warp time
-   deterministically instead of sleeping. *)
+   fault-injection hooks burn budget without doing work.  [next_check] is
+   the step at which the solver next leaves its hot loop to look at the
+   budget: the next multiple of 64 (a clock poll), or [max_steps + 1] if
+   that comes first.  The wall clock is an injectable [now] so tests (and
+   the fault simulator) can warp time deterministically instead of
+   sleeping. *)
 type budget = {
   deadline_ms : int option;
   max_steps : int option;
   now : unit -> int64;
   mutable steps : int;
+  mutable next_check : int;
 }
 
 let budget ?deadline_ms ?max_steps ?(now = Clock.now_ns) () =
@@ -24,9 +28,18 @@ let budget ?deadline_ms ?max_steps ?(now = Clock.now_ns) () =
   (match max_steps with
   | Some s when s < 0 -> invalid_arg "Solver.budget: max_steps < 0"
   | _ -> ());
-  { deadline_ms; max_steps; now; steps = 0 }
+  { deadline_ms; max_steps; now; steps = 0; next_check = 0 }
 
+(* A charge that jumps [steps] past [next_check] trips at the next step. *)
 let charge b k = if k > 0 then b.steps <- b.steps + min k (max_int - b.steps)
+
+let reschedule b =
+  let poll = (b.steps lor 63) + 1 in
+  b.next_check <-
+    (match b.max_steps with Some m when m < poll -> m + 1 | _ -> poll)
+
+(* The budget a solve without one counts its steps in: it never fires. *)
+let unbounded () = { (budget ()) with next_check = max_int }
 
 module Make (L : Minup_lattice.Lattice_intf.S) = struct
   type problem = {
@@ -202,80 +215,73 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let lam = Array.init n init in
     let done_ = Array.make n false in
     let unlabeled = Array.copy prob.Problem.lhs_len in
-    (* Cooperative cancellation.  [check_fine] runs once per scheduling
-       event — each Try worklist pop and each Bigloop attribute: it
-       charges one step, trips on the step budget immediately, but polls
-       the wall clock only every 64 steps so neither hot loop pays a
-       clock read per iteration (a clock read per attribute costs >10%
-       on back-propagation-heavy workloads).  [check_final] runs once
-       after the Bigloop and always polls the clock, so a deadline — or
-       a hook's clock warp landing after the last amortized poll — is
-       noticed even on instances too small to ever reach 64 steps.  With
-       no budget both checks are the unit closure: one indirect call per
-       site, no clock reads, and no effect on the [Instr] counters
-       ([steps] lives in the budget, not in [stats]). *)
-    let check_fine, check_final =
+    (* Cooperative cancellation, one path for every solve.  Each
+       scheduling event — each Try worklist pop and each Bigloop attribute —
+       charges one step and compares it with [b.next_check]; only when the
+       step reaches it does [slow] run: it trips on the step budget, polls
+       the wall clock when the step is a multiple of 64 (a clock read per
+       attribute costs >10% on back-propagation-heavy workloads), and
+       schedules the next check.  One last check after the Bigloop always
+       polls the clock, so a deadline — or a hook's clock warp landing
+       after the last amortized poll — is noticed even on instances too
+       small to ever reach 64 steps.  A solve without a budget counts its
+       steps in an [unbounded] one: no clock reads, and no effect on the
+       [Instr] counters ([steps] lives in the budget, not in [stats]). *)
+    let b, t0 =
       match budget with
-      | None ->
-          let nop () = () in
-          (nop, nop)
+      | None -> (unbounded (), 0L)
       | Some b ->
-          let t0 = b.now () in
-          let deadline_ns =
-            match b.deadline_ms with
-            | None -> None
-            | Some ms ->
-                Some (ms, Int64.add t0 (Int64.mul (Int64.of_int ms) 1_000_000L))
-          in
-          let cancel reason =
-            let partial = ref [] and count = ref 0 in
-            for a = n - 1 downto 0 do
-              if done_.(a) then begin
-                incr count;
-                partial := (Problem.attr_name prob a, lam.(a)) :: !partial
-              end
-            done;
-            raise
-              (Cancelled
+          reschedule b;
+          (b, b.now ())
+    in
+    let deadline_ns =
+      match b.deadline_ms with
+      | None -> None
+      | Some ms -> Some (ms, Int64.add t0 (Int64.mul (Int64.of_int ms) 1_000_000L))
+    in
+    let cancel reason =
+      let partial = ref [] and count = ref 0 in
+      for a = n - 1 downto 0 do
+        if done_.(a) then begin
+          incr count;
+          partial := (Problem.attr_name prob a, lam.(a)) :: !partial
+        end
+      done;
+      raise
+        (Cancelled
+           {
+             reason;
+             progress =
+               {
+                 partial = !partial;
+                 n_finalized = !count;
+                 n_attrs = n;
+                 steps = b.steps;
+               };
+           })
+    in
+    let check_steps () =
+      match b.max_steps with
+      | Some m when b.steps > m -> cancel (Steps { max_steps = m })
+      | _ -> ()
+    in
+    let check_clock () =
+      match deadline_ns with
+      | Some (ms, d) ->
+          let t = b.now () in
+          if Int64.compare t d > 0 then
+            cancel
+              (Deadline
                  {
-                   reason;
-                   progress =
-                     {
-                       partial = !partial;
-                       n_finalized = !count;
-                       n_attrs = n;
-                       steps = b.steps;
-                     };
+                   deadline_ms = ms;
+                   elapsed_ms = Int64.to_float (Int64.sub t t0) /. 1e6;
                  })
-          in
-          let check_steps () =
-            match b.max_steps with
-            | Some m when b.steps > m -> cancel (Steps { max_steps = m })
-            | _ -> ()
-          in
-          let check_clock () =
-            match deadline_ns with
-            | Some (ms, d) ->
-                let t = b.now () in
-                if Int64.compare t d > 0 then
-                  cancel
-                    (Deadline
-                       {
-                         deadline_ms = ms;
-                         elapsed_ms = Int64.to_float (Int64.sub t t0) /. 1e6;
-                       })
-            | None -> ()
-          in
-          let fine () =
-            b.steps <- b.steps + 1;
-            check_steps ();
-            if b.steps land 63 = 0 then check_clock ()
-          in
-          let final () =
-            check_steps ();
-            check_clock ()
-          in
-          (fine, final)
+      | None -> ()
+    in
+    let slow () =
+      check_steps ();
+      if b.steps land 63 = 0 then check_clock ();
+      reschedule b
     in
     (* Incremental left-hand-side lub aggregates, one per *complex*
        constraint (indexed by [Problem.complex_idx]): [agg.(k)] is the lub
@@ -447,7 +453,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       let ok =
         try
           while !head < !fifo_len do
-            check_fine ();
+            b.steps <- b.steps + 1;
+            if b.steps >= b.next_check then slow ();
             let x = !fifo.(!head) in
             incr head;
             (* A popped attribute no longer in Tocheck is a stale entry:
@@ -642,7 +649,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         (fun a ->
           if skip.(a) then ()
           else begin
-          check_fine ();
+          b.steps <- b.steps + 1;
+          if b.steps >= b.next_check then slow ();
           (match on_event with
           | Some f -> f (Consider { attr = attr_name a; priority = p })
           | None -> ());
@@ -745,7 +753,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     (* A last look at the budget once the Bigloop completes: a clock warp
        (or hook charge) landing after the last amortized poll must still
        cancel the solve rather than let it return a full solution. *)
-    check_final ();
+    check_steps ();
+    check_clock ();
     if tracing then begin
       Trace.end_span ~cat:"solver" "bigloop";
       Trace.end_span ~cat:"solver"

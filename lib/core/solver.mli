@@ -167,9 +167,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
               returned {!Instr} counters are unaffected.  For tests. *)
       budget : budget option;
           (** bounds the solve (see {!type-budget}); the solve raises
-              {!Cancelled} if it is exceeded.  Without a budget the hot
-              path is unchanged — no clock reads, no step counting, and
-              bit-identical {!Instr} counters. *)
+              {!Cancelled} if it is exceeded.  Budgeted and unbudgeted
+              solves share one per-step check; without a budget it never
+              fires and reads no clock, and the {!Instr} counters are
+              bit-identical either way. *)
     }
 
     (** No events, no residual, no preference, no self-check, no budget. *)

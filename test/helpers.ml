@@ -39,3 +39,51 @@ let qcheck = QCheck_alcotest.to_alcotest
 let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)
 
 let case name f = Alcotest.test_case name `Quick f
+
+(* The 16-level total order the Thm. 5.2 experiments and the benchmark
+   workloads run over. *)
+let ladder16 = Total.create (List.init 16 (Printf.sprintf "S%d"))
+
+(* The Thm. 5.2 acyclic shape: [n] attributes, 2n simple and n/2 complex
+   constraints over the 16 ladder levels. *)
+let acyclic_shape seed n =
+  Minup_workload.Gen_constraints.acyclic (Minup_workload.Prng.create seed)
+    {
+      Minup_workload.Gen_constraints.n_attrs = n;
+      n_simple = 2 * n;
+      n_complex = n / 2;
+      max_lhs = 4;
+      n_constants = n / 4;
+      constants = List.init 16 Fun.id;
+    }
+
+(* One 2k and one 8k instance of that shape, generated once: the 8k one
+   takes about a second. *)
+let acyclic_2k_8k = lazy (acyclic_shape 5 2_000, acyclic_shape 5 8_000)
+
+(* The Thm. 5.2 quadratic shape: a bare Hamiltonian cycle over [n]
+   attributes with one interior floor, so every [Try] walks most of it. *)
+let cycle_shape seed n =
+  Minup_workload.Gen_constraints.single_scc (Minup_workload.Prng.create seed)
+    {
+      Minup_workload.Gen_constraints.n_attrs = n;
+      n_simple = 0;
+      n_complex = 0;
+      max_lhs = 2;
+      n_constants = 1;
+      constants = [ 8 ];
+    }
+
+(* Words allocated by [f], direct major-heap allocations included: the
+   quantity [Gc.allocated_bytes] reports, read as [Gc.minor_words] plus
+   major minus promoted words from [Gc.counters], whose own minor count
+   is not in words on OCaml 5.1. *)
+let words f =
+  Gc.minor ();
+  let total () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = total () in
+  ignore (Sys.opaque_identity (f ()));
+  total () -. w0

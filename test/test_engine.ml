@@ -18,6 +18,9 @@ module S = Helpers.S
 module Gen = Minup_workload.Gen_constraints
 module Gen_lattice = Minup_workload.Gen_lattice
 module Instr = Minup_core.Instr
+module ET = Minup_core.Engine.Make (Total)
+module ST = ET.Solver
+module Metrics = Minup_obs.Metrics
 
 let case = Helpers.case
 
@@ -88,6 +91,37 @@ let parity_jobs4 () =
     report.Engine.stats;
   Alcotest.(check bool) "aggregate counted work" true
     (Instr.lattice_ops report.Engine.stats > 0)
+
+(* [count] problems of [shape] at [n] attributes over the 16-level ladder,
+   seeded [seed0], [seed0 + 1], ... *)
+let ladder_batch shape seed0 count n =
+  Array.init count (fun i ->
+      let attrs, csts = shape (seed0 + i) n in
+      ST.compile_exn ~lattice:Helpers.ladder16 ~attrs csts)
+
+let check_same name (expect : ST.solution array) (got : ST.solution array) =
+  Array.iteri
+    (fun i (p : ST.solution) ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s: levels of problem %d" name i)
+        p.ST.levels got.(i).ST.levels;
+      stats_eq (Printf.sprintf "%s: stats of problem %d" name i) p.ST.stats
+        got.(i).ST.stats)
+    expect
+
+(* The benchmark's batch shapes over the 16-level ladder — 12 acyclic
+   problems of 300 attributes and 12 single cycles of 60 — at jobs = 2
+   against a sequential solve loop. *)
+let parity_ladder_batches () =
+  List.iter
+    (fun (name, problems) ->
+      let report = ET.solve_batch ~jobs:2 problems in
+      Alcotest.(check int) (name ^ ": jobs used") 2 report.ET.jobs;
+      check_same name (Array.map ST.solve problems) (ET.ok_exn report))
+    [
+      ("acyclic", ladder_batch Helpers.acyclic_shape 2_000 12 300);
+      ("cyclic", ladder_batch Helpers.cycle_shape 3_000 12 60);
+    ]
 
 (* Degenerate shapes: empty batch, singleton batch with excess workers
    (jobs clamps to the batch size), inline jobs=1 path, bad jobs, bad
@@ -410,7 +444,117 @@ let solver_budget_cancels () =
   | exception S.Cancelled _ -> Alcotest.fail "wrong cancel reason"
 
 (* A budget generous enough to never trip must not change the result or
-   the Instr counters (budget steps are counted separately). *)
+   the Instr counters (budget steps are counted separately), and must cost
+   no more than its amortized checks: budgeted and plain solves share one
+   per-step check, which leaves the hot loop only every 64 steps. *)
+let generous =
+  {
+    E0.default_policy with
+    E0.deadline_ms = Some 3_600_000;
+    max_steps = Some max_int;
+    retries = 2;
+  }
+
+(* Four tasks each of the 2k acyclic and the 600-attribute cycle shape. *)
+let supervised_shapes =
+  lazy
+    [
+      ("acyclic 2k", ladder_batch Helpers.acyclic_shape 4_000 4 2_000);
+      ("cycle 600", ladder_batch Helpers.cycle_shape 4_000 4 600);
+    ]
+
+(* Supervised batches equal unsupervised ones, take one attempt per task,
+   and report zero fault counters. *)
+let supervision_transparent () =
+  let shapes = Lazy.force supervised_shapes in
+  List.iter
+    (fun (name, problems) ->
+      List.iter
+        (fun jobs ->
+          let name = Printf.sprintf "%s, jobs=%d" name jobs in
+          let plain = ET.solve_batch ~jobs problems in
+          let sup = ET.solve_batch ~policy:generous ~jobs problems in
+          check_same name (ET.ok_exn plain) (ET.ok_exn sup);
+          stats_eq (name ^ ": aggregate stats") plain.ET.stats sup.ET.stats;
+          Alcotest.(check (array int))
+            (name ^ ": one attempt per task")
+            (Array.make (Array.length problems) 1)
+            sup.ET.attempts;
+          Alcotest.(check int) (name ^ ": retries") 0 sup.ET.retries;
+          Alcotest.(check int) (name ^ ": failed") 0 sup.ET.failed)
+        [ 1; 2 ])
+    shapes;
+  Metrics.enable ();
+  Metrics.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.clear ())
+    (fun () ->
+      ignore
+        (ET.solve_batch ~policy:generous ~jobs:2
+           (List.assoc "acyclic 2k" shapes));
+      let counters =
+        match Metrics.to_json () with
+        | Minup_obs.Json.Obj fields -> (
+            match List.assoc_opt "counters" fields with
+            | Some (Minup_obs.Json.Obj cs) -> cs
+            | _ -> [])
+        | _ -> []
+      in
+      List.iter
+        (fun key ->
+          match List.assoc_opt key counters with
+          | Some (Minup_obs.Json.Num 0.) -> ()
+          | Some _ -> Alcotest.failf "%s is not 0" key
+          | None -> Alcotest.failf "%s is missing from the metrics" key)
+        [ "engine/retries"; "engine/deadline_exceeded"; "engine/budget_exhausted" ])
+
+(* What supervision costs on top of a plain batch at jobs = 1: a few
+   words per task (the budget and its closures), never words per step. *)
+let supervision_allocation () =
+  let small, large = Lazy.force Helpers.acyclic_2k_8k in
+  List.iter
+    (fun (attrs, csts) ->
+      let n = List.length attrs and tasks = 4 in
+      let problems =
+        Array.make tasks (ST.compile_exn ~lattice:Helpers.ladder16 ~attrs csts)
+      in
+      let plain = Helpers.words (fun () -> ET.solve_batch ~jobs:1 problems) in
+      let sup =
+        Helpers.words (fun () -> ET.solve_batch ~policy:generous ~jobs:1 problems)
+      in
+      let per_attr = (sup -. plain) /. float_of_int (n * tasks) in
+      if per_attr > 0.25 then
+        Alcotest.failf
+          "%d attrs: supervision allocated %.2f words per attribute per task \
+           (bound 0.25)"
+          n per_attr)
+    [ small; large ]
+
+(* A budgeted solve reads its clock once at the start, once per 64 steps
+   (a step is a Bigloop attribute visit or a Try worklist pop) and once
+   at the end. *)
+let supervision_clock_reads () =
+  List.iter
+    (fun (name, p) ->
+      let reads = ref 0 in
+      let now () =
+        incr reads;
+        0L
+      in
+      let budget =
+        Minup_core.Solver.budget ~deadline_ms:3_600_000 ~max_steps:max_int ~now ()
+      in
+      let sol = ST.solve ~config:(ST.Config.make ~budget ()) p in
+      let steps =
+        Minup_constraints.Problem.n_attrs p.ST.prob
+        + sol.ST.stats.Instr.try_iterations
+      in
+      Alcotest.(check int) (name ^ ": clock reads") ((steps / 64) + 2) !reads)
+    (List.map (fun (name, problems) -> (name, problems.(0)))
+       (Lazy.force supervised_shapes))
+
 let budget_transparent () =
   let rng = Minup_workload.Prng.create 71 in
   let problems = Array.init 4 (fun i -> random_problem rng i) in
@@ -432,7 +576,10 @@ let budget_transparent () =
         budgeted.S.levels;
       stats_eq "counters unchanged under a loose budget" plain.S.stats
         budgeted.S.stats)
-    problems
+    problems;
+  supervision_transparent ();
+  supervision_allocation ();
+  supervision_clock_reads ()
 
 let fault_json_roundtrip () =
   List.iter
@@ -483,6 +630,7 @@ let options_forwarded =
 let suite =
   [
     case "jobs=4 parity on 60 random workloads" parity_jobs4;
+    case "jobs=2 parity on the ladder batch shapes" parity_ladder_batches;
     case "edge cases: empty, clamp, inline, bad jobs, bad policy" edge_cases;
     case "fail-fast worker exception propagates" exn_propagates;
     case "traced jobs=1 exception keeps spans balanced" traced_exn_balanced;

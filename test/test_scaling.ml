@@ -4,8 +4,6 @@
    4x apart (the quadratic [Try] case 2x apart); a linear layer allocates
    about 4x as much at the larger one, a quadratic one about 16x. *)
 open Minup_constraints
-module Gen = Minup_workload.Gen_constraints
-module Prng = Minup_workload.Prng
 module Session = Minup_session.Session.Make (Minup_lattice.Total)
 module Solver = Minup_core.Solver.Make (Minup_lattice.Total)
 
@@ -13,36 +11,11 @@ let case = Helpers.case
 let small = 2_000
 let large = 8_000
 let max_growth = 4.6
+let words = Helpers.words
+let ladder = Helpers.ladder16
 
-(* Words allocated by [f], direct major-heap allocations included: the
-   quantity [Gc.allocated_bytes] reports, read as [Gc.minor_words] plus
-   major minus promoted words from [Gc.counters], whose own minor count
-   is not in words on OCaml 5.1. *)
-let words f =
-  Gc.minor ();
-  let total () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let w0 = total () in
-  ignore (Sys.opaque_identity (f ()));
-  total () -. w0
-
-let ladder = Minup_lattice.Total.create (List.init 16 (Printf.sprintf "S%d"))
-
-(* The shape of the Thm. 5.2 acyclic experiments. *)
-let acyclic n =
-  Gen.acyclic (Prng.create 5)
-    {
-      Gen.n_attrs = n;
-      n_simple = 2 * n;
-      n_complex = n / 2;
-      max_lhs = 4;
-      n_constants = n / 4;
-      constants = List.init 16 Fun.id;
-    }
-
-let inputs = lazy (acyclic small, acyclic large)
+(* The shape of the Thm. 5.2 acyclic experiments, at [small] and [large]. *)
+let inputs = Helpers.acyclic_2k_8k
 
 let check_growth ?(ratio = 4) ?(bound = max_growth) name ~small:w_small
     ~large:w_large =
@@ -139,6 +112,50 @@ let try_allocation_flat () =
   if per_iter > 2. then
     Alcotest.failf "Solver.solve: %.2f words per Try iteration (bound 2)" per_iter
 
+(* A re-tightened lower bound on an already-bounded attribute takes the
+   session's patch path: the compiled problem and its priorities are
+   reused, so the resolve compiles nothing and allocates well under a
+   from-scratch compile and solve of the same snapshot (the general path
+   allocates more than one). *)
+let session_patch_lean () =
+  let module Trace = Minup_obs.Trace in
+  List.iter
+    (fun (attrs, csts) ->
+      let n = List.length attrs in
+      let sess = Session.create ~lattice:ladder ~attrs csts in
+      let bounded = Array.of_list (List.filteri (fun i _ -> i mod 10 = 0) attrs) in
+      Array.iteri (fun i a -> Session.set_lower_bound sess a (Some (2 + (i mod 6)))) bounded;
+      ignore (Session.resolve sess);
+      let scratch () =
+        let attrs, csts = Session.snapshot sess in
+        Solver.solve (Solver.compile_exn ~lattice:ladder ~attrs csts)
+      in
+      let patch_resolve () =
+        let patched = (Session.stats sess).Session.patched in
+        let sol = Session.resolve sess in
+        if (Session.stats sess).Session.patched <> patched + 1 then
+          Alcotest.failf "%d attrs: a re-tighten did not take the patch path" n;
+        sol
+      in
+      Session.set_lower_bound sess bounded.(0) (Some 9);
+      let w_scratch = words scratch in
+      let w_patch = words patch_resolve in
+      if w_patch > 0.6 *. w_scratch then
+        Alcotest.failf "%d attrs: a patch resolve allocated %.2fx a scratch solve (bound 0.6x)"
+          n (w_patch /. w_scratch);
+      Session.set_lower_bound sess bounded.(7) (Some 10);
+      Trace.start ();
+      let sol = Fun.protect ~finally:Trace.stop patch_resolve in
+      List.iter
+        (fun (e : Trace.event) ->
+          if e.name = "problem.compile" || String.starts_with ~prefix:"priorities." e.name then
+            Alcotest.failf "%d attrs: a patch resolve emitted a %s span" n e.name)
+        (Trace.events ());
+      Alcotest.(check (array int)) "patch resolve = scratch" (scratch ()).Solver.levels
+        sol.Session.Solver.levels)
+    (let s, l = Lazy.force inputs in
+     [ s; l ])
+
 let suite =
   [
     case "Problem.compile allocation is linear" compile_linear;
@@ -147,4 +164,6 @@ let suite =
     case "parser allocation is linear on hostile shapes" parser_linear;
     case "preference scheduling allocation is linear" preference_linear;
     case "Try allocates nothing per iteration" try_allocation_flat;
+    case "a patch resolve compiles nothing and allocates < 0.6x scratch"
+      session_patch_lean;
   ]
