@@ -4,8 +4,8 @@
 # words, clock reads, envelopes — so it passes or fails alike on any
 # host.  The suite itself covers the engine's jobs parity on the
 # benchmark batch shapes and the supervision cost (test_engine), and the
-# session patch path's compile-free, allocation-bounded resolve
-# (test_scaling).
+# session patch path's compile-free, allocation-bounded resolve and the
+# structural deltas' scratch resolve (test_scaling).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -76,6 +76,22 @@ echo "$serve_out" | grep -q '"status":"error"' || {
   exit 1
 }
 echo "ci: serve smoke OK (ok / fault / infeasible / error envelopes)"
+
+# Session correctness smoke: one traced second of the serve-edit
+# benchmark.  It checks every serve reply against its own mirror of the
+# policy (each resolve equals a scratch solve of the mirror, ack ids
+# match, infeasible replies are exactly the planted ones) and validates
+# its trace; it exits 1 and reports "correct":false on any mismatch.
+# Only correctness is gated here, never a timing.
+bench_out=$(sh perfbench/run.sh --workload serve-edit --seed 1 --seconds 1 --trace 1) || {
+  echo "ci: serve-edit benchmark exited with an error" >&2
+  exit 1
+}
+echo "$bench_out" | tail -n 1 | grep -q '^{"correct":true,' || {
+  echo "ci: serve-edit benchmark replies were not correct" >&2
+  exit 1
+}
+echo "ci: serve-edit smoke OK (every reply matches the scratch mirror)"
 
 # Fault-injection gate: planting an unexpected runtime fault of each kind
 # (raise / virtual-clock stall / step-budget blowout) into the supervised

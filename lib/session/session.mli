@@ -6,21 +6,24 @@
     {!Minup_core.Solver.Make.problem} and its solution.  Edits
     ({!Make.add_constraint}, {!Make.remove_constraint},
     {!Make.set_lower_bound}, {!Make.add_attribute}) are cheap: they queue
-    deltas.  {!Make.resolve} applies the queued deltas and re-solves,
-    reusing as much of the previous resolve as the deltas allow:
+    deltas.  {!Make.resolve} applies the queued deltas and re-solves, in
+    one of three ways:
 
     - no deltas: the cached solution is returned as-is;
     - only re-tightened lower bounds on attributes that were already
-      bounded: the compiled problem is patched in place
-      ({!Minup_constraints.Problem.set_rlevel}) and the priority
-      assignment is reused — no re-interning, no DFS;
-    - otherwise the problem is recompiled, but attributes whose constraint
-      neighbourhood is untouched keep their previous levels: the session
-      computes the {e dirty closure} of the deltas and re-runs the solver
-      only over it ({!Minup_core.Solver.Make.solve_incremental});
-    - if the dirty closure reaches a constraint cycle, the session falls
-      back to a full solve — forward lowering through a cycle depends on
-      global state that per-attribute freezing cannot reproduce.
+      bounded at the last compile: the compiled problem is patched in
+      place ({!Minup_constraints.Problem.set_rlevel}) and the priority
+      assignment is reused — no re-interning, no DFS.  Attributes whose
+      constraint neighbourhood the patch cannot reach keep their previous
+      levels: the session computes the {e dirty closure} of the patched
+      attributes and re-runs the solver only over it
+      ({!Minup_core.Solver.Make.solve_incremental}), or solves the patched
+      problem in full if the closure reaches a constraint cycle — forward
+      lowering through a cycle depends on global state that per-attribute
+      freezing cannot reproduce;
+    - anything else (a constraint added or removed, a new attribute, a
+      first or cleared bound): the snapshot is compiled and solved from
+      scratch.
 
     Incrementality is {e never} visible in results: every resolve returns
     exactly (bit-identical levels) what a from-scratch
@@ -40,8 +43,8 @@
     - {!Make.add_constraint}: O(k) amortized;
     - {!Make.remove_constraint}, {!Make.set_lower_bound},
       {!Make.add_attribute}: O(1) amortized;
-    - {!Make.snapshot}, and the recompile of a {!Make.resolve} that takes
-      the general path: linear in the attributes, the constraint size and
+    - {!Make.snapshot}, and the compile of a {!Make.resolve} after a
+      structural delta: linear in the attributes, the constraint size and
       the number of constraint ids and bounded attributes ever handed out
       (tombstones included), plus the compile itself;
     - the patch path of {!Make.resolve}: no compile; linear in the
@@ -60,13 +63,17 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
   type t
 
   (** How past resolves were served; [frozen] totals the attributes whose
-      levels were reused (not re-solved) across incremental resolves. *)
+      levels were reused (not re-solved) across incremental resolves.  A
+      patch resolve counts in [patched] and in one of [incremental] or
+      [full]. *)
   type stats = {
     resolves : int;
     cached : int;  (** no pending deltas: cached solution returned *)
     patched : int;  (** bound-patch path: compile and priorities reused *)
-    incremental : int;  (** re-solved with frozen clean attributes *)
-    full : int;  (** full solves (first resolve, or cycle fallback) *)
+    incremental : int;  (** patch re-solved with frozen clean attributes *)
+    full : int;
+        (** full solves: the first resolve, every resolve after a
+            structural delta, and the patch path's cycle fallback *)
     frozen : int;
   }
 

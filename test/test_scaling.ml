@@ -112,24 +112,31 @@ let try_allocation_flat () =
   if per_iter > 2. then
     Alcotest.failf "Solver.solve: %.2f words per Try iteration (bound 2)" per_iter
 
+(* A session over [attrs] and [csts] with a tenth of the attributes
+   bounded, resolved once. *)
+let bounded_session (attrs, csts) =
+  let sess = Session.create ~lattice:ladder ~attrs csts in
+  let bounded = Array.of_list (List.filteri (fun i _ -> i mod 10 = 0) attrs) in
+  Array.iteri (fun i a -> Session.set_lower_bound sess a (Some (2 + (i mod 6)))) bounded;
+  ignore (Session.resolve sess);
+  (sess, bounded)
+
+(* A from-scratch compile and solve of the session's snapshot. *)
+let scratch sess () =
+  let attrs, csts = Session.snapshot sess in
+  Solver.solve (Solver.compile_exn ~lattice:ladder ~attrs csts)
+
 (* A re-tightened lower bound on an already-bounded attribute takes the
    session's patch path: the compiled problem and its priorities are
    reused, so the resolve compiles nothing and allocates well under a
-   from-scratch compile and solve of the same snapshot (the general path
-   allocates more than one). *)
+   from-scratch compile and solve of the same snapshot (a structural
+   delta's resolve allocates about one). *)
 let session_patch_lean () =
   let module Trace = Minup_obs.Trace in
   List.iter
     (fun (attrs, csts) ->
       let n = List.length attrs in
-      let sess = Session.create ~lattice:ladder ~attrs csts in
-      let bounded = Array.of_list (List.filteri (fun i _ -> i mod 10 = 0) attrs) in
-      Array.iteri (fun i a -> Session.set_lower_bound sess a (Some (2 + (i mod 6)))) bounded;
-      ignore (Session.resolve sess);
-      let scratch () =
-        let attrs, csts = Session.snapshot sess in
-        Solver.solve (Solver.compile_exn ~lattice:ladder ~attrs csts)
-      in
+      let sess, bounded = bounded_session (attrs, csts) in
       let patch_resolve () =
         let patched = (Session.stats sess).Session.patched in
         let sol = Session.resolve sess in
@@ -138,7 +145,7 @@ let session_patch_lean () =
         sol
       in
       Session.set_lower_bound sess bounded.(0) (Some 9);
-      let w_scratch = words scratch in
+      let w_scratch = words (scratch sess) in
       let w_patch = words patch_resolve in
       if w_patch > 0.6 *. w_scratch then
         Alcotest.failf "%d attrs: a patch resolve allocated %.2fx a scratch solve (bound 0.6x)"
@@ -151,8 +158,40 @@ let session_patch_lean () =
           if e.name = "problem.compile" || String.starts_with ~prefix:"priorities." e.name then
             Alcotest.failf "%d attrs: a patch resolve emitted a %s span" n e.name)
         (Trace.events ());
-      Alcotest.(check (array int)) "patch resolve = scratch" (scratch ()).Solver.levels
+      Alcotest.(check (array int)) "patch resolve = scratch" (scratch sess ()).Solver.levels
         sol.Session.Solver.levels)
+    (let s, l = Lazy.force inputs in
+     [ s; l ])
+
+(* Every structural delta re-solves from scratch: the resolve counts in
+   [stats.full] and allocates at most 1.2x a from-scratch compile and
+   solve of the same snapshot outside the session. *)
+let session_structural_lean () =
+  List.iter
+    (fun (attrs, csts) ->
+      let n = List.length attrs in
+      let sess, bounded = bounded_session (attrs, csts) in
+      List.iter
+        (fun (kind, edit) ->
+          edit ();
+          let w_scratch = words (scratch sess) in
+          let full = (Session.stats sess).Session.full in
+          let w_resolve = words (fun () -> Session.resolve sess) in
+          if (Session.stats sess).Session.full <> full + 1 then
+            Alcotest.failf "%d attrs: %s did not resolve from scratch" n kind;
+          if w_resolve > 1.2 *. w_scratch then
+            Alcotest.failf "%d attrs: %s resolve allocated %.2fx a scratch solve (bound 1.2x)"
+              n kind (w_resolve /. w_scratch))
+        [
+          ( "add",
+            fun () ->
+              ignore (Session.add_constraint sess (Cst.simple (List.nth attrs 3) (Cst.Level 9)))
+          );
+          ("remove", fun () -> assert (Session.remove_constraint sess 0));
+          ("new attribute", fun () -> Session.add_attribute sess "fresh");
+          ("first bound", fun () -> Session.set_lower_bound sess (List.nth attrs 1) (Some 5));
+          ("cleared bound", fun () -> Session.set_lower_bound sess bounded.(3) None);
+        ])
     (let s, l = Lazy.force inputs in
      [ s; l ])
 
@@ -166,4 +205,5 @@ let suite =
     case "Try allocates nothing per iteration" try_allocation_flat;
     case "a patch resolve compiles nothing and allocates < 0.6x scratch"
       session_patch_lean;
+    case "a structural resolve allocates <= 1.2x scratch" session_structural_lean;
   ]

@@ -1,6 +1,6 @@
 (* Sessions: the delta API's resolves must be bit-identical to solving the
-   snapshot from scratch, whichever path (cached, patched, incremental,
-   full fallback) serves them — plus the serve loop's envelopes and the
+   snapshot from scratch, whichever path (cached, patch with its cycle
+   fallback, scratch) serves them — plus the serve loop's envelopes and the
    Wire round-trip. *)
 
 open Minup_lattice
@@ -67,15 +67,15 @@ let stats_classify_paths () =
   (* Re-tightening an existing bound is the patch fast path. *)
   Session.set_lower_bound sess "salary" (Some (lvl "L4"));
   check_matches ~ctx:"patch" fig1b sess;
-  (* A structural delta recompiles but re-solves only the dirty cone. *)
+  (* A structural delta recompiles and solves from scratch. *)
   ignore (Session.add_constraint sess (Helpers.level_cst "dept" "L2"));
   check_matches ~ctx:"structural" fig1b sess;
   let st = Session.stats sess in
   Alcotest.(check int) "resolves" 4 st.Session.resolves;
   Alcotest.(check int) "cached" 1 st.Session.cached;
-  Alcotest.(check int) "full" 1 st.Session.full;
+  Alcotest.(check int) "full" 2 st.Session.full;
   Alcotest.(check int) "patched" 1 st.Session.patched;
-  Alcotest.(check int) "incremental" 2 st.Session.incremental;
+  Alcotest.(check int) "incremental" 1 st.Session.incremental;
   Alcotest.(check bool) "frozen some work" true (st.Session.frozen > 0)
 
 let cycle_falls_back_to_full () =
@@ -87,12 +87,14 @@ let cycle_falls_back_to_full () =
         Helpers.level_cst "b" "L2";
       ]
   in
+  Session.set_lower_bound sess "a" (Some (lvl "L1"));
   check_matches ~ctx:"initial" fig1b sess;
-  (* The delta's dirty closure reaches the {a, b} cycle: the session must
-     fall back to a full solve rather than freeze half a cycle. *)
+  (* The re-tighten's dirty closure reaches the {a, b} cycle: the patch
+     path must fall back to a full solve rather than freeze half a cycle. *)
   Session.set_lower_bound sess "a" (Some (lvl "L4"));
   check_matches ~ctx:"cycle delta" fig1b sess;
   let st = Session.stats sess in
+  Alcotest.(check int) "patched" 1 st.Session.patched;
   Alcotest.(check int) "full twice" 2 st.Session.full;
   Alcotest.(check int) "never incremental" 0 st.Session.incremental
 
@@ -111,20 +113,22 @@ let bounded_catch_up_obeys_budget () =
   Alcotest.(check bool) "delta still queued" true (Session.solution sess = None)
 
 let untouched_subgraph_is_frozen () =
-  (* Two disconnected chains; editing one must freeze the other. *)
+  (* Two disconnected chains; re-tightening the bound on one must freeze
+     the other. *)
   let sess =
     Session.create ~lattice:fig1b
       [
-        Helpers.level_cst "x1" "L2";
         Helpers.attr_cst "x0" "x1";
         Helpers.level_cst "y1" "L3";
         Helpers.attr_cst "y0" "y1";
       ]
   in
+  Session.set_lower_bound sess "x1" (Some (lvl "L2"));
   ignore (Session.resolve sess);
-  ignore (Session.add_constraint sess (Helpers.level_cst "x1" "L4"));
+  Session.set_lower_bound sess "x1" (Some (lvl "L4"));
   check_matches ~ctx:"one chain edited" fig1b sess;
   let st = Session.stats sess in
+  Alcotest.(check int) "patched" 1 st.Session.patched;
   Alcotest.(check int) "incremental" 1 st.Session.incremental;
   (* y0 and y1 (at least) stayed frozen. *)
   Alcotest.(check bool) "frozen >= 2" true (st.Session.frozen >= 2)
@@ -139,8 +143,29 @@ let random_spec lat =
     constants = Explicit.all lat;
   }
 
-(* A random editing session: every resolve, after every delta, must match
-   the scratch solve of the snapshot. *)
+(* What one random edit asks of the next resolve: nothing, a re-tightened
+   bound the compiled problem already has (the patch path), or a
+   recompile. *)
+type edit = Noop | Retighten | Structural
+
+(* A zero-step budget must cancel a patch-path resolve and leave its
+   deltas queued. *)
+let cancel_patch ~ctx sess =
+  let config =
+    { SS.Config.default with budget = Some (Minup_core.Solver.budget ~max_steps:0 ()) }
+  in
+  let patched = (Session.stats sess).Session.patched in
+  (match Session.resolve ~config sess with
+  | _ -> Alcotest.failf "%s: a zero-step patch resolve was not cancelled" ctx
+  | exception SS.Cancelled _ -> ());
+  if (Session.stats sess).Session.patched <> patched + 1 then
+    Alcotest.failf "%s: the cancelled resolve did not take the patch path" ctx;
+  if Option.is_some (Session.solution sess) then
+    Alcotest.failf "%s: the cancelled resolve consumed its deltas" ctx
+
+(* A random editing session: 1–3 deltas between resolves, and every
+   resolve must match the scratch solve of the snapshot.  Once per
+   session a patch-path resolve is cancelled first. *)
 let random_session seed =
   let rng = Prng.create seed in
   let lat =
@@ -155,34 +180,68 @@ let random_session seed =
   in
   let sess = Session.create ~lattice:lat ~attrs csts in
   let ids = ref (List.mapi (fun i _ -> i) csts) in
+  let bounded = Hashtbl.create 8 in
   let levels = Explicit.all lat in
   let fresh = ref 0 in
-  check_matches ~ctx:"initial" lat sess;
-  for step = 1 to 10 do
-    (match Prng.int rng 6 with
-    | 0 ->
+  let set_bound a l =
+    let had = Hashtbl.mem bounded a in
+    Session.set_lower_bound sess a l;
+    match l with
+    | Some _ ->
+        Hashtbl.replace bounded a ();
+        if had then Retighten else Structural
+    | None ->
+        Hashtbl.remove bounded a;
+        if had then Structural else Noop
+  in
+  let edit () =
+    match Prng.int rng 6 with
+    | 0 -> (
         let lhs = Prng.sample rng (1 + Prng.int rng 3) attrs in
         let rhs =
           if Prng.bool rng then Cst.Level (Prng.pick rng levels)
           else Cst.Attr (Prng.pick rng attrs)
         in
-        (match Cst.make ~lhs ~rhs with
-        | Ok c -> ids := Session.add_constraint sess c :: !ids
-        | Error _ -> ())
+        match Cst.make ~lhs ~rhs with
+        | Ok c ->
+            ids := Session.add_constraint sess c :: !ids;
+            Structural
+        | Error _ -> Noop)
     | 1 when !ids <> [] ->
         let id = Prng.pick rng !ids in
         ignore (Session.remove_constraint sess id);
-        ids := List.filter (fun i -> i <> id) !ids
-    | 2 | 3 ->
-        Session.set_lower_bound sess (Prng.pick rng attrs)
-          (Some (Prng.pick rng levels))
-    | 4 ->
-        Session.set_lower_bound sess (Prng.pick rng attrs) None
+        ids := List.filter (fun i -> i <> id) !ids;
+        Structural
+    | 2 | 3 -> set_bound (Prng.pick rng attrs) (Some (Prng.pick rng levels))
+    | 4 -> set_bound (Prng.pick rng attrs) None
     | _ ->
         incr fresh;
-        Session.add_attribute sess (Printf.sprintf "z%d" !fresh));
-    check_matches ~ctx:(Printf.sprintf "seed %d step %d" seed step) lat sess
-  done
+        Session.add_attribute sess (Printf.sprintf "z%d" !fresh);
+        Structural
+  in
+  let cancelled = ref false in
+  check_matches ~ctx:"initial" lat sess;
+  for step = 1 to 10 do
+    let edits = List.init (1 + Prng.int rng 3) (fun _ -> edit ()) in
+    let ctx = Printf.sprintf "seed %d step %d" seed step in
+    if (not !cancelled) && List.mem Retighten edits && not (List.mem Structural edits)
+    then begin
+      cancelled := true;
+      cancel_patch ~ctx sess
+    end;
+    check_matches ~ctx lat sess
+  done;
+  if not !cancelled then begin
+    let a = List.hd attrs in
+    if set_bound a (Some (List.hd levels)) = Structural then
+      check_matches ~ctx:(Printf.sprintf "seed %d first bound" seed) lat sess;
+    (* The same attribute re-tightened twice in one batch. *)
+    ignore (set_bound a (Some (List.nth levels 1)));
+    ignore (set_bound a (Some (List.hd levels)));
+    let ctx = Printf.sprintf "seed %d re-tighten" seed in
+    cancel_patch ~ctx sess;
+    check_matches ~ctx lat sess
+  end
 
 let random_sessions () =
   for seed = 0 to 24 do
