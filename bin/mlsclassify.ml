@@ -18,7 +18,6 @@ open Minup_lattice
 module Solver = Minup_core.Solver.Make (Explicit)
 module Engine = Minup_core.Engine.Make (Explicit)
 module Parse = Minup_constraints.Parse
-module Instr = Minup_core.Instr
 module Wire = Minup_core.Wire
 module Trace = Minup_obs.Trace
 module Metrics = Minup_obs.Metrics
@@ -65,11 +64,9 @@ type obs = {
   metrics_json : string option;
 }
 
-(* [with_obs o f] runs [f] (which returns its result and the run's
-   aggregate counters) with tracing/metrics enabled as requested, then
-   writes the configured sinks.  The counters are absorbed into the
-   registry so every --metrics/--metrics-json report carries the instr/*
-   counters next to the phase histograms.
+(* [with_obs o f] runs [f] with tracing/metrics enabled as requested, then
+   writes the configured sinks.  Every solve records its own solver/* and
+   instr/* metrics, so a report covers whatever [f] solved.
 
    The sinks are flushed on the exception path too: a raising solve or a
    SIGINT ([Sys.Break], see [catch_break] in main) first unwinds the open
@@ -92,7 +89,7 @@ let with_obs o f =
     Metrics.reset ()
   end;
   let t0 = Obs_clock.now_ns () in
-  let flush stats =
+  let flush () =
     (match o.trace_file with
     | Some path ->
         Trace.stop ();
@@ -102,7 +99,6 @@ let with_obs o f =
       Metrics.set
         (Metrics.gauge "cli/wall_ns")
         (Int64.to_float (Obs_clock.elapsed_ns ~since:t0));
-      (match stats with Some s -> Instr.to_metrics s | None -> ());
       if o.metrics then Format.eprintf "%a@?" Metrics.pp ();
       (match o.metrics_json with
       | None -> ()
@@ -121,13 +117,13 @@ let with_obs o f =
     end
   in
   match f () with
-  | result, stats ->
-      flush (Some stats);
+  | result ->
+      flush ();
       result
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       if o.trace_file <> None then Trace.unwind_to 0;
-      flush None;
+      flush ();
       (match e with
       | Sys.Break ->
           prerr_endline "interrupted: observability sinks flushed";
@@ -184,20 +180,17 @@ let solve_cmd lattice_path policy_path bounds events check_minimal explain
   in
   let solution =
     with_obs obs (fun () ->
-        let s =
-          let config = Solver.Config.make ?on_event () in
-          if bounds = [] then Solver.solve ~config problem
-          else
-            match Solver.solve_with_bounds ~config problem bounds with
-            | Ok s -> s
-            | Error i ->
-                prerr_endline
-                  (Format.asprintf "inconsistent: %a"
-                     (Solver.pp_inconsistency lattice)
-                     i);
-                exit 2
-        in
-        (s, s.Solver.stats))
+        let config = Solver.Config.make ?on_event () in
+        if bounds = [] then Solver.solve ~config problem
+        else
+          match Solver.solve_with_bounds ~config problem bounds with
+          | Ok s -> s
+          | Error i ->
+              prerr_endline
+                (Format.asprintf "inconsistent: %a"
+                   (Solver.pp_inconsistency lattice)
+                   i);
+              exit 2)
   in
   print_assignment lattice solution.Solver.assignment;
   if not (Solver.satisfies problem solution.Solver.levels) then begin
@@ -272,9 +265,7 @@ let batch_cmd lattice_path policy_paths jobs show_stats deadline_ms max_steps
   in
   let report =
     match
-      with_obs obs (fun () ->
-          let r = Engine.solve_batch ~policy ?jobs problems in
-          (r, r.Engine.stats))
+      with_obs obs (fun () -> Engine.solve_batch ~policy ?jobs problems)
     with
     | r -> r
     | exception ((Sys.Break | Out_of_memory) as e) -> raise e
@@ -518,10 +509,11 @@ let obs_term =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Write a Chrome trace-event JSON of the run to $(docv): solver \
-             phase spans (priorities, back-propagation, per-SCC forward \
-             lowering) and, under batch, per-worker spans.  Load it in \
-             Perfetto (ui.perfetto.dev) or chrome://tracing.")
+            "Write a Chrome trace-event JSON of the run to $(docv): compile \
+             and solver phase spans (solve, schedule, bigloop, and one \
+             try_lower per cyclic priority set), session.resolve under \
+             serve, and per-worker spans under batch.  Load it in Perfetto \
+             (ui.perfetto.dev) or chrome://tracing.")
   in
   let metrics_arg =
     Arg.(
@@ -692,9 +684,7 @@ let serve_t =
     let conn =
       Minup_session.Serve.create ~max_sessions ?deadline_ms ?max_steps ()
     in
-    with_obs obs (fun () ->
-        Minup_session.Serve.run conn stdin stdout;
-        ((), Instr.create ()))
+    with_obs obs (fun () -> Minup_session.Serve.run conn stdin stdout)
   in
   Cmd.v
     (Cmd.info "serve"

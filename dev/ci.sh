@@ -77,21 +77,26 @@ echo "$serve_out" | grep -q '"status":"error"' || {
 }
 echo "ci: serve smoke OK (ok / fault / infeasible / error envelopes)"
 
-# Session correctness smoke: one traced second of the serve-edit
-# benchmark.  It checks every serve reply against its own mirror of the
-# policy (each resolve equals a scratch solve of the mirror, ack ids
-# match, infeasible replies are exactly the planted ones) and validates
-# its trace; it exits 1 and reports "correct":false on any mismatch.
-# Only correctness is gated here, never a timing.
-bench_out=$(sh perfbench/run.sh --workload serve-edit --seed 1 --seconds 1 --trace 1) || {
-  echo "ci: serve-edit benchmark exited with an error" >&2
-  exit 1
-}
-echo "$bench_out" | tail -n 1 | grep -q '^{"correct":true,' || {
-  echo "ci: serve-edit benchmark replies were not correct" >&2
-  exit 1
-}
-echo "ci: serve-edit smoke OK (every reply matches the scratch mirror)"
+# Benchmark correctness smoke: one traced second of serve-edit and of
+# batch-cyclic.  serve-edit checks every serve reply against its own
+# mirror of the policy (each resolve equals a scratch solve of the
+# mirror, ack ids match, infeasible replies are exactly the planted
+# ones); batch-cyclic checks every engine solution against a verified
+# sequential solve, with one worker domain per core.  Both validate their
+# trace (batch-cyclic's holds a try_lower span per cyclic set, on every
+# worker's track); each exits 1 and reports "correct":false on any
+# mismatch.  Only correctness is gated here, never a timing.
+for workload in serve-edit batch-cyclic; do
+  bench_out=$(sh perfbench/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 1) || {
+    echo "ci: $workload benchmark exited with an error" >&2
+    exit 1
+  }
+  echo "$bench_out" | tail -n 1 | grep -q '^{"correct":true,' || {
+    echo "ci: $workload benchmark results were not correct" >&2
+    exit 1
+  }
+  echo "ci: $workload smoke OK (every result matches its reference)"
+done
 
 # Fault-injection gate: planting an unexpected runtime fault of each kind
 # (raise / virtual-clock stall / step-budget blowout) into the supervised

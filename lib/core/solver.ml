@@ -3,7 +3,7 @@ module Trace = Minup_obs.Trace
 module Metrics = Minup_obs.Metrics
 module Clock = Minup_obs.Clock
 
-(* A cooperative cancellation budget, shared by every solver instantiation
+(* A cooperative cancellation budget, shared by every [Make] application
    (it involves no lattice types).  [steps] counts scheduling iterations —
    one per Bigloop attribute visit, one per Try worklist pop — the units of
    progress the algorithm is guaranteed to make; [charge] lets
@@ -154,23 +154,16 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let n = Problem.n_attrs prob in
     let csts = prob.Problem.csts in
     let stats = Instr.create () in
-    (* Observability is latched once per solve: every instrumentation site
-       below is guarded by one of these two booleans, so the disabled path
-       costs exactly one branch per site — no clock reads, no allocation,
-       and (critically) no effect on the [Instr] counters, which stay
+    (* Observability is latched once per solve.  Spans mark the phases
+       (solve, schedule, bigloop) and each cyclic priority set, never a
+       single attribute — [on_event] and [stats] already tell that story —
+       and the registry is updated once, when the solve ends.  Every site
+       is guarded by one of these two booleans, so the disabled path costs
+       exactly one branch per site — no clock reads, no allocation, and
+       (critically) no effect on the [Instr] counters, which stay
        identical whether tracing is on or off. *)
     let tracing = Trace.enabled () in
     let metering = Metrics.enabled () in
-    (* Registry lookups take a mutex; resolve the handles once per solve so
-       metered parallel batches do not serialize on per-attribute lookups. *)
-    let m =
-      if metering then
-        Some
-          ( Metrics.counter "solver/back_assigned",
-            Metrics.counter "solver/forward_lowered",
-            Metrics.histogram "solver/try_iters_per_scc" )
-      else None
-    in
     let t_solve0 = if tracing || metering then Clock.now_ns () else 0L in
     if tracing then
       Trace.begin_span ~ts_ns:t_solve0 ~cat:"solver"
@@ -625,6 +618,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     in
     (* Event values are built only when someone listens. *)
     let on_event = config.Config.on_event in
+    let back_assigned = ref 0 and forward_lowered = ref 0 in
+    (* Try iterations of each cyclic set (metered solves only). *)
+    let set_iters = ref [] in
     if tracing then Trace.begin_span ~cat:"solver" "bigloop";
     List.iter
       (fun p ->
@@ -636,15 +632,17 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             Array.sort by_pref members;
             members
       in
-      (* A span per non-trivial priority set (= SCC subject to forward
-         lowering); singleton sets are far too numerous on acyclic inputs
-         to each deserve a span of their own. *)
-      let scc_span = tracing && Array.length members > 1 in
-      if scc_span then
+      (* Only a cyclic set (an SCC of two or more attributes) can lower
+         forward: a singleton's right-hand sides are all labeled before it
+         is considered.  Each cyclic set gets one "try_lower" span. *)
+      let cyclic = Array.length members > 1 in
+      let tries0 = stats.Instr.try_calls
+      and iters0 = stats.Instr.try_iterations in
+      if tracing && cyclic then
         Trace.begin_span ~cat:"solver"
           ~args:
             [ ("priority", Trace.Int p); ("size", Trace.Int (Array.length members)) ]
-          "scc";
+          "try_lower";
       Array.iter
         (fun a ->
           if skip.(a) then ()
@@ -654,7 +652,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           (match on_event with
           | Some f -> f (Consider { attr = attr_name a; priority = p })
           | None -> ());
-          let t_attr0 = if tracing then Clock.now_ns () else 0L in
           done_.(a) <- true;
           let l = ref bottom in
           for i = co_off.(a) to co_off.(a + 1) - 1 do
@@ -673,35 +670,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           if done_.(a) then begin
             lam.(a) <- l;
             finalize a;
-            (* Whether the scan was a back-propagation is only known now,
-               so the span is emitted retroactively from the timestamp
-               taken before the scan. *)
-            if tracing then
-              Trace.span_at ~start_ns:t_attr0 ~end_ns:(Clock.now_ns ())
-                ~cat:"solver"
-                ~args:
-                  [ ("attr", Trace.Str (attr_name a)); ("priority", Trace.Int p) ]
-                "back_propagate";
-            (match m with
-            | Some (back, _, _) -> Metrics.incr back
-            | None -> ());
+            incr back_assigned;
             match on_event with
             | Some f -> f (Back_assigned { attr = attr_name a; level = l })
             | None -> ()
           end
           else begin
-            if tracing then begin
-              Trace.span_at ~start_ns:t_attr0 ~end_ns:(Clock.now_ns ())
-                ~cat:"solver"
-                ~args:[ ("attr", Trace.Str (attr_name a)) ]
-                "minlevel_scan";
-              Trace.begin_span ~cat:"solver"
-                ~args:
-                  [ ("attr", Trace.Str (attr_name a)); ("priority", Trace.Int p) ]
-                "try_lower"
-            end;
-            let tries0 = stats.Instr.try_calls
-            and iters0 = stats.Instr.try_iterations in
             (* Forward lowering through the cycle: try each DSet candidate
                in turn, and start over from the new λ(A)'s DSet after every
                success. *)
@@ -728,27 +702,25 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             done;
             done_.(a) <- true;
             finalize a;
-            let try_iters = stats.Instr.try_iterations - iters0 in
-            if tracing then
-              Trace.end_span ~cat:"solver"
-                ~args:
-                  [
-                    ("tries", Trace.Int (stats.Instr.try_calls - tries0));
-                    ("iterations", Trace.Int try_iters);
-                  ]
-                "try_lower";
-            (match m with
-            | Some (_, fwd, iters_h) ->
-                Metrics.incr fwd;
-                Metrics.observe iters_h try_iters
-            | None -> ());
+            incr forward_lowered;
             match on_event with
             | Some f -> f (Finalized { attr = attr_name a; level = lam.(a) })
             | None -> ()
           end
           end)
         members;
-      if scc_span then Trace.end_span ~cat:"solver" "scc")
+      if cyclic then begin
+        let iters = stats.Instr.try_iterations - iters0 in
+        if tracing then
+          Trace.end_span ~cat:"solver"
+            ~args:
+              [
+                ("tries", Trace.Int (stats.Instr.try_calls - tries0));
+                ("iterations", Trace.Int iters);
+              ]
+            "try_lower";
+        if metering then set_iters := iters :: !set_iters
+      end)
       set_order;
     (* A last look at the budget once the Bigloop completes: a clock warp
        (or hook charge) landing after the last amortized poll must still
@@ -767,11 +739,18 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           ]
         "solve"
     end;
+    (* The registry's one update per solve; a cancelled solve records
+       nothing. *)
     if metering then begin
       Metrics.incr (Metrics.counter "solver/solves");
       Metrics.observe
         (Metrics.histogram "solver/solve_ns")
-        (Int64.to_int (Clock.elapsed_ns ~since:t_solve0))
+        (Int64.to_int (Clock.elapsed_ns ~since:t_solve0));
+      Metrics.add (Metrics.counter "solver/back_assigned") !back_assigned;
+      Metrics.add (Metrics.counter "solver/forward_lowered") !forward_lowered;
+      let h = Metrics.histogram "solver/try_iters_per_scc" in
+      List.iter (Metrics.observe h) !set_iters;
+      Instr.to_metrics stats
     end;
     {
       levels = lam;
@@ -781,8 +760,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     }
 
   (* A raising callback (residual, upgrade preference, on_event handler)
-     aborts [solve_internal] with its "solve" / "bigloop" / "scc" /
-     "try_lower" spans still open; close them on the way out so an exported
+     aborts [solve_internal] with its "solve" / "bigloop" / "try_lower"
+     spans still open; close them on the way out so an exported
      trace keeps its B/E nesting even when a solve dies. *)
   let with_balanced_spans f =
     let depth = Trace.open_depth () in

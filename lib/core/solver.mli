@@ -1,6 +1,6 @@
 (** Algorithm 3.1 — minimal classification generation.
 
-    [Make (L)] instantiates the paper's algorithm over any lattice
+    [Make (L)] runs the paper's algorithm over any lattice
     implementation.  Given a compiled constraint problem, {!Make.solve}
     computes a classification [λ : A → L] that satisfies every constraint
     and is pointwise minimal (Definition 2.2): no attribute can be assigned
@@ -187,7 +187,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
   end
 
   (** [solve ?config problem] — Algorithm 3.1 under [config]
-      (default {!Config.default}). *)
+      (default {!Config.default}).  With {!Minup_obs.Trace} on, every
+      solve emits [solve], [schedule] and [bigloop] spans and one
+      [try_lower] span per cyclic priority set; with {!Minup_obs.Metrics}
+      on, a solve that completes adds its [solver/*] and [instr/*] metrics
+      to the registry once, at its end. *)
   val solve : ?config:Config.t -> problem -> solution
 
   (** [solve_incremental ?config ~frozen problem] — like {!solve}, but

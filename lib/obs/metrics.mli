@@ -1,14 +1,15 @@
 (** Process-wide metrics registry: named counters, gauges, and log-scale
     histograms with percentile summaries.
 
-    Metrics absorb and extend the solver's [Instr] operation counters: the
-    CLI and the engine feed per-run counters and latency samples here, and
-    one registry snapshot renders them all, human-readably ({!pp}) or as
-    JSON ({!to_json}).
+    Metrics aggregate across solves and domains.  Each solve updates the
+    registry once, when it ends: its [Instr] operation counters (as
+    [instr/*]) and its [solver/*] counters and latency sample.  The engine
+    and the serve loop add their own; one registry snapshot renders them
+    all, human-readably ({!pp}) or as JSON ({!to_json}).
 
     All metric values are atomics, so workers on different domains update
-    them without locks; registration (name lookup) takes a mutex and should
-    happen outside hot loops — hold on to the returned handle.
+    them without locks; registration (name lookup) takes a mutex, so look
+    names up once per solve or request, never in a hot loop.
 
     Like {!Trace}, the registry is disabled by default and instrumentation
     sites guard their updates with a single branch on {!enabled}, keeping

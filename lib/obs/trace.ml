@@ -62,20 +62,13 @@ let emit ph ?ts_ns ?(args = []) ?(cat = "minup") name =
     let ts_ns = match ts_ns with Some t -> t | None -> Clock.now_ns () in
     b.events <- { ph; name; cat; ts_ns; tid = b.tid; args } :: b.events;
     b.count <- b.count + 1;
-    match ph with
-    | 'B' -> b.open_spans <- (name, cat) :: b.open_spans
-    | 'E' -> (
-        match b.open_spans with [] -> () | _ :: rest -> b.open_spans <- rest)
-    | _ -> ()
+    if ph = 'B' then b.open_spans <- (name, cat) :: b.open_spans
+    else
+      match b.open_spans with [] -> () | _ :: rest -> b.open_spans <- rest
   end
 
 let begin_span ?ts_ns ?args ?cat name = emit 'B' ?ts_ns ?args ?cat name
 let end_span ?ts_ns ?args ?cat name = emit 'E' ?ts_ns ?args ?cat name
-let instant ?ts_ns ?args ?cat name = emit 'i' ?ts_ns ?args ?cat name
-
-let span_at ~start_ns ~end_ns ?args ?cat name =
-  emit 'B' ~ts_ns:start_ns ?args ?cat name;
-  emit 'E' ~ts_ns:end_ns ?cat name
 
 let open_depth () =
   if Atomic.get enabled_flag then List.length (buffer ()).open_spans else 0
@@ -162,7 +155,6 @@ let to_json () =
          ("pid", Json.Num 1.);
          ("tid", Json.Num (float_of_int e.tid));
        ]
-      @ (if e.ph = 'i' then [ ("s", Json.Str "t") ] else [])
       @
       match e.args with
       | [] -> []

@@ -1,10 +1,17 @@
 (** Structured execution tracing in the Chrome trace-event format.
 
-    Spans ([B]/[E] pairs) and instant events accumulate in {e per-domain}
-    buffers — no lock on the emit path, no cross-domain interleaving — and
-    export as a JSON document loadable in Perfetto ({:https://ui.perfetto.dev})
-    or [chrome://tracing].  Each OCaml domain appears as its own track
+    Spans ([B]/[E] pairs) accumulate in {e per-domain} buffers — no lock
+    on the emit path, no cross-domain interleaving — and export as a JSON
+    document loadable in Perfetto ({:https://ui.perfetto.dev}) or
+    [chrome://tracing].  Each OCaml domain appears as its own track
     ([tid] = domain id).
+
+    Spans mark phases, never single items of work: the solver opens
+    [solve], [schedule] and [bigloop] spans plus one [try_lower] span per
+    cyclic priority set, and the per-attribute story is left to the
+    solver's event callback and its [Instr] counters.  A span costs an
+    allocation and a clock read, so a span per attribute would cost as
+    much as the work it measures.
 
     Tracing is {e disabled by default} and every emit function starts with
     a single load-and-branch on the global flag, so instrumentation left in
@@ -26,7 +33,7 @@ type arg = Int of int | Float of float | Str of string | Bool of bool
 
 (** One recorded event (exposed for tests and custom sinks). *)
 type event = {
-  ph : char;  (** 'B', 'E' or 'i' *)
+  ph : char;  (** 'B' or 'E' *)
   name : string;
   cat : string;
   ts_ns : int64;
@@ -44,8 +51,8 @@ val stop : unit -> unit
 
 (** [begin_span name] opens a span on the calling domain's track; close it
     with {!end_span} [name] on the same domain.  [ts_ns] overrides the
-    timestamp (used to emit a span retroactively); [cat] defaults to
-    ["minup"].  No-ops when disabled. *)
+    clock (tests pin timestamps with it); [cat] defaults to ["minup"].
+    No-ops when disabled. *)
 val begin_span :
   ?ts_ns:int64 -> ?args:(string * arg) list -> ?cat:string -> string -> unit
 
@@ -54,20 +61,6 @@ val begin_span :
     on [end_span]. *)
 val end_span :
   ?ts_ns:int64 -> ?args:(string * arg) list -> ?cat:string -> string -> unit
-
-(** A zero-duration marker event. *)
-val instant :
-  ?ts_ns:int64 -> ?args:(string * arg) list -> ?cat:string -> string -> unit
-
-(** [span_at ~start_ns ~end_ns name] emits a matched B/E pair with explicit
-    timestamps — for phases whose identity is only known once finished. *)
-val span_at :
-  start_ns:int64 ->
-  end_ns:int64 ->
-  ?args:(string * arg) list ->
-  ?cat:string ->
-  string ->
-  unit
 
 (** Number of spans currently open on the calling domain's track (0 when
     disabled).  Record it before running code that opens spans, and pass it

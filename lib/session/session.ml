@@ -262,7 +262,20 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     finish t { old with problem; solution }
 
   let resolve ?(config = Solver.Config.default) t =
-    Trace.with_span ~cat:"session" "session.resolve" @@ fun () ->
+    (* The path the resolve takes, as a span argument, built only when
+       tracing so the untraced path allocates nothing. *)
+    let args =
+      if not (Trace.enabled ()) then None
+      else
+        let path =
+          match (t.pending, t.compiled) with
+          | Clean, Some _ -> "cached"
+          | Retightened _, Some _ -> "patch"
+          | _ -> "scratch"
+        in
+        Some [ ("path", Trace.Str path) ]
+    in
+    Trace.with_span ?args ~cat:"session" "session.resolve" @@ fun () ->
     t.stats <- { t.stats with resolves = t.stats.resolves + 1 };
     match (t.pending, t.compiled) with
     | Clean, Some c ->

@@ -13,6 +13,8 @@ module Instr = Minup_core.Instr
 module Paper = Minup_core.Paper
 module SE = Minup_core.Solver.Make (Explicit)
 module Engine = Minup_core.Engine.Make (Explicit)
+module ET = Minup_core.Engine.Make (Total)
+module ST = ET.Solver
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -219,7 +221,8 @@ let test_trace_disabled () =
   Trace.stop ();
   Trace.begin_span "ghost";
   Trace.end_span "ghost";
-  Trace.instant "ghost";
+  Trace.begin_span ~ts_ns:1L "ghost";
+  Trace.end_span ~ts_ns:2L "ghost";
   checki "no events when disabled" 0 (Trace.event_count ());
   checkb "with_span is transparent" true (Trace.with_span "ghost" (fun () -> true));
   checki "still none" 0 (Trace.event_count ())
@@ -227,23 +230,24 @@ let test_trace_disabled () =
 let test_trace_nesting () =
   with_trace (fun () ->
       Trace.with_span ~cat:"t" "outer" (fun () ->
-          Trace.instant ~args:[ ("k", Trace.Int 3) ] "mark";
+          Trace.with_span ~args:[ ("k", Trace.Int 3) ] "mark" Fun.id;
           Trace.with_span ~cat:"t" "inner" Fun.id);
-      Trace.span_at ~start_ns:5L ~end_ns:9L "retro");
+      Trace.begin_span ~ts_ns:5L "retro";
+      Trace.end_span ~ts_ns:9L "retro");
   let phs =
     List.map (fun (e : Trace.event) -> (e.ph, e.name)) (Trace.events ())
   in
-  (* span_at's explicit 5ns..9ns timestamps sort before the wall-clock
-     events of the live spans. *)
+  (* The explicit 5ns..9ns timestamps sort before the wall-clock events of
+     the live spans. *)
   checkb "event sequence" true
     (phs
     = [
-        ('B', "retro"); ('E', "retro"); ('B', "outer"); ('i', "mark");
-        ('B', "inner"); ('E', "inner"); ('E', "outer");
+        ('B', "retro"); ('E', "retro"); ('B', "outer"); ('B', "mark");
+        ('E', "mark"); ('B', "inner"); ('E', "inner"); ('E', "outer");
       ]);
   (* start() drops previously collected events. *)
-  with_trace (fun () -> Trace.instant "fresh");
-  checki "start clears" 1 (Trace.event_count ())
+  with_trace (fun () -> Trace.with_span "fresh" Fun.id);
+  checki "start clears" 2 (Trace.event_count ())
 
 (* Walk exported traceEvents checking every B has a matching same-name E on
    the same tid, properly nested — the contract chrome://tracing needs. *)
@@ -353,6 +357,68 @@ let test_engine_trace () =
   in
   checki "workers on distinct domains" 2 (List.length tids)
 
+(* Spans mark phases and cyclic sets, never attributes; the registry is
+   updated once per solve, with the solve's own counters. *)
+let test_spans_per_phase () =
+  let ladder (attrs, csts) =
+    ST.compile_exn ~lattice:Helpers.ladder16 ~attrs csts
+  in
+  let solver_spans () =
+    List.filter
+      (fun (e : Trace.event) -> e.cat = "solver")
+      (Trace.events ())
+  in
+  let begun () =
+    List.filter_map
+      (fun (e : Trace.event) -> if e.ph = 'B' then Some e.name else None)
+      (solver_spans ())
+  in
+  let int_arg (e : Trace.event) k =
+    match List.assoc_opt k e.args with
+    | Some (Trace.Int v) -> v
+    | _ -> Alcotest.failf "%s span has no %s argument" e.name k
+  in
+  let acyclic = ladder (fst (Lazy.force Helpers.acyclic_2k_8k)) in
+  with_trace (fun () -> ignore (ST.solve acyclic));
+  check Alcotest.(list string) "acyclic solver spans"
+    [ "solve"; "schedule"; "bigloop" ] (begun ());
+  let cycle = ladder (Helpers.cycle_shape 7 200) in
+  let s = with_trace (fun () -> ST.solve cycle) in
+  check Alcotest.(list string) "single-cycle solver spans"
+    [ "solve"; "schedule"; "bigloop"; "try_lower" ] (begun ());
+  (match
+     List.filter
+       (fun (e : Trace.event) -> e.name = "try_lower")
+       (solver_spans ())
+   with
+  | [ b; e ] ->
+      checki "try_lower size" 200 (int_arg b "size");
+      checki "try_lower tries" s.ST.stats.Instr.try_calls (int_arg e "tries");
+      checki "try_lower iterations" s.ST.stats.Instr.try_iterations
+        (int_arg e "iterations")
+  | es -> Alcotest.failf "%d try_lower events, expected 2" (List.length es));
+  let problems =
+    [|
+      acyclic; cycle; ladder (Helpers.acyclic_shape 3 300);
+      ladder (Helpers.cycle_shape 8 60);
+    |]
+  in
+  with_metrics @@ fun () ->
+  let solutions = ET.ok_exn (ET.solve_batch ~jobs:2 problems) in
+  let value name = Metrics.counter_value (Metrics.counter name) in
+  List.iter
+    (fun (k, v) -> checki ("instr/" ^ k) v (value ("instr/" ^ k)))
+    (Instr.to_alist
+       (Instr.sum (Array.map (fun (s : ST.solution) -> s.ST.stats) solutions)));
+  checki "solver/solves" (Array.length problems) (value "solver/solves");
+  checki "every attribute back-assigned or forward-lowered"
+    (Array.fold_left
+       (fun acc (s : ST.solution) -> acc + Array.length s.ST.levels)
+       0 solutions)
+    (value "solver/back_assigned" + value "solver/forward_lowered");
+  checki "one try_iters_per_scc sample per cyclic set" 2
+    (Metrics.histogram_count (Metrics.histogram "solver/try_iters_per_scc"))
+
 (* --- Instr bridge ---------------------------------------------------- *)
 
 let sample_instr () =
@@ -422,6 +488,8 @@ let suite =
     Alcotest.test_case "observed solve identity" `Quick
       test_observed_solve_identity;
     Alcotest.test_case "engine batch trace" `Quick test_engine_trace;
+    Alcotest.test_case "spans per phase, metrics per solve" `Quick
+      test_spans_per_phase;
     Alcotest.test_case "instr pp order" `Quick test_instr_pp_order;
     Alcotest.test_case "instr json roundtrip" `Quick test_instr_json_roundtrip;
     Alcotest.test_case "instr to_metrics" `Quick test_instr_to_metrics;

@@ -11,6 +11,7 @@ module Serve = Minup_session.Serve
 module Wire = Minup_core.Wire
 module Fault = Minup_core.Fault
 module Json = Minup_obs.Json
+module Trace = Minup_obs.Trace
 module Gen = Minup_workload.Gen_constraints
 module Gen_lattice = Minup_workload.Gen_lattice
 module Prng = Minup_workload.Prng
@@ -62,14 +63,26 @@ let delta_sequence_matches_scratch () =
 let stats_classify_paths () =
   let sess = Session.create ~lattice:fig1b (base_csts ()) in
   Session.set_lower_bound sess "salary" (Some (lvl "L1"));
-  ignore (Session.resolve sess);
-  ignore (Session.resolve sess);
-  (* Re-tightening an existing bound is the patch fast path. *)
-  Session.set_lower_bound sess "salary" (Some (lvl "L4"));
-  check_matches ~ctx:"patch" fig1b sess;
-  (* A structural delta recompiles and solves from scratch. *)
-  ignore (Session.add_constraint sess (Helpers.level_cst "dept" "L2"));
-  check_matches ~ctx:"structural" fig1b sess;
+  Trace.start ();
+  Fun.protect ~finally:Trace.stop (fun () ->
+      ignore (Session.resolve sess);
+      ignore (Session.resolve sess);
+      (* Re-tightening an existing bound is the patch fast path. *)
+      Session.set_lower_bound sess "salary" (Some (lvl "L4"));
+      check_matches ~ctx:"patch" fig1b sess;
+      (* A structural delta recompiles and solves from scratch. *)
+      ignore (Session.add_constraint sess (Helpers.level_cst "dept" "L2"));
+      check_matches ~ctx:"structural" fig1b sess);
+  (* Each traced resolve names its path. *)
+  Alcotest.(check (list string))
+    "session.resolve path arguments"
+    [ "scratch"; "cached"; "patch"; "scratch" ]
+    (List.filter_map
+       (fun (e : Trace.event) ->
+         match (e.ph, e.name, List.assoc_opt "path" e.args) with
+         | 'B', "session.resolve", Some (Trace.Str p) -> Some p
+         | _ -> None)
+       (Trace.events ()));
   let st = Session.stats sess in
   Alcotest.(check int) "resolves" 4 st.Session.resolves;
   Alcotest.(check int) "cached" 1 st.Session.cached;
