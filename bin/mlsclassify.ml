@@ -36,6 +36,17 @@ let or_die = function
       prerr_endline ("error: " ^ msg);
       exit 1
 
+(* A bad output path is a user error, not an internal one. *)
+let or_die_io f = match f () with x -> x | exception Sys_error msg -> or_die (Error msg)
+
+(* Write [text] to [path], '-' meaning stdout: the one writer behind
+   --output, --metrics-json and --failures-json. *)
+let write_out path text =
+  if path = "-" then print_string text
+  else
+    or_die_io (fun () ->
+        Out_channel.with_open_text path (fun oc -> output_string oc text))
+
 let load_lattice path =
   match Lattice_file.parse (read_file path) with
   | Ok l -> Ok l
@@ -49,6 +60,17 @@ let load_policy lattice path =
   with
   | Ok r -> Ok r
   | Error e -> Error (Format.asprintf "%s: %a" path Parse.pp_error e)
+
+(* Read, parse and compile a policy file against [lattice], shared by
+   solve, batch and check.  A compile error prints [what: message]
+   ([what] is "error" unless given) and exits 1. *)
+let load_problem ?(what = "error") lattice path =
+  let policy = or_die (load_policy lattice path) in
+  match Solver.compile ~lattice ~attrs:policy.Parse.attrs policy.Parse.csts with
+  | Ok problem -> (policy, problem)
+  | Error e ->
+      prerr_endline (Format.asprintf "%s: %a" what Minup_constraints.Problem.pp_error e);
+      exit 1
 
 let print_assignment lattice assignment =
   List.iter
@@ -75,14 +97,6 @@ type obs = {
    that died used to vanish entirely, which is precisely when it is most
    wanted.  An interrupt exits 130 after flushing. *)
 let with_obs o f =
-  (* A bad sink path is a user error, not an internal one. *)
-  let write_or_die write path =
-    match write path with
-    | () -> ()
-    | exception Sys_error msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 1
-  in
   if o.trace_file <> None then Trace.start ();
   if o.metrics || o.metrics_json <> None then begin
     Metrics.enable ();
@@ -93,26 +107,17 @@ let with_obs o f =
     (match o.trace_file with
     | Some path ->
         Trace.stop ();
-        write_or_die Trace.write path
+        or_die_io (fun () -> Trace.write path)
     | None -> ());
     if Metrics.enabled () then begin
       Metrics.set
         (Metrics.gauge "cli/wall_ns")
         (Int64.to_float (Obs_clock.elapsed_ns ~since:t0));
       if o.metrics then Format.eprintf "%a@?" Metrics.pp ();
-      (match o.metrics_json with
-      | None -> ()
-      | Some path ->
-          let json = Json.to_string ~pretty:true (Metrics.to_json ()) ^ "\n" in
-          if path = "-" then print_string json
-          else
-            write_or_die
-              (fun path ->
-                let oc = open_out path in
-                Fun.protect
-                  ~finally:(fun () -> close_out_noerr oc)
-                  (fun () -> output_string oc json))
-              path);
+      Option.iter
+        (fun path ->
+          write_out path (Json.to_string ~pretty:true (Metrics.to_json ()) ^ "\n"))
+        o.metrics_json;
       Metrics.disable ()
     end
   in
@@ -145,15 +150,7 @@ let parse_bound lattice spec =
 let solve_cmd lattice_path policy_path bounds events check_minimal explain
     output obs =
   let lattice = or_die (load_lattice lattice_path) in
-  let policy = or_die (load_policy lattice policy_path) in
-  let problem =
-    match Solver.compile ~lattice ~attrs:policy.Parse.attrs policy.Parse.csts with
-    | Ok p -> p
-    | Error e ->
-        prerr_endline
-          (Format.asprintf "error: %a" Minup_constraints.Problem.pp_error e);
-        exit 1
-  in
+  let policy, problem = load_problem lattice policy_path in
   let bounds =
     policy.Parse.upper_bounds
     @ List.map (fun spec -> or_die (parse_bound lattice spec)) bounds
@@ -211,17 +208,13 @@ let solve_cmd lattice_path policy_path bounds events check_minimal explain
     print_newline ();
     print_string (Explain.report problem solution.Solver.levels)
   end;
-  match output with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc
-            (Minup_core.Assignment_io.render
-               ~level_to_string:(Explicit.level_to_string lattice)
-               solution.Solver.assignment))
+  Option.iter
+    (fun path ->
+      write_out path
+        (Minup_core.Assignment_io.render
+           ~level_to_string:(Explicit.level_to_string lattice)
+           solution.Solver.assignment))
+    output
 
 (* --- batch ---------------------------------------------------------- *)
 
@@ -239,19 +232,7 @@ let batch_cmd lattice_path policy_paths jobs show_stats deadline_ms max_steps
   let lattice = or_die (load_lattice lattice_path) in
   let problems =
     Array.of_list
-      (List.map
-         (fun path ->
-           let policy = or_die (load_policy lattice path) in
-           match
-             Solver.compile ~lattice ~attrs:policy.Parse.attrs policy.Parse.csts
-           with
-           | Ok p -> p
-           | Error e ->
-               prerr_endline
-                 (Format.asprintf "%s: %a" path
-                    Minup_constraints.Problem.pp_error e);
-               exit 1)
-         policy_paths)
+      (List.map (fun path -> snd (load_problem ~what:path lattice path)) policy_paths)
   in
   let policy =
     {
@@ -284,9 +265,8 @@ let batch_cmd lattice_path policy_paths jobs show_stats deadline_ms max_steps
           print_assignment lattice sol.Solver.assignment
       | Error f -> Format.printf "FAILED: %a@." Minup_core.Fault.pp f)
     report.Engine.solutions;
-  (match failures_json with
-  | None -> ()
-  | Some path ->
+  Option.iter
+    (fun path ->
       let doc =
         Json.Arr
           (Array.to_list report.Engine.solutions
@@ -307,20 +287,8 @@ let batch_cmd lattice_path policy_paths jobs show_stats deadline_ms max_steps
                                     task = Some i;
                                   })))))
       in
-      let json = Json.to_string ~pretty:true doc ^ "\n" in
-      if path = "-" then print_string json
-      else begin
-        match
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc json)
-        with
-        | () -> ()
-        | exception Sys_error msg ->
-            prerr_endline ("error: " ^ msg);
-            exit 1
-      end);
+      write_out path (Json.to_string ~pretty:true doc ^ "\n"))
+    failures_json;
   if show_stats then
     Format.eprintf "problems=%d jobs=%d failed=%d retries=%d %a@."
       (Array.length problems)
@@ -334,15 +302,7 @@ let batch_cmd lattice_path policy_paths jobs show_stats deadline_ms max_steps
    satisfies the (possibly evolved) policy and wastes no visibility. *)
 let check_cmd lattice_path policy_path assignment_path =
   let lattice = or_die (load_lattice lattice_path) in
-  let policy = or_die (load_policy lattice policy_path) in
-  let problem =
-    match Solver.compile ~lattice ~attrs:policy.Parse.attrs policy.Parse.csts with
-    | Ok p -> p
-    | Error e ->
-        prerr_endline
-          (Format.asprintf "error: %a" Minup_constraints.Problem.pp_error e);
-        exit 1
-  in
+  let _, problem = load_problem lattice policy_path in
   let assignment =
     match
       Minup_core.Assignment_io.parse
@@ -556,7 +516,7 @@ let output_arg =
     value
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE"
-        ~doc:"Write the assignment to FILE ('attr = LEVEL' lines).")
+        ~doc:"Write the assignment to FILE ('attr = LEVEL' lines; '-' for stdout).")
 
 let solve_t =
   Cmd.v

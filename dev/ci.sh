@@ -77,6 +77,35 @@ echo "$serve_out" | grep -q '"status":"error"' || {
 }
 echo "ci: serve smoke OK (ok / fault / infeasible / error envelopes)"
 
+# Cycle parity: a re-tightened bound on a member of the 2-cycle {a, b}
+# resolves on the session's patch path (the trace records it), and its
+# assignment must equal a freshly opened session whose bound is already
+# at the final level.
+cyc_lat='"lattice":"levels Low, Mid, High\nLow < Mid\nMid < High\n"'
+cyc_cst='"constraints":"a >= b\nb >= a\nc >= Low\n"'
+cyc_out=$(printf '%s\n' \
+  "{\"op\":\"open\",\"problem\":\"edited\",$cyc_lat,$cyc_cst}" \
+  '{"op":"set_lower_bound","problem":"edited","attr":"a","level":"Mid"}' \
+  '{"op":"resolve","problem":"edited"}' \
+  '{"op":"set_lower_bound","problem":"edited","attr":"a","level":"High"}' \
+  '{"op":"resolve","problem":"edited"}' \
+  "{\"op\":\"open\",\"problem\":\"fresh\",$cyc_lat,$cyc_cst}" \
+  '{"op":"set_lower_bound","problem":"fresh","attr":"a","level":"High"}' \
+  '{"op":"resolve","problem":"fresh"}' \
+  | dune exec -- mlsclassify serve --trace "$obs_tmp/cycle.json")
+echo "$cyc_out"
+edited=$(echo "$cyc_out" | grep '"problem":"edited","solution"' | tail -n 1 | sed 's/.*"solution"//')
+fresh=$(echo "$cyc_out" | grep '"problem":"fresh","solution"' | sed 's/.*"solution"//')
+test -n "$fresh" && test "$edited" = "$fresh" || {
+  echo "ci: a re-tightened bound in a cycle diverged from a fresh session" >&2
+  exit 1
+}
+grep -q '"path":"patch"' "$obs_tmp/cycle.json" || {
+  echo "ci: the re-tightened bound in a cycle did not take the patch path" >&2
+  exit 1
+}
+echo "ci: serve cycle parity OK (patched re-tighten = fresh session)"
+
 # Benchmark correctness smoke: one traced second of serve-edit and of
 # batch-cyclic.  serve-edit checks every serve reply against its own
 # mirror of the policy (each resolve equals a scratch solve of the

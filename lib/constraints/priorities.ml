@@ -111,13 +111,3 @@ let compute p =
           Array.sub members starts.(k) (starts.(k + 1) - starts.(k)));
     max_priority = !max_priority;
   }
-
-let in_cycle t p a =
-  Array.length t.sets.(t.priority.(a) - 1) > 1
-  ||
-  let self = ref false in
-  Problem.iter_constr_of p a (fun ci ->
-      match p.Problem.csts.(ci).Problem.rhs with
-      | Problem.Rattr b -> if b = a then self := true
-      | Problem.Rlevel _ -> ());
-  !self

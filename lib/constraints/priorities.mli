@@ -29,8 +29,3 @@ type t = private {
     the {!Problem.csr} indexes and allocate a constant number of words per
     attribute. *)
 val compute : 'lvl Problem.t -> t
-
-(** [in_cycle t p a] — attribute [a] shares its priority with another
-    attribute, or sits on a self-reaching cycle; equivalently its strongly
-    connected component is nontrivial. *)
-val in_cycle : t -> 'lvl Problem.t -> int -> bool

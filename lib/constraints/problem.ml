@@ -203,12 +203,9 @@ let cst_to_source p c =
 let set_rlevel p ci l =
   if ci < 0 || ci >= Array.length p.csts then
     invalid_arg "Problem.set_rlevel: constraint index out of range";
-  (match p.csts.(ci).rhs with
-  | Rlevel _ -> ()
-  | Rattr _ -> invalid_arg "Problem.set_rlevel: rhs is an attribute");
-  let csts = Array.copy p.csts in
-  csts.(ci) <- { csts.(ci) with rhs = Rlevel l };
-  { p with csts }
+  match p.csts.(ci) with
+  | { lhs; rhs = Rlevel _ } -> p.csts.(ci) <- { lhs; rhs = Rlevel l }
+  | { rhs = Rattr _; _ } -> invalid_arg "Problem.set_rlevel: rhs is an attribute"
 
 let is_acyclic p =
   let n = n_attrs p in

@@ -89,14 +89,14 @@ val attr_id_exn : 'lvl t -> string -> int
 (** Reconstruct the source-form constraint. *)
 val cst_to_source : 'lvl t -> 'lvl cst -> 'lvl Cst.t
 
-(** [set_rlevel p ci l] — the same problem with constraint [ci]'s level
-    right-hand side replaced by [l].  The constraint graph is untouched
-    (a level rhs contributes no edge), so every index structure — and any
-    priority assignment computed from [p] — remains valid; the patched
-    problem shares them with [p].  O(number of constraints), no interning,
-    no DFS.  Raises [Invalid_argument] if [ci] is out of range or its rhs
+(** [set_rlevel p ci l] replaces constraint [ci]'s level right-hand side
+    with [l], in place.  The constraint graph is untouched (a level rhs
+    contributes no edge), so every index structure — and any priority
+    assignment computed from [p] — stays valid.  O(1): one record write,
+    no copy, no interning, no DFS.  Everything holding [p] sees the new
+    level.  Raises [Invalid_argument] if [ci] is out of range or its rhs
     is an attribute. *)
-val set_rlevel : 'lvl t -> int -> 'lvl -> 'lvl t
+val set_rlevel : 'lvl t -> int -> 'lvl -> unit
 
 (** [is_acyclic p] — no constraint cycle (every edge from each lhs attribute
     to the rhs attribute; constraints with level rhs contribute no edge). *)

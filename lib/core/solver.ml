@@ -785,8 +785,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           ~init:(fun _ -> L.top lat)
           ~bounds_mode:false problem)
 
-  let reuse_priorities problem prob = { problem with prob }
-
   let find problem solution attr =
     match Problem.attr_id problem.prob attr with
     | Some a -> Some solution.levels.(a)

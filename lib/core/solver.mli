@@ -201,24 +201,17 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
 
       This is the re-solve primitive behind [Minup_session]: the caller
       promises that every frozen level is exactly what a full {!solve} of
-      this problem would compute, that the non-frozen attributes are
+      this problem would compute, and that the non-frozen set is
       dependency-closed (no frozen attribute's level depends on a
-      non-frozen one) and acyclic.  Under that contract the result is
-      bit-identical in [levels] to a full solve; outside it the result is
-      unspecified.  The returned [stats] count only the work actually
-      performed. *)
+      non-frozen one), contains every member of any priority set it
+      touches, and contains the whole left-hand side of every complex
+      constraint it touches.  Cycles are then re-solved whole: [Try]
+      starts every member of a non-frozen cyclic set at the top, exactly
+      as in a full solve.  Under that contract the result is bit-identical
+      in [levels] to a full solve; outside it the result is unspecified.
+      The returned [stats] count only the work actually performed. *)
   val solve_incremental :
     ?config:Config.t -> frozen:(int -> L.level option) -> problem -> solution
-
-  (** [reuse_priorities problem prob'] rebuilds the compiled problem around
-      [prob'] while keeping the already-computed priorities — sound only
-      when the constraint {e graph} is unchanged (same attributes, same
-      lhs → rhs-attribute edges), e.g. when only level right-hand sides
-      were replaced via {!Minup_constraints.Problem.set_rlevel}.
-      Unchecked: with a structurally different [prob'] the solve result is
-      unspecified. *)
-  val reuse_priorities :
-    problem -> L.level Minup_constraints.Problem.t -> problem
 
   (** [find problem solution attr]. *)
   val find : problem -> solution -> string -> L.level option

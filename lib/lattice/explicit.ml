@@ -154,19 +154,23 @@ let create ~names ~order =
         covers_lo.(hi) <- lo :: covers_lo.(hi);
         covers_hi.(lo) <- hi :: covers_hi.(lo))
       (List.rev covers);
-    (* Validate lattice-hood by computing every lub and glb. *)
-    let lub_tab = Array.make (n * n) 0 and glb_tab = Array.make (n * n) 0 in
+    (* Validate lattice-hood by computing every lub and glb; only a small
+       lattice keeps them, so a large one allocates no n² table. *)
+    let keep_tables = n <= table_threshold in
+    let table () = if keep_tables then Array.make (n * n) 0 else [||] in
+    let lub_tab = table () and glb_tab = table () in
     for a = 0 to n - 1 do
       for b = a to n - 1 do
         let l = lub_of_upsets ~names up a b in
         let g = glb_of_downsets ~names down a b in
-        lub_tab.((a * n) + b) <- l;
-        lub_tab.((b * n) + a) <- l;
-        glb_tab.((a * n) + b) <- g;
-        glb_tab.((b * n) + a) <- g
+        if keep_tables then begin
+          lub_tab.((a * n) + b) <- l;
+          lub_tab.((b * n) + a) <- l;
+          glb_tab.((a * n) + b) <- g;
+          glb_tab.((b * n) + a) <- g
+        end
       done
     done;
-    let keep_tables = n <= table_threshold in
     Ok
       {
         names;

@@ -11,6 +11,7 @@ let split_commas s =
   |> List.filter (fun x -> x <> "")
 
 let parse_raw text =
+  (* Both accumulate reversed and are reversed once at the end. *)
   let names = ref [] and order = ref [] in
   let do_line raw =
     let line =
@@ -21,7 +22,8 @@ let parse_raw text =
     let line = String.trim line in
     if line <> "" then
       if String.length line > 6 && String.sub line 0 6 = "levels" then
-        names := !names @ split_commas (String.sub line 6 (String.length line - 6))
+        let declared = split_commas (String.sub line 6 (String.length line - 6)) in
+        names := List.rev_append declared !names
       else
         match String.index_opt line '<' with
         | Some i ->
@@ -32,7 +34,7 @@ let parse_raw text =
         | None -> fail "expected 'levels ...' or 'lo < hi'"
   in
   let rec go lineno = function
-    | [] -> Ok (!names, List.rev !order)
+    | [] -> Ok (List.rev !names, List.rev !order)
     | l :: rest -> (
         match do_line l with
         | () -> go (lineno + 1) rest

@@ -1,6 +1,5 @@
 module Cst = Minup_constraints.Cst
 module Problem = Minup_constraints.Problem
-module Priorities = Minup_constraints.Priorities
 module Trace = Minup_obs.Trace
 module Names = Problem.Names
 
@@ -167,9 +166,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      Taken per-constraint this is deliberately all-or-nothing across a
      complex lhs: it guarantees the solver's aggregate bookkeeping sees
      either a fully frozen lhs (no Minlevel runs) or a fully re-solved one
-     (the same member runs Minlevel as in a scratch solve).  Any superset
-     of the truly-affected attributes is sound — clean attributes keep
-     their levels by induction over the dependency order. *)
+     (the same member runs Minlevel as in a scratch solve).  It is also
+     all-or-nothing across a cycle: every member of a strongly connected
+     component reaches every other along constraint edges, so walking
+     incoming edges backward from one dirty member marks them all, and
+     [Try] re-solves the component whole from the top, as a scratch solve
+     does.  Any superset of the truly-affected attributes is sound — clean
+     attributes keep their levels by induction over the dependency
+     order. *)
   let close_dirty (prob : _ Problem.t) seeds =
     let n = Problem.n_attrs prob in
     let dirty = Array.make n false in
@@ -193,15 +197,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
               if prob.Problem.complex.(ci) then mark_lhs ci)
     done;
     dirty
-
-  let any_dirty_cycle (problem : Solver.problem) dirty =
-    let n = Array.length dirty in
-    let rec go a =
-      a < n
-      && ((dirty.(a) && Priorities.in_cycle problem.Solver.prio problem.Solver.prob a)
-         || go (a + 1))
-    in
-    go 0
 
   let count_frozen dirty =
     Array.fold_left (fun acc d -> if d then acc else acc + 1) 0 dirty
@@ -232,34 +227,34 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     finish t { problem; bound_ci; solution = Solver.solve ~config problem }
 
   (* Every pending delta re-tightens a bound the compiled problem already
-     has: patch the Rlevel right-hand sides in place and keep the priority
-     assignment (level right-hand sides contribute no edge).  Then re-run
-     the Bigloop over the dirty cone of the patched attributes only,
-     freezing every clean attribute at its previous level — or solve in
-     full if the cone reaches a cycle. *)
+     has: write the new Rlevel right-hand sides into it in place (a level
+     right-hand side contributes no edge, so the priorities still hold),
+     then re-run the Bigloop over the dirty closure of the patched
+     attributes only, freezing every clean attribute at its previous
+     level.  Cyclic and acyclic closures take this one path (see
+     [close_dirty]). *)
   let patch ~config t (old : compiled) attrs =
-    let prob =
-      List.fold_left
-        (fun prob a -> Problem.set_rlevel prob (Names.find old.bound_ci a) (bound_level t a))
-        old.problem.Solver.prob attrs
-    in
-    let problem = Solver.reuse_priorities old.problem prob in
+    let prob = old.problem.Solver.prob in
+    List.iter
+      (fun a -> Problem.set_rlevel prob (Names.find old.bound_ci a) (bound_level t a))
+      attrs;
     let dirty = close_dirty prob (List.map (Problem.attr_id_exn prob) attrs) in
-    let s = { t.stats with patched = t.stats.patched + 1 } in
-    let solution =
-      if any_dirty_cycle problem dirty then begin
-        t.stats <- { s with full = s.full + 1 };
-        Solver.solve ~config problem
-      end
-      else begin
-        t.stats <-
-          { s with incremental = s.incremental + 1; frozen = s.frozen + count_frozen dirty };
-        Solver.solve_incremental ~config
-          ~frozen:(fun a -> if dirty.(a) then None else Some old.solution.Solver.levels.(a))
-          problem
-      end
-    in
-    finish t { old with problem; solution }
+    let s = t.stats in
+    t.stats <-
+      {
+        s with
+        patched = s.patched + 1;
+        incremental = s.incremental + 1;
+        frozen = s.frozen + count_frozen dirty;
+      };
+    finish t
+      {
+        old with
+        solution =
+          Solver.solve_incremental ~config
+            ~frozen:(fun a -> if dirty.(a) then None else Some old.solution.Solver.levels.(a))
+            old.problem;
+      }
 
   let resolve ?(config = Solver.Config.default) t =
     (* The path the resolve takes, as a span argument, built only when

@@ -11,16 +11,18 @@
 
     - no deltas: the cached solution is returned as-is;
     - only re-tightened lower bounds on attributes that were already
-      bounded at the last compile: the compiled problem is patched in
-      place ({!Minup_constraints.Problem.set_rlevel}) and the priority
-      assignment is reused — no re-interning, no DFS.  Attributes whose
-      constraint neighbourhood the patch cannot reach keep their previous
-      levels: the session computes the {e dirty closure} of the patched
-      attributes and re-runs the solver only over it
-      ({!Minup_core.Solver.Make.solve_incremental}), or solves the patched
-      problem in full if the closure reaches a constraint cycle — forward
-      lowering through a cycle depends on global state that per-attribute
-      freezing cannot reproduce;
+      bounded at the last compile: each new level is written into the
+      compiled problem in place ({!Minup_constraints.Problem.set_rlevel})
+      and the priority assignment is kept — no copy, no re-interning, no
+      DFS.  Attributes whose constraint neighbourhood the patch cannot
+      reach keep their previous levels: the session computes the
+      {e dirty closure} of the patched attributes and re-runs the solver
+      only over it ({!Minup_core.Solver.Make.solve_incremental}).  Cyclic
+      and acyclic shapes take this one path: the closure walks constraint
+      edges backward, so once it reaches one member of a cycle it holds
+      the whole strongly connected component, and forward lowering
+      ([Try]) re-solves that component from the top exactly as a scratch
+      solve does;
     - anything else (a constraint added or removed, a new attribute, a
       first or cleared bound): the snapshot is compiled and solved from
       scratch.
@@ -47,10 +49,10 @@
       structural delta: linear in the attributes, the constraint size and
       the number of constraint ids and bounded attributes ever handed out
       (tombstones included), plus the compile itself;
-    - the patch path of {!Make.resolve}: no compile; linear in the
-      compiled constraints for each queued bound change
-      ({!Minup_constraints.Problem.set_rlevel} copies the constraint
-      array). *)
+    - the patch path of {!Make.resolve}: no compile and no copy; O(1)
+      per queued bound change (an in-place write), then linear in the
+      attributes plus the dirty closure's constraints, plus the solve of
+      the closure. *)
 
 module Make (L : Minup_lattice.Lattice_intf.S) : sig
   (** The session's own solver instance.  Exposed so callers can name the
@@ -63,17 +65,17 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
   type t
 
   (** How past resolves were served; [frozen] totals the attributes whose
-      levels were reused (not re-solved) across incremental resolves.  A
-      patch resolve counts in [patched] and in one of [incremental] or
-      [full]. *)
+      levels were reused (not re-solved) across incremental resolves.
+      Every patch resolve, cyclic closure or not, counts in both [patched]
+      and [incremental], so the two always move together. *)
   type stats = {
     resolves : int;
     cached : int;  (** no pending deltas: cached solution returned *)
     patched : int;  (** bound-patch path: compile and priorities reused *)
     incremental : int;  (** patch re-solved with frozen clean attributes *)
     full : int;
-        (** full solves: the first resolve, every resolve after a
-            structural delta, and the patch path's cycle fallback *)
+        (** scratch solves: the first resolve and every resolve after a
+            structural delta *)
     frozen : int;
   }
 

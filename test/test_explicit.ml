@@ -155,10 +155,30 @@ let tableless_memo () =
   in
   check (0, 596); check (6, 492); check (0, 596); check (6, 492)
 
+(* Above [table_threshold] the lub/glb tables are not kept, and [create]
+   must not build them just to validate: the words it allocates in the
+   major heap (direct allocations plus promotions) stay well under n². *)
+let tableless_create_no_table () =
+  let n = 700 in
+  let names = List.init n (Printf.sprintf "c%d") in
+  Gc.minor ();
+  let major () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let w0 = major () in
+  ignore (Sys.opaque_identity (Explicit.chain names));
+  let w = major () -. w0 in
+  let bound = float_of_int (n * n) /. 2. in
+  if w > bound then
+    Alcotest.failf "creating a %d-level chain allocated %.0f major words (bound %.0f)" n w
+      bound
+
 let suite =
   [
     case "Fig. 1(b) structure" fig1b_structure;
     case "table-less lub/glb memo (700-level chain)" tableless_memo;
+    case "table-less create builds no n² table" tableless_create_no_table;
     case "lattice laws" laws;
     case "rejects non-lattices" rejects_non_lattice;
     case "rejects malformed input" rejects_bad_input;

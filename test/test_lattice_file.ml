@@ -59,10 +59,29 @@ let semilattice () =
       Alcotest.(check bool) "dummy top" true (s.Semilattice.dummy_top <> None);
       Alcotest.(check int) "4 levels" 4 (Explicit.cardinal s.Semilattice.lattice)
 
+(* One level name per [levels] line must not make the parse quadratic.
+   The malformed last line stops the parse before [Explicit.create]. *)
+let levels_linear () =
+  let text n =
+    String.concat "" (List.init n (Printf.sprintf "levels l%d\n")) ^ "garbage\n"
+  in
+  let parse n =
+    let t = text n in
+    Helpers.words (fun () ->
+        match Lattice_file.parse t with
+        | Error { line; _ } when line = n + 1 -> ()
+        | _ -> Alcotest.fail "the malformed last line was not reported")
+  in
+  let growth = parse 8_000 /. parse 2_000 in
+  if growth > 4.6 then
+    Alcotest.failf "levels lines: allocation grew %.2fx for 4x the input (bound 4.6x)"
+      growth
+
 let suite =
   [
     case "parse" parse_ok;
     case "round-trip" roundtrip;
     case "errors" errors;
     case "semilattice completion" semilattice;
+    case "levels lines parse in linear allocation" levels_linear;
   ]

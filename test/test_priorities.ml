@@ -27,15 +27,17 @@ let paper_priorities () =
 let cycle_detection () =
   let p = fig2_problem () in
   let prio = Priorities.compute p in
-  let id a = Option.get (Problem.attr_id p a) in
+  (* An attribute is on a cycle iff its priority set has another member
+     (Fig. 2 has no self-loop). *)
+  let in_cycle a =
+    let pr = prio.Priorities.priority.(Option.get (Problem.attr_id p a)) in
+    Array.length prio.Priorities.sets.(pr - 1) > 1
+  in
   List.iter
-    (fun a ->
-      Alcotest.(check bool) (a ^ " in cycle") true (Priorities.in_cycle prio p (id a)))
+    (fun a -> Alcotest.(check bool) (a ^ " in cycle") true (in_cycle a))
     [ "B"; "C"; "E"; "F"; "G"; "M"; "I"; "O"; "N" ];
   List.iter
-    (fun a ->
-      Alcotest.(check bool) (a ^ " not in cycle") false
-        (Priorities.in_cycle prio p (id a)))
+    (fun a -> Alcotest.(check bool) (a ^ " not in cycle") false (in_cycle a))
     [ "P"; "D" ]
 
 let self_loop_via_hypernode () =

@@ -126,22 +126,35 @@ let scratch sess () =
   let attrs, csts = Session.snapshot sess in
   Solver.solve (Solver.compile_exn ~lattice:ladder ~attrs csts)
 
+(* The ring A0 >= A1 >= A2 >= A0.  Generated edges run from lower to
+   higher attribute numbers, so the ring is a strongly connected component
+   of exactly three attributes, and the dirty closure of a bound on A0
+   reaches it. *)
+let with_ring (attrs, csts) =
+  let ring = [ ("A0", "A1"); ("A1", "A2"); ("A2", "A0") ] in
+  (attrs, csts @ List.map (fun (a, b) -> Cst.simple a (Cst.Attr b)) ring)
+
 (* A re-tightened lower bound on an already-bounded attribute takes the
-   session's patch path: the compiled problem and its priorities are
-   reused, so the resolve compiles nothing and allocates well under a
-   from-scratch compile and solve of the same snapshot (a structural
-   delta's resolve allocates about one). *)
-let session_patch_lean () =
+   session's patch path, whether or not its dirty closure reaches a
+   cycle: the compiled problem is patched in place and its priorities are
+   kept, so the resolve compiles nothing, re-solves incrementally and
+   allocates well under a from-scratch compile and solve of the same
+   snapshot (a structural delta's resolve allocates about one). *)
+let session_patch_lean shape () =
   let module Trace = Minup_obs.Trace in
   List.iter
-    (fun (attrs, csts) ->
+    (fun input ->
+      let attrs, csts = shape input in
       let n = List.length attrs in
       let sess, bounded = bounded_session (attrs, csts) in
       let patch_resolve () =
-        let patched = (Session.stats sess).Session.patched in
+        let before = Session.stats sess in
         let sol = Session.resolve sess in
-        if (Session.stats sess).Session.patched <> patched + 1 then
+        let after = Session.stats sess in
+        if after.Session.patched <> before.Session.patched + 1 then
           Alcotest.failf "%d attrs: a re-tighten did not take the patch path" n;
+        if after.Session.incremental <> before.Session.incremental + 1 then
+          Alcotest.failf "%d attrs: a patch resolve did not re-solve incrementally" n;
         sol
       in
       Session.set_lower_bound sess bounded.(0) (Some 9);
@@ -204,6 +217,8 @@ let suite =
     case "preference scheduling allocation is linear" preference_linear;
     case "Try allocates nothing per iteration" try_allocation_flat;
     case "a patch resolve compiles nothing and allocates < 0.6x scratch"
-      session_patch_lean;
+      (session_patch_lean Fun.id);
+    case "a patch resolve through a ring stays incremental and < 0.6x scratch"
+      (session_patch_lean with_ring);
     case "a structural resolve allocates <= 1.2x scratch" session_structural_lean;
   ]

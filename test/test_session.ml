@@ -1,7 +1,6 @@
 (* Sessions: the delta API's resolves must be bit-identical to solving the
-   snapshot from scratch, whichever path (cached, patch with its cycle
-   fallback, scratch) serves them — plus the serve loop's envelopes and the
-   Wire round-trip. *)
+   snapshot from scratch, whichever path (cached, patch, scratch) serves
+   them — plus the serve loop's envelopes and the Wire round-trip. *)
 
 open Minup_lattice
 module Cst = Minup_constraints.Cst
@@ -91,25 +90,28 @@ let stats_classify_paths () =
   Alcotest.(check int) "incremental" 1 st.Session.incremental;
   Alcotest.(check bool) "frozen some work" true (st.Session.frozen > 0)
 
-let cycle_falls_back_to_full () =
+let cycle_retighten_is_patched () =
   let sess =
     Session.create ~lattice:fig1b
       [
         Helpers.attr_cst "a" "b";
         Helpers.attr_cst "b" "a";
         Helpers.level_cst "b" "L2";
+        Helpers.attr_cst "c" "d";
       ]
   in
   Session.set_lower_bound sess "a" (Some (lvl "L1"));
   check_matches ~ctx:"initial" fig1b sess;
-  (* The re-tighten's dirty closure reaches the {a, b} cycle: the patch
-     path must fall back to a full solve rather than freeze half a cycle. *)
+  (* The re-tighten's dirty closure reaches the {a, b} cycle and so holds
+     all of it: the patch path re-solves the cycle whole and freezes the
+     unrelated c -> d edge. *)
   Session.set_lower_bound sess "a" (Some (lvl "L4"));
   check_matches ~ctx:"cycle delta" fig1b sess;
   let st = Session.stats sess in
   Alcotest.(check int) "patched" 1 st.Session.patched;
-  Alcotest.(check int) "full twice" 2 st.Session.full;
-  Alcotest.(check int) "never incremental" 0 st.Session.incremental
+  Alcotest.(check int) "incremental" 1 st.Session.incremental;
+  Alcotest.(check int) "full only for the first resolve" 1 st.Session.full;
+  Alcotest.(check int) "frozen c and d" 2 st.Session.frozen
 
 let bounded_catch_up_obeys_budget () =
   let sess = Session.create ~lattice:fig1b (base_csts ()) in
@@ -237,12 +239,20 @@ let random_session seed =
   for step = 1 to 10 do
     let edits = List.init (1 + Prng.int rng 3) (fun _ -> edit ()) in
     let ctx = Printf.sprintf "seed %d step %d" seed step in
-    if (not !cancelled) && List.mem Retighten edits && not (List.mem Structural edits)
-    then begin
+    let retighten_only = List.mem Retighten edits && not (List.mem Structural edits) in
+    if (not !cancelled) && retighten_only then begin
       cancelled := true;
       cancel_patch ~ctx sess
     end;
-    check_matches ~ctx lat sess
+    let before = Session.stats sess in
+    check_matches ~ctx lat sess;
+    let after = Session.stats sess in
+    (* A batch of re-tightens only takes the patch path, cycle or not. *)
+    if
+      retighten_only
+      && (after.Session.incremental <> before.Session.incremental + 1
+         || after.Session.full <> before.Session.full)
+    then Alcotest.failf "%s: a re-tighten-only batch did not resolve incrementally" ctx
   done;
   if not !cancelled then begin
     let a = List.hd attrs in
@@ -590,7 +600,7 @@ let suite =
   [
     case "delta sequence matches scratch" delta_sequence_matches_scratch;
     case "stats classify resolve paths" stats_classify_paths;
-    case "cycle falls back to full solve" cycle_falls_back_to_full;
+    case "cycle re-tighten is patched" cycle_retighten_is_patched;
     case "bounded catch-up obeys budget" bounded_catch_up_obeys_budget;
     case "untouched subgraph is frozen" untouched_subgraph_is_frozen;
     case "random sessions match scratch" random_sessions;
