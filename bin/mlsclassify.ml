@@ -36,6 +36,18 @@ let or_die = function
       prerr_endline ("error: " ^ msg);
       exit 1
 
+(* More workers than the runtime's recommended domain count only contend
+   for the same cores, so --jobs is clamped to it, with one warning.  At
+   most one worker per task ever runs, so [tasks] caps the request first:
+   a small batch under a large --jobs is not oversubscribed. *)
+let clamp_jobs ~tasks = function
+  | Some j when min j tasks > Minup_core.Engine.default_jobs () ->
+      let d = Minup_core.Engine.default_jobs () in
+      Printf.eprintf "warning: --jobs %d exceeds the recommended domain count %d; using %d\n%!"
+        j d d;
+      Some d
+  | jobs -> jobs
+
 (* A bad output path is a user error, not an internal one. *)
 let or_die_io f = match f () with x -> x | exception Sys_error msg -> or_die (Error msg)
 
@@ -244,6 +256,7 @@ let batch_cmd lattice_path policy_paths jobs show_stats deadline_ms max_steps
       fail_fast = not keep_going;
     }
   in
+  let jobs = clamp_jobs ~tasks:(Array.length problems) jobs in
   let report =
     match
       with_obs obs (fun () -> Engine.solve_batch ~policy ?jobs problems)
@@ -405,7 +418,9 @@ let dot_cmd lattice_path policy_path =
    as replayable .lat/.cst pairs. *)
 let selfcheck_cmd seed cases jobs repro_dir mutation fault =
   let jobs =
-    match jobs with Some j -> j | None -> Minup_core.Engine.default_jobs ()
+    match clamp_jobs ~tasks:cases jobs with
+    | Some j -> j
+    | None -> Minup_core.Engine.default_jobs ()
   in
   let summary =
     Minup_diffcheck.Selfcheck.run ?mutation ?fault ?repro_dir ~seed ~cases
@@ -537,8 +552,8 @@ let batch_t =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains for the batch (default: the runtime's \
-             recommended domain count).")
+            "Worker domains for the batch (default and maximum: the \
+             runtime's recommended domain count).")
   in
   let stats_arg =
     Arg.(
@@ -706,8 +721,9 @@ let selfcheck_t =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains (default: the runtime's recommended domain \
-             count).  The summary is identical for every value.")
+            "Worker domains (default and maximum: the runtime's \
+             recommended domain count).  The summary is identical for \
+             every value.")
   in
   let repro_arg =
     Arg.(

@@ -22,6 +22,19 @@ dune exec -- mlsclassify batch -l test/cli.t/fig1b.lat --jobs 2 \
 dune exec dev/validate_trace.exe -- "$obs_tmp/trace.json"
 dune exec dev/validate_trace.exe -- --json "$obs_tmp/metrics.json"
 
+# Front-end smoke: the policy scanner must read a file rewritten with
+# tabs for spaces, a trailing comment on every line and CRLF endings
+# exactly as it reads the original.
+fe_policy="$obs_tmp/employee-crlf.cst"
+sed 's/ /\t/g; s/$/\t# trailing comment\r/' test/cli.t/employee.cst > "$fe_policy"
+fe_want=$(dune exec -- mlsclassify solve -l test/cli.t/fig1b.lat -c test/cli.t/employee.cst)
+fe_got=$(dune exec -- mlsclassify solve -l test/cli.t/fig1b.lat -c "$fe_policy")
+test "$fe_got" = "$fe_want" || {
+  echo "ci: a CRLF/tab/comment rewrite of employee.cst solved differently" >&2
+  exit 1
+}
+echo "ci: front-end smoke OK (CRLF, tabs and comments parse alike)"
+
 # Pinned solver counters: Instr totals on one acyclic and one cyclic
 # instance must equal their recorded values (exit 1 on any drift), so a
 # change of data layout cannot silently change what the solver computes.
@@ -106,16 +119,18 @@ grep -q '"path":"patch"' "$obs_tmp/cycle.json" || {
 }
 echo "ci: serve cycle parity OK (patched re-tighten = fresh session)"
 
-# Benchmark correctness smoke: one traced second of serve-edit and of
-# batch-cyclic.  serve-edit checks every serve reply against its own
-# mirror of the policy (each resolve equals a scratch solve of the
-# mirror, ack ids match, infeasible replies are exactly the planted
-# ones); batch-cyclic checks every engine solution against a verified
-# sequential solve, with one worker domain per core.  Both validate their
-# trace (batch-cyclic's holds a try_lower span per cyclic set, on every
-# worker's track); each exits 1 and reports "correct":false on any
-# mismatch.  Only correctness is gated here, never a timing.
-for workload in serve-edit batch-cyclic; do
+# Benchmark correctness smoke: one traced second of each workload.
+# serve-edit checks every serve reply against its own mirror of the
+# policy (each resolve equals a scratch solve of the mirror, ack ids
+# match, infeasible replies are exactly the planted ones); batch-cyclic
+# checks every engine solution against a verified sequential solve, with
+# one worker domain per core; classify-acyclic checks every reply to an
+# 8k-attribute policy, which gates the policy scanner on that shape.
+# Each validates its trace (batch-cyclic's holds a try_lower span per
+# cyclic set, on every worker's track), exits 1 and reports
+# "correct":false on any mismatch.  Only correctness is gated here, never
+# a timing.
+for workload in classify-acyclic serve-edit batch-cyclic; do
   bench_out=$(sh perfbench/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 1) || {
     echo "ci: $workload benchmark exited with an error" >&2
     exit 1

@@ -9,14 +9,26 @@ let pp_error ppf = function
 
 module SS = Set.Make (String)
 
-(* The first member equal to an earlier one, through a set of the members
-   seen so far: a [lub{...}] of k members costs O(k log k), not O(k²). *)
+let rec mem a = function [] -> false | x :: rest -> String.equal a x || mem a rest
+
+(* [a] is among the first [k] members of [l]. *)
+let rec mem_prefix a l k =
+  k > 0 && match l with [] -> false | x :: rest -> String.equal a x || mem_prefix a rest (k - 1)
+
+let rec find_dup_short lhs i = function
+  | [] -> None
+  | a :: rest -> if mem_prefix a lhs i then Some a else find_dup_short lhs (i + 1) rest
+
+(* The first member equal to an earlier one.  Up to 8 members are
+   compared pairwise, allocating nothing; a longer [lub{...}] goes through
+   a set of the members seen so far, so k members cost O(k log k), not
+   O(k²). *)
 let find_dup lhs =
   let rec scan seen = function
     | [] -> None
     | a :: rest -> if SS.mem a seen then Some a else scan (SS.add a seen) rest
   in
-  scan SS.empty lhs
+  if List.compare_length_with lhs 8 <= 0 then find_dup_short lhs 0 lhs else scan SS.empty lhs
 
 let make ~lhs ~rhs =
   if lhs = [] then Error Empty_lhs
@@ -35,13 +47,13 @@ let is_simple c = match c.lhs with [ _ ] -> true | _ -> false
 let is_complex c = not (is_simple c)
 
 let is_trivial c =
-  match c.rhs with Level _ -> false | Attr a -> List.mem a c.lhs
+  match c.rhs with Level _ -> false | Attr a -> mem a c.lhs
 
 let attrs c =
   let base = c.lhs in
   match c.rhs with
   | Level _ -> base
-  | Attr a -> if List.mem a base then base else base @ [ a ]
+  | Attr a -> if mem a base then base else base @ [ a ]
 
 let size c = List.length c.lhs + 1
 

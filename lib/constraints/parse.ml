@@ -17,109 +17,190 @@ let is_ident_char c =
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '-' -> true
   | _ -> false
 
-let check_ident s =
-  if s = "" then fail "empty identifier";
-  String.iter
-    (fun c -> if not (is_ident_char c) then fail "invalid identifier %S" s)
-    s;
-  s
+(* The scanner walks index ranges [s, e) of the one text string and
+   copies nothing but each distinct name, once.  Its helpers are top-level
+   functions of explicit arguments, so a line allocates no closure.
+   Trimming moves indices over [String.trim]'s whitespace. *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+let rec ltrim t s e = if s < e && is_space t.[s] then ltrim t (s + 1) e else s
+let rec rtrim t s e = if e > s && is_space t.[e - 1] then rtrim t s (e - 1) else e
 
-let split_commas s =
-  s |> String.split_on_char ',' |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
+(* The first [c] in [s, e), or [e]. *)
+let rec find t c s e = if s >= e || t.[s] = c then s else find t c (s + 1) e
 
-(* Split a line at the first top-level occurrence of [op] (">=" or "<=").
-   Occurrences inside braces belong to level syntax and are skipped. *)
-let split_on_op line =
-  let n = String.length line in
-  let rec go i depth =
-    if i >= n - 1 then None
-    else
-      match line.[i] with
-      | '{' -> go (i + 1) (depth + 1)
-      | '}' -> go (i + 1) (depth - 1)
-      | ('>' | '<') when depth = 0 && line.[i + 1] = '=' ->
-          Some (line.[i], String.sub line 0 i, String.sub line (i + 2) (n - i - 2))
-      | _ -> go (i + 1) depth
+(* [t.[s .. e-1]] starts with [p], whose first [i] characters matched. *)
+let rec starts t s e p i =
+  i = String.length p || (s + i < e && t.[s + i] = p.[i] && starts t s e p (i + 1))
+
+(* The first top-level [>=] or [<=] in [s, e), or -1.  Operators inside
+   braces belong to level syntax and are skipped. *)
+let rec find_op t i e depth =
+  if i >= e - 1 then -1
+  else
+    match t.[i] with
+    | '{' -> find_op t (i + 1) e (depth + 1)
+    | '}' -> find_op t (i + 1) e (depth - 1)
+    | ('>' | '<') when depth = 0 && t.[i + 1] = '=' -> i
+    | _ -> find_op t (i + 1) e depth
+
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* A growable int array; [lowers] and [uppers] hold triples. *)
+type ints = { mutable a : int array; mutable len : int }
+
+let ints cap = { a = Array.make (max 4 cap) 0; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.a then v.a <- grow v.a 0;
+  v.a.(v.len) <- x;
+  v.len <- v.len + 1
+
+let push3 v a b c = push v a; push v b; push v c
+let field v k j = v.a.((3 * k) + j)
+
+(* What one scan records: each distinct name once, as an id, and each
+   line's content as ids in flat arrays. *)
+type scan = {
+  text : string;
+  mutable names : string array;  (** id -> the name's one shared copy *)
+  mutable n_names : int;
+  mutable slots : int array;  (** by name hash: id + 1, 0 if free; > 2 [n_names] *)
+  decls : ints;  (** declared ids, repeats kept *)
+  lowers : ints;  (** per [>=] line: line, end of its members in [lhs], rhs id *)
+  lhs : ints;  (** the [>=] lines' lhs member ids, line after line *)
+  uppers : ints;  (** per [<=] line: line, attribute id, rhs id *)
+}
+
+(* FNV-1a over [t.[s .. e-1]]: a slice hashes without being copied. *)
+let rec hash t s e h =
+  if s = e then h else hash t (s + 1) e ((h lxor Char.code t.[s]) * 0x100000001b3)
+
+(* The slot holding the name [t.[s .. e-1]], or the free slot it goes in. *)
+let rec probe slots names t s e i =
+  let id = slots.(i) - 1 in
+  if id < 0 || (String.length names.(id) = e - s && starts t s e names.(id) 0) then i
+  else probe slots names t s e ((i + 1) land (Array.length slots - 1))
+
+let slot slots names t s e =
+  probe slots names t s e (hash t s e 0x811c9dc5 land (Array.length slots - 1))
+
+(* The id of the name [text.[s .. e-1]], copied out the first time it is
+   seen. *)
+let intern sc s e =
+  let i = slot sc.slots sc.names sc.text s e in
+  if sc.slots.(i) > 0 then sc.slots.(i) - 1
+  else begin
+    let id = sc.n_names in
+    sc.names.(id) <- String.sub sc.text s (e - s);
+    sc.n_names <- id + 1;
+    sc.slots.(i) <- id + 1;
+    (* Both tables double together, so [names] has room for the next id. *)
+    if 2 * sc.n_names = Array.length sc.slots then begin
+      let slots = Array.make (2 * Array.length sc.slots) 0 in
+      for id = 0 to sc.n_names - 1 do
+        let name = sc.names.(id) in
+        slots.(slot slots sc.names name 0 (String.length name)) <- id + 1
+      done;
+      sc.slots <- slots;
+      sc.names <- grow sc.names ""
+    end;
+    id
+  end
+
+let ident sc s e =
+  if s = e then fail "empty identifier";
+  for i = s to e - 1 do
+    if not (is_ident_char sc.text.[i]) then
+      fail "invalid identifier %S" (String.sub sc.text s (e - s))
+  done;
+  intern sc s e
+
+(* Push the ids of the comma-separated identifiers in [s, e) onto [v],
+   skipping empty entries; [k] plus their count. *)
+let rec idents sc v s e k =
+  let c = find sc.text ',' s e in
+  let a = ltrim sc.text s c in
+  let b = rtrim sc.text a c in
+  let k = if a < b then (push v (ident sc a b); k + 1) else k in
+  if c < e then idents sc v (c + 1) e k else k
+
+(* Push a left-hand side's member ids onto [sc.lhs]; their count. *)
+let lhs_ids sc s e =
+  let t = sc.text in
+  let s = ltrim t s e in
+  let e = rtrim t s e in
+  let body = if starts t s e "lub{" 0 then s + 4 else if starts t s e "{" 0 then s + 1 else -1 in
+  if body < 0 then (push sc.lhs (ident sc s e); 1)
+  else begin
+    let s = ltrim t body e in
+    if s = e || t.[e - 1] <> '}' then fail "unterminated '{' in left-hand side";
+    let k = idents sc sc.lhs s (e - 1) 0 in
+    if k = 0 then fail "empty left-hand side set";
+    k
+  end
+
+let scan_line sc lineno s e =
+  let t = sc.text in
+  let e = find t '#' s e in
+  let s = ltrim t s e in
+  let e = rtrim t s e in
+  (* [attrs] introduces declarations only alone or before whitespace:
+     [attrset >= x] is a constraint. *)
+  if s = e then ()
+  else if starts t s e "attrs" 0 && (e - s = 5 || t.[s + 5] = ' ' || t.[s + 5] = '\t') then
+    ignore (idents sc sc.decls (s + 5) e 0)
+  else begin
+    let i = find_op t s e 0 in
+    if i < 0 then fail "expected 'attrs', '... >= ...' or '... <= ...'";
+    let r = ltrim t (i + 2) e in
+    if r = e then fail "empty right-hand side";
+    let k = lhs_ids sc s i in
+    let rhs = intern sc r e in
+    if t.[i] = '>' then push3 sc.lowers lineno sc.lhs.len rhs
+    else if k <> 1 then fail "upper-bound constraints take a single attribute"
+    else (sc.lhs.len <- sc.lhs.len - 1; push3 sc.uppers lineno sc.lhs.a.(sc.lhs.len) rhs)
+  end
+
+(* Every buffer starts at a size read off the text's length, about one
+   line per 16 bytes, so a one-line policy allocates a few dozen words. *)
+let scan text =
+  let n = String.length text in
+  let lines = (n / 16) + 1 in
+  let rec pow2 k = if k >= lines then k else pow2 (2 * k) in
+  let sc =
+    { text; names = Array.make (pow2 4) ""; n_names = 0; slots = Array.make (2 * pow2 4) 0;
+      decls = ints lines; lowers = ints (3 * lines); lhs = ints (2 * lines); uppers = ints 3 }
   in
-  go 0 0
-
-let parse_lhs s =
-  let s = String.trim s in
-  let strip_prefix p s =
-    if String.length s >= String.length p && String.sub s 0 (String.length p) = p
-    then Some (String.sub s (String.length p) (String.length s - String.length p))
-    else None
+  let rec go lineno s =
+    let e = find text '\n' s n in
+    match scan_line sc lineno s e with
+    | () -> if e < n then go (lineno + 1) (e + 1) else Ok sc
+    | exception Err message -> Error { line = lineno; message }
   in
-  let body =
-    match strip_prefix "lub{" s with
-    | Some rest -> Some rest
-    | None -> strip_prefix "{" s
-  in
-  match body with
-  | Some rest ->
-      let rest = String.trim rest in
-      let n = String.length rest in
-      if n = 0 || rest.[n - 1] <> '}' then fail "unterminated '{' in left-hand side";
-      let inner = String.sub rest 0 (n - 1) in
-      let attrs = List.map check_ident (split_commas inner) in
-      if attrs = [] then fail "empty left-hand side set";
-      attrs
-  | None -> [ check_ident s ]
+  go 1 0
 
-(* The [attrs] keyword only introduces a declaration list when it stands
-   alone (an empty declaration) or is followed by whitespace; identifiers
-   that merely start with "attrs" ([attrset >= x]) are ordinary constraint
-   lines. *)
-let attrs_rest line =
-  if line = "attrs" then Some ""
-  else if
-    String.length line > 5
-    && String.sub line 0 5 = "attrs"
-    && (line.[5] = ' ' || line.[5] = '\t')
-  then Some (String.sub line 5 (String.length line - 5))
-  else None
+(* [f 0 (f 1 ... (f (k-1) acc))]: lists are consed from the back. *)
+let rec back f k acc = if k = 0 then acc else back f (k - 1) (f (k - 1) acc)
+
+(* The names of the ids [v.a.(s .. e-1)], consed onto [acc]. *)
+let rec names sc v s e acc =
+  if e = s then acc else names sc v s (e - 1) (sc.names.(v.a.(e - 1)) :: acc)
+let name sc v k j = sc.names.(field v k j)
+
+let lhs_names sc k =
+  names sc sc.lhs (if k = 0 then 0 else field sc.lowers (k - 1) 1) (field sc.lowers k 1) []
 
 let parse text =
-  (* All three accumulate in reverse, so a policy parses in linear time
-     however its declarations are split across lines. *)
-  let decls = ref [] and lowers = ref [] and uppers = ref [] in
-  let do_line lineno raw =
-    let line =
-      match String.index_opt raw '#' with
-      | Some i -> String.sub raw 0 i
-      | None -> raw
-    in
-    let line = String.trim line in
-    if line <> "" then
-      match attrs_rest line with
-      | Some rest ->
-          decls := List.rev_append (List.map check_ident (split_commas rest)) !decls
-      | None -> (
-          match split_on_op line with
-          | None -> fail "expected 'attrs', '... >= ...' or '... <= ...'"
-          | Some ('>', lhs, rhs) ->
-              let rhs = String.trim rhs in
-              if rhs = "" then fail "empty right-hand side";
-              lowers := (lineno, parse_lhs lhs, rhs) :: !lowers
-          | Some ('<', lhs, rhs) -> (
-              let rhs = String.trim rhs in
-              if rhs = "" then fail "empty right-hand side";
-              match parse_lhs lhs with
-              | [ a ] -> uppers := (lineno, a, rhs) :: !uppers
-              | _ -> fail "upper-bound constraints take a single attribute")
-          | Some _ -> assert false)
-  in
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno = function
-    | [] ->
-        Ok { decls = List.rev !decls; lowers = List.rev !lowers; uppers = List.rev !uppers }
-    | l :: rest -> (
-        match do_line lineno l with
-        | () -> go (lineno + 1) rest
-        | exception Err message -> Error { line = lineno; message })
-  in
-  go 1 lines
+  Result.map
+    (fun sc ->
+      let lower k acc = (field sc.lowers k 0, lhs_names sc k, name sc sc.lowers k 2) :: acc in
+      let upper k acc = (field sc.uppers k 0, name sc sc.uppers k 1, name sc sc.uppers k 2) :: acc in
+      let decls = names sc sc.decls 0 sc.decls.len [] in
+      { decls; lowers = back lower (sc.lowers.len / 3) []; uppers = back upper (sc.uppers.len / 3) [] })
+    (scan text)
 
 type 'lvl resolved = {
   attrs : string list;
@@ -127,84 +208,62 @@ type 'lvl resolved = {
   upper_bounds : (string * 'lvl) list;
 }
 
-let resolve ~level_of_string ast =
-  (* Attributes known a priori: declarations, all lhs members, all
-     upper-bounded names. *)
-  let known = Hashtbl.create 64 in
-  let order = ref [] in
-  let declare a =
-    if not (Hashtbl.mem known a) then begin
-      Hashtbl.add known a ();
-      order := a :: !order
-    end
-  in
-  List.iter declare ast.decls;
-  List.iter (fun (_, lhs, _) -> List.iter declare lhs) ast.lowers;
-  List.iter (fun (_, a, _) -> declare a) ast.uppers;
-  let resolve_rhs raw =
-    if Hashtbl.mem known raw then Cst.Attr raw
-    else
-      match level_of_string raw with
-      | Some l -> Cst.Level l
-      | None ->
-          declare raw;
-          Cst.Attr raw
-  in
-  let rec build acc = function
-    | [] -> Ok (List.rev acc)
-    | (line, lhs, raw) :: rest -> (
-        let rhs = resolve_rhs raw in
-        match Cst.make ~lhs ~rhs with
-        | Ok c -> build (c :: acc) rest
-        | Error e -> Error { line; message = Format.asprintf "%a" Cst.pp_error e })
-  in
-  match build [] ast.lowers with
-  | Error _ as e -> e
-  | Ok csts -> (
-      let rec ubs acc = function
-        | [] -> Ok (List.rev acc)
-        | (line, a, raw) :: rest -> (
-            match level_of_string raw with
-            | Some l -> ubs ((a, l) :: acc) rest
-            | None ->
-                Error
-                  {
-                    line;
-                    message =
-                      Printf.sprintf
-                        "upper bound for %S: %S is not a level of the lattice" a
-                        raw;
-                  })
-      in
-      match ubs [] ast.uppers with
-      | Error _ as e -> e
-      | Ok upper_bounds -> Ok { attrs = List.rev !order; csts; upper_bounds })
-
+(* Resolution reads the scan's arrays.  The attribute universe is the
+   declarations, then lhs members, then upper-bounded names, then each
+   [>=] right-hand side that is neither an attribute nor a level, in that
+   order.  A name resolves once and keeps its [Cst.rhs] in [rhs], which
+   is also the known flag: [Attr] for an attribute, [Level] for a level
+   name, [unset] for neither yet.  The first error in file order wins,
+   lowers before uppers. *)
 let parse_resolve ~level_of_string text =
-  match parse text with
+  match scan text with
   | Error _ as e -> e
-  | Ok ast -> resolve ~level_of_string ast
+  | Ok sc ->
+      let unset = Cst.Attr "" in
+      let rhs = Array.make sc.n_names unset and order = ints sc.n_names in
+      let declare id =
+        if rhs.(id) == unset then (rhs.(id) <- Cst.Attr sc.names.(id); push order id)
+      in
+      for i = 0 to sc.decls.len - 1 do declare sc.decls.a.(i) done;
+      for i = 0 to sc.lhs.len - 1 do declare sc.lhs.a.(i) done;
+      for k = 0 to (sc.uppers.len / 3) - 1 do declare (field sc.uppers k 1) done;
+      for k = 0 to (sc.lowers.len / 3) - 1 do
+        let id = field sc.lowers k 2 in
+        if rhs.(id) == unset then
+          match level_of_string sc.names.(id) with
+          | Some l -> rhs.(id) <- Cst.Level l
+          | None -> declare id
+      done;
+      let err = ref None in
+      let error v k message acc = err := Some { line = field v k 0; message }; acc in
+      let upper k acc =
+        let a = name sc sc.uppers k 1 and raw = name sc sc.uppers k 2 in
+        match level_of_string raw with
+        | Some l -> (a, l) :: acc
+        | None ->
+            error sc.uppers k
+              (Printf.sprintf "upper bound for %S: %S is not a level of the lattice" a raw)
+              acc
+      in
+      let cst k acc =
+        match Cst.make ~lhs:(lhs_names sc k) ~rhs:rhs.(field sc.lowers k 2) with
+        | Ok c -> c :: acc
+        | Error e -> error sc.lowers k (Format.asprintf "%a" Cst.pp_error e) acc
+      in
+      let upper_bounds = back upper (sc.uppers.len / 3) [] in
+      let csts = back cst (sc.lowers.len / 3) [] in
+      match !err with
+      | Some e -> Error e
+      | None -> Ok { attrs = names sc order 0 order.len []; csts; upper_bounds }
 
 let render ~level_to_string r =
   let buf = Buffer.create 256 in
-  if r.attrs <> [] then
-    Buffer.add_string buf ("attrs " ^ String.concat ", " r.attrs ^ "\n");
+  if r.attrs <> [] then Printf.bprintf buf "attrs %s\n" (String.concat ", " r.attrs);
   List.iter
     (fun (c : _ Cst.t) ->
-      let lhs =
-        match c.Cst.lhs with
-        | [ a ] -> a
-        | many -> "{" ^ String.concat ", " many ^ "}"
-      in
-      let rhs =
-        match c.Cst.rhs with
-        | Cst.Attr a -> a
-        | Cst.Level l -> level_to_string l
-      in
-      Buffer.add_string buf (Printf.sprintf "%s >= %s\n" lhs rhs))
+      let lhs = match c.Cst.lhs with [ a ] -> a | many -> "{" ^ String.concat ", " many ^ "}" in
+      let rhs = match c.Cst.rhs with Cst.Attr a -> a | Cst.Level l -> level_to_string l in
+      Printf.bprintf buf "%s >= %s\n" lhs rhs)
     r.csts;
-  List.iter
-    (fun (a, l) ->
-      Buffer.add_string buf (Printf.sprintf "%s <= %s\n" a (level_to_string l)))
-    r.upper_bounds;
+  List.iter (fun (a, l) -> Printf.bprintf buf "%s <= %s\n" a (level_to_string l)) r.upper_bounds;
   Buffer.contents buf

@@ -11,17 +11,26 @@
     v}
 
     The right-hand side of a [>=] line is kept as a raw string and resolved
-    against a lattice afterwards ({!resolve}): declared or left-hand-side
-    attributes win, then lattice level names, then fresh attributes.  This
-    lets level syntaxes as rich as compartmented classes
-    ([TS:{Army,Nuclear}]) appear on the right-hand side. *)
+    against a lattice afterwards ({!parse_resolve}): declared or
+    left-hand-side attributes win, then lattice level names, then fresh
+    attributes.  This lets level syntaxes as rich as compartmented classes
+    ([TS:{Army,Nuclear}]) appear on the right-hand side.
+
+    Cost: {!parse} and {!parse_resolve} share one scan of the text, which
+    walks index ranges of the one string and copies nothing but each
+    distinct name, once.  Each name is interned into an id the first time
+    it is seen; lines are recorded as ids in flat int arrays, and
+    resolution reads those arrays, resolving each distinct right-hand side
+    once.  Every buffer starts at a size read off the text's length, so a
+    one-line policy allocates a few hundred words and an [n]-line one
+    O(n). *)
 
 type ast = {
   decls : string list;  (** attributes declared via [attrs] lines *)
   lowers : (int * string list * string) list;
       (** [(line, lhs, raw_rhs)] per [>=] line, in file order; the source
-          line number is threaded through so {!resolve} errors point at the
-          offending line *)
+          line number is threaded through so {!parse_resolve} errors point
+          at the offending line *)
   uppers : (int * string * string) list;
       (** [(line, attr, raw_level)] per [<=] line *)
 }
@@ -37,13 +46,10 @@ type 'lvl resolved = {
   upper_bounds : (string * 'lvl) list;
 }
 
-(** [resolve ~level_of_string ast]. *)
-val resolve :
-  level_of_string:(string -> 'lvl option) ->
-  ast ->
-  ('lvl resolved, error) result
-
-(** Parse and resolve in one step. *)
+(** Parse and resolve against a lattice's level names.  The first syntax
+    error in the file wins; otherwise the first [>=] line whose lhs
+    repeats a member, then the first [<=] line whose bound is not a
+    level. *)
 val parse_resolve :
   level_of_string:(string -> 'lvl option) ->
   string ->

@@ -72,13 +72,12 @@ let sort_lhs a =
       a.(!j + 1) <- x
     done
 
-let compile ?(attrs = []) ?(strict = false) csts =
+let compile ?(attrs = []) ?(strict = false) source =
   Minup_obs.Trace.with_span ~cat:"constraints" "problem.compile" @@ fun () ->
   try
-    let names = ref [] and index = Names.create 64 and next = ref 0 in
+    let index = Names.create (List.length attrs) and next = ref 0 in
     let declare a =
       Names.add index a !next;
-      names := a :: !names;
       incr next
     in
     List.iter (fun a -> if not (Names.mem index a) then declare a) attrs;
@@ -97,12 +96,14 @@ let compile ?(attrs = []) ?(strict = false) csts =
           lhs.(i) <- intern a;
           fill lhs (i + 1) rest
     in
-    (* Trivially satisfied constraints (rhs ∈ lhs) are dropped, §3. *)
-    let kept = ref [] and n_kept = ref 0 and dropped = ref [] in
+    (* Trivially satisfied constraints (rhs ∈ lhs) are dropped, §3.  The
+       kept ones are counted first, then written in place in input order. *)
+    let dropped = List.filter Cst.is_trivial source in
+    let m = List.length source - List.length dropped in
+    let csts = Array.make m { lhs = [||]; rhs = Rattr 0 } and ci = ref 0 in
     List.iter
       (fun (c : _ Cst.t) ->
-        if Cst.is_trivial c then dropped := c :: !dropped
-        else begin
+        if not (Cst.is_trivial c) then begin
           let lhs = Array.make (List.length c.lhs) 0 in
           fill lhs 0 c.lhs;
           sort_lhs lhs;
@@ -111,17 +112,16 @@ let compile ?(attrs = []) ?(strict = false) csts =
             | Cst.Level l -> Rlevel l
             | Cst.Attr a -> Rattr (intern a)
           in
-          kept := { lhs; rhs } :: !kept;
-          incr n_kept
+          csts.(!ci) <- { lhs; rhs };
+          incr ci
         end)
-      csts;
-    let dropped = List.rev !dropped in
+      source;
     (* Intern attributes of dropped constraints too: they are part of the
        universe and must still receive a (default ⊥) classification. *)
     List.iter (fun (c : _ Cst.t) -> List.iter (fun a -> ignore (intern a)) c.lhs) dropped;
-    let n = !next and m = !n_kept in
-    let csts = Array.make m { lhs = [||]; rhs = Rattr 0 } in
-    List.iteri (fun i c -> csts.(m - 1 - i) <- c) !kept;
+    let n = !next in
+    let attr_names = Array.make n "" in
+    Names.iter (fun a i -> attr_names.(i) <- a) index;
     (* Per-constraint metadata the solver's hot loop would otherwise
        recompute on every visit, and a dense numbering of the complex
        constraints: the solver keeps one incremental lhs-lub aggregate per
@@ -157,7 +157,7 @@ let compile ?(attrs = []) ?(strict = false) csts =
     in
     Ok
       {
-        attr_names = Array.of_list (List.rev !names);
+        attr_names;
         attr_index = index;
         csts;
         lhs_len;

@@ -134,14 +134,25 @@ let resolve_line_numbers () =
   | Error { line; _ } ->
       Alcotest.failf "upper-bound error reported at line %d, want 3" line
   | Ok _ -> Alcotest.fail "accepted unknown upper-bound level");
-  match
-    Parse.parse_resolve ~level_of_string:(Total.level_of_string ladder)
-      "a >= Secret\n{x, x} >= Secret\n"
-  with
+  (match
+     Parse.parse_resolve ~level_of_string:(Total.level_of_string ladder)
+       "a >= Secret\n{x, x} >= Secret\n"
+   with
   | Error { line = 2; _ } -> ()
   | Error { line; _ } ->
       Alcotest.failf "duplicate-lhs error reported at line %d, want 2" line
-  | Ok _ -> Alcotest.fail "accepted duplicate lhs"
+  | Ok _ -> Alcotest.fail "accepted duplicate lhs");
+  (* Every syntax error in the file beats every resolve error. *)
+  match
+    Parse.parse_resolve ~level_of_string:(Total.level_of_string ladder)
+      "a >= Secret\n{x, x} >= Secret\ngarbage\n"
+  with
+  | Error { line = 3; message } ->
+      Alcotest.(check string) "syntax error text"
+        "expected 'attrs', '... >= ...' or '... <= ...'" message
+  | Error { line; _ } ->
+      Alcotest.failf "syntax error reported at line %d, want 3" line
+  | Ok _ -> Alcotest.fail "accepted a garbage line"
 
 let comments_and_blanks () =
   match Parse.parse "\n  \n# only comments\n" with
@@ -190,6 +201,86 @@ let render_roundtrip =
                r.Parse.csts r'.Parse.csts
           && List.length r'.Parse.upper_bounds = 1)
 
+(* Differential: the scanner against [Parse_oracle], the line-splitting
+   parser it replaced, on rendered policies plus hand-shaped lines, each
+   line mutated toward a corner of the grammar and the whole text
+   sometimes cut at a random byte.  Results, error texts and error lines
+   must all be equal. *)
+let oracle_policy seed =
+  let rng = Minup_workload.Prng.create seed in
+  let int n = Minup_workload.Prng.int rng n and pick l = Minup_workload.Prng.pick rng l in
+  let lat = Compartment.fig1a in
+  let spec =
+    Minup_workload.Gen_constraints.
+      {
+        n_attrs = 5;
+        n_simple = 3;
+        n_complex = 2;
+        max_lhs = 3;
+        n_constants = 2;
+        constants = List.of_seq (Compartment.levels lat);
+      }
+  in
+  let attrs, csts = Minup_workload.Gen_constraints.acyclic rng spec in
+  let rendered =
+    Parse.render ~level_to_string:(Compartment.level_to_string lat)
+      Parse.{ attrs; csts; upper_bounds = [] }
+  in
+  let names = [ "A0"; "A1"; "A2"; "A3"; "x.1"; "y-2"; "S"; "TS"; "attrset" ] in
+  let names = if int 3 = 0 then "b@d" :: "" :: names else names in
+  let rhs = names @ [ "TS:{Army,Nuclear}"; "S:{Army}"; "TS:{ Army, Nuclear }"; "NotALevel" ] in
+  let members () =
+    String.concat (pick [ ", "; ","; " , "; ",, "; ",\t" ]) (List.init (1 + int 3) (fun _ -> pick names))
+  in
+  let lhs () =
+    match int 6 with
+    | 0 | 1 -> pick names
+    | 2 -> "{" ^ members () ^ "}"
+    | 3 -> "lub{" ^ members () ^ "}"
+    | 4 -> "lub {" ^ members () ^ "}"
+    | _ -> pick [ "{"; "lub{"; "{ }" ] ^ members () ^ pick [ "} A1"; "}}"; " " ]
+  in
+  let shaped () =
+    match int 6 with
+    | 0 -> pick [ "attrs "; "attrs\t"; "attrs"; "attrsx "; "attrset >= " ] ^ members ()
+    | 1 -> pick [ ""; "  "; "# a comment"; "\t# { >= x"; if int 4 = 0 then "garbage line" else "" ]
+    | 2 -> lhs () ^ pick [ " <= "; "<=" ] ^ pick rhs
+    | _ -> lhs () ^ pick [ " >= "; ">="; " >=\t" ] ^ pick rhs
+  in
+  let rate = pick [ 0; 5; 20 ] in
+  let mutate l =
+    let n = String.length l in
+    let l =
+      match if int 100 < rate then int 4 else 4 with
+      | 0 -> l ^ " # note"
+      | 1 when n > 0 ->
+          let i = int (n + 1) in
+          String.sub l 0 i ^ "#" ^ String.sub l i (n - i)
+      | 2 -> String.map (fun c -> if c = ' ' then '\t' else c) l
+      | 3 -> (
+          match String.rindex_opt l '}' with
+          | Some i -> String.sub l 0 i ^ String.sub l (i + 1) (n - i - 1)
+          | None -> l)
+      | _ -> l
+    in
+    l ^ pick [ "\n"; "\n"; "\r\n"; "\t\n" ]
+  in
+  let lines = String.split_on_char '\n' rendered @ List.init (int 6) (fun _ -> shaped ()) in
+  let text = String.concat "" (List.map mutate lines) in
+  if int 5 = 0 then String.sub text 0 (int (String.length text + 1)) else text
+
+let scanner_matches_oracle =
+  QCheck.Test.make ~count:1000 ~name:"scanner = line-splitting oracle"
+    (QCheck.make
+       ~print:(fun seed -> Printf.sprintf "%d: %S" seed (oracle_policy seed))
+       (QCheck.get_gen Helpers.seed_arb))
+    (fun seed ->
+      let text = oracle_policy seed in
+      let level_of_string = Compartment.level_of_string Compartment.fig1a in
+      Parse.parse text = Parse_oracle.parse text
+      && Parse.parse_resolve ~level_of_string text
+         = Parse_oracle.parse_resolve ~level_of_string text)
+
 (* Policies shaped to hit the parser's worst cases: one declaration per
    line (the declaration list used to be appended to, quadratically) and
    a single huge association.  Declaration order, the duplicate reported,
@@ -226,4 +317,5 @@ let suite =
     case "resolve errors carry line numbers" resolve_line_numbers;
     case "comments and blanks" comments_and_blanks;
     Helpers.qcheck render_roundtrip;
+    Helpers.qcheck scanner_matches_oracle;
   ]

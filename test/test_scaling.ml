@@ -36,8 +36,30 @@ let compile_linear () =
   let _, (attrs, csts) = Lazy.force inputs in
   let n_csts = float_of_int (Problem.n_csts (compile (attrs, csts))) in
   let per_cst = w_large /. n_csts in
-  if per_cst > 30. then
-    Alcotest.failf "Problem.compile: %.1f words per constraint (bound 30)" per_cst
+  if per_cst > 20. then
+    Alcotest.failf "Problem.compile: %.1f words per constraint (bound 20)" per_cst
+
+(* The policy parser: the 8k input rendered to text parses within a
+   constant number of words per constraint, and one constraint line (the
+   shape of a serve delta) within a few hundred, so no buffer is sized for
+   more than the text it reads. *)
+let parse_lean () =
+  let level_of_string = Minup_lattice.Total.level_of_string ladder in
+  let parse text = Parse.parse_resolve ~level_of_string text in
+  let _, (attrs, csts) = Lazy.force inputs in
+  let text =
+    Parse.render ~level_to_string:(Minup_lattice.Total.level_to_string ladder)
+      { Parse.attrs; csts; upper_bounds = [] }
+  in
+  let per_cst = words (fun () -> parse text) /. float_of_int (List.length csts) in
+  if per_cst > 40. then
+    Alcotest.failf "Parse.parse_resolve: %.1f words per constraint (bound 40)" per_cst;
+  List.iter
+    (fun line ->
+      let w = words (fun () -> parse line) in
+      if w > 300. then
+        Alcotest.failf "Parse.parse_resolve %S: %.0f words (bound 300)" line w)
+    [ "A17 >= S3"; "A17 >= A4"; "{A1, A2} >= S9"; "lub{A10, A200, A3000} >= A4000" ]
 
 let priorities_linear () =
   let compiled (attrs, csts) = Problem.compile_exn ~attrs csts in
@@ -211,6 +233,7 @@ let session_structural_lean () =
 let suite =
   [
     case "Problem.compile allocation is linear" compile_linear;
+    case "Parse.parse_resolve allocation is lean" parse_lean;
     case "Priorities.compute allocation is linear" priorities_linear;
     case "Session.create allocation is linear" session_create_linear;
     case "parser allocation is linear on hostile shapes" parser_linear;
