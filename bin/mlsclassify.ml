@@ -486,7 +486,8 @@ let obs_term =
           ~doc:
             "Write a Chrome trace-event JSON of the run to $(docv): compile \
              and solver phase spans (solve, schedule, bigloop, and one \
-             try_lower per cyclic priority set), session.resolve under \
+             try_lower per cyclic priority set, or one collapse per \
+             simple-only set), session.resolve under \
              serve, and per-worker spans under batch.  Load it in Perfetto \
              (ui.perfetto.dev) or chrome://tracing.")
   in

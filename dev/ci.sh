@@ -93,9 +93,10 @@ echo "ci: serve smoke OK (ok / fault / infeasible / error envelopes)"
 # Cycle parity: a re-tightened bound on a member of the 2-cycle {a, b}
 # resolves on the session's patch path (the trace records it), and its
 # assignment must equal a freshly opened session whose bound is already
-# at the final level.
+# at the final level.  The non-binding {a, b} >= Low keeps the cycle on
+# the paper's Try; a cycle of simple constraints alone is one lub.
 cyc_lat='"lattice":"levels Low, Mid, High\nLow < Mid\nMid < High\n"'
-cyc_cst='"constraints":"a >= b\nb >= a\nc >= Low\n"'
+cyc_cst='"constraints":"a >= b\nb >= a\n{a, b} >= Low\nc >= Low\n"'
 cyc_out=$(printf '%s\n' \
   "{\"op\":\"open\",\"problem\":\"edited\",$cyc_lat,$cyc_cst}" \
   '{"op":"set_lower_bound","problem":"edited","attr":"a","level":"Mid"}' \
@@ -126,8 +127,9 @@ echo "ci: serve cycle parity OK (patched re-tighten = fresh session)"
 # checks every engine solution against a verified sequential solve, with
 # one worker domain per core; classify-acyclic checks every reply to an
 # 8k-attribute policy, which gates the policy scanner on that shape.
-# Each validates its trace (batch-cyclic's holds a try_lower span per
-# cyclic set, on every worker's track), exits 1 and reports
+# Each validates its trace (batch-cyclic's cycles are simple-only, so
+# its trace holds a collapse span per cyclic set, on every worker's
+# track), exits 1 and reports
 # "correct":false on any mismatch.  Only correctness is gated here, never
 # a timing.
 for workload in classify-acyclic serve-edit batch-cyclic; do

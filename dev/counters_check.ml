@@ -1,9 +1,10 @@
-(* Pinned Instr counters on three fixed instances: the acyclic n=2000
+(* Pinned Instr counters on four fixed instances: the acyclic n=2000
    workload (bench seed 17), where every attribute is back-propagated; one
-   single-cycle instance, where the forward lowering ([Try]) runs; and a
-   small instance over the pentagon lattice N5 where, inside one [Try], an
+   single-cycle instance, where the forward lowering ([Try]) runs; a small
+   instance over the pentagon lattice N5 where, inside one [Try], an
    attribute's pending lowering is replaced by a glb and the attribute
-   re-enters Tocheck.  Any drift means a change altered what the solver
+   re-enters Tocheck; and triangles over N5 where one [Try] pushes 19
+   attributes at once.  Any drift means a change altered what the solver
    computes or how it counts.  Prints every line; exits 1 if any differs
    from its pin. *)
 open Minup_lattice
@@ -38,15 +39,37 @@ let explicit lat (attrs, csts) =
   let p = SE.compile_exn ~lattice:lat ~attrs csts in
   Format.asprintf "%a" Instr.pp (SE.solve p).SE.stats
 
+let y i = Printf.sprintf "y%d" i
+let z i = Printf.sprintf "z%d" i
+
+(* The triangles [y0] >= [yi] >= [zi] >= [y0], i = 1 .. 19: one cyclic
+   set of 39 attributes.  With [complex] each triangle also carries the
+   non-binding [{yi, zi} >= bot]. *)
+let triangles ~complex =
+  List.concat
+    (List.init 19 (fun i ->
+         [
+           Cst.simple (y 0) (Cst.Attr (y (i + 1)));
+           Cst.simple (y (i + 1)) (Cst.Attr (z (i + 1)));
+           Cst.simple (z (i + 1)) (Cst.Attr (y 0));
+         ]
+         @
+         if complex then
+           [
+             Cst.make_exn ~lhs:[ y (i + 1); z (i + 1) ]
+               ~rhs:(Cst.Level (Explicit.bottom pentagon));
+           ]
+         else []))
+
+let triangle_attrs = List.init 20 y @ List.init 19 (fun i -> z (i + 1))
+
 (* [x2]'s Try to [b] lowers [x5] to bot, which then asks [x2] for [a]:
-   [x2] re-enters Tocheck at glb(b, a) = a, and the Try fails.  The cycles
-   [y0] >= [yi] >= [zi] >= [y0] next to it make one [Try] push 19
-   attributes at once. *)
+   [x2] re-enters Tocheck at glb(b, a) = a, and the Try fails.  The bare
+   triangles beside it are one simple-only cyclic set. *)
 let glb_meet =
   let lv = Explicit.of_name_exn pentagon in
-  let x i = Printf.sprintf "x%d" i and y i = Printf.sprintf "y%d" i in
-  let z i = Printf.sprintf "z%d" i in
-  ( List.init 6 x @ List.init 20 y @ List.init 19 (fun i -> z (i + 1)),
+  let x i = Printf.sprintf "x%d" i in
+  ( List.init 6 x @ triangle_attrs,
     [
       Cst.simple (x 1) (Cst.Level (lv "c"));
       Cst.simple (x 4) (Cst.Level (lv "a"));
@@ -57,13 +80,11 @@ let glb_meet =
       Cst.make_exn ~lhs:[ x 5; x 3; x 4 ] ~rhs:(Cst.Attr (x 0));
       Cst.make_exn ~lhs:[ x 4; x 0; x 2 ] ~rhs:(Cst.Attr (x 5));
     ]
-    @ List.concat
-        (List.init 19 (fun i ->
-             [
-               Cst.simple (y 0) (Cst.Attr (y (i + 1)));
-               Cst.simple (y (i + 1)) (Cst.Attr (z (i + 1)));
-               Cst.simple (z (i + 1)) (Cst.Attr (y 0));
-             ])) )
+    @ triangles ~complex:false )
+
+(* Each triangle's complex constraint keeps the set on [Try]: [y0]'s
+   first [Try] pushes all 19 [yi] at once. *)
+let push = (triangle_attrs, triangles ~complex:true)
 
 let acyclic =
   Gen.acyclic (Prng.create 17)
@@ -79,7 +100,8 @@ let pins =
   [
     ("acyclic", total acyclic, "lub=4278 glb=0 leq=1517 minlevel=1000 try=0 try_iters=0 checks=0");
     ("cyclic", powerset cyclic, "lub=4153 glb=0 leq=10719 minlevel=70 try=718 try_iters=3661 checks=9247");
-    ("glb", explicit pentagon glb_meet, "lub=32 glb=120 leq=280 minlevel=3 try=10 try_iters=130 checks=201");
+    ("glb", explicit pentagon glb_meet, "lub=32 glb=6 leq=48 minlevel=3 try=7 try_iters=13 checks=30");
+    ("push", explicit pentagon push, "lub=76 glb=114 leq=365 minlevel=19 try=3 try_iters=117 checks=285");
   ]
 
 let () =

@@ -46,13 +46,37 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     lat : L.t;
     prob : L.level Problem.t;
     prio : Priorities.t;
+    simple_only : bool array;
   }
+
+  (* [simple_only.(p - 1)]: priority set [p] has two or more members and
+     none of them is in the lhs of a complex constraint, so the Bigloop
+     solves it with one lub instead of [Try].  Only the cyclic sets are
+     swept, and the array exists only if one of them qualifies: it is
+     empty otherwise. *)
+  let simple_only_sets prob (prio : Priorities.t) =
+    let off = prob.Problem.complex_constr_of.Problem.off in
+    let flags = ref [||] in
+    Array.iteri
+      (fun i set ->
+        if
+          Array.length set > 1
+          && Array.for_all (fun a -> off.(a) = off.(a + 1)) set
+        then begin
+          if Array.length !flags = 0 then
+            flags := Array.make prio.Priorities.max_priority false;
+          !flags.(i) <- true
+        end)
+      prio.Priorities.sets;
+    !flags
 
   let compile ~lattice ?attrs csts =
     Trace.with_span ~cat:"solver" "compile" @@ fun () ->
     match Problem.compile ?attrs csts with
     | Error _ as e -> e
-    | Ok prob -> Ok { lat = lattice; prob; prio = Priorities.compute prob }
+    | Ok prob ->
+        let prio = Priorities.compute prob in
+        Ok { lat = lattice; prob; prio; simple_only = simple_only_sets prob prio }
 
   let compile_exn ~lattice ?attrs csts =
     match compile ~lattice ?attrs csts with
@@ -147,7 +171,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      constraint; [frozen] pins attributes at known-final levels (the
      incremental path — see {!solve_incremental} for the contract). *)
   let solve_internal ~(config : Config.t) ?frozen ~init ~bounds_mode
-      { lat; prob; prio } =
+      { lat; prob; prio; simple_only } =
     let residual = config.Config.residual in
     let check_aggregate = config.Config.check_aggregate in
     let budget = config.Config.budget in
@@ -553,10 +577,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       | Some pref -> (
           match Int.compare pref.(a) pref.(b) with 0 -> Int.compare a b | c -> c)
     in
+    (* [None] is the default order, walked without building it. *)
     let compute_set_order () =
       let np = prio.Priorities.max_priority in
       match pref with
-      | None -> List.init np (fun i -> np - i)
+      | None -> None
       | Some _ ->
           (* Kahn over the condensation, following edges lhs-set → rhs-set
              backward: a set is available once every set it depends on
@@ -609,7 +634,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                 if IS.is_empty out.(q) then available := Avail.add q !available)
               into.(p)
           done;
-          List.rev !order
+          Some (List.rev !order)
     in
     let set_order =
       if tracing then
@@ -619,19 +644,55 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     (* Event values are built only when someone listens. *)
     let on_event = config.Config.on_event in
     let back_assigned = ref 0 and forward_lowered = ref 0 in
-    (* Try iterations of each cyclic set (metered solves only). *)
-    let set_iters = ref [] in
-    if tracing then Trace.begin_span ~cat:"solver" "bigloop";
-    List.iter
-      (fun p ->
-      let members =
-        match prio.Priorities.sets.(p - 1) with
-        | [| _ |] as singleton -> singleton
-        | set ->
-            let members = Array.copy set in
-            Array.sort by_pref members;
-            members
-      in
+    (* Try iterations of each cyclic set solved by [Try], and the number
+       of sets solved by one lub (metered solves only). *)
+    let set_iters = ref [] and collapsed = ref 0 in
+    (* A simple-only set has a unique least solution: its internal edges
+       are all simple, so strong connectivity forces every member to one
+       level [v], and every constraint on a member reads [v ⊒ x] with [x]
+       a level, a member, or an attribute already final.  [v] is the lub
+       of those final [x] — exactly the level [Try] would reach, one cover
+       at a time.  Each member is then visited (one step, [Consider]) and
+       finalized at [v] ([Finalized]); frozen members are skipped and
+       enter the lub as final right-hand sides. *)
+    let collapse p members =
+      if tracing then
+        Trace.begin_span ~cat:"solver"
+          ~args:
+            [ ("priority", Trace.Int p); ("size", Trace.Int (Array.length members)) ]
+          "collapse";
+      let v = ref bottom in
+      for j = 0 to Array.length members - 1 do
+        let a = members.(j) in
+        if not skip.(a) then
+          for i = co_off.(a) to co_off.(a + 1) - 1 do
+            let c = csts.(co_tgt.(i)) in
+            if rhs_done c then v := lub !v (rhs_level c)
+          done
+      done;
+      let v = !v in
+      for j = 0 to Array.length members - 1 do
+        let a = members.(j) in
+        if not skip.(a) then begin
+          b.steps <- b.steps + 1;
+          if b.steps >= b.next_check then slow ();
+          (match on_event with
+          | Some f -> f (Consider { attr = attr_name a; priority = p })
+          | None -> ());
+          done_.(a) <- true;
+          lam.(a) <- v;
+          finalize a;
+          incr forward_lowered;
+          match on_event with
+          | Some f -> f (Finalized { attr = attr_name a; level = v })
+          | None -> ()
+        end
+      done;
+      incr collapsed;
+      if tracing then Trace.end_span ~cat:"solver" "collapse"
+    in
+    (* The paper's Bigloop body for priority set [p]. *)
+    let bigloop_set p members =
       (* Only a cyclic set (an SCC of two or more attributes) can lower
          forward: a singleton's right-hand sides are all labeled before it
          is considered.  Each cyclic set gets one "try_lower" span. *)
@@ -720,8 +781,28 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
               ]
             "try_lower";
         if metering then set_iters := iters :: !set_iters
-      end)
-      set_order;
+      end
+    in
+    let visit p =
+      let members =
+        match prio.Priorities.sets.(p - 1) with
+        | [| _ |] as singleton -> singleton
+        | set ->
+            let members = Array.copy set in
+            Array.sort by_pref members;
+            members
+      in
+      if p <= Array.length simple_only && simple_only.(p - 1) then
+        collapse p members
+      else bigloop_set p members
+    in
+    if tracing then Trace.begin_span ~cat:"solver" "bigloop";
+    (match set_order with
+    | None ->
+        for p = prio.Priorities.max_priority downto 1 do
+          visit p
+        done
+    | Some order -> List.iter visit order);
     (* A last look at the budget once the Bigloop completes: a clock warp
        (or hook charge) landing after the last amortized poll must still
        cancel the solve rather than let it return a full solution. *)
@@ -748,6 +829,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         (Int64.to_int (Clock.elapsed_ns ~since:t_solve0));
       Metrics.add (Metrics.counter "solver/back_assigned") !back_assigned;
       Metrics.add (Metrics.counter "solver/forward_lowered") !forward_lowered;
+      Metrics.add (Metrics.counter "solver/collapsed_sets") !collapsed;
       let h = Metrics.histogram "solver/try_iters_per_scc" in
       List.iter (Metrics.observe h) !set_iters;
       Instr.to_metrics stats

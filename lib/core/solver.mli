@@ -19,7 +19,13 @@
       lowering}: starting from their current (initially [⊤]) level, each
       cover below is attempted via [Try], which propagates the candidate
       lowering through the cycle and either fails or returns a consistent
-      set of simultaneous lowerings.
+      set of simultaneous lowerings;
+    - except for a {e simple-only} cyclic set, none of whose members is
+      in the lhs of a complex constraint.  Such a set has a unique least
+      solution (definite inequalities over a finite semilattice, Rehof &
+      Mogensen 1999): every member gets the lub [v] of the set's final
+      right-hand sides — the level [Try] would reach one cover at a time —
+      with no [Try] call.
 
     Determinism: priority sets are processed in ascending attribute-id
     (declaration) order, lattice covers in the order {!Lattice_intf.S.covers_below}
@@ -59,6 +65,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
     lat : L.t;
     prob : L.level Minup_constraints.Problem.t;
     prio : Minup_constraints.Priorities.t;
+    simple_only : bool array;
+        (** [simple_only.(p - 1)]: priority set [p] is cyclic and no
+            member is in the lhs of a complex constraint, so the solver
+            gives it one lub instead of [Try]; empty if no set is *)
   }
 
   (** Compile constraints into an indexed problem (see
@@ -89,7 +99,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       }
         (** a forward-lowering attempt; [None] means the attempt failed *)
     | Finalized of { attr : string; level : L.level }
-        (** a cyclic attribute's level will no longer change *)
+        (** a cyclic attribute's level will no longer change.  A member of
+            a simple-only set emits [Consider] and then [Finalized] at the
+            set's lub, with no [Try_lower] in between. *)
 
   type solution = {
     levels : L.level array;  (** by attribute id *)
@@ -188,10 +200,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
 
   (** [solve ?config problem] — Algorithm 3.1 under [config]
       (default {!Config.default}).  With {!Minup_obs.Trace} on, every
-      solve emits [solve], [schedule] and [bigloop] spans and one
-      [try_lower] span per cyclic priority set; with {!Minup_obs.Metrics}
-      on, a solve that completes adds its [solver/*] and [instr/*] metrics
-      to the registry once, at its end. *)
+      solve emits [solve], [schedule] and [bigloop] spans and, per cyclic
+      priority set, one [try_lower] span, or one [collapse] span (with its
+      [size]) for a simple-only set; with {!Minup_obs.Metrics} on, a solve
+      that completes adds its [solver/*] and [instr/*] metrics to the
+      registry once, at its end ([solver/collapsed_sets] counts the
+      simple-only sets, [solver/try_iters_per_scc] samples the others). *)
   val solve : ?config:Config.t -> problem -> solution
 
   (** [solve_incremental ?config ~frozen problem] — like {!solve}, but
@@ -206,8 +220,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       non-frozen one), contains every member of any priority set it
       touches, and contains the whole left-hand side of every complex
       constraint it touches.  Cycles are then re-solved whole: [Try]
-      starts every member of a non-frozen cyclic set at the top, exactly
-      as in a full solve.  Under that contract the result is bit-identical
+      starts every member of a non-frozen cyclic set at the top, and a
+      simple-only set takes its lub, exactly as in a full solve.  Under that contract the result is bit-identical
       in [levels] to a full solve; outside it the result is unspecified.
       The returned [stats] count only the work actually performed. *)
   val solve_incremental :

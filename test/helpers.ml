@@ -74,6 +74,13 @@ let cycle_shape seed n =
       constants = [ 8 ];
     }
 
+(* [cycle_shape] plus one non-binding complex constraint, [{A0, A1} ⊒ S1]
+   below the S8 floor.  The cycle is then not simple-only, so the solver
+   keeps the paper's [Try] on it, at the bare cycle's cost. *)
+let complex_cycle_shape seed n =
+  let attrs, csts = cycle_shape seed n in
+  (attrs, csts @ [ Cst.make_exn ~lhs:[ "A0"; "A1" ] ~rhs:(Cst.Level 1) ])
+
 (* Words allocated by [f], direct major-heap allocations included: the
    quantity [Gc.allocated_bytes] reports, read as [Gc.minor_words] plus
    major minus promoted words from [Gc.counters], whose own minor count

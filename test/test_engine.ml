@@ -455,12 +455,15 @@ let generous =
     retries = 2;
   }
 
-(* Four tasks each of the 2k acyclic and the 600-attribute cycle shape. *)
+(* Four tasks each of the 2k acyclic and the 600-attribute cycle shape:
+   the cycle with one complex constraint, solved by [Try], and the bare
+   cycle, solved by one lub. *)
 let supervised_shapes =
   lazy
     [
       ("acyclic 2k", ladder_batch Helpers.acyclic_shape 4_000 4 2_000);
-      ("cycle 600", ladder_batch Helpers.cycle_shape 4_000 4 600);
+      ("cycle 600", ladder_batch Helpers.complex_cycle_shape 4_000 4 600);
+      ("bare cycle 600", ladder_batch Helpers.cycle_shape 4_000 4 600);
     ]
 
 (* Supervised batches equal unsupervised ones, take one attempt per task,

@@ -382,7 +382,7 @@ let test_spans_per_phase () =
   with_trace (fun () -> ignore (ST.solve acyclic));
   check Alcotest.(list string) "acyclic solver spans"
     [ "solve"; "schedule"; "bigloop" ] (begun ());
-  let cycle = ladder (Helpers.cycle_shape 7 200) in
+  let cycle = ladder (Helpers.complex_cycle_shape 7 200) in
   let s = with_trace (fun () -> ST.solve cycle) in
   check Alcotest.(list string) "single-cycle solver spans"
     [ "solve"; "schedule"; "bigloop"; "try_lower" ] (begun ());
@@ -397,11 +397,21 @@ let test_spans_per_phase () =
       checki "try_lower iterations" s.ST.stats.Instr.try_iterations
         (int_arg e "iterations")
   | es -> Alcotest.failf "%d try_lower events, expected 2" (List.length es));
+  (* A bare cycle is simple-only: one collapse span, and no Try. *)
+  let bare = ladder (Helpers.cycle_shape 8 60) in
+  let s = with_trace (fun () -> ST.solve bare) in
+  check Alcotest.(list string) "simple-only cycle solver spans"
+    [ "solve"; "schedule"; "bigloop"; "collapse" ] (begun ());
+  checki "simple-only cycle try_calls" 0 s.ST.stats.Instr.try_calls;
+  (match
+     List.filter
+       (fun (e : Trace.event) -> e.name = "collapse" && e.ph = 'B')
+       (solver_spans ())
+   with
+  | [ b ] -> checki "collapse size" 60 (int_arg b "size")
+  | es -> Alcotest.failf "%d collapse begin events, expected 1" (List.length es));
   let problems =
-    [|
-      acyclic; cycle; ladder (Helpers.acyclic_shape 3 300);
-      ladder (Helpers.cycle_shape 8 60);
-    |]
+    [| acyclic; cycle; ladder (Helpers.acyclic_shape 3 300); bare |]
   in
   with_metrics @@ fun () ->
   let solutions = ET.ok_exn (ET.solve_batch ~jobs:2 problems) in
@@ -416,8 +426,9 @@ let test_spans_per_phase () =
        (fun acc (s : ST.solution) -> acc + Array.length s.ST.levels)
        0 solutions)
     (value "solver/back_assigned" + value "solver/forward_lowered");
-  checki "one try_iters_per_scc sample per cyclic set" 2
-    (Metrics.histogram_count (Metrics.histogram "solver/try_iters_per_scc"))
+  checki "one try_iters_per_scc sample per cyclic set solved by Try" 1
+    (Metrics.histogram_count (Metrics.histogram "solver/try_iters_per_scc"));
+  checki "one collapsed set" 1 (value "solver/collapsed_sets")
 
 (* --- Instr bridge ---------------------------------------------------- *)
 

@@ -107,23 +107,26 @@ let preference_linear () =
   check_growth "Solver.solve with an upgrade preference" ~small:w_small
     ~large:w_large
 
-(* The paper's quadratic case, the shape of the batch-cyclic benchmark: one
-   cycle A0 >= A1 >= ... >= A0 with a floor on the middle attribute, so
-   every [Try] walks most of the cycle and Try iterations grow 4x per
+(* The paper's quadratic case: one cycle A0 >= A1 >= ... >= A0 with a
+   floor on the middle attribute, plus the non-binding complex constraint
+   {A0, A1} >= S1 so that the set is not simple-only and keeps [Try].
+   Every [Try] walks most of the cycle and Try iterations grow 4x per
    doubling of the attributes.  The forward lowering's bookkeeping is
    flat scratch allocated once per solve, so allocation grows with the
    attributes, not with the iterations. *)
-let cycle n =
+let cycle ~complex n =
   let name = Printf.sprintf "A%d" in
   ( List.init n name,
     Cst.simple (name (n / 2)) (Cst.Level 8)
-    :: List.init n (fun i -> Cst.simple (name i) (Cst.Attr (name ((i + 1) mod n)))) )
+    :: List.init n (fun i -> Cst.simple (name i) (Cst.Attr (name ((i + 1) mod n))))
+    @ if complex then [ Cst.make_exn ~lhs:[ name 0; name 1 ] ~rhs:(Cst.Level 1) ] else [] )
+
+let compiled_cycle ~complex n =
+  let attrs, csts = cycle ~complex n in
+  Solver.compile_exn ~lattice:ladder ~attrs csts
 
 let try_allocation_flat () =
-  let compiled n =
-    let attrs, csts = cycle n in
-    Solver.compile_exn ~lattice:ladder ~attrs csts
-  in
+  let compiled = compiled_cycle ~complex:true in
   let ps = compiled 400 and pl = compiled 800 in
   let w_small = words (fun () -> Solver.solve ps) in
   let w_large = words (fun () -> Solver.solve pl) in
@@ -133,6 +136,19 @@ let try_allocation_flat () =
   let per_iter = w_large /. float_of_int iters in
   if per_iter > 2. then
     Alcotest.failf "Solver.solve: %.2f words per Try iteration (bound 2)" per_iter
+
+(* The same cycle without the complex constraint is simple-only: the
+   solver takes its one lub, runs no [Try] and allocates linearly. *)
+let simple_only_cycle_linear () =
+  let ps = compiled_cycle ~complex:false 400
+  and pl = compiled_cycle ~complex:false 1_600 in
+  let w_small = words (fun () -> Solver.solve ps) in
+  let w_large = words (fun () -> Solver.solve pl) in
+  check_growth "Solver.solve on a simple-only cycle" ~small:w_small ~large:w_large;
+  let sol = Solver.solve pl in
+  Alcotest.(check int) "try_calls" 0 sol.Solver.stats.Minup_core.Instr.try_calls;
+  Alcotest.(check bool) "every attribute at the floor" true
+    (Array.for_all (fun l -> l = 8) sol.Solver.levels)
 
 (* A session over [attrs] and [csts] with a tenth of the attributes
    bounded, resolved once. *)
@@ -151,10 +167,22 @@ let scratch sess () =
 (* The ring A0 >= A1 >= A2 >= A0.  Generated edges run from lower to
    higher attribute numbers, so the ring is a strongly connected component
    of exactly three attributes, and the dirty closure of a bound on A0
-   reaches it. *)
+   reaches it.  The non-binding {A0, A1} >= S0 keeps the ring on [Try]. *)
 let with_ring (attrs, csts) =
   let ring = [ ("A0", "A1"); ("A1", "A2"); ("A2", "A0") ] in
-  (attrs, csts @ List.map (fun (a, b) -> Cst.simple a (Cst.Attr b)) ring)
+  ( attrs,
+    csts
+    @ Cst.make_exn ~lhs:[ "A0"; "A1" ] ~rhs:(Cst.Level 0)
+      :: List.map (fun (a, b) -> Cst.simple a (Cst.Attr b)) ring )
+
+(* The ring R0 >= R1 >= R2 >= R0 on three fresh attributes, above A0
+   (R0 >= A0) so that the dirty closure of a bound on A0 reaches it.  No
+   member is in the lhs of a complex constraint: the ring is simple-only,
+   one lub. *)
+let with_simple_ring (attrs, csts) =
+  let r = Printf.sprintf "R%d" in
+  let ring = [ (r 0, "A0"); (r 0, r 1); (r 1, r 2); (r 2, r 0) ] in
+  (attrs @ [ r 0; r 1; r 2 ], csts @ List.map (fun (a, b) -> Cst.simple a (Cst.Attr b)) ring)
 
 (* A re-tightened lower bound on an already-bounded attribute takes the
    session's patch path, whether or not its dirty closure reaches a
@@ -198,6 +226,39 @@ let session_patch_lean shape () =
     (let s, l = Lazy.force inputs in
      [ s; l ])
 
+(* The simple-only ring on the 2k and 8k inputs, and on its own: above
+   F >= S12 (R1 >= F), which a bound on R0 does not dirty.  Re-tightening
+   R0's bound re-solves the ring with F frozen, so the ring's one lub
+   must take F's frozen level as well as the new bound. *)
+let simple_ring_patch () =
+  let attrs, csts = with_simple_ring (fst (Lazy.force inputs)) in
+  let p = Solver.compile_exn ~lattice:ladder ~attrs csts in
+  let r0 = Problem.attr_id_exn p.Solver.prob "R0" in
+  if not p.Solver.simple_only.(p.Solver.prio.Priorities.priority.(r0) - 1) then
+    Alcotest.fail "the ring is not simple-only";
+  session_patch_lean with_simple_ring ();
+  let sess =
+    Session.create ~lattice:ladder
+      [
+        Cst.simple "R0" (Cst.Attr "R1"); Cst.simple "R1" (Cst.Attr "R2");
+        Cst.simple "R2" (Cst.Attr "R0"); Cst.simple "R1" (Cst.Attr "F");
+        Cst.simple "F" (Cst.Level 12);
+      ]
+  in
+  Session.set_lower_bound sess "R0" (Some 2);
+  ignore (Session.resolve sess);
+  List.iter
+    (fun l ->
+      Session.set_lower_bound sess "R0" (Some l);
+      let patched = (Session.stats sess).Session.patched in
+      let sol = Session.resolve sess in
+      if (Session.stats sess).Session.patched <> patched + 1 then
+        Alcotest.fail "a re-tighten on the ring did not take the patch path";
+      Alcotest.(check (array int))
+        (Printf.sprintf "R0 >= S%d: patch resolve = scratch" l)
+        (scratch sess ()).Solver.levels sol.Session.Solver.levels)
+    [ 5; 14; 3 ]
+
 (* Every structural delta re-solves from scratch: the resolve counts in
    [stats.full] and allocates at most 1.2x a from-scratch compile and
    solve of the same snapshot outside the session. *)
@@ -239,9 +300,13 @@ let suite =
     case "parser allocation is linear on hostile shapes" parser_linear;
     case "preference scheduling allocation is linear" preference_linear;
     case "Try allocates nothing per iteration" try_allocation_flat;
+    case "a simple-only cycle is one lub: no Try, linear allocation"
+      simple_only_cycle_linear;
     case "a patch resolve compiles nothing and allocates < 0.6x scratch"
       (session_patch_lean Fun.id);
     case "a patch resolve through a ring stays incremental and < 0.6x scratch"
       (session_patch_lean with_ring);
+    case "a patch resolve through a simple-only ring = scratch, < 0.6x"
+      simple_ring_patch;
     case "a structural resolve allocates <= 1.2x scratch" session_structural_lean;
   ]

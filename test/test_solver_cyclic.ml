@@ -159,7 +159,9 @@ let random_mixed_prop =
    and the call fails; the next call, to [c], succeeds.  Beside it, the
    cycles [y0] >= [yi] >= [zi] >= [y0] make one call push 19 attributes
    at once, more than the worklist starts with, and each of them is the
-   only way to its [zi]. *)
+   only way to its [zi].  Each triangle carries the non-binding complex
+   constraint [{yi, zi} >= bot], which keeps the set on [Try]: a cycle of
+   simple constraints alone is solved by one lub. *)
 let pentagon =
   Explicit.create_exn ~names:[ "bot"; "a"; "b"; "c"; "top" ]
     ~order:[ ("bot", "a"); ("a", "b"); ("b", "top"); ("bot", "c"); ("c", "top") ]
@@ -187,6 +189,8 @@ let glb_reentry =
                Cst.simple (y 0) (Cst.Attr (y (i + 1)));
                Cst.simple (y (i + 1)) (Cst.Attr (z (i + 1)));
                Cst.simple (z (i + 1)) (Cst.Attr (y 0));
+               Cst.make_exn ~lhs:[ y (i + 1); z (i + 1) ]
+                 ~rhs:(Cst.Level (Explicit.bottom pentagon));
              ])) )
 
 let try_scratch_reuse () =
@@ -239,6 +243,108 @@ let try_scratch_reuse () =
     ]
     (List.rev !tries)
 
+(* A simple-only cyclic set (no member in the lhs of a complex
+   constraint) has a unique minimal solution, which the solver takes as
+   one lub instead of running [Try]: on random all-simple instances over
+   a chain, a powerset and the pentagon, the levels must equal the one
+   minimal solution the exhaustive oracle finds. *)
+module Simple_only (L : Lattice_intf.S) = struct
+  module VL = Minup_core.Verify.Make (L)
+  module SL = VL.S
+
+  let prop name lat =
+    QCheck.Test.make ~count:40
+      ~name:
+        (Printf.sprintf "simple-only cycles over a %s = the unique minimal solution"
+           name)
+      Helpers.seed_arb
+      (fun seed ->
+        let rng = Minup_workload.Prng.create seed in
+        let spec =
+          Minup_workload.Gen_constraints.
+            {
+              n_attrs = 5;
+              n_simple = 3;
+              n_complex = 0;
+              max_lhs = 2;
+              n_constants = 2;
+              constants = List.of_seq (L.levels lat);
+            }
+        in
+        let attrs, csts =
+          if seed mod 2 = 0 then Minup_workload.Gen_constraints.single_scc rng spec
+          else
+            Minup_workload.Gen_constraints.mixed rng spec ~n_islands:2
+              ~island_size:2
+        in
+        let p = SL.compile_exn ~lattice:lat ~attrs csts in
+        let sol = SL.solve p in
+        Array.length p.SL.simple_only > 0
+        && sol.SL.stats.Minup_core.Instr.try_calls = 0
+        &&
+        match VL.minimal_solutions p with
+        | Ok [ m ] -> VL.equal_assignment lat m sol.SL.levels
+        | Ok _ | Error `Too_large -> false)
+end
+
+let simple_only_props =
+  let module T = Simple_only (Total) in
+  let module P = Simple_only (Powerset) in
+  let module E = Simple_only (Explicit) in
+  [
+    T.prop "chain" (Total.create [ "l0"; "l1"; "l2"; "l3" ]);
+    P.prop "powerset" (Powerset.create [ "a"; "b"; "c" ]);
+    E.prop "pentagon" pentagon;
+  ]
+
+(* §6 on a simple-only cycle: a cap below the cycle's floor is the same
+   [Unsatisfiable] inconsistency [Try] met, and a cap above it leaves the
+   levels where the unbounded solve puts them. *)
+let floor_cycle =
+  [ attr_cst "a" "b"; attr_cst "b" "c"; attr_cst "c" "a"; level_cst "b" "L3" ]
+
+let bounded_simple_only () =
+  let p = S.compile_exn ~lattice:fig1b floor_cycle in
+  Alcotest.(check int) "one simple-only set" 1
+    (Array.fold_left (fun n b -> if b then n + 1 else n) 0 p.S.simple_only);
+  (match S.solve_with_bounds p [ ("a", lvl "L2") ] with
+  | Error e ->
+      Alcotest.(check string)
+        "inconsistency"
+        "constraint λ(b) ⊒ L3 cannot be satisfied: the left-hand side is capped at L2"
+        (Format.asprintf "%a" (S.pp_inconsistency fig1b) e)
+  | Ok _ -> Alcotest.fail "accepted a cap below the cycle's floor");
+  match S.solve_with_bounds p [ ("a", lvl "L4") ] with
+  | Error _ -> Alcotest.fail "unexpected inconsistency"
+  | Ok sol ->
+      Alcotest.(check (array (level_t fig1b)))
+        "bounded = unbounded" (S.solve p).S.levels sol.S.levels;
+      Alcotest.(check int) "no Try" 0 sol.S.stats.Minup_core.Instr.try_calls
+
+(* A simple-only set emits, per member, [Consider] and then [Finalized]
+   at the set's lub, and no [Try_lower]. *)
+let simple_only_events () =
+  let p = S.compile_exn ~lattice:fig1b floor_cycle in
+  let log = ref [] in
+  let on_event e =
+    let name = Explicit.level_to_string fig1b in
+    log :=
+      (match e with
+      | S.Consider { attr; _ } -> "consider " ^ attr
+      | S.Back_assigned { attr; level } -> "back " ^ attr ^ " " ^ name level
+      | S.Try_lower { attr; _ } -> "try " ^ attr
+      | S.Finalized { attr; level } -> "final " ^ attr ^ " " ^ name level)
+      :: !log
+  in
+  ignore (S.solve ~config:(S.Config.make ~on_event ()) p);
+  Alcotest.(check (list string))
+    "events"
+    [
+      "consider a"; "final a L3"; "consider b"; "final b L3"; "consider c";
+      "final c L3";
+    ]
+    (List.rev !log)
+
 let suite =
   [
     case "simple cycle with one floor" simple_cycle_uniform;
@@ -251,4 +357,7 @@ let suite =
     case "Try scratch survives failures, glb re-entry and growth" try_scratch_reuse;
     Helpers.qcheck random_cyclic_prop;
     Helpers.qcheck random_mixed_prop;
+    case "bounded simple-only cycle" bounded_simple_only;
+    case "simple-only cycle events" simple_only_events;
   ]
+  @ List.map Helpers.qcheck simple_only_props
