@@ -35,9 +35,11 @@ test "$fe_got" = "$fe_want" || {
 }
 echo "ci: front-end smoke OK (CRLF, tabs and comments parse alike)"
 
-# Pinned solver counters: Instr totals on one acyclic and one cyclic
-# instance must equal their recorded values (exit 1 on any drift), so a
-# change of data layout cannot silently change what the solver computes.
+# Pinned solver counters: Instr totals on acyclic, cyclic and N5
+# instances, and in the bounds, incremental and preference modes (the
+# last with a digest of its schedule), must equal their recorded values
+# (exit 1 on any drift), so a change of data layout cannot silently
+# change what the solver computes.
 dune exec dev/counters_check.exe
 
 # Differential self-check: a pinned-seed bounded run of the property

@@ -4,9 +4,12 @@
    instance over the pentagon lattice N5 where, inside one [Try], an
    attribute's pending lowering is replaced by a glb and the attribute
    re-enters Tocheck; and triangles over N5 where one [Try] pushes 19
-   attributes at once.  Any drift means a change altered what the solver
-   computes or how it counts.  Prints every line; exits 1 if any differs
-   from its pin. *)
+   attributes at once.  Three more pin the solver's other entry modes:
+   upper bounds (§6) on the acyclic instance, an incremental re-solve of
+   a cyclic instance, and an upgrade preference over many priority sets
+   (with a digest of the order the Bigloop considers attributes in).  Any
+   drift means a change altered what the solver computes or how it
+   counts.  Prints every line; exits 1 if any differs from its pin. *)
 open Minup_lattice
 module ST = Minup_core.Solver.Make (Total)
 module SP = Minup_core.Solver.Make (Powerset)
@@ -96,12 +99,75 @@ let cyclic =
     { Gen.n_attrs = 300; n_simple = 300; n_complex = 100; max_lhs = 3;
       n_constants = 30; constants = List.init 16 Fun.id }
 
+let instr stats = Format.asprintf "%a" Instr.pp stats
+
+(* Every 250th attribute capped at its unbounded level: consistent caps
+   that the derivation pushes through the graph. *)
+let bounds (attrs, csts) =
+  let p = ST.compile_exn ~lattice:ladder16 ~attrs csts in
+  let full = (ST.solve p).ST.levels in
+  let caps =
+    List.filter_map
+      (fun a -> if a mod 250 = 0 then Some (Printf.sprintf "A%d" a, full.(a)) else None)
+      (List.init (Array.length full) Fun.id)
+  in
+  match ST.solve_with_bounds p caps with
+  | Ok s -> instr s.ST.stats
+  | Error i -> Format.asprintf "%a" (ST.pp_inconsistency ladder16) i
+
+(* [cyclic] beside a renamed copy [Bi] of it, every tenth [Bi] above its
+   [Ai]: the original half is dependency-closed, so it is frozen at the
+   full solve's levels and only the copy is solved again. *)
+let incremental (attrs, csts) =
+  let b name = "B" ^ String.sub name 1 (String.length name - 1) in
+  let copy (c : _ Cst.t) =
+    Cst.make_exn ~lhs:(List.map b c.Cst.lhs)
+      ~rhs:(match c.Cst.rhs with Cst.Attr r -> Cst.Attr (b r) | lvl -> lvl)
+  in
+  let wires =
+    List.filteri (fun i _ -> i mod 10 = 0) attrs
+    |> List.map (fun a -> Cst.simple (b a) (Cst.Attr a))
+  in
+  let p =
+    SP.compile_exn ~lattice:powerset4 ~attrs:(attrs @ List.map b attrs)
+      (csts @ List.map copy csts @ wires)
+  in
+  let full = (SP.solve p).SP.levels in
+  let n = List.length attrs in
+  instr
+    (SP.solve_incremental ~frozen:(fun a -> if a < n then Some full.(a) else None) p)
+      .SP.stats
+
+(* Islands of cycles wired acyclically, solved under a preference that
+   reorders both the sets and the members within a set. *)
+let preference =
+  let attrs, csts =
+    Gen.mixed (Prng.create 17)
+      { Gen.n_attrs = 400; n_simple = 600; n_complex = 120; max_lhs = 3;
+        n_constants = 40; constants = List.init 16 Fun.id }
+      ~n_islands:6 ~island_size:30
+  in
+  let p = ST.compile_exn ~lattice:ladder16 ~attrs csts in
+  let order = Buffer.create 4096 in
+  let on_event = function
+    | ST.Consider { attr; _ } -> Buffer.add_string order attr; Buffer.add_char order ' '
+    | _ -> ()
+  in
+  let upgrade_preference a = Hashtbl.hash a mod 7 in
+  let s = ST.solve ~config:(ST.Config.make ~on_event ~upgrade_preference ()) p in
+  Printf.sprintf "%s order=%s" (instr s.ST.stats)
+    (Digest.to_hex (Digest.string (Buffer.contents order)))
+
 let pins =
   [
     ("acyclic", total acyclic, "lub=4278 glb=0 leq=1517 minlevel=1000 try=0 try_iters=0 checks=0");
     ("cyclic", powerset cyclic, "lub=4153 glb=0 leq=10719 minlevel=70 try=718 try_iters=3661 checks=9247");
     ("glb", explicit pentagon glb_meet, "lub=32 glb=6 leq=48 minlevel=3 try=7 try_iters=13 checks=30");
     ("push", explicit pentagon push, "lub=76 glb=114 leq=365 minlevel=19 try=3 try_iters=117 checks=285");
+    ("bounds", bounds acyclic, "lub=6471 glb=0 leq=3504 minlevel=2987 try=0 try_iters=0 checks=0");
+    ("incremental", incremental cyclic, "lub=3020 glb=0 leq=7637 minlevel=70 try=656 try_iters=2429 checks=6252");
+    ("preference", preference,
+     "lub=1863 glb=1628 leq=5557 minlevel=84 try=51 try_iters=554 checks=3601 order=15b31f1daf5c89f2bf2c3ffc14b2ca97");
   ]
 
 let () =

@@ -51,24 +51,15 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   (* [simple_only.(p - 1)]: priority set [p] has two or more members and
      none of them is in the lhs of a complex constraint, so the Bigloop
-     solves it with one lub instead of [Try].  Only the cyclic sets are
-     swept, and the array exists only if one of them qualifies: it is
-     empty otherwise. *)
+     solves it with one lub instead of [Try].  The array exists only if
+     one set qualifies: it is empty otherwise. *)
   let simple_only_sets prob (prio : Priorities.t) =
     let off = prob.Problem.complex_constr_of.Problem.off in
-    let flags = ref [||] in
-    Array.iteri
-      (fun i set ->
-        if
-          Array.length set > 1
-          && Array.for_all (fun a -> off.(a) = off.(a + 1)) set
-        then begin
-          if Array.length !flags = 0 then
-            flags := Array.make prio.Priorities.max_priority false;
-          !flags.(i) <- true
-        end)
-      prio.Priorities.sets;
-    !flags
+    let simple_only set =
+      Array.length set > 1 && Array.for_all (fun a -> off.(a) = off.(a + 1)) set
+    in
+    let sets = prio.Priorities.sets in
+    if Array.exists simple_only sets then Array.map simple_only sets else [||]
 
   let compile ~lattice ?attrs csts =
     Trace.with_span ~cat:"solver" "compile" @@ fun () ->
@@ -164,686 +155,677 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       { on_event; residual; upgrade_preference; check_aggregate; budget }
   end
 
-  (* The whole algorithm, shared between the plain (§§3–5), upper-bound
-     (§6) and incremental re-solve modes.  [init] gives the starting level
-     of every attribute (⊤, or the derived upper bound); [bounds_mode]
-     forces Minlevel to run for every attribute of every complex
-     constraint; [frozen] pins attributes at known-final levels (the
-     incremental path — see {!solve_incremental} for the contract). *)
-  let solve_internal ~(config : Config.t) ?frozen ~init ~bounds_mode
-      { lat; prob; prio; simple_only } =
-    let residual = config.Config.residual in
-    let check_aggregate = config.Config.check_aggregate in
-    let budget = config.Config.budget in
+  (* One solve's state in every mode: plain (§§3–5), upper-bound (§6) and
+     incremental.  Allocated once per solve, never stored in the shared
+     [problem].  The functions below are the paper's steps over it; the
+     hot ones read the arrays they walk into locals first. *)
+  type state = {
+    lat : L.t;
+    prob : L.level Problem.t;
+    prio : Priorities.t;
+    simple_only : bool array;
+    config : Config.t;
+    bottom : L.level;
+    top : L.level;
+    bounds_mode : bool;  (* Minlevel runs before a lhs is all labeled *)
+    stats : Instr.t;
+    lam : L.level array;  (* λ *)
+    done_ : bool array;  (* λ(A) final; on the Bigloop's turn, iff frozen *)
+    unlabeled : int array;  (* per constraint: lhs members not yet visited *)
+    agg : L.level array;  (* per complex constraint: see [finalize] *)
+    pref : int array option;  (* upgrade preference per attribute *)
+    (* [try_lower]'s and [dset]'s scratch *)
+    pend : pending array;
+    pend_lvl : L.level array;
+    mutable fifo : int array;
+    mutable fifo_len : int;
+    touched : int array;
+    mutable n_touched : int;
+    mutable dset : L.level array;
+    mutable dset_len : int;
+    budget : budget;
+    t0 : int64;  (* the budget's clock at the start *)
+    tracing : bool;  (* see [start] *)
+    metering : bool;
+    t_solve0 : int64;
+    mutable back_assigned : int;
+    mutable forward_lowered : int;
+    mutable set_iters : int list;  (* Try iterations per set ([metering]) *)
+    mutable collapsed : int;  (* sets solved by [collapse] *)
+  }
+
+  let attr_name st a = Problem.attr_name st.prob a
+
+  (* Instrumented lattice operations.  ⊥ is the identity of lub and ⊤ the
+     identity of glb, so those cases skip the lattice operation (and the
+     counter) entirely — folds that start from ⊥, and glbs against
+     still-at-⊤ attributes, are frequent enough in the algorithm that this
+     shortcut alone removes a sizable slice of the lattice-op bill.  The
+     test is *physical* equality: one compare instruction, exact for
+     immediate level representations (every int-backed lattice), and for
+     boxed levels merely a missed shortcut — [L.lub]/[L.glb] then handle
+     the identity case themselves, so results are unchanged. *)
+  let lub st a b =
+    if a == st.bottom then b
+    else if b == st.bottom then a
+    else begin
+      st.stats.Instr.lub <- st.stats.Instr.lub + 1;
+      L.lub st.lat a b
+    end
+
+  let glb st a b =
+    if a == st.top then b
+    else if b == st.top then a
+    else begin
+      st.stats.Instr.glb <- st.stats.Instr.glb + 1;
+      L.glb st.lat a b
+    end
+
+  let leq st a b =
+    st.stats.Instr.leq <- st.stats.Instr.leq + 1;
+    L.leq st.lat a b
+
+  (* Cooperative cancellation, one path for every solve.  Each scheduling
+     event — each Try worklist pop and each Bigloop attribute — is one
+     [step]; it compares the budget's step count with [next_check], and
+     only when the step reaches it does it [check]: trip on the step
+     budget, poll the wall clock when the step is a multiple of 64 (a
+     clock read per attribute costs >10% on back-propagation-heavy
+     workloads), and schedule the next check.  One last check after the
+     Bigloop always polls the clock, so a deadline — or a hook's clock
+     warp landing after the last amortized poll — is noticed even on
+     instances too small to ever reach 64 steps.  A solve without a budget
+     counts its steps in an [unbounded] one: no clock reads, and no effect
+     on the [Instr] counters ([steps] lives in the budget, not in
+     [stats]). *)
+  let cancel st reason =
+    let partial = ref [] in
+    for a = Array.length st.lam - 1 downto 0 do
+      if st.done_.(a) then partial := (attr_name st a, st.lam.(a)) :: !partial
+    done;
+    raise
+      (Cancelled
+         {
+           reason;
+           progress =
+             {
+               partial = !partial;
+               n_finalized = List.length !partial;
+               n_attrs = Array.length st.lam;
+               steps = st.budget.steps;
+             };
+         })
+
+  let check st ~poll =
+    let b = st.budget in
+    (match b.max_steps with
+    | Some m when b.steps > m -> cancel st (Steps { max_steps = m })
+    | _ -> ());
+    match b.deadline_ms with
+    | Some ms when poll ->
+        let elapsed = Int64.sub (b.now ()) st.t0 in
+        if Int64.compare elapsed (Int64.mul (Int64.of_int ms) 1_000_000L) > 0 then
+          cancel st
+            (Deadline { deadline_ms = ms; elapsed_ms = Int64.to_float elapsed /. 1e6 })
+    | _ -> ()
+
+  let step st =
+    let b = st.budget in
+    b.steps <- b.steps + 1;
+    if b.steps >= b.next_check then begin
+      check st ~poll:(b.steps land 63 = 0);
+      reschedule b
+    end
+
+  (* [a]'s level is final: fold it into the lhs-lub aggregate of every
+     complex constraint it is in.  An attribute's level never changes once
+     finalized (back-assigned attributes are final immediately; forward
+     lowering only ever touches not-yet-done attributes), so each member
+     enters an aggregate exactly once and [minlevel] never refolds the
+     whole lhs.  Reached exactly once per attribute; ⊥ is skipped, as the
+     lub identity. *)
+  let finalize st a =
+    let la = st.lam.(a) in
+    if la != st.bottom then begin
+      let { Problem.off; tgt } = st.prob.Problem.complex_constr_of in
+      for i = off.(a) to off.(a + 1) - 1 do
+        let k = tgt.(i) in
+        st.agg.(k) <- lub st st.agg.(k) la
+      done
+    end
+
+  let rhs_level st (c : _ Problem.cst) =
+    match c.rhs with Problem.Rlevel l -> l | Problem.Rattr b -> st.lam.(b)
+
+  let rhs_done st (c : _ Problem.cst) =
+    match c.rhs with Problem.Rlevel _ -> true | Problem.Rattr b -> st.done_.(b)
+
+  (* The Bigloop turns to [a] (one scheduling step, [Consider]) ... *)
+  let visit st p a =
+    step st;
+    match st.config.Config.on_event with
+    | Some f -> f (Consider { attr = attr_name st a; priority = p })
+    | None -> ()
+
+  (* ... and finalizes it once its level is settled: by back-propagation
+     ([back], [Back_assigned]), or by forward lowering or a collapse
+     ([Finalized]). *)
+  let finish st a ~back =
+    st.done_.(a) <- true;
+    finalize st a;
+    if back then st.back_assigned <- st.back_assigned + 1
+    else st.forward_lowered <- st.forward_lowered + 1;
+    match st.config.Config.on_event with
+    | Some f ->
+        let attr = attr_name st a and level = st.lam.(a) in
+        f (if back then Back_assigned { attr; level } else Finalized { attr; level })
+    | None -> ()
+
+  (* Incremental mode: pin the frozen attributes before the Bigloop.  Their
+     levels are final, they count as labeled for every constraint they
+     appear in (so [unlabeled] and the aggregates see them exactly as if
+     the Bigloop had just finalized them), and the Bigloop skips them. *)
+  let freeze st frozen =
+    let { Problem.off; tgt } = st.prob.Problem.constr_of in
+    for a = 0 to Array.length st.lam - 1 do
+      match frozen a with
+      | None -> ()
+      | Some l ->
+          st.done_.(a) <- true;
+          st.lam.(a) <- l;
+          for i = off.(a) to off.(a + 1) - 1 do
+            let ci = tgt.(i) in
+            if st.prob.Problem.complex.(ci) then
+              st.unlabeled.(ci) <- st.unlabeled.(ci) - 1
+          done;
+          finalize st a
+    done
+
+  (* MINLEVEL(A, lhs, rhs): a minimal level [a] can assume without
+     violating the complex constraint [c] (index [ci]), given the current
+     levels of the other lhs members. *)
+  let minlevel st a ci (c : _ Problem.cst) =
+    st.stats.Instr.minlevel_calls <- st.stats.Instr.minlevel_calls + 1;
+    let k = st.prob.Problem.complex_idx.(ci) in
+    let lubothers =
+      if st.unlabeled.(ci) = 0 then
+        (* Every lhs member has been considered, and an attribute's
+           Consider iteration runs to completion before the next begins,
+           so all members other than [a] are finalized — the aggregate
+           already covers everyone else: O(1) instead of O(|lhs|) lubs. *)
+        st.agg.(k)
+      else
+        (* Some lhs members are still provisional (bounds mode evaluates
+           complex constraints before all members are labeled): fold just
+           those on top of the aggregate.  [done_] coincides with
+           "finalized" for every attribute except [a] itself, which the
+           fold skips explicitly. *)
+        Array.fold_left
+          (fun acc a' ->
+            if a' = a || st.done_.(a') then acc else lub st acc st.lam.(a'))
+          st.agg.(k) c.lhs
+    in
+    if st.config.Config.check_aggregate then begin
+      (* The reference: a full refold of the others, uninstrumented so
+         self-checking does not distort the counters. *)
+      let reference =
+        Array.fold_left
+          (fun acc a' -> if a' = a then acc else L.lub st.lat acc st.lam.(a'))
+          st.bottom c.lhs
+      in
+      if not (L.equal st.lat reference lubothers) then
+        invalid_arg
+          (Printf.sprintf
+             "Solver: incremental lhs-lub aggregate diverged from the \
+              reference fold at attribute %s"
+             (attr_name st a))
+    end;
+    let target = rhs_level st c in
+    match st.config.Config.residual with
+    | Some r -> r st.lat ~target ~others:lubothers
+    | None ->
+        if leq st target lubothers then st.bottom
+        else begin
+          (* Descend one cover at a time; stop when no direct descendant
+             of [last] keeps the constraint satisfiable. *)
+          let last = ref st.lam.(a) in
+          let continue = ref true in
+          while !continue do
+            match
+              List.find_opt
+                (fun l' -> leq st target (lub st l' lubothers))
+                (L.covers_below st.lat !last)
+            with
+            | Some l' -> last := l'
+            | None -> continue := false
+          done;
+          !last
+        end
+
+  (* Bigloop's back-propagation over Constr[A]: the lub of what each
+     constraint with a final rhs asks of [a] — the rhs, or [minlevel] once
+     a complex lhs is all visited (in bounds mode, always).  [a] is left
+     done iff every rhs was final; if not, forward lowering starts above
+     the result. *)
+  let back_propagate st a =
+    let { Problem.off; tgt } = st.prob.Problem.constr_of in
+    let csts = st.prob.Problem.csts and complex = st.prob.Problem.complex in
+    let unlabeled = st.unlabeled and done_ = st.done_ in
+    done_.(a) <- true;
+    let l = ref st.bottom in
+    for i = off.(a) to off.(a + 1) - 1 do
+      let ci = tgt.(i) in
+      let c = csts.(ci) in
+      let complex = complex.(ci) in
+      if complex then unlabeled.(ci) <- unlabeled.(ci) - 1;
+      if rhs_done st c then begin
+        if not complex then l := lub st !l (rhs_level st c)
+        else if unlabeled.(ci) = 0 || st.bounds_mode then
+          l := lub st !l (minlevel st a ci c)
+      end
+      else done_.(a) <- false
+    done;
+    !l
+
+  (* [a], full at [len] entries, doubled. *)
+  let grow a len fill =
+    let grown = Array.make (2 * len) fill in
+    Array.blit a 0 grown 0 len;
+    grown
+
+  (* Record the pending lowering [x := lvl] in Tocheck. *)
+  let to_check st x lvl =
+    if st.pend.(x) = Idle then begin
+      st.touched.(st.n_touched) <- x;
+      st.n_touched <- st.n_touched + 1
+    end;
+    st.pend.(x) <- To_check;
+    st.pend_lvl.(x) <- lvl;
+    if st.fifo_len = Array.length st.fifo then
+      st.fifo <- grow st.fifo st.fifo_len 0;
+    st.fifo.(st.fifo_len) <- x;
+    st.fifo_len <- st.fifo_len + 1
+
+  (* TRY(A, l): propagate the candidate lowering λ(A) := l forward through
+     the not-yet-done part of the constraint graph.  Returns whether some
+     set of simultaneous lowerings keeps every constraint satisfied; if so
+     it has already written them into [lam], and they are the attributes
+     [touched.(0 .. n_touched - 1)] of the call.  A constraint whose
+     finalized right-hand side breaks fails the call.
+
+     All bookkeeping lives in flat scratch allocated once per solve, so a
+     worklist iteration allocates nothing:
+     - the paper's Tocheck and Tolower maps share [pend] (which map holds
+       [x]) and [pend_lvl] (the level recorded there);
+     - the Tocheck worklist is the int FIFO [fifo.(head .. fifo_len - 1)],
+       emptied by every call; it starts small and doubles, since a
+       re-entry pushes an attribute a second time;
+     - [touched] is a stack holding each attribute the call writes once,
+       so the reset on the way out — success or [Try_failed] — costs the
+       call's own work, not O(n).
+     When a call succeeds every touched attribute is in Tolower: each move
+     into Tocheck pushes a worklist entry, whose pop moves it on. *)
+  let try_lower st a0 l0 =
+    let { Problem.off; tgt } = st.prob.Problem.constr_of in
+    let csts = st.prob.Problem.csts and stats = st.stats in
+    let lam = st.lam and done_ = st.done_ in
+    let pend = st.pend and pend_lvl = st.pend_lvl in
+    stats.Instr.try_calls <- stats.Instr.try_calls + 1;
+    st.n_touched <- 0;
+    st.fifo_len <- 0;
+    to_check st a0 l0;
+    let head = ref 0 in
+    let ok =
+      try
+        while !head < st.fifo_len do
+          step st;
+          let x = st.fifo.(!head) in
+          incr head;
+          (* A popped attribute no longer in Tocheck is a stale entry: the
+             pair was moved or replaced. *)
+          if pend.(x) = To_check then begin
+            pend.(x) <- To_lower;
+            stats.Instr.try_iterations <- stats.Instr.try_iterations + 1;
+            for i = off.(x) to off.(x + 1) - 1 do
+              stats.Instr.constraint_checks <- stats.Instr.constraint_checks + 1;
+              let c = csts.(tgt.(i)) in
+              let lhs = c.lhs in
+              let level = ref st.bottom in
+              for j = 0 to Array.length lhs - 1 do
+                let a'' = lhs.(j) in
+                level :=
+                  lub st !level
+                    (if pend.(a'') = To_lower then pend_lvl.(a'') else lam.(a''))
+              done;
+              let level = !level in
+              match c.rhs with
+              | Problem.Rlevel target ->
+                  if not (leq st target level) then raise Try_failed
+              | Problem.Rattr b ->
+                  if not (leq st lam.(b) level) then begin
+                    if done_.(b) then raise Try_failed;
+                    let newlevel = glb st lam.(b) level in
+                    if pend.(b) = Idle then to_check st b newlevel
+                    else begin
+                      let l'' = pend_lvl.(b) in
+                      if not (leq st l'' newlevel) then
+                        (* The recorded lowering and the one now required
+                           are incomparable (or ours is lower): the
+                           attribute must end below both, i.e. at their
+                           glb, and is checked again. *)
+                        to_check st b (glb st l'' newlevel)
+                      (* Otherwise the pending lowering already implies
+                         satisfaction; leave it alone. *)
+                    end
+                  end
+            done
+          end
+        done;
+        true
+      with Try_failed -> false
+    in
+    for i = 0 to st.n_touched - 1 do
+      let x = st.touched.(i) in
+      if ok then lam.(x) <- pend_lvl.(x);
+      pend.(x) <- Idle
+    done;
+    ok
+
+  (* DSet(A, l): the covers of λ(A) that dominate [l] — exactly the
+     maximal levels strictly below λ(A) that still dominate it — in cover
+     order, into [dset.(0 .. dset_len - 1)]. *)
+  let dset st a l =
+    st.dset_len <- 0;
+    List.iter
+      (fun l' ->
+        if leq st l l' then begin
+          if st.dset_len = Array.length st.dset then
+            st.dset <- grow st.dset st.dset_len st.bottom;
+          st.dset.(st.dset_len) <- l';
+          st.dset_len <- st.dset_len + 1
+        end)
+      (L.covers_below st.lat st.lam.(a))
+
+  (* Bigloop's forward lowering of [a] through its cycle, above the floor
+     [l] back-propagation found: [try_lower] each DSet candidate in turn,
+     and start over from the new λ(A)'s DSet after every success. *)
+  let forward_lower st a l =
+    dset st a l;
+    let next = ref 0 in
+    while !next < st.dset_len do
+      let target = st.dset.(!next) in
+      incr next;
+      let ok = try_lower st a target in
+      (match st.config.Config.on_event with
+      | Some f ->
+          (* A success's lowerings are its touched attributes, newest
+             first. *)
+          let n = st.n_touched in
+          let lowered i =
+            let x = st.touched.(n - 1 - i) in
+            (attr_name st x, st.lam.(x))
+          in
+          let lowered = if ok then Some (List.init n lowered) else None in
+          f (Try_lower { attr = attr_name st a; target; lowered })
+      | None -> ());
+      if ok then begin
+        dset st a l;
+        next := 0
+      end
+    done
+
+  let begin_set_span name p members =
+    Trace.begin_span ~cat:"solver"
+      ~args:[ ("priority", Trace.Int p); ("size", Trace.Int (Array.length members)) ]
+      name
+
+  (* A simple-only set has a unique least solution: its internal edges are
+     all simple, so strong connectivity forces every member to one level
+     [v], and every constraint on a member reads [v ⊒ x] with [x] a level,
+     a member, or an attribute already final.  [v] is the lub of those
+     final [x] — exactly the level [Try] would reach, one cover at a time.
+     Each member is then visited (one step, [Consider]) and finished at
+     [v] ([Finalized]); frozen members are skipped and enter the lub as
+     final right-hand sides. *)
+  let collapse st p members =
+    if st.tracing then begin_set_span "collapse" p members;
+    let { Problem.off; tgt } = st.prob.Problem.constr_of in
+    let csts = st.prob.Problem.csts in
+    let v = ref st.bottom in
+    for j = 0 to Array.length members - 1 do
+      let a = members.(j) in
+      if not st.done_.(a) then
+        for i = off.(a) to off.(a + 1) - 1 do
+          let c = csts.(tgt.(i)) in
+          if rhs_done st c then v := lub st !v (rhs_level st c)
+        done
+    done;
+    for j = 0 to Array.length members - 1 do
+      let a = members.(j) in
+      if not st.done_.(a) then begin
+        visit st p a;
+        st.lam.(a) <- !v;
+        finish st a ~back:false
+      end
+    done;
+    st.collapsed <- st.collapsed + 1;
+    if st.tracing then Trace.end_span ~cat:"solver" "collapse"
+
+  (* The Bigloop body for any other set: back-propagation for a member
+     whose right-hand sides are all final, forward lowering if not.  Only
+     a cyclic set can lower forward — a singleton's right-hand sides are
+     all labeled before its turn — and gets a "try_lower" span. *)
+  let label_set st p members =
+    let cyclic = Array.length members > 1 in
+    let tries0 = st.stats.Instr.try_calls
+    and iters0 = st.stats.Instr.try_iterations in
+    if st.tracing && cyclic then begin_set_span "try_lower" p members;
+    for j = 0 to Array.length members - 1 do
+      let a = members.(j) in
+      if not st.done_.(a) then begin
+        visit st p a;
+        let l = back_propagate st a in
+        let back = st.done_.(a) in
+        if back then st.lam.(a) <- l else forward_lower st a l;
+        finish st a ~back
+      end
+    done;
+    if cyclic then begin
+      let iters = st.stats.Instr.try_iterations - iters0 in
+      if st.tracing then
+        Trace.end_span ~cat:"solver"
+          ~args:
+            [
+              ("tries", Trace.Int (st.stats.Instr.try_calls - tries0));
+              ("iterations", Trace.Int iters);
+            ]
+          "try_lower";
+      if st.metering then st.set_iters <- iters :: st.set_iters
+    end
+
+  (* Attributes ordered by (preference, id). *)
+  let by_pref st a b =
+    match st.pref with
+    | None -> Int.compare a b
+    | Some pref -> (
+        match Int.compare pref.(a) pref.(b) with 0 -> Int.compare a b | c -> c)
+
+  let rec all_frozen done_ set i =
+    i = Array.length set || (done_.(set.(i)) && all_frozen done_ set (i + 1))
+
+  (* Priority set [p]'s turn, its members in (preference, id) order.  A set
+     whose members are all frozen is already solved: it opens no span and
+     counts in no tally. *)
+  let bigloop_set st p =
+    let set = st.prio.Priorities.sets.(p - 1) in
+    if not (all_frozen st.done_ set 0) then begin
+      let cyclic = Array.length set > 1 in
+      let members = if cyclic then Array.copy set else set in
+      if cyclic then Array.sort (by_pref st) members;
+      if p <= Array.length st.simple_only && st.simple_only.(p - 1) then
+        collapse st p members
+      else label_set st p members
+    end
+
+  (* The order Bigloop takes the priority sets in: any sink-first
+     topological order of the condensation labels every right-hand side
+     before its left-hand sides.  [None] is the paper's, decreasing
+     priority.  An upgrade preference picks another: the attribute that
+     absorbs a complex constraint's upgrade is the last of its lhs to be
+     labeled, so Kahn's algorithm takes first the available set holding
+     the least-preferred (preference, id) attribute.  [deps.(p)] counts
+     set [p]'s cross-set edges into sets not yet labeled, once per
+     constraint and lhs member: a set is available once all of them are
+     labeled, deduplicated or not. *)
+  let schedule st =
+    match st.pref with
+    | None -> None
+    | Some _ ->
+        let { Priorities.priority; sets; max_priority = np } = st.prio in
+        let csts = st.prob.Problem.csts in
+        let { Problem.off; tgt } = st.prob.Problem.incoming in
+        (* [f q] for every cross-set edge into set [p], from set [q]. *)
+        let edges_into p f =
+          Array.iter
+            (fun b ->
+              for j = off.(b) to off.(b + 1) - 1 do
+                Array.iter
+                  (fun a -> if priority.(a) <> p then f priority.(a))
+                  csts.(tgt.(j)).lhs
+              done)
+            sets.(p - 1)
+        in
+        let deps = Array.make (np + 1) 0 in
+        for p = 1 to np do
+          edges_into p (fun q -> deps.(q) <- deps.(q) + 1)
+        done;
+        (* Set [p]'s key, [key.(p - 1)], is its least-preferred member:
+           computed once, and unique, since the sets are disjoint. *)
+        let least set =
+          Array.fold_left (fun k a -> if by_pref st a k < 0 then a else k) set.(0) set
+        in
+        let key = Array.map least sets in
+        let module Avail = Set.Make (struct
+          type t = int
+
+          let compare p q = by_pref st key.(p - 1) key.(q - 1)
+        end) in
+        let available = ref Avail.empty in
+        for p = 1 to np do
+          if deps.(p) = 0 then available := Avail.add p !available
+        done;
+        let order = Array.make np 0 in
+        for i = 0 to np - 1 do
+          let p = Avail.min_elt !available in
+          order.(i) <- p;
+          available := Avail.remove p !available;
+          (* Labeling [p] discharges every edge into it. *)
+          edges_into p (fun q ->
+              deps.(q) <- deps.(q) - 1;
+              if deps.(q) = 0 then available := Avail.add q !available)
+        done;
+        Some order
+
+  (* BIGLOOP: every priority set in [schedule]'s order, then a last look
+     at the budget — a clock warp (or hook charge) landing after the last
+     amortized poll must still cancel the solve rather than let it return
+     a full solution. *)
+  let bigloop st order =
+    if st.tracing then Trace.begin_span ~cat:"solver" "bigloop";
+    (match order with
+    | None ->
+        for p = st.prio.Priorities.max_priority downto 1 do
+          bigloop_set st p
+        done
+    | Some order -> Array.iter (bigloop_set st) order);
+    check st ~poll:true;
+    if st.tracing then Trace.end_span ~cat:"solver" "bigloop"
+
+  (* A fresh state, every attribute at [ub] (bounds mode) or ⊤.
+     Observability is latched here: spans mark the phases (solve,
+     schedule, bigloop) and each cyclic priority set, never a single
+     attribute — [on_event] and [stats] already tell that story — and the
+     registry is updated once, when the solve ends.  Every site is guarded
+     by [tracing] or [metering], so the disabled path costs one branch per
+     site: no clock reads, no allocation, and no effect on the [Instr]
+     counters. *)
+  let start ?ub ~(config : Config.t) ({ lat; prob; prio; simple_only } : problem) =
     let n = Problem.n_attrs prob in
-    let csts = prob.Problem.csts in
-    let stats = Instr.create () in
-    (* Observability is latched once per solve.  Spans mark the phases
-       (solve, schedule, bigloop) and each cyclic priority set, never a
-       single attribute — [on_event] and [stats] already tell that story —
-       and the registry is updated once, when the solve ends.  Every site
-       is guarded by one of these two booleans, so the disabled path costs
-       exactly one branch per site — no clock reads, no allocation, and
-       (critically) no effect on the [Instr] counters, which stay
-       identical whether tracing is on or off. *)
-    let tracing = Trace.enabled () in
-    let metering = Metrics.enabled () in
+    let tracing = Trace.enabled () and metering = Metrics.enabled () in
     let t_solve0 = if tracing || metering then Clock.now_ns () else 0L in
+    let bounds_mode = Option.is_some ub in
     if tracing then
       Trace.begin_span ~ts_ns:t_solve0 ~cat:"solver"
         ~args:
           [
             ("attrs", Trace.Int n);
-            ("csts", Trace.Int (Array.length csts));
+            ("csts", Trace.Int (Array.length prob.Problem.csts));
             ("bounds_mode", Trace.Bool bounds_mode);
           ]
         "solve";
     let bottom = L.bottom lat in
-    let top = L.top lat in
-    (* Instrumented lattice operations.  ⊥ is the identity of lub and ⊤ the
-       identity of glb, so those cases skip the lattice operation (and the
-       counter) entirely — folds that start from ⊥, and glbs against
-       still-at-⊤ attributes, are frequent enough in the algorithm that this
-       shortcut alone removes a sizable slice of the lattice-op bill.  The
-       test is *physical* equality: one compare instruction, exact for
-       immediate level representations (every int-backed lattice), and for
-       boxed levels merely a missed shortcut — [L.lub]/[L.glb] then handle
-       the identity case themselves, so results are unchanged. *)
-    let lub a b =
-      if a == bottom then b
-      else if b == bottom then a
-      else begin
-        stats.Instr.lub <- stats.Instr.lub + 1;
-        L.lub lat a b
-      end
-    in
-    let glb a b =
-      if a == top then b
-      else if b == top then a
-      else begin
-        stats.Instr.glb <- stats.Instr.glb + 1;
-        L.glb lat a b
-      end
-    in
-    let leq a b =
-      stats.Instr.leq <- stats.Instr.leq + 1;
-      L.leq lat a b
-    in
-    let lam = Array.init n init in
-    let done_ = Array.make n false in
-    let unlabeled = Array.copy prob.Problem.lhs_len in
-    (* Cooperative cancellation, one path for every solve.  Each
-       scheduling event — each Try worklist pop and each Bigloop attribute —
-       charges one step and compares it with [b.next_check]; only when the
-       step reaches it does [slow] run: it trips on the step budget, polls
-       the wall clock when the step is a multiple of 64 (a clock read per
-       attribute costs >10% on back-propagation-heavy workloads), and
-       schedules the next check.  One last check after the Bigloop always
-       polls the clock, so a deadline — or a hook's clock warp landing
-       after the last amortized poll — is noticed even on instances too
-       small to ever reach 64 steps.  A solve without a budget counts its
-       steps in an [unbounded] one: no clock reads, and no effect on the
-       [Instr] counters ([steps] lives in the budget, not in [stats]). *)
-    let b, t0 =
-      match budget with
+    let budget, t0 =
+      match config.Config.budget with
       | None -> (unbounded (), 0L)
       | Some b ->
           reschedule b;
           (b, b.now ())
     in
-    let deadline_ns =
-      match b.deadline_ms with
-      | None -> None
-      | Some ms -> Some (ms, Int64.add t0 (Int64.mul (Int64.of_int ms) 1_000_000L))
-    in
-    let cancel reason =
-      let partial = ref [] and count = ref 0 in
-      for a = n - 1 downto 0 do
-        if done_.(a) then begin
-          incr count;
-          partial := (Problem.attr_name prob a, lam.(a)) :: !partial
-        end
-      done;
-      raise
-        (Cancelled
-           {
-             reason;
-             progress =
-               {
-                 partial = !partial;
-                 n_finalized = !count;
-                 n_attrs = n;
-                 steps = b.steps;
-               };
-           })
-    in
-    let check_steps () =
-      match b.max_steps with
-      | Some m when b.steps > m -> cancel (Steps { max_steps = m })
-      | _ -> ()
-    in
-    let check_clock () =
-      match deadline_ns with
-      | Some (ms, d) ->
-          let t = b.now () in
-          if Int64.compare t d > 0 then
-            cancel
-              (Deadline
-                 {
-                   deadline_ms = ms;
-                   elapsed_ms = Int64.to_float (Int64.sub t t0) /. 1e6;
-                 })
-      | None -> ()
-    in
-    let slow () =
-      check_steps ();
-      if b.steps land 63 = 0 then check_clock ();
-      reschedule b
-    in
-    (* Incremental left-hand-side lub aggregates, one per *complex*
-       constraint (indexed by [Problem.complex_idx]): [agg.(k)] is the lub
-       of the levels of the finalized lhs members of the constraint with
-       dense id [k].  An attribute's level never changes once finalized
-       (back-assigned attributes are final immediately; forward lowering
-       only ever touches not-yet-done attributes), so each member enters
-       the aggregate exactly once and [Minlevel] no longer refolds the
-       whole lhs on every call.  [finalize] is reached exactly once per
-       attribute — from the two mutually exclusive branches of the Bigloop
-       body — so no guard flag is needed, and ⊥ levels are skipped outright
-       since ⊥ is the lub identity. *)
-    let agg = Array.make prob.Problem.n_complex bottom in
-    (* The hot loops walk the CSR rows directly. *)
-    let { Problem.off = co_off; tgt = co_tgt } = prob.Problem.constr_of in
-    let { Problem.off = cco_off; tgt = cco_tgt } = prob.Problem.complex_constr_of in
-    let finalize a =
-      let la = lam.(a) in
-      if la != bottom then
-        for i = cco_off.(a) to cco_off.(a + 1) - 1 do
-          let k = cco_tgt.(i) in
-          agg.(k) <- lub agg.(k) la
-        done
-    in
-    let rhs_level (c : _ Problem.cst) =
-      match c.rhs with Problem.Rlevel l -> l | Problem.Rattr b -> lam.(b)
-    in
-    let rhs_done (c : _ Problem.cst) =
-      match c.rhs with Problem.Rlevel _ -> true | Problem.Rattr b -> done_.(b)
-    in
-    (* Incremental mode: pin the frozen attributes before the Bigloop —
-       their levels are final, they count as labeled for every constraint
-       they appear in (so [unlabeled] and the lhs-lub aggregates see them
-       exactly as if the Bigloop had just finalized them), and the Bigloop
-       skips them outright.  On the non-incremental path [skip] stays
-       all-false and costs one array read per attribute visit. *)
-    let skip = Array.make n false in
-    (match frozen with
-    | None -> ()
-    | Some f ->
-        for a = 0 to n - 1 do
-          match f a with
-          | None -> ()
-          | Some l ->
-              skip.(a) <- true;
-              done_.(a) <- true;
-              lam.(a) <- l;
-              for i = co_off.(a) to co_off.(a + 1) - 1 do
-                let ci = co_tgt.(i) in
-                if prob.Problem.complex.(ci) then
-                  unlabeled.(ci) <- unlabeled.(ci) - 1
-              done
-        done;
-        for a = 0 to n - 1 do
-          if skip.(a) then finalize a
-        done);
-    (* The pre-aggregate computation of "lub of the other lhs members": a
-       full refold of the constraint's lhs.  Kept as the reference the
-       incremental aggregate is checked against (uninstrumented, so
-       self-checking does not distort the counters). *)
-    let lubothers_reference a (c : _ Problem.cst) =
-      Array.fold_left
-        (fun acc a' -> if a' = a then acc else L.lub lat acc lam.(a'))
-        bottom c.lhs
-    in
-    (* MINLEVEL(A, lhs, rhs): a minimal level A can assume without violating
-       the constraint, given the current levels of the other lhs members. *)
-    let minlevel a ci (c : _ Problem.cst) =
-      stats.Instr.minlevel_calls <- stats.Instr.minlevel_calls + 1;
-      let k = prob.Problem.complex_idx.(ci) in
-      let lubothers =
-        if unlabeled.(ci) = 0 then
-          (* Every lhs member has been considered, and an attribute's
-             Consider iteration runs to completion before the next begins,
-             so all members other than [a] are finalized — the aggregate
-             already covers everyone else: O(1) instead of O(|lhs|) lubs. *)
-          agg.(k)
-        else
-          (* Some lhs members are still provisional (bounds mode evaluates
-             complex constraints before all members are labeled): fold just
-             those on top of the aggregate.  [done_] coincides with
-             "finalized" for every attribute except [a] itself, which the
-             fold skips explicitly. *)
-          Array.fold_left
-            (fun acc a' ->
-              if a' = a || done_.(a') then acc else lub acc lam.(a'))
-            agg.(k) c.lhs
-      in
-      if check_aggregate then begin
-        let reference = lubothers_reference a c in
-        if not (L.equal lat reference lubothers) then
-          invalid_arg
-            (Printf.sprintf
-               "Solver: incremental lhs-lub aggregate diverged from the \
-                reference fold at attribute %s"
-               (Problem.attr_name prob a))
-      end;
-      let target = rhs_level c in
-      match residual with
-      | Some r -> r lat ~target ~others:lubothers
-      | None ->
-          if leq target lubothers then bottom
-          else begin
-            (* Descend one cover at a time; stop when no direct descendant
-               of [last] keeps the constraint satisfiable. *)
-            let last = ref lam.(a) in
-            let continue = ref true in
-            while !continue do
-              match
-                List.find_opt
-                  (fun l' -> leq target (lub l' lubothers))
-                  (L.covers_below lat !last)
-              with
-              | Some l' -> last := l'
-              | None -> continue := false
-            done;
-            !last
-          end
-    in
-    (* TRY(A, l): propagate the candidate lowering λ(A) := l forward through
-       the not-yet-done part of the constraint graph.  Returns whether some
-       set of simultaneous lowerings keeps every constraint satisfied; if
-       so it has already written them into [lam], and they are the
-       attributes [touched.(0 .. !n_touched - 1)] of the call.  A
-       constraint whose finalized right-hand side breaks fails the call.
-
-       All bookkeeping lives in flat scratch allocated once per solve, so
-       a worklist iteration allocates nothing:
-       - the paper's Tocheck and Tolower maps share [pend] (which map holds
-         [x]) and [pend_lvl] (the level recorded there);
-       - the Tocheck worklist is the int FIFO [fifo.(head .. !fifo_len - 1)],
-         emptied by every call; it starts small and doubles, since a
-         re-entry pushes an attribute a second time;
-       - [touched] is a stack holding each attribute the call writes once,
-         so the reset on the way out — success or [Try_failed] — costs the
-         call's own work, not O(n).
-       When a call succeeds every touched attribute is in Tolower: each
-       move into Tocheck pushes a worklist entry, whose pop moves it on. *)
-    let pend = Array.make n Idle and pend_lvl = Array.make n bottom in
-    let fifo = ref (Array.make 16 0) and fifo_len = ref 0 in
-    let touched = Array.make n 0 and n_touched = ref 0 in
-    (* [a], full at [len] entries, doubled. *)
-    let grow a len fill =
-      let grown = Array.make (2 * len) fill in
-      Array.blit a 0 grown 0 len;
-      grown
-    in
-    let push x =
-      if !fifo_len = Array.length !fifo then fifo := grow !fifo !fifo_len 0;
-      !fifo.(!fifo_len) <- x;
-      incr fifo_len
-    in
-    (* Record the pending lowering [x := lvl] in Tocheck. *)
-    let to_check x lvl =
-      if pend.(x) = Idle then begin
-        touched.(!n_touched) <- x;
-        incr n_touched
-      end;
-      pend.(x) <- To_check;
-      pend_lvl.(x) <- lvl;
-      push x
-    in
-    let try_lower a0 l0 =
-      stats.Instr.try_calls <- stats.Instr.try_calls + 1;
-      n_touched := 0;
-      fifo_len := 0;
-      to_check a0 l0;
-      let head = ref 0 in
-      let ok =
-        try
-          while !head < !fifo_len do
-            b.steps <- b.steps + 1;
-            if b.steps >= b.next_check then slow ();
-            let x = !fifo.(!head) in
-            incr head;
-            (* A popped attribute no longer in Tocheck is a stale entry:
-               the pair was moved or replaced. *)
-            if pend.(x) = To_check then begin
-              pend.(x) <- To_lower;
-              stats.Instr.try_iterations <- stats.Instr.try_iterations + 1;
-              for i = co_off.(x) to co_off.(x + 1) - 1 do
-                let ci = co_tgt.(i) in
-                stats.Instr.constraint_checks <-
-                  stats.Instr.constraint_checks + 1;
-                let c = csts.(ci) in
-                let lhs = c.lhs in
-                let level = ref bottom in
-                for j = 0 to Array.length lhs - 1 do
-                  let a'' = lhs.(j) in
-                  level :=
-                    lub !level
-                      (if pend.(a'') = To_lower then pend_lvl.(a'') else lam.(a''))
-                done;
-                let level = !level in
-                match c.rhs with
-                | Problem.Rlevel target ->
-                    if not (leq target level) then raise Try_failed
-                | Problem.Rattr b ->
-                    if done_.(b) then begin
-                      if not (leq lam.(b) level) then raise Try_failed
-                    end
-                    else if not (leq lam.(b) level) then begin
-                      let newlevel = glb lam.(b) level in
-                      if pend.(b) = Idle then to_check b newlevel
-                      else begin
-                        let l'' = pend_lvl.(b) in
-                        if not (leq l'' newlevel) then
-                          (* The recorded lowering and the one now
-                             required are incomparable (or ours is
-                             lower): the attribute must end below both,
-                             i.e. at their glb, and is checked again. *)
-                          to_check b (glb l'' newlevel)
-                        (* Otherwise the pending lowering already implies
-                           satisfaction; leave it alone. *)
-                      end
-                    end
-              done
-            end
-          done;
-          true
-        with Try_failed -> false
-      in
-      for i = 0 to !n_touched - 1 do
-        let x = touched.(i) in
-        if ok then lam.(x) <- pend_lvl.(x);
-        pend.(x) <- Idle
-      done;
-      ok
-    in
-    (* The lowerings of the last successful [try_lower], newest first, for
-       the [Try_lower] event. *)
-    let lowered () =
-      let acc = ref [] in
-      for i = 0 to !n_touched - 1 do
-        let x = touched.(i) in
-        acc := (Problem.attr_name prob x, lam.(x)) :: !acc
-      done;
-      !acc
-    in
-    (* DSet(A, l): the covers of λ(A) that dominate [l] — exactly the
-       maximal levels strictly below λ(A) that still dominate it — in
-       cover order, into [dset.(0 .. !dset_len - 1)]. *)
-    let dset = ref (Array.make 4 bottom) and dset_len = ref 0 in
-    let compute_dset a l =
-      dset_len := 0;
-      List.iter
-        (fun l' ->
-          if leq l l' then begin
-            if !dset_len = Array.length !dset then
-              dset := grow !dset !dset_len bottom;
-            !dset.(!dset_len) <- l';
-            incr dset_len
-          end)
-        (L.covers_below lat lam.(a))
-    in
-    (* BIGLOOP. *)
-    let attr_name = Problem.attr_name prob in
-    (* BigLoop may process the priority sets (= SCCs) in any order that
-       labels every right-hand side before its left-hand sides — i.e. any
-       sink-first topological order of the condensation.  The default is
-       decreasing priority, as in the paper.  An upgrade preference picks a
-       different valid order: the attribute that absorbs a complex
-       constraint's upgrade is the last of its lhs to be labeled, so sets
-       and, within a set, attributes holding low-preference attributes are
-       scheduled first and high-preference ones last.  The preference is
-       asked once per attribute. *)
-    let pref =
-      Option.map
-        (fun f -> Array.init n (fun a -> f (attr_name a)))
-        config.Config.upgrade_preference
-    in
-    (* Attributes ordered by (preference, id). *)
-    let by_pref a b =
-      match pref with
-      | None -> Int.compare a b
-      | Some pref -> (
-          match Int.compare pref.(a) pref.(b) with 0 -> Int.compare a b | c -> c)
-    in
-    (* [None] is the default order, walked without building it. *)
-    let compute_set_order () =
-      let np = prio.Priorities.max_priority in
-      match pref with
-      | None -> None
-      | Some _ ->
-          (* Kahn over the condensation, following edges lhs-set → rhs-set
-             backward: a set is available once every set it depends on
-             (reachable via constraints) is labeled.  Among available sets,
-             take the one holding the least-preferred attribute first.  A
-             set's key is that attribute, (preference, id): computed once,
-             and unique, since the sets are disjoint. *)
-          let module IS = Set.Make (Int) in
-          let out = Array.make (np + 1) IS.empty in
-          let into = Array.make (np + 1) IS.empty in
-          Array.iter
-            (fun (c : _ Problem.cst) ->
-              match c.rhs with
-              | Problem.Rlevel _ -> ()
-              | Problem.Rattr b ->
-                  let pb = prio.Priorities.priority.(b) in
-                  Array.iter
-                    (fun a ->
-                      let pa = prio.Priorities.priority.(a) in
-                      if pa <> pb then begin
-                        out.(pa) <- IS.add pb out.(pa);
-                        into.(pb) <- IS.add pa into.(pb)
-                      end)
-                    c.lhs)
-            csts;
-          let key = Array.make (np + 1) (-1) in
-          for p = 1 to np do
-            Array.iter
-              (fun a -> if key.(p) < 0 || by_pref a key.(p) < 0 then key.(p) <- a)
-              prio.Priorities.sets.(p - 1)
-          done;
-          let module Avail = Set.Make (struct
-            type t = int
-
-            let compare p q =
-              match by_pref key.(p) key.(q) with 0 -> Int.compare p q | c -> c
-          end) in
-          let available = ref Avail.empty in
-          for p = 1 to np do
-            if IS.is_empty out.(p) then available := Avail.add p !available
-          done;
-          let order = ref [] in
-          for _ = 1 to np do
-            let p = Avail.min_elt !available in
-            order := p :: !order;
-            available := Avail.remove p !available;
-            IS.iter
-              (fun q ->
-                out.(q) <- IS.remove p out.(q);
-                if IS.is_empty out.(q) then available := Avail.add q !available)
-              into.(p)
-          done;
-          Some (List.rev !order)
-    in
-    let set_order =
-      if tracing then
-        Trace.with_span ~cat:"solver" "schedule" compute_set_order
-      else compute_set_order ()
-    in
-    (* Event values are built only when someone listens. *)
-    let on_event = config.Config.on_event in
-    let back_assigned = ref 0 and forward_lowered = ref 0 in
-    (* Try iterations of each cyclic set solved by [Try], and the number
-       of sets solved by one lub (metered solves only). *)
-    let set_iters = ref [] and collapsed = ref 0 in
-    (* A simple-only set has a unique least solution: its internal edges
-       are all simple, so strong connectivity forces every member to one
-       level [v], and every constraint on a member reads [v ⊒ x] with [x]
-       a level, a member, or an attribute already final.  [v] is the lub
-       of those final [x] — exactly the level [Try] would reach, one cover
-       at a time.  Each member is then visited (one step, [Consider]) and
-       finalized at [v] ([Finalized]); frozen members are skipped and
-       enter the lub as final right-hand sides. *)
-    let collapse p members =
-      if tracing then
-        Trace.begin_span ~cat:"solver"
-          ~args:
-            [ ("priority", Trace.Int p); ("size", Trace.Int (Array.length members)) ]
-          "collapse";
-      let v = ref bottom in
-      for j = 0 to Array.length members - 1 do
-        let a = members.(j) in
-        if not skip.(a) then
-          for i = co_off.(a) to co_off.(a + 1) - 1 do
-            let c = csts.(co_tgt.(i)) in
-            if rhs_done c then v := lub !v (rhs_level c)
-          done
-      done;
-      let v = !v in
-      for j = 0 to Array.length members - 1 do
-        let a = members.(j) in
-        if not skip.(a) then begin
-          b.steps <- b.steps + 1;
-          if b.steps >= b.next_check then slow ();
-          (match on_event with
-          | Some f -> f (Consider { attr = attr_name a; priority = p })
-          | None -> ());
-          done_.(a) <- true;
-          lam.(a) <- v;
-          finalize a;
-          incr forward_lowered;
-          match on_event with
-          | Some f -> f (Finalized { attr = attr_name a; level = v })
-          | None -> ()
-        end
-      done;
-      incr collapsed;
-      if tracing then Trace.end_span ~cat:"solver" "collapse"
-    in
-    (* The paper's Bigloop body for priority set [p]. *)
-    let bigloop_set p members =
-      (* Only a cyclic set (an SCC of two or more attributes) can lower
-         forward: a singleton's right-hand sides are all labeled before it
-         is considered.  Each cyclic set gets one "try_lower" span. *)
-      let cyclic = Array.length members > 1 in
-      let tries0 = stats.Instr.try_calls
-      and iters0 = stats.Instr.try_iterations in
-      if tracing && cyclic then
-        Trace.begin_span ~cat:"solver"
-          ~args:
-            [ ("priority", Trace.Int p); ("size", Trace.Int (Array.length members)) ]
-          "try_lower";
-      Array.iter
-        (fun a ->
-          if skip.(a) then ()
-          else begin
-          b.steps <- b.steps + 1;
-          if b.steps >= b.next_check then slow ();
-          (match on_event with
-          | Some f -> f (Consider { attr = attr_name a; priority = p })
-          | None -> ());
-          done_.(a) <- true;
-          let l = ref bottom in
-          for i = co_off.(a) to co_off.(a + 1) - 1 do
-            let ci = co_tgt.(i) in
-            let c = csts.(ci) in
-            let complex = prob.Problem.complex.(ci) in
-            if complex then unlabeled.(ci) <- unlabeled.(ci) - 1;
-            if rhs_done c then begin
-              if not complex then l := lub !l (rhs_level c)
-              else if unlabeled.(ci) = 0 || bounds_mode then
-                l := lub !l (minlevel a ci c)
-            end
-            else done_.(a) <- false
-          done;
-          let l = !l in
-          if done_.(a) then begin
-            lam.(a) <- l;
-            finalize a;
-            incr back_assigned;
-            match on_event with
-            | Some f -> f (Back_assigned { attr = attr_name a; level = l })
-            | None -> ()
-          end
-          else begin
-            (* Forward lowering through the cycle: try each DSet candidate
-               in turn, and start over from the new λ(A)'s DSet after every
-               success. *)
-            compute_dset a l;
-            let next = ref 0 in
-            while !next < !dset_len do
-              let target = !dset.(!next) in
-              incr next;
-              let ok = try_lower a target in
-              (match on_event with
-              | Some f ->
-                  f
-                    (Try_lower
-                       {
-                         attr = attr_name a;
-                         target;
-                         lowered = (if ok then Some (lowered ()) else None);
-                       })
-              | None -> ());
-              if ok then begin
-                compute_dset a l;
-                next := 0
-              end
-            done;
-            done_.(a) <- true;
-            finalize a;
-            incr forward_lowered;
-            match on_event with
-            | Some f -> f (Finalized { attr = attr_name a; level = lam.(a) })
-            | None -> ()
-          end
-          end)
-        members;
-      if cyclic then begin
-        let iters = stats.Instr.try_iterations - iters0 in
-        if tracing then
-          Trace.end_span ~cat:"solver"
-            ~args:
-              [
-                ("tries", Trace.Int (stats.Instr.try_calls - tries0));
-                ("iterations", Trace.Int iters);
-              ]
-            "try_lower";
-        if metering then set_iters := iters :: !set_iters
-      end
-    in
-    let visit p =
-      let members =
-        match prio.Priorities.sets.(p - 1) with
-        | [| _ |] as singleton -> singleton
-        | set ->
-            let members = Array.copy set in
-            Array.sort by_pref members;
-            members
-      in
-      if p <= Array.length simple_only && simple_only.(p - 1) then
-        collapse p members
-      else bigloop_set p members
-    in
-    if tracing then Trace.begin_span ~cat:"solver" "bigloop";
-    (match set_order with
-    | None ->
-        for p = prio.Priorities.max_priority downto 1 do
-          visit p
-        done
-    | Some order -> List.iter visit order);
-    (* A last look at the budget once the Bigloop completes: a clock warp
-       (or hook charge) landing after the last amortized poll must still
-       cancel the solve rather than let it return a full solution. *)
-    check_steps ();
-    check_clock ();
-    if tracing then begin
-      Trace.end_span ~cat:"solver" "bigloop";
-      Trace.end_span ~cat:"solver"
-        ~args:
-          [
-            ("lub", Trace.Int stats.Instr.lub);
-            ("leq", Trace.Int stats.Instr.leq);
-            ("minlevel_calls", Trace.Int stats.Instr.minlevel_calls);
-            ("try_calls", Trace.Int stats.Instr.try_calls);
-          ]
-        "solve"
-    end;
-    (* The registry's one update per solve; a cancelled solve records
-       nothing. *)
-    if metering then begin
-      Metrics.incr (Metrics.counter "solver/solves");
-      Metrics.observe
-        (Metrics.histogram "solver/solve_ns")
-        (Int64.to_int (Clock.elapsed_ns ~since:t_solve0));
-      Metrics.add (Metrics.counter "solver/back_assigned") !back_assigned;
-      Metrics.add (Metrics.counter "solver/forward_lowered") !forward_lowered;
-      Metrics.add (Metrics.counter "solver/collapsed_sets") !collapsed;
-      let h = Metrics.histogram "solver/try_iters_per_scc" in
-      List.iter (Metrics.observe h) !set_iters;
-      Instr.to_metrics stats
-    end;
     {
-      levels = lam;
-      assignment =
-        List.init n (fun a -> (attr_name a, lam.(a)));
-      stats;
+      lat;
+      prob;
+      prio;
+      simple_only;
+      config;
+      bottom;
+      top = L.top lat;
+      bounds_mode;
+      stats = Instr.create ();
+      lam =
+        (match ub with Some ub -> ub | None -> Array.init n (fun _ -> L.top lat));
+      done_ = Array.make n false;
+      unlabeled = Array.copy prob.Problem.lhs_len;
+      agg = Array.make prob.Problem.n_complex bottom;
+      pref =
+        Option.map
+          (fun f -> Array.init n (fun a -> f (Problem.attr_name prob a)))
+          config.Config.upgrade_preference;
+      pend = Array.make n Idle;
+      pend_lvl = Array.make n bottom;
+      fifo = Array.make 16 0;
+      fifo_len = 0;
+      touched = Array.make n 0;
+      n_touched = 0;
+      dset = Array.make 4 bottom;
+      dset_len = 0;
+      budget;
+      t0;
+      tracing;
+      metering;
+      t_solve0;
+      back_assigned = 0;
+      forward_lowered = 0;
+      set_iters = [];
+      collapsed = 0;
     }
 
+  (* The registry's one update per solve; a cancelled solve records
+     nothing. *)
+  let publish st =
+    Metrics.incr (Metrics.counter "solver/solves");
+    Metrics.observe
+      (Metrics.histogram "solver/solve_ns")
+      (Int64.to_int (Clock.elapsed_ns ~since:st.t_solve0));
+    Metrics.add (Metrics.counter "solver/back_assigned") st.back_assigned;
+    Metrics.add (Metrics.counter "solver/forward_lowered") st.forward_lowered;
+    Metrics.add (Metrics.counter "solver/collapsed_sets") st.collapsed;
+    let h = Metrics.histogram "solver/try_iters_per_scc" in
+    List.iter (Metrics.observe h) st.set_iters;
+    Instr.to_metrics st.stats
+
   (* A raising callback (residual, upgrade preference, on_event handler)
-     aborts [solve_internal] with its "solve" / "bigloop" / "try_lower"
-     spans still open; close them on the way out so an exported
+     aborts a solve with its "solve" / "bigloop" / "try_lower" /
+     "collapse" spans still open; close them on the way out so an exported
      trace keeps its B/E nesting even when a solve dies. *)
   let with_balanced_spans f =
     let depth = Trace.open_depth () in
@@ -854,25 +836,48 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         Trace.unwind_to depth;
         Printexc.raise_with_backtrace e bt
 
-  let solve ?(config = Config.default) ({ lat; _ } as problem) =
-    with_balanced_spans (fun () ->
-        solve_internal ~config
-          ~init:(fun _ -> L.top lat)
-          ~bounds_mode:false problem)
+  (* MAIN after [compile]'s priorities, the one entry path of every mode:
+     [frozen] pins attributes at final levels (see {!solve_incremental}),
+     [ub] starts them at their upper bounds (§6). *)
+  let run ?frozen ?ub ~config problem =
+    with_balanced_spans @@ fun () ->
+    let st = start ?ub ~config problem in
+    Option.iter (freeze st) frozen;
+    let order =
+      if st.tracing then Trace.with_span ~cat:"solver" "schedule" (fun () -> schedule st)
+      else schedule st
+    in
+    bigloop st order;
+    let stats = st.stats in
+    if st.tracing then
+      Trace.end_span ~cat:"solver"
+        ~args:
+          [
+            ("lub", Trace.Int stats.Instr.lub);
+            ("leq", Trace.Int stats.Instr.leq);
+            ("minlevel_calls", Trace.Int stats.Instr.minlevel_calls);
+            ("try_calls", Trace.Int stats.Instr.try_calls);
+          ]
+        "solve";
+    if st.metering then publish st;
+    let lam = st.lam in
+    {
+      levels = lam;
+      assignment = List.init (Array.length lam) (fun a -> (attr_name st a, lam.(a)));
+      stats;
+    }
 
-  let solve_incremental ?(config = Config.default) ~frozen
-      ({ lat; _ } as problem) =
-    with_balanced_spans (fun () ->
-        solve_internal ~config ~frozen
-          ~init:(fun _ -> L.top lat)
-          ~bounds_mode:false problem)
+  let solve ?(config = Config.default) problem = run ~config problem
 
-  let find problem solution attr =
+  let solve_incremental ?(config = Config.default) ~frozen problem =
+    run ~config ~frozen problem
+
+  let find (problem : problem) solution attr =
     match Problem.attr_id problem.prob attr with
     | Some a -> Some solution.levels.(a)
     | None -> None
 
-  let satisfies { lat; prob; _ } levels =
+  let satisfies ({ lat; prob; _ } : problem) levels =
     Problem.satisfies ~leq:(L.leq lat) ~lub:(L.lub lat) ~bottom:(L.bottom lat)
       prob
       (fun a -> levels.(a))
@@ -893,9 +898,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   exception Inconsistent of inconsistency
 
   let derive_upper_bounds ({ lat; prob; _ } : problem) bounds =
-    let n = Problem.n_attrs prob in
-    let top = L.top lat in
-    let ub = Array.make n top in
+    let csts = prob.Problem.csts in
+    let ub = Array.make (Problem.n_attrs prob) (L.top lat) in
+    (* The highest level the lhs of [c] can reach: its members' bounds. *)
+    let lhs_bound (c : _ Problem.cst) =
+      Array.fold_left (fun acc a -> L.lub lat acc ub.(a)) (L.bottom lat) c.lhs
+    in
     try
       List.iter
         (fun (name, l) ->
@@ -905,24 +913,24 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         bounds;
       (* Push bounds through the graph to the greatest fixpoint: across a
          constraint, the rhs can be no higher than the lub of the lhs
-         bounds. *)
+         bounds.  Only a constraint with an attribute rhs can lower a
+         bound, so only those are queued. *)
       let queue = Queue.create () in
-      Array.iteri (fun ci _ -> Queue.push ci queue) prob.Problem.csts;
+      let enqueue ci =
+        match csts.(ci).rhs with
+        | Problem.Rattr _ -> Queue.push ci queue
+        | Problem.Rlevel _ -> ()
+      in
+      Array.iteri (fun ci _ -> enqueue ci) csts;
       while not (Queue.is_empty queue) do
-        let ci = Queue.pop queue in
-        let c = prob.Problem.csts.(ci) in
+        let c = csts.(Queue.pop queue) in
         match c.rhs with
         | Problem.Rlevel _ -> ()
         | Problem.Rattr b ->
-            let incoming =
-              Array.fold_left
-                (fun acc a -> L.lub lat acc ub.(a))
-                (L.bottom lat) c.lhs
-            in
-            let nb = L.glb lat ub.(b) incoming in
+            let nb = L.glb lat ub.(b) (lhs_bound c) in
             if not (L.equal lat nb ub.(b)) then begin
               ub.(b) <- nb;
-              Problem.iter_constr_of prob b (fun cj -> Queue.push cj queue)
+              Problem.iter_constr_of prob b enqueue
             end
       done;
       (* Inconsistencies surface at security-level nodes: a level-rhs
@@ -933,27 +941,15 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           match c.rhs with
           | Problem.Rattr _ -> ()
           | Problem.Rlevel target ->
-              let incoming =
-                Array.fold_left
-                  (fun acc a -> L.lub lat acc ub.(a))
-                  (L.bottom lat) c.lhs
-              in
-              if not (L.leq lat target incoming) then
+              let bound = lhs_bound c in
+              if not (L.leq lat target bound) then
                 raise
                   (Inconsistent
-                     (Unsatisfiable
-                        { cst = Problem.cst_to_source prob c; bound = incoming })))
-        prob.Problem.csts;
+                     (Unsatisfiable { cst = Problem.cst_to_source prob c; bound })))
+        csts;
       Ok ub
     with Inconsistent i -> Error i
 
   let solve_with_bounds ?(config = Config.default) problem bounds =
-    match derive_upper_bounds problem bounds with
-    | Error _ as e -> e
-    | Ok ub ->
-        Ok
-          (with_balanced_spans (fun () ->
-               solve_internal ~config
-                 ~init:(fun a -> ub.(a))
-                 ~bounds_mode:true problem))
+    Result.map (fun ub -> run ~config ~ub problem) (derive_upper_bounds problem bounds)
 end

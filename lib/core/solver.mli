@@ -7,19 +7,22 @@
     a strictly lower level (even jointly with others) while preserving
     satisfaction.
 
-    The implementation follows the paper's structure exactly:
+    The implementation has the paper's structure: one function per step,
+    all over one per-solve state, and one entry path for every mode
+    ({!Make.solve}, {!Make.solve_incremental}, {!Make.solve_with_bounds}):
 
     - priorities are computed by {!Minup_constraints.Priorities} (the
-      two-pass DFS of [Main]);
-    - [Bigloop] walks priority sets in decreasing order; attributes whose
-      constraints all have finalized right-hand sides are labeled by
-      {e back-propagation} (one [lub] per simple constraint, one [Minlevel]
-      per complex constraint whose turn has come);
+      two-pass DFS of [Main]) when the problem is compiled;
+    - [Bigloop] walks priority sets in decreasing order (or in the order
+      an upgrade preference schedules); attributes whose constraints all
+      have finalized right-hand sides are labeled by {e back-propagation}
+      (one [lub] per simple constraint, one [Minlevel] per complex
+      constraint whose turn has come);
     - attributes entangled in constraint cycles are labeled by {e forward
       lowering}: starting from their current (initially [⊤]) level, each
-      cover below is attempted via [Try], which propagates the candidate
-      lowering through the cycle and either fails or returns a consistent
-      set of simultaneous lowerings;
+      cover below ([DSet]) is attempted via [Try], which propagates the
+      candidate lowering through the cycle and either fails or returns a
+      consistent set of simultaneous lowerings;
     - except for a {e simple-only} cyclic set, none of whose members is
       in the lhs of a complex constraint.  Such a set has a unique least
       solution (definite inequalities over a finite semilattice, Rehof &
@@ -27,8 +30,10 @@
       right-hand sides — the level [Try] would reach one cover at a time —
       with no [Try] call.
 
-    Determinism: priority sets are processed in ascending attribute-id
-    (declaration) order, lattice covers in the order {!Lattice_intf.S.covers_below}
+    Determinism: priority sets are processed in decreasing priority (or
+    the preference's schedule), the members of a set in ascending
+    attribute id (declaration order) unless an upgrade preference orders
+    them, lattice covers in the order {!Lattice_intf.S.covers_below}
     yields them, and [Try]'s worklist is FIFO — identical inputs produce
     identical classifications and traces. *)
 
@@ -212,6 +217,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       attributes for which [frozen] returns [Some l] are pinned at [l]:
       they are finalized up front (feeding the lhs-lub aggregates of their
       complex constraints), skipped by the [Bigloop], and emit no events.
+      A priority set whose members are all frozen opens no span and counts
+      in no [solver/*] tally.
 
       This is the re-solve primitive behind [Minup_session]: the caller
       promises that every frozen level is exactly what a full {!solve} of
@@ -221,8 +228,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       touches, and contains the whole left-hand side of every complex
       constraint it touches.  Cycles are then re-solved whole: [Try]
       starts every member of a non-frozen cyclic set at the top, and a
-      simple-only set takes its lub, exactly as in a full solve.  Under that contract the result is bit-identical
-      in [levels] to a full solve; outside it the result is unspecified.
+      simple-only set takes its lub, exactly as in a full solve.  Under
+      that contract the result is bit-identical in [levels] to a full
+      solve; outside it the result is unspecified.  With nothing frozen it
+      is {!solve}: same levels, events and counters.
       The returned [stats] count only the work actually performed. *)
   val solve_incremental :
     ?config:Config.t -> frozen:(int -> L.level option) -> problem -> solution

@@ -430,6 +430,38 @@ let test_spans_per_phase () =
     (Metrics.histogram_count (Metrics.histogram "solver/try_iters_per_scc"));
   checki "one collapsed set" 1 (value "solver/collapsed_sets")
 
+(* An incremental solve skips a priority set whose members are all
+   frozen outright: no span, no [try_iters_per_scc] sample, no collapsed
+   set.  Here a simple-only 3-cycle and a 2-cycle on [Try] are frozen and
+   only the attribute above them is solved again. *)
+let test_frozen_sets_uncounted () =
+  let module Cst = Minup_constraints.Cst in
+  let s n = Cst.Level n and attr x = Cst.Attr x in
+  let p =
+    ST.compile_exn ~lattice:Helpers.ladder16
+      [
+        Cst.simple "a" (attr "b"); Cst.simple "b" (attr "c");
+        Cst.simple "c" (attr "a"); Cst.simple "a" (s 3);
+        Cst.simple "d" (attr "e"); Cst.simple "e" (attr "d");
+        Cst.make_exn ~lhs:[ "d"; "e" ] ~rhs:(s 1); Cst.simple "f" (attr "a");
+      ]
+  in
+  let full = ST.solve p in
+  let f = Option.get (Minup_constraints.Problem.attr_id p.ST.prob "f") in
+  let frozen a = if a = f then None else Some full.ST.levels.(a) in
+  with_metrics @@ fun () ->
+  let s = with_trace (fun () -> ST.solve_incremental ~frozen p) in
+  check Alcotest.(array int) "levels" full.ST.levels s.ST.levels;
+  check Alcotest.(list string) "solver spans" [ "solve"; "schedule"; "bigloop" ]
+    (List.filter_map
+       (fun (e : Trace.event) ->
+         if e.cat = "solver" && e.ph = 'B' then Some e.name else None)
+       (Trace.events ()));
+  checki "no collapsed set" 0
+    (Metrics.counter_value (Metrics.counter "solver/collapsed_sets"));
+  checki "no try_iters_per_scc sample" 0
+    (Metrics.histogram_count (Metrics.histogram "solver/try_iters_per_scc"))
+
 (* --- Instr bridge ---------------------------------------------------- *)
 
 let sample_instr () =
@@ -501,6 +533,8 @@ let suite =
     Alcotest.test_case "engine batch trace" `Quick test_engine_trace;
     Alcotest.test_case "spans per phase, metrics per solve" `Quick
       test_spans_per_phase;
+    Alcotest.test_case "frozen sets open no span and count in no tally" `Quick
+      test_frozen_sets_uncounted;
     Alcotest.test_case "instr pp order" `Quick test_instr_pp_order;
     Alcotest.test_case "instr json roundtrip" `Quick test_instr_json_roundtrip;
     Alcotest.test_case "instr to_metrics" `Quick test_instr_to_metrics;

@@ -345,6 +345,78 @@ let simple_only_events () =
     ]
     (List.rev !log)
 
+(* [solve_incremental] on its own, outside [Session].  With nothing
+   frozen it is [solve]: same levels, same events, same counters.  With a
+   dependency-closed part frozen at the full solve's levels — everything
+   outside the closure, along incoming edges and complex-lhs peers, of one
+   random attribute, as a session's dirty set is built — it re-solves the
+   rest to the same levels.  Over acyclic, [Try]-cyclic and simple-only
+   instances. *)
+let incremental_prop =
+  QCheck.Test.make ~count:60 ~name:"solve_incremental = solve" Helpers.seed_arb
+    (fun seed ->
+      let module G = Minup_workload.Gen_constraints in
+      let rng = Minup_workload.Prng.create seed in
+      let lat =
+        Minup_workload.Gen_lattice.random_closure_exn rng ~universe:4
+          ~n_generators:3 ~max_size:12
+      in
+      let spec n_complex =
+        G.{ n_attrs = 12; n_simple = 10; n_complex; max_lhs = 3; n_constants = 3;
+            constants = Explicit.all lat }
+      in
+      let attrs, csts =
+        match seed mod 3 with
+        | 0 -> G.acyclic rng (spec 4)
+        | 1 -> G.mixed rng (spec 3) ~n_islands:2 ~island_size:4
+        | _ -> G.mixed rng (spec 0) ~n_islands:2 ~island_size:4
+      in
+      let p = S.compile_exn ~lattice:lat ~attrs csts in
+      let solve_logged f =
+        let log = ref [] in
+        let name = Explicit.level_to_string lat in
+        let on_event e =
+          log :=
+            (match e with
+            | S.Consider { attr; priority } -> Printf.sprintf "consider %s %d" attr priority
+            | S.Back_assigned { attr; level } -> "back " ^ attr ^ " " ^ name level
+            | S.Try_lower { attr; target; lowered } ->
+                Printf.sprintf "try %s %s %s" attr (name target)
+                  (match lowered with
+                  | None -> "failed"
+                  | Some l -> String.concat "," (List.map (fun (a, l) -> a ^ "=" ^ name l) l))
+            | S.Finalized { attr; level } -> "final " ^ attr ^ " " ^ name level)
+            :: !log
+        in
+        let sol = f (S.Config.make ~on_event ()) in
+        (sol, List.rev !log)
+      in
+      let full, full_log = solve_logged (fun config -> S.solve ~config p) in
+      let none, none_log =
+        solve_logged (fun config -> S.solve_incremental ~config ~frozen:(fun _ -> None) p)
+      in
+      let prob = p.S.prob in
+      let dirty = Array.make (Problem.n_attrs prob) false in
+      let rec mark a =
+        if not dirty.(a) then begin
+          dirty.(a) <- true;
+          let mark_lhs ci = Array.iter mark prob.Problem.csts.(ci).Problem.lhs in
+          Problem.iter_incoming prob a mark_lhs;
+          Problem.iter_constr_of prob a (fun ci ->
+              if prob.Problem.complex.(ci) then mark_lhs ci)
+        end
+      in
+      mark (seed mod Problem.n_attrs prob);
+      let part =
+        S.solve_incremental
+          ~frozen:(fun a -> if dirty.(a) then None else Some full.S.levels.(a))
+          p
+      in
+      let same = Array.for_all2 (Explicit.equal lat) full.S.levels in
+      same none.S.levels && none_log = full_log
+      && Minup_core.Instr.to_alist none.S.stats = Minup_core.Instr.to_alist full.S.stats
+      && same part.S.levels)
+
 let suite =
   [
     case "simple cycle with one floor" simple_cycle_uniform;
@@ -357,6 +429,7 @@ let suite =
     case "Try scratch survives failures, glb re-entry and growth" try_scratch_reuse;
     Helpers.qcheck random_cyclic_prop;
     Helpers.qcheck random_mixed_prop;
+    Helpers.qcheck incremental_prop;
     case "bounded simple-only cycle" bounded_simple_only;
     case "simple-only cycle events" simple_only_events;
   ]
