@@ -116,8 +116,8 @@ let bounds (attrs, csts) =
   | Error i -> Format.asprintf "%a" (ST.pp_inconsistency ladder16) i
 
 (* [cyclic] beside a renamed copy [Bi] of it, every tenth [Bi] above its
-   [Ai]: the original half is dependency-closed, so it is frozen at the
-   full solve's levels and only the copy is solved again. *)
+   [Ai]: with the copy half dirty, the original half takes the full
+   solve's levels and only the copy is solved again. *)
 let incremental (attrs, csts) =
   let b name = "B" ^ String.sub name 1 (String.length name - 1) in
   let copy (c : _ Cst.t) =
@@ -132,11 +132,9 @@ let incremental (attrs, csts) =
     SP.compile_exn ~lattice:powerset4 ~attrs:(attrs @ List.map b attrs)
       (csts @ List.map copy csts @ wires)
   in
-  let full = (SP.solve p).SP.levels in
+  let full = SP.solve p in
   let n = List.length attrs in
-  instr
-    (SP.solve_incremental ~frozen:(fun a -> if a < n then Some full.(a) else None) p)
-      .SP.stats
+  instr (SP.solve_incremental ~prev:full ~dirty:(List.init n (fun a -> n + a)) p).SP.stats
 
 (* Islands of cycles wired acyclically, solved under a preference that
    reorders both the sets and the members within a set. *)

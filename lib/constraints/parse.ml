@@ -110,12 +110,15 @@ let intern sc s e =
     id
   end
 
+(* [t]'s characters in [s, e) are all identifier characters. *)
+let rec ident_chars t s e = s >= e || (is_ident_char t.[s] && ident_chars t (s + 1) e)
+
+let is_ident name = name <> "" && ident_chars name 0 (String.length name)
+
 let ident sc s e =
   if s = e then fail "empty identifier";
-  for i = s to e - 1 do
-    if not (is_ident_char sc.text.[i]) then
-      fail "invalid identifier %S" (String.sub sc.text s (e - s))
-  done;
+  if not (ident_chars sc.text s e) then
+    fail "invalid identifier %S" (String.sub sc.text s (e - s));
   intern sc s e
 
 (* Push the ids of the comma-separated identifiers in [s, e) onto [v],

@@ -37,6 +37,10 @@ type ast = {
 
 type error = { line : int; message : string }
 
+(** [is_ident name] — [name] is an attribute name the syntax can express:
+    non-empty, of letters, digits, [_], [.] and [-] only. *)
+val is_ident : string -> bool
+
 val pp_error : Format.formatter -> error -> unit
 val parse : string -> (ast, error) result
 

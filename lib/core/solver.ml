@@ -88,6 +88,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     levels : L.level array;
     assignment : (string * L.level) list;
     stats : Instr.t;
+    reused : int;
   }
 
   type cancel_reason =
@@ -170,10 +171,13 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     bounds_mode : bool;  (* Minlevel runs before a lhs is all labeled *)
     stats : Instr.t;
     lam : L.level array;  (* λ *)
-    done_ : bool array;  (* λ(A) final; on the Bigloop's turn, iff frozen *)
+    done_ : bool array;  (* λ(A) final *)
     unlabeled : int array;  (* per constraint: lhs members not yet visited *)
     agg : L.level array;  (* per complex constraint: see [finalize] *)
     pref : int array option;  (* upgrade preference per attribute *)
+    prev : L.level array option;  (* incremental mode: the earlier levels *)
+    stale : bool array;  (* incremental mode: the set must be labeled again *)
+    mutable reused : int;  (* attributes that took [prev]'s level *)
     (* [try_lower]'s and [dset]'s scratch *)
     pend : pending array;
     pend_lvl : L.level array;
@@ -320,26 +324,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         let attr = attr_name st a and level = st.lam.(a) in
         f (if back then Back_assigned { attr; level } else Finalized { attr; level })
     | None -> ()
-
-  (* Incremental mode: pin the frozen attributes before the Bigloop.  Their
-     levels are final, they count as labeled for every constraint they
-     appear in (so [unlabeled] and the aggregates see them exactly as if
-     the Bigloop had just finalized them), and the Bigloop skips them. *)
-  let freeze st frozen =
-    let { Problem.off; tgt } = st.prob.Problem.constr_of in
-    for a = 0 to Array.length st.lam - 1 do
-      match frozen a with
-      | None -> ()
-      | Some l ->
-          st.done_.(a) <- true;
-          st.lam.(a) <- l;
-          for i = off.(a) to off.(a + 1) - 1 do
-            let ci = tgt.(i) in
-            if st.prob.Problem.complex.(ci) then
-              st.unlabeled.(ci) <- st.unlabeled.(ci) - 1
-          done;
-          finalize st a
-    done
 
   (* MINLEVEL(A, lhs, rhs): a minimal level [a] can assume without
      violating the complex constraint [c] (index [ci]), given the current
@@ -585,8 +569,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      a member, or an attribute already final.  [v] is the lub of those
      final [x] — exactly the level [Try] would reach, one cover at a time.
      Each member is then visited (one step, [Consider]) and finished at
-     [v] ([Finalized]); frozen members are skipped and enter the lub as
-     final right-hand sides. *)
+     [v] ([Finalized]). *)
   let collapse st p members =
     if st.tracing then begin_set_span "collapse" p members;
     let { Problem.off; tgt } = st.prob.Problem.constr_of in
@@ -594,19 +577,16 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let v = ref st.bottom in
     for j = 0 to Array.length members - 1 do
       let a = members.(j) in
-      if not st.done_.(a) then
-        for i = off.(a) to off.(a + 1) - 1 do
-          let c = csts.(tgt.(i)) in
-          if rhs_done st c then v := lub st !v (rhs_level st c)
-        done
+      for i = off.(a) to off.(a + 1) - 1 do
+        let c = csts.(tgt.(i)) in
+        if rhs_done st c then v := lub st !v (rhs_level st c)
+      done
     done;
     for j = 0 to Array.length members - 1 do
       let a = members.(j) in
-      if not st.done_.(a) then begin
-        visit st p a;
-        st.lam.(a) <- !v;
-        finish st a ~back:false
-      end
+      visit st p a;
+      st.lam.(a) <- !v;
+      finish st a ~back:false
     done;
     st.collapsed <- st.collapsed + 1;
     if st.tracing then Trace.end_span ~cat:"solver" "collapse"
@@ -622,13 +602,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     if st.tracing && cyclic then begin_set_span "try_lower" p members;
     for j = 0 to Array.length members - 1 do
       let a = members.(j) in
-      if not st.done_.(a) then begin
-        visit st p a;
-        let l = back_propagate st a in
-        let back = st.done_.(a) in
-        if back then st.lam.(a) <- l else forward_lower st a l;
-        finish st a ~back
-      end
+      visit st p a;
+      let l = back_propagate st a in
+      let back = st.done_.(a) in
+      if back then st.lam.(a) <- l else forward_lower st a l;
+      finish st a ~back
     done;
     if cyclic then begin
       let iters = st.stats.Instr.try_iterations - iters0 in
@@ -650,22 +628,58 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     | Some pref -> (
         match Int.compare pref.(a) pref.(b) with 0 -> Int.compare a b | c -> c)
 
-  let rec all_frozen done_ set i =
-    i = Array.length set || (done_.(set.(i)) && all_frozen done_ set (i + 1))
+  (* Incremental mode, a set with no stale member: its inputs — the
+     levels of the sets labeled before it and its own constraints — are
+     those of [prev]'s solve, so it takes [prev]'s levels.  It is left as
+     a visit leaves it (each complex row one member fewer unlabeled, each
+     level folded into its aggregates), with no step, span or event. *)
+  let reuse st prev set =
+    let { Problem.off; tgt } = st.prob.Problem.constr_of in
+    let complex = st.prob.Problem.complex and unlabeled = st.unlabeled in
+    for j = 0 to Array.length set - 1 do
+      let a = set.(j) in
+      st.lam.(a) <- prev.(a);
+      st.done_.(a) <- true;
+      for i = off.(a) to off.(a + 1) - 1 do
+        let ci = tgt.(i) in
+        if complex.(ci) then unlabeled.(ci) <- unlabeled.(ci) - 1
+      done;
+      finalize st a
+    done;
+    st.reused <- st.reused + Array.length set
 
-  (* Priority set [p]'s turn, its members in (preference, id) order.  A set
-     whose members are all frozen is already solved: it opens no span and
-     counts in no tally. *)
+  (* Incremental mode, after a set is labeled: a member whose level is not
+     [prev]'s makes stale every attribute whose labeling reads it — the
+     lhs of each constraint it is the rhs of, and its peers in each
+     complex lhs.  The comparison is uncounted. *)
+  let mark_stale st prev set =
+    let prob = st.prob in
+    let mark ci = Array.iter (fun x -> st.stale.(x) <- true) prob.Problem.csts.(ci).lhs in
+    Array.iter
+      (fun a ->
+        if not (L.equal st.lat st.lam.(a) prev.(a)) then begin
+          Problem.iter_incoming prob a mark;
+          Problem.iter_constr_of prob a (fun ci -> if prob.Problem.complex.(ci) then mark ci)
+        end)
+      set
+
+  let rec any_stale stale set i =
+    i < Array.length set && (stale.(set.(i)) || any_stale stale set (i + 1))
+
+  (* Priority set [p]'s turn, its members in (preference, id) order, or
+     [reuse] of [prev]'s levels if nothing it reads has changed. *)
   let bigloop_set st p =
     let set = st.prio.Priorities.sets.(p - 1) in
-    if not (all_frozen st.done_ set 0) then begin
-      let cyclic = Array.length set > 1 in
-      let members = if cyclic then Array.copy set else set in
-      if cyclic then Array.sort (by_pref st) members;
-      if p <= Array.length st.simple_only && st.simple_only.(p - 1) then
-        collapse st p members
-      else label_set st p members
-    end
+    match st.prev with
+    | Some prev when not (any_stale st.stale set 0) -> reuse st prev set
+    | prev -> (
+        let cyclic = Array.length set > 1 in
+        let members = if cyclic then Array.copy set else set in
+        if cyclic then Array.sort (by_pref st) members;
+        if p <= Array.length st.simple_only && st.simple_only.(p - 1) then
+          collapse st p members
+        else label_set st p members;
+        match prev with Some prev -> mark_stale st prev set | None -> ())
 
   (* The order Bigloop takes the priority sets in: any sink-first
      topological order of the condensation labels every right-hand side
@@ -749,8 +763,18 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      by [tracing] or [metering], so the disabled path costs one branch per
      site: no clock reads, no allocation, and no effect on the [Instr]
      counters. *)
-  let start ?ub ~(config : Config.t) ({ lat; prob; prio; simple_only } : problem) =
+  let start ?prev ?ub ~(config : Config.t) ({ lat; prob; prio; simple_only } : problem) =
     let n = Problem.n_attrs prob in
+    let stale =
+      match prev with
+      | None -> [||]
+      | Some (levels, dirty) ->
+          if Array.length levels <> n then
+            invalid_arg "Solver.solve_incremental: prev solves another problem";
+          let stale = Array.make n false in
+          List.iter (fun a -> stale.(a) <- true) dirty;
+          stale
+    in
     let tracing = Trace.enabled () and metering = Metrics.enabled () in
     let t_solve0 = if tracing || metering then Clock.now_ns () else 0L in
     let bounds_mode = Option.is_some ub in
@@ -790,6 +814,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         Option.map
           (fun f -> Array.init n (fun a -> f (Problem.attr_name prob a)))
           config.Config.upgrade_preference;
+      prev = Option.map fst prev;
+      stale;
+      reused = 0;
       pend = Array.make n Idle;
       pend_lvl = Array.make n bottom;
       fifo = Array.make 16 0;
@@ -819,6 +846,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     Metrics.add (Metrics.counter "solver/back_assigned") st.back_assigned;
     Metrics.add (Metrics.counter "solver/forward_lowered") st.forward_lowered;
     Metrics.add (Metrics.counter "solver/collapsed_sets") st.collapsed;
+    Metrics.add (Metrics.counter "solver/reused_attrs") st.reused;
     let h = Metrics.histogram "solver/try_iters_per_scc" in
     List.iter (Metrics.observe h) st.set_iters;
     Instr.to_metrics st.stats
@@ -837,12 +865,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         Printexc.raise_with_backtrace e bt
 
   (* MAIN after [compile]'s priorities, the one entry path of every mode:
-     [frozen] pins attributes at final levels (see {!solve_incremental}),
-     [ub] starts them at their upper bounds (§6). *)
-  let run ?frozen ?ub ~config problem =
+     [prev] is an earlier solution's levels and the attributes whose
+     constraints changed since (see {!solve_incremental}), [ub] starts
+     every attribute at its upper bound (§6). *)
+  let run ?prev ?ub ~config problem =
     with_balanced_spans @@ fun () ->
-    let st = start ?ub ~config problem in
-    Option.iter (freeze st) frozen;
+    let st = start ?prev ?ub ~config problem in
     let order =
       if st.tracing then Trace.with_span ~cat:"solver" "schedule" (fun () -> schedule st)
       else schedule st
@@ -865,12 +893,13 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       levels = lam;
       assignment = List.init (Array.length lam) (fun a -> (attr_name st a, lam.(a)));
       stats;
+      reused = st.reused;
     }
 
   let solve ?(config = Config.default) problem = run ~config problem
 
-  let solve_incremental ?(config = Config.default) ~frozen problem =
-    run ~config ~frozen problem
+  let solve_incremental ?(config = Config.default) ~prev ~dirty problem =
+    run ~config ~prev:(prev.levels, dirty) problem
 
   let find (problem : problem) solution attr =
     match Problem.attr_id problem.prob attr with

@@ -112,6 +112,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
     levels : L.level array;  (** by attribute id *)
     assignment : (string * L.level) list;  (** by attribute name *)
     stats : Instr.t;
+    reused : int;
+        (** attributes whose level {!solve_incremental} took from its
+            [prev] solution instead of labeling them; 0 in every other
+            mode *)
   }
 
   type cancel_reason =
@@ -210,31 +214,34 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       [size]) for a simple-only set; with {!Minup_obs.Metrics} on, a solve
       that completes adds its [solver/*] and [instr/*] metrics to the
       registry once, at its end ([solver/collapsed_sets] counts the
-      simple-only sets, [solver/try_iters_per_scc] samples the others). *)
+      simple-only sets, [solver/try_iters_per_scc] samples the others,
+      [solver/reused_attrs] adds {!solution.reused}). *)
   val solve : ?config:Config.t -> problem -> solution
 
-  (** [solve_incremental ?config ~frozen problem] — like {!solve}, but
-      attributes for which [frozen] returns [Some l] are pinned at [l]:
-      they are finalized up front (feeding the lhs-lub aggregates of their
-      complex constraints), skipped by the [Bigloop], and emit no events.
-      A priority set whose members are all frozen opens no span and counts
-      in no [solver/*] tally.
+  (** [solve_incremental ?config ~prev ~dirty problem] — exactly the
+      levels {!solve} [problem] would return, given [prev], an earlier
+      solution of the same compiled [problem] (possibly patched in place
+      since by {!Minup_constraints.Problem.set_rlevel}), and [dirty], the
+      attribute ids whose own constraints changed since [prev].
 
-      This is the re-solve primitive behind [Minup_session]: the caller
-      promises that every frozen level is exactly what a full {!solve} of
-      this problem would compute, and that the non-frozen set is
-      dependency-closed (no frozen attribute's level depends on a
-      non-frozen one), contains every member of any priority set it
-      touches, and contains the whole left-hand side of every complex
-      constraint it touches.  Cycles are then re-solved whole: [Try]
-      starts every member of a non-frozen cyclic set at the top, and a
-      simple-only set takes its lub, exactly as in a full solve.  Under
-      that contract the result is bit-identical in [levels] to a full
-      solve; outside it the result is unspecified.  With nothing frozen it
-      is {!solve}: same levels, events and counters.
-      The returned [stats] count only the work actually performed. *)
+      The [Bigloop] takes the priority sets in {!solve}'s order.  A set's
+      levels depend only on the levels of the sets labeled before it and
+      on its own constraints, so at its turn a set with no dirty or stale
+      member takes [prev]'s levels: it is finalized as a visit would leave
+      it (feeding the lhs-lub aggregates of its complex constraints), with
+      no step, span, event or [solver/*] tally.  Any other set is labeled
+      as in {!solve}; then every member whose new level differs from
+      [prev]'s ([L.equal], uncounted) makes stale the lhs members of the
+      constraints whose rhs it is and its peers in every complex lhs it is
+      in.  Every counter, aggregate and unlabeled count is then what a
+      scratch solve has at the same step, so the same member runs
+      [Minlevel] and the levels are bit-identical to {!solve}'s.  With
+      every attribute dirty it is {!solve}: same levels, events and
+      counters.  [reused] counts the sets' members that took [prev]'s
+      level; [stats] count only the work performed.  Raises
+      [Invalid_argument] if [prev] has another number of attributes. *)
   val solve_incremental :
-    ?config:Config.t -> frozen:(int -> L.level option) -> problem -> solution
+    ?config:Config.t -> prev:solution -> dirty:int list -> problem -> solution
 
   (** [find problem solution attr]. *)
   val find : problem -> solution -> string -> L.level option

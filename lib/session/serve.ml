@@ -27,10 +27,22 @@ let errf ?problem fmt = Format.kasprintf (err ?problem) fmt
 let str_field name doc =
   match Json.member name doc with Some (Json.Str s) -> Some s | _ -> None
 
+(* An optional count field: [Ok None] if absent or null, the integer if
+   it is one JSON numbers hold exactly ([0, 2^53), so [int_of_float]
+   cannot wrap), otherwise an error naming the field. *)
 let int_field name doc =
   match Json.member name doc with
-  | Some (Json.Num f) when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
+  | None | Some Json.Null -> Ok None
+  | Some (Json.Num f) when Float.is_integer f && f >= 0. && f < 0x1p53 ->
+      Ok (Some (int_of_float f))
+  | Some _ -> Error (Printf.sprintf "%S must be an integer in [0, 2^53)" name)
+
+(* An attribute name field the policy syntax can express. *)
+let attr_field doc =
+  match Json.member "attr" doc with
+  | Some (Json.Str a) when Parse.is_ident a -> Ok a
+  | Some (Json.Str a) -> Error (Printf.sprintf "invalid attribute name %S" a)
+  | _ -> Error "missing \"attr\""
 
 (* Find a session and mark it most recently used. *)
 let find conn name =
@@ -94,19 +106,8 @@ let open_session conn problem doc =
 let render_assignment lat assignment =
   List.map (fun (a, l) -> (a, Explicit.level_to_string lat l)) assignment
 
-let resolve_op conn problem session doc =
+let resolve_under ?budget problem session doc =
   let lat = S.lattice session in
-  let deadline_ms =
-    match int_field "deadline_ms" doc with Some _ as d -> d | None -> conn.deadline_ms
-  in
-  let max_steps =
-    match int_field "max_steps" doc with Some _ as s -> s | None -> conn.max_steps
-  in
-  let budget =
-    if deadline_ms <> None || max_steps <> None then
-      Some (Minup_core.Solver.budget ?deadline_ms ?max_steps ())
-    else None
-  in
   let config = Solver.Config.make ?budget () in
   let want_stats =
     match Json.member "stats" doc with Some (Json.Bool true) -> true | _ -> false
@@ -156,6 +157,18 @@ let resolve_op conn problem session doc =
           let fault = Solver.fault_of_cancelled reason progress in
           Wire.v1 ~problem (Wire.Fault { fault; attempts = 1; task = None }))
 
+(* The request's budget fields override the connection's defaults. *)
+let resolve_op conn problem session doc =
+  let limit name default =
+    Result.map (function None -> default | d -> d) (int_field name doc)
+  in
+  match (limit "deadline_ms" conn.deadline_ms, limit "max_steps" conn.max_steps) with
+  | Error detail, _ | _, Error detail -> err ~problem ("resolve: " ^ detail)
+  | Ok None, Ok None -> resolve_under problem session doc
+  | Ok deadline_ms, Ok max_steps ->
+      resolve_under ~budget:(Minup_core.Solver.budget ?deadline_ms ?max_steps ()) problem
+        session doc
+
 let dispatch conn op problem session doc =
   match op with
   | "add_constraint" -> (
@@ -169,15 +182,16 @@ let dispatch conn op problem session doc =
               Wire.v1 ~problem (Wire.Ack { id = Some id })))
   | "remove_constraint" -> (
       match int_field "id" doc with
-      | None -> err ~problem "remove_constraint: missing \"id\""
-      | Some id ->
+      | Error detail -> err ~problem ("remove_constraint: " ^ detail)
+      | Ok None -> err ~problem "remove_constraint: missing \"id\""
+      | Ok (Some id) ->
           if S.remove_constraint session id then
             Wire.v1 ~problem (Wire.Ack { id = Some id })
           else errf ~problem "remove_constraint: unknown constraint id %d" id)
   | "set_lower_bound" -> (
-      match str_field "attr" doc with
-      | None -> err ~problem "set_lower_bound: missing \"attr\""
-      | Some attr -> (
+      match attr_field doc with
+      | Error detail -> err ~problem ("set_lower_bound: " ^ detail)
+      | Ok attr -> (
           match Json.member "level" doc with
           | None | Some Json.Null ->
               S.set_lower_bound session attr None;
@@ -190,9 +204,9 @@ let dispatch conn op problem session doc =
                   Wire.v1 ~problem (Wire.Ack { id = None }))
           | Some _ -> err ~problem "set_lower_bound: \"level\" is not a string"))
   | "add_attribute" -> (
-      match str_field "attr" doc with
-      | None -> err ~problem "add_attribute: missing \"attr\""
-      | Some attr ->
+      match attr_field doc with
+      | Error detail -> err ~problem ("add_attribute: " ^ detail)
+      | Ok attr ->
           S.add_attribute session attr;
           Wire.v1 ~problem (Wire.Ack { id = None }))
   | "resolve" -> resolve_op conn problem session doc

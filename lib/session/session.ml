@@ -153,54 +153,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
            (fun _ a acc -> Cst.make_exn ~lhs:[ a ] ~rhs:(Cst.Level (bound_level t a)) :: acc)
            t.bound_order []) )
 
-  (* Transitive closure of "whose level may differ from the previous
-     solve": seeds are the attributes the deltas touch directly.  A dirty
-     attribute [x] taints
-
-     - the whole lhs of every constraint whose rhs is [x] (its members'
-       levels are computed from [x]'s), and
-     - the whole lhs of every complex constraint containing [x] (the
-       member that runs [Minlevel] reads its peers; in a cycle every
-       member does).
-
-     Taken per-constraint this is deliberately all-or-nothing across a
-     complex lhs: it guarantees the solver's aggregate bookkeeping sees
-     either a fully frozen lhs (no Minlevel runs) or a fully re-solved one
-     (the same member runs Minlevel as in a scratch solve).  It is also
-     all-or-nothing across a cycle: every member of a strongly connected
-     component reaches every other along constraint edges, so walking
-     incoming edges backward from one dirty member marks them all, and
-     [Try] re-solves the component whole from the top, as a scratch solve
-     does.  Any superset of the truly-affected attributes is sound — clean
-     attributes keep their levels by induction over the dependency
-     order. *)
-  let close_dirty (prob : _ Problem.t) seeds =
-    let n = Problem.n_attrs prob in
-    let dirty = Array.make n false in
-    let stack = ref [] in
-    let mark a =
-      if not dirty.(a) then begin
-        dirty.(a) <- true;
-        stack := a :: !stack
-      end
-    in
-    List.iter mark seeds;
-    let mark_lhs ci = Array.iter mark prob.Problem.csts.(ci).Problem.lhs in
-    let continue = ref true in
-    while !continue do
-      match !stack with
-      | [] -> continue := false
-      | x :: rest ->
-          stack := rest;
-          Problem.iter_incoming prob x mark_lhs;
-          Problem.iter_constr_of prob x (fun ci ->
-              if prob.Problem.complex.(ci) then mark_lhs ci)
-    done;
-    dirty
-
-  let count_frozen dirty =
-    Array.fold_left (fun acc d -> if d then acc else acc + 1) 0 dirty
-
   let finish t compiled =
     (* Deltas are consumed only here, on success: a cancelled solve leaves
        them queued, so the next resolve retries instead of serving the
@@ -229,32 +181,22 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   (* Every pending delta re-tightens a bound the compiled problem already
      has: write the new Rlevel right-hand sides into it in place (a level
      right-hand side contributes no edge, so the priorities still hold),
-     then re-run the Bigloop over the dirty closure of the patched
-     attributes only, freezing every clean attribute at its previous
-     level.  Cyclic and acyclic closures take this one path (see
-     [close_dirty]). *)
+     then re-solve with the previous levels, which every priority set whose
+     inputs kept their levels takes unchanged at its turn. *)
   let patch ~config t (old : compiled) attrs =
     let prob = old.problem.Solver.prob in
     List.iter
       (fun a -> Problem.set_rlevel prob (Names.find old.bound_ci a) (bound_level t a))
       attrs;
-    let dirty = close_dirty prob (List.map (Problem.attr_id_exn prob) attrs) in
     let s = t.stats in
-    t.stats <-
-      {
-        s with
-        patched = s.patched + 1;
-        incremental = s.incremental + 1;
-        frozen = s.frozen + count_frozen dirty;
-      };
-    finish t
-      {
-        old with
-        solution =
-          Solver.solve_incremental ~config
-            ~frozen:(fun a -> if dirty.(a) then None else Some old.solution.Solver.levels.(a))
-            old.problem;
-      }
+    t.stats <- { s with patched = s.patched + 1; incremental = s.incremental + 1 };
+    let solution =
+      Solver.solve_incremental ~config ~prev:old.solution
+        ~dirty:(List.map (Problem.attr_id_exn prob) attrs)
+        old.problem
+    in
+    t.stats <- { t.stats with frozen = t.stats.frozen + solution.Solver.reused };
+    finish t { old with solution }
 
   let resolve ?(config = Solver.Config.default) t =
     (* The path the resolve takes, as a span argument, built only when

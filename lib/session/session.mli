@@ -14,15 +14,13 @@
       bounded at the last compile: each new level is written into the
       compiled problem in place ({!Minup_constraints.Problem.set_rlevel})
       and the priority assignment is kept — no copy, no re-interning, no
-      DFS.  Attributes whose constraint neighbourhood the patch cannot
-      reach keep their previous levels: the session computes the
-      {e dirty closure} of the patched attributes and re-runs the solver
-      only over it ({!Minup_core.Solver.Make.solve_incremental}).  Cyclic
-      and acyclic shapes take this one path: the closure walks constraint
-      edges backward, so once it reaches one member of a cycle it holds
-      the whole strongly connected component, and forward lowering
-      ([Try]) re-solves that component from the top exactly as a scratch
-      solve does;
+      DFS.  The solver then runs from the previous solution with the
+      patched attributes dirty
+      ({!Minup_core.Solver.Make.solve_incremental}): at its [Bigloop]
+      turn, a priority set none of whose inputs changed level takes its
+      previous levels unchanged, so a re-solve stops where levels stop
+      changing.  A set that is labeled again — cyclic or not — is
+      labeled exactly as in a scratch solve;
     - anything else (a constraint added or removed, a new attribute, a
       first or cleared bound): the snapshot is compiled and solved from
       scratch.
@@ -51,8 +49,9 @@
       (tombstones included), plus the compile itself;
     - the patch path of {!Make.resolve}: no compile and no copy; O(1)
       per queued bound change (an in-place write), then linear in the
-      attributes plus the dirty closure's constraints, plus the solve of
-      the closure. *)
+      attributes plus the constraint rows of the reused sets (each reused
+      member is finalized, with no step), plus the solve of the sets
+      labeled again. *)
 
 module Make (L : Minup_lattice.Lattice_intf.S) : sig
   (** The session's own solver instance.  Exposed so callers can name the
@@ -65,14 +64,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
   type t
 
   (** How past resolves were served; [frozen] totals the attributes whose
-      levels were reused (not re-solved) across incremental resolves.
-      Every patch resolve, cyclic closure or not, counts in both [patched]
-      and [incremental], so the two always move together. *)
+      previous levels were reused (not re-solved) across incremental
+      resolves.  Every patch resolve counts in both [patched] and
+      [incremental], so the two always move together. *)
   type stats = {
     resolves : int;
     cached : int;  (** no pending deltas: cached solution returned *)
     patched : int;  (** bound-patch path: compile and priorities reused *)
-    incremental : int;  (** patch re-solved with frozen clean attributes *)
+    incremental : int;  (** patch re-solved from the previous solution *)
     full : int;
         (** scratch solves: the first resolve and every resolve after a
             structural delta *)

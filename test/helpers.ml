@@ -40,6 +40,12 @@ let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* [needle] occurs in [haystack]. *)
+let contains ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
 (* The 16-level total order the Thm. 5.2 experiments and the benchmark
    workloads run over. *)
 let ladder16 = Total.create (List.init 16 (Printf.sprintf "S%d"))

@@ -2,10 +2,7 @@ open Minup_lattice
 
 let case = Helpers.case
 
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
+let contains = Helpers.contains
 
 let explicit () =
   let dot = Dot.of_explicit Helpers.fig1b in

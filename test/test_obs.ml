@@ -430,10 +430,11 @@ let test_spans_per_phase () =
     (Metrics.histogram_count (Metrics.histogram "solver/try_iters_per_scc"));
   checki "one collapsed set" 1 (value "solver/collapsed_sets")
 
-(* An incremental solve skips a priority set whose members are all
-   frozen outright: no span, no [try_iters_per_scc] sample, no collapsed
-   set.  Here a simple-only 3-cycle and a 2-cycle on [Try] are frozen and
-   only the attribute above them is solved again. *)
+(* An incremental solve that reuses a priority set's previous levels
+   opens no span for it and counts it in no tally: no [try_iters_per_scc]
+   sample, no collapsed set.  Here a simple-only 3-cycle and a 2-cycle on
+   [Try] are reused and only the dirty attribute above them is solved
+   again. *)
 let test_frozen_sets_uncounted () =
   let module Cst = Minup_constraints.Cst in
   let s n = Cst.Level n and attr x = Cst.Attr x in
@@ -448,9 +449,8 @@ let test_frozen_sets_uncounted () =
   in
   let full = ST.solve p in
   let f = Option.get (Minup_constraints.Problem.attr_id p.ST.prob "f") in
-  let frozen a = if a = f then None else Some full.ST.levels.(a) in
   with_metrics @@ fun () ->
-  let s = with_trace (fun () -> ST.solve_incremental ~frozen p) in
+  let s = with_trace (fun () -> ST.solve_incremental ~prev:full ~dirty:[ f ] p) in
   check Alcotest.(array int) "levels" full.ST.levels s.ST.levels;
   check Alcotest.(list string) "solver spans" [ "solve"; "schedule"; "bigloop" ]
     (List.filter_map
@@ -460,7 +460,10 @@ let test_frozen_sets_uncounted () =
   checki "no collapsed set" 0
     (Metrics.counter_value (Metrics.counter "solver/collapsed_sets"));
   checki "no try_iters_per_scc sample" 0
-    (Metrics.histogram_count (Metrics.histogram "solver/try_iters_per_scc"))
+    (Metrics.histogram_count (Metrics.histogram "solver/try_iters_per_scc"));
+  checki "every attribute but f reused" (Array.length full.ST.levels - 1) s.ST.reused;
+  checki "solver/reused_attrs" s.ST.reused
+    (Metrics.counter_value (Metrics.counter "solver/reused_attrs"))
 
 (* --- Instr bridge ---------------------------------------------------- *)
 

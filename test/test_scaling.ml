@@ -166,8 +166,8 @@ let scratch sess () =
 
 (* The ring A0 >= A1 >= A2 >= A0.  Generated edges run from lower to
    higher attribute numbers, so the ring is a strongly connected component
-   of exactly three attributes, and the dirty closure of a bound on A0
-   reaches it.  The non-binding {A0, A1} >= S0 keeps the ring on [Try]. *)
+   of exactly three attributes, and a bound on A0 is a bound on a ring
+   member.  The non-binding {A0, A1} >= S0 keeps the ring on [Try]. *)
 let with_ring (attrs, csts) =
   let ring = [ ("A0", "A1"); ("A1", "A2"); ("A2", "A0") ] in
   ( attrs,
@@ -176,7 +176,7 @@ let with_ring (attrs, csts) =
       :: List.map (fun (a, b) -> Cst.simple a (Cst.Attr b)) ring )
 
 (* The ring R0 >= R1 >= R2 >= R0 on three fresh attributes, above A0
-   (R0 >= A0) so that the dirty closure of a bound on A0 reaches it.  No
+   (R0 >= A0) so that a change of A0's level reaches it.  No
    member is in the lhs of a complex constraint: the ring is simple-only,
    one lub. *)
 let with_simple_ring (attrs, csts) =
@@ -185,8 +185,7 @@ let with_simple_ring (attrs, csts) =
   (attrs @ [ r 0; r 1; r 2 ], csts @ List.map (fun (a, b) -> Cst.simple a (Cst.Attr b)) ring)
 
 (* A re-tightened lower bound on an already-bounded attribute takes the
-   session's patch path, whether or not its dirty closure reaches a
-   cycle: the compiled problem is patched in place and its priorities are
+   session's patch path, whether or not it reaches a cycle: the compiled problem is patched in place and its priorities are
    kept, so the resolve compiles nothing, re-solves incrementally and
    allocates well under a from-scratch compile and solve of the same
    snapshot (a structural delta's resolve allocates about one). *)
@@ -228,8 +227,8 @@ let session_patch_lean shape () =
 
 (* The simple-only ring on the 2k and 8k inputs, and on its own: above
    F >= S12 (R1 >= F), which a bound on R0 does not dirty.  Re-tightening
-   R0's bound re-solves the ring with F frozen, so the ring's one lub
-   must take F's frozen level as well as the new bound. *)
+   R0's bound re-solves the ring with F reused, so the ring's one lub
+   must take F's reused level as well as the new bound. *)
 let simple_ring_patch () =
   let attrs, csts = with_simple_ring (fst (Lazy.force inputs)) in
   let p = Solver.compile_exn ~lattice:ladder ~attrs csts in
@@ -258,6 +257,35 @@ let simple_ring_patch () =
         (Printf.sprintf "R0 >= S%d: patch resolve = scratch" l)
         (scratch sess ()).Solver.levels sol.Session.Solver.levels)
     [ 5; 14; 3 ]
+
+(* A re-tightened bound that leaves every level unchanged — here, set
+   again to the level it has — re-solves exactly its attribute's priority
+   set and reuses every other attribute: [frozen] grows by n - |set|.  On
+   the 2k and 8k inputs, alone (a singleton set) and with the ring
+   through A0 (a set of three). *)
+let session_patch_stops ~size:expected shape () =
+  List.iter
+    (fun input ->
+      let sess, bounded = bounded_session (shape input) in
+      let a = bounded.(0) in
+      let attrs, csts = Session.snapshot sess in
+      let p = Solver.compile_exn ~lattice:ladder ~attrs csts in
+      let { Priorities.priority; sets; _ } = p.Solver.prio in
+      let id = Problem.attr_id_exn p.Solver.prob a in
+      let n = Problem.n_attrs p.Solver.prob and size = Array.length sets.(priority.(id) - 1) in
+      Alcotest.(check int) (Printf.sprintf "%d attrs: the size of %s's set" n a) expected size;
+      let before = Session.stats sess in
+      Session.set_lower_bound sess a (Some 2);
+      ignore (Session.resolve sess);
+      let after = Session.stats sess in
+      if after.Session.patched <> before.Session.patched + 1 then
+        Alcotest.failf "%d attrs: a re-tighten did not take the patch path" n;
+      Alcotest.(check int)
+        (Printf.sprintf "%d attrs: reused all but the %d of %s's set" n size a)
+        (n - size)
+        (after.Session.frozen - before.Session.frozen))
+    (let s, l = Lazy.force inputs in
+     [ s; l ])
 
 (* Every structural delta re-solves from scratch: the resolve counts in
    [stats.full] and allocates at most 1.2x a from-scratch compile and
@@ -308,5 +336,7 @@ let suite =
       (session_patch_lean with_ring);
     case "a patch resolve through a simple-only ring = scratch, < 0.6x"
       simple_ring_patch;
+    case "a no-op re-tighten re-solves only its own set" (session_patch_stops ~size:1 Fun.id);
+    case "a no-op re-tighten in a ring re-solves only the ring" (session_patch_stops ~size:3 with_ring);
     case "a structural resolve allocates <= 1.2x scratch" session_structural_lean;
   ]

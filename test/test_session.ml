@@ -104,9 +104,8 @@ let cycle_retighten_is_patched () =
   in
   Session.set_lower_bound sess "a" (Some (lvl "L1"));
   check_matches ~ctx:"initial" fig1b sess;
-  (* The re-tighten's dirty closure reaches the {a, b} cycle and so holds
-     all of it: the patch path re-solves the cycle whole and freezes the
-     unrelated c -> d edge. *)
+  (* The re-tighten raises a, so the patch path re-solves the {a, b}
+     cycle whole and reuses the unrelated c -> d edge. *)
   Session.set_lower_bound sess "a" (Some (lvl "L4"));
   check_matches ~ctx:"cycle delta" fig1b sess;
   let st = Session.stats sess in
@@ -130,7 +129,7 @@ let bounded_catch_up_obeys_budget () =
   Alcotest.(check bool) "delta still queued" true (Session.solution sess = None)
 
 let untouched_subgraph_is_frozen () =
-  (* Two disconnected chains; re-tightening the bound on one must freeze
+  (* Two disconnected chains; re-tightening the bound on one must reuse
      the other. *)
   let sess =
     Session.create ~lattice:fig1b
@@ -147,8 +146,8 @@ let untouched_subgraph_is_frozen () =
   let st = Session.stats sess in
   Alcotest.(check int) "patched" 1 st.Session.patched;
   Alcotest.(check int) "incremental" 1 st.Session.incremental;
-  (* y0 and y1 (at least) stayed frozen. *)
-  Alcotest.(check bool) "frozen >= 2" true (st.Session.frozen >= 2)
+  (* x1 rose, so x0 is re-solved too; y0 and y1 are reused. *)
+  Alcotest.(check int) "y0 and y1 reused" 2 st.Session.frozen
 
 let random_spec lat =
   {
@@ -585,6 +584,56 @@ let serve_errors () =
          ("constraints", Json.Str "secret <= Secret\n");
        ])
 
+(* An error envelope whose detail names [field]. *)
+let check_error_names what field (w : Wire.t) =
+  match w.Wire.body with
+  | Wire.Error { detail } ->
+      if not (Helpers.contains ~needle:field detail) then
+        Alcotest.failf "%s: error %S does not name %s" what detail field
+  | _ -> Alcotest.failf "%s: expected an error, got status %s" what (Wire.status w)
+
+(* Integer fields are checked, never wrapped: a value out of [0, 2^53)
+   gets an error naming its field, and the request does nothing. *)
+let serve_int_fields () =
+  let conn = Serve.create () in
+  check_status "open" "ok" (open_req conn "p");
+  let req op fields =
+    serve_req conn (("op", Json.Str op) :: ("problem", Json.Str "p") :: fields)
+  in
+  check_error_names "huge id" "\"id\"" (req "remove_constraint" [ ("id", Json.Num 1e300) ]);
+  check_error_names "negative id" "\"id\"" (req "remove_constraint" [ ("id", Json.Num (-1.)) ]);
+  check_error_names "huge max_steps" "\"max_steps\""
+    (req "resolve" [ ("max_steps", Json.Num 1e300) ]);
+  check_error_names "negative deadline_ms" "\"deadline_ms\""
+    (req "resolve" [ ("deadline_ms", Json.Num (-5.)) ]);
+  (* Constraint 0 is still there: removing it succeeds once. *)
+  check_status "constraint 0 kept" "ok" (req "remove_constraint" [ ("id", Json.Num 0.) ]);
+  check_status "a valid budget" "ok"
+    (req "resolve" [ ("max_steps", Json.Num 1000.); ("deadline_ms", Json.Num 60000.) ])
+
+(* Attribute names the policy syntax cannot express are rejected, so no
+   solution ever holds one. *)
+let serve_attr_names () =
+  let conn = Serve.create () in
+  check_status "open" "ok" (open_req conn "p");
+  let req op attr extra =
+    serve_req conn
+      (("op", Json.Str op) :: ("problem", Json.Str "p") :: ("attr", Json.Str attr) :: extra)
+  in
+  List.iter
+    (fun attr ->
+      check_error_names ("bound on " ^ attr) "attribute name"
+        (req "set_lower_bound" attr [ ("level", Json.Str "Secret") ]);
+      check_error_names ("add " ^ attr) "attribute name" (req "add_attribute" attr []))
+    [ ""; "a b"; "x>=y"; "{a}"; "a,b"; "#c" ];
+  check_status "a valid name" "ok" (req "add_attribute" "dept.head-2_x" []);
+  match serve_req conn [ ("op", Json.Str "resolve"); ("problem", Json.Str "p") ] with
+  | { Wire.body = Wire.Solution { assignment; _ }; _ } ->
+      Alcotest.(check (list string)) "attributes"
+        [ "secret"; "name"; "salary"; "dept.head-2_x" ]
+        (List.map fst assignment)
+  | w -> Alcotest.failf "resolve: status %s" (Wire.status w)
+
 let serve_lru_eviction () =
   let conn = Serve.create ~max_sessions:2 () in
   check_status "open a" "ok" (open_req conn "a");
@@ -612,5 +661,7 @@ let suite =
     case "serve basic flow" serve_basic_flow;
     case "serve faults and infeasible" serve_faults_and_infeasible;
     case "serve errors" serve_errors;
+    case "serve rejects out-of-range integer fields" serve_int_fields;
+    case "serve rejects inexpressible attribute names" serve_attr_names;
     case "serve LRU eviction" serve_lru_eviction;
   ]

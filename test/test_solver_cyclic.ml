@@ -345,13 +345,10 @@ let simple_only_events () =
     ]
     (List.rev !log)
 
-(* [solve_incremental] on its own, outside [Session].  With nothing
-   frozen it is [solve]: same levels, same events, same counters.  With a
-   dependency-closed part frozen at the full solve's levels — everything
-   outside the closure, along incoming edges and complex-lhs peers, of one
-   random attribute, as a session's dirty set is built — it re-solves the
-   rest to the same levels.  Over acyclic, [Try]-cyclic and simple-only
-   instances. *)
+(* [solve_incremental] on its own, outside [Session].  With every
+   attribute dirty it is [solve]: same levels, same events, same counters.
+   With one random attribute dirty and nothing changed it reuses to the
+   same levels.  Over acyclic, [Try]-cyclic and simple-only instances. *)
 let incremental_prop =
   QCheck.Test.make ~count:60 ~name:"solve_incremental = solve" Helpers.seed_arb
     (fun seed ->
@@ -392,30 +389,161 @@ let incremental_prop =
         (sol, List.rev !log)
       in
       let full, full_log = solve_logged (fun config -> S.solve ~config p) in
-      let none, none_log =
-        solve_logged (fun config -> S.solve_incremental ~config ~frozen:(fun _ -> None) p)
+      let n = Problem.n_attrs p.S.prob in
+      let all, all_log =
+        solve_logged (fun config ->
+            S.solve_incremental ~config ~prev:full ~dirty:(List.init n Fun.id) p)
       in
-      let prob = p.S.prob in
-      let dirty = Array.make (Problem.n_attrs prob) false in
-      let rec mark a =
-        if not dirty.(a) then begin
-          dirty.(a) <- true;
-          let mark_lhs ci = Array.iter mark prob.Problem.csts.(ci).Problem.lhs in
-          Problem.iter_incoming prob a mark_lhs;
-          Problem.iter_constr_of prob a (fun ci ->
-              if prob.Problem.complex.(ci) then mark_lhs ci)
-        end
-      in
-      mark (seed mod Problem.n_attrs prob);
-      let part =
-        S.solve_incremental
-          ~frozen:(fun a -> if dirty.(a) then None else Some full.S.levels.(a))
-          p
-      in
+      let part = S.solve_incremental ~prev:full ~dirty:[ seed mod n ] p in
       let same = Array.for_all2 (Explicit.equal lat) full.S.levels in
-      same none.S.levels && none_log = full_log
-      && Minup_core.Instr.to_alist none.S.stats = Minup_core.Instr.to_alist full.S.stats
-      && same part.S.levels)
+      same all.S.levels && all_log = full_log
+      && Minup_core.Instr.to_alist all.S.stats = Minup_core.Instr.to_alist full.S.stats
+      && all.S.reused = 0 && same part.S.levels)
+
+(* The session's use: solve, rewrite one to three level right-hand sides
+   in place, and re-solve incrementally from the previous solution with
+   the rewritten constraints' lhs members dirty — twice in a row, the
+   second time from the incremental solution.  Each must equal a fresh
+   solve of the patched problem, with the aggregates cross-checked at
+   every [Minlevel].  Over acyclic, [Try]-cyclic, simple-only and mixed
+   instances. *)
+let incremental_patch_prop =
+  QCheck.Test.make ~count:120 ~name:"solve_incremental after set_rlevel = solve"
+    Helpers.seed_arb (fun seed ->
+      let module G = Minup_workload.Gen_constraints in
+      let module Prng = Minup_workload.Prng in
+      let rng = Prng.create seed in
+      let lat =
+        Minup_workload.Gen_lattice.random_closure_exn rng ~universe:4
+          ~n_generators:3 ~max_size:12
+      in
+      let levels = Explicit.all lat in
+      let spec n_complex =
+        G.{ n_attrs = 14; n_simple = 12; n_complex; max_lhs = 3; n_constants = 5;
+            constants = levels }
+      in
+      let attrs, csts =
+        match seed mod 4 with
+        | 0 -> G.acyclic rng (spec 4)
+        | 1 -> G.single_scc rng (spec 3)
+        | 2 -> G.mixed rng (spec 0) ~n_islands:2 ~island_size:4
+        | _ -> G.mixed rng (spec 3) ~n_islands:2 ~island_size:4
+      in
+      let p = S.compile_exn ~lattice:lat ~attrs csts in
+      let prob = p.S.prob in
+      let level_rhs =
+        List.filter
+          (fun ci ->
+            match prob.Problem.csts.(ci).Problem.rhs with
+            | Problem.Rlevel _ -> true
+            | Problem.Rattr _ -> false)
+          (List.init (Problem.n_csts prob) Fun.id)
+      in
+      let config = S.Config.make ~check_aggregate:true () in
+      let round prev =
+        let k = 1 + Prng.int rng 3 in
+        let dirty =
+          List.concat_map
+            (fun ci ->
+              Problem.set_rlevel prob ci (Prng.pick rng levels);
+              Array.to_list prob.Problem.csts.(ci).Problem.lhs)
+            (Prng.sample rng k level_rhs)
+        in
+        let inc = S.solve_incremental ~config ~prev ~dirty p in
+        if not (Array.for_all2 (Explicit.equal lat) (S.solve p).S.levels inc.S.levels) then
+          QCheck.Test.fail_reportf "incremental levels differ from a fresh solve";
+        inc
+      in
+      level_rhs = [] || (ignore (round (round (S.solve p))); true))
+
+(* Hand-built incremental solves over the 16-level ladder: [patch csts
+   ~bound ~level] compiles [csts], solves, rewrites the level right-hand
+   side of the constraint [bound] names (by its position in [csts]) and
+   re-solves incrementally with its lhs dirty.  Returns the levels by
+   attribute name and the number of attributes reused; the levels must
+   equal a fresh solve's. *)
+module ST = Minup_core.Solver.Make (Total)
+
+let patch csts ~bound ~level =
+  let p = ST.compile_exn ~lattice:ladder16 csts in
+  let prob = p.ST.prob in
+  let full = ST.solve p in
+  Problem.set_rlevel prob bound level;
+  let inc =
+    ST.solve_incremental ~config:(ST.Config.make ~check_aggregate:true ()) ~prev:full
+      ~dirty:(Array.to_list prob.Problem.csts.(bound).Problem.lhs)
+      p
+  in
+  Alcotest.(check (array int)) "incremental = fresh solve" (ST.solve p).ST.levels inc.ST.levels;
+  let at name = full.ST.levels.(Problem.attr_id_exn prob name) in
+  (at, (fun name -> inc.ST.levels.(Problem.attr_id_exn prob name)), inc.ST.reused)
+
+let ge a b = Cst.simple a (Cst.Attr b)
+let floor a l = Cst.simple a (Cst.Level l)
+
+(* [{a, b} ⊒ S5] with [a] labeled first at its bound S2, so [b] runs
+   [Minlevel] and takes S5.  Raising [a]'s bound to S7 lowers [b] to S0:
+   no constraint has [a] as rhs, so [b] is recomputed only because it is
+   [a]'s peer in a complex lhs.  [c ⊒ b] follows [b] down. *)
+let incremental_complex_peer () =
+  let before, after, reused =
+    patch
+      [ floor "a" 2; Cst.make_exn ~lhs:[ "a"; "b" ] ~rhs:(Cst.Level 5); ge "c" "b" ]
+      ~bound:0 ~level:7
+  in
+  Alcotest.(check (list int)) "before: a, b, c" [ 2; 5; 5 ] (List.map before [ "a"; "b"; "c" ]);
+  Alcotest.(check (list int)) "after: a, b, c" [ 7; 0; 0 ] (List.map after [ "a"; "b"; "c" ]);
+  Alcotest.(check int) "nothing reused" 0 reused
+
+(* A raised bound on [x] enters the [Try] cycle [p ⊒ q ⊒ p] (kept on
+   [Try] by the non-binding [{p, q} ⊒ S1]) and the [y ⊒ p] above it,
+   while the unrelated [u ⊒ v ⊒ S4] is reused. *)
+let incremental_try_cycle () =
+  let _, after, reused =
+    patch
+      [
+        floor "x" 3; ge "p" "x"; ge "p" "q"; ge "q" "p";
+        Cst.make_exn ~lhs:[ "p"; "q" ] ~rhs:(Cst.Level 1); ge "y" "p"; ge "u" "v";
+        floor "v" 4;
+      ]
+      ~bound:0 ~level:6
+  in
+  Alcotest.(check (list int)) "x, p, q, y" [ 6; 6; 6; 6 ] (List.map after [ "x"; "p"; "q"; "y" ]);
+  Alcotest.(check int) "u and v reused" 2 reused
+
+(* A lowered bound on [x] enters the simple-only ring [r0 ⊒ r1 ⊒ r2 ⊒ r0]
+   through [r1 ⊒ x]; the ring's other floor [f] is reused and the ring's
+   one lub takes it. *)
+let incremental_simple_only () =
+  let before, after, reused =
+    patch
+      [ ge "r0" "r1"; ge "r1" "r2"; ge "r2" "r0"; ge "r1" "x"; floor "x" 9; ge "r2" "f";
+        floor "f" 4 ]
+      ~bound:4 ~level:2
+  in
+  Alcotest.(check (list int)) "before: r0, r1, r2" [ 9; 9; 9 ] (List.map before [ "r0"; "r1"; "r2" ]);
+  Alcotest.(check (list int)) "after: r0, r1, r2" [ 4; 4; 4 ] (List.map after [ "r0"; "r1"; "r2" ]);
+  Alcotest.(check int) "f reused" 1 reused
+
+(* Levels are compared by [L.equal], not physically: over a lattice of
+   boxed levels, rewriting a bound to an equal but freshly built level
+   re-solves the bound's own set and reuses everything above it. *)
+let incremental_equal_levels () =
+  let module SC = Minup_core.Solver.Make (Compartment) in
+  let lat = Compartment.fig1a in
+  let level () = Compartment.make_exn lat ~cls:"S" ~cats:[ "Army" ] in
+  let p =
+    SC.compile_exn ~lattice:lat
+      [ Cst.simple "a" (Cst.Attr "b"); Cst.simple "b" (Cst.Attr "c");
+        Cst.simple "c" (Cst.Level (level ())) ]
+  in
+  let full = SC.solve p in
+  Problem.set_rlevel p.SC.prob 2 (level ());
+  let c = Problem.attr_id_exn p.SC.prob "c" in
+  let inc = SC.solve_incremental ~prev:full ~dirty:[ c ] p in
+  Alcotest.(check bool) "same levels" true
+    (Array.for_all2 (Compartment.equal lat) full.SC.levels inc.SC.levels);
+  Alcotest.(check int) "a and b reused" 2 inc.SC.reused
 
 let suite =
   [
@@ -430,6 +558,11 @@ let suite =
     Helpers.qcheck random_cyclic_prop;
     Helpers.qcheck random_mixed_prop;
     Helpers.qcheck incremental_prop;
+    Helpers.qcheck incremental_patch_prop;
+    case "incremental: a complex peer is recomputed" incremental_complex_peer;
+    case "incremental: a change enters a Try cycle" incremental_try_cycle;
+    case "incremental: a change enters a simple-only set" incremental_simple_only;
+    case "incremental: levels compare by equality" incremental_equal_levels;
     case "bounded simple-only cycle" bounded_simple_only;
     case "simple-only cycle events" simple_only_events;
   ]
