@@ -5,7 +5,7 @@
 # host.  The suite itself covers the engine's jobs parity on the
 # benchmark batch shapes and the supervision cost (test_engine), and the
 # session patch path's compile-free, allocation-bounded resolve and the
-# structural deltas' scratch resolve (test_scaling).
+# structural deltas' compile-free rebuild resolve (test_scaling).
 set -eu
 cd "$(dirname "$0")/.."
 

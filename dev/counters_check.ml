@@ -7,7 +7,9 @@
    attributes at once.  Three more pin the solver's other entry modes:
    upper bounds (§6) on the acyclic instance, an incremental re-solve of
    a cyclic instance, and an upgrade preference over many priority sets
-   (with a digest of the order the Bigloop considers attributes in).  Any
+   (with a digest of the order the Bigloop considers attributes in).  The
+   last pins a session: a digest of the levels after each step of a
+   fixed delta script on the cyclic and preference instances.  Any
    drift means a change altered what the solver computes or how it
    counts.  Prints every line; exits 1 if any differs from its pin. *)
 open Minup_lattice
@@ -18,6 +20,7 @@ module Cst = Minup_constraints.Cst
 module Instr = Minup_core.Instr
 module Gen = Minup_workload.Gen_constraints
 module Prng = Minup_workload.Prng
+module Session_make = Minup_session.Session.Make
 
 let ladder16 = Total.create (List.init 16 (Printf.sprintf "S%d"))
 
@@ -134,17 +137,18 @@ let incremental (attrs, csts) =
   in
   let full = SP.solve p in
   let n = List.length attrs in
-  instr (SP.solve_incremental ~prev:full ~dirty:(List.init n (fun a -> n + a)) p).SP.stats
+  instr (SP.solve_incremental ~prev:(p, full) ~dirty:(List.init n (fun a -> n + a)) p).SP.stats
 
 (* Islands of cycles wired acyclically, solved under a preference that
    reorders both the sets and the members within a set. *)
+let preference_instance =
+  Gen.mixed (Prng.create 17)
+    { Gen.n_attrs = 400; n_simple = 600; n_complex = 120; max_lhs = 3;
+      n_constants = 40; constants = List.init 16 Fun.id }
+    ~n_islands:6 ~island_size:30
+
 let preference =
-  let attrs, csts =
-    Gen.mixed (Prng.create 17)
-      { Gen.n_attrs = 400; n_simple = 600; n_complex = 120; max_lhs = 3;
-        n_constants = 40; constants = List.init 16 Fun.id }
-      ~n_islands:6 ~island_size:30
-  in
+  let attrs, csts = preference_instance in
   let p = ST.compile_exn ~lattice:ladder16 ~attrs csts in
   let order = Buffer.create 4096 in
   let on_event = function
@@ -156,6 +160,74 @@ let preference =
   Printf.sprintf "%s order=%s" (instr s.ST.stats)
     (Digest.to_hex (Digest.string (Buffer.contents order)))
 
+(* The levels after each resolve of one delta script, as an MD5: the
+   first resolve, then an added complex constraint across the graph, the
+   removal of every constraint [drop] selects, a new attribute, first
+   bounds on the first two attributes at ⊥, the first of those bounds
+   cleared, and the second re-tightened, each followed by a resolve. *)
+module Session_pin (L : Lattice_intf.S) = struct
+  module S = Session_make (L)
+
+  let digest lat ?(config = S.Solver.Config.default) ~drop ~levels (attrs, csts) =
+    let a i = List.nth attrs i and n = List.length attrs in
+    let sess = S.create ~lattice:lat ~attrs csts in
+    let out = Buffer.create 4096 in
+    let last = ref [||] in
+    let resolve () =
+      last := (S.resolve ~config sess).S.Solver.levels;
+      Array.iter
+        (fun l ->
+          Buffer.add_string out (L.level_to_string lat l);
+          Buffer.add_char out ' ')
+        !last;
+      Buffer.add_char out '\n'
+    in
+    resolve ();
+    ignore
+      (S.add_constraint sess
+         (Cst.make_exn ~lhs:[ a 1; a (n / 2) ] ~rhs:(Cst.Attr (a (n - 1)))));
+    resolve ();
+    List.iteri
+      (fun id c -> if drop c then ignore (S.remove_constraint sess id))
+      csts;
+    resolve ();
+    S.add_attribute sess "fresh";
+    resolve ();
+    let at_bottom =
+      List.filteri (fun i _ -> L.equal lat !last.(i) (L.bottom lat)) attrs
+    in
+    let b0 = List.nth at_bottom 0 and b1 = List.nth at_bottom 1 in
+    S.set_lower_bound sess b0 (Some levels.(0));
+    S.set_lower_bound sess b1 (Some levels.(1));
+    resolve ();
+    S.set_lower_bound sess b0 None;
+    resolve ();
+    S.set_lower_bound sess b1 (Some levels.(2));
+    resolve ();
+    Digest.to_hex (Digest.string (Buffer.contents out))
+end
+
+(* [cyclic] is one component that every constant lifts to ⊤, so its
+   script drops every level right-hand side; [preference] drops those at
+   ⊤. *)
+let session =
+  let module P = Session_pin (Powerset) in
+  let module T = Session_pin (Total) in
+  let pset = Powerset.of_elements_exn powerset4 in
+  let upgrade_preference a = Hashtbl.hash a mod 7 in
+  let cyclic =
+    P.digest powerset4 cyclic
+      ~drop:(fun c -> match c.Cst.rhs with Cst.Level _ -> true | Cst.Attr _ -> false)
+      ~levels:[| pset [ "a"; "b" ]; pset [ "c" ]; pset [ "a"; "b"; "c"; "d" ] |]
+  in
+  let preference =
+    T.digest ladder16
+      ~config:(T.S.Solver.Config.make ~upgrade_preference ())
+      ~drop:(fun c -> c.Cst.rhs = Cst.Level 15)
+      ~levels:[| 12; 9; 15 |] preference_instance
+  in
+  Printf.sprintf "cyclic=%s preference=%s" cyclic preference
+
 let pins =
   [
     ("acyclic", total acyclic, "lub=4278 glb=0 leq=1517 minlevel=1000 try=0 try_iters=0 checks=0");
@@ -166,6 +238,7 @@ let pins =
     ("incremental", incremental cyclic, "lub=3020 glb=0 leq=7637 minlevel=70 try=656 try_iters=2429 checks=6252");
     ("preference", preference,
      "lub=1863 glb=1628 leq=5557 minlevel=84 try=51 try_iters=554 checks=3601 order=15b31f1daf5c89f2bf2c3ffc14b2ca97");
+    ("session", session, "cyclic=f45fa6480a3cfbf1ab9dec38af10f32d preference=0eefddbec49158ac96a43bed2175858c");
   ]
 
 let () =

@@ -9,8 +9,6 @@ type 'lvl t = {
   attr_names : string array;
   attr_index : int Names.t;
   csts : 'lvl cst array;
-  lhs_len : int array;
-  complex : bool array;
   complex_idx : int array;
   n_complex : int;
   constr_of : csr;
@@ -72,6 +70,64 @@ let sort_lhs a =
       a.(!j + 1) <- x
     done
 
+let rec fill intern lhs i = function
+  | [] -> ()
+  | a :: rest ->
+      lhs.(i) <- intern a;
+      fill intern lhs (i + 1) rest
+
+(* A kept constraint's row: [intern]ed lhs, sorted, and rhs. *)
+let row ~intern (c : _ Cst.t) =
+  let lhs = Array.make (List.length c.lhs) 0 in
+  fill intern lhs 0 c.lhs;
+  sort_lhs lhs;
+  { lhs; rhs = (match c.rhs with Cst.Level l -> Rlevel l | Cst.Attr a -> Rattr (intern a)) }
+
+(* The indexing half of [compile]: a dense numbering of the complex
+   constraints (the solver keeps one incremental lhs-lub aggregate and
+   one unlabeled count per *complex* constraint, indexed by
+   [complex_idx], -1 for simple ones), and the three CSR indexes, which
+   enumerate constraints in ascending index, so every row is
+   ascending. *)
+let of_rows ~attr_names ~attr_index csts =
+  let n = Array.length attr_names and m = Array.length csts in
+  let complex_idx = Array.make m (-1) in
+  let n_complex = ref 0 in
+  for ci = 0 to m - 1 do
+    if Array.length csts.(ci).lhs > 1 then begin
+      complex_idx.(ci) <- !n_complex;
+      incr n_complex
+    end
+  done;
+  let each_lhs only_complex f =
+    for ci = 0 to m - 1 do
+      let k = complex_idx.(ci) in
+      if k >= 0 || not only_complex then begin
+        let lhs = csts.(ci).lhs in
+        let x = if only_complex then k else ci in
+        for i = 0 to Array.length lhs - 1 do
+          f lhs.(i) x
+        done
+      end
+    done
+  in
+  let each_rhs f =
+    for ci = 0 to m - 1 do
+      match csts.(ci).rhs with Rattr b -> f b ci | Rlevel _ -> ()
+    done
+  in
+  {
+    attr_names;
+    attr_index;
+    csts;
+    complex_idx;
+    n_complex = !n_complex;
+    constr_of = csr n (each_lhs false);
+    complex_constr_of = csr n (each_lhs true);
+    incoming = csr n each_rhs;
+    dropped = [];
+  }
+
 let compile ?(attrs = []) ?(strict = false) source =
   Minup_obs.Trace.with_span ~cat:"constraints" "problem.compile" @@ fun () ->
   try
@@ -90,12 +146,6 @@ let compile ?(attrs = []) ?(strict = false) source =
           declare a;
           !next - 1
     in
-    let rec fill lhs i = function
-      | [] -> ()
-      | a :: rest ->
-          lhs.(i) <- intern a;
-          fill lhs (i + 1) rest
-    in
     (* Trivially satisfied constraints (rhs ∈ lhs) are dropped, §3.  The
        kept ones are counted first, then written in place in input order. *)
     let dropped = List.filter Cst.is_trivial source in
@@ -104,71 +154,16 @@ let compile ?(attrs = []) ?(strict = false) source =
     List.iter
       (fun (c : _ Cst.t) ->
         if not (Cst.is_trivial c) then begin
-          let lhs = Array.make (List.length c.lhs) 0 in
-          fill lhs 0 c.lhs;
-          sort_lhs lhs;
-          let rhs =
-            match c.rhs with
-            | Cst.Level l -> Rlevel l
-            | Cst.Attr a -> Rattr (intern a)
-          in
-          csts.(!ci) <- { lhs; rhs };
+          csts.(!ci) <- row ~intern c;
           incr ci
         end)
       source;
     (* Intern attributes of dropped constraints too: they are part of the
        universe and must still receive a (default ⊥) classification. *)
     List.iter (fun (c : _ Cst.t) -> List.iter (fun a -> ignore (intern a)) c.lhs) dropped;
-    let n = !next in
-    let attr_names = Array.make n "" in
+    let attr_names = Array.make !next "" in
     Names.iter (fun a i -> attr_names.(i) <- a) index;
-    (* Per-constraint metadata the solver's hot loop would otherwise
-       recompute on every visit, and a dense numbering of the complex
-       constraints: the solver keeps one incremental lhs-lub aggregate per
-       *complex* constraint, indexed by [complex_idx] (-1 for simple
-       ones). *)
-    let lhs_len = Array.map (fun c -> Array.length c.lhs) csts in
-    let complex = Array.map (fun len -> len > 1) lhs_len in
-    let complex_idx = Array.make m (-1) in
-    let n_complex = ref 0 in
-    for ci = 0 to m - 1 do
-      if complex.(ci) then begin
-        complex_idx.(ci) <- !n_complex;
-        incr n_complex
-      end
-    done;
-    (* The three indexes enumerate constraints in ascending index, so
-       every row is ascending. *)
-    let each_lhs only_complex f =
-      for ci = 0 to m - 1 do
-        if complex.(ci) || not only_complex then begin
-          let lhs = csts.(ci).lhs in
-          let x = if only_complex then complex_idx.(ci) else ci in
-          for i = 0 to Array.length lhs - 1 do
-            f lhs.(i) x
-          done
-        end
-      done
-    in
-    let each_rhs f =
-      for ci = 0 to m - 1 do
-        match csts.(ci).rhs with Rattr b -> f b ci | Rlevel _ -> ()
-      done
-    in
-    Ok
-      {
-        attr_names;
-        attr_index = index;
-        csts;
-        lhs_len;
-        complex;
-        complex_idx;
-        n_complex = !n_complex;
-        constr_of = csr n (each_lhs false);
-        complex_constr_of = csr n (each_lhs true);
-        incoming = csr n each_rhs;
-        dropped;
-      }
+    Ok { (of_rows ~attr_names ~attr_index:index csts) with dropped }
   with Err e -> Error e
 
 let compile_exn ?attrs ?strict csts =
@@ -182,10 +177,15 @@ let iter_constr_of p a f = csr_iter p.constr_of a f
 let iter_incoming p a f = csr_iter p.incoming a f
 
 let total_size p =
-  Array.fold_left (fun acc len -> acc + len + 1) 0 p.lhs_len
+  Array.fold_left (fun acc c -> acc + Array.length c.lhs + 1) 0 p.csts
 
 let attr_name p a = p.attr_names.(a)
-let attr_id p a = Names.find_opt p.attr_index a
+(* A session shares one growing index among the problems it builds, so
+   a name interned after [p] was built has an id beyond [p]'s universe. *)
+let attr_id p a =
+  match Names.find p.attr_index a with
+  | i when i < Array.length p.attr_names -> Some i
+  | _ | (exception Not_found) -> None
 
 let attr_id_exn p a =
   match attr_id p a with

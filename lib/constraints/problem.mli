@@ -26,13 +26,10 @@ type 'lvl t = private {
   attr_names : string array;
   attr_index : int Names.t;
   csts : 'lvl cst array;
-  lhs_len : int array;
-      (** [lhs_len.(ci) = Array.length csts.(ci).lhs], precomputed so the
-          solver's hot loop never recomputes it *)
-  complex : bool array;  (** [complex.(ci)] iff [lhs_len.(ci) > 1] *)
   complex_idx : int array;
-      (** dense numbering of the complex constraints: [complex_idx.(ci)] is
-          a dense id in [0 .. n_complex-1], or [-1] if [ci] is simple *)
+      (** dense numbering of the complex constraints (lhs of two or more
+          attributes): [complex_idx.(ci)] is a dense id in
+          [0 .. n_complex-1], or [-1] if [ci] is simple *)
   n_complex : int;  (** number of complex constraints *)
   constr_of : csr;
       (** row [a] — indices of constraints with [a] in their lhs
@@ -48,7 +45,8 @@ type 'lvl t = private {
           time, §3 *)
 }
 (** The three indexes are flat int arrays, built in two linear sweeps over
-    the constraints (count, then fill) in ascending constraint index.
+    the constraints (count, then fill) in ascending constraint index
+    ({!of_rows}).
     That ascending order is an invariant the solver relies on: its
     Bigloop, [Try] and the priority DFS visit constraints row by row, so
     the visit order — and with it every level and every [Instr] counter —
@@ -67,6 +65,23 @@ val compile :
   ?attrs:string list -> ?strict:bool -> 'lvl Cst.t list -> ('lvl t, error) result
 
 val compile_exn : ?attrs:string list -> ?strict:bool -> 'lvl Cst.t list -> 'lvl t
+
+(** [row ~intern c] — [c] compiled: its lhs mapped through [intern] and
+    sorted, its rhs attribute interned.  [c] must not be trivial
+    ({!Cst.is_trivial}): {!compile} drops those. *)
+val row : intern:(string -> int) -> 'lvl Cst.t -> 'lvl cst
+
+(** [of_rows ~attr_names ~attr_index csts] — the indexing half of
+    {!compile}, which calls it: the problem over the universe
+    [attr_names] (id [i] is [attr_names.(i)]) with the kept constraints
+    [csts] in that order (every id they mention below
+    [Array.length attr_names]), and [dropped = []].  Linear in the
+    attributes plus the constraint size; nothing is looked up by name.
+    [attr_index] maps every name of [attr_names] to its id and is
+    shared, not copied: it may also hold names interned later, with
+    larger ids, which {!attr_id} does not report. *)
+val of_rows :
+  attr_names:string array -> attr_index:int Names.t -> 'lvl cst array -> 'lvl t
 
 val n_attrs : 'lvl t -> int
 val n_csts : 'lvl t -> int

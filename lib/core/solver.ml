@@ -61,13 +61,13 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let sets = prio.Priorities.sets in
     if Array.exists simple_only sets then Array.map simple_only sets else [||]
 
+  let prepare ~lattice prob =
+    let prio = Priorities.compute prob in
+    { lat = lattice; prob; prio; simple_only = simple_only_sets prob prio }
+
   let compile ~lattice ?attrs csts =
     Trace.with_span ~cat:"solver" "compile" @@ fun () ->
-    match Problem.compile ?attrs csts with
-    | Error _ as e -> e
-    | Ok prob ->
-        let prio = Priorities.compute prob in
-        Ok { lat = lattice; prob; prio; simple_only = simple_only_sets prob prio }
+    Result.map (prepare ~lattice) (Problem.compile ?attrs csts)
 
   let compile_exn ~lattice ?attrs csts =
     match compile ~lattice ?attrs csts with
@@ -172,18 +172,20 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     stats : Instr.t;
     lam : L.level array;  (* λ *)
     done_ : bool array;  (* λ(A) final *)
-    unlabeled : int array;  (* per constraint: lhs members not yet visited *)
+    unlabeled : int array;  (* per complex constraint: lhs members unvisited *)
     agg : L.level array;  (* per complex constraint: see [finalize] *)
     pref : int array option;  (* upgrade preference per attribute *)
     prev : L.level array option;  (* incremental mode: the earlier levels *)
     stale : bool array;  (* incremental mode: the set must be labeled again *)
     mutable reused : int;  (* attributes that took [prev]'s level *)
-    (* [try_lower]'s and [dset]'s scratch *)
-    pend : pending array;
-    pend_lvl : L.level array;
+    (* [try_lower]'s and [dset]'s scratch; the three per-attribute arrays
+       are allocated at the first [Try], which an acyclic solve never
+       calls *)
+    mutable pend : pending array;
+    mutable pend_lvl : L.level array;
     mutable fifo : int array;
     mutable fifo_len : int;
-    touched : int array;
+    mutable touched : int array;
     mutable n_touched : int;
     mutable dset : L.level array;
     mutable dset_len : int;
@@ -326,13 +328,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     | None -> ()
 
   (* MINLEVEL(A, lhs, rhs): a minimal level [a] can assume without
-     violating the complex constraint [c] (index [ci]), given the current
-     levels of the other lhs members. *)
-  let minlevel st a ci (c : _ Problem.cst) =
+     violating the complex constraint [c] (dense id [k]), given the
+     current levels of the other lhs members. *)
+  let minlevel st a k (c : _ Problem.cst) =
     st.stats.Instr.minlevel_calls <- st.stats.Instr.minlevel_calls + 1;
-    let k = st.prob.Problem.complex_idx.(ci) in
     let lubothers =
-      if st.unlabeled.(ci) = 0 then
+      if st.unlabeled.(k) = 0 then
         (* Every lhs member has been considered, and an attribute's
            Consider iteration runs to completion before the next begins,
            so all members other than [a] are finalized — the aggregate
@@ -393,19 +394,19 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      the result. *)
   let back_propagate st a =
     let { Problem.off; tgt } = st.prob.Problem.constr_of in
-    let csts = st.prob.Problem.csts and complex = st.prob.Problem.complex in
+    let csts = st.prob.Problem.csts and complex_idx = st.prob.Problem.complex_idx in
     let unlabeled = st.unlabeled and done_ = st.done_ in
     done_.(a) <- true;
     let l = ref st.bottom in
     for i = off.(a) to off.(a + 1) - 1 do
       let ci = tgt.(i) in
       let c = csts.(ci) in
-      let complex = complex.(ci) in
-      if complex then unlabeled.(ci) <- unlabeled.(ci) - 1;
+      let k = complex_idx.(ci) in
+      if k >= 0 then unlabeled.(k) <- unlabeled.(k) - 1;
       if rhs_done st c then begin
-        if not complex then l := lub st !l (rhs_level st c)
-        else if unlabeled.(ci) = 0 || st.bounds_mode then
-          l := lub st !l (minlevel st a ci c)
+        if k < 0 then l := lub st !l (rhs_level st c)
+        else if unlabeled.(k) = 0 || st.bounds_mode then
+          l := lub st !l (minlevel st a k c)
       end
       else done_.(a) <- false
     done;
@@ -450,6 +451,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      When a call succeeds every touched attribute is in Tolower: each move
      into Tocheck pushes a worklist entry, whose pop moves it on. *)
   let try_lower st a0 l0 =
+    if Array.length st.pend = 0 then begin
+      let n = Array.length st.lam in
+      st.pend <- Array.make n Idle;
+      st.pend_lvl <- Array.make n st.bottom;
+      st.touched <- Array.make n 0
+    end;
     let { Problem.off; tgt } = st.prob.Problem.constr_of in
     let csts = st.prob.Problem.csts and stats = st.stats in
     let lam = st.lam and done_ = st.done_ in
@@ -635,31 +642,33 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      level folded into its aggregates), with no step, span or event. *)
   let reuse st prev set =
     let { Problem.off; tgt } = st.prob.Problem.constr_of in
-    let complex = st.prob.Problem.complex and unlabeled = st.unlabeled in
+    let complex_idx = st.prob.Problem.complex_idx and unlabeled = st.unlabeled in
     for j = 0 to Array.length set - 1 do
       let a = set.(j) in
       st.lam.(a) <- prev.(a);
       st.done_.(a) <- true;
       for i = off.(a) to off.(a + 1) - 1 do
         let ci = tgt.(i) in
-        if complex.(ci) then unlabeled.(ci) <- unlabeled.(ci) - 1
+        let k = complex_idx.(ci) in
+        if k >= 0 then unlabeled.(k) <- unlabeled.(k) - 1
       done;
       finalize st a
     done;
     st.reused <- st.reused + Array.length set
 
   (* Incremental mode, after a set is labeled: a member whose level is not
-     [prev]'s makes stale every attribute whose labeling reads it — the
-     lhs of each constraint it is the rhs of, and its peers in each
-     complex lhs.  The comparison is uncounted. *)
+     [prev]'s — or that [prev] lacks — makes stale every attribute whose
+     labeling reads it: the lhs of each constraint it is the rhs of, and
+     its peers in each complex lhs.  The comparison is uncounted. *)
   let mark_stale st prev set =
     let prob = st.prob in
     let mark ci = Array.iter (fun x -> st.stale.(x) <- true) prob.Problem.csts.(ci).lhs in
     Array.iter
       (fun a ->
-        if not (L.equal st.lat st.lam.(a) prev.(a)) then begin
+        if a >= Array.length prev || not (L.equal st.lat st.lam.(a) prev.(a)) then begin
           Problem.iter_incoming prob a mark;
-          Problem.iter_constr_of prob a (fun ci -> if prob.Problem.complex.(ci) then mark ci)
+          Problem.iter_constr_of prob a (fun ci ->
+              if prob.Problem.complex_idx.(ci) >= 0 then mark ci)
         end)
       set
 
@@ -681,7 +690,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         else label_set st p members;
         match prev with Some prev -> mark_stale st prev set | None -> ())
 
-  (* The order Bigloop takes the priority sets in: any sink-first
+  (* The order Bigloop takes [prio]'s sets of [prob] in: any sink-first
      topological order of the condensation labels every right-hand side
      before its left-hand sides.  [None] is the paper's, decreasing
      priority.  An upgrade preference picks another: the attribute that
@@ -691,13 +700,13 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      set [p]'s cross-set edges into sets not yet labeled, once per
      constraint and lhs member: a set is available once all of them are
      labeled, deduplicated or not. *)
-  let schedule st =
+  let schedule st (prob : _ Problem.t) (prio : Priorities.t) =
     match st.pref with
     | None -> None
     | Some _ ->
-        let { Priorities.priority; sets; max_priority = np } = st.prio in
-        let csts = st.prob.Problem.csts in
-        let { Problem.off; tgt } = st.prob.Problem.incoming in
+        let { Priorities.priority; sets; max_priority = np } = prio in
+        let csts = prob.Problem.csts in
+        let { Problem.off; tgt } = prob.Problem.incoming in
         (* [f q] for every cross-set edge into set [p], from set [q]. *)
         let edges_into p f =
           Array.iter
@@ -755,6 +764,15 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     check st ~poll:true;
     if st.tracing then Trace.end_span ~cat:"solver" "bigloop"
 
+  (* The lhs size of each complex constraint, by dense id. *)
+  let lhs_sizes prob =
+    let sizes = Array.make prob.Problem.n_complex 0 in
+    Array.iteri
+      (fun ci k ->
+        if k >= 0 then sizes.(k) <- Array.length prob.Problem.csts.(ci).Problem.lhs)
+      prob.Problem.complex_idx;
+    sizes
+
   (* A fresh state, every attribute at [ub] (bounds mode) or ⊤.
      Observability is latched here: spans mark the phases (solve,
      schedule, bigloop) and each cyclic priority set, never a single
@@ -768,10 +786,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let stale =
       match prev with
       | None -> [||]
-      | Some (levels, dirty) ->
-          if Array.length levels <> n then
+      | Some ((pp : problem), levels, dirty) ->
+          let n0 = Problem.n_attrs pp.prob in
+          if Array.length levels <> n0 || n0 > n then
             invalid_arg "Solver.solve_incremental: prev solves another problem";
-          let stale = Array.make n false in
+          (* Rule (a): an attribute [prev] lacks has no level to reuse. *)
+          let stale = Array.init n (fun a -> a >= n0) in
           List.iter (fun a -> stale.(a) <- true) dirty;
           stale
     in
@@ -808,20 +828,20 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       lam =
         (match ub with Some ub -> ub | None -> Array.init n (fun _ -> L.top lat));
       done_ = Array.make n false;
-      unlabeled = Array.copy prob.Problem.lhs_len;
+      unlabeled = lhs_sizes prob;
       agg = Array.make prob.Problem.n_complex bottom;
       pref =
         Option.map
           (fun f -> Array.init n (fun a -> f (Problem.attr_name prob a)))
           config.Config.upgrade_preference;
-      prev = Option.map fst prev;
+      prev = Option.map (fun (_, levels, _) -> levels) prev;
       stale;
       reused = 0;
-      pend = Array.make n Idle;
-      pend_lvl = Array.make n bottom;
+      pend = [||];
+      pend_lvl = [||];
       fifo = Array.make 16 0;
       fifo_len = 0;
-      touched = Array.make n 0;
+      touched = [||];
       n_touched = 0;
       dset = Array.make 4 bottom;
       dset_len = 0;
@@ -864,17 +884,98 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         Trace.unwind_to depth;
         Printexc.raise_with_backtrace e bt
 
+  (* [pos.(p)]: the turn set [p] takes in [schedule]'s [Some] order;
+     [None] for the paper's, decreasing priority. *)
+  let set_positions (prio : Priorities.t) = function
+    | None -> None
+    | Some order ->
+        let pos = Array.make (prio.Priorities.max_priority + 1) 0 in
+        Array.iteri (fun i p -> pos.(p) <- i) order;
+        Some pos
+
+  let turn pos priority a =
+    match pos with None -> -priority.(a) | Some pos -> pos.(priority.(a))
+
+  (* The last-labeled member of [lhs] under [priority] and the set turns
+     [pos]: the latest turn, then the last in the set's (preference, id)
+     order. *)
+  let last_labeled st priority pos lhs =
+    let last = ref lhs.(0) in
+    for j = 1 to Array.length lhs - 1 do
+      let a = lhs.(j) and b = !last in
+      let c = Int.compare (turn pos priority a) (turn pos priority b) in
+      if c > 0 || (c = 0 && by_pref st a b > 0) then last := a
+    done;
+    !last
+
+  let mark_all stale a =
+    for j = 0 to Array.length a - 1 do
+      stale.(a.(j)) <- true
+    done
+
+  (* Incremental mode across two problems: [pp], the one [prev] solved,
+     has a prefix of [st]'s attributes.  [start] made stale every
+     attribute [pp] lacks (rule (a): its set is labeled whole).  This
+     adds every member of a set whose attributes [pp] has are not exactly
+     one of [pp]'s sets, a merged or split component (rule (b)), and the
+     lhs of every complex constraint whose last-labeled member (the one
+     that runs [Minlevel]) differs between the two problems' Bigloop
+     orders: [order] here, [pp]'s own schedule there (rule (c)).  A
+     constraint with a member [pp] lacks has no such member in [pp], so
+     its lhs is marked too. *)
+  let widen st (pp : problem) order =
+    let n0 = Problem.n_attrs pp.prob and stale = st.stale in
+    let priority = st.prio.Priorities.priority
+    and old = pp.prio.Priorities.priority
+    and old_sets = pp.prio.Priorities.sets in
+    let sets = st.prio.Priorities.sets in
+    for p = 0 to Array.length sets - 1 do
+      let set = sets.(p) in
+      (* [q]: [pp]'s set of the first member it has, 0 if none yet. *)
+      let q = ref 0 and kept = ref 0 and same = ref true in
+      for j = 0 to Array.length set - 1 do
+        let x = set.(j) in
+        if x < n0 then begin
+          incr kept;
+          if !q = 0 then q := old.(x) else if old.(x) <> !q then same := false
+        end
+      done;
+      if !kept > 0 && not (!same && Array.length old_sets.(!q - 1) = !kept) then
+        mark_all stale set
+    done;
+    let pos = set_positions st.prio order
+    and old_pos = set_positions pp.prio (schedule st pp.prob pp.prio) in
+    let csts = st.prob.Problem.csts and complex_idx = st.prob.Problem.complex_idx in
+    for ci = 0 to Array.length csts - 1 do
+      if complex_idx.(ci) >= 0 then begin
+        let lhs = csts.(ci).Problem.lhs in
+        let fresh = ref false in
+        for j = 0 to Array.length lhs - 1 do
+          if lhs.(j) >= n0 then fresh := true
+        done;
+        if
+          !fresh
+          || last_labeled st priority pos lhs <> last_labeled st old old_pos lhs
+        then mark_all stale lhs
+      end
+    done
+
   (* MAIN after [compile]'s priorities, the one entry path of every mode:
-     [prev] is an earlier solution's levels and the attributes whose
-     constraints changed since (see {!solve_incremental}), [ub] starts
-     every attribute at its upper bound (§6). *)
+     [prev] is the problem an earlier solution solved, its levels, and
+     the attributes whose constraints changed since (see
+     {!solve_incremental}), [ub] starts every attribute at its upper
+     bound (§6). *)
   let run ?prev ?ub ~config problem =
     with_balanced_spans @@ fun () ->
     let st = start ?prev ?ub ~config problem in
     let order =
-      if st.tracing then Trace.with_span ~cat:"solver" "schedule" (fun () -> schedule st)
-      else schedule st
+      if st.tracing then
+        Trace.with_span ~cat:"solver" "schedule" (fun () -> schedule st st.prob st.prio)
+      else schedule st st.prob st.prio
     in
+    (match prev with
+    | Some (pp, _, _) when pp != problem -> widen st pp order
+    | _ -> ());
     bigloop st order;
     let stats = st.stats in
     if st.tracing then
@@ -898,8 +999,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   let solve ?(config = Config.default) problem = run ~config problem
 
-  let solve_incremental ?(config = Config.default) ~prev ~dirty problem =
-    run ~config ~prev:(prev.levels, dirty) problem
+  let solve_incremental ?(config = Config.default) ~prev:(pp, prev) ~dirty problem =
+    run ~config ~prev:(pp, prev.levels, dirty) problem
 
   let find (problem : problem) solution attr =
     match Problem.attr_id problem.prob attr with

@@ -76,8 +76,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
             gives it one lub instead of [Try]; empty if no set is *)
   }
 
+  (** [prepare ~lattice prob] — [prob] with its priorities
+      ({!Minup_constraints.Priorities.compute}) and simple-only sets. *)
+  val prepare : lattice:L.t -> L.level Minup_constraints.Problem.t -> problem
+
   (** Compile constraints into an indexed problem (see
-      {!Minup_constraints.Problem.compile}) and precompute priorities. *)
+      {!Minup_constraints.Problem.compile}) and {!prepare} it. *)
   val compile :
     lattice:L.t ->
     ?attrs:string list ->
@@ -218,30 +222,53 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       [solver/reused_attrs] adds {!solution.reused}). *)
   val solve : ?config:Config.t -> problem -> solution
 
-  (** [solve_incremental ?config ~prev ~dirty problem] — exactly the
-      levels {!solve} [problem] would return, given [prev], an earlier
-      solution of the same compiled [problem] (possibly patched in place
-      since by {!Minup_constraints.Problem.set_rlevel}), and [dirty], the
-      attribute ids whose own constraints changed since [prev].
+  (** [solve_incremental ?config ~prev:(pp, sol) ~dirty problem] —
+      exactly the levels {!solve} [problem] would return, given [sol], an
+      earlier solution of [pp], and [dirty], the attribute ids whose own
+      constraints (the rows with them in their lhs) changed since [sol].
+      [pp] is either [problem] itself, possibly patched in place since by
+      {!Minup_constraints.Problem.set_rlevel}, or another compiled
+      problem whose attributes are a prefix of [problem]'s (same ids, same
+      names) and whose rows that [problem] keeps appear there in the same
+      relative order — what a session's rebuild produces.
 
       The [Bigloop] takes the priority sets in {!solve}'s order.  A set's
-      levels depend only on the levels of the sets labeled before it and
-      on its own constraints, so at its turn a set with no dirty or stale
-      member takes [prev]'s levels: it is finalized as a visit would leave
-      it (feeding the lhs-lub aggregates of its complex constraints), with
-      no step, span, event or [solver/*] tally.  Any other set is labeled
-      as in {!solve}; then every member whose new level differs from
-      [prev]'s ([L.equal], uncounted) makes stale the lhs members of the
-      constraints whose rhs it is and its peers in every complex lhs it is
-      in.  Every counter, aggregate and unlabeled count is then what a
-      scratch solve has at the same step, so the same member runs
-      [Minlevel] and the levels are bit-identical to {!solve}'s.  With
-      every attribute dirty it is {!solve}: same levels, events and
-      counters.  [reused] counts the sets' members that took [prev]'s
-      level; [stats] count only the work performed.  Raises
-      [Invalid_argument] if [prev] has another number of attributes. *)
+      levels depend only on the levels of the sets labeled before it, on
+      its own constraints and, for a complex constraint, on which lhs
+      member is labeled last (that member runs [Minlevel]; Try sees the
+      others at their final level or at [⊤]).  So at its turn a set with
+      no dirty or stale member takes [sol]'s levels: it is finalized as a
+      visit would leave it (feeding the lhs-lub aggregates of its complex
+      constraints), with no step, span, event or [solver/*] tally.  Any
+      other set is labeled as in {!solve}; then every member whose new
+      level differs from [sol]'s ([L.equal], uncounted), or that [pp]
+      lacks, makes stale the lhs members of the constraints whose rhs it
+      is and its peers in every complex lhs it is in.
+
+      When [pp] is not [problem] (physically), the solve first widens
+      [dirty] with
+      - (a) every attribute [pp] lacks;
+      - (b) every member of a priority set of [problem] whose attributes
+        from [pp] are not exactly one priority set of [pp] (a merged or
+        split component; a set that gained an attribute is labeled whole
+        through (a));
+      - (c) every lhs member of each complex constraint whose
+        last-labeled member differs between the two problems' [Bigloop]
+        orders — the orders actually taken, an upgrade preference's
+        schedule included.
+      The priorities of the two problems may order their sets
+      differently; only such a swap of two sets that share a complex lhs
+      can move a level, and (c) catches it.
+
+      Every counter, aggregate and unlabeled count is then what a scratch
+      solve has at the same step, so the same member runs [Minlevel] and
+      the levels are bit-identical to {!solve}'s.  With every attribute
+      dirty it is {!solve}: same levels, events and counters.  [reused]
+      counts the sets' members that took [sol]'s level; [stats] count only
+      the work performed.  Raises [Invalid_argument] if [sol] has another
+      number of attributes than [pp], or [pp] more than [problem]. *)
   val solve_incremental :
-    ?config:Config.t -> prev:solution -> dirty:int list -> problem -> solution
+    ?config:Config.t -> prev:problem * solution -> dirty:int list -> problem -> solution
 
   (** [find problem solution attr]. *)
   val find : problem -> solution -> string -> L.level option

@@ -8,18 +8,27 @@ module Parse = Minup_constraints.Parse
 module S = Session.Make (Explicit)
 module Solver = S.Solver
 
+(* The sessions by name, each with the tick of its last use: a lookup
+   restamps its entry in place, and only an [open] past the cap scans
+   for the least recently used. *)
+type held = { session : S.t; mutable used : int }
+
 type conn = {
   max_sessions : int;
   deadline_ms : int option;
   max_steps : int option;
-  mutable sessions : (string * S.t) list;  (** most recently used first *)
+  sessions : (string, held) Hashtbl.t;
+  mutable tick : int;
 }
 
 let create ?(max_sessions = 8) ?deadline_ms ?max_steps () =
   if max_sessions < 1 then invalid_arg "Serve.create: max_sessions < 1";
-  { max_sessions; deadline_ms; max_steps; sessions = [] }
+  { max_sessions; deadline_ms; max_steps; sessions = Hashtbl.create 16; tick = 0 }
 
-let session_names conn = List.map fst conn.sessions
+let session_names conn =
+  Hashtbl.fold (fun name h acc -> (h.used, name) :: acc) conn.sessions []
+  |> List.sort (fun (u, _) (v, _) -> Int.compare v u)
+  |> List.map snd
 
 let err ?problem detail = Wire.v1 ?problem (Wire.Error { detail })
 let errf ?problem fmt = Format.kasprintf (err ?problem) fmt
@@ -44,29 +53,34 @@ let attr_field doc =
   | Some (Json.Str a) -> Error (Printf.sprintf "invalid attribute name %S" a)
   | _ -> Error "missing \"attr\""
 
-(* Find a session and mark it most recently used. *)
+let stamp conn h =
+  conn.tick <- conn.tick + 1;
+  h.used <- conn.tick
+
+(* The session held as [name], marked most recently used; raises
+   [Not_found] if there is none.  Allocates nothing. *)
 let find conn name =
-  match List.assoc_opt name conn.sessions with
-  | None -> None
-  | Some s ->
-      conn.sessions <- (name, s) :: List.remove_assoc name conn.sessions;
-      Some s
+  let h = Hashtbl.find conn.sessions name in
+  stamp conn h;
+  h.session
 
 let evictions = lazy (Metrics.counter "serve/evicted")
 
+(* Hold [session] as [name], most recently used; past the cap, the least
+   recently used session goes. *)
 let insert conn name session =
-  conn.sessions <- (name, session) :: List.remove_assoc name conn.sessions;
-  let rec take k = function
-    | [] -> ([], 0)
-    | _ :: rest when k = 0 -> ([], 1 + List.length rest)
-    | x :: rest ->
-        let kept, dropped = take (k - 1) rest in
-        (x :: kept, dropped)
-  in
-  let kept, dropped = take conn.max_sessions conn.sessions in
-  conn.sessions <- kept;
-  if dropped > 0 && Metrics.enabled () then
-    Metrics.add (Lazy.force evictions) dropped
+  let h = { session; used = 0 } in
+  stamp conn h;
+  Hashtbl.replace conn.sessions name h;
+  if Hashtbl.length conn.sessions > conn.max_sessions then begin
+    let victim, _ =
+      Hashtbl.fold
+        (fun name h (v, used) -> if h.used < used then (name, h.used) else (v, used))
+        conn.sessions ("", max_int)
+    in
+    Hashtbl.remove conn.sessions victim;
+    if Metrics.enabled () then Metrics.incr (Lazy.force evictions)
+  end
 
 (* One policy-format line, resolved against the session's lattice. *)
 let parse_constraint session text =
@@ -211,7 +225,7 @@ let dispatch conn op problem session doc =
           Wire.v1 ~problem (Wire.Ack { id = None }))
   | "resolve" -> resolve_op conn problem session doc
   | "close" ->
-      conn.sessions <- List.remove_assoc problem conn.sessions;
+      Hashtbl.remove conn.sessions problem;
       Wire.v1 ~problem (Wire.Ack { id = None })
   | op -> errf ~problem "unknown op %S" op
 
@@ -234,8 +248,8 @@ let handle_line conn line =
               if op = "open" then open_session conn problem doc
               else
                 match find conn problem with
-                | None -> errf ~problem "unknown session %S" problem
-                | Some session -> dispatch conn op problem session doc
+                | session -> dispatch conn op problem session doc
+                | exception Not_found -> errf ~problem "unknown session %S" problem
             with
             | (Sys.Break | Out_of_memory) as e -> raise e
             | e -> err ~problem (Printexc.to_string e)))

@@ -28,9 +28,11 @@
 
     Anything else — unparseable line, unknown op, unknown session, bad
     field — answers a [status: "error"] envelope; the loop never dies on
-    a bad request.  Sessions are kept in an LRU list capped at
-    [max_sessions]; opening one beyond the cap silently evicts the least
-    recently used (counted in the [serve/evicted] metric). *)
+    a bad request.  Sessions are kept in a table by name, each stamped
+    with its last use, capped at [max_sessions]: a request's lookup
+    restamps in place and allocates nothing, and opening one beyond the
+    cap silently evicts the least recently used (one scan of the table,
+    counted in the [serve/evicted] metric). *)
 
 type conn
 

@@ -7,51 +7,70 @@
     ({!Make.add_constraint}, {!Make.remove_constraint},
     {!Make.set_lower_bound}, {!Make.add_attribute}) are cheap: they queue
     deltas.  {!Make.resolve} applies the queued deltas and re-solves, in
-    one of three ways:
+    one of four ways:
 
-    - no deltas: the cached solution is returned as-is;
+    - no deltas ([cached]): the cached solution is returned as-is;
     - only re-tightened lower bounds on attributes that were already
-      bounded at the last compile: each new level is written into the
-      compiled problem in place ({!Minup_constraints.Problem.set_rlevel})
-      and the priority assignment is kept — no copy, no re-interning, no
-      DFS.  The solver then runs from the previous solution with the
-      patched attributes dirty
-      ({!Minup_core.Solver.Make.solve_incremental}): at its [Bigloop]
-      turn, a priority set none of whose inputs changed level takes its
-      previous levels unchanged, so a re-solve stops where levels stop
-      changing.  A set that is labeled again — cyclic or not — is
-      labeled exactly as in a scratch solve;
-    - anything else (a constraint added or removed, a new attribute, a
-      first or cleared bound): the snapshot is compiled and solved from
-      scratch.
+      bounded at the last compile ([patch]): each new level is written
+      into the compiled problem in place
+      ({!Minup_constraints.Problem.set_rlevel}) and the priority
+      assignment is kept — no copy, no re-interning, no DFS;
+    - any other delta — a constraint added or removed, a new attribute,
+      a first or cleared bound ([rebuild]): a new problem is indexed from
+      the session's compiled rows ({!Minup_constraints.Problem.of_rows}:
+      user rows in id order, then the bound rows, as a compile of
+      {!Make.snapshot} lays them out) and its priorities are computed
+      afresh, so they are exactly a scratch compile's.  No name is looked
+      up and no snapshot is built;
+    - the first resolve ([scratch]): the snapshot is compiled, and the
+      compiled row of each user constraint is kept.  Later constraints
+      are interned when added.
+
+    [patch] and [rebuild] then re-solve from the previous solution
+    ({!Minup_core.Solver.Make.solve_incremental}) with the attributes
+    whose own rows changed dirty: at its [Bigloop] turn, a priority set
+    none of whose inputs changed level takes its previous levels
+    unchanged, so a re-solve stops where levels stop changing.  A set
+    that is labeled again — cyclic or not — is labeled exactly as in a
+    scratch solve.  Traced, each resolve's [session.resolve] span names
+    its path and, as [reason], the delta that chose it ([first resolve],
+    [no delta], [re-tightened x], [add #17], [remove #3],
+    [new attribute y], [first bound on x], [cleared bound on x]).
 
     Incrementality is {e never} visible in results: every resolve returns
     exactly (bit-identical levels) what a from-scratch
     {!Minup_core.Solver.Make.solve} of the current problem
     ({!Make.snapshot}) would return.  Which path was taken shows up only
-    in {!Make.stats} and in the solve's operation counters.
+    in {!Make.stats}, in the trace and in the solve's operation counters.
 
     Sessions are single-domain values: no internal locking.
 
-    {b Costs.}  The editor state is flat: the attribute universe is a list
-    kept in reverse plus a hash set, user constraints and bounded
-    attributes live in id-addressed append-only arrays where removal
-    leaves a tombstone, and bounds are a hash table.  With [k] the size
-    of the constraint involved:
+    {b Costs.}  The editor state is flat: attribute names live in a
+    growable array indexed by id plus a name ↦ id table, user
+    constraints (each with its compiled row) and bounds (attribute id and
+    level) in id-addressed append-only arrays where removal leaves a
+    tombstone.  With [k] the size of the constraint involved:
     - {!Make.create}: linear in its input (attributes plus total
       constraint size);
-    - {!Make.add_constraint}: O(k) amortized;
-    - {!Make.remove_constraint}, {!Make.set_lower_bound},
-      {!Make.add_attribute}: O(1) amortized;
-    - {!Make.snapshot}, and the compile of a {!Make.resolve} after a
-      structural delta: linear in the attributes, the constraint size and
-      the number of constraint ids and bounded attributes ever handed out
-      (tombstones included), plus the compile itself;
-    - the patch path of {!Make.resolve}: no compile and no copy; O(1)
-      per queued bound change (an in-place write), then linear in the
-      attributes plus the constraint rows of the reused sets (each reused
-      member is finalized, with no step), plus the solve of the sets
-      labeled again. *)
+    - {!Make.add_constraint}: O(k) amortized (the row is interned once a
+      compile has run);
+    - {!Make.remove_constraint}: O(k) (the removed row's lhs is noted
+      dirty);
+    - {!Make.set_lower_bound}, {!Make.add_attribute}: O(1) amortized;
+    - {!Make.snapshot}, and the first {!Make.resolve}'s compile: linear
+      in the attributes, the constraint size and the number of constraint
+      ids and bounded attributes ever handed out (tombstones included),
+      plus the compile itself;
+    - the patch path: no compile and no copy; O(1) per queued bound
+      change (an in-place write), then the incremental solve;
+    - the rebuild path: linear in the attributes, the live rows' size
+      and the ids ever handed out (the indexing and the two priority
+      DFS passes, no name lookup), then the incremental solve;
+    - the incremental solve: linear in the attributes plus the
+      constraint rows of the reused sets (each reused member is
+      finalized, with no step), plus the solve of the sets labeled
+      again.  On 2k and 8k attributes a rebuild resolve allocates about
+      half of a scratch compile and solve of the snapshot. *)
 
 module Make (L : Minup_lattice.Lattice_intf.S) : sig
   (** The session's own solver instance.  Exposed so callers can name the
@@ -65,16 +84,17 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
 
   (** How past resolves were served; [frozen] totals the attributes whose
       previous levels were reused (not re-solved) across incremental
-      resolves.  Every patch resolve counts in both [patched] and
-      [incremental], so the two always move together. *)
+      resolves.  A patch resolve counts in [patched] and [incremental], a
+      rebuild resolve in [incremental] only, so [incremental - patched]
+      counts the rebuilds.  A cancelled resolve counts in its path too. *)
   type stats = {
     resolves : int;
     cached : int;  (** no pending deltas: cached solution returned *)
     patched : int;  (** bound-patch path: compile and priorities reused *)
-    incremental : int;  (** patch re-solved from the previous solution *)
-    full : int;
-        (** scratch solves: the first resolve and every resolve after a
-            structural delta *)
+    incremental : int;
+        (** patch and rebuild resolves, each re-solved from the previous
+            solution *)
+    full : int;  (** scratch solves: the first resolve only *)
     frozen : int;
   }
 
@@ -102,7 +122,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
   val set_lower_bound : t -> string -> L.level option -> unit
 
   (** Register an attribute (a no-op if already present).  Unconstrained
-      attributes classify at ⊥. *)
+      attributes classify at ⊥.  Any delta that registers a new
+      attribute — {!set_lower_bound} clearing the bound of an unseen one
+      included — queues a rebuild. *)
   val add_attribute : t -> string -> unit
 
   (** Apply queued deltas and (re-)solve.  [config] defaults to
@@ -110,7 +132,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       solution is returned ([residual], [upgrade_preference]) must be the
       same at every resolve of one session, or reuse of previous levels is
       unsound.  A [budget] applies to whatever solving actually happens on
-      this call.  Raises [Solver.Cancelled] like the underlying solve. *)
+      this call.  Raises [Solver.Cancelled] like the underlying solve,
+      leaving the deltas queued: a cancelled rebuild leaves the compiled
+      problem as it was, and a cancelled patch has written its bounds
+      into it, which the retry writes again. *)
   val resolve : ?config:Solver.Config.t -> t -> Solver.solution
 
   (** Apply queued deltas (with a catch-up {!resolve} if any are

@@ -450,7 +450,7 @@ let test_frozen_sets_uncounted () =
   let full = ST.solve p in
   let f = Option.get (Minup_constraints.Problem.attr_id p.ST.prob "f") in
   with_metrics @@ fun () ->
-  let s = with_trace (fun () -> ST.solve_incremental ~prev:full ~dirty:[ f ] p) in
+  let s = with_trace (fun () -> ST.solve_incremental ~prev:(p, full) ~dirty:[ f ] p) in
   check Alcotest.(array int) "levels" full.ST.levels s.ST.levels;
   check Alcotest.(list string) "solver spans" [ "solve"; "schedule"; "bigloop" ]
     (List.filter_map

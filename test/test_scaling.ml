@@ -287,10 +287,13 @@ let session_patch_stops ~size:expected shape () =
     (let s, l = Lazy.force inputs in
      [ s; l ])
 
-(* Every structural delta re-solves from scratch: the resolve counts in
-   [stats.full] and allocates at most 1.2x a from-scratch compile and
-   solve of the same snapshot outside the session. *)
+(* Every structural delta rebuilds the problem from the session's
+   interned rows and re-solves incrementally: the resolve counts in
+   [stats.incremental], not [stats.full], opens no [problem.compile] span
+   and allocates at most 0.6x a from-scratch compile and solve of the
+   same snapshot outside the session. *)
 let session_structural_lean () =
+  let module Trace = Minup_obs.Trace in
   List.iter
     (fun (attrs, csts) ->
       let n = List.length attrs in
@@ -299,12 +302,15 @@ let session_structural_lean () =
         (fun (kind, edit) ->
           edit ();
           let w_scratch = words (scratch sess) in
-          let full = (Session.stats sess).Session.full in
+          let before = Session.stats sess in
           let w_resolve = words (fun () -> Session.resolve sess) in
-          if (Session.stats sess).Session.full <> full + 1 then
-            Alcotest.failf "%d attrs: %s did not resolve from scratch" n kind;
-          if w_resolve > 1.2 *. w_scratch then
-            Alcotest.failf "%d attrs: %s resolve allocated %.2fx a scratch solve (bound 1.2x)"
+          let after = Session.stats sess in
+          if
+            after.Session.incremental <> before.Session.incremental + 1
+            || after.Session.full <> before.Session.full
+          then Alcotest.failf "%d attrs: %s did not resolve incrementally" n kind;
+          if w_resolve > 0.6 *. w_scratch then
+            Alcotest.failf "%d attrs: %s resolve allocated %.2fx a scratch solve (bound 0.6x)"
               n kind (w_resolve /. w_scratch))
         [
           ( "add",
@@ -315,7 +321,18 @@ let session_structural_lean () =
           ("new attribute", fun () -> Session.add_attribute sess "fresh");
           ("first bound", fun () -> Session.set_lower_bound sess (List.nth attrs 1) (Some 5));
           ("cleared bound", fun () -> Session.set_lower_bound sess bounded.(3) None);
-        ])
+        ];
+      (* Traced, a structural resolve compiles nothing. *)
+      ignore (Session.add_constraint sess (Cst.simple (List.nth attrs 5) (Cst.Level 7)));
+      Trace.start ();
+      let sol = Fun.protect ~finally:Trace.stop (fun () -> Session.resolve sess) in
+      List.iter
+        (fun (e : Trace.event) ->
+          if e.name = "problem.compile" then
+            Alcotest.failf "%d attrs: a structural resolve emitted a %s span" n e.name)
+        (Trace.events ());
+      Alcotest.(check (array int)) "rebuild resolve = scratch" (scratch sess ()).Solver.levels
+        sol.Session.Solver.levels)
     (let s, l = Lazy.force inputs in
      [ s; l ])
 
@@ -338,5 +355,6 @@ let suite =
       simple_ring_patch;
     case "a no-op re-tighten re-solves only its own set" (session_patch_stops ~size:1 Fun.id);
     case "a no-op re-tighten in a ring re-solves only the ring" (session_patch_stops ~size:3 with_ring);
-    case "a structural resolve allocates <= 1.2x scratch" session_structural_lean;
+    case "a structural resolve allocates <= 0.6x scratch and compiles nothing"
+      session_structural_lean;
   ]

@@ -69,26 +69,78 @@ let stats_classify_paths () =
       (* Re-tightening an existing bound is the patch fast path. *)
       Session.set_lower_bound sess "salary" (Some (lvl "L4"));
       check_matches ~ctx:"patch" fig1b sess;
-      (* A structural delta recompiles and solves from scratch. *)
+      (* A structural delta rebuilds the problem from its rows and
+         re-solves it incrementally. *)
       ignore (Session.add_constraint sess (Helpers.level_cst "dept" "L2"));
       check_matches ~ctx:"structural" fig1b sess);
-  (* Each traced resolve names its path. *)
+  (* Each traced resolve names its path and the delta that chose it. *)
+  let arg name =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        match (e.ph, e.name, List.assoc_opt name e.args) with
+        | 'B', "session.resolve", Some (Trace.Str p) -> Some p
+        | _ -> None)
+      (Trace.events ())
+  in
   Alcotest.(check (list string))
     "session.resolve path arguments"
-    [ "scratch"; "cached"; "patch"; "scratch" ]
-    (List.filter_map
-       (fun (e : Trace.event) ->
-         match (e.ph, e.name, List.assoc_opt "path" e.args) with
-         | 'B', "session.resolve", Some (Trace.Str p) -> Some p
-         | _ -> None)
-       (Trace.events ()));
+    [ "scratch"; "cached"; "patch"; "rebuild" ]
+    (arg "path");
+  Alcotest.(check (list string))
+    "session.resolve reason arguments"
+    [ "first resolve"; "no delta"; "re-tightened salary"; "add #3" ]
+    (arg "reason");
   let st = Session.stats sess in
   Alcotest.(check int) "resolves" 4 st.Session.resolves;
   Alcotest.(check int) "cached" 1 st.Session.cached;
-  Alcotest.(check int) "full" 2 st.Session.full;
+  Alcotest.(check int) "full: the first resolve only" 1 st.Session.full;
   Alcotest.(check int) "patched" 1 st.Session.patched;
-  Alcotest.(check int) "incremental" 1 st.Session.incremental;
+  Alcotest.(check int) "incremental: patch and rebuild" 2 st.Session.incremental;
   Alcotest.(check bool) "frozen some work" true (st.Session.frozen > 0)
+
+let zero_steps () =
+  { SS.Config.default with budget = Some (Minup_core.Solver.budget ~max_steps:0 ()) }
+
+(* A zero-step budget cancels a rebuild resolve (here an added
+   constraint and a re-tighten behind it): the deltas stay queued and the
+   compiled problem the session had is left as it was, so the next
+   resolve rebuilds again, for the same reason, and matches scratch. *)
+let cancelled_rebuild () =
+  let sess = Session.create ~lattice:fig1b (base_csts ()) in
+  Session.set_lower_bound sess "salary" (Some (lvl "L1"));
+  check_matches ~ctx:"initial" fig1b sess;
+  let id = Session.add_constraint sess (Helpers.attr_cst "dept" "name") in
+  Session.set_lower_bound sess "salary" (Some (lvl "L4"));
+  let before = Session.stats sess in
+  (match Session.resolve ~config:(zero_steps ()) sess with
+  | _ -> Alcotest.fail "a zero-step rebuild resolve was not cancelled"
+  | exception SS.Cancelled _ -> ());
+  let after = Session.stats sess in
+  Alcotest.(check int) "counted as incremental" (before.Session.incremental + 1)
+    after.Session.incremental;
+  Alcotest.(check int) "not full" before.Session.full after.Session.full;
+  Alcotest.(check bool) "deltas still queued" true (Session.solution sess = None);
+  Trace.start ();
+  Fun.protect ~finally:Trace.stop (fun () -> check_matches ~ctx:"after cancel" fig1b sess);
+  Alcotest.(check (list (pair string string)))
+    "the retry rebuilds for the same reason"
+    [ ("rebuild", Printf.sprintf "add #%d" id) ]
+    (List.filter_map
+       (fun (e : Trace.event) ->
+         match (e.ph, e.name, List.assoc_opt "path" e.args, List.assoc_opt "reason" e.args) with
+         | 'B', "session.resolve", Some (Trace.Str p), Some (Trace.Str r) -> Some (p, r)
+         | _ -> None)
+       (Trace.events ()));
+  Alcotest.(check int) "full only for the first resolve" 1 (Session.stats sess).Session.full
+
+(* Clearing the bound of an attribute the session has never seen still
+   registers it: the next resolve must not be served from the cache. *)
+let clear_unknown_bound () =
+  let sess = Session.create ~lattice:fig1b (base_csts ()) in
+  check_matches ~ctx:"initial" fig1b sess;
+  Session.set_lower_bound sess "unseen" None;
+  Alcotest.(check bool) "a delta is queued" true (Session.solution sess = None);
+  check_matches ~ctx:"cleared bound on a new attribute" fig1b sess
 
 let cycle_retighten_is_patched () =
   (* The non-binding complex constraint keeps the cycle on [Try]. *)
@@ -179,6 +231,24 @@ let cancel_patch ~ctx sess =
   if Option.is_some (Session.solution sess) then
     Alcotest.failf "%s: the cancelled resolve consumed its deltas" ctx
 
+(* A zero-step budget on a structural batch's resolve: cancelled, it
+   leaves the deltas queued; a rebuild that relabels nothing takes no
+   step, completes and must match scratch. *)
+let cancel_rebuild ~ctx lat sess =
+  let before = Session.stats sess in
+  (match Session.resolve ~config:(zero_steps ()) sess with
+  | sol ->
+      if not (Array.for_all2 (Explicit.equal lat) sol.SS.levels (scratch lat sess).SS.levels)
+      then Alcotest.failf "%s: a stepless rebuild diverges from scratch" ctx
+  | exception SS.Cancelled _ ->
+      if Option.is_some (Session.solution sess) then
+        Alcotest.failf "%s: the cancelled rebuild consumed its deltas" ctx);
+  let after = Session.stats sess in
+  if
+    after.Session.incremental <> before.Session.incremental + 1
+    || after.Session.full <> before.Session.full
+  then Alcotest.failf "%s: a structural batch did not take the rebuild path" ctx
+
 (* A random editing session: 1–3 deltas between resolves, and every
    resolve must match the scratch solve of the snapshot.  Once per
    session a patch-path resolve is cancelled first. *)
@@ -235,7 +305,7 @@ let random_session seed =
         Session.add_attribute sess (Printf.sprintf "z%d" !fresh);
         Structural
   in
-  let cancelled = ref false in
+  let cancelled = ref false and cancelled_rebuild = ref false in
   check_matches ~ctx:"initial" lat sess;
   for step = 1 to 10 do
     let edits = List.init (1 + Prng.int rng 3) (fun _ -> edit ()) in
@@ -244,6 +314,10 @@ let random_session seed =
     if (not !cancelled) && retighten_only then begin
       cancelled := true;
       cancel_patch ~ctx sess
+    end;
+    if (not !cancelled_rebuild) && List.mem Structural edits then begin
+      cancelled_rebuild := true;
+      cancel_rebuild ~ctx lat sess
     end;
     let before = Session.stats sess in
     check_matches ~ctx lat sess;
@@ -647,11 +721,53 @@ let serve_lru_eviction () =
   check_status "b is gone" "error"
     (serve_req conn [ ("op", Json.Str "resolve"); ("problem", Json.Str "b") ])
 
+(* At the cap, each open evicts the least recently used session — by
+   open or by request, whichever came last — one at a time, and counts
+   it; re-opening or closing a held name evicts nothing. *)
+let serve_lru_order () =
+  let module Metrics = Minup_obs.Metrics in
+  let conn = Serve.create ~max_sessions:3 () in
+  let touch name =
+    check_status ("touch " ^ name) "ok"
+      (serve_req conn [ ("op", Json.Str "resolve"); ("problem", Json.Str name) ])
+  in
+  let evicted () = Metrics.counter_value (Metrics.counter "serve/evicted") in
+  Metrics.enable ();
+  Metrics.clear ();
+  Fun.protect ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.clear ())
+  @@ fun () ->
+  List.iter (fun name -> check_status ("open " ^ name) "ok" (open_req conn name)) [ "a"; "b"; "c" ];
+  touch "a";
+  Alcotest.(check (list string)) "by recency" [ "a"; "c"; "b" ] (Serve.session_names conn);
+  check_status "re-open c" "ok" (open_req conn "c");
+  Alcotest.(check int) "a re-open at the cap evicts nothing" 0 (evicted ());
+  check_status "open d" "ok" (open_req conn "d");
+  Alcotest.(check (list string)) "b went first" [ "d"; "c"; "a" ] (Serve.session_names conn);
+  touch "a";
+  check_status "open e" "ok" (open_req conn "e");
+  Alcotest.(check (list string)) "then c" [ "e"; "a"; "d" ] (Serve.session_names conn);
+  Alcotest.(check int) "two evictions counted" 2 (evicted ());
+  check_status "close d" "ok"
+    (serve_req conn [ ("op", Json.Str "close"); ("problem", Json.Str "d") ]);
+  check_status "open f" "ok" (open_req conn "f");
+  Alcotest.(check (list string)) "a close frees a place" [ "f"; "e"; "a" ]
+    (Serve.session_names conn);
+  Alcotest.(check int) "still two evictions" 2 (evicted ());
+  List.iter
+    (fun name ->
+      check_status (name ^ " is gone") "error"
+        (serve_req conn [ ("op", Json.Str "resolve"); ("problem", Json.Str name) ]))
+    [ "b"; "c"; "d" ]
+
 let suite =
   [
     case "delta sequence matches scratch" delta_sequence_matches_scratch;
     case "stats classify resolve paths" stats_classify_paths;
     case "cycle re-tighten is patched" cycle_retighten_is_patched;
+    case "a cancelled rebuild keeps its deltas" cancelled_rebuild;
+    case "a cleared bound on an unseen attribute registers it" clear_unknown_bound;
     case "bounded catch-up obeys budget" bounded_catch_up_obeys_budget;
     case "untouched subgraph is frozen" untouched_subgraph_is_frozen;
     case "random sessions match scratch" random_sessions;
@@ -664,4 +780,5 @@ let suite =
     case "serve rejects out-of-range integer fields" serve_int_fields;
     case "serve rejects inexpressible attribute names" serve_attr_names;
     case "serve LRU eviction" serve_lru_eviction;
+    case "serve evicts in recency order at max_sessions" serve_lru_order;
   ]

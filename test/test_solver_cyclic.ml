@@ -392,9 +392,9 @@ let incremental_prop =
       let n = Problem.n_attrs p.S.prob in
       let all, all_log =
         solve_logged (fun config ->
-            S.solve_incremental ~config ~prev:full ~dirty:(List.init n Fun.id) p)
+            S.solve_incremental ~config ~prev:(p, full) ~dirty:(List.init n Fun.id) p)
       in
-      let part = S.solve_incremental ~prev:full ~dirty:[ seed mod n ] p in
+      let part = S.solve_incremental ~prev:(p, full) ~dirty:[ seed mod n ] p in
       let same = Array.for_all2 (Explicit.equal lat) full.S.levels in
       same all.S.levels && all_log = full_log
       && Minup_core.Instr.to_alist all.S.stats = Minup_core.Instr.to_alist full.S.stats
@@ -449,7 +449,7 @@ let incremental_patch_prop =
               Array.to_list prob.Problem.csts.(ci).Problem.lhs)
             (Prng.sample rng k level_rhs)
         in
-        let inc = S.solve_incremental ~config ~prev ~dirty p in
+        let inc = S.solve_incremental ~config ~prev:(p, prev) ~dirty p in
         if not (Array.for_all2 (Explicit.equal lat) (S.solve p).S.levels inc.S.levels) then
           QCheck.Test.fail_reportf "incremental levels differ from a fresh solve";
         inc
@@ -470,7 +470,7 @@ let patch csts ~bound ~level =
   let full = ST.solve p in
   Problem.set_rlevel prob bound level;
   let inc =
-    ST.solve_incremental ~config:(ST.Config.make ~check_aggregate:true ()) ~prev:full
+    ST.solve_incremental ~config:(ST.Config.make ~check_aggregate:true ()) ~prev:(p, full)
       ~dirty:(Array.to_list prob.Problem.csts.(bound).Problem.lhs)
       p
   in
@@ -540,10 +540,131 @@ let incremental_equal_levels () =
   let full = SC.solve p in
   Problem.set_rlevel p.SC.prob 2 (level ());
   let c = Problem.attr_id_exn p.SC.prob "c" in
-  let inc = SC.solve_incremental ~prev:full ~dirty:[ c ] p in
+  let inc = SC.solve_incremental ~prev:(p, full) ~dirty:[ c ] p in
   Alcotest.(check bool) "same levels" true
     (Array.for_all2 (Compartment.equal lat) full.SC.levels inc.SC.levels);
   Alcotest.(check int) "a and b reused" 2 inc.SC.reused
+
+(* Across a rebuilt problem, the way a session's structural resolve
+   uses [solve_incremental]: the previous and the new problem are scratch
+   compiles of two snapshots of one editing model (attributes in
+   registration order, user constraints in id order, then bounds in
+   first-set order), so the new attributes extend the old and the rows
+   that survive keep their order.  One to three edits a round: adds
+   (complex ones, attribute edges that can merge components, some over a
+   new attribute), removes (which can split a component), new
+   attributes, first, re-set and cleared bounds.  [dirty] is the lhs of
+   every added or removed row and each attribute whose bound changed.
+   Two chained rounds, with and without an upgrade preference, with the
+   aggregates cross-checked at every [Minlevel].  Over acyclic,
+   single-component, simple-only and mixed instances. *)
+let rebuild_prop =
+  QCheck.Test.make ~count:300 ~name:"solve_incremental across a rebuilt problem = solve"
+    Helpers.seed_arb (fun seed ->
+      let module G = Minup_workload.Gen_constraints in
+      let module Prng = Minup_workload.Prng in
+      let rng = Prng.create seed in
+      let lat =
+        Minup_workload.Gen_lattice.random_closure_exn rng ~universe:4
+          ~n_generators:3 ~max_size:12
+      in
+      let levels = Explicit.all lat in
+      let spec n_complex =
+        G.{ n_attrs = 14; n_simple = 12; n_complex; max_lhs = 3; n_constants = 5;
+            constants = levels }
+      in
+      let attrs, csts =
+        match seed mod 4 with
+        | 0 -> G.acyclic rng (spec 4)
+        | 1 -> G.single_scc rng (spec 3)
+        | 2 -> G.mixed rng (spec 0) ~n_islands:2 ~island_size:4
+        | _ -> G.mixed rng (spec 3) ~n_islands:2 ~island_size:4
+      in
+      let names = ref attrs and fresh = ref 0 in
+      let register a = if not (List.mem a !names) then names := !names @ [ a ] in
+      let new_name () =
+        incr fresh;
+        Printf.sprintf "new%d" !fresh
+      in
+      let user = ref (List.mapi (fun i c -> (i, c)) csts) and next = ref (List.length csts) in
+      let bounds = ref [] in
+      let compile () =
+        S.compile_exn ~lattice:lat ~attrs:!names
+          (List.map snd !user @ List.map (fun (a, l) -> Cst.simple a (Cst.Level l)) !bounds)
+      in
+      let config =
+        S.Config.make ~check_aggregate:true
+          ?upgrade_preference:
+            (if seed / 4 mod 2 = 0 then None else Some (fun a -> Hashtbl.hash a mod 5))
+          ()
+      in
+      (* One edit; returns the attributes whose own rows it changed. *)
+      let edit () =
+        match Prng.int rng 6 with
+        | 0 | 1 -> (
+            let pool = if Prng.int rng 4 = 0 then new_name () :: !names else !names in
+            let lhs = Prng.sample rng (1 + Prng.int rng 3) pool in
+            let rhs =
+              if Prng.int rng 3 = 0 then Cst.Level (Prng.pick rng levels)
+              else Cst.Attr (Prng.pick rng pool)
+            in
+            match Cst.make ~lhs ~rhs with
+            | Ok c ->
+                List.iter register (Cst.attrs c);
+                user := !user @ [ (!next, c) ];
+                incr next;
+                c.Cst.lhs
+            | Error _ -> [])
+        | 2 when !user <> [] ->
+            let id, c = Prng.pick rng !user in
+            user := List.filter (fun (i, _) -> i <> id) !user;
+            c.Cst.lhs
+        | 3 ->
+            register (new_name ());
+            []
+        | 4 ->
+            let a = Prng.pick rng !names and l = Prng.pick rng levels in
+            bounds :=
+              if List.mem_assoc a !bounds then
+                List.map (fun (b, l') -> (b, if b = a then l else l')) !bounds
+              else !bounds @ [ (a, l) ];
+            [ a ]
+        | _ -> (
+            match !bounds with
+            | [] -> []
+            | _ ->
+                let a, _ = Prng.pick rng !bounds in
+                bounds := List.remove_assoc a !bounds;
+                [ a ])
+      in
+      let round (p, sol) =
+        let changed = List.concat (List.init (1 + Prng.int rng 3) (fun _ -> edit ())) in
+        let p' = compile () in
+        let dirty = List.map (Problem.attr_id_exn p'.S.prob) changed in
+        let inc = S.solve_incremental ~config ~prev:(p, sol) ~dirty p' in
+        if not (Array.for_all2 (Explicit.equal lat) (S.solve ~config p').S.levels inc.S.levels)
+        then QCheck.Test.fail_reportf "incremental levels differ from a fresh solve";
+        (p', inc)
+      in
+      let p = compile () in
+      ignore (round (round (p, S.solve ~config p)));
+      true)
+
+(* [{x, y} ⊒ S5] over two singleton sets: [y] is labeled last and runs
+   [Minlevel].  The added [x ⊒ y] turns the order round, so [x] now runs
+   it: [x] takes S5 and [y] drops to S0, though [y]'s own constraints
+   and set are unchanged and only [x] is dirty.  Only the rule on the
+   last-labeled member of a complex lhs relabels [y]. *)
+let rebuild_swaps_minlevel () =
+  let assoc = Cst.make_exn ~lhs:[ "x"; "y" ] ~rhs:(Cst.Level 5) in
+  let p = ST.compile_exn ~lattice:ladder16 ~attrs:[ "x"; "y" ] [ assoc ] in
+  let sol = ST.solve p in
+  Alcotest.(check (array int)) "before: y absorbs" [| 0; 5 |] sol.ST.levels;
+  let p' = ST.compile_exn ~lattice:ladder16 ~attrs:[ "x"; "y" ] [ assoc; ge "x" "y" ] in
+  Alcotest.(check (array int)) "after: x absorbs" [| 5; 0 |] (ST.solve p').ST.levels;
+  let config = ST.Config.make ~check_aggregate:true () in
+  let inc = ST.solve_incremental ~config ~prev:(p, sol) ~dirty:[ 0 ] p' in
+  Alcotest.(check (array int)) "incremental = fresh solve" [| 5; 0 |] inc.ST.levels
 
 let suite =
   [
@@ -559,6 +680,8 @@ let suite =
     Helpers.qcheck random_mixed_prop;
     Helpers.qcheck incremental_prop;
     Helpers.qcheck incremental_patch_prop;
+    Helpers.qcheck rebuild_prop;
+    case "incremental: an added edge swaps the Minlevel member" rebuild_swaps_minlevel;
     case "incremental: a complex peer is recomputed" incremental_complex_peer;
     case "incremental: a change enters a Try cycle" incremental_try_cycle;
     case "incremental: a change enters a simple-only set" incremental_simple_only;
