@@ -61,12 +61,14 @@ let fig2 () =
       Paper.fig2_constraints
   in
   Printf.printf "priority sets:\n";
-  Array.iteri
-    (fun i set ->
-      Printf.printf "  priority[%d] = {%s}\n" (i + 1)
-        (String.concat ", "
-           (Array.to_list (Array.map (Problem.attr_name problem.SE.prob) set))))
-    problem.SE.prio.Minup_constraints.Priorities.sets;
+  let prio = problem.SE.prio in
+  for p = 1 to prio.Minup_constraints.Priorities.max_priority do
+    Printf.printf "  priority[%d] = {%s}\n" p
+      (String.concat ", "
+         (Array.to_list
+            (Array.map (Problem.attr_name problem.SE.prob)
+               (Minup_constraints.Priorities.set prio p))))
+  done;
   let sol = SE.solve problem in
   let rows =
     List.map

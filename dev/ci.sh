@@ -3,9 +3,11 @@
 # CLI end to end.  Every gate is deterministic — counters, allocated
 # words, clock reads, envelopes — so it passes or fails alike on any
 # host.  The suite itself covers the engine's jobs parity on the
-# benchmark batch shapes and the supervision cost (test_engine), and the
-# session patch path's compile-free, allocation-bounded resolve and the
-# structural deltas' compile-free rebuild resolve (test_scaling).
+# benchmark batch shapes, the supervision cost and the helper pool
+# (test_engine: back-to-back batches spawn nothing, concurrent and nested
+# batches share it), and the session patch path's compile-free,
+# allocation-bounded resolve and the structural deltas' compile-free
+# rebuild resolve (test_scaling).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,8 +47,16 @@ dune exec dev/counters_check.exe
 # Differential self-check: a pinned-seed bounded run of the property
 # harness (solver vs oracle/baselines/round-trips across all backends),
 # which must include the session delta-parity and wire round-trip checks.
+# Its cases fan out on the helper pool, and each case's battery runs
+# jobs=2 batches on it from inside that fan-out; the summary must be the
+# same at --jobs 1, where nothing but those nested batches uses the pool.
 selfcheck_out=$(dune exec -- mlsclassify selfcheck --seed 42 --cases 60 --jobs 2)
 echo "$selfcheck_out"
+selfcheck_seq=$(dune exec -- mlsclassify selfcheck --seed 42 --cases 60 --jobs 1)
+test "$selfcheck_seq" = "$selfcheck_out" || {
+  echo "ci: selfcheck printed a different summary at --jobs 1 and --jobs 2" >&2
+  exit 1
+}
 echo "$selfcheck_out" | grep -Eq 'checks:.* session=[1-9]' || {
   echo "ci: selfcheck did not exercise the session property" >&2
   exit 1

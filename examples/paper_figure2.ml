@@ -21,12 +21,14 @@ let () =
     problem.Solver.prob;
 
   print_endline "\npriority sets (computed by the two DFS passes):";
-  Array.iteri
-    (fun i set ->
-      Printf.printf "  priority[%d] = {%s}\n" (i + 1)
-        (String.concat ", "
-           (Array.to_list (Array.map (Problem.attr_name problem.Solver.prob) set))))
-    problem.Solver.prio.Minup_constraints.Priorities.sets;
+  let prio = problem.Solver.prio in
+  for p = 1 to prio.Minup_constraints.Priorities.max_priority do
+    Printf.printf "  priority[%d] = {%s}\n" p
+      (String.concat ", "
+         (Array.to_list
+            (Array.map (Problem.attr_name problem.Solver.prob)
+               (Minup_constraints.Priorities.set prio p))))
+  done;
 
   print_endline "\nexecution trace:";
   let pp_level l = Explicit.level_to_string lattice l in

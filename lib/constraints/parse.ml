@@ -32,17 +32,6 @@ let rec find t c s e = if s >= e || t.[s] = c then s else find t c (s + 1) e
 let rec starts t s e p i =
   i = String.length p || (s + i < e && t.[s + i] = p.[i] && starts t s e p (i + 1))
 
-(* The first top-level [>=] or [<=] in [s, e), or -1.  Operators inside
-   braces belong to level syntax and are skipped. *)
-let rec find_op t i e depth =
-  if i >= e - 1 then -1
-  else
-    match t.[i] with
-    | '{' -> find_op t (i + 1) e (depth + 1)
-    | '}' -> find_op t (i + 1) e (depth - 1)
-    | ('>' | '<') when depth = 0 && t.[i + 1] = '=' -> i
-    | _ -> find_op t (i + 1) e depth
-
 let grow a fill =
   let b = Array.make (2 * Array.length a) fill in
   Array.blit a 0 b 0 (Array.length a);
@@ -72,11 +61,32 @@ type scan = {
   lowers : ints;  (** per [>=] line: line, end of its members in [lhs], rhs id *)
   lhs : ints;  (** the [>=] lines' lhs member ids, line after line *)
   uppers : ints;  (** per [<=] line: line, attribute id, rhs id *)
+  mutable op : int;  (** the current line's first top-level operator, or -1 *)
+  mutable h : int;  (** the hash of the last identifier run *)
 }
 
+(* The line from [i]: one pass to the end of its content — the first [#]
+   or newline, or the end of the text — which it returns, recording in
+   [sc.op] the first top-level [>=] or [<=] before it.  Operators inside
+   braces belong to level syntax and are skipped. *)
+let rec content_end sc t n i depth =
+  if i >= n then i
+  else
+    match t.[i] with
+    | '\n' | '#' -> i
+    | '{' -> content_end sc t n (i + 1) (depth + 1)
+    | '}' -> content_end sc t n (i + 1) (depth - 1)
+    | ('>' | '<') when depth = 0 && i + 1 < n && t.[i + 1] = '=' ->
+        sc.op <- i;
+        rest_end t n (i + 2)
+    | _ -> content_end sc t n (i + 1) depth
+
+and rest_end t n i = if i >= n || t.[i] = '\n' || t.[i] = '#' then i else rest_end t n (i + 1)
+
 (* FNV-1a over [t.[s .. e-1]]: a slice hashes without being copied. *)
-let rec hash t s e h =
-  if s = e then h else hash t (s + 1) e ((h lxor Char.code t.[s]) * 0x100000001b3)
+let fnv_basis = 0x811c9dc5
+let fnv h c = (h lxor Char.code c) * 0x100000001b3
+let rec hash t s e h = if s = e then h else hash t (s + 1) e (fnv h t.[s])
 
 (* The slot holding the name [t.[s .. e-1]], or the free slot it goes in. *)
 let rec probe slots names t s e i =
@@ -84,13 +94,12 @@ let rec probe slots names t s e i =
   if id < 0 || (String.length names.(id) = e - s && starts t s e names.(id) 0) then i
   else probe slots names t s e ((i + 1) land (Array.length slots - 1))
 
-let slot slots names t s e =
-  probe slots names t s e (hash t s e 0x811c9dc5 land (Array.length slots - 1))
+let slot slots names t s e h = probe slots names t s e (h land (Array.length slots - 1))
 
-(* The id of the name [text.[s .. e-1]], copied out the first time it is
-   seen. *)
-let intern sc s e =
-  let i = slot sc.slots sc.names sc.text s e in
+(* The id of the name [text.[s .. e-1]], whose hash is [h], copied out
+   the first time it is seen. *)
+let intern sc s e h =
+  let i = slot sc.slots sc.names sc.text s e h in
   if sc.slots.(i) > 0 then sc.slots.(i) - 1
   else begin
     let id = sc.n_names in
@@ -102,7 +111,8 @@ let intern sc s e =
       let slots = Array.make (2 * Array.length sc.slots) 0 in
       for id = 0 to sc.n_names - 1 do
         let name = sc.names.(id) in
-        slots.(slot slots sc.names name 0 (String.length name)) <- id + 1
+        let len = String.length name in
+        slots.(slot slots sc.names name 0 len (hash name 0 len fnv_basis)) <- id + 1
       done;
       sc.slots <- slots;
       sc.names <- grow sc.names ""
@@ -115,20 +125,36 @@ let rec ident_chars t s e = s >= e || (is_ident_char t.[s] && ident_chars t (s +
 
 let is_ident name = name <> "" && ident_chars name 0 (String.length name)
 
+(* The end of the run of identifier characters from [i] (at most [e]),
+   their hash left in [sc.h]: a name is validated and hashed in one
+   pass. *)
+let rec ident_run sc t e i h =
+  if i < e && is_ident_char t.[i] then ident_run sc t e (i + 1) (fnv h t.[i])
+  else (sc.h <- h; i)
+
 let ident sc s e =
   if s = e then fail "empty identifier";
-  if not (ident_chars sc.text s e) then
+  if ident_run sc sc.text e s fnv_basis < e then
     fail "invalid identifier %S" (String.sub sc.text s (e - s));
-  intern sc s e
+  intern sc s e sc.h
 
 (* Push the ids of the comma-separated identifiers in [s, e) onto [v],
-   skipping empty entries; [k] plus their count. *)
+   skipping empty entries; [k] plus their count.  An entry is one run of
+   identifier characters followed by [,] or the end of the span; anything
+   else names the whole trimmed entry, up to its comma, as invalid. *)
 let rec idents sc v s e k =
-  let c = find sc.text ',' s e in
-  let a = ltrim sc.text s c in
-  let b = rtrim sc.text a c in
-  let k = if a < b then (push v (ident sc a b); k + 1) else k in
-  if c < e then idents sc v (c + 1) e k else k
+  let t = sc.text in
+  let a = ltrim t s e in
+  if a = e then k
+  else if t.[a] = ',' then idents sc v (a + 1) e k
+  else begin
+    let b = ident_run sc t e a fnv_basis in
+    let c = ltrim t b e in
+    if b = a || (c < e && t.[c] <> ',') then
+      fail "invalid identifier %S" (String.sub t a (rtrim t a (find t ',' a e) - a));
+    push v (intern sc a b sc.h);
+    if c < e then idents sc v (c + 1) e (k + 1) else k + 1
+  end
 
 (* Push a left-hand side's member ids onto [sc.lhs]; their count. *)
 let lhs_ids sc s e =
@@ -145,9 +171,9 @@ let lhs_ids sc s e =
     k
   end
 
+(* The line whose content is [s, e), its operator in [sc.op]. *)
 let scan_line sc lineno s e =
   let t = sc.text in
-  let e = find t '#' s e in
   let s = ltrim t s e in
   let e = rtrim t s e in
   (* [attrs] introduces declarations only alone or before whitespace:
@@ -156,12 +182,12 @@ let scan_line sc lineno s e =
   else if starts t s e "attrs" 0 && (e - s = 5 || t.[s + 5] = ' ' || t.[s + 5] = '\t') then
     ignore (idents sc sc.decls (s + 5) e 0)
   else begin
-    let i = find_op t s e 0 in
+    let i = sc.op in
     if i < 0 then fail "expected 'attrs', '... >= ...' or '... <= ...'";
     let r = ltrim t (i + 2) e in
     if r = e then fail "empty right-hand side";
     let k = lhs_ids sc s i in
-    let rhs = intern sc r e in
+    let rhs = intern sc r e (hash t r e fnv_basis) in
     if t.[i] = '>' then push3 sc.lowers lineno sc.lhs.len rhs
     else if k <> 1 then fail "upper-bound constraints take a single attribute"
     else (sc.lhs.len <- sc.lhs.len - 1; push3 sc.uppers lineno sc.lhs.a.(sc.lhs.len) rhs)
@@ -175,11 +201,14 @@ let scan text =
   let rec pow2 k = if k >= lines then k else pow2 (2 * k) in
   let sc =
     { text; names = Array.make (pow2 4) ""; n_names = 0; slots = Array.make (2 * pow2 4) 0;
-      decls = ints lines; lowers = ints (3 * lines); lhs = ints (2 * lines); uppers = ints 3 }
+      decls = ints lines; lowers = ints (3 * lines); lhs = ints (2 * lines); uppers = ints 3;
+      op = -1; h = 0 }
   in
   let rec go lineno s =
-    let e = find text '\n' s n in
-    match scan_line sc lineno s e with
+    sc.op <- -1;
+    let c = content_end sc text n s 0 in
+    let e = if c < n && text.[c] = '#' then find text '\n' c n else c in
+    match scan_line sc lineno s c with
     | () -> if e < n then go (lineno + 1) (e + 1) else Ok sc
     | exception Err message -> Error { line = lineno; message }
   in

@@ -1,11 +1,16 @@
-type t = { priority : int array; sets : int array array; max_priority : int }
+type t = { priority : int array; members : int array; starts : int array; max_priority : int }
+
+let size t p = t.starts.(p) - t.starts.(p - 1)
+let set t p = Array.sub t.members t.starts.(p - 1) (size t p)
 
 (* Both passes are iterative DFS over the CSR indexes, with the explicit
    call stack held in preallocated int arrays ([node], [pos], and for the
    backward pass [lpos]): a frame is a node plus a cursor into its
    successors, advanced one successor at a time, so the traversal order
    matches the recursive presentation in the paper.  Each attribute is
-   pushed at most once per pass, so [n] frames suffice. *)
+   pushed at most once per pass, so [n] frames suffice.  [priority] is
+   also the visit mark of both passes: nonzero once visited — [-1] in
+   the forward pass, the attribute's priority in the backward one. *)
 let compute p =
   Minup_obs.Trace.with_span ~cat:"constraints"
     ~args:[ ("attrs", Minup_obs.Trace.Int (Problem.n_attrs p)) ]
@@ -13,7 +18,7 @@ let compute p =
   @@ fun () ->
   let n = Problem.n_attrs p in
   let csts = p.Problem.csts in
-  let visit = Array.make n false in
+  let priority = Array.make n 0 in
   let node = Array.make n 0 and pos = Array.make n 0 in
   (* Pass 1: forward DFS (edges lhs member → rhs attribute, in constraint
      order), recording attributes as their visit concludes. *)
@@ -22,8 +27,8 @@ let compute p =
     (fun () ->
       let { Problem.off; tgt } = p.Problem.constr_of in
       for root = 0 to n - 1 do
-        if not visit.(root) then begin
-          visit.(root) <- true;
+        if priority.(root) = 0 then begin
+          priority.(root) <- -1;
           node.(0) <- root;
           pos.(0) <- off.(root);
           let sp = ref 1 in
@@ -38,8 +43,8 @@ let compute p =
             else begin
               pos.(top) <- i + 1;
               match csts.(tgt.(i)).Problem.rhs with
-              | Problem.Rattr b when not visit.(b) ->
-                  visit.(b) <- true;
+              | Problem.Rattr b when priority.(b) = 0 ->
+                  priority.(b) <- -1;
                   node.(!sp) <- b;
                   pos.(!sp) <- off.(b);
                   incr sp
@@ -53,13 +58,11 @@ let compute p =
      backward-reachable unvisited region (edges rhs → every lhs member)
      into the same priority set.  [members] holds every set back to back,
      in discovery order; set [k] starts at [starts.(k)]. *)
-  Array.fill visit 0 n false;
-  let priority = Array.make n 0 in
+  Array.fill priority 0 n 0;
   let members = Array.make n 0 and n_members = ref 0 in
   let starts = Array.make (n + 1) 0 in
   let max_priority = ref 0 in
   let discover x =
-    visit.(x) <- true;
     priority.(x) <- !max_priority;
     members.(!n_members) <- x;
     incr n_members
@@ -70,7 +73,7 @@ let compute p =
       let lpos = Array.make n 0 in
       for k = n - 1 downto 0 do
         let root = finish.(k) in
-        if not visit.(root) then begin
+        if priority.(root) = 0 then begin
           starts.(!max_priority) <- !n_members;
           incr max_priority;
           discover root;
@@ -91,7 +94,7 @@ let compute p =
               else begin
                 lpos.(top) <- j + 1;
                 let b = lhs.(j) in
-                if not visit.(b) then begin
+                if priority.(b) = 0 then begin
                   discover b;
                   node.(!sp) <- b;
                   pos.(!sp) <- off.(b);
@@ -104,10 +107,4 @@ let compute p =
         end
       done);
   starts.(!max_priority) <- n;
-  {
-    priority;
-    sets =
-      Array.init !max_priority (fun k ->
-          Array.sub members starts.(k) (starts.(k + 1) - starts.(k)));
-    max_priority = !max_priority;
-  }
+  { priority; members; starts; max_priority = !max_priority }

@@ -17,15 +17,26 @@
 
 type t = private {
   priority : int array;  (** priority per attribute id, [1 .. max_priority] *)
-  sets : int array array;
-      (** [sets.(p-1)] — the attributes of priority [p], in the order the
+  members : int array;
+      (** every priority set back to back: the attributes of priority [p]
+          are [members.(starts.(p-1) .. starts.(p) - 1)], in the order the
           backward DFS discovered them *)
+  starts : int array;
+      (** [starts.(p-1)]: where set [p] begins in [members];
+          [starts.(max_priority) = n].  Its length may exceed
+          [max_priority + 1]. *)
   max_priority : int;
 }
+
+(** The number of attributes of priority [p]. *)
+val size : t -> int -> int
+
+(** A fresh copy of the attributes of priority [p], in discovery order. *)
+val set : t -> int -> int array
 
 (** Deterministic: follows attribute-id order for roots and constraint-index
     order for edges, matching the paper's presentation.  Linear in the
     constraint size: both DFS passes run on preallocated int stacks over
-    the {!Problem.csr} indexes and allocate a constant number of words per
-    attribute. *)
+    the {!Problem.csr} indexes and allocate seven words per attribute:
+    four stacks and the three arrays of the result. *)
 val compute : 'lvl Problem.t -> t

@@ -107,9 +107,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      Claims are monotonic: if index [i] was ever claimed, every index
      below [i] was claimed before it, and a claimed task always runs to
      completion (the abort flag is only consulted *between* claims).  So
-     after the join the completed tasks form an exact prefix of the input,
-     which is what makes fail-fast deterministic: the lowest-index error
-     in that prefix is the same in every interleaving. *)
+     once the fan-out returns the completed tasks form an exact prefix of
+     the input, which is what makes fail-fast deterministic: the
+     lowest-index error in that prefix is the same in every
+     interleaving. *)
   let solve_batch ?residual ?upgrade_preference ?(policy = default_policy)
       ?instrument ?jobs problems =
     let n = Array.length problems in
@@ -255,7 +256,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let next = Atomic.make 0 in
     let abort = Atomic.make false in
     let fatal = Atomic.make None in
-    let worker w () =
+    let worker w =
       if tracing then
         Trace.begin_span ~cat:"engine"
           ~args:[ ("worker", Trace.Int w) ]
@@ -300,12 +301,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             ]
           "worker"
     in
-    (* The calling domain is worker number [jobs - 1]; only [jobs - 1]
-       are spawned — with [jobs = 1] the caller does everything and no
-       domain is spawned at all. *)
-    let spawned = Array.init (jobs - 1) (fun w -> Domain.spawn (worker w)) in
-    worker (jobs - 1) ();
-    Array.iter Domain.join spawned;
+    (* The calling domain is worker number [jobs - 1]; the other
+       [jobs - 1] run on the process's parked helpers — with [jobs = 1]
+       the caller does everything and no helper is taken. *)
+    Pool.run jobs worker;
     (match Atomic.get fatal with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());

@@ -9,6 +9,17 @@
     index, so the output is deterministic — [solutions.(i)] is exactly what
     solving [problems.(i)] produces, whatever the interleaving.
 
+    {b Domains.}  The calling domain runs one worker; the other
+    [jobs - 1] run on the process's helper domains ({!Pool}).  A helper is
+    spawned the first time a batch needs one more than are parked and is
+    kept for the life of the process, parked (blocked, not spinning)
+    between batches, so back-to-back batches spawn nothing.  The number of
+    helpers follows peak concurrent demand: [jobs - 1] for one batch at a
+    time, more when batches run at once from several domains or from
+    inside another fan-out (a batch never waits for a busy helper).  If a
+    spawn fails, the helpers already taken are parked again and the
+    spawn's exception is raised before any task runs.
+
     {b Supervision.}  Each task is isolated: a solve that raises, overruns
     its wall-clock deadline, or exhausts its scheduling-step budget yields
     [Error fault] {e at its own index} and nothing else — completed
@@ -104,7 +115,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       problems] solves every problem under [policy] (default
       {!default_policy}) and returns the per-task outcomes in input order.
       [jobs] defaults to {!default_jobs}[ ()] and is clamped to the batch
-      size; [jobs = 1] solves inline with no domain spawns.  [residual]
+      size; [jobs = 1] solves inline on the calling domain and takes no
+      helper.  Larger [jobs] take [jobs - 1] parked helpers, spawning
+      only those the pool lacks (see {e Domains} above); a fail-fast or
+      [Sys.Break] exception from a task on a helper is re-raised here once
+      every worker of the batch has finished.  [residual]
       and [upgrade_preference] are passed to every solve (see
       {!Solver.Make.solve}).
 

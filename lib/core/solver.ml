@@ -55,11 +55,13 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      one set qualifies: it is empty otherwise. *)
   let simple_only_sets prob (prio : Priorities.t) =
     let off = prob.Problem.complex_constr_of.Problem.off in
-    let simple_only set =
-      Array.length set > 1 && Array.for_all (fun a -> off.(a) = off.(a + 1)) set
+    let { Priorities.members; starts; max_priority = np; _ } = prio in
+    let rec simple j e =
+      j = e || (let a = members.(j) in off.(a) = off.(a + 1) && simple (j + 1) e)
     in
-    let sets = prio.Priorities.sets in
-    if Array.exists simple_only sets then Array.map simple_only sets else [||]
+    let simple_only p = Priorities.size prio p > 1 && simple starts.(p - 1) starts.(p) in
+    let rec exists p = p <= np && (simple_only p || exists (p + 1)) in
+    if exists 1 then Array.init np (fun k -> simple_only (k + 1)) else [||]
 
   let prepare ~lattice prob =
     let prio = Priorities.compute prob in
@@ -565,9 +567,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       end
     done
 
-  let begin_set_span name p members =
+  let begin_set_span name p size =
     Trace.begin_span ~cat:"solver"
-      ~args:[ ("priority", Trace.Int p); ("size", Trace.Int (Array.length members)) ]
+      ~args:[ ("priority", Trace.Int p); ("size", Trace.Int size) ]
       name
 
   (* A simple-only set has a unique least solution: its internal edges are
@@ -578,7 +580,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      Each member is then visited (one step, [Consider]) and finished at
      [v] ([Finalized]). *)
   let collapse st p members =
-    if st.tracing then begin_set_span "collapse" p members;
+    if st.tracing then begin_set_span "collapse" p (Array.length members);
     let { Problem.off; tgt } = st.prob.Problem.constr_of in
     let csts = st.prob.Problem.csts in
     let v = ref st.bottom in
@@ -601,13 +603,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   (* The Bigloop body for any other set: back-propagation for a member
      whose right-hand sides are all final, forward lowering if not.  Only
      a cyclic set can lower forward — a singleton's right-hand sides are
-     all labeled before its turn — and gets a "try_lower" span. *)
-  let label_set st p members =
-    let cyclic = Array.length members > 1 in
+     all labeled before its turn — and gets a "try_lower" span.  The set
+     is [members.(lo .. hi - 1)], in labeling order. *)
+  let label_set st p members lo hi =
+    let cyclic = hi - lo > 1 in
     let tries0 = st.stats.Instr.try_calls
     and iters0 = st.stats.Instr.try_iterations in
-    if st.tracing && cyclic then begin_set_span "try_lower" p members;
-    for j = 0 to Array.length members - 1 do
+    if st.tracing && cyclic then begin_set_span "try_lower" p (hi - lo);
+    for j = lo to hi - 1 do
       let a = members.(j) in
       visit st p a;
       let l = back_propagate st a in
@@ -640,11 +643,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      those of [prev]'s solve, so it takes [prev]'s levels.  It is left as
      a visit leaves it (each complex row one member fewer unlabeled, each
      level folded into its aggregates), with no step, span or event. *)
-  let reuse st prev set =
+  let reuse st prev members lo hi =
     let { Problem.off; tgt } = st.prob.Problem.constr_of in
     let complex_idx = st.prob.Problem.complex_idx and unlabeled = st.unlabeled in
-    for j = 0 to Array.length set - 1 do
-      let a = set.(j) in
+    for j = lo to hi - 1 do
+      let a = members.(j) in
       st.lam.(a) <- prev.(a);
       st.done_.(a) <- true;
       for i = off.(a) to off.(a + 1) - 1 do
@@ -654,41 +657,46 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       done;
       finalize st a
     done;
-    st.reused <- st.reused + Array.length set
+    st.reused <- st.reused + (hi - lo)
 
   (* Incremental mode, after a set is labeled: a member whose level is not
      [prev]'s — or that [prev] lacks — makes stale every attribute whose
      labeling reads it: the lhs of each constraint it is the rhs of, and
      its peers in each complex lhs.  The comparison is uncounted. *)
-  let mark_stale st prev set =
+  let mark_stale st prev members lo hi =
     let prob = st.prob in
     let mark ci = Array.iter (fun x -> st.stale.(x) <- true) prob.Problem.csts.(ci).lhs in
-    Array.iter
-      (fun a ->
-        if a >= Array.length prev || not (L.equal st.lat st.lam.(a) prev.(a)) then begin
-          Problem.iter_incoming prob a mark;
-          Problem.iter_constr_of prob a (fun ci ->
-              if prob.Problem.complex_idx.(ci) >= 0 then mark ci)
-        end)
-      set
+    for j = lo to hi - 1 do
+      let a = members.(j) in
+      if a >= Array.length prev || not (L.equal st.lat st.lam.(a) prev.(a)) then begin
+        Problem.iter_incoming prob a mark;
+        Problem.iter_constr_of prob a (fun ci ->
+            if prob.Problem.complex_idx.(ci) >= 0 then mark ci)
+      end
+    done
 
-  let rec any_stale stale set i =
-    i < Array.length set && (stale.(set.(i)) || any_stale stale set (i + 1))
+  let rec any_stale stale members j hi =
+    j < hi && (stale.(members.(j)) || any_stale stale members (j + 1) hi)
 
   (* Priority set [p]'s turn, its members in (preference, id) order, or
-     [reuse] of [prev]'s levels if nothing it reads has changed. *)
+     [reuse] of [prev]'s levels if nothing it reads has changed.  The set
+     is [members.(lo .. hi - 1)] of the priorities' CSR; a cyclic one is
+     sorted in a copy. *)
   let bigloop_set st p =
-    let set = st.prio.Priorities.sets.(p - 1) in
+    let { Priorities.members; starts; _ } = st.prio in
+    let lo = starts.(p - 1) and hi = starts.(p) in
     match st.prev with
-    | Some prev when not (any_stale st.stale set 0) -> reuse st prev set
+    | Some prev when not (any_stale st.stale members lo hi) -> reuse st prev members lo hi
     | prev -> (
-        let cyclic = Array.length set > 1 in
-        let members = if cyclic then Array.copy set else set in
-        if cyclic then Array.sort (by_pref st) members;
-        if p <= Array.length st.simple_only && st.simple_only.(p - 1) then
-          collapse st p members
-        else label_set st p members;
-        match prev with Some prev -> mark_stale st prev set | None -> ())
+        if hi - lo > 1 then begin
+          let sorted = Array.sub members lo (hi - lo) in
+          Array.sort (by_pref st) sorted;
+          if p <= Array.length st.simple_only && st.simple_only.(p - 1) then
+            collapse st p sorted
+          else label_set st p sorted 0 (hi - lo)
+        end
+        else label_set st p members lo hi;
+        match prev with Some prev -> mark_stale st prev members lo hi | None -> ())
 
   (* The order Bigloop takes [prio]'s sets of [prob] in: any sink-first
      topological order of the condensation labels every right-hand side
@@ -704,19 +712,19 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     match st.pref with
     | None -> None
     | Some _ ->
-        let { Priorities.priority; sets; max_priority = np } = prio in
+        let { Priorities.priority; members; starts; max_priority = np } = prio in
         let csts = prob.Problem.csts in
         let { Problem.off; tgt } = prob.Problem.incoming in
         (* [f q] for every cross-set edge into set [p], from set [q]. *)
         let edges_into p f =
-          Array.iter
-            (fun b ->
-              for j = off.(b) to off.(b + 1) - 1 do
-                Array.iter
-                  (fun a -> if priority.(a) <> p then f priority.(a))
-                  csts.(tgt.(j)).lhs
-              done)
-            sets.(p - 1)
+          for m = starts.(p - 1) to starts.(p) - 1 do
+            let b = members.(m) in
+            for j = off.(b) to off.(b + 1) - 1 do
+              Array.iter
+                (fun a -> if priority.(a) <> p then f priority.(a))
+                csts.(tgt.(j)).lhs
+            done
+          done
         in
         let deps = Array.make (np + 1) 0 in
         for p = 1 to np do
@@ -724,10 +732,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         done;
         (* Set [p]'s key, [key.(p - 1)], is its least-preferred member:
            computed once, and unique, since the sets are disjoint. *)
-        let least set =
-          Array.fold_left (fun k a -> if by_pref st a k < 0 then a else k) set.(0) set
+        let least p =
+          let k = ref members.(starts.(p - 1)) in
+          for m = starts.(p - 1) + 1 to starts.(p) - 1 do
+            if by_pref st members.(m) !k < 0 then k := members.(m)
+          done;
+          !k
         in
-        let key = Array.map least sets in
+        let key = Array.init np (fun k -> least (k + 1)) in
         let module Avail = Set.Make (struct
           type t = int
 
@@ -908,8 +920,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     done;
     !last
 
-  let mark_all stale a =
-    for j = 0 to Array.length a - 1 do
+  let mark_all stale a lo hi =
+    for j = lo to hi - 1 do
       stale.(a.(j)) <- true
     done
 
@@ -925,23 +937,21 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      its lhs is marked too. *)
   let widen st (pp : problem) order =
     let n0 = Problem.n_attrs pp.prob and stale = st.stale in
-    let priority = st.prio.Priorities.priority
-    and old = pp.prio.Priorities.priority
-    and old_sets = pp.prio.Priorities.sets in
-    let sets = st.prio.Priorities.sets in
-    for p = 0 to Array.length sets - 1 do
-      let set = sets.(p) in
+    let { Priorities.priority; members; starts; max_priority = np } = st.prio
+    and old = pp.prio.Priorities.priority in
+    for p = 1 to np do
+      let lo = starts.(p - 1) and hi = starts.(p) in
       (* [q]: [pp]'s set of the first member it has, 0 if none yet. *)
       let q = ref 0 and kept = ref 0 and same = ref true in
-      for j = 0 to Array.length set - 1 do
-        let x = set.(j) in
+      for j = lo to hi - 1 do
+        let x = members.(j) in
         if x < n0 then begin
           incr kept;
           if !q = 0 then q := old.(x) else if old.(x) <> !q then same := false
         end
       done;
-      if !kept > 0 && not (!same && Array.length old_sets.(!q - 1) = !kept) then
-        mark_all stale set
+      if !kept > 0 && not (!same && Priorities.size pp.prio !q = !kept) then
+        mark_all stale members lo hi
     done;
     let pos = set_positions st.prio order
     and old_pos = set_positions pp.prio (schedule st pp.prob pp.prio) in
@@ -956,7 +966,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         if
           !fresh
           || last_labeled st priority pos lhs <> last_labeled st old old_pos lhs
-        then mark_all stale lhs
+        then mark_all stale lhs 0 (Array.length lhs)
       end
     done
 

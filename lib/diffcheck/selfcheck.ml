@@ -221,7 +221,7 @@ let run ?mutation ?fault ?repro_dir ~seed ~cases ~jobs () =
   let jobs = max 1 (min jobs (max 1 cases)) in
   let outcomes = Array.make cases None in
   let next = Atomic.make 0 in
-  let worker () =
+  let worker _ =
     let continue = ref true in
     while !continue do
       let i = Atomic.fetch_and_add next 1 in
@@ -246,9 +246,7 @@ let run ?mutation ?fault ?repro_dir ~seed ~cases ~jobs () =
       end
     done
   in
-  let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join spawned;
+  Minup_core.Pool.run jobs worker;
   (* Aggregation is sequential and in case order, so the summary is a pure
      function of (seed, cases) — never of the parallel schedule. *)
   let totals = Battery.zero () in

@@ -207,6 +207,93 @@ let exn_propagates () =
   Alcotest.check_raises "worker exception resurfaces" Boom (fun () ->
       ignore (Engine.solve_batch ~residual ~policy:ff ~jobs:3 problems))
 
+(* The helper pool.  A batch runs [jobs - 1] workers on parked helper
+   domains that outlive it; these cases pin that the steady state spawns
+   nothing, that a raising batch leaves the pool fit for the next one,
+   and that concurrent and nested batches share it. *)
+
+let sequential_parity name problems (report : Engine.report) =
+  Array.iteri
+    (fun i (p : S.solution) ->
+      let q = (Engine.ok_exn report).(i) in
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s: levels of problem %d" name i)
+        p.S.levels q.S.levels;
+      stats_eq (Printf.sprintf "%s: stats of problem %d" name i) p.S.stats q.S.stats)
+    (Array.map S.solve problems)
+
+(* The distinct tids of the traced [worker] spans. *)
+let worker_tids events =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (e : Trace.event) -> if e.ph = 'B' && e.name = "worker" then Some e.tid else None)
+       events)
+
+(* Domain ids are never reused, so a batch that spawned its workers
+   would put each batch's helper on a fresh tid. *)
+let pool_steady_state () =
+  let rng = Minup_workload.Prng.create 17 in
+  let problems = Array.init 6 (fun i -> random_problem rng i) in
+  Trace.start ();
+  Fun.protect ~finally:Trace.stop (fun () ->
+      for _ = 1 to 20 do
+        ignore (Engine.solve_batch ~jobs:2 problems)
+      done);
+  let events = Trace.events () in
+  check_balanced_spans events;
+  Alcotest.(check int) "40 worker spans" 40
+    (List.length
+       (List.filter (fun (e : Trace.event) -> e.ph = 'B' && e.name = "worker") events));
+  Alcotest.(check int) "on two tids: the caller and one parked helper" 2
+    (List.length (worker_tids events))
+
+(* A batch that re-raises leaves every helper parked and usable. *)
+let pool_after_raise () =
+  let rng = Minup_workload.Prng.create 99 in
+  let problems = Array.init 6 (fun i -> random_problem rng i) in
+  let residual _ ~target:_ ~others:_ = raise Boom in
+  let plan = [ { Faultsim.task = 1; at_event = 0; kind = Faultsim.Raise } ] in
+  (match
+     Engine.solve_batch ~policy:ff ~instrument:(Faultsim.instrument plan) ~jobs:3 problems
+   with
+  | _ -> Alcotest.fail "fail-fast: expected a raise"
+  | exception Fault.Injection _ -> ());
+  sequential_parity "after a fail-fast re-raise" problems
+    (Engine.solve_batch ~jobs:3 problems);
+  Alcotest.check_raises "worker exception resurfaces" Boom (fun () ->
+      ignore (Engine.solve_batch ~residual ~policy:ff ~jobs:3 problems));
+  sequential_parity "after Boom" problems (Engine.solve_batch ~jobs:3 problems)
+
+(* Two domains batching at once each take their own helper. *)
+let pool_concurrent_batches () =
+  let rng = Minup_workload.Prng.create 5 in
+  let problems = Array.init 8 (fun i -> random_problem rng i) in
+  let loop () = List.init 10 (fun _ -> Engine.solve_batch ~jobs:2 problems) in
+  let a = Domain.spawn loop and b = Domain.spawn loop in
+  let reports = Domain.join a @ Domain.join b in
+  List.iteri
+    (fun k r -> sequential_parity (Printf.sprintf "concurrent batch %d" k) problems r)
+    reports
+
+(* Selfcheck fans its cases out on the pool, and each case's battery runs
+   jobs=2 batches inside that fan-out: a helper running a case takes a
+   second helper and never waits for a busy one.  At most three helpers
+   are ever busy at once (the selfcheck one and one per nested batch), so
+   the nested batches' workers stay on at most four tids. *)
+let pool_nested_selfcheck () =
+  let module Selfcheck = Minup_diffcheck.Selfcheck in
+  Trace.start ();
+  let s =
+    Fun.protect ~finally:Trace.stop (fun () ->
+        Selfcheck.run ~seed:42 ~cases:12 ~jobs:2 ())
+  in
+  Alcotest.(check int) "no failures" 0 s.Selfcheck.total_failures;
+  let events = Trace.events () in
+  check_balanced_spans events;
+  let tids = List.length (worker_tids events) in
+  if tids < 2 || tids > 4 then
+    Alcotest.failf "nested batch workers on %d tids (expected 2 to 4)" tids
+
 (* Keep-going (the default policy): the same universally-raising residual
    yields a full report — every task its own [Error], nothing raised, and
    no completed work discarded. *)
@@ -637,6 +724,10 @@ let suite =
     case "edge cases: empty, clamp, inline, bad jobs, bad policy" edge_cases;
     case "fail-fast worker exception propagates" exn_propagates;
     case "traced jobs=1 exception keeps spans balanced" traced_exn_balanced;
+    case "pool: back-to-back batches spawn nothing" pool_steady_state;
+    case "pool: a re-raising batch leaves the pool usable" pool_after_raise;
+    case "pool: concurrent batches from two domains" pool_concurrent_batches;
+    case "pool: selfcheck's nested batches share the pool" pool_nested_selfcheck;
     case "keep-going isolates every fault" keep_going_isolates;
     case "injected fault isolated at its index" fault_isolated;
     case "fail-fast re-raises the lowest input index" fail_fast_lowest_index;

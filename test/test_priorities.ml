@@ -15,7 +15,7 @@ let paper_priorities () =
   Alcotest.(check int) "max priority" 4 prio.Priorities.max_priority;
   let set i =
     List.sort compare
-      (Array.to_list (Array.map (Problem.attr_name p) prio.Priorities.sets.(i)))
+      (Array.to_list (Array.map (Problem.attr_name p) (Priorities.set prio (i + 1))))
   in
   List.iteri
     (fun i expected ->
@@ -31,7 +31,7 @@ let cycle_detection () =
      (Fig. 2 has no self-loop). *)
   let in_cycle a =
     let pr = prio.Priorities.priority.(Option.get (Problem.attr_id p a)) in
-    Array.length prio.Priorities.sets.(pr - 1) > 1
+    Priorities.size prio pr > 1
   in
   List.iter
     (fun a -> Alcotest.(check bool) (a ^ " in cycle") true (in_cycle a))
@@ -113,7 +113,21 @@ let invariants_prop =
                   c.lhs)
           p.Problem.csts
       in
-      ok1 && ok2 && ok3)
+      (* (4) the sets' CSR lists every attribute once, under its own
+         priority *)
+      let { Priorities.members; starts; max_priority = np; _ } = prio in
+      let ok4 =
+        starts.(0) = 0 && starts.(np) = n
+        && List.for_all
+             (fun pr ->
+               Priorities.size prio pr >= 1
+               && Array.for_all
+                    (fun a -> prio.Priorities.priority.(a) = pr)
+                    (Priorities.set prio pr))
+             (List.init np (fun k -> k + 1))
+        && List.sort compare (Array.to_list members) = List.init n Fun.id
+      in
+      ok1 && ok2 && ok3 && ok4)
 
 let suite =
   [

@@ -67,7 +67,15 @@ let priorities_linear () =
   let ps = compiled s and pl = compiled l in
   let w_small = words (fun () -> Priorities.compute ps) in
   let w_large = words (fun () -> Priorities.compute pl) in
-  check_growth "Priorities.compute" ~small:w_small ~large:w_large
+  check_growth "Priorities.compute" ~small:w_small ~large:w_large;
+  (* Absolute: the stacks and the result, one CSR of the sets. *)
+  List.iter
+    (fun (p, w) ->
+      let per_attr = w /. float_of_int (Problem.n_attrs p) in
+      if per_attr > 8. then
+        Alcotest.failf "Priorities.compute: %.1f words per attribute at %d (bound 8)"
+          per_attr (Problem.n_attrs p))
+    [ (ps, w_small); (pl, w_large) ]
 
 let session_create_linear () =
   let w_small, w_large =
@@ -270,9 +278,10 @@ let session_patch_stops ~size:expected shape () =
       let a = bounded.(0) in
       let attrs, csts = Session.snapshot sess in
       let p = Solver.compile_exn ~lattice:ladder ~attrs csts in
-      let { Priorities.priority; sets; _ } = p.Solver.prio in
+      let prio = p.Solver.prio in
       let id = Problem.attr_id_exn p.Solver.prob a in
-      let n = Problem.n_attrs p.Solver.prob and size = Array.length sets.(priority.(id) - 1) in
+      let n = Problem.n_attrs p.Solver.prob
+      and size = Priorities.size prio prio.Priorities.priority.(id) in
       Alcotest.(check int) (Printf.sprintf "%d attrs: the size of %s's set" n a) expected size;
       let before = Session.stats sess in
       Session.set_lower_bound sess a (Some 2);
