@@ -132,6 +132,40 @@ grep -q '"path":"patch"' "$obs_tmp/cycle.json" || {
 }
 echo "ci: serve cycle parity OK (patched re-tighten = fresh session)"
 
+# Escaped names: a session whose problem name holds a quote, a backslash
+# and a tab answers with the name escaped in every reply (each line must
+# be valid JSON), and after add_attribute its solution must equal a
+# freshly opened session's that declares the same attributes.  printf
+# '%s' and read -r keep the backslashes literal, where sh's echo would
+# not.
+esc_p='"problem":"q\"uo\\te\tp"'
+esc_lat='"lattice":"levels Public, Secret\nPublic < Secret\n"'
+esc_cst='secret >= Secret\n{name, salary} >= secret\n'
+esc_out=$(printf '%s\n' \
+  "{\"op\":\"open\",$esc_p,$esc_lat,\"constraints\":\"$esc_cst\"}" \
+  "{\"op\":\"resolve\",$esc_p}" \
+  "{\"op\":\"add_attribute\",$esc_p,\"attr\":\"dept\"}" \
+  "{\"op\":\"resolve\",$esc_p}" \
+  "{\"op\":\"open\",\"problem\":\"fresh\",$esc_lat,\"constraints\":\"attrs secret, name, salary, dept\\n$esc_cst\"}" \
+  '{"op":"resolve","problem":"fresh"}' \
+  | dune exec -- mlsclassify serve)
+printf '%s\n' "$esc_out"
+test "$(printf '%s\n' "$esc_out" | grep -c '"status":"ok"')" = 6 || {
+  echo "ci: the escaped-name session did not answer ok to every request" >&2
+  exit 1
+}
+printf '%s\n' "$esc_out" | while IFS= read -r line; do
+  printf '%s\n' "$line" > "$obs_tmp/reply.json"
+  dune exec dev/validate_trace.exe -- --json "$obs_tmp/reply.json"
+done
+esc_grown=$(printf '%s\n' "$esc_out" | grep -F "$esc_p,\"solution\"" | tail -n 1 | sed 's/.*"solution"//')
+esc_fresh=$(printf '%s\n' "$esc_out" | grep '"problem":"fresh","solution"' | sed 's/.*"solution"//')
+test -n "$esc_fresh" && test "$esc_grown" = "$esc_fresh" || {
+  echo "ci: a session grown by add_attribute diverged from a fresh session" >&2
+  exit 1
+}
+echo "ci: serve escaped names OK (valid JSON replies, grown = fresh session)"
+
 # Benchmark correctness smoke: one traced second of each workload.
 # serve-edit checks every serve reply against its own mirror of the
 # policy (each resolve equals a scratch solve of the mirror, ack ids

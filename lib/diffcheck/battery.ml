@@ -647,6 +647,23 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                                 pretty:%b)"
                                (Wire.status env) pretty)))
               [ false; true ])
-          envelopes);
+          envelopes;
+        (* The fragment body serve answers with: the same bytes as the
+           [Solution] of its pairs, read back as those pairs. *)
+        let keys = Array.of_list (List.map (fun (a, _) -> Wire.key_fragment a) assignment) in
+        let values = Array.of_list (List.map (fun (_, l) -> Wire.value_fragment l) assignment) in
+        let levels = Array.init (Array.length keys) Fun.id in
+        List.iter
+          (fun stats ->
+            let render body = Json.to_string (Wire.to_json (Wire.v1 ~problem:"battery" body)) in
+            let bytes = render (Wire.Levels { levels; keys; values; stats }) in
+            if bytes <> render (Wire.Solution { assignment; stats }) then
+              fail "wire" "a Levels body renders other bytes than its Solution";
+            match Result.bind (Json.parse bytes) Wire.of_json with
+            | Ok { Wire.body = Wire.Solution { assignment = back; _ }; _ }
+              when back = assignment ->
+                ()
+            | _ -> fail "wire" "a Levels body does not read back as its pairs")
+          [ None; Some sol.S.stats ]);
     List.rev !fails
 end

@@ -5,22 +5,36 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string
 
 (* --- rendering ------------------------------------------------------ *)
 
+let hex = "0123456789abcdef"
+
+(* One pass over [s]: each run of bytes that need no escape is copied
+   with one [add_substring], and only ['"'], ['\\'] and the control bytes
+   below 0x20 are written as escapes. *)
 let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      if i > !start then Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Printf.bprintf buf "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char buf c)
-    s
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex.[Char.code c lsr 4];
+          Buffer.add_char buf hex.[Char.code c land 15]);
+      start := i + 1
+    end
+  done;
+  if n > !start then Buffer.add_substring buf s !start (n - !start)
 
 let add_num buf v =
   if Float.is_nan v || v = Float.infinity || v = Float.neg_infinity then
@@ -34,51 +48,6 @@ let add_num buf v =
     if float_of_string short = v then Buffer.add_string buf short
     else Printf.bprintf buf "%.17g" v
   end
-
-let to_string ?(pretty = false) j =
-  let buf = Buffer.create 256 in
-  let indent d =
-    if pretty then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (2 * d) ' ')
-    end
-  in
-  let rec go d = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num v -> add_num buf v
-    | Str s ->
-        Buffer.add_char buf '"';
-        add_escaped buf s;
-        Buffer.add_char buf '"'
-    | Arr [] -> Buffer.add_string buf "[]"
-    | Arr items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            indent (d + 1);
-            go (d + 1) item)
-          items;
-        indent d;
-        Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            indent (d + 1);
-            Buffer.add_char buf '"';
-            add_escaped buf k;
-            Buffer.add_string buf (if pretty then "\": " else "\":");
-            go (d + 1) v)
-          fields;
-        indent d;
-        Buffer.add_char buf '}'
-  in
-  go 0 j;
-  Buffer.contents buf
 
 (* --- parsing -------------------------------------------------------- *)
 
@@ -127,64 +96,100 @@ let parse s =
     end
     else fail ("expected " ^ lit)
   in
+  (* Exactly four hex digits ([int_of_string] would also take a sign or
+     an underscore). *)
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let h = String.sub s !pos 4 in
-    pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some v -> v
-    | None -> fail "bad \\u escape"
+    let p = !pos in
+    pos := p + 4;
+    let v = ref 0 in
+    for k = p to p + 3 do
+      let d =
+        match s.[k] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      v := (!v lsl 4) lor d
+    done;
+    !v
+  in
+  (* The end of the clean run from [i]: the next '"', '\\' or control
+     byte (raw control bytes are not allowed in a JSON string). *)
+  let rec clean i =
+    if i < n then
+      let c = String.unsafe_get s i in
+      if c = '"' || c = '\\' || c < ' ' then i else clean (i + 1)
+    else i
   in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      incr pos;
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !pos >= n then fail "unterminated escape";
-        let e = s.[!pos] in
-        incr pos;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-            (* Surrogate halves are not code points: a high half must be
-               followed by a low half (together one astral code point), and
-               anything else would make [add_utf8] emit invalid UTF-8. *)
-            let cp = hex4 () in
-            if cp >= 0xD800 && cp <= 0xDBFF then begin
-              if
-                !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-              then begin
-                pos := !pos + 2;
-                let lo = hex4 () in
-                if lo < 0xDC00 || lo > 0xDFFF then
-                  fail "high surrogate not followed by a low surrogate";
-                add_utf8 buf (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
+    let start = !pos in
+    let stop = clean start in
+    if stop < n && s.[stop] = '"' then begin
+      (* No escape: the string is one run. *)
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    end
+    else begin
+      let buf = Buffer.create (stop - start + 16) in
+      Buffer.add_substring buf s start (stop - start);
+      pos := stop;
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        let c = s.[!pos] in
+        if c = '"' then begin
+          incr pos;
+          Buffer.contents buf
+        end
+        else if c = '\\' then begin
+          incr pos;
+          if !pos >= n then fail "unterminated escape";
+          let e = s.[!pos] in
+          incr pos;
+          (match e with
+          | '"' -> Buffer.add_char buf '"'
+          | '\\' -> Buffer.add_char buf '\\'
+          | '/' -> Buffer.add_char buf '/'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'n' -> Buffer.add_char buf '\n'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'u' ->
+              (* Surrogate halves are not code points: a high half must be
+                 followed by a low half (together one astral code point), and
+                 anything else would make [add_utf8] emit invalid UTF-8. *)
+              let cp = hex4 () in
+              if cp >= 0xD800 && cp <= 0xDBFF then begin
+                if
+                  !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
+                then begin
+                  pos := !pos + 2;
+                  let lo = hex4 () in
+                  if lo < 0xDC00 || lo > 0xDFFF then
+                    fail "high surrogate not followed by a low surrogate";
+                  add_utf8 buf (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
+                end
+                else fail "unpaired high surrogate"
               end
-              else fail "unpaired high surrogate"
-            end
-            else if cp >= 0xDC00 && cp <= 0xDFFF then
-              fail "unpaired low surrogate"
-            else add_utf8 buf cp
-        | _ -> fail "bad escape");
-        go ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-    in
-    go ()
+              else if cp >= 0xDC00 && cp <= 0xDFFF then
+                fail "unpaired low surrogate"
+              else add_utf8 buf cp
+          | _ -> fail "bad escape");
+          go ()
+        end
+        else if c < ' ' then fail "control character in string"
+        else begin
+          let stop = clean !pos in
+          Buffer.add_substring buf s !pos (stop - !pos);
+          pos := stop;
+          go ()
+        end
+      in
+      go ()
+    end
   in
   (* The full JSON number grammar, enforced by the scanner itself:
      [float_of_string_opt] is far laxer (it accepts "1.", "-.5", "01",
@@ -287,6 +292,63 @@ let parse s =
     if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
     else Ok v
   with Fail (p, m) -> Error (Printf.sprintf "%s at offset %d" m p)
+
+(* --- rendering a tree (after [parse]: pretty output re-reads [Raw]) - *)
+
+let render ~pretty j =
+  let buf = Buffer.create 256 in
+  let indent d =
+    if pretty then begin
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make (2 * d) ' ')
+    end
+  in
+  let rec go d = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Num v -> add_num buf v
+    | Str s ->
+        Buffer.add_char buf '"';
+        add_escaped buf s;
+        Buffer.add_char buf '"'
+    | Raw s when not pretty -> Buffer.add_string buf s
+    | Raw s -> (
+        match parse s with
+        | Ok v -> go d v
+        | Error e -> invalid_arg ("Json.to_string: Raw is not JSON: " ^ e))
+    | Arr [] -> Buffer.add_string buf "[]"
+    | Arr items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buf ',';
+            indent (d + 1);
+            go (d + 1) item)
+          items;
+        indent d;
+        Buffer.add_char buf ']'
+    | Obj [] -> Buffer.add_string buf "{}"
+    | Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            indent (d + 1);
+            Buffer.add_char buf '"';
+            add_escaped buf k;
+            Buffer.add_string buf (if pretty then "\": " else "\":");
+            go (d + 1) v)
+          fields;
+        indent d;
+        Buffer.add_char buf '}'
+  in
+  go 0 j;
+  Buffer.contents buf
+
+(* A top-level [Raw] is already the compact rendering. *)
+let to_string ?(pretty = false) = function
+  | Raw s when not pretty -> s
+  | j -> render ~pretty j
 
 let member k = function
   | Obj fields -> List.assoc_opt k fields

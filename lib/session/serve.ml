@@ -10,8 +10,19 @@ module Solver = S.Solver
 
 (* The sessions by name, each with the tick of its last use: a lookup
    restamps its entry in place, and only an [open] past the cap scans
-   for the least recently used. *)
-type held = { session : S.t; mutable used : int }
+   for the least recently used.  Each also keeps the fragments its
+   solution replies are written from: [keys.(i)], for [i < n_keys], is
+   attribute [i]'s escaped ["name":] and [values.(l)] level [l]'s escaped
+   ["level"], both empty until the first reply.  Names are append-only,
+   so a key once escaped stays right; a reply escapes only the names
+   added since the last one. *)
+type held = {
+  session : S.t;
+  mutable used : int;
+  mutable keys : string array;
+  mutable n_keys : int;
+  mutable values : string array;
+}
 
 type conn = {
   max_sessions : int;
@@ -62,14 +73,14 @@ let stamp conn h =
 let find conn name =
   let h = Hashtbl.find conn.sessions name in
   stamp conn h;
-  h.session
+  h
 
 let evictions = lazy (Metrics.counter "serve/evicted")
 
 (* Hold [session] as [name], most recently used; past the cap, the least
    recently used session goes. *)
 let insert conn name session =
-  let h = { session; used = 0 } in
+  let h = { session; used = 0; keys = [||]; n_keys = 0; values = [||] } in
   stamp conn h;
   Hashtbl.replace conn.sessions name h;
   if Hashtbl.length conn.sessions > conn.max_sessions then begin
@@ -117,10 +128,31 @@ let open_session conn problem doc =
               insert conn problem (S.create ~lattice:lat ~attrs csts);
               Wire.v1 ~problem (Wire.Ack { id = None })))
 
-let render_assignment lat assignment =
-  List.map (fun (a, l) -> (a, Explicit.level_to_string lat l)) assignment
+(* A solution reply over [h]'s first [Array.length levels] attributes,
+   from its fragments, escaping those not cached yet. *)
+let solution_reply h problem levels stats =
+  let n = Array.length levels in
+  if Array.length h.values = 0 then begin
+    let lat = S.lattice h.session in
+    h.values <-
+      Array.init (Explicit.cardinal lat) (fun l ->
+          Wire.value_fragment (Explicit.level_to_string lat l))
+  end;
+  if n > h.n_keys then begin
+    if n > Array.length h.keys then begin
+      let keys = Array.make (max n (2 * h.n_keys)) "" in
+      Array.blit h.keys 0 keys 0 h.n_keys;
+      h.keys <- keys
+    end;
+    for i = h.n_keys to n - 1 do
+      h.keys.(i) <- Wire.key_fragment (S.name h.session i)
+    done;
+    h.n_keys <- n
+  end;
+  Wire.v1 ~problem (Wire.Levels { levels; keys = h.keys; values = h.values; stats })
 
-let resolve_under ?budget problem session doc =
+let resolve_under ?budget problem h doc =
+  let session = h.session in
   let lat = S.lattice session in
   let config = Solver.Config.make ?budget () in
   let want_stats =
@@ -155,12 +187,8 @@ let resolve_under ?budget problem session doc =
   | Ok bounds -> (
       match solve bounds with
       | Ok (sol : Solver.solution) ->
-          Wire.v1 ~problem
-            (Wire.Solution
-               {
-                 assignment = render_assignment lat sol.Solver.assignment;
-                 stats = (if want_stats then Some sol.Solver.stats else None);
-               })
+          solution_reply h problem sol.Solver.levels
+            (if want_stats then Some sol.Solver.stats else None)
       | Error (Solver.Unknown_attr a) ->
           errf ~problem "resolve: bound on unknown attribute %S" a
       | Error inc ->
@@ -172,18 +200,19 @@ let resolve_under ?budget problem session doc =
           Wire.v1 ~problem (Wire.Fault { fault; attempts = 1; task = None }))
 
 (* The request's budget fields override the connection's defaults. *)
-let resolve_op conn problem session doc =
+let resolve_op conn problem h doc =
   let limit name default =
     Result.map (function None -> default | d -> d) (int_field name doc)
   in
   match (limit "deadline_ms" conn.deadline_ms, limit "max_steps" conn.max_steps) with
   | Error detail, _ | _, Error detail -> err ~problem ("resolve: " ^ detail)
-  | Ok None, Ok None -> resolve_under problem session doc
+  | Ok None, Ok None -> resolve_under problem h doc
   | Ok deadline_ms, Ok max_steps ->
       resolve_under ~budget:(Minup_core.Solver.budget ?deadline_ms ?max_steps ()) problem
-        session doc
+        h doc
 
-let dispatch conn op problem session doc =
+let dispatch conn op problem h doc =
+  let session = h.session in
   match op with
   | "add_constraint" -> (
       match str_field "constraint" doc with
@@ -223,7 +252,7 @@ let dispatch conn op problem session doc =
       | Ok attr ->
           S.add_attribute session attr;
           Wire.v1 ~problem (Wire.Ack { id = None }))
-  | "resolve" -> resolve_op conn problem session doc
+  | "resolve" -> resolve_op conn problem h doc
   | "close" ->
       Hashtbl.remove conn.sessions problem;
       Wire.v1 ~problem (Wire.Ack { id = None })
@@ -248,7 +277,7 @@ let handle_line conn line =
               if op = "open" then open_session conn problem doc
               else
                 match find conn problem with
-                | session -> dispatch conn op problem session doc
+                | h -> dispatch conn op problem h doc
                 | exception Not_found -> errf ~problem "unknown session %S" problem
             with
             | (Sys.Break | Out_of_memory) as e -> raise e

@@ -32,7 +32,16 @@
     with its last use, capped at [max_sessions]: a request's lookup
     restamps in place and allocates nothing, and opening one beyond the
     cap silently evicts the least recently used (one scan of the table,
-    counted in the [serve/evicted] metric). *)
+    counted in the [serve/evicted] metric).
+
+    A solution reply is a {!Minup_core.Wire.Levels} body over fragments
+    the held session caches: one escaped ["name":] key per attribute and
+    one escaped ["level"] string per lattice level.  Both are built at
+    the session's first solution reply, not at [open], and a later reply
+    escapes only the names added since.  Names are append-only (an id
+    never changes name, and no delta removes one), so a cached key stays
+    valid for the session's life.  The reply's bytes are those of the
+    {!Minup_core.Wire.Solution} of the same pairs. *)
 
 type conn
 

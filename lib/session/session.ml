@@ -88,6 +88,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   let lattice t = t.lattice
 
+  let name t i =
+    if i < 0 || i >= t.n then invalid_arg "Session.name: unknown attribute id";
+    t.names.(i)
+
   (* Append the new attribute [a]; its id. *)
   let add_name t a =
     let i = t.n in

@@ -107,6 +107,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
 
   val lattice : t -> L.t
 
+  (** [name t i] is the name of attribute id [i] (ids in registration
+      order, append-only; a solution's [levels] are indexed by them).
+      Raises [Invalid_argument] for an id not handed out. *)
+  val name : t -> int -> string
+
   (** [add_constraint t c] queues [c] and returns its fresh id. *)
   val add_constraint : t -> L.level Minup_constraints.Cst.t -> int
 

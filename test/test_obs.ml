@@ -75,6 +75,90 @@ let test_json_errors () =
   bad "1 2";
   bad "{\"a\":1} trailing"
 
+let reject_json s =
+  match Json.parse s with
+  | Ok _ -> Alcotest.failf "parse accepted %S" s
+  | Error _ -> ()
+
+(* Regression: a raw control byte inside a string is not JSON (it must
+   be escaped); raw UTF-8 and DEL are. *)
+let test_json_control_bytes () =
+  reject_json "\"a\tb\"";
+  reject_json "\"a\nb\"";
+  reject_json "{\"k\x01\": 1}";
+  reject_json "\"esc\\n then raw\x1f\"";
+  match Json.parse "\"caf\xc3\xa9 \x7f ok\"" with
+  | Ok (Json.Str s) -> checks "raw UTF-8 and DEL" "caf\xc3\xa9 \x7f ok" s
+  | _ -> Alcotest.fail "raw UTF-8 rejected"
+
+(* Regression: a [\u] escape takes exactly four hex digits, with no
+   underscore or sign ([int_of_string] takes both). *)
+let test_json_hex4 () =
+  reject_json {|"\u1_23"|};
+  reject_json {|"\u+123"|};
+  reject_json {|"\u-123"|};
+  reject_json {|"\u12g4"|};
+  match Json.parse {|"\u00e9\u00C9 \t\u0009 \u007f"|} with
+  | Ok (Json.Str s) -> checks "hex escapes" "\xc3\xa9\xc3\x89 \t\t \x7f" s
+  | _ -> Alcotest.fail "valid \\u escapes rejected"
+
+(* The per-byte escaper the run-copying one replaced. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* Strings drawn from the bytes that matter to an escaper: quote,
+   backslash, every control byte, DEL, plain ASCII and multi-byte UTF-8. *)
+let escapable_string =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        map (String.make 1) (oneofl [ '"'; '\\'; '\x7f' ]);
+        map (fun c -> String.make 1 (Char.chr c)) (0 -- 0x1f);
+        map (String.make 1) (char_range 'a' 'z');
+        oneofl [ "\xc3\xa9"; "\xe2\x8a\x92"; "\xf0\x9f\x98\x80"; "plain run" ];
+      ]
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (map (String.concat "") (list_size (0 -- 40) piece))
+
+let test_json_escaper =
+  Helpers.qcheck
+    (QCheck.Test.make ~count:500 ~name:"json escaper = per-byte reference"
+       escapable_string (fun s ->
+         let buf = Buffer.create 16 in
+         Json.add_escaped buf s;
+         Buffer.contents buf = reference_escape s
+         && Json.to_string (Json.Str s) = "\"" ^ reference_escape s ^ "\""
+         && Json.to_string (Json.Obj [ (s, Json.Null) ])
+            = "{\"" ^ reference_escape s ^ "\":null}"
+         && Json.parse (Json.to_string (Json.Str s)) = Ok (Json.Str s)))
+
+(* A [Raw] is copied as it is in compact output, re-read and indented in
+   pretty output. *)
+let test_json_raw () =
+  let tree = Json.Obj [ ("a", Json.Arr [ Json.Num 1.; Json.Str "x\"y" ]) ] in
+  let raw = Json.Raw (Json.to_string tree) in
+  checks "compact top level" (Json.to_string tree) (Json.to_string raw);
+  checks "compact nested"
+    (Json.to_string (Json.Arr [ tree; Json.Null ]))
+    (Json.to_string (Json.Arr [ raw; Json.Null ]));
+  checks "pretty" (Json.to_string ~pretty:true (Json.Arr [ tree ]))
+    (Json.to_string ~pretty:true (Json.Arr [ raw ]));
+  checkb "member sees no fields" true (Json.member "a" raw = None)
+
 (* Regression: surrogate halves are not code points — a lone high half, a
    lone low half, or a high half followed by a non-low escape must be
    rejected, never smuggled through as invalid UTF-8. *)
@@ -522,6 +606,11 @@ let suite =
     Alcotest.test_case "json render" `Quick test_json_render;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json errors" `Quick test_json_errors;
+    Alcotest.test_case "json rejects raw control bytes in strings" `Quick
+      test_json_control_bytes;
+    Alcotest.test_case "json \\u takes exactly four hex digits" `Quick test_json_hex4;
+    test_json_escaper;
+    Alcotest.test_case "json raw leaf" `Quick test_json_raw;
     Alcotest.test_case "json surrogate escapes" `Quick test_json_surrogates;
     Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;
     Alcotest.test_case "histogram bucket_index" `Quick test_bucket_index;

@@ -345,6 +345,55 @@ let session_structural_lean () =
     (let s, l = Lazy.force inputs in
      [ s; l ])
 
+(* A serve solution reply: the session escapes each name and level once,
+   at its first reply, and a later reply copies those fragments into one
+   buffer sized up front.  Building the reply and rendering it must
+   allocate at most 4 words per attribute (the reply string alone is
+   about 1.6); a reply that built and escaped a tree took about 22. *)
+let serve_reply_lean () =
+  let module Json = Minup_obs.Json in
+  let module Wire = Minup_core.Wire in
+  let module Serve = Minup_session.Serve in
+  let names = List.init 16 (Printf.sprintf "S%d") in
+  let lattice =
+    "levels " ^ String.concat ", " names ^ "\n"
+    ^ String.concat ""
+        (List.init 15 (fun i -> Printf.sprintf "S%d < S%d\n" i (i + 1)))
+  in
+  let request fields =
+    Json.to_string (Json.Obj (("problem", Json.Str "p") :: fields))
+  in
+  let resolve = request [ ("op", Json.Str "resolve") ] in
+  List.iter
+    (fun (attrs, csts) ->
+      let conn = Serve.create () in
+      let text =
+        Parse.render ~level_to_string:(Minup_lattice.Total.level_to_string ladder)
+          { Parse.attrs; csts; upper_bounds = [] }
+      in
+      ignore
+        (Serve.handle_line conn
+           (request
+              [
+                ("op", Json.Str "open");
+                ("lattice", Json.Str lattice);
+                ("constraints", Json.Str text);
+              ]));
+      let reply () = Json.to_string (Wire.to_json (Serve.handle_line conn resolve)) in
+      let first = Serve.handle_line conn resolve in
+      let n =
+        match Wire.solution_pairs first.Wire.body with
+        | Some pairs -> List.length pairs
+        | None -> Alcotest.failf "resolve: status %s" (Wire.status first)
+      in
+      ignore (reply ());
+      let per_attr = words reply /. float_of_int n in
+      if per_attr > 4. then
+        Alcotest.failf "serve solution reply: %.1f words per attribute at %d (bound 4)"
+          per_attr n)
+    (let s, l = Lazy.force inputs in
+     [ s; l ])
+
 let suite =
   [
     case "Problem.compile allocation is linear" compile_linear;
@@ -366,4 +415,5 @@ let suite =
     case "a no-op re-tighten in a ring re-solves only the ring" (session_patch_stops ~size:3 with_ring);
     case "a structural resolve allocates <= 0.6x scratch and compiles nothing"
       session_structural_lean;
+    case "a serve solution reply allocates <= 4 words per attribute" serve_reply_lean;
   ]

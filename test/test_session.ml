@@ -532,11 +532,11 @@ let serve_basic_flow () =
   (match
      serve_req conn [ ("op", Json.Str "resolve"); ("problem", Json.Str "p") ]
    with
-  | { Wire.body = Wire.Solution { assignment; stats = None }; _ } ->
-      Alcotest.(check (list (pair string string)))
+  | { Wire.body = Wire.Levels { stats = None; _ } as body; _ } ->
+      Alcotest.(check (option (list (pair string string))))
         "assignment"
-        [ ("secret", "Secret"); ("name", "Public"); ("salary", "Secret") ]
-        assignment
+        (Some [ ("secret", "Secret"); ("name", "Public"); ("salary", "Secret") ])
+        (Wire.solution_pairs body)
   | w -> Alcotest.failf "unexpected resolve response: %s" (Wire.status w));
   (* add_constraint returns the fresh id and changes the next resolve. *)
   (match
@@ -557,11 +557,11 @@ let serve_basic_flow () =
          ("stats", Json.Bool true);
        ]
    with
-  | { Wire.body = Wire.Solution { assignment; stats = Some _ }; _ } ->
-      Alcotest.(check (list (pair string string)))
+  | { Wire.body = Wire.Levels { stats = Some _; _ } as body; _ } ->
+      Alcotest.(check (option (list (pair string string))))
         "assignment after delta"
-        [ ("secret", "Secret"); ("name", "Public"); ("salary", "TopSecret") ]
-        assignment
+        (Some [ ("secret", "Secret"); ("name", "Public"); ("salary", "TopSecret") ])
+        (Wire.solution_pairs body)
   | _ -> Alcotest.fail "resolve with stats should carry counters");
   check_status "close" "ok"
     (serve_req conn [ ("op", Json.Str "close"); ("problem", Json.Str "p") ]);
@@ -701,12 +701,98 @@ let serve_attr_names () =
       check_error_names ("add " ^ attr) "attribute name" (req "add_attribute" attr []))
     [ ""; "a b"; "x>=y"; "{a}"; "a,b"; "#c" ];
   check_status "a valid name" "ok" (req "add_attribute" "dept.head-2_x" []);
-  match serve_req conn [ ("op", Json.Str "resolve"); ("problem", Json.Str "p") ] with
-  | { Wire.body = Wire.Solution { assignment; _ }; _ } ->
+  match
+    Wire.solution_pairs
+      (serve_req conn [ ("op", Json.Str "resolve"); ("problem", Json.Str "p") ]).Wire.body
+  with
+  | Some pairs ->
       Alcotest.(check (list string)) "attributes"
         [ "secret"; "name"; "salary"; "dept.head-2_x" ]
-        (List.map fst assignment)
-  | w -> Alcotest.failf "resolve: status %s" (Wire.status w)
+        (List.map fst pairs)
+  | None -> Alcotest.fail "resolve: no solution"
+
+(* A session whose names grow between resolves: every solution reply,
+   on the scratch, cached, patch, rebuild and bounded paths, is the
+   bytes of the list-based [Wire.Solution] of the pairs a session
+   driven by the same deltas returns, under a problem name that needs
+   escaping. *)
+let serve_reply_fragments () =
+  let problem = "q\"uo\\te\tp" in
+  let conn = Serve.create () in
+  let lat = fig1b in
+  let mirror = Session.create ~lattice:lat [] in
+  let req fields = serve_req conn (("problem", Json.Str problem) :: fields) in
+  let ok what w = check_status what "ok" w in
+  let parse_cst text =
+    match
+      Minup_constraints.Parse.parse_resolve
+        ~level_of_string:(Explicit.level_of_string lat) text
+    with
+    | Ok { Minup_constraints.Parse.csts = [ c ]; _ } -> c
+    | _ -> Alcotest.failf "bad constraint %S" text
+  in
+  let add text =
+    ignore (Session.add_constraint mirror (parse_cst text));
+    ok ("add " ^ text) (req [ ("op", Json.Str "add_constraint"); ("constraint", Json.Str text) ])
+  in
+  let bound a l =
+    Session.set_lower_bound mirror a (Some (lvl l));
+    ok ("bound " ^ a)
+      (req
+         [ ("op", Json.Str "set_lower_bound"); ("attr", Json.Str a); ("level", Json.Str l) ])
+  in
+  let check_reply what expected w =
+    let pairs =
+      List.map (fun (a, l) -> (a, Explicit.level_to_string lat l)) expected.SS.assignment
+    in
+    let want = Wire.v1 ~problem (Wire.Solution { assignment = pairs; stats = None }) in
+    Alcotest.(check (option (list (pair string string))))
+      (what ^ ": pairs") (Some pairs) (Wire.solution_pairs w.Wire.body);
+    Alcotest.(check string)
+      (what ^ ": bytes")
+      (Json.to_string (Wire.to_json want))
+      (Json.to_string (Wire.to_json w))
+  in
+  let resolve what =
+    check_reply what (Session.resolve mirror) (req [ ("op", Json.Str "resolve") ])
+  in
+  ok "open"
+    (req
+       [
+         ("op", Json.Str "open");
+         ("lattice", Json.Str (Minup_lattice.Lattice_file.to_string lat));
+         ("constraints", Json.Str "");
+       ]);
+  add "salary >= L3";
+  add "{name, salary} >= L5";
+  resolve "scratch";
+  resolve "cached";
+  bound "name" "L2";
+  resolve "first bound";
+  bound "name" "L4";
+  resolve "patch";
+  Session.add_attribute mirror "dept";
+  ok "add_attribute" (req [ ("op", Json.Str "add_attribute"); ("attr", Json.Str "dept") ]);
+  resolve "new attribute";
+  add "boss >= dept";
+  add "dept >= L3";
+  resolve "new name in a constraint";
+  let bounds = [ ("salary", "L6") ] in
+  (match
+     Session.resolve_with_bounds mirror (List.map (fun (a, l) -> (a, lvl l)) bounds)
+   with
+  | Ok expected ->
+      check_reply "bounded" expected
+        (req
+           [
+             ("op", Json.Str "resolve");
+             ("bounds", Json.Obj (List.map (fun (a, l) -> (a, Json.Str l)) bounds));
+           ])
+  | Error _ -> Alcotest.fail "bounded resolve infeasible");
+  let st = Session.stats mirror in
+  Alcotest.(check bool) "took cached, patch and rebuild paths" true
+    (st.Session.cached >= 1 && st.Session.patched >= 1
+    && st.Session.incremental - st.Session.patched >= 3)
 
 let serve_lru_eviction () =
   let conn = Serve.create ~max_sessions:2 () in
@@ -779,6 +865,7 @@ let suite =
     case "serve errors" serve_errors;
     case "serve rejects out-of-range integer fields" serve_int_fields;
     case "serve rejects inexpressible attribute names" serve_attr_names;
+    case "serve replies are the Solution bytes as names grow" serve_reply_fragments;
     case "serve LRU eviction" serve_lru_eviction;
     case "serve evicts in recency order at max_sessions" serve_lru_order;
   ]
