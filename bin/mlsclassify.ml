@@ -64,25 +64,21 @@ let load_lattice path =
   | Ok l -> Ok l
   | Error e -> Error (Format.asprintf "%s: %a" path Lattice_file.pp_error e)
 
+(* Read a policy file and resolve it against [lattice] straight to the
+   compiled problem, with its upper bounds.  A parse error prints
+   [error: path: line N: message] and exits 1. *)
 let load_policy lattice path =
-  match
-    Parse.parse_resolve
-      ~level_of_string:(Explicit.level_of_string lattice)
-      (read_file path)
-  with
-  | Ok r -> Ok r
-  | Error e -> Error (Format.asprintf "%s: %a" path Parse.pp_error e)
+  match Parse.rows ~level_of_string:(Explicit.level_of_string lattice) (read_file path) with
+  | Error e -> or_die (Error (Format.asprintf "%s: %a" path Parse.pp_error e))
+  | Ok r ->
+      ( Minup_constraints.Problem.of_rows ~attr_names:r.Parse.attr_names
+          ~attr_index:r.Parse.attr_index r.Parse.csts,
+        r.Parse.upper_bounds )
 
-(* Read, parse and compile a policy file against [lattice], shared by
-   solve, batch and check.  A compile error prints [what: message]
-   ([what] is "error" unless given) and exits 1. *)
-let load_problem ?(what = "error") lattice path =
-  let policy = or_die (load_policy lattice path) in
-  match Solver.compile ~lattice ~attrs:policy.Parse.attrs policy.Parse.csts with
-  | Ok problem -> (policy, problem)
-  | Error e ->
-      prerr_endline (Format.asprintf "%s: %a" what Minup_constraints.Problem.pp_error e);
-      exit 1
+(* The policy at [path] with its priorities, for solve, batch and check. *)
+let load_problem lattice path =
+  let prob, upper_bounds = load_policy lattice path in
+  (Solver.prepare ~lattice prob, upper_bounds)
 
 let print_assignment lattice assignment =
   List.iter
@@ -162,9 +158,9 @@ let parse_bound lattice spec =
 let solve_cmd lattice_path policy_path bounds events check_minimal explain
     output obs =
   let lattice = or_die (load_lattice lattice_path) in
-  let policy, problem = load_problem lattice policy_path in
+  let problem, upper_bounds = load_problem lattice policy_path in
   let bounds =
-    policy.Parse.upper_bounds
+    upper_bounds
     @ List.map (fun spec -> or_die (parse_bound lattice spec)) bounds
   in
   let on_event =
@@ -244,7 +240,7 @@ let batch_cmd lattice_path policy_paths jobs show_stats deadline_ms max_steps
   let lattice = or_die (load_lattice lattice_path) in
   let problems =
     Array.of_list
-      (List.map (fun path -> snd (load_problem ~what:path lattice path)) policy_paths)
+      (List.map (fun path -> fst (load_problem lattice path)) policy_paths)
   in
   let policy =
     {
@@ -315,7 +311,7 @@ let batch_cmd lattice_path policy_paths jobs show_stats deadline_ms max_steps
    satisfies the (possibly evolved) policy and wastes no visibility. *)
 let check_cmd lattice_path policy_path assignment_path =
   let lattice = or_die (load_lattice lattice_path) in
-  let _, problem = load_problem lattice policy_path in
+  let problem, _ = load_problem lattice policy_path in
   let assignment =
     match
       Minup_core.Assignment_io.parse
@@ -384,11 +380,7 @@ let check_cmd lattice_path policy_path assignment_path =
 
 let stats_cmd lattice_path policy_path =
   let lattice = or_die (load_lattice lattice_path) in
-  let policy = or_die (load_policy lattice policy_path) in
-  let problem =
-    Minup_constraints.Problem.compile_exn ~attrs:policy.Parse.attrs
-      policy.Parse.csts
-  in
+  let problem, _ = load_policy lattice policy_path in
   Format.printf "%a@." Minup_constraints.Stats.pp
     (Minup_constraints.Stats.compute problem)
 
@@ -400,11 +392,7 @@ let dot_cmd lattice_path policy_path =
   | None -> print_string (Dot.of_explicit lattice)
   | Some path ->
       (* Render the constraint graph (Fig. 2(a) style) instead. *)
-      let policy = or_die (load_policy lattice path) in
-      let problem =
-        Minup_constraints.Problem.compile_exn ~attrs:policy.Parse.attrs
-          policy.Parse.csts
-      in
+      let problem, _ = load_policy lattice path in
       print_string
         (Minup_constraints.Graphviz.render
            ~pp_level:(Explicit.pp_level lattice)

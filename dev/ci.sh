@@ -166,6 +166,30 @@ test -n "$esc_fresh" && test "$esc_grown" = "$esc_fresh" || {
 }
 echo "ci: serve escaped names OK (valid JSON replies, grown = fresh session)"
 
+# Serve = solve: a policy file opened over serve and resolved must give
+# the pairs `mlsclassify solve` prints for the same files.  The files are
+# employee.cst, whose <= line serve takes as resolve bounds instead, and
+# a policy with a trivial constraint, a level-named rhs and an rhs-only
+# attribute.  json_text turns a file into the body of a JSON string.
+json_text() { sed 's/\\/\\\\/g; s/"/\\"/g; s/	/\\t/g' "$1" | awk '{ printf "%s\\n", $0 }'; }
+printf '%s\n' '{a, b} >= a' 'b >= L3' '{c, a} >= L5' 'c >= d' > "$obs_tmp/edge.cst"
+serve_vs_solve() {
+  grep -v '<=' "$1" > "$obs_tmp/lower.cst"
+  sv_open="{\"op\":\"open\",\"problem\":\"p\",\"lattice\":\"$(json_text test/cli.t/fig1b.lat)\",\"constraints\":\"$(json_text "$obs_tmp/lower.cst")\"}"
+  sv_got=$(printf '%s\n' "$sv_open" "{\"op\":\"resolve\",\"problem\":\"p\"$2}" \
+    | dune exec -- mlsclassify serve | tail -n 1 \
+    | sed 's/.*"solution":{//; s/}}$//' | tr ',' '\n' | sed 's/^"\(.*\)":"\(.*\)"$/\1 \2/')
+  sv_want=$(dune exec -- mlsclassify solve -l test/cli.t/fig1b.lat -c "$1" | awk '{ print $1, $2 }')
+  test -n "$sv_want" && test "$sv_got" = "$sv_want" || {
+    echo "ci: serve answered $1 with other levels than solve" >&2
+    echo "$sv_got" >&2
+    exit 1
+  }
+}
+serve_vs_solve test/cli.t/employee.cst ',"bounds":{"name":"L4"}'
+serve_vs_solve "$obs_tmp/edge.cst" ''
+echo "ci: serve = solve OK (employee.cst; trivial, level and rhs-only lines)"
+
 # Benchmark correctness smoke: one traced second of each workload.
 # serve-edit checks every serve reply against its own mirror of the
 # policy (each resolve equals a scratch solve of the mirror, ack ids

@@ -240,53 +240,155 @@ type 'lvl resolved = {
   upper_bounds : (string * 'lvl) list;
 }
 
-(* Resolution reads the scan's arrays.  The attribute universe is the
-   declarations, then lhs members, then upper-bounded names, then each
-   [>=] right-hand side that is neither an attribute nor a level, in that
-   order.  A name resolves once and keeps its [Cst.rhs] in [rhs], which
-   is also the known flag: [Attr] for an attribute, [Level] for a level
-   name, [unset] for neither yet.  The first error in file order wins,
-   lowers before uppers. *)
+(* Resolution reads the scan's arrays, and both emitters below share it.
+   The attribute universe is the declarations, then lhs members, then
+   upper-bounded names, then each [>=] right-hand side that is neither
+   an attribute nor a level, in that order: [order] lists their scanner
+   ids.  A name resolves once and keeps its right-hand side in [rhs],
+   which is also the known flag: [attr id i] for the [i]-th attribute,
+   [level l] for a level name, [unset] for neither yet. *)
+let universe ~level_of_string sc ~unset ~attr ~level =
+  let rhs = Array.make sc.n_names unset and order = ints sc.n_names in
+  let declare id =
+    if rhs.(id) == unset then begin
+      rhs.(id) <- attr id order.len;
+      push order id
+    end
+  in
+  for i = 0 to sc.decls.len - 1 do declare sc.decls.a.(i) done;
+  for i = 0 to sc.lhs.len - 1 do declare sc.lhs.a.(i) done;
+  for k = 0 to (sc.uppers.len / 3) - 1 do declare (field sc.uppers k 1) done;
+  for k = 0 to (sc.lowers.len / 3) - 1 do
+    let id = field sc.lowers k 2 in
+    if rhs.(id) == unset then
+      match level_of_string sc.names.(id) with
+      | Some l -> rhs.(id) <- level l
+      | None -> declare id
+  done;
+  (rhs, order)
+
+(* The error of the [>=] line [k], whose lhs [Cst.make] rejects. *)
+let lower_error sc k e = { line = field sc.lowers k 0; message = Format.asprintf "%a" Cst.pp_error e }
+
+(* The [<=] lines' bounds in file order, or the first one whose bound is
+   not a level. *)
+let upper_bounds ~level_of_string sc =
+  let err = ref None in
+  let upper k acc =
+    let a = name sc sc.uppers k 1 and raw = name sc sc.uppers k 2 in
+    match level_of_string raw with
+    | Some l -> (a, l) :: acc
+    | None ->
+        let message = Printf.sprintf "upper bound for %S: %S is not a level of the lattice" a raw in
+        err := Some { line = field sc.uppers k 0; message };
+        acc
+  in
+  let bounds = back upper (sc.uppers.len / 3) [] in
+  match !err with Some e -> Error e | None -> Ok bounds
+
+(* The first error in file order wins, lowers before uppers. *)
 let parse_resolve ~level_of_string text =
   match scan text with
   | Error _ as e -> e
-  | Ok sc ->
-      let unset = Cst.Attr "" in
-      let rhs = Array.make sc.n_names unset and order = ints sc.n_names in
-      let declare id =
-        if rhs.(id) == unset then (rhs.(id) <- Cst.Attr sc.names.(id); push order id)
+  | Ok sc -> (
+      let rhs, order =
+        universe ~level_of_string sc ~unset:(Cst.Attr "")
+          ~attr:(fun id _ -> Cst.Attr sc.names.(id))
+          ~level:(fun l -> Cst.Level l)
       in
-      for i = 0 to sc.decls.len - 1 do declare sc.decls.a.(i) done;
-      for i = 0 to sc.lhs.len - 1 do declare sc.lhs.a.(i) done;
-      for k = 0 to (sc.uppers.len / 3) - 1 do declare (field sc.uppers k 1) done;
-      for k = 0 to (sc.lowers.len / 3) - 1 do
-        let id = field sc.lowers k 2 in
-        if rhs.(id) == unset then
-          match level_of_string sc.names.(id) with
-          | Some l -> rhs.(id) <- Cst.Level l
-          | None -> declare id
-      done;
       let err = ref None in
-      let error v k message acc = err := Some { line = field v k 0; message }; acc in
-      let upper k acc =
-        let a = name sc sc.uppers k 1 and raw = name sc sc.uppers k 2 in
-        match level_of_string raw with
-        | Some l -> (a, l) :: acc
-        | None ->
-            error sc.uppers k
-              (Printf.sprintf "upper bound for %S: %S is not a level of the lattice" a raw)
-              acc
-      in
       let cst k acc =
         match Cst.make ~lhs:(lhs_names sc k) ~rhs:rhs.(field sc.lowers k 2) with
         | Ok c -> c :: acc
-        | Error e -> error sc.lowers k (Format.asprintf "%a" Cst.pp_error e) acc
+        | Error e -> err := Some (lower_error sc k e); acc
       in
-      let upper_bounds = back upper (sc.uppers.len / 3) [] in
       let csts = back cst (sc.lowers.len / 3) [] in
       match !err with
       | Some e -> Error e
-      | None -> Ok { attrs = names sc order 0 order.len []; csts; upper_bounds }
+      | None ->
+          Result.map
+            (fun upper_bounds -> { attrs = names sc order 0 order.len []; csts; upper_bounds })
+            (upper_bounds ~level_of_string sc))
+
+type 'lvl rows = {
+  attr_names : string array;
+  attr_index : int Problem.Names.t;
+  csts : 'lvl Problem.cst array;
+  dropped : 'lvl Cst.t list;
+  upper_bounds : (string * 'lvl) list;
+  written : int array array;
+}
+
+let rec mem_id b lhs i = i < Array.length lhs && (lhs.(i) = b || mem_id b lhs (i + 1))
+
+(* [lhs], sorted, repeats an id. *)
+let rec repeats lhs i = i < Array.length lhs && (lhs.(i - 1) = lhs.(i) || repeats lhs (i + 1))
+
+(* The second emitter: scanner ids map straight to attribute ids, the
+   position of each name in [order], and every name is hashed once more,
+   into the name index.  A [>=] line's lhs is read off [sc.lhs] in
+   written order and sorted only if it is not already ascending. *)
+let rows ~level_of_string text =
+  Minup_obs.Trace.with_span ~cat:"constraints" "parse.rows" @@ fun () ->
+  match scan text with
+  | Error _ as e -> e
+  | Ok sc -> (
+      let unset = Problem.Rattr (-1) in
+      let rhs, order =
+        universe ~level_of_string sc ~unset
+          ~attr:(fun _ i -> Problem.Rattr i)
+          ~level:(fun l -> Problem.Rlevel l)
+      in
+      let n = order.len in
+      let attr_of = Array.make sc.n_names (-1) in
+      let attr_names = Array.make n "" and attr_index = Problem.Names.create n in
+      for i = 0 to n - 1 do
+        let id = order.a.(i) in
+        attr_of.(id) <- i;
+        attr_names.(i) <- sc.names.(id);
+        Problem.Names.add attr_index sc.names.(id) i
+      done;
+      let m = sc.lowers.len / 3 in
+      let csts = Array.make m { Problem.lhs = [||]; rhs = unset } in
+      let written = Array.make m [||] in
+      let kept = ref 0 and dropped = ref [] and err = ref None and k = ref 0 in
+      while Option.is_none !err && !k < m do
+        let k' = !k in
+        let s = if k' = 0 then 0 else field sc.lowers (k' - 1) 1 in
+        let w = Array.make (field sc.lowers k' 1 - s) 0 in
+        for j = 0 to Array.length w - 1 do
+          w.(j) <- attr_of.(sc.lhs.a.(s + j))
+        done;
+        let lhs = Problem.sorted_lhs w in
+        let r = rhs.(field sc.lowers k' 2) in
+        (if lhs != w && repeats lhs 1 then
+           match Cst.make ~lhs:(lhs_names sc k') ~rhs:Cst.(Attr "") with
+           | Error e -> err := Some (lower_error sc k' e)
+           | Ok _ -> assert false
+         else
+           match r with
+           | Problem.Rattr b when mem_id b lhs 0 ->
+               dropped := Cst.make_exn ~lhs:(lhs_names sc k') ~rhs:(Cst.Attr attr_names.(b)) :: !dropped
+           | _ ->
+               csts.(!kept) <- { Problem.lhs; rhs = r };
+               written.(k') <- w;
+               incr kept);
+        incr k
+      done;
+      match !err with
+      | Some e -> Error e
+      | None ->
+          Result.map
+            (fun upper_bounds ->
+              {
+                attr_names;
+                attr_index;
+                csts = (if !kept = m then csts else Array.sub csts 0 !kept);
+                dropped = List.rev !dropped;
+                upper_bounds;
+                written;
+              })
+            (upper_bounds ~level_of_string sc))
 
 let render ~level_to_string r =
   let buf = Buffer.create 256 in

@@ -16,14 +16,18 @@
     attributes.  This lets level syntaxes as rich as compartmented classes
     ([TS:{Army,Nuclear}]) appear on the right-hand side.
 
-    Cost: {!parse} and {!parse_resolve} share one scan of the text, which
-    walks index ranges of the one string and copies nothing but each
-    distinct name, once.  Each name is interned into an id the first time
-    it is seen; lines are recorded as ids in flat int arrays, and
-    resolution reads those arrays, resolving each distinct right-hand side
-    once.  Every buffer starts at a size read off the text's length, so a
-    one-line policy allocates a few hundred words and an [n]-line one
-    O(n). *)
+    Cost: {!parse}, {!parse_resolve} and {!rows} share one scan of the
+    text, which walks index ranges of the one string and copies nothing
+    but each distinct name, once.  Each name is interned into an id the
+    first time it is seen; lines are recorded as ids in flat int arrays.
+    {!parse_resolve} and {!rows} share one resolution of those arrays,
+    which resolves each distinct right-hand side once, and differ only in
+    what they emit: {!parse_resolve} builds [Cst.t] lists of names,
+    {!rows} maps each scanner id straight to its attribute id and emits
+    compiled rows, so no name is hashed again after the scan but once
+    into the name index.  Every buffer starts at a size read off the
+    text's length, so a one-line policy allocates a few hundred words and
+    an [n]-line one O(n). *)
 
 type ast = {
   decls : string list;  (** attributes declared via [attrs] lines *)
@@ -58,6 +62,36 @@ val parse_resolve :
   level_of_string:(string -> 'lvl option) ->
   string ->
   ('lvl resolved, error) result
+
+(** A policy resolved straight to compiled rows: what
+    [Problem.compile ~attrs csts] builds from [parse_resolve]'s
+    [{attrs; csts; _}], without building the [Cst.t] list. *)
+type 'lvl rows = {
+  attr_names : string array;
+      (** the attribute universe, {!parse_resolve}'s [attrs] order: id [i]
+          is [attr_names.(i)] *)
+  attr_index : int Problem.Names.t;  (** name ↦ id, every attribute *)
+  csts : 'lvl Problem.cst array;
+      (** the kept [>=] lines' rows, in file order, each lhs sorted:
+          {!Problem.compile}'s [csts] *)
+  dropped : 'lvl Cst.t list;
+      (** the trivially satisfied [>=] lines (rhs ∈ lhs), in file order:
+          {!Problem.compile}'s [dropped] *)
+  upper_bounds : (string * 'lvl) list;
+  written : int array array;
+      (** per [>=] line, in file order, its lhs ids as written: the same
+          array as its row's [lhs] when that is already ascending, and
+          [[||]] for a dropped line.  A session keeps it, so its snapshot
+          lists each lhs as the text wrote it. *)
+}
+
+(** [rows ~level_of_string text] — {!parse_resolve} and
+    {!Problem.compile} in one pass: the same resolution, the same first
+    error (line and message), and rows, [dropped] and names equal to
+    [Problem.compile ~attrs csts] of {!parse_resolve}'s result.  Linear in
+    the text.  Traced as [parse.rows] (category [constraints]). *)
+val rows :
+  level_of_string:(string -> 'lvl option) -> string -> ('lvl rows, error) result
 
 (** Render a resolved policy back to the file format; [parse_resolve] of
     the result reproduces it (attribute order, constraints, bounds). *)

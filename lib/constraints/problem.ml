@@ -70,6 +70,16 @@ let sort_lhs a =
       a.(!j + 1) <- x
     done
 
+let rec ascending a i = i >= Array.length a || (a.(i - 1) < a.(i) && ascending a (i + 1))
+
+let sorted_lhs written =
+  if ascending written 1 then written
+  else begin
+    let lhs = Array.copy written in
+    sort_lhs lhs;
+    lhs
+  end
+
 let rec fill intern lhs i = function
   | [] -> ()
   | a :: rest ->
@@ -89,7 +99,7 @@ let row ~intern (c : _ Cst.t) =
    [complex_idx], -1 for simple ones), and the three CSR indexes, which
    enumerate constraints in ascending index, so every row is
    ascending. *)
-let of_rows ~attr_names ~attr_index csts =
+let build ~dropped ~attr_names ~attr_index csts =
   let n = Array.length attr_names and m = Array.length csts in
   let complex_idx = Array.make m (-1) in
   let n_complex = ref 0 in
@@ -125,8 +135,12 @@ let of_rows ~attr_names ~attr_index csts =
     constr_of = csr n (each_lhs false);
     complex_constr_of = csr n (each_lhs true);
     incoming = csr n each_rhs;
-    dropped = [];
+    dropped;
   }
+
+let of_rows ~attr_names ~attr_index csts =
+  Minup_obs.Trace.with_span ~cat:"constraints" "problem.of_rows" @@ fun () ->
+  build ~dropped:[] ~attr_names ~attr_index csts
 
 let compile ?(attrs = []) ?(strict = false) source =
   Minup_obs.Trace.with_span ~cat:"constraints" "problem.compile" @@ fun () ->
@@ -163,7 +177,7 @@ let compile ?(attrs = []) ?(strict = false) source =
     List.iter (fun (c : _ Cst.t) -> List.iter (fun a -> ignore (intern a)) c.lhs) dropped;
     let attr_names = Array.make !next "" in
     Names.iter (fun a i -> attr_names.(i) <- a) index;
-    Ok { (of_rows ~attr_names ~attr_index:index csts) with dropped }
+    Ok (build ~dropped ~attr_names ~attr_index:index csts)
   with Err e -> Error e
 
 let compile_exn ?attrs ?strict csts =

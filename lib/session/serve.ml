@@ -114,18 +114,14 @@ let open_session conn problem doc =
       | Error e -> errf ~problem "open: lattice: %a" Lattice_file.pp_error e
       | Ok lat -> (
           let constraints = Option.value ~default:"" (str_field "constraints" doc) in
-          match
-            Parse.parse_resolve
-              ~level_of_string:(Explicit.level_of_string lat)
-              constraints
-          with
+          match Parse.rows ~level_of_string:(Explicit.level_of_string lat) constraints with
           | Error e -> errf ~problem "open: constraints: %a" Parse.pp_error e
           | Ok { Parse.upper_bounds = _ :: _; _ } ->
               err ~problem
                 "open: policy has upper-bound (<=) lines; pass \"bounds\" to \
                  resolve instead"
-          | Ok { Parse.attrs; csts; _ } ->
-              insert conn problem (S.create ~lattice:lat ~attrs csts);
+          | Ok rows ->
+              insert conn problem (S.of_rows ~lattice:lat rows);
               Wire.v1 ~problem (Wire.Ack { id = None })))
 
 (* A solution reply over [h]'s first [Array.length levels] attributes,

@@ -8,7 +8,11 @@
     - [{"op": "open", "problem": p, "lattice": text, "constraints": text}]
       — create (or replace) session [p] from a lattice file and an
       optional policy file, both passed inline as text.  Policies with
-      [<=] lines are rejected: upper bounds are per-resolve inputs.
+      [<=] lines are rejected: upper bounds are per-resolve inputs.  The
+      policy is resolved straight to compiled rows
+      ({!Minup_constraints.Parse.rows}) and the session built from them
+      ({!Session.Make.of_rows}): no constraint list is built and no name
+      is hashed again, now or at the first resolve.
     - [{"op": "add_constraint", "problem": p, "constraint": line}] — parse
       one policy line and add it; the response [Ack] carries the fresh
       constraint id.

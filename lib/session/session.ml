@@ -1,4 +1,5 @@
 module Cst = Minup_constraints.Cst
+module Parse = Minup_constraints.Parse
 module Problem = Minup_constraints.Problem
 module Trace = Minup_obs.Trace
 module Names = Problem.Names
@@ -64,19 +65,26 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       match s.items.(i) with Some x -> f i x | None -> ()
     done
 
-  (* The row of a trivial constraint, which compile drops. *)
   let no_row : L.level Problem.cst = { lhs = [||]; rhs = Problem.Rattr (-1) }
+
+  (* A user constraint's state: compile keeps its row, or drops it as
+     trivially satisfied (rhs ∈ lhs), or it was removed. *)
+  let kept = 'k'
+  let dropped = 'd'
+  let removed = 'r'
 
   type t = {
     lattice : L.t;
     mutable names : string array;  (** attribute id ↦ name, [n] of them *)
     mutable n : int;
     index : int Names.t;  (** name ↦ attribute id: registration order *)
-    entries : L.level Cst.t slots;  (** user constraints; slot = id *)
     mutable rows : L.level Problem.cst array;
-        (** [rows.(id)]: constraint [id]'s compiled row, from the first
-            compile on: it harvests them, and each later constraint is
-            interned when added *)
+        (** user constraint id ↦ its compiled row, [n_ids] of them *)
+    mutable written : int array array;
+        (** id ↦ its lhs ids as written (the row's own [lhs] array when
+            that is ascending), for [snapshot] *)
+    mutable state : Bytes.t;  (** id ↦ [kept], [dropped] or [removed] *)
+    mutable n_ids : int;
     bounds : (int * L.level) slots;  (** (attribute id, level), first-set order *)
     bound_slot : (int, int) Hashtbl.t;  (** bounded attribute id ↦ slot *)
     mutable pending : pending;
@@ -105,9 +113,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     Names.add t.index a i;
     i
 
-  (* [mem] first, not [find] under a handler: most mentions are of known
-     names, and this is [create]'s inner loop. *)
-  let register t a = if not (Names.mem t.index a) then ignore (add_name t a)
+  (* [a]'s id, registered first if it is new. *)
+  let intern t a = match Names.find t.index a with i -> i | exception Not_found -> add_name t a
 
   let structural t d x =
     match t.pending with Rebuild _ -> () | Clean | Patch -> t.pending <- Rebuild (d, x)
@@ -115,59 +122,117 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let touch t a = t.dirty <- a :: t.dirty
   let touch_lhs t (row : _ Problem.cst) = Array.iter (touch t) row.lhs
 
-  (* Once a compile has harvested the rows, a new constraint is interned
-     at once: its names are registered first, in [Cst.attrs] order. *)
-  let add_constraint t (c : _ Cst.t) =
-    List.iter (register t) c.lhs;
-    (match c.rhs with Cst.Attr a -> register t a | Cst.Level _ -> ());
-    let id = push t.entries c in
-    if Option.is_some t.compiled then begin
-      if id >= Array.length t.rows then begin
-        let rows = Array.make (max 16 (2 * id)) no_row in
-        Array.blit t.rows 0 rows 0 (Array.length t.rows);
-        t.rows <- rows
-      end;
-      if not (Cst.is_trivial c) then begin
-        let row = Problem.row ~intern:(Names.find t.index) c in
-        t.rows.(id) <- row;
-        touch_lhs t row
-      end
+  let rec fill t w j = function
+    | [] -> ()
+    | a :: rest ->
+        w.(j) <- intern t a;
+        fill t w (j + 1) rest
+
+  (* The next constraint id, for [row], written as [written], in state
+     [st]: the id-indexed arrays double when full. *)
+  let push_row t row written st =
+    let id = t.n_ids in
+    if id = Array.length t.rows then begin
+      let cap = max 16 (2 * id) in
+      let grow a fill =
+        let b = Array.make cap fill in
+        Array.blit a 0 b 0 id;
+        b
+      in
+      t.rows <- grow t.rows no_row;
+      t.written <- grow t.written [||];
+      t.state <- Bytes.extend t.state 0 (cap - id)
     end;
+    t.rows.(id) <- row;
+    t.written.(id) <- written;
+    Bytes.set t.state id st;
+    t.n_ids <- id + 1;
+    id
+
+  (* [c] interned under the next id, its names registered in [Cst.attrs]
+     order. *)
+  let push_cst t (c : _ Cst.t) =
+    let written = Array.make (List.length c.lhs) 0 in
+    fill t written 0 c.lhs;
+    let rhs =
+      match c.rhs with Cst.Level l -> Problem.Rlevel l | Cst.Attr a -> Problem.Rattr (intern t a)
+    in
+    push_row t
+      { lhs = Problem.sorted_lhs written; rhs }
+      written
+      (if Cst.is_trivial c then dropped else kept)
+
+  (* Every constraint is interned when added; only once a resolve has
+     compiled do its lhs count as dirty. *)
+  let add_constraint t c =
+    let id = push_cst t c in
+    if Bytes.get t.state id = kept && Option.is_some t.compiled then touch_lhs t t.rows.(id);
     structural t Add id;
     id
 
+  let empty ~lattice ~names ~n ~index ~rows ~written =
+    {
+      lattice;
+      names;
+      n;
+      index;
+      rows;
+      written;
+      state = Bytes.make (Array.length rows) kept;
+      n_ids = 0;
+      bounds = slots ();
+      bound_slot = Hashtbl.create 16;
+      pending = Clean;
+      dirty = [];
+      compiled = None;
+      stats = { resolves = 0; cached = 0; patched = 0; incremental = 0; full = 0; frozen = 0 };
+    }
+
   let create ~lattice ?(attrs = []) csts =
+    let m = List.length csts in
     let t =
-      {
-        lattice;
-        names = Array.make (List.length attrs) "";
-        n = 0;
-        index = Names.create 64;
-        entries = slots ();
-        rows = [||];
-        bounds = slots ();
-        bound_slot = Hashtbl.create 16;
-        pending = Clean;
-        dirty = [];
-        compiled = None;
-        stats =
-          { resolves = 0; cached = 0; patched = 0; incremental = 0; full = 0; frozen = 0 };
-      }
+      empty ~lattice ~names:(Array.make (List.length attrs) "") ~n:0 ~index:(Names.create 64)
+        ~rows:(Array.make m no_row) ~written:(Array.make m [||])
     in
-    List.iter (register t) attrs;
+    List.iter (fun a -> ignore (intern t a)) attrs;
     List.iter (fun c -> ignore (add_constraint t c)) csts;
     t
 
+  (* The session adopts [r]'s names, index and written lhs arrays, and
+     takes each kept row as it is; a dropped line, rare, is interned
+     from its [Cst.t].  No name is looked up for a kept row. *)
+  let of_rows ~lattice (r : L.level Parse.rows) =
+    let m = Array.length r.written in
+    let t =
+      empty ~lattice ~names:r.attr_names ~n:(Array.length r.attr_names) ~index:r.attr_index
+        ~rows:(Array.make m no_row) ~written:r.written
+    in
+    let k = ref 0 and drops = ref r.dropped in
+    Array.iter
+      (fun written ->
+        if Array.length written > 0 then begin
+          ignore (push_row t r.csts.(!k) written kept);
+          incr k
+        end
+        else
+          match !drops with
+          | c :: rest ->
+              drops := rest;
+              ignore (push_cst t c)
+          | [] -> invalid_arg "Session.of_rows: fewer dropped constraints than dropped lines")
+      r.written;
+    t
+
   let remove_constraint t id =
-    if id < 0 || id >= t.entries.len then false
-    else
-      match t.entries.items.(id) with
-      | None -> false
-      | Some _ ->
-          t.entries.items.(id) <- None;
-          if id < Array.length t.rows then touch_lhs t t.rows.(id);
-          structural t Remove id;
-          true
+    if id < 0 || id >= t.n_ids || Bytes.get t.state id = removed then false
+    else begin
+      if Bytes.get t.state id = kept && Option.is_some t.compiled then touch_lhs t t.rows.(id);
+      Bytes.set t.state id removed;
+      t.rows.(id) <- no_row;
+      t.written.(id) <- [||];
+      structural t Remove id;
+      true
+    end
 
   (* [a]'s id.  An attribute registered by a delta that adds no row is
      still a structural delta: the solution gains it, at ⊥. *)
@@ -200,14 +265,27 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         structural t First_bound a
 
   (* Bound constraints come after user constraints, which is where
-     [scratch] and [rebuild] put them; within each group the order is the
-     session's insertion order, so recompiles of an unchanged session are
-     literally identical. *)
+     [index] puts them; within each group the order is the session's
+     insertion order, so recompiles of an unchanged session are literally
+     identical.  Each lhs is listed as written. *)
   let snapshot t =
-    ( List.init t.n (Array.get t.names),
-      fold_live (fun _ c acc -> c :: acc) t.entries
+    let name a = t.names.(a) in
+    let rec users id acc =
+      if id < 0 then acc
+      else if Bytes.get t.state id = removed then users (id - 1) acc
+      else
+        let rhs =
+          match t.rows.(id).rhs with
+          | Problem.Rlevel l -> Cst.Level l
+          | Problem.Rattr a -> Cst.Attr (name a)
+        in
+        let lhs = Array.fold_right (fun a acc -> name a :: acc) t.written.(id) [] in
+        users (id - 1) (Cst.make_exn ~lhs ~rhs :: acc)
+    in
+    ( List.init t.n name,
+      users (t.n_ids - 1)
         (fold_live
-           (fun _ (a, l) acc -> Cst.make_exn ~lhs:[ t.names.(a) ] ~rhs:(Cst.Level l) :: acc)
+           (fun _ (a, l) acc -> Cst.make_exn ~lhs:[ name a ] ~rhs:(Cst.Level l) :: acc)
            t.bounds []) )
 
   let finish t compiled =
@@ -237,27 +315,39 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     t.stats <- { t.stats with frozen = t.stats.frozen + solution.Solver.reused };
     solution
 
-  (* The first resolve: compile the snapshot and solve it from scratch,
-     then harvest each kept user constraint's row, which compile lays out
-     first, in id order; the bound rows follow. *)
-  let scratch ~config t =
-    let attrs, csts = snapshot t in
-    let problem = Solver.compile_exn ~lattice:t.lattice ~attrs csts in
-    let kept = problem.Solver.prob.Problem.csts and ci = ref 0 in
-    t.rows <- Array.make t.entries.len no_row;
-    iter_live
-      (fun id c ->
-        if not (Cst.is_trivial c) then begin
-          t.rows.(id) <- kept.(!ci);
-          incr ci
-        end)
-      t.entries;
+  (* The live rows — user rows in id order, then the bound rows, as
+     compile lays out the snapshot — indexed into a problem over the
+     session's attributes, so its priorities are a scratch compile's; and
+     each bound slot's index among the rows. *)
+  let index t =
+    let m = ref 0 in
+    for id = 0 to t.n_ids - 1 do
+      if Bytes.get t.state id = kept then incr m
+    done;
+    iter_live (fun _ _ -> incr m) t.bounds;
+    let csts = Array.make !m no_row and ci = ref 0 in
+    let add row =
+      csts.(!ci) <- row;
+      incr ci
+    in
+    for id = 0 to t.n_ids - 1 do
+      if Bytes.get t.state id = kept then add t.rows.(id)
+    done;
     let bound_ci = Array.make t.bounds.len (-1) in
     iter_live
-      (fun slot _ ->
+      (fun slot (a, l) ->
         bound_ci.(slot) <- !ci;
-        incr ci)
+        add { Problem.lhs = [| a |]; rhs = Problem.Rlevel l })
       t.bounds;
+    let problem =
+      Solver.prepare ~lattice:t.lattice
+        (Problem.of_rows ~attr_names:(Array.sub t.names 0 t.n) ~attr_index:t.index csts)
+    in
+    (problem, bound_ci)
+
+  (* The first resolve: index the rows and solve from scratch. *)
+  let scratch ~config t =
+    let problem, bound_ci = index t in
     t.stats <- { t.stats with full = t.stats.full + 1 };
     finish t { problem; bound_ci; solution = Solver.solve ~config problem }
 
@@ -277,32 +367,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       t.dirty;
     finish t { old with solution = resolve_from ~config t old ~patch:true old.problem }
 
-  (* Any other delta: index the live rows — user rows in id order, then
-     the bound rows, as compile lays out the snapshot — into a new
-     problem over the session's attributes, so its priorities are a
-     scratch compile's, and re-solve it from the old problem's solution.
-     The old problem is not touched: a cancelled rebuild leaves it as it
-     was, with the deltas queued. *)
+  (* Any other delta: index the live rows into a new problem and re-solve
+     it from the old problem's solution.  The old problem is not touched:
+     a cancelled rebuild leaves it as it was, with the deltas queued. *)
   let rebuild ~config t (old : compiled) =
-    let m = ref 0 in
-    iter_live (fun id _ -> if t.rows.(id) != no_row then incr m) t.entries;
-    iter_live (fun _ _ -> incr m) t.bounds;
-    let csts = Array.make !m no_row and ci = ref 0 in
-    let add row =
-      csts.(!ci) <- row;
-      incr ci
-    in
-    iter_live (fun id _ -> if t.rows.(id) != no_row then add t.rows.(id)) t.entries;
-    let bound_ci = Array.make t.bounds.len (-1) in
-    iter_live
-      (fun slot (a, l) ->
-        bound_ci.(slot) <- !ci;
-        add { Problem.lhs = [| a |]; rhs = Problem.Rlevel l })
-      t.bounds;
-    let problem =
-      Solver.prepare ~lattice:t.lattice
-        (Problem.of_rows ~attr_names:(Array.sub t.names 0 t.n) ~attr_index:t.index csts)
-    in
+    let problem, bound_ci = index t in
     let solution = resolve_from ~config t old ~patch:false problem in
     finish t { problem; bound_ci; solution }
 

@@ -22,9 +22,10 @@
       {!Make.snapshot} lays them out) and its priorities are computed
       afresh, so they are exactly a scratch compile's.  No name is looked
       up and no snapshot is built;
-    - the first resolve ([scratch]): the snapshot is compiled, and the
-      compiled row of each user constraint is kept.  Later constraints
-      are interned when added.
+    - the first resolve ([scratch]): the rows are indexed the same way
+      and solved from scratch.  Every constraint has had its row since it
+      was added ({!Make.create}, {!Make.of_rows}, {!Make.add_constraint}),
+      so no resolve compiles from names.
 
     [patch] and [rebuild] then re-solve from the previous solution
     ({!Minup_core.Solver.Make.solve_incremental}) with the attributes
@@ -47,20 +48,24 @@
 
     {b Costs.}  The editor state is flat: attribute names live in a
     growable array indexed by id plus a name ↦ id table, user
-    constraints (each with its compiled row) and bounds (attribute id and
-    level) in id-addressed append-only arrays where removal leaves a
-    tombstone.  With [k] the size of the constraint involved:
+    constraints (each with its compiled row and its lhs as written) and
+    bounds (attribute id and level) in id-addressed append-only arrays
+    where removal leaves a tombstone.  With [k] the size of the
+    constraint involved:
     - {!Make.create}: linear in its input (attributes plus total
-      constraint size);
-    - {!Make.add_constraint}: O(k) amortized (the row is interned once a
-      compile has run);
+      constraint size), one name lookup per mention;
+    - {!Make.of_rows}: linear in the constraints, with no name lookup: it
+      adopts the parsed rows, names and name index;
+    - {!Make.add_constraint}: O(k) amortized (the row is interned at
+      once);
     - {!Make.remove_constraint}: O(k) (the removed row's lhs is noted
       dirty);
     - {!Make.set_lower_bound}, {!Make.add_attribute}: O(1) amortized;
-    - {!Make.snapshot}, and the first {!Make.resolve}'s compile: linear
-      in the attributes, the constraint size and the number of constraint
-      ids and bounded attributes ever handed out (tombstones included),
-      plus the compile itself;
+    - {!Make.snapshot}: linear in the attributes, the constraint size
+      and the number of constraint ids and bounded attributes ever handed
+      out (tombstones included);
+    - the first {!Make.resolve}: the rebuild path's indexing, then a
+      scratch solve;
     - the patch path: no compile and no copy; O(1) per queued bound
       change (an in-place write), then the incremental solve;
     - the rebuild path: linear in the attributes, the live rows' size
@@ -104,6 +109,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       order and constraint ids are assigned in list order, [0..]. *)
   val create :
     lattice:L.t -> ?attrs:string list -> L.level Minup_constraints.Cst.t list -> t
+
+  (** [of_rows ~lattice r] — the session {!create} makes from
+      [Parse.parse_resolve]'s [attrs] and [csts] on the same text, built
+      from {!Minup_constraints.Parse.rows}' result instead: the same ids,
+      the same {!snapshot}, the same resolves.  The session takes over
+      [r]'s arrays and name index.  [r]'s upper bounds are not part of
+      it: a session's bounds are lower bounds, set by {!set_lower_bound}. *)
+  val of_rows : lattice:L.t -> L.level Minup_constraints.Parse.rows -> t
 
   val lattice : t -> L.t
 

@@ -7,6 +7,7 @@ module Cst = Minup_constraints.Cst
 module Session = Minup_session.Session.Make (Explicit)
 module SS = Session.Solver
 module Serve = Minup_session.Serve
+module Parse = Minup_constraints.Parse
 module Wire = Minup_core.Wire
 module Fault = Minup_core.Fault
 module Json = Minup_obs.Json
@@ -200,6 +201,38 @@ let untouched_subgraph_is_frozen () =
   Alcotest.(check int) "incremental" 1 st.Session.incremental;
   (* x1 rose, so x0 is re-solved too; y0 and y1 are reused. *)
   Alcotest.(check int) "y0 and y1 reused" 2 st.Session.frozen
+
+(* Widen rule (b): a removed row splits a component, and a piece that
+   holds no dirty member and reads no changed level must still be
+   labeled again.  Over s0 < sc < sf, [a, b, c, d, e] is one cycle, and
+   its solve puts [a] and [e] at sf, so that [{a, d} >= sf] holds
+   through [a].  Removing [b >= c] (dirty: [b]) splits it into {b},
+   then {a, e}, then {d}, then {c}.  [b] stays at s0, so nothing {a, e}
+   reads changes; the last-labeled member of {a, d} is [d] in both
+   orders, so rule (c) marks nothing.  A scratch solve labels {a, e}
+   while [d] is still at its top, takes both down to s0 and leaves
+   [{a, d} >= sf] to [d]: reusing {a, e}'s sf would give another
+   minimal solution than scratch. *)
+let split_component_is_relabeled () =
+  let lat =
+    Result.get_ok (Minup_lattice.Lattice_file.parse "levels s0, sc, sf\ns0 < sc\nsc < sf\n")
+  in
+  let r =
+    Result.get_ok
+      (Parse.rows ~level_of_string:(Explicit.level_of_string lat)
+         "{a, d} >= sf\na >= b\nb >= c\nc >= d\n{a, d} >= e\ne >= a\n")
+  in
+  let sess = Session.of_rows ~lattice:lat r in
+  let level a (sol : SS.solution) =
+    Explicit.level_to_string lat sol.SS.levels.(Option.get (Minup_constraints.Problem.Names.find_opt r.Parse.attr_index a))
+  in
+  let before = Session.resolve sess in
+  Alcotest.(check (list string)) "a and e carry the association" [ "sf"; "sf"; "s0" ]
+    (List.map (fun a -> level a before) [ "a"; "e"; "d" ]);
+  Alcotest.(check bool) "remove b >= c" true (Session.remove_constraint sess 2);
+  check_matches ~ctx:"split component" lat sess;
+  Alcotest.(check (list string)) "d carries it after the split" [ "s0"; "s0"; "sf" ]
+    (List.map (fun a -> level a (Session.resolve sess)) [ "a"; "e"; "d" ])
 
 let random_spec lat =
   {
@@ -794,6 +827,212 @@ let serve_reply_fragments () =
     (st.Session.cached >= 1 && st.Session.patched >= 1
     && st.Session.incremental - st.Session.patched >= 3)
 
+(* {2 Sessions opened from text}
+
+   Serve's [open] builds its session from the policy text's rows
+   ([Parse.rows], then [Session.of_rows]); [Session.create] builds one
+   from [Parse.parse_resolve]'s constraints.  On random policies, with
+   every lhs written in a shuffled order, a trivial line and an
+   rhs-only attribute, the two sessions and a serve connection that
+   opened the same text are driven by the same deltas.  The two sessions
+   must agree on every name, snapshot, resolve (levels and counters) and
+   [stats], and the serve replies on every level; each session's first
+   resolve is bit-identical to compiling and solving its snapshot. *)
+
+let text_policy rng lat =
+  let spec = random_spec lat in
+  let attrs, csts =
+    match Prng.int rng 3 with
+    | 0 -> Gen.acyclic rng spec
+    | 1 -> Gen.single_scc rng spec
+    | _ -> Gen.mixed rng spec ~n_islands:2 ~island_size:4
+  in
+  let shuffled (c : _ Cst.t) =
+    let lhs = Array.of_list c.Cst.lhs in
+    Prng.shuffle rng lhs;
+    Cst.make_exn ~lhs:(Array.to_list lhs) ~rhs:c.Cst.rhs
+  in
+  let policy =
+    { Parse.attrs = (if Prng.bool rng then attrs else []); csts = List.map shuffled csts;
+      upper_bounds = [] }
+  in
+  Parse.render ~level_to_string:(Explicit.level_to_string lat) policy
+  ^ "{A1, A0} >= A1\nA2 >= rhs_only\n"
+
+let same_solution ~ctx lat (a : SS.solution) (b : SS.solution) =
+  if not (Array.length a.SS.levels = Array.length b.SS.levels
+          && Array.for_all2 (Explicit.equal lat) a.SS.levels b.SS.levels)
+  then Alcotest.failf "%s: levels differ" ctx;
+  if a.SS.stats <> b.SS.stats then Alcotest.failf "%s: operation counters differ" ctx
+
+let opened_from_text seed =
+  let rng = Prng.create seed in
+  let lat = fig1b in
+  let text = text_policy rng lat in
+  let ctx = Printf.sprintf "seed %d" seed in
+  let level_of_string = Explicit.level_of_string lat in
+  let rows = Result.get_ok (Parse.rows ~level_of_string text) in
+  let pr = Result.get_ok (Parse.parse_resolve ~level_of_string text) in
+  let a = Session.of_rows ~lattice:lat rows in
+  let b = Session.create ~lattice:lat ~attrs:pr.Parse.attrs pr.Parse.csts in
+  let conn = Serve.create () in
+  let req fields = serve_req conn (("problem", Json.Str "p") :: fields) in
+  check_status (ctx ^ ": open") "ok"
+    (req
+       [
+         ("op", Json.Str "open");
+         ("lattice", Json.Str (Minup_lattice.Lattice_file.to_string lat));
+         ("constraints", Json.Str text);
+       ]);
+  let agree step =
+    let ctx = Printf.sprintf "%s step %d" ctx step in
+    let sa = Session.snapshot a and sb = Session.snapshot b in
+    if sa <> sb then Alcotest.failf "%s: snapshots differ" ctx;
+    List.iteri
+      (fun i n ->
+        if Session.name a i <> n || Session.name b i <> n then
+          Alcotest.failf "%s: name %d differs" ctx i)
+      (fst sa);
+    if Session.stats a <> Session.stats b then Alcotest.failf "%s: stats differ" ctx
+  in
+  (* Every resolve of [a] and [b], and the serve reply, agree. *)
+  let resolve step =
+    let ctx = Printf.sprintf "%s step %d" ctx step in
+    let sol_a = Session.resolve a and sol_b = Session.resolve b in
+    same_solution ~ctx lat sol_a sol_b;
+    if step = 0 then
+      List.iter
+        (fun (sess, sol) ->
+          let attrs, csts = Session.snapshot sess in
+          same_solution ~ctx:(ctx ^ ": first resolve vs compile") lat
+            (SS.solve (SS.compile_exn ~lattice:lat ~attrs csts))
+            sol)
+        [ (a, sol_a); (b, sol_b) ];
+    let pairs =
+      List.mapi (fun i l -> (Session.name a i, Explicit.level_to_string lat l))
+        (Array.to_list sol_a.SS.levels)
+    in
+    Alcotest.(check (option (list (pair string string))))
+      (ctx ^ ": serve reply") (Some pairs)
+      (Wire.solution_pairs (req [ ("op", Json.Str "resolve") ]).Wire.body);
+    agree step
+  in
+  let ids = ref (List.init (List.length pr.Parse.csts) Fun.id) in
+  let next = ref (List.length pr.Parse.csts) in
+  let names () = fst (Session.snapshot a) in
+  let levels = Explicit.all lat in
+  let fresh = ref 0 in
+  let delta () =
+    match Prng.int rng 7 with
+    | 0 ->
+        let lhs = Prng.sample rng (1 + Prng.int rng 3) (names ()) in
+        let rhs =
+          if Prng.bool rng then Cst.Level (Prng.pick rng levels)
+          else Cst.Attr (Prng.pick rng (names ()))
+        in
+        let c = Cst.make_exn ~lhs ~rhs in
+        let line =
+          String.trim
+            (Parse.render ~level_to_string:(Explicit.level_to_string lat)
+               { Parse.attrs = []; csts = [ c ]; upper_bounds = [] })
+        in
+        let id = Session.add_constraint a c in
+        Alcotest.(check int) (ctx ^ ": add id") id (Session.add_constraint b c);
+        Alcotest.(check int) (ctx ^ ": add id") !next id;
+        incr next;
+        ids := id :: !ids;
+        check_status (ctx ^ ": add") "ok"
+          (req [ ("op", Json.Str "add_constraint"); ("constraint", Json.Str line) ])
+    | 1 when !ids <> [] ->
+        let id = Prng.pick rng !ids in
+        ids := List.filter (( <> ) id) !ids;
+        Alcotest.(check bool) (ctx ^ ": remove") true (Session.remove_constraint a id);
+        Alcotest.(check bool) (ctx ^ ": remove") true (Session.remove_constraint b id);
+        check_status (ctx ^ ": remove") "ok"
+          (req [ ("op", Json.Str "remove_constraint"); ("id", Json.Num (float_of_int id)) ])
+    | 2 | 3 ->
+        (* A first bound, a re-tightened one or a cleared one. *)
+        let x = Prng.pick rng (names ()) in
+        let l = if Prng.int rng 4 = 0 then None else Some (Prng.pick rng levels) in
+        Session.set_lower_bound a x l;
+        Session.set_lower_bound b x l;
+        check_status (ctx ^ ": bound") "ok"
+          (req
+             [
+               ("op", Json.Str "set_lower_bound");
+               ("attr", Json.Str x);
+               ( "level",
+                 match l with
+                 | Some l -> Json.Str (Explicit.level_to_string lat l)
+                 | None -> Json.Null );
+             ])
+    | 4 ->
+        incr fresh;
+        let x = Printf.sprintf "new%d" !fresh in
+        Session.add_attribute a x;
+        Session.add_attribute b x;
+        check_status (ctx ^ ": add_attribute") "ok"
+          (req [ ("op", Json.Str "add_attribute"); ("attr", Json.Str x) ])
+    | _ ->
+        (* A resolve cancelled by a zero-step budget, if it solves. *)
+        let cancelled sess =
+          match Session.resolve ~config:(zero_steps ()) sess with
+          | _ -> false
+          | exception SS.Cancelled _ -> true
+        in
+        let ca = cancelled a in
+        Alcotest.(check bool) (ctx ^ ": cancelled alike") ca (cancelled b);
+        check_status (ctx ^ ": zero-step resolve") (if ca then "fault" else "ok")
+          (req [ ("op", Json.Str "resolve"); ("max_steps", Json.Num 0.) ])
+  in
+  agree 0;
+  resolve 0;
+  for step = 1 to 12 do
+    for _ = 0 to Prng.int rng 3 do
+      delta ()
+    done;
+    agree step;
+    resolve step
+  done
+
+let opened_from_text_sessions () =
+  for seed = 0 to 39 do
+    opened_from_text seed
+  done
+
+(* Traced, an [open] shows its policy parse as a [parse.rows] span
+   inside [serve.open], and the first and every rebuild resolve their
+   indexing as [problem.of_rows] inside [session.resolve]; nothing
+   compiles from names. *)
+let serve_spans_its_layers () =
+  let conn = Serve.create () in
+  let req fields = serve_req conn (("problem", Json.Str "p") :: fields) in
+  Trace.start ();
+  Fun.protect ~finally:Trace.stop (fun () ->
+      check_status "open" "ok" (open_req conn "p");
+      check_status "first resolve" "ok" (req [ ("op", Json.Str "resolve") ]);
+      check_status "add" "ok"
+        (req [ ("op", Json.Str "add_constraint"); ("constraint", Json.Str "name >= Secret") ]);
+      check_status "rebuild resolve" "ok" (req [ ("op", Json.Str "resolve") ]));
+  (* Each span with the span it sits directly in. *)
+  let nested =
+    List.fold_left
+      (fun (stack, acc) (e : Trace.event) ->
+        match (e.ph, stack) with
+        | 'B', parent :: _ -> (e.name :: stack, (e.name, parent) :: acc)
+        | 'B', [] -> ([ e.name ], (e.name, "") :: acc)
+        | _, _ :: rest -> (rest, acc)
+        | _, [] -> ([], acc))
+      ([], []) (Trace.events ())
+    |> snd |> List.rev
+  in
+  let within name = List.filter_map (fun (n, p) -> if n = name then Some p else None) nested in
+  Alcotest.(check (list string)) "parse.rows in" [ "serve.open" ] (within "parse.rows");
+  Alcotest.(check (list string)) "problem.of_rows in"
+    [ "session.resolve"; "session.resolve" ] (within "problem.of_rows");
+  Alcotest.(check (list string)) "problem.compile in" [] (within "problem.compile");
+  Alcotest.(check (list string)) "compile in" [] (within "compile")
+
 let serve_lru_eviction () =
   let conn = Serve.create ~max_sessions:2 () in
   check_status "open a" "ok" (open_req conn "a");
@@ -856,6 +1095,7 @@ let suite =
     case "a cleared bound on an unseen attribute registers it" clear_unknown_bound;
     case "bounded catch-up obeys budget" bounded_catch_up_obeys_budget;
     case "untouched subgraph is frozen" untouched_subgraph_is_frozen;
+    case "a split component's untouched piece is labeled again" split_component_is_relabeled;
     case "random sessions match scratch" random_sessions;
     case "state matches a list model" session_state_model;
     case "wire round-trips" wire_roundtrips;
@@ -866,6 +1106,9 @@ let suite =
     case "serve rejects out-of-range integer fields" serve_int_fields;
     case "serve rejects inexpressible attribute names" serve_attr_names;
     case "serve replies are the Solution bytes as names grow" serve_reply_fragments;
+    case "a session opened from text = one created from its constraints"
+      opened_from_text_sessions;
+    case "a traced open and rebuild span their parse and indexing" serve_spans_its_layers;
     case "serve LRU eviction" serve_lru_eviction;
     case "serve evicts in recency order at max_sessions" serve_lru_order;
   ]
