@@ -7,7 +7,8 @@
    attributes at once.  Three more pin the solver's other entry modes:
    upper bounds (§6) on the acyclic instance, an incremental re-solve of
    a cyclic instance, and an upgrade preference over many priority sets
-   (with a digest of the order the Bigloop considers attributes in).  The
+   (with a digest of the order the Bigloop considers attributes in).  Each
+   of these also pins an MD5 of the final levels.  The
    last pins a session: a digest of the levels after each step of a
    fixed delta script on the cyclic and preference instances.  Any
    drift means a change altered what the solver computes or how it
@@ -26,13 +27,31 @@ let ladder16 = Total.create (List.init 16 (Printf.sprintf "S%d"))
 
 let powerset4 = Powerset.create [ "a"; "b"; "c"; "d" ]
 
+(* A solve's counters and an MD5 of its levels, each rendered by
+   [to_string]. *)
+let pin to_string stats levels =
+  let out = Buffer.create 4096 in
+  Array.iter
+    (fun l ->
+      Buffer.add_string out (to_string l);
+      Buffer.add_char out ' ')
+    levels;
+  Format.asprintf "%a levels=%s" Instr.pp stats
+    (Digest.to_hex (Digest.string (Buffer.contents out)))
+
+let total_pin = pin (Total.level_to_string ladder16)
+
 let total (attrs, csts) =
   let p = ST.compile_exn ~lattice:ladder16 ~attrs csts in
-  Format.asprintf "%a" Instr.pp (ST.solve p).ST.stats
+  let s = ST.solve p in
+  total_pin s.ST.stats s.ST.levels
+
+let powerset_pin = pin (Powerset.level_to_string powerset4)
 
 let powerset (attrs, csts) =
   let p = SP.compile_exn ~lattice:powerset4 ~attrs csts in
-  Format.asprintf "%a" Instr.pp (SP.solve p).SP.stats
+  let s = SP.solve p in
+  powerset_pin s.SP.stats s.SP.levels
 
 (* In a chain or a powerset all the lowerings one [Try] asks of an
    attribute are equal, so the glb branch never runs there; the pentagon
@@ -43,7 +62,8 @@ let pentagon =
 
 let explicit lat (attrs, csts) =
   let p = SE.compile_exn ~lattice:lat ~attrs csts in
-  Format.asprintf "%a" Instr.pp (SE.solve p).SE.stats
+  let s = SE.solve p in
+  pin (Explicit.level_to_string lat) s.SE.stats s.SE.levels
 
 let y i = Printf.sprintf "y%d" i
 let z i = Printf.sprintf "z%d" i
@@ -102,8 +122,6 @@ let cyclic =
     { Gen.n_attrs = 300; n_simple = 300; n_complex = 100; max_lhs = 3;
       n_constants = 30; constants = List.init 16 Fun.id }
 
-let instr stats = Format.asprintf "%a" Instr.pp stats
-
 (* Every 250th attribute capped at its unbounded level: consistent caps
    that the derivation pushes through the graph. *)
 let bounds (attrs, csts) =
@@ -115,7 +133,7 @@ let bounds (attrs, csts) =
       (List.init (Array.length full) Fun.id)
   in
   match ST.solve_with_bounds p caps with
-  | Ok s -> instr s.ST.stats
+  | Ok s -> total_pin s.ST.stats s.ST.levels
   | Error i -> Format.asprintf "%a" (ST.pp_inconsistency ladder16) i
 
 (* [cyclic] beside a renamed copy [Bi] of it, every tenth [Bi] above its
@@ -137,7 +155,8 @@ let incremental (attrs, csts) =
   in
   let full = SP.solve p in
   let n = List.length attrs in
-  instr (SP.solve_incremental ~prev:(p, full) ~dirty:(List.init n (fun a -> n + a)) p).SP.stats
+  let s = SP.solve_incremental ~prev:(p, full) ~dirty:(List.init n (fun a -> n + a)) p in
+  powerset_pin s.SP.stats s.SP.levels
 
 (* Islands of cycles wired acyclically, solved under a preference that
    reorders both the sets and the members within a set. *)
@@ -157,7 +176,7 @@ let preference =
   in
   let upgrade_preference a = Hashtbl.hash a mod 7 in
   let s = ST.solve ~config:(ST.Config.make ~on_event ~upgrade_preference ()) p in
-  Printf.sprintf "%s order=%s" (instr s.ST.stats)
+  Printf.sprintf "%s order=%s" (total_pin s.ST.stats s.ST.levels)
     (Digest.to_hex (Digest.string (Buffer.contents order)))
 
 (* The levels after each resolve of one delta script, as an MD5: the
@@ -230,14 +249,14 @@ let session =
 
 let pins =
   [
-    ("acyclic", total acyclic, "lub=4278 glb=0 leq=1517 minlevel=1000 try=0 try_iters=0 checks=0");
-    ("cyclic", powerset cyclic, "lub=4153 glb=0 leq=10719 minlevel=70 try=718 try_iters=3661 checks=9247");
-    ("glb", explicit pentagon glb_meet, "lub=32 glb=6 leq=48 minlevel=3 try=7 try_iters=13 checks=30");
-    ("push", explicit pentagon push, "lub=76 glb=114 leq=365 minlevel=19 try=3 try_iters=117 checks=285");
-    ("bounds", bounds acyclic, "lub=6471 glb=0 leq=3504 minlevel=2987 try=0 try_iters=0 checks=0");
-    ("incremental", incremental cyclic, "lub=3020 glb=0 leq=7637 minlevel=70 try=656 try_iters=2429 checks=6252");
+    ("acyclic", total acyclic, "lub=4278 glb=0 leq=1517 minlevel=1000 try=0 try_iters=0 checks=0 levels=bc3ac080a8c3cab437dc880d678b47c9");
+    ("cyclic", powerset cyclic, "lub=4153 glb=0 leq=10719 minlevel=70 try=718 try_iters=3661 checks=9247 levels=c632f41689d540f143f6f054ec3cab3d");
+    ("glb", explicit pentagon glb_meet, "lub=32 glb=6 leq=48 minlevel=3 try=7 try_iters=13 checks=30 levels=b517a5114b0114222dc52fdc176f4e5c");
+    ("push", explicit pentagon push, "lub=76 glb=114 leq=365 minlevel=19 try=3 try_iters=117 checks=285 levels=c9a99cbbadd993bcd4bb896966e4d54e");
+    ("bounds", bounds acyclic, "lub=6471 glb=0 leq=3504 minlevel=2987 try=0 try_iters=0 checks=0 levels=bc3ac080a8c3cab437dc880d678b47c9");
+    ("incremental", incremental cyclic, "lub=3020 glb=0 leq=7637 minlevel=70 try=656 try_iters=2429 checks=6252 levels=4529a3a5d7783492fa4d9e62cb407108");
     ("preference", preference,
-     "lub=1863 glb=1628 leq=5557 minlevel=84 try=51 try_iters=554 checks=3601 order=15b31f1daf5c89f2bf2c3ffc14b2ca97");
+     "lub=1863 glb=1628 leq=5557 minlevel=84 try=51 try_iters=554 checks=3601 levels=f5c494b6d46650211691e9a421eb14e2 order=15b31f1daf5c89f2bf2c3ffc14b2ca97");
     ("session", session, "cyclic=f45fa6480a3cfbf1ab9dec38af10f32d preference=0eefddbec49158ac96a43bed2175858c");
   ]
 
