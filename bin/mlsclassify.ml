@@ -72,7 +72,7 @@ let load_policy lattice path =
   | Error e -> or_die (Error (Format.asprintf "%s: %a" path Parse.pp_error e))
   | Ok r ->
       ( Minup_constraints.Problem.of_rows ~attr_names:r.Parse.attr_names
-          ~attr_index:r.Parse.attr_index r.Parse.csts,
+          ~attr_index:r.Parse.attr_index r.Parse.store,
         r.Parse.upper_bounds )
 
 (* The policy at [path] with its priorities, for solve, batch and check. *)
@@ -337,23 +337,23 @@ let check_cmd lattice_path policy_path assignment_path =
   in
   if not (Solver.satisfies problem levels) then begin
     print_endline "VIOLATED: the assignment does not satisfy the constraints:";
-    Array.iter
-      (fun (c : _ Minup_constraints.Problem.cst) ->
-        let combined =
-          Array.fold_left
-            (fun acc a -> Explicit.lub lattice acc levels.(a))
-            (Explicit.bottom lattice) c.lhs
-        in
-        let target =
-          match c.rhs with
-          | Minup_constraints.Problem.Rlevel l -> l
-          | Minup_constraints.Problem.Rattr a -> levels.(a)
-        in
-        if not (Explicit.leq lattice target combined) then
-          Format.printf "  %a@."
-            (Minup_constraints.Cst.pp (Explicit.pp_level lattice))
-            (Minup_constraints.Problem.cst_to_source problem.Solver.prob c))
-      problem.Solver.prob.Minup_constraints.Problem.csts;
+    let prob = problem.Solver.prob in
+    for ci = 0 to Minup_constraints.Problem.n_csts prob - 1 do
+      let combined =
+        Minup_constraints.Problem.fold_lhs prob ci
+          (fun acc a -> Explicit.lub lattice acc levels.(a))
+          (Explicit.bottom lattice)
+      in
+      let target =
+        match Minup_constraints.Problem.rhs prob ci with
+        | Minup_constraints.Problem.Rlevel l -> l
+        | Minup_constraints.Problem.Rattr a -> levels.(a)
+      in
+      if not (Explicit.leq lattice target combined) then
+        Format.printf "  %a@."
+          (Minup_constraints.Cst.pp (Explicit.pp_level lattice))
+          (Minup_constraints.Problem.cst_to_source prob ci)
+    done;
     exit 2
   end;
   let module Explain = Minup_core.Explain.Make (Explicit) in

@@ -52,37 +52,31 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let lat = problem.lat in
     let prob = problem.prob in
     let n = P.n_attrs prob in
-    let csts = prob.P.csts in
+    let nc = P.n_csts prob in
+    let lhs = Array.init nc (P.lhs prob) and rhs = Array.init nc (P.rhs prob) in
     let lam = Array.make n (L.bottom lat) in
-    let fired = Array.map (fun _ -> false) csts in
+    let fired = Array.make nc false in
     let final = Array.make n false in
-    let target_of (c : _ P.cst) =
-      match c.rhs with P.Rlevel l -> l | P.Rattr b -> lam.(b)
-    in
-    let rhs_final (c : _ P.cst) =
-      match c.rhs with P.Rlevel _ -> true | P.Rattr b -> final.(b)
-    in
+    let target_of ci = match rhs.(ci) with P.Rlevel l -> l | P.Rattr b -> lam.(b) in
+    let rhs_final ci = match rhs.(ci) with P.Rlevel _ -> true | P.Rattr b -> final.(b) in
     let chosen ci =
-      let c = csts.(ci) in
-      if Array.length c.lhs = 1 then c.lhs.(0) else c.lhs.(choice ci)
+      if Array.length lhs.(ci) = 1 then lhs.(ci).(0) else lhs.(ci).(choice ci)
     in
     let fire ci =
-      let c = csts.(ci) in
       let a = chosen ci in
       let others =
         Array.fold_left
           (fun acc a' -> if a' = a then acc else L.lub lat acc lam.(a'))
-          (L.bottom lat) c.lhs
+          (L.bottom lat) lhs.(ci)
       in
-      let up = minimal_upgrade lat ~target:(target_of c) ~others in
+      let up = minimal_upgrade lat ~target:(target_of ci) ~others in
       lam.(a) <- L.lub lat lam.(a) up;
       fired.(ci) <- true
     in
     let ready ci =
-      let c = csts.(ci) in
       (not fired.(ci))
-      && rhs_final c
-      && Array.for_all (fun a -> a = chosen ci || final.(a)) c.lhs
+      && rhs_final ci
+      && Array.for_all (fun a -> a = chosen ci || final.(a)) lhs.(ci)
     in
     let raises_unfired a =
       (* some constraint that can raise attribute a under this choice has
@@ -95,7 +89,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let progress = ref true in
     while !progress do
       progress := false;
-      Array.iteri (fun ci _ -> if ready ci then begin fire ci; progress := true end) csts;
+      for ci = 0 to nc - 1 do
+        if ready ci then begin fire ci; progress := true end
+      done;
       for a = 0 to n - 1 do
         if (not final.(a)) && not (raises_unfired a)
         then begin
@@ -111,26 +107,25 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       let changed = ref true in
       while !changed do
         changed := false;
-        Array.iteri
-          (fun ci (c : _ P.cst) ->
-            let combined =
-              Array.fold_left (fun acc a -> L.lub lat acc lam.(a)) (L.bottom lat) c.lhs
+        for ci = 0 to nc - 1 do
+          let combined =
+            Array.fold_left (fun acc a -> L.lub lat acc lam.(a)) (L.bottom lat) lhs.(ci)
+          in
+          if not (L.leq lat (target_of ci) combined) then begin
+            let a = chosen ci in
+            let others =
+              Array.fold_left
+                (fun acc a' -> if a' = a then acc else L.lub lat acc lam.(a'))
+                (L.bottom lat) lhs.(ci)
             in
-            if not (L.leq lat (target_of c) combined) then begin
-              let a = chosen ci in
-              let others =
-                Array.fold_left
-                  (fun acc a' -> if a' = a then acc else L.lub lat acc lam.(a'))
-                  (L.bottom lat) c.lhs
-              in
-              let up = minimal_upgrade lat ~target:(target_of c) ~others in
-              let raised = L.lub lat lam.(a) up in
-              if not (L.equal lat raised lam.(a)) then begin
-                lam.(a) <- raised;
-                changed := true
-              end
-            end)
-          csts
+            let up = minimal_upgrade lat ~target:(target_of ci) ~others in
+            let raised = L.lub lat lam.(a) up in
+            if not (L.equal lat raised lam.(a)) then begin
+              lam.(a) <- raised;
+              changed := true
+            end
+          end
+        done
       done
     end;
     { levels = lam; exact = !exact }
@@ -139,22 +134,22 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       the quantity the paper's rejection argument is about.  [None] on
       overflow. *)
   let search_space (problem : S.problem) =
-    Array.fold_left
-      (fun acc (c : _ P.cst) ->
+    let rec from ci acc =
+      if ci = P.n_csts problem.prob then acc
+      else
         match acc with
         | None -> None
         | Some s ->
-            let k = Array.length c.lhs in
-            if k <= 1 then acc
-            else if s > max_int / k then None
-            else Some (s * k))
-      (Some 1) problem.prob.P.csts
+            let k = P.lhs_size problem.prob ci in
+            from (ci + 1)
+              (if k <= 1 then acc else if s > max_int / k then None else Some (s * k))
+    in
+    from 0 (Some 1)
 
   (** All satisfying classifications reachable by some choice vector.
       Cost proportional to {!search_space}. *)
   let candidates (problem : S.problem) =
-    let csts = problem.prob.P.csts in
-    let nc = Array.length csts in
+    let nc = P.n_csts problem.prob in
     let choice = Array.make nc 0 in
     let out = ref [] in
     let rec go ci =
@@ -163,7 +158,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         if S.satisfies problem c.levels then out := c :: !out
       end
       else begin
-        let k = Array.length csts.(ci).P.lhs in
+        let k = P.lhs_size problem.prob ci in
         if k <= 1 then go (ci + 1)
         else
           for v = 0 to k - 1 do

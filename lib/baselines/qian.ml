@@ -16,40 +16,29 @@
 
 module Make (L : Minup_lattice.Lattice_intf.S) = struct
   module S = Minup_core.Solver.Make (L)
+  module P = Minup_constraints.Problem
 
   (** [solve problem] — the fixpoint labeling, as an assignment array
       indexed like {!Minup_core.Solver.Make.solution.levels}. *)
   let solve (problem : S.problem) =
     let lat = problem.lat in
     let prob = problem.prob in
-    let n = Minup_constraints.Problem.n_attrs prob in
+    let n = P.n_attrs prob in
     let lam = Array.make n (L.bottom lat) in
     let changed = ref true in
     while !changed do
       changed := false;
-      Array.iter
-        (fun (c : _ Minup_constraints.Problem.cst) ->
-          let target =
-            match c.rhs with
-            | Minup_constraints.Problem.Rlevel l -> l
-            | Minup_constraints.Problem.Rattr a -> lam.(a)
-          in
-          let combined =
-            Array.fold_left
-              (fun acc a -> L.lub lat acc lam.(a))
-              (L.bottom lat) c.lhs
-          in
-          if not (L.leq lat target combined) then begin
-            Array.iter
-              (fun a ->
-                let raised = L.lub lat lam.(a) target in
-                if not (L.equal lat raised lam.(a)) then begin
-                  lam.(a) <- raised;
-                  changed := true
-                end)
-              c.lhs
-          end)
-        prob.Minup_constraints.Problem.csts
+      for ci = 0 to P.n_csts prob - 1 do
+        let target = match P.rhs prob ci with P.Rlevel l -> l | P.Rattr a -> lam.(a) in
+        let combined = P.fold_lhs prob ci (fun acc a -> L.lub lat acc lam.(a)) (L.bottom lat) in
+        if not (L.leq lat target combined) then
+          P.iter_lhs prob ci (fun a ->
+              let raised = L.lub lat lam.(a) target in
+              if not (L.equal lat raised lam.(a)) then begin
+                lam.(a) <- raised;
+                changed := true
+              end)
+      done
     done;
     lam
 end

@@ -26,22 +26,21 @@ let render ~pp_level (p : _ Problem.t) =
         out "  %s [label=\"%s\" shape=box];\n" id (escape s);
         id
   in
-  Array.iteri
-    (fun ci (c : _ Problem.cst) ->
-      let target =
-        match c.rhs with
-        | Problem.Rattr b -> Printf.sprintf "a%d" b
-        | Problem.Rlevel l -> level_node l
-      in
-      match c.lhs with
-      | [| a |] -> out "  a%d -> %s;\n" a target
-      | lhs ->
-          (* A point node stands in for the hypernode. *)
-          out "  h%d [shape=point width=0.08];\n" ci;
-          Array.iter
-            (fun a -> out "  a%d -> h%d [style=dashed arrowhead=none];\n" a ci)
-            lhs;
-          out "  h%d -> %s;\n" ci target)
-    p.Problem.csts;
+  for ci = 0 to Problem.n_csts p - 1 do
+    let target =
+      match Problem.rhs p ci with
+      | Problem.Rattr b -> Printf.sprintf "a%d" b
+      | Problem.Rlevel l -> level_node l
+    in
+    match Problem.lhs p ci with
+    | [| a |] -> out "  a%d -> %s;\n" a target
+    | lhs ->
+        (* A point node stands in for the hypernode. *)
+        out "  h%d [shape=point width=0.08];\n" ci;
+        Array.iter
+          (fun a -> out "  a%d -> h%d [style=dashed arrowhead=none];\n" a ci)
+          lhs;
+        out "  h%d -> %s;\n" ci target
+  done;
   out "}\n";
   Buffer.contents buf

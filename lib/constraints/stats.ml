@@ -13,12 +13,7 @@ type t = {
 
 let compute p =
   let scc = Scc.compute p in
-  let n_simple =
-    Array.fold_left
-      (fun acc (c : _ Problem.cst) ->
-        if Array.length c.lhs = 1 then acc + 1 else acc)
-      0 p.Problem.csts
-  in
+  let n_simple = Problem.n_csts p - p.Problem.n_complex in
   let largest_scc =
     Array.fold_left (fun acc m -> max acc (Array.length m)) 0 scc.Scc.members
   in
@@ -40,11 +35,13 @@ let compute p =
     n_csts = Problem.n_csts p;
     total_size = Problem.total_size p;
     n_simple;
-    n_complex = Problem.n_csts p - n_simple;
+    n_complex = p.Problem.n_complex;
     max_lhs =
-      Array.fold_left
-        (fun acc (c : _ Problem.cst) -> max acc (Array.length c.lhs))
-        0 p.Problem.csts;
+      (let m = ref 0 in
+       for ci = 0 to Problem.n_csts p - 1 do
+         m := max !m (Problem.lhs_size p ci)
+       done;
+       !m);
     acyclic = Problem.is_acyclic p;
     n_sccs = scc.Scc.n_components;
     largest_scc;

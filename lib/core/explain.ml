@@ -38,13 +38,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       let x = Queue.pop queue in
       Problem.iter_constr_of prob x (fun ci ->
           if !failure = None then begin
-            let c = prob.Problem.csts.(ci) in
             let combined =
-              Array.fold_left
-                (fun acc y -> L.lub lat acc (value y))
-                (L.bottom lat) c.lhs
+              Problem.fold_lhs prob ci (fun acc y -> L.lub lat acc (value y)) (L.bottom lat)
             in
-            match c.Problem.rhs with
+            match Problem.rhs prob ci with
             | Problem.Rlevel target ->
                 if not (L.leq lat target combined) then failure := Some (ci, x = a)
             | Problem.Rattr b ->
@@ -65,7 +62,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         match replay problem levels a m with
         | Ok () -> { to_level = m; reason = At_bottom }
         | Error (ci, first_hop) ->
-            let c = Problem.cst_to_source prob prob.Problem.csts.(ci) in
+            let c = Problem.cst_to_source prob ci in
             { to_level = m; reason = (if first_hop then Direct c else Propagated c) })
       (L.covers_below lat levels.(a))
 

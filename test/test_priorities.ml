@@ -102,16 +102,16 @@ let invariants_prop =
       (* (3) along every constraint edge, priority does not increase
          from rhs to lhs: priority(lhs) <= priority(rhs). *)
       let ok3 =
-        Array.for_all
-          (fun (c : _ Problem.cst) ->
-            match c.rhs with
+        List.for_all
+          (fun ci ->
+            match Problem.rhs p ci with
             | Problem.Rlevel _ -> true
             | Problem.Rattr b ->
                 Array.for_all
                   (fun a ->
                     prio.Priorities.priority.(a) <= prio.Priorities.priority.(b))
-                  c.lhs)
-          p.Problem.csts
+                  (Problem.lhs p ci))
+          (List.init (Problem.n_csts p) Fun.id)
       in
       (* (4) the sets' CSR lists every attribute once, under its own
          priority *)

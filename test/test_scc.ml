@@ -65,12 +65,11 @@ let reachability_prop =
       let p = Problem.compile_exn ~attrs:(attrs @ [ "T" ]) csts in
       let n = Problem.n_attrs p in
       let reach = Array.make_matrix n n false in
-      Array.iter
-        (fun (c : _ Problem.cst) ->
-          match c.rhs with
-          | Problem.Rattr b -> Array.iter (fun a -> reach.(a).(b) <- true) c.lhs
-          | Problem.Rlevel _ -> ())
-        p.Problem.csts;
+      for ci = 0 to Problem.n_csts p - 1 do
+        match Problem.rhs p ci with
+        | Problem.Rattr b -> Problem.iter_lhs p ci (fun a -> reach.(a).(b) <- true)
+        | Problem.Rlevel _ -> ()
+      done;
       for i = 0 to n - 1 do
         reach.(i).(i) <- true
       done;

@@ -434,7 +434,7 @@ let incremental_patch_prop =
       let level_rhs =
         List.filter
           (fun ci ->
-            match prob.Problem.csts.(ci).Problem.rhs with
+            match Problem.rhs prob ci with
             | Problem.Rlevel _ -> true
             | Problem.Rattr _ -> false)
           (List.init (Problem.n_csts prob) Fun.id)
@@ -446,7 +446,7 @@ let incremental_patch_prop =
           List.concat_map
             (fun ci ->
               Problem.set_rlevel prob ci (Prng.pick rng levels);
-              Array.to_list prob.Problem.csts.(ci).Problem.lhs)
+              Array.to_list (Problem.lhs prob ci))
             (Prng.sample rng k level_rhs)
         in
         let inc = S.solve_incremental ~config ~prev:(p, prev) ~dirty p in
@@ -471,7 +471,7 @@ let patch csts ~bound ~level =
   Problem.set_rlevel prob bound level;
   let inc =
     ST.solve_incremental ~config:(ST.Config.make ~check_aggregate:true ()) ~prev:(p, full)
-      ~dirty:(Array.to_list prob.Problem.csts.(bound).Problem.lhs)
+      ~dirty:(Array.to_list (Problem.lhs prob bound))
       p
   in
   Alcotest.(check (array int)) "incremental = fresh solve" (ST.solve p).ST.levels inc.ST.levels;
