@@ -9,8 +9,8 @@
       — create (or replace) session [p] from a lattice file and an
       optional policy file, both passed inline as text.  Policies with
       [<=] lines are rejected: upper bounds are per-resolve inputs.  The
-      policy is resolved straight to compiled rows
-      ({!Minup_constraints.Parse.rows}) and the session built from them
+      policy is resolved straight to a constraint store
+      ({!Minup_constraints.Parse.rows}) and the session built from it
       ({!Session.Make.of_rows}): no constraint list is built and no name
       is hashed again, now or at the first resolve.
     - [{"op": "add_constraint", "problem": p, "constraint": line}] — parse
