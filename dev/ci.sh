@@ -190,6 +190,46 @@ serve_vs_solve test/cli.t/employee.cst ',"bounds":{"name":"L4"}'
 serve_vs_solve "$obs_tmp/edge.cst" ''
 echo "ci: serve = solve OK (employee.cst; trivial, level and rhs-only lines)"
 
+# Re-tightens through a Try cycle: the cycle {a, b, c} carries the
+# complex chord {a, x} >= c, and the complex rows {b, y} and {c, x, y}
+# and {z, u} reach across priority sets.  After first bounds on w, y, a,
+# u and z, twenty re-tightens each resolve on the patch path, where the
+# sets whose inputs changed are labeled again (the cycle by Try, the
+# complex rows' last members by Minlevel) and every other set is reused.
+# The final reply must equal `mlsclassify solve` of the policy with the
+# final bounds as its last lines, in first-set order.
+printf '%s\n' 'a >= b' 'b >= c' 'c >= a' '{a, x} >= c' '{b, y} >= L4' \
+  '{c, x, y} >= L5' 'x >= w' 'z >= a' '{z, u} >= L6' 'u >= y' > "$obs_tmp/chord.cst"
+rt_open="{\"op\":\"open\",\"problem\":\"rt\",\"lattice\":\"$(json_text test/cli.t/fig1b.lat)\",\"constraints\":\"$(json_text "$obs_tmp/chord.cst")\"}"
+rt_bound() { printf '{"op":"set_lower_bound","problem":"rt","attr":"%s","level":"%s"}\n' "$1" "$2"; }
+rt_out=$( {
+  printf '%s\n' "$rt_open"
+  for b in 'w L2' 'y L3' 'a L1' 'u L2' 'z L1'; do rt_bound $b; done
+  echo '{"op":"resolve","problem":"rt"}'
+  for b in 'w L5' 'a L3' 'y L2' 'u L6' 'z L4' 'a L2' 'w L1' 'y L5' 'a L6' 'u L1' \
+    'z L3' 'w L4' 'a L1' 'y L1' 'u L5' 'a L5' 'z L2' 'w L3' 'y L4' 'a L4'; do
+    rt_bound $b
+    echo '{"op":"resolve","problem":"rt"}'
+  done
+} | dune exec -- mlsclassify serve --trace "$obs_tmp/retighten.json")
+echo "$rt_out"
+test "$(grep -o '"path":"patch"' "$obs_tmp/retighten.json" | wc -l)" = 20 || {
+  echo "ci: the twenty re-tightens did not each take the patch path" >&2
+  exit 1
+}
+cp "$obs_tmp/chord.cst" "$obs_tmp/chord-final.cst"
+printf '%s\n' 'w >= L3' 'y >= L4' 'a >= L4' 'u >= L5' 'z >= L2' >> "$obs_tmp/chord-final.cst"
+rt_got=$(echo "$rt_out" | tail -n 1 | sed 's/.*"solution":{//; s/}}$//' | tr ',' '\n' \
+  | sed 's/^"\(.*\)":"\(.*\)"$/\1 \2/')
+rt_want=$(dune exec -- mlsclassify solve -l test/cli.t/fig1b.lat -c "$obs_tmp/chord-final.cst" \
+  | awk '{ print $1, $2 }')
+test -n "$rt_want" && test "$rt_got" = "$rt_want" || {
+  echo "ci: twenty re-tightens through a Try cycle diverged from solve" >&2
+  echo "$rt_got" >&2
+  exit 1
+}
+echo "ci: serve re-tightens OK (20 patch resolves through a Try cycle = solve)"
+
 # Benchmark correctness smoke: one traced second of each workload.
 # serve-edit checks every serve reply against its own mirror of the
 # policy (each resolve equals a scratch solve of the mirror, ack ids

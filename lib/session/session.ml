@@ -75,6 +75,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     lattice : L.t;
     mutable names : string array;  (** attribute id ↦ name, [n] of them *)
     mutable n : int;
+    mutable exact_names : string array;
+        (** the first names of [names] exactly, once [index] has needed
+            them: still those of the session while [n] is its length *)
     index : int Names.t;  (** name ↦ attribute id: registration order *)
     mutable written : int array array;
         (** user constraint id ↦ its lhs ids as written, [n_ids] of them;
@@ -180,6 +183,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       lattice;
       names;
       n;
+      exact_names = [||];
       index;
       written;
       rhs;
@@ -365,8 +369,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         Problem.close_level b l)
       t.bounds;
     (* [names] is append-only and regrown when full, so a full one can be
-       shared. *)
-    let attr_names = if Array.length t.names = t.n then t.names else Array.sub t.names 0 t.n in
+       shared, and an exact copy stays exact until a name is added. *)
+    let attr_names =
+      if Array.length t.names = t.n then t.names
+      else begin
+        if Array.length t.exact_names <> t.n then t.exact_names <- Array.sub t.names 0 t.n;
+        t.exact_names
+      end
+    in
     let problem =
       Solver.prepare ~lattice:t.lattice
         (Problem.of_rows ~room ~attr_names ~attr_index:t.index (Problem.finish b))

@@ -76,13 +76,18 @@
       change (an in-place write), then the incremental solve;
     - the rebuild path: linear in the attributes, the live rows' size
       and the ids ever handed out (the indexing and the two priority
-      DFS passes, no name lookup), then the incremental solve;
-    - the incremental solve: linear in the attributes plus the
-      constraint rows of the reused sets (each reused member is
-      finalized, with no step), plus the solve of the sets labeled
-      again.  On 2k and 8k attributes a rebuild resolve allocates about
-      two fifths of a scratch compile and solve of the snapshot: its
-      priorities and its solve state. *)
+      DFS passes, no name lookup; the name array is copied only after a
+      name was added since the last copy), then the incremental solve;
+    - the incremental solve: linear in the attributes (its
+      per-attribute arrays, and two writes per member of a reused set,
+      whose constraint rows it never reads), plus the solve of the sets
+      labeled again, each of which first rebuilds the counts and
+      aggregates of its members' complex rows (O(lhs) per row, at most
+      once per run of reused sets).  A re-tighten that changes no level
+      counts the same lattice operations at 2k and 8k attributes.  On
+      2k and 8k attributes a rebuild resolve allocates about two fifths
+      of a scratch compile and solve of the snapshot: its priorities and
+      its solve state. *)
 
 module Make (L : Minup_lattice.Lattice_intf.S) : sig
   (** The session's own solver instance.  Exposed so callers can name the

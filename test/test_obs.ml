@@ -518,7 +518,8 @@ let test_spans_per_phase () =
    opens no span for it and counts it in no tally: no [try_iters_per_scc]
    sample, no collapsed set.  Here a simple-only 3-cycle and a 2-cycle on
    [Try] are reused and only the dirty attribute above them is solved
-   again. *)
+   again.  Its "solve" span ends with the attributes reused and the sets
+   labeled again; a scratch solve's has neither argument. *)
 let test_frozen_sets_uncounted () =
   let module Cst = Minup_constraints.Cst in
   let s n = Cst.Level n and attr x = Cst.Attr x in
@@ -547,7 +548,23 @@ let test_frozen_sets_uncounted () =
     (Metrics.histogram_count (Metrics.histogram "solver/try_iters_per_scc"));
   checki "every attribute but f reused" (Array.length full.ST.levels - 1) s.ST.reused;
   checki "solver/reused_attrs" s.ST.reused
-    (Metrics.counter_value (Metrics.counter "solver/reused_attrs"))
+    (Metrics.counter_value (Metrics.counter "solver/reused_attrs"));
+  let solve_end () =
+    List.find (fun (e : Trace.event) -> e.name = "solve" && e.ph = 'E') (Trace.events ())
+  in
+  check
+    Alcotest.(list (pair string int))
+    "solve span's reuse arguments"
+    [ ("reused", 5); ("relabeled_sets", 1) ]
+    (List.filter_map
+       (fun (k, v) ->
+         match (k, v) with
+         | ("reused" | "relabeled_sets"), Trace.Int v -> Some (k, v)
+         | _ -> None)
+       (solve_end ()).args);
+  ignore (with_trace (fun () -> ST.solve p));
+  checkb "a scratch solve's span has no reuse arguments" false
+    (List.exists (fun (k, _) -> k = "reused" || k = "relabeled_sets") (solve_end ()).args)
 
 (* --- Instr bridge ---------------------------------------------------- *)
 

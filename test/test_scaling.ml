@@ -366,6 +366,61 @@ let session_rebuild_linear () =
   check_growth "a rebuild resolve" ~small:(rebuild s) ~large:(rebuild l);
   check_growth "Problem.of_rows" ~small:(of_rows s) ~large:(of_rows l)
 
+(* A new attribute makes the session's name array grow past its count,
+   so a rebuild indexes an exact copy of it.  The copy is kept while no
+   name is added: the second rebuild after an [add_attribute] allocates
+   no more than a rebuild before it, on the 2k and 8k inputs, but for the
+   new attribute's own share (a word in each per-attribute array of the
+   solve and six in its assignment list: 16 words measured), where a
+   copy of the names is 2k or 8k words. *)
+let session_names_copied_once () =
+  List.iter
+    (fun (attrs, csts) ->
+      let n = List.length attrs in
+      let sess, _ = bounded_session (attrs, csts) in
+      let rebuild id =
+        ignore
+          (Session.add_constraint sess (Cst.simple (List.nth attrs id) (Cst.Level 9)));
+        words (fun () -> Session.resolve sess)
+      in
+      let w_before = rebuild 3 in
+      Session.add_attribute sess "fresh";
+      ignore (Session.resolve sess);
+      let w_after = rebuild 3 in
+      if w_after > w_before +. 64. then
+        Alcotest.failf
+          "%d attrs: a rebuild after add_attribute allocated %.0f words, %.0f before it \
+           (bound +64)" n
+          w_after w_before)
+    (let s, l = Lazy.force inputs in
+     [ s; l ])
+
+(* A re-tighten that changes no level re-solves only its own priority
+   set: its lattice operations do not grow with the attributes reused
+   around it.  [R0] of the simple-only ring has the same rows and bound
+   at 2k and 8k; re-set to its own bound, the patch resolve's
+   lub + leq + Minlevel calls at 8k stay within 10% of those at 2k. *)
+let session_patch_counts_flat () =
+  let counts (attrs, csts) =
+    let sess, bounded = bounded_session (with_simple_ring (attrs, csts)) in
+    let r0 = Array.length bounded - 1 in
+    if bounded.(r0) <> "R0" then Alcotest.fail "R0 is not bounded";
+    let level = 2 + (r0 mod 6) in
+    Session.set_lower_bound sess "R0" (Some level);
+    let patched = (Session.stats sess).Session.patched in
+    let sol = Session.resolve sess in
+    if (Session.stats sess).Session.patched <> patched + 1 then
+      Alcotest.fail "the re-tighten of R0 did not take the patch path";
+    let s = sol.Session.Solver.stats in
+    s.Minup_core.Instr.lub + s.Minup_core.Instr.leq + s.Minup_core.Instr.minlevel_calls
+  in
+  let s, l = Lazy.force inputs in
+  let c_small = counts s and c_large = counts l in
+  if float_of_int c_large > 1.1 *. float_of_int c_small then
+    Alcotest.failf
+      "a no-op patch resolve: lub + leq + minlevel = %d at %d attrs, %d at %d (bound +10%%)"
+      c_large large c_small small
+
 (* Serve requests on problem [p] over the 16-level ladder, as lines. *)
 let serve_lattice =
   "levels " ^ String.concat ", " (List.init 16 (Printf.sprintf "S%d")) ^ "\n"
@@ -461,6 +516,9 @@ let suite =
     case "a structural resolve allocates <= 0.6x scratch and compiles nothing"
       session_structural_lean;
     case "a session rebuild allocates linearly" session_rebuild_linear;
+    case "a rebuild copies the grown name array once" session_names_copied_once;
+    case "a no-op patch resolve's lattice operations do not grow with n"
+      session_patch_counts_flat;
     case "a serve solution reply allocates <= 4 words per attribute" serve_reply_lean;
     case "a serve open allocates linearly" serve_open_linear;
   ]
