@@ -230,6 +230,69 @@ test -n "$rt_want" && test "$rt_got" = "$rt_want" || {
 }
 echo "ci: serve re-tightens OK (20 patch resolves through a Try cycle = solve)"
 
+# Reply runs: serve keeps a session's last solution reply as runs of 64
+# attributes and renders again only the runs whose attributes or levels
+# changed.  Over 69 attributes (a run and five more), after first bounds,
+# re-tightens change no level (A50 set again to its bound), one level
+# (A50), ten levels (A0 and the chain A1..A9 above it) and three in the
+# last run (A65..A67); then 60 names are added, with a resolve after the
+# first (which extends the second run) and after the last (which opens a
+# third run, bounded so that it holds a level above the bottom).  Every
+# resolve reply must equal `mlsclassify solve` of the same policy: the
+# attributes in session order, the constraints, then the bounds in
+# first-set order.
+{
+  for i in $(seq 1 9); do echo "A$i >= A$((i - 1))"; done
+  printf '%s\n' 'A66 >= A65' 'A67 >= A66' 'A20 >= L3' 'A40 >= L2' 'A68 >= L4' '{A30, A31} >= L5'
+} > "$obs_tmp/runs-body.cst"
+rr_a=$(seq 0 68 | sed 's/^/A/')
+rr_b=$(seq 0 59 | sed 's/^/B/')
+rr_policy() {
+  echo "attrs $(echo "$1" | paste -sd, - | sed 's/,/, /g')"
+  cat "$obs_tmp/runs-body.cst"
+  printf '%b' "$2"
+}
+rr_policy "$rr_a" '' > "$obs_tmp/runs.cst"
+rr_req() { printf '{"op":"%s","problem":"runs"%s}\n' "$1" "$2"; }
+rr_bound() { rr_req set_lower_bound ",\"attr\":\"$1\",\"level\":\"$2\""; }
+rr_out=$( {
+  printf '{"op":"open","problem":"runs","lattice":"%s","constraints":"%s"}\n' \
+    "$(json_text test/cli.t/fig1b.lat)" "$(json_text "$obs_tmp/runs.cst")"
+  rr_bound A0 L2; rr_bound A65 L3; rr_bound A50 L2; rr_req resolve ''
+  rr_bound A50 L2; rr_req resolve ''
+  rr_bound A50 L3; rr_req resolve ''
+  rr_bound A0 L4; rr_req resolve ''
+  rr_bound A65 L5; rr_req resolve ''
+  for b in $rr_b; do
+    rr_req add_attribute ",\"attr\":\"$b\""
+    test "$b" = B0 && rr_req resolve ''
+  done
+  rr_bound B59 L2; rr_req resolve ''
+} | dune exec -- mlsclassify serve)
+rr_k=0
+for step in "$rr_a|A0 >= L2\nA65 >= L3\nA50 >= L2\n" "$rr_a|A0 >= L2\nA65 >= L3\nA50 >= L2\n" \
+  "$rr_a|A0 >= L2\nA65 >= L3\nA50 >= L3\n" "$rr_a|A0 >= L4\nA65 >= L3\nA50 >= L3\n" \
+  "$rr_a|A0 >= L4\nA65 >= L5\nA50 >= L3\n" "$rr_a
+B0|A0 >= L4\nA65 >= L5\nA50 >= L3\n" "$rr_a
+$rr_b|A0 >= L4\nA65 >= L5\nA50 >= L3\nB59 >= L2\n"; do
+  rr_k=$((rr_k + 1))
+  rr_policy "${step%%|*}" "${step#*|}" > "$obs_tmp/runs-step.cst"
+  rr_got=$(echo "$rr_out" | grep '"solution"' | sed -n "${rr_k}p" \
+    | sed 's/.*"solution":{//; s/}}$//' | tr ',' '\n' | sed 's/^"\(.*\)":"\(.*\)"$/\1 \2/')
+  rr_want=$(dune exec -- mlsclassify solve -l test/cli.t/fig1b.lat -c "$obs_tmp/runs-step.cst" \
+    | awk '{ print $1, $2 }')
+  test -n "$rr_want" && test "$rr_got" = "$rr_want" || {
+    echo "ci: serve reply $rr_k over reply runs differs from solve" >&2
+    echo "$rr_got" >&2
+    exit 1
+  }
+done
+test "$rr_k" = "$(echo "$rr_out" | grep -c '"solution"')" || {
+  echo "ci: the reply-runs transcript answered another number of solutions" >&2
+  exit 1
+}
+echo "ci: serve reply runs OK (7 resolves over 69 to 129 attributes = solve)"
+
 # Benchmark correctness smoke: one traced second of each workload.
 # serve-edit checks every serve reply against its own mirror of the
 # policy (each resolve equals a scratch solve of the mirror, ack ids

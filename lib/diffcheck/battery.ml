@@ -648,22 +648,33 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                                (Wire.status env) pretty)))
               [ false; true ])
           envelopes;
-        (* The fragment body serve answers with: the same bytes as the
-           [Solution] of its pairs, read back as those pairs. *)
-        let keys = Array.of_list (List.map (fun (a, _) -> Wire.key_fragment a) assignment) in
-        let values = Array.of_list (List.map (fun (_, l) -> Wire.value_fragment l) assignment) in
-        let levels = Array.init (Array.length keys) Fun.id in
+        (* The cached body serve answers with: the same bytes as the
+           [Solution] of its pairs, read back as those pairs, whether its
+           runs are rendered anew, reused, or partly rendered again after
+           levels changed or attributes went. *)
+        let names = Array.of_list (List.map fst assignment) in
+        let strings = Array.of_list (List.map snd assignment) in
+        let runs = Wire.runs strings in
+        Array.iter (Wire.add_name runs) names;
+        let n = Array.length names in
+        let same = Array.init n Fun.id in
         List.iter
-          (fun stats ->
+          (fun (levels, stats) ->
+            let pairs = List.init (Array.length levels) (fun i -> (names.(i), strings.(levels.(i)))) in
             let render body = Json.to_string (Wire.to_json (Wire.v1 ~problem:"battery" body)) in
-            let bytes = render (Wire.Levels { levels; keys; values; stats }) in
-            if bytes <> render (Wire.Solution { assignment; stats }) then
+            let bytes = render (Wire.Levels { levels; runs; stats }) in
+            if bytes <> render (Wire.Solution { assignment = pairs; stats }) then
               fail "wire" "a Levels body renders other bytes than its Solution";
             match Result.bind (Json.parse bytes) Wire.of_json with
-            | Ok { Wire.body = Wire.Solution { assignment = back; _ }; _ }
-              when back = assignment ->
-                ()
+            | Ok { Wire.body = Wire.Solution { assignment = back; _ }; _ } when back = pairs -> ()
             | _ -> fail "wire" "a Levels body does not read back as its pairs")
-          [ None; Some sol.S.stats ]);
+          [
+            (same, None);
+            (same, None);
+            (same, Some sol.S.stats);
+            (Array.init n (fun i -> n - 1 - i), None);
+            (Array.sub same 0 (n / 2), None);
+            (same, None);
+          ]);
     List.rev !fails
 end

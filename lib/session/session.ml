@@ -95,6 +95,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     mutable dirty : int list;
         (** attributes whose own rows changed since the last resolve *)
     mutable compiled : compiled option;
+    workspace : Solver.workspace;  (** the last incremental solve's state *)
     mutable stats : stats;
   }
 
@@ -196,6 +197,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       pending = Clean;
       dirty = [];
       compiled = None;
+      workspace = Solver.workspace ();
       stats = { resolves = 0; cached = 0; patched = 0; incremental = 0; full = 0; frozen = 0 };
     }
 
@@ -326,8 +328,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         incremental = s.incremental + 1;
       };
     let solution =
-      Solver.solve_incremental ~config ~prev:(old.problem, old.solution) ~dirty:t.dirty
-        problem
+      Solver.solve_incremental ~config ~workspace:t.workspace
+        ~prev:(old.problem, old.solution) ~dirty:t.dirty problem
     in
     t.stats <- { t.stats with frozen = t.stats.frozen + solution.Solver.reused };
     solution

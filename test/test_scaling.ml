@@ -421,6 +421,31 @@ let session_patch_counts_flat () =
       "a no-op patch resolve: lub + leq + minlevel = %d at %d attrs, %d at %d (bound +10%%)"
       c_large large c_small small
 
+(* The same no-op re-tighten of R0 allocates only its levels: the
+   session keeps the solve state between resolves (the first incremental
+   resolve makes it), and the assignment shares the previous one whole,
+   since no level changed.  At most one word per attribute plus 256, at
+   2k and at 8k attributes (n + 225 measured); 21 190 words at 2k and
+   84 184 at 8k when every solve made its state and its assignment
+   afresh. *)
+let session_patch_words_flat () =
+  let per_resolve (attrs, csts) =
+    let sess, _ = bounded_session (with_simple_ring (attrs, csts)) in
+    let retighten () =
+      Session.set_lower_bound sess "R0" (Some 2);
+      words (fun () -> Session.resolve sess)
+    in
+    ignore (retighten ());
+    (List.length attrs + 3, retighten ())
+  in
+  let s, l = Lazy.force inputs in
+  List.iter
+    (fun (n, w) ->
+      if w > float_of_int n +. 256. then
+        Alcotest.failf "a no-op re-tighten's resolve allocated %.0f words at %d attrs (bound %d)"
+          w n (n + 256))
+    [ per_resolve s; per_resolve l ]
+
 (* Serve requests on problem [p] over the 16-level ladder, as lines. *)
 let serve_lattice =
   "levels " ^ String.concat ", " (List.init 16 (Printf.sprintf "S%d")) ^ "\n"
@@ -466,10 +491,14 @@ let serve_open_linear () =
     Alcotest.failf "serve open: %.1f words per constraint at 8k (bound 34.5)" w_large
 
 (* A serve solution reply: the session escapes each name and level once,
-   at its first reply, and a later reply copies those fragments into one
-   buffer sized up front.  Building the reply and rendering it must
-   allocate at most 4 words per attribute (the reply string alone is
-   about 1.6); a reply that built and escaped a tree took about 22. *)
+   at its first reply, and keeps that reply as runs of attributes with
+   the levels they were rendered from.  A later reply with the same
+   levels re-renders no run and returns the same string, so building the
+   reply and rendering it allocate a constant: at most 0.126 words per
+   attribute at 2k and at 8k (229 words, 0.115 per attribute at 2k,
+   measured).  A reply that copied every fragment into a new buffer took
+   about 3.5 words per attribute, and one that built and escaped a tree
+   about 22. *)
 let serve_reply_lean () =
   let module Json = Minup_obs.Json in
   let module Wire = Minup_core.Wire in
@@ -488,8 +517,8 @@ let serve_reply_lean () =
       in
       ignore (reply ());
       let per_attr = words reply /. float_of_int n in
-      if per_attr > 4. then
-        Alcotest.failf "serve solution reply: %.1f words per attribute at %d (bound 4)"
+      if per_attr > 0.126 then
+        Alcotest.failf "serve solution reply: %.3f words per attribute at %d (bound 0.126)"
           per_attr n)
     (let s, l = Lazy.force inputs in
      [ s; l ])
@@ -519,6 +548,8 @@ let suite =
     case "a rebuild copies the grown name array once" session_names_copied_once;
     case "a no-op patch resolve's lattice operations do not grow with n"
       session_patch_counts_flat;
-    case "a serve solution reply allocates <= 4 words per attribute" serve_reply_lean;
+    case "a no-op re-tighten's resolve allocates <= 1 word per attribute plus a constant"
+      session_patch_words_flat;
+    case "a serve solution reply allocates <= 0.126 words per attribute" serve_reply_lean;
     case "a serve open allocates linearly" serve_open_linear;
   ]
