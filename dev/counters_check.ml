@@ -158,7 +158,11 @@ let incremental (attrs, csts) =
   in
   let full = SP.solve p in
   let n = List.length attrs in
-  let s = SP.solve_incremental ~prev:(p, full) ~dirty:(List.init n (fun a -> n + a)) p in
+  let s =
+    SP.solve_incremental ~workspace:(SP.workspace ()) ~prev:(p, full)
+      ~dirty:(List.init n (fun a -> n + a))
+      p
+  in
   powerset_pin s.SP.stats s.SP.levels
 
 (* A session's patch resolve, outside [Session]: [acyclic] plus the
@@ -172,7 +176,7 @@ let patch (attrs, csts) =
   let full = ST.solve p in
   Problem.set_rlevel prob (Problem.n_csts prob - 1) 11;
   let a = Problem.attr_id_exn prob "A1990" in
-  let s = ST.solve_incremental ~prev:(p, full) ~dirty:[ a ] p in
+  let s = ST.solve_incremental ~workspace:(ST.workspace ()) ~prev:(p, full) ~dirty:[ a ] p in
   total_pin s.ST.stats s.ST.levels
 
 (* Islands of cycles wired acyclically, solved under a preference that
