@@ -37,6 +37,26 @@ test "$fe_got" = "$fe_want" || {
 }
 echo "ci: front-end smoke OK (CRLF, tabs and comments parse alike)"
 
+# A Try-capped complex peer: in the cyclic set {A1, A4, A5, A8} over a
+# 3-chain, A5's row {A5, A8} >= A1 is left with A8 capped at s0, so A5
+# must be lowered forward and end at sc.  The CLI verifies every
+# solution it prints (exit 3 on a broken constraint).
+peer_lat="$obs_tmp/chain3.lat"
+peer_policy="$obs_tmp/capped-peer.cst"
+printf 'levels s0, sc, sf\ns0 < sc\nsc < sf\n' > "$peer_lat"
+printf '%s\n' 'attrs A0, A1, A2, A4, A5, A8' 'A1 >= sc' 'A4 >= A8' \
+  '{A0, A4, A1} >= A5' '{A2, A1} >= A4' '{A5, A8} >= A1' > "$peer_policy"
+peer_out=$(dune exec -- mlsclassify solve -l "$peer_lat" -c "$peer_policy") || {
+  echo "ci: the capped-peer policy did not solve (exit $?)" >&2
+  exit 1
+}
+echo "$peer_out" | grep -Eq '^A5 +sc$' || {
+  echo "ci: the capped-peer policy gave A5 another level than sc:" >&2
+  echo "$peer_out" >&2
+  exit 1
+}
+echo "ci: capped complex peer OK (A5 = sc)"
+
 # Pinned solver counters: Instr totals on acyclic, cyclic and N5
 # instances, and in the bounds, incremental and preference modes (the
 # last with a digest of its schedule), must equal their recorded values

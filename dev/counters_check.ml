@@ -272,13 +272,13 @@ let pins =
   [
     ("acyclic", total acyclic, "lub=4278 glb=0 leq=1517 minlevel=1000 try=0 try_iters=0 checks=0 levels=bc3ac080a8c3cab437dc880d678b47c9");
     ("cyclic", powerset cyclic, "lub=4153 glb=0 leq=10719 minlevel=70 try=718 try_iters=3661 checks=9247 levels=c632f41689d540f143f6f054ec3cab3d");
-    ("glb", explicit pentagon glb_meet, "lub=32 glb=6 leq=48 minlevel=3 try=7 try_iters=13 checks=30 levels=b517a5114b0114222dc52fdc176f4e5c");
+    ("glb", explicit pentagon glb_meet, "lub=32 glb=6 leq=49 minlevel=3 try=7 try_iters=13 checks=30 levels=b517a5114b0114222dc52fdc176f4e5c");
     ("push", explicit pentagon push, "lub=76 glb=114 leq=365 minlevel=19 try=3 try_iters=117 checks=285 levels=c9a99cbbadd993bcd4bb896966e4d54e");
     ("bounds", bounds acyclic, "lub=6471 glb=0 leq=3504 minlevel=2987 try=0 try_iters=0 checks=0 levels=bc3ac080a8c3cab437dc880d678b47c9");
     ("incremental", incremental cyclic, "lub=2875 glb=0 leq=7637 minlevel=70 try=656 try_iters=2429 checks=6252 levels=4529a3a5d7783492fa4d9e62cb407108");
     ("patch", patch acyclic, "lub=2134 glb=0 leq=662 minlevel=451 try=0 try_iters=0 checks=0 levels=2d479dd1876937cac1032eb84ea652b0");
     ("preference", preference,
-     "lub=1863 glb=1628 leq=5557 minlevel=84 try=51 try_iters=554 checks=3601 levels=f5c494b6d46650211691e9a421eb14e2 order=15b31f1daf5c89f2bf2c3ffc14b2ca97");
+     "lub=1863 glb=1628 leq=5559 minlevel=84 try=51 try_iters=554 checks=3601 levels=f5c494b6d46650211691e9a421eb14e2 order=15b31f1daf5c89f2bf2c3ffc14b2ca97");
     ("session", session, "cyclic=f45fa6480a3cfbf1ab9dec38af10f32d preference=0eefddbec49158ac96a43bed2175858c");
   ]
 

@@ -37,6 +37,8 @@ let make ~lhs ~rhs =
     | Some a -> Error (Duplicate_lhs a)
     | None -> Ok { lhs; rhs }
 
+let of_distinct ~lhs ~rhs = { lhs; rhs }
+
 let make_exn ~lhs ~rhs =
   match make ~lhs ~rhs with
   | Ok c -> c

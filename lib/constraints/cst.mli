@@ -33,6 +33,11 @@ val make : lhs:string list -> rhs:'lvl rhs -> ('lvl t, error) result
 
 val make_exn : lhs:string list -> rhs:'lvl rhs -> 'lvl t
 
+(** [of_distinct ~lhs ~rhs] is [make_exn ~lhs ~rhs] without the check,
+    for a caller that has already found [lhs] non-empty and
+    duplicate-free ({!Parse} does so on name ids as it scans). *)
+val of_distinct : lhs:string list -> rhs:'lvl rhs -> 'lvl t
+
 (** [simple attr rhs] is [make_exn ~lhs:[attr] ~rhs]. *)
 val simple : string -> 'lvl rhs -> 'lvl t
 

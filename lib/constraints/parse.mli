@@ -17,17 +17,20 @@
     ([TS:{Army,Nuclear}]) appear on the right-hand side.
 
     Cost: {!parse}, {!parse_resolve} and {!rows} share one scan of the
-    text, which walks index ranges of the one string and copies nothing
-    but each distinct name, once.  Each name is interned into an id the
-    first time it is seen; lines are recorded as ids in flat int arrays.
+    text: one pass over each line's bytes, which classifies each byte
+    through a table, follows the grammar, and hashes and interns each
+    name as it reads it, into a {!Problem.Names} table that copies each
+    distinct name once.  Only a bad line is read a second time, to name
+    its error.  Lines are recorded as name ids in flat int arrays.
     {!parse_resolve} and {!rows} share one resolution of those arrays,
     which resolves each distinct right-hand side once, and differ only in
-    what they emit: {!parse_resolve} builds [Cst.t] lists of names,
-    {!rows} maps each scanner id straight to its attribute id and emits
-    a constraint store, so no name is hashed again after the scan but once
-    into the name index.  Every buffer starts at a size read off the
-    text's length, so a one-line policy allocates a few hundred words and
-    an [n]-line one O(n). *)
+    what they emit: {!parse_resolve} builds [Cst.t] lists of names (an
+    lhs the scan found repeating is its error; every other is built
+    unchecked), {!rows} maps each scanner id straight to its attribute id
+    and emits a constraint store, and the scan's table, renumbered in
+    place, becomes its name index: no name is hashed after the scan.  The
+    arrays start at a size read off the text's length, so a one-line
+    policy allocates a few hundred words and an [n]-line one O(n). *)
 
 type ast = {
   decls : string list;  (** attributes declared via [attrs] lines *)
@@ -44,6 +47,13 @@ type error = { line : int; message : string }
 (** [is_ident name] — [name] is an attribute name the syntax can express:
     non-empty, of letters, digits, [_], [.] and [-] only. *)
 val is_ident : string -> bool
+
+(** The scanner's byte classes: [is_ident_char c] — [c] may appear in a
+    name; [is_space c] — [c] is white space between tokens (space, tab,
+    form feed, carriage return, newline). *)
+val is_ident_char : char -> bool
+
+val is_space : char -> bool
 
 val pp_error : Format.formatter -> error -> unit
 val parse : string -> (ast, error) result
@@ -70,7 +80,7 @@ type 'lvl rows = {
   attr_names : string array;
       (** the attribute universe, {!parse_resolve}'s [attrs] order: id [i]
           is [attr_names.(i)] *)
-  attr_index : int Problem.Names.t;  (** name ↦ id, every attribute *)
+  attr_index : Problem.Names.t;  (** name ↔ id, every attribute *)
   store : 'lvl Problem.store;
       (** the kept [>=] lines' rows, in file order, each lhs sorted:
           {!Problem.compile}'s [store] *)

@@ -44,13 +44,51 @@ val rhs_is_attr : int -> bool
 val rhs_level_index : int -> int
 val level_code : int -> int
 
-(** Hash tables keyed by attribute name, with string equality and hash
-    (cheaper per lookup than the polymorphic [Hashtbl]). *)
-module Names : Hashtbl.S with type key = string
+(** The one name table: names numbered [0, 1, …] in the order they are
+    added, in a flat open-addressing table keyed by their FNV-1a hash
+    ([h := (h lxor byte) * 0x100000001b3] from [0x811c9dc5], in OCaml's
+    63-bit ints).  A lookup hashes the name once and compares it with [==]
+    before its bytes, so a string handed back by the table it came from
+    is found without a byte compare.  {!Parse}'s scanner interns each
+    name of a policy here, {!compile} and a session index their
+    attributes with it, and {!Parse.rows} hands its scan's table on as
+    the attribute index. *)
+module Names : sig
+  type t
+
+  (** [create n] — an empty table with room for [n] names before it
+      grows. *)
+  val create : int -> t
+
+  (** [add t name] — [name]'s id, numbered [length t] first if it is
+      new. *)
+  val add : t -> string -> int
+
+  (** [add_slice t text s e h] — [add t (String.sub text s (e - s))],
+      given that slice's hash [h]; the slice is copied only if it is
+      new. *)
+  val add_slice : t -> string -> int -> int -> int -> int
+
+  val find : t -> string -> int  (** @raise Not_found *)
+
+  val find_opt : t -> string -> int option
+  val length : t -> int
+
+  (** [names t] — the table's own array of names by id: entry [i] is
+      name [i] for [i < length t], and entries past that are not names.
+      It is not a copy, but once full it is never written again. *)
+  val names : t -> string array
+
+  (** [renumber t ids names] — name [x] of [t] takes the id [ids.(x)],
+      or leaves [t] if that is negative; [names] lists the names kept by
+      their new ids, and becomes [t]'s own.  One pass over the table: no
+      name is hashed or compared. *)
+  val renumber : t -> int array -> string array -> unit
+end
 
 type 'lvl t = private {
   attr_names : string array;
-  attr_index : int Names.t;
+  attr_index : Names.t;
   store : 'lvl store;  (** the kept constraints *)
   complex_idx : int array;
       (** dense numbering of the complex constraints (lhs of two or more
@@ -116,11 +154,8 @@ type 'lvl builder
 val builder : ?room:'lvl room -> rows:int -> size:int -> levels:int -> unit -> 'lvl builder
 val add_lhs : 'lvl builder -> int array -> unit
 
-(** After {!add_lhs}: [lhs_mem b a] — the open row holds [a];
-    [lhs_repeats b] — it holds some id twice. *)
+(** After {!add_lhs}: [lhs_mem b a] — the open row holds [a]. *)
 val lhs_mem : 'lvl builder -> int -> bool
-
-val lhs_repeats : 'lvl builder -> bool
 
 (** Discard the open row. *)
 val drop_row : 'lvl builder -> unit
@@ -143,7 +178,7 @@ val finish : 'lvl builder -> 'lvl store
     [problem.of_rows] (category [constraints]); {!compile} indexes
     through the same code without that span. *)
 val of_rows :
-  ?room:'lvl room -> attr_names:string array -> attr_index:int Names.t -> 'lvl store -> 'lvl t
+  ?room:'lvl room -> attr_names:string array -> attr_index:Names.t -> 'lvl store -> 'lvl t
 
 val n_attrs : 'lvl t -> int
 val n_csts : 'lvl t -> int

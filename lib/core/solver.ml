@@ -625,8 +625,18 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     st.collapsed <- st.collapsed + 1;
     if st.tracing then Trace.end_span ~cat:"solver" "collapse"
 
+  (* [a] is in a complex row with a member still unlabeled.  In a cyclic
+     set that member may already sit below what the row needs: a [Try]
+     of the set can have lowered it, and a final rhs can cap it there
+     (DESIGN.md §9). *)
+  let open_row st a =
+    let { Problem.off; tgt } = st.prob.Problem.complex_constr_of in
+    let rec from i = i < off.(a + 1) && (st.unlabeled.(tgt.(i)) > 0 || from (i + 1)) in
+    from off.(a)
+
   (* The Bigloop body for any other set: back-propagation for a member
-     whose right-hand sides are all final, forward lowering if not.  Only
+     whose right-hand sides are all final and whose complex rows are all
+     labeled (in a cyclic set), forward lowering if not.  Only
      a cyclic set can lower forward — a singleton's right-hand sides are
      all labeled before its turn — and gets a "try_lower" span.  The set
      is [members.(lo .. hi - 1)], in labeling order. *)
@@ -639,6 +649,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       let a = members.(j) in
       visit st p a;
       let l = back_propagate st a in
+      if cyclic && st.done_.(a) && (not st.bounds_mode) && open_row st a then st.done_.(a) <- false;
       let back = st.done_.(a) in
       if back then st.lam.(a) <- l else forward_lower st a l;
       finish st a ~back

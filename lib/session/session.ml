@@ -73,12 +73,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   type t = {
     lattice : L.t;
-    mutable names : string array;  (** attribute id ↦ name, [n] of them *)
-    mutable n : int;
+    index : Names.t;  (** name ↔ attribute id: registration order *)
     mutable exact_names : string array;
-        (** the first names of [names] exactly, once [index] has needed
-            them: still those of the session while [n] is its length *)
-    index : int Names.t;  (** name ↦ attribute id: registration order *)
+        (** the names of [index] exactly, once a problem has needed them:
+            still the session's while [index] has as many *)
     mutable written : int array array;
         (** user constraint id ↦ its lhs ids as written, [n_ids] of them;
             [index] sorts them into rows *)
@@ -102,24 +100,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let lattice t = t.lattice
 
   let name t i =
-    if i < 0 || i >= t.n then invalid_arg "Session.name: unknown attribute id";
-    t.names.(i)
-
-  (* Append the new attribute [a]; its id. *)
-  let add_name t a =
-    let i = t.n in
-    if i = Array.length t.names then begin
-      let names = Array.make (max 64 (2 * i)) "" in
-      Array.blit t.names 0 names 0 i;
-      t.names <- names
-    end;
-    t.names.(i) <- a;
-    t.n <- i + 1;
-    Names.add t.index a i;
-    i
+    if i < 0 || i >= Names.length t.index then invalid_arg "Session.name: unknown attribute id";
+    (Names.names t.index).(i)
 
   (* [a]'s id, registered first if it is new. *)
-  let intern t a = match Names.find t.index a with i -> i | exception Not_found -> add_name t a
+  let intern t a = Names.add t.index a
 
   let structural t d x =
     match t.pending with Rebuild _ -> () | Clean | Patch -> t.pending <- Rebuild (d, x)
@@ -179,13 +164,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     structural t Add id;
     id
 
-  let empty ~lattice ~names ~n ~index ~written ~rhs ~levels =
+  let empty ~lattice ~index ~written ~rhs ~levels =
     {
       lattice;
-      names;
-      n;
-      exact_names = [||];
       index;
+      exact_names = [||];
       written;
       rhs;
       levels;
@@ -204,7 +187,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let create ~lattice ?(attrs = []) csts =
     let m = List.length csts in
     let t =
-      empty ~lattice ~names:(Array.make (List.length attrs) "") ~n:0 ~index:(Names.create 64)
+      empty ~lattice ~index:(Names.create (max 64 (List.length attrs)))
         ~written:(Array.make m [||]) ~rhs:(Array.make m (-1)) ~levels:[||]
     in
     List.iter (fun a -> ignore (intern t a)) attrs;
@@ -219,7 +202,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let of_rows ~lattice (r : L.level Parse.rows) =
     let m = Array.length r.written and { Problem.rhs; levels; _ } = r.store in
     let t =
-      empty ~lattice ~names:r.attr_names ~n:(Array.length r.attr_names) ~index:r.attr_index
+      empty ~lattice ~index:r.attr_index
         ~written:r.written
         ~rhs:(if r.dropped = [] then rhs else Array.make m (-1))
         ~levels
@@ -256,12 +239,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   (* [a]'s id.  An attribute registered by a delta that adds no row is
      still a structural delta: the solution gains it, at ⊥. *)
   let attribute t a =
-    if Names.mem t.index a then Names.find t.index a
-    else begin
-      let i = add_name t a in
-      structural t New_attribute i;
-      i
-    end
+    let n = Names.length t.index in
+    let i = Names.add t.index a in
+    if i = n then structural t New_attribute i;
+    i
 
   let add_attribute t a = ignore (attribute t a)
 
@@ -288,7 +269,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      insertion order, so recompiles of an unchanged session are literally
      identical.  Each lhs is listed as written. *)
   let snapshot t =
-    let name a = t.names.(a) in
+    let names = Names.names t.index in
+    let name a = names.(a) in
     let rec users id acc =
       if id < 0 then acc
       else if Bytes.get t.state id = removed then users (id - 1) acc
@@ -301,7 +283,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         let lhs = Array.fold_right (fun a acc -> name a :: acc) t.written.(id) [] in
         users (id - 1) (Cst.make_exn ~lhs ~rhs :: acc)
     in
-    ( List.init t.n name,
+    ( List.init (Names.length t.index) name,
       users (t.n_ids - 1)
         (fold_live
            (fun _ (a, l) acc -> Cst.make_exn ~lhs:[ name a ] ~rhs:(Cst.Level l) :: acc)
@@ -370,12 +352,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         Problem.add_lhs b lhs;
         Problem.close_level b l)
       t.bounds;
-    (* [names] is append-only and regrown when full, so a full one can be
-       shared, and an exact copy stays exact until a name is added. *)
+    (* The index's names are append-only, and a full array of them is
+       never written again, so it can be shared; an exact copy stays exact
+       until a name is added. *)
     let attr_names =
-      if Array.length t.names = t.n then t.names
+      let names = Names.names t.index and n = Names.length t.index in
+      if Array.length names = n then names
       else begin
-        if Array.length t.exact_names <> t.n then t.exact_names <- Array.sub t.names 0 t.n;
+        if Array.length t.exact_names <> n then t.exact_names <- Array.sub names 0 n;
         t.exact_names
       end
     in
@@ -434,7 +418,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   (* The path a resolve takes and the delta that chose it, as span
      arguments; built only when tracing. *)
   let path_args t =
-    let name a = t.names.(a) in
+    let name a = (Names.names t.index).(a) in
     let path, reason =
       match (t.compiled, t.pending) with
       | None, _ -> ("scratch", "first resolve")
