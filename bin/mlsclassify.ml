@@ -71,8 +71,8 @@ let load_policy lattice path =
   match Parse.rows ~level_of_string:(Explicit.level_of_string lattice) (read_file path) with
   | Error e -> or_die (Error (Format.asprintf "%s: %a" path Parse.pp_error e))
   | Ok r ->
-      ( Minup_constraints.Problem.of_rows ~attr_names:r.Parse.attr_names
-          ~attr_index:r.Parse.attr_index r.Parse.store,
+      ( Minup_constraints.Problem.of_lines ~attr_names:r.Parse.attr_names
+          ~attr_index:r.Parse.attr_index r.Parse.lines,
         r.Parse.upper_bounds )
 
 (* The policy at [path] with its priorities, for solve, batch and check. *)
@@ -335,27 +335,24 @@ let check_cmd lattice_path policy_path assignment_path =
         Printf.eprintf "error: assignment for unknown attribute %S\n" a;
         exit 1
   in
-  if not (Solver.satisfies problem levels) then begin
-    print_endline "VIOLATED: the assignment does not satisfy the constraints:";
-    let prob = problem.Solver.prob in
-    for ci = 0 to Minup_constraints.Problem.n_csts prob - 1 do
-      let combined =
-        Minup_constraints.Problem.fold_lhs prob ci
-          (fun acc a -> Explicit.lub lattice acc levels.(a))
-          (Explicit.bottom lattice)
-      in
-      let target =
-        match Minup_constraints.Problem.rhs prob ci with
-        | Minup_constraints.Problem.Rlevel l -> l
-        | Minup_constraints.Problem.Rattr a -> levels.(a)
-      in
-      if not (Explicit.leq lattice target combined) then
-        Format.printf "  %a@."
-          (Minup_constraints.Cst.pp (Explicit.pp_level lattice))
-          (Minup_constraints.Problem.cst_to_source prob ci)
-    done;
-    exit 2
-  end;
+  let prob = problem.Solver.prob in
+  let holds =
+    Minup_constraints.Problem.holds ~leq:(Explicit.leq lattice) ~lub:(Explicit.lub lattice)
+      ~bottom:(Explicit.bottom lattice) prob (Array.get levels)
+  in
+  (match
+     List.filter (fun ci -> not (holds ci)) (List.init (Minup_constraints.Problem.n_csts prob) Fun.id)
+   with
+  | [] -> ()
+  | violated ->
+      print_endline "VIOLATED: the assignment does not satisfy the constraints:";
+      List.iter
+        (fun ci ->
+          Format.printf "  %a@."
+            (Minup_constraints.Cst.pp (Explicit.pp_level lattice))
+            (Minup_constraints.Problem.cst_to_source prob ci))
+        violated;
+      exit 2);
   let module Explain = Minup_core.Explain.Make (Explicit) in
   if Explain.is_locally_minimal problem levels then
     print_endline "OK: satisfies the constraints and is pointwise minimal"

@@ -210,6 +210,45 @@ serve_vs_solve test/cli.t/employee.cst ',"bounds":{"name":"L4"}'
 serve_vs_solve "$obs_tmp/edge.cst" ''
 echo "ci: serve = solve OK (employee.cst; trivial, level and rhs-only lines)"
 
+# Trivial lines over serve: every line of an opened policy keeps its
+# constraint id, trivially satisfied ones (rhs ∈ lhs) included.  The
+# policy's first line and a middle one are trivial; removing the first,
+# adding a trivial line, then removing the middle one and the kept line
+# after it must act on exactly the lines they name (c falls to Low only
+# once c >= b is gone).  The transcript is pinned byte for byte.
+tr_lat='"lattice":"levels Low, Mid, High\nLow < Mid\nMid < High\n"'
+tr_cst='"constraints":"{a, b} >= a\nb >= Mid\n{c, b} >= c\nc >= b\n{a, d} >= High\n"'
+tr_req() { printf '{"op":"%s","problem":"t"%s}\n' "$1" "$2"; }
+tr_out=$( {
+  printf '{"op":"open","problem":"t",%s,%s}\n' "$tr_lat" "$tr_cst"
+  tr_req resolve ''
+  tr_req remove_constraint ',"id":0'
+  tr_req add_constraint ',"constraint":"{d, b} >= d"'
+  tr_req resolve ',"stats":true'
+  tr_req remove_constraint ',"id":0'
+  tr_req remove_constraint ',"id":2'
+  tr_req remove_constraint ',"id":3'
+  tr_req resolve ''
+} | dune exec -- mlsclassify serve)
+tr_want=$(cat <<'EOF'
+{"v":1,"status":"ok","problem":"t"}
+{"v":1,"status":"ok","problem":"t","solution":{"a":"Low","b":"Mid","c":"Mid","d":"High"}}
+{"v":1,"status":"ok","problem":"t","id":0}
+{"v":1,"status":"ok","problem":"t","id":5}
+{"v":1,"status":"ok","problem":"t","solution":{"a":"Low","b":"Mid","c":"Mid","d":"High"},"stats":{"lub":0,"glb":0,"leq":0,"minlevel_calls":0,"try_calls":0,"try_iterations":0,"constraint_checks":0}}
+{"v":1,"status":"error","problem":"t","detail":"remove_constraint: unknown constraint id 0"}
+{"v":1,"status":"ok","problem":"t","id":2}
+{"v":1,"status":"ok","problem":"t","id":3}
+{"v":1,"status":"ok","problem":"t","solution":{"a":"Low","b":"Mid","c":"Low","d":"High"}}
+EOF
+)
+test "$tr_out" = "$tr_want" || {
+  echo "ci: the trivial-line serve transcript changed:" >&2
+  echo "$tr_out" >&2
+  exit 1
+}
+echo "ci: serve trivial lines OK (ids kept per line, pinned transcript)"
+
 # Re-tightens through a Try cycle: the cycle {a, b, c} carries the
 # complex chord {a, x} >= c, and the complex rows {b, y} and {c, x, y}
 # and {z, u} reach across priority sets.  After first bounds on w, y, a,

@@ -406,20 +406,18 @@ let parse_resolve ~level_of_string text =
 type 'lvl rows = {
   attr_names : string array;
   attr_index : Problem.Names.t;
-  store : 'lvl Problem.store;
-  dropped : 'lvl Cst.t list;
+  lines : 'lvl Problem.lines;
   upper_bounds : (string * 'lvl) list;
-  written : int array array;
 }
+
+let rec mem (w : int array) a i = i >= 0 && (w.(i) = a || mem w a (i - 1))
 
 (* The second emitter: scanner ids map straight to attribute ids, the
    position of each name in [order], and the scan's own table becomes
-   the attribute index, renumbered in place: no name is hashed again.  A
-   [>=] line's lhs is read off [sc.lhs] in written order, into its
-   [written] array and the store's next row, which is sorted there.  The
-   store is sized for every line: the level right-hand sides exactly (a
-   dropped line's rhs is an attribute), the rows and lhs ids trimmed
-   only if a line was dropped. *)
+   the attribute index, renumbered in place: no name is hashed again.
+   Each distinct right-hand side resolves to its code once, a level name
+   to one entry of [levels], so lines with the same level share it.  A
+   [>=] line's lhs is read off [sc.lhs] in written order. *)
 let rows ~level_of_string text =
   Minup_obs.Trace.with_span ~cat:"constraints" "parse.rows" @@ fun () ->
   match scan text with
@@ -430,11 +428,14 @@ let rows ~level_of_string text =
       match upper_bounds ~level_of_string sc names with
       | Error _ as e -> e
       | Ok upper_bounds ->
-          let unset = Problem.Rattr (-1) in
-          let rhs_of, order =
-            universe ~level_of_string sc names ~unset
-              ~attr:(fun _ i -> Problem.Rattr i)
-              ~level:(fun l -> Problem.Rlevel l)
+          let levels = ref [] and n_levels = ref 0 in
+          let code_of, order =
+            universe ~level_of_string sc names ~unset:min_int
+              ~attr:(fun _ i -> i)
+              ~level:(fun l ->
+                levels := l :: !levels;
+                incr n_levels;
+                Problem.level_code (!n_levels - 1))
           in
           let n = order.len in
           let attr_of = Array.make (Problem.Names.length sc.names) (-1) in
@@ -445,41 +446,27 @@ let rows ~level_of_string text =
             attr_names.(i) <- names.(id)
           done;
           let m = sc.lowers.len / 3 in
-          let n_levels = ref 0 in
-          for k = 0 to m - 1 do
-            match rhs_of.(field sc.lowers k 2) with
-            | Problem.Rlevel _ -> incr n_levels
-            | Problem.Rattr _ -> ()
-          done;
-          let b = Problem.builder ~rows:m ~size:sc.lhs.len ~levels:!n_levels () in
-          let written = Array.make m [||] and dropped = ref [] in
-          for k = 0 to m - 1 do
-            let s = lhs_start sc k in
-            let w = Array.make (field sc.lowers k 1 - s) 0 in
-            for i = 0 to Array.length w - 1 do
-              w.(i) <- attr_of.(sc.lhs.a.(s + i))
-            done;
-            Problem.add_lhs b w;
-            match rhs_of.(field sc.lowers k 2) with
-            | Problem.Rattr a when Problem.lhs_mem b a ->
-                Problem.drop_row b;
-                let lhs = lhs_names sc names k in
-                dropped := Cst.of_distinct ~lhs ~rhs:(Cst.Attr attr_names.(a)) :: !dropped
-            | r ->
-                (match r with
-                | Problem.Rattr a -> Problem.close_attr b a
-                | Problem.Rlevel l -> Problem.close_level b l);
-                written.(k) <- w
-          done;
+          let rhs = Array.make m 0 and kept = Array.make m true in
+          let written =
+            Array.init m (fun k ->
+                let s = lhs_start sc k in
+                let w = Array.make (field sc.lowers k 1 - s) 0 in
+                for i = 0 to Array.length w - 1 do
+                  w.(i) <- attr_of.(sc.lhs.a.(s + i))
+                done;
+                let r = code_of.(field sc.lowers k 2) in
+                rhs.(k) <- r;
+                kept.(k) <- not (Problem.rhs_is_attr r && mem w r (Array.length w - 1));
+                w)
+          in
           Problem.Names.renumber sc.names attr_of attr_names;
+          let levels = Array.of_list (List.rev !levels) in
           Ok
             {
               attr_names;
               attr_index = sc.names;
-              store = Problem.finish b;
-              dropped = List.rev !dropped;
+              lines = { Problem.written; rhs; levels; kept };
               upper_bounds;
-              written;
             })
 
 let render ~level_to_string r =

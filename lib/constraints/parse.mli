@@ -27,10 +27,13 @@
     what they emit: {!parse_resolve} builds [Cst.t] lists of names (an
     lhs the scan found repeating is its error; every other is built
     unchecked), {!rows} maps each scanner id straight to its attribute id
-    and emits a constraint store, and the scan's table, renumbered in
-    place, becomes its name index: no name is hashed after the scan.  The
-    arrays start at a size read off the text's length, so a one-line
-    policy allocates a few hundred words and an [n]-line one O(n). *)
+    and emits per line an lhs array, a right-hand side code and a kept
+    flag, with one level entry per distinct level name; the scan's
+    table, renumbered in place, becomes its name index.  No name is
+    hashed after the scan, and {!rows} builds no [Cst.t] and no
+    constraint store: {!Problem.of_lines} does that.  The arrays start
+    at a size read off the text's length, so a one-line policy allocates
+    a few hundred words and an [n]-line one O(n). *)
 
 type ast = {
   decls : string list;  (** attributes declared via [attrs] lines *)
@@ -73,32 +76,27 @@ val parse_resolve :
   string ->
   ('lvl resolved, error) result
 
-(** A policy resolved straight to a constraint store: what
-    [Problem.compile ~attrs csts] builds from [parse_resolve]'s
+(** A policy resolved straight to lines over attribute ids: what
+    [Problem.compile ~attrs csts] reads of [parse_resolve]'s
     [{attrs; csts; _}], without building the [Cst.t] list. *)
 type 'lvl rows = {
   attr_names : string array;
       (** the attribute universe, {!parse_resolve}'s [attrs] order: id [i]
           is [attr_names.(i)] *)
   attr_index : Problem.Names.t;  (** name ↔ id, every attribute *)
-  store : 'lvl Problem.store;
-      (** the kept [>=] lines' rows, in file order, each lhs sorted:
-          {!Problem.compile}'s [store] *)
-  dropped : 'lvl Cst.t list;
-      (** the trivially satisfied [>=] lines (rhs ∈ lhs), in file order:
-          {!Problem.compile}'s [dropped] *)
+  lines : 'lvl Problem.lines;
+      (** one line per [>=] line, in file order: its lhs ids as written,
+          its right-hand side code, and [kept] false iff it is trivially
+          satisfied (rhs ∈ lhs) *)
   upper_bounds : (string * 'lvl) list;
-  written : int array array;
-      (** per [>=] line, in file order, its lhs ids as written, and
-          [[||]] for a dropped line.  A session keeps it, so its snapshot
-          lists each lhs as the text wrote it. *)
 }
 
-(** [rows ~level_of_string text] — {!parse_resolve} and
-    {!Problem.compile} in one pass: the same resolution, the same first
-    error (line and message), and a store, [dropped] and names equal to
-    [Problem.compile ~attrs csts] of {!parse_resolve}'s result.  Linear in
-    the text.  Traced as [parse.rows] (category [constraints]). *)
+(** [rows ~level_of_string text] — {!parse_resolve} without its lists:
+    the same resolution, the same first error (line and message), and
+    lines from which {!Problem.of_lines} builds the problem
+    [Problem.compile ~attrs csts] builds from {!parse_resolve}'s result,
+    with the same names.  Linear in the text.  Traced as [parse.rows]
+    (category [constraints]). *)
 val rows :
   level_of_string:(string -> 'lvl option) -> string -> ('lvl rows, error) result
 

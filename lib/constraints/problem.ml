@@ -1,6 +1,14 @@
 type 'lvl rhs = Rlevel of 'lvl | Rattr of int
 
 type csr = { off : int array; tgt : int array }
+
+type 'lvl lines = {
+  written : int array array;
+  rhs : int array;
+  levels : 'lvl array;
+  kept : bool array;
+}
+
 type 'lvl store = { rows : int; lhs : csr; rhs : int array; levels : 'lvl array }
 
 (* A right-hand side code: an attribute id, or [-1 - j] for [levels.(j)]. *)
@@ -131,17 +139,11 @@ type 'lvl t = {
   constr_of : csr;
   complex_constr_of : csr;
   incoming : csr;
-  dropped : 'lvl Cst.t list;
 }
 
-type error = Cst_error of Cst.error | Undeclared_attr of string
+type error = |
 
-let pp_error ppf = function
-  | Cst_error e -> Cst.pp_error ppf e
-  | Undeclared_attr a ->
-      Format.fprintf ppf "constraint mentions undeclared attribute %S" a
-
-exception Err of error
+let pp_error _ (e : error) = match e with _ -> .
 
 type 'lvl room = Exact | Spare | Reuse of 'lvl t
 
@@ -221,7 +223,6 @@ type 'lvl builder = {
   b_rhs : int array;
   mutable b_levels : 'lvl array;
   n_levels : int;
-  exact : bool;
   b_spare : bool;
   mutable ci : int;
   mutable hi : int;
@@ -243,7 +244,6 @@ let builder ?(room = Exact) ~rows ~size ~levels () =
     b_rhs = fit ~spare old.rhs rows;
     b_levels = (if Array.length old.levels >= levels then old.levels else [||]);
     n_levels = levels;
-    exact = (match room with Exact -> true | Spare | Reuse _ -> false);
     b_spare = spare;
     ci = 0;
     hi = 0;
@@ -256,8 +256,7 @@ let push_lhs b a =
 
 let end_lhs b = sort_range b.b_tgt b.b_off.(b.ci) b.hi
 
-(* A whole row per call, since a call from another module is not
-   inlined; a copy loop, since [Array.blit] is a C call per row. *)
+(* A copy loop, since [Array.blit] is a C call per row. *)
 let add_lhs b w =
   let tgt = b.b_tgt and hi = b.hi in
   for i = 0 to Array.length w - 1 do
@@ -266,16 +265,10 @@ let add_lhs b w =
   b.hi <- hi + Array.length w;
   end_lhs b
 
-let rec mem_range a x i hi = i < hi && (a.(i) = x || mem_range a x (i + 1) hi)
-let lhs_mem b a = mem_range b.b_tgt a b.b_off.(b.ci) b.hi
-let drop_row b = b.hi <- b.b_off.(b.ci)
-
 let close b r =
   b.b_rhs.(b.ci) <- r;
   b.ci <- b.ci + 1;
   b.b_off.(b.ci) <- b.hi
-
-let close_attr b a = close b a
 
 let close_level b l =
   if Array.length b.b_levels = 0 then
@@ -284,17 +277,10 @@ let close_level b l =
   close b (level_code b.j);
   b.j <- b.j + 1
 
-(* An exact store's arrays have exactly its rows: a builder sized for
-   more rows than it kept trims them. *)
+(* Every builder is sized for exactly the rows it gets, so an [Exact]
+   store's arrays are exact. *)
 let finish b =
-  let trim a len = if b.exact && len < Array.length a then Array.sub a 0 len else a in
-  let m = b.ci in
-  {
-    rows = m;
-    lhs = { off = trim b.b_off (m + 1); tgt = trim b.b_tgt b.hi };
-    rhs = trim b.b_rhs m;
-    levels = trim b.b_levels b.j;
-  }
+  { rows = b.ci; lhs = { off = b.b_off; tgt = b.b_tgt }; rhs = b.b_rhs; levels = b.b_levels }
 
 (* The indexing half of [compile]: a dense numbering of the complex
    constraints (the solver keeps one incremental lhs-lub aggregate and
@@ -302,7 +288,7 @@ let finish b =
    [complex_idx], -1 for simple ones), and the three CSR indexes, which
    enumerate constraints in ascending index, so every row is
    ascending. *)
-let build ~room ~dropped ~attr_names ~attr_index store =
+let build ~room ~attr_names ~attr_index store =
   let n = Array.length attr_names and m = store.rows in
   let { off; tgt } = store.lhs and rhs = store.rhs in
   let spare = spare room in
@@ -347,12 +333,37 @@ let build ~room ~dropped ~attr_names ~attr_index store =
     constr_of = csr ~spare old_c n (each_lhs false);
     complex_constr_of = csr ~spare old_cc n (each_lhs true);
     incoming = csr ~spare old_in n each_rhs;
-    dropped;
   }
 
-let of_rows ?(room = Exact) ~attr_names ~attr_index store =
+(* The kept lines in line order, then the bound rows: one pass counts
+   the rows, their lhs ids and their level right-hand sides, one fills
+   the store, whose levels are numbered in row order. *)
+let of_lines ?(room = Exact) ~attr_names ~attr_index ?count ?(bounds = ignore) lines =
   Minup_obs.Trace.with_span ~cat:"constraints" "problem.of_rows" @@ fun () ->
-  build ~room ~dropped:[] ~attr_names ~attr_index store
+  let { written; rhs; levels; kept } = lines in
+  let count = Option.value count ~default:(Array.length written) in
+  let m = ref 0 and size = ref 0 and n_levels = ref 0 in
+  for i = 0 to count - 1 do
+    if kept.(i) then begin
+      incr m;
+      size := !size + Array.length written.(i);
+      if not (rhs_is_attr rhs.(i)) then incr n_levels
+    end
+  done;
+  bounds (fun _ _ -> incr m; incr size; incr n_levels);
+  let b = builder ~room ~rows:!m ~size:!size ~levels:!n_levels () in
+  for i = 0 to count - 1 do
+    if kept.(i) then begin
+      let r = rhs.(i) in
+      add_lhs b written.(i);
+      if rhs_is_attr r then close b r else close_level b levels.(rhs_level_index r)
+    end
+  done;
+  bounds (fun a l ->
+      push_lhs b a;
+      end_lhs b;
+      close_level b l);
+  build ~room ~attr_names ~attr_index (finish b)
 
 let rec add_names b intern = function
   | [] -> ()
@@ -360,60 +371,48 @@ let rec add_names b intern = function
       push_lhs b (intern a);
       add_names b intern rest
 
-let compile ?(attrs = []) ?(strict = false) source =
+let compile ?(attrs = []) source : (_ t, error) result =
   Minup_obs.Trace.with_span ~cat:"constraints" "problem.compile" @@ fun () ->
-  try
-    let index = Names.create (List.length attrs) in
-    List.iter (fun a -> ignore (Names.add index a)) attrs;
-    (* [find] rather than [find_opt]: no [Some] box per lookup. *)
-    let intern a =
-      if not strict then Names.add index a
-      else
-        match Names.find index a with
-        | i -> i
-        | exception Not_found -> raise (Err (Undeclared_attr a))
-    in
-    (* Trivially satisfied constraints (rhs ∈ lhs) are dropped, §3.  One
-       pass counts the kept rows, their lhs ids and their level
-       right-hand sides; a second writes the kept rows in input order,
-       knowing a dropped constraint as the next one of [dropped]. *)
-    let m = ref 0 and size = ref 0 and n_levels = ref 0 and dropped = ref [] in
-    List.iter
-      (fun (c : _ Cst.t) ->
-        if Cst.is_trivial c then dropped := c :: !dropped
-        else begin
-          incr m;
-          size := !size + List.length c.lhs;
-          match c.rhs with Cst.Level _ -> incr n_levels | Cst.Attr _ -> ()
-        end)
-      source;
-    let dropped = List.rev !dropped in
-    let b = builder ~rows:!m ~size:!size ~levels:!n_levels () in
-    let rec fill drops = function
-      | [] -> ()
-      | (c : _ Cst.t) :: rest -> (
-          match drops with
-          | d :: drops when d == c -> fill drops rest
-          | _ ->
-              add_names b intern c.lhs;
-              end_lhs b;
-              (match c.rhs with
-              | Cst.Attr a -> close_attr b (intern a)
-              | Cst.Level l -> close_level b l);
-              fill drops rest)
-    in
-    fill dropped source;
-    (* Intern attributes of dropped constraints too: they are part of the
-       universe and must still receive a (default ⊥) classification. *)
-    List.iter (fun (c : _ Cst.t) -> List.iter (fun a -> ignore (intern a)) c.lhs) dropped;
-    let attr_names = Array.sub (Names.names index) 0 (Names.length index) in
-    Ok (build ~room:Exact ~dropped ~attr_names ~attr_index:index (finish b))
-  with Err e -> Error e
+  let index = Names.create (List.length attrs) in
+  List.iter (fun a -> ignore (Names.add index a)) attrs;
+  let intern a = Names.add index a in
+  (* Trivially satisfied constraints (rhs ∈ lhs) are dropped, §3.  One
+     pass counts the kept rows, their lhs ids and their level right-hand
+     sides; a second writes the kept rows in input order, knowing a
+     dropped constraint as the next one of [dropped]. *)
+  let m = ref 0 and size = ref 0 and n_levels = ref 0 and dropped = ref [] in
+  List.iter
+    (fun (c : _ Cst.t) ->
+      if Cst.is_trivial c then dropped := c :: !dropped
+      else begin
+        incr m;
+        size := !size + List.length c.lhs;
+        match c.rhs with Cst.Level _ -> incr n_levels | Cst.Attr _ -> ()
+      end)
+    source;
+  let dropped = List.rev !dropped in
+  let b = builder ~rows:!m ~size:!size ~levels:!n_levels () in
+  let rec fill drops = function
+    | [] -> ()
+    | (c : _ Cst.t) :: rest -> (
+        match drops with
+        | d :: drops when d == c -> fill drops rest
+        | _ ->
+            add_names b intern c.lhs;
+            end_lhs b;
+            (match c.rhs with
+            | Cst.Attr a -> close b (intern a)
+            | Cst.Level l -> close_level b l);
+            fill drops rest)
+  in
+  fill dropped source;
+  (* Intern attributes of dropped constraints too: they are part of the
+     universe and must still receive a (default ⊥) classification. *)
+  List.iter (fun (c : _ Cst.t) -> List.iter (fun a -> ignore (intern a)) c.lhs) dropped;
+  let attr_names = Array.sub (Names.names index) 0 (Names.length index) in
+  Ok (build ~room:Exact ~attr_names ~attr_index:index (finish b))
 
-let compile_exn ?attrs ?strict csts =
-  match compile ?attrs ?strict csts with
-  | Ok p -> p
-  | Error e -> invalid_arg (Format.asprintf "Problem.compile: %a" pp_error e)
+let compile_exn ?attrs csts = match compile ?attrs csts with Ok p -> p | Error _ -> .
 
 let n_attrs p = Array.length p.attr_names
 let n_csts p = p.store.rows
@@ -486,14 +485,13 @@ let is_acyclic p =
   done;
   not !cyclic
 
+let holds ~leq ~lub ~bottom p assignment ci =
+  let combined = fold_lhs p ci (fun acc a -> lub acc (assignment a)) bottom in
+  let target = match rhs p ci with Rlevel l -> l | Rattr a -> assignment a in
+  leq target combined
+
 let satisfies ~leq ~lub ~bottom p assignment =
-  let rec from ci =
-    ci = n_csts p
-    ||
-    let combined = fold_lhs p ci (fun acc a -> lub acc (assignment a)) bottom in
-    let target = match rhs p ci with Rlevel l -> l | Rattr a -> assignment a in
-    leq target combined && from (ci + 1)
-  in
+  let rec from ci = ci = n_csts p || (holds ~leq ~lub ~bottom p assignment ci && from (ci + 1)) in
   from 0
 
 let pp pp_level ppf p =

@@ -18,6 +18,21 @@ type 'lvl rhs = Rlevel of 'lvl | Rattr of int
     the index.  A {!compile}d problem's arrays are exact. *)
 type csr = { off : int array; tgt : int array }
 
+(** A policy's [>=] lines over attribute ids, as {!Parse.rows} reads them
+    and a session keeps them: line [i] has the lhs ids [written.(i)], in
+    written order and duplicate-free, and the right-hand side code
+    [rhs.(i)] ({!rhs_is_attr}, or {!level_code}[ j] for [levels.(j)]).
+    It is a constraint of the problem built from them iff [kept.(i)]:
+    not for a trivially satisfied line (rhs ∈ lhs, §3), nor for a line a
+    session removed.  Lines may share a level entry, and [levels] may
+    hold entries no kept line reads. *)
+type 'lvl lines = {
+  written : int array array;
+  rhs : int array;
+  levels : 'lvl array;
+  kept : bool array;
+}
+
 (** The constraints themselves, flat: no record or box per constraint.
     There are [rows] of them; constraint [ci < rows] is
     - its left-hand side, row [ci] of [lhs]: attribute ids, ascending and
@@ -104,36 +119,27 @@ type 'lvl t = private {
           aggregates walk this, skipping the (typically dominant) simple
           constraints *)
   incoming : csr;  (** row [a] — indices of constraints whose rhs is [a] *)
-  dropped : 'lvl Cst.t list;
-      (** trivially satisfied constraints (rhs ∈ lhs) removed at compile
-          time, §3 *)
 }
 (** The three indexes are flat int arrays, built in two linear sweeps over
-    the store (count, then fill) in ascending constraint index
-    ({!of_rows}), so each of their rows is ascending too.  Compiling
-    allocates a constant number of words per constraint and per
-    attribute, all of it in a fixed number of arrays: no block per
-    constraint. *)
+    the store (count, then fill) in ascending constraint index, so each
+    of their rows is ascending too.  Building a problem allocates a
+    constant number of words per constraint and per attribute, all of it
+    in a fixed number of arrays: no block per constraint. *)
 
-type error = Cst_error of Cst.error | Undeclared_attr of string
+(** [compile] cannot fail: every [Cst.t] compiles. *)
+type error = |
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [compile ?attrs csts] interns attributes and indexes constraints:
-    one pass over [csts] counts the kept rows, their lhs ids and their
-    level right-hand sides, and one writes them into a {!builder}.
-    Attribute ids follow [attrs] order first, then first mention among the
-    constraints.  When [strict] is set (default [false]), constraints may
-    only mention attributes listed in [attrs]. *)
-val compile :
-  ?attrs:string list -> ?strict:bool -> 'lvl Cst.t list -> ('lvl t, error) result
+(** [compile ?attrs csts] interns attributes and indexes constraints,
+    dropping each trivially satisfied one (rhs ∈ lhs, §3) but interning
+    its attributes: one pass over [csts] counts the kept rows, their lhs
+    ids and their level right-hand sides, and one writes them into the
+    store.  Attribute ids follow [attrs] order first, then first mention
+    among the constraints. *)
+val compile : ?attrs:string list -> 'lvl Cst.t list -> ('lvl t, error) result
 
-val compile_exn : ?attrs:string list -> ?strict:bool -> 'lvl Cst.t list -> 'lvl t
-
-(** [sort_range a lo hi] sorts [a.(lo .. hi - 1)] in place, ascending;
-    it allocates nothing for a range of at most 8, or one already
-    sorted. *)
-val sort_range : int array -> int -> int -> unit
+val compile_exn : ?attrs:string list -> 'lvl Cst.t list -> 'lvl t
 
 (** Where a build puts its arrays.  [Exact]: fresh arrays of exactly the
     needed length.  [Spare]: fresh arrays with an eighth more room, so
@@ -143,42 +149,29 @@ val sort_range : int array -> int -> int -> unit
     [p] must not be read afterwards. *)
 type 'lvl room = Exact | Spare | Reuse of 'lvl t
 
-(** A store filled row after row, in constraint order: each row's lhs
-    ids ({!add_lhs}, which copies and sorts them), then its right-hand
-    side ({!close_attr}, {!close_level}), or {!drop_row}.
-    [builder ~rows ~size ~levels ()] holds at most [rows] rows of [size]
-    lhs ids in all and [levels] level right-hand sides.  With [Exact]
-    room (the default), {!finish} trims the arrays to the rows kept. *)
-type 'lvl builder
-
-val builder : ?room:'lvl room -> rows:int -> size:int -> levels:int -> unit -> 'lvl builder
-val add_lhs : 'lvl builder -> int array -> unit
-
-(** After {!add_lhs}: [lhs_mem b a] — the open row holds [a]. *)
-val lhs_mem : 'lvl builder -> int -> bool
-
-(** Discard the open row. *)
-val drop_row : 'lvl builder -> unit
-
-val close_attr : 'lvl builder -> int -> unit
-val close_level : 'lvl builder -> 'lvl -> unit
-val finish : 'lvl builder -> 'lvl store
-
-(** [of_rows ?room ~attr_names ~attr_index store] — the indexing half of
-    {!compile}: the problem over the universe [attr_names] (id [i] is
-    [attr_names.(i)]) with the kept constraints [store], which it keeps
-    (not a copy), and [dropped = []].  [store] must hold {!store}'s
-    invariants (ascending duplicate-free rows, levels numbered in
-    constraint order) with every id below [Array.length attr_names].
-    The indexes go where [room] says (default [Exact]).  Linear in the
-    attributes plus the constraint size; nothing is looked up by name.
-    [attr_index] maps every name of [attr_names] to its id and is
-    shared, not copied: it may also hold names interned later, with
-    larger ids, which {!attr_id} does not report.  Traced as
-    [problem.of_rows] (category [constraints]); {!compile} indexes
-    through the same code without that span. *)
-val of_rows :
-  ?room:'lvl room -> attr_names:string array -> attr_index:Names.t -> 'lvl store -> 'lvl t
+(** [of_lines ?room ~attr_names ~attr_index ?count ?bounds lines] — the
+    problem over the universe [attr_names] (id [i] is [attr_names.(i)])
+    whose constraints are the kept lines among the first [count]
+    (default: all of [written]) in line order, each lhs sorted, then one
+    row [{a} >= l] per call [f a l] that [bounds f] makes (default none;
+    it is called twice and must make the same calls both times).  It is
+    what {!compile} builds from those lines' constraints, and from bound
+    constraints after them, over the same [attrs]: the same store and
+    indexes, its levels numbered in row order.  Every id must be below
+    [Array.length attr_names].  The store and indexes go where [room]
+    says (default [Exact]).  Linear in the attributes plus the lines'
+    size; nothing is looked up by name.  [attr_index] maps every name of
+    [attr_names] to its id and is shared, not copied: it may also hold
+    names interned later, with larger ids, which {!attr_id} does not
+    report.  Traced as [problem.of_rows] (category [constraints]). *)
+val of_lines :
+  ?room:'lvl room ->
+  attr_names:string array ->
+  attr_index:Names.t ->
+  ?count:int ->
+  ?bounds:((int -> 'lvl -> unit) -> unit) ->
+  'lvl lines ->
+  'lvl t
 
 val n_attrs : 'lvl t -> int
 val n_csts : 'lvl t -> int
@@ -226,9 +219,21 @@ val set_rlevel : 'lvl t -> int -> 'lvl -> unit
     to the rhs attribute; constraints with level rhs contribute no edge). *)
 val is_acyclic : 'lvl t -> bool
 
-(** [satisfies ~leq ~lub ~bottom p assignment] checks every constraint under
-    the given lattice operations; [assignment] maps attribute ids to
+(** [holds ~leq ~lub ~bottom p assignment ci] — constraint [ci] holds
+    under the given lattice operations: the lub of its lhs levels
+    dominates its right-hand side.  [assignment] maps attribute ids to
     levels. *)
+val holds :
+  leq:('lvl -> 'lvl -> bool) ->
+  lub:('lvl -> 'lvl -> 'lvl) ->
+  bottom:'lvl ->
+  'lvl t ->
+  (int -> 'lvl) ->
+  int ->
+  bool
+
+(** [satisfies ~leq ~lub ~bottom p assignment] — every constraint
+    {!holds}. *)
 val satisfies :
   leq:('lvl -> 'lvl -> bool) ->
   lub:('lvl -> 'lvl -> 'lvl) ->

@@ -74,7 +74,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let compile_exn ~lattice ?attrs csts =
     match compile ~lattice ?attrs csts with
     | Ok p -> p
-    | Error e -> invalid_arg (Format.asprintf "Solver.compile: %a" Problem.pp_error e)
+    | Error _ -> .
 
   type event =
     | Consider of { attr : string; priority : int }

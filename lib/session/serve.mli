@@ -9,10 +9,11 @@
       — create (or replace) session [p] from a lattice file and an
       optional policy file, both passed inline as text.  Policies with
       [<=] lines are rejected: upper bounds are per-resolve inputs.  The
-      policy is resolved straight to a constraint store
-      ({!Minup_constraints.Parse.rows}) and the session built from it
-      ({!Session.Make.of_rows}): no constraint list is built and no name
-      is hashed again, now or at the first resolve.
+      policy is resolved straight to lines over attribute ids
+      ({!Minup_constraints.Parse.rows}), which the session adopts whole
+      ({!Session.Make.of_rows}): no constraint list and no store is
+      built, and no name is hashed again, now or at the first resolve,
+      which builds the session's one store.
     - [{"op": "add_constraint", "problem": p, "constraint": line}] — parse
       one policy line and add it; the response [Ack] carries the fresh
       constraint id.

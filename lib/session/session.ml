@@ -65,12 +65,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       match s.items.(i) with Some x -> f i x | None -> ()
     done
 
-  (* A user constraint's state: compile keeps its row, or drops it as
-     trivially satisfied (rhs ∈ lhs), or it was removed. *)
-  let kept = 'k'
-  let dropped = 'd'
-  let removed = 'r'
-
   type t = {
     lattice : L.t;
     index : Names.t;  (** name ↔ attribute id: registration order *)
@@ -78,14 +72,16 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         (** the names of [index] exactly, once a problem has needed them:
             still the session's while [index] has as many *)
     mutable written : int array array;
-        (** user constraint id ↦ its lhs ids as written, [n_ids] of them;
-            [index] sorts them into rows *)
+        (** user constraint id ↦ its lhs ids as written, [n_ids] of them,
+            and [[||]] once removed (an lhs is never empty) *)
     mutable rhs : int array;
         (** id ↦ its rhs code, as a store encodes it
             ([Problem.rhs_is_attr]), into [levels] *)
     mutable levels : L.level array;  (** level right-hand sides, [n_levels] of them *)
     mutable n_levels : int;
-    mutable state : Bytes.t;  (** id ↦ [kept], [dropped] or [removed] *)
+    mutable kept : bool array;
+        (** id ↦ its row is in the problem: neither trivially satisfied
+            (rhs ∈ lhs) nor removed *)
     mutable n_ids : int;
     bounds : (int * L.level) slots;  (** (attribute id, level), first-set order *)
     bound_slot : (int, int) Hashtbl.t;  (** bounded attribute id ↦ slot *)
@@ -132,17 +128,17 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     Problem.level_code (t.n_levels - 1)
 
   (* The next constraint id, for the lhs [written] and the rhs code [rhs],
-     in state [st]: the id-indexed arrays double when full. *)
-  let push_row t written rhs st =
+     [kept] or not: the id-indexed arrays double when full. *)
+  let push_row t written rhs kept =
     let id = t.n_ids in
     if id = Array.length t.written then begin
       t.written <- grow t.written id [||];
       t.rhs <- grow t.rhs id (-1);
-      t.state <- Bytes.extend t.state 0 (Array.length t.written - id)
+      t.kept <- grow t.kept id false
     end;
     t.written.(id) <- written;
     t.rhs.(id) <- rhs;
-    Bytes.set t.state id st;
+    t.kept.(id) <- kept;
     t.n_ids <- id + 1;
     id
 
@@ -151,20 +147,21 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let push_cst t (c : _ Cst.t) =
     let written = Array.make (List.length c.lhs) 0 in
     fill t written 0 c.lhs;
-    let st = if Cst.is_trivial c then dropped else kept in
+    let kept = not (Cst.is_trivial c) in
     match c.rhs with
-    | Cst.Level l -> push_row t written (push_level t l) st
-    | Cst.Attr a -> push_row t written (intern t a) st
+    | Cst.Level l -> push_row t written (push_level t l) kept
+    | Cst.Attr a -> push_row t written (intern t a) kept
 
   (* Every constraint is interned when added; only once a resolve has
      compiled do its lhs count as dirty. *)
   let add_constraint t c =
     let id = push_cst t c in
-    if Bytes.get t.state id = kept && Option.is_some t.compiled then touch_lhs t id;
+    if t.kept.(id) && Option.is_some t.compiled then touch_lhs t id;
     structural t Add id;
     id
 
-  let empty ~lattice ~index ~written ~rhs ~levels =
+  (* A session over [lines], its first [n_ids] the user constraints. *)
+  let empty ~lattice ~index ~n_ids { Problem.written; rhs; levels; kept } =
     {
       lattice;
       index;
@@ -173,8 +170,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       rhs;
       levels;
       n_levels = Array.length levels;
-      state = Bytes.make (Array.length written) kept;
-      n_ids = 0;
+      kept;
+      n_ids;
       bounds = slots ();
       bound_slot = Hashtbl.create 16;
       pending = Clean;
@@ -187,50 +184,24 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let create ~lattice ?(attrs = []) csts =
     let m = List.length csts in
     let t =
-      empty ~lattice ~index:(Names.create (max 64 (List.length attrs)))
-        ~written:(Array.make m [||]) ~rhs:(Array.make m (-1)) ~levels:[||]
+      empty ~lattice ~index:(Names.create (max 64 (List.length attrs))) ~n_ids:0
+        { Problem.written = Array.make m [||]; rhs = Array.make m (-1); levels = [||];
+          kept = Array.make m false }
     in
     List.iter (fun a -> ignore (intern t a)) attrs;
     List.iter (fun c -> ignore (add_constraint t c)) csts;
     t
 
-  (* The session adopts [r]'s names, index, written lhs arrays and
-     levels, and, when no line was dropped (one id per row), the store's
-     right-hand sides too: it copies nothing.  Otherwise each kept row's
-     rhs is copied under its id, and a dropped line, rare, is interned
-     from its [Cst.t].  No name is looked up for a kept row. *)
+  (* The session adopts [r]'s names, index and lines whole: it copies
+     nothing and looks up no name. *)
   let of_rows ~lattice (r : L.level Parse.rows) =
-    let m = Array.length r.written and { Problem.rhs; levels; _ } = r.store in
-    let t =
-      empty ~lattice ~index:r.attr_index
-        ~written:r.written
-        ~rhs:(if r.dropped = [] then rhs else Array.make m (-1))
-        ~levels
-    in
-    if r.dropped = [] then t.n_ids <- m
-    else begin
-      let ci = ref 0 and drops = ref r.dropped in
-      Array.iter
-        (fun written ->
-          if Array.length written > 0 then begin
-            ignore (push_row t written rhs.(!ci) kept);
-            incr ci
-          end
-          else
-            match !drops with
-            | c :: rest ->
-                drops := rest;
-                ignore (push_cst t c)
-            | [] -> invalid_arg "Session.of_rows: fewer dropped constraints than dropped lines")
-        r.written
-    end;
-    t
+    empty ~lattice ~index:r.attr_index ~n_ids:(Array.length r.lines.written) r.lines
 
   let remove_constraint t id =
-    if id < 0 || id >= t.n_ids || Bytes.get t.state id = removed then false
+    if id < 0 || id >= t.n_ids || Array.length t.written.(id) = 0 then false
     else begin
-      if Bytes.get t.state id = kept && Option.is_some t.compiled then touch_lhs t id;
-      Bytes.set t.state id removed;
+      if t.kept.(id) && Option.is_some t.compiled then touch_lhs t id;
+      t.kept.(id) <- false;
       t.written.(id) <- [||];
       structural t Remove id;
       true
@@ -273,7 +244,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let name a = names.(a) in
     let rec users id acc =
       if id < 0 then acc
-      else if Bytes.get t.state id = removed then users (id - 1) acc
+      else if Array.length t.written.(id) = 0 then users (id - 1) acc
       else
         let r = t.rhs.(id) in
         let rhs =
@@ -317,41 +288,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     solution
 
   (* The live rows — user rows in id order, then the bound rows, as
-     compile lays out the snapshot — flattened into a store (one pass
-     counts, one fills) and indexed into a problem over the session's
+     compile lays out the snapshot — as a problem over the session's
      attributes, so its priorities are a scratch compile's; and each
      bound slot's index among the rows.  [room] is where the arrays go:
      [Spare] or [Reuse] of the problem being replaced. *)
   let index ~room t =
-    let m = ref 0 and size = ref 0 and n_levels = ref 0 in
-    for id = 0 to t.n_ids - 1 do
-      if Bytes.get t.state id = kept then begin
-        incr m;
-        size := !size + Array.length t.written.(id);
-        if not (Problem.rhs_is_attr t.rhs.(id)) then incr n_levels
-      end
-    done;
-    iter_live (fun _ _ -> incr m; incr size; incr n_levels) t.bounds;
-    let b = Problem.builder ~room ~rows:!m ~size:!size ~levels:!n_levels () in
-    let ci = ref 0 in
-    for id = 0 to t.n_ids - 1 do
-      if Bytes.get t.state id = kept then begin
-        let r = t.rhs.(id) in
-        Problem.add_lhs b t.written.(id);
-        if Problem.rhs_is_attr r then Problem.close_attr b r
-        else Problem.close_level b t.levels.(Problem.rhs_level_index r);
-        incr ci
-      end
-    done;
-    let bound_ci = Array.make t.bounds.len (-1) and lhs = [| 0 |] in
-    iter_live
-      (fun slot (a, l) ->
-        bound_ci.(slot) <- !ci;
-        incr ci;
-        lhs.(0) <- a;
-        Problem.add_lhs b lhs;
-        Problem.close_level b l)
-      t.bounds;
     (* The index's names are append-only, and a full array of them is
        never written again, so it can be shared; an exact copy stays exact
        until a name is added. *)
@@ -363,11 +304,19 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         t.exact_names
       end
     in
-    let problem =
-      Solver.prepare ~lattice:t.lattice
-        (Problem.of_rows ~room ~attr_names ~attr_index:t.index (Problem.finish b))
+    let prob =
+      Problem.of_lines ~room ~attr_names ~attr_index:t.index ~count:t.n_ids
+        ~bounds:(fun f -> iter_live (fun _ (a, l) -> f a l) t.bounds)
+        { Problem.written = t.written; rhs = t.rhs; levels = t.levels; kept = t.kept }
     in
-    (problem, bound_ci)
+    let bound_ci = Array.make t.bounds.len (-1) and ci = ref (Problem.n_csts prob) in
+    for slot = t.bounds.len - 1 downto 0 do
+      if Option.is_some t.bounds.items.(slot) then begin
+        decr ci;
+        bound_ci.(slot) <- !ci
+      end
+    done;
+    (Solver.prepare ~lattice:t.lattice prob, bound_ci)
 
   (* The first resolve: index the rows and solve from scratch. *)
   let scratch ~config t =

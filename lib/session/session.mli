@@ -17,8 +17,8 @@
       assignment is kept — no copy, no re-interning, no DFS;
     - any other delta — a constraint added or removed, a new attribute,
       a first or cleared bound ([rebuild]): a new problem is built from
-      the session's interned rows, flattened into a store and indexed
-      ({!Minup_constraints.Problem.of_rows}: user rows in id order, then
+      the session's interned lines, flattened into a store and indexed
+      ({!Minup_constraints.Problem.of_lines}: user rows in id order, then
       the bound rows, as a compile of
       {!Make.snapshot} lays them out) and its priorities are computed
       afresh, so they are exactly a scratch compile's.  No name is looked
@@ -53,15 +53,15 @@
 
     {b Costs.}  The editor state is flat: attribute names live in a
     growable array indexed by id plus a name ↦ id table, user
-    constraints (each with its interned lhs as written and its rhs) and
-    bounds (attribute id and level) in id-addressed append-only arrays
-    where removal leaves a tombstone.  With [k] the size of the
+    constraints as {!Minup_constraints.Problem.lines} (each with its
+    interned lhs as written, its rhs code and whether its row is kept)
+    and bounds (attribute id and level) in id-addressed append-only
+    arrays where removal leaves a tombstone.  With [k] the size of the
     constraint involved:
     - {!Make.create}: linear in its input (attributes plus total
       constraint size), one name lookup per mention;
-    - {!Make.of_rows}: linear in the constraints, with no name lookup: it
-      adopts the parsed lhs arrays, levels, names and name index, and
-      the store's rhs array when no line was dropped;
+    - {!Make.of_rows}: O(1): it adopts the parsed lines, names and name
+      index whole, trivial lines included, and builds no store;
     - {!Make.add_constraint}: O(k) amortized (the row is interned at
       once);
     - {!Make.remove_constraint}: O(k) (the removed row's lhs is noted
@@ -134,7 +134,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       [Parse.parse_resolve]'s [attrs] and [csts] on the same text, built
       from {!Minup_constraints.Parse.rows}' result instead: the same ids,
       the same {!snapshot}, the same resolves.  The session takes over
-      [r]'s arrays and name index.  [r]'s upper bounds are not part of
+      [r]'s lines and name index.  [r]'s upper bounds are not part of
       it: a session's bounds are lower bounds, set by {!set_lower_bound}. *)
   val of_rows : lattice:L.t -> L.level Minup_constraints.Parse.rows -> t
 

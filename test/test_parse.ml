@@ -370,25 +370,41 @@ let scanner_matches_oracle =
          = Parse_oracle.parse_resolve ~level_of_string text)
 
 (* [Parse.rows] is [Problem.compile ~attrs] of [Parse.parse_resolve]'s
-   result: the same names, an equal store (the same rows in the same
-   order, the same level right-hand sides), the same dropped list and
-   upper bounds, a name index of exactly the names, and each kept line's
-   lhs as written, which sorts to its row; on a bad text, the same first
-   error (line and message).  [why] names the first difference. *)
+   result: the problem [Problem.of_lines] builds from its lines equals
+   the compiled one (the same names, the same rows in the same order,
+   the same level right-hand sides and indexes), each line is trivial
+   exactly when its constraint is, the upper bounds are the same, the
+   name index holds exactly the names, and each line's lhs is as written,
+   a kept one sorting to its row; on a bad text, the same first error
+   (line and message).  [why] names the first difference. *)
 let rows_mismatch ~level_of_string text =
   match (Parse.rows ~level_of_string text, Parse.parse_resolve ~level_of_string text) with
   | Error e, Error e' -> if e = e' then None else Some "a different error"
   | Ok _, Error _ | Error _, Ok _ -> Some "one side failed"
   | Ok r, Ok pr ->
       let p = Problem.compile_exn ~attrs:pr.Parse.attrs pr.Parse.csts in
-      let names = r.Parse.attr_names in
-      let kept = List.filter (fun c -> not (Cst.is_trivial c)) pr.Parse.csts in
-      let written =
-        List.filter (fun w -> Array.length w > 0) (Array.to_list r.Parse.written)
+      let q =
+        Problem.of_lines ~attr_names:r.Parse.attr_names ~attr_index:r.Parse.attr_index
+          r.Parse.lines
       in
-      if names <> p.Problem.attr_names then Some "attr_names"
-      else if r.Parse.store <> p.Problem.store then Some "store"
-      else if r.Parse.dropped <> p.Problem.dropped then Some "dropped"
+      let names = r.Parse.attr_names and lines = r.Parse.lines in
+      let written = Array.to_list lines.Problem.written in
+      let kept = List.filteri (fun i _ -> lines.Problem.kept.(i)) written in
+      if names <> p.Problem.attr_names || q.Problem.attr_names != names then Some "attr_names"
+      else if
+        q.Problem.store <> p.Problem.store
+        || q.Problem.complex_idx <> p.Problem.complex_idx
+        || q.Problem.n_complex <> p.Problem.n_complex
+        || q.Problem.constr_of <> p.Problem.constr_of
+        || q.Problem.complex_constr_of <> p.Problem.complex_constr_of
+        || q.Problem.incoming <> p.Problem.incoming
+      then Some "problem"
+      else if
+        Array.length lines.Problem.kept <> List.length pr.Parse.csts
+        || List.exists2
+             (fun k (c : _ Cst.t) -> k = Cst.is_trivial c)
+             (Array.to_list lines.Problem.kept) pr.Parse.csts
+      then Some "kept"
       else if r.Parse.upper_bounds <> pr.Parse.upper_bounds then Some "upper_bounds"
       else if
         Problem.Names.length r.Parse.attr_index <> Array.length names
@@ -398,11 +414,11 @@ let rows_mismatch ~level_of_string text =
                 names)
       then Some "attr_index"
       else if
-        Array.length r.Parse.written <> List.length pr.Parse.csts
+        List.length written <> List.length pr.Parse.csts
         || List.map (fun w -> List.map (Array.get names) (Array.to_list w)) written
-           <> List.map (fun (c : _ Cst.t) -> c.Cst.lhs) kept
-        || List.mapi (fun ci _ -> Problem.lhs p ci) written
-           <> List.map (fun w -> Array.of_list (List.sort compare (Array.to_list w))) written
+           <> List.map (fun (c : _ Cst.t) -> c.Cst.lhs) pr.Parse.csts
+        || List.mapi (fun ci _ -> Problem.lhs p ci) kept
+           <> List.map (fun w -> Array.of_list (List.sort compare (Array.to_list w))) kept
       then Some "written"
       else None
 

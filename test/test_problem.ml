@@ -26,11 +26,6 @@ let declared_order () =
   Alcotest.(check string) "then a" "a" (Problem.attr_name p 1);
   Alcotest.(check int) "5 attrs" 5 (Problem.n_attrs p)
 
-let strict_mode () =
-  match Problem.compile ~attrs:[ "a" ] ~strict:true csts with
-  | Error (Problem.Undeclared_attr _) -> ()
-  | _ -> Alcotest.fail "strict mode accepted undeclared attribute"
-
 let indexes () =
   let p = Problem.compile_exn csts in
   let a = Option.get (Problem.attr_id p "a") in
@@ -55,7 +50,8 @@ let trivial_dropped () =
       [ Cst.make_exn ~lhs:[ "a"; "b" ] ~rhs:(Cst.Attr "a"); Cst.simple "c" (Cst.Level 0) ]
   in
   Alcotest.(check int) "1 kept" 1 (Problem.n_csts p);
-  Alcotest.(check int) "1 dropped" 1 (List.length p.Problem.dropped);
+  Alcotest.(check bool) "c >= 0 kept" true
+    (Problem.lhs p 0 = [| Problem.attr_id_exn p "c" |] && Problem.rhs p 0 = Problem.Rlevel 0);
   (* Attributes of the dropped constraint still exist. *)
   Alcotest.(check bool) "a interned" true (Problem.attr_id p "a" <> None);
   Alcotest.(check bool) "b interned" true (Problem.attr_id p "b" <> None)
@@ -208,19 +204,23 @@ let reuse_matches_fresh =
     | Ok pr -> Some (Problem.compile_exn ~attrs:pr.attrs pr.csts)
   in
   let copy ~room p =
-    let b =
-      Problem.builder ~room ~rows:(Problem.n_csts p)
-        ~size:(Problem.total_size p - Problem.n_csts p)
-        ~levels:(Array.length p.Problem.store.Problem.levels) ()
-    in
-    for ci = 0 to Problem.n_csts p - 1 do
-      Problem.add_lhs b (Problem.lhs p ci);
-      match Problem.rhs p ci with
-      | Problem.Rattr a -> Problem.close_attr b a
-      | Problem.Rlevel l -> Problem.close_level b l
+    let m = Problem.n_csts p in
+    let rhs = Array.make m 0 and levels = ref [] in
+    for ci = 0 to m - 1 do
+      rhs.(ci) <-
+        (match Problem.rhs p ci with
+        | Problem.Rattr a -> a
+        | Problem.Rlevel l ->
+            levels := l :: !levels;
+            Problem.level_code (List.length !levels - 1))
     done;
-    Problem.of_rows ~room ~attr_names:p.Problem.attr_names ~attr_index:p.Problem.attr_index
-      (Problem.finish b)
+    Problem.of_lines ~room ~attr_names:p.Problem.attr_names ~attr_index:p.Problem.attr_index
+      {
+        Problem.written = Array.init m (Problem.lhs p);
+        rhs;
+        levels = Array.of_list (List.rev !levels);
+        kept = Array.make m true;
+      }
   in
   let same p q =
     let m = Problem.n_csts p and n = Problem.n_attrs p in
@@ -258,7 +258,6 @@ let suite =
   [
     case "attribute interning" interning;
     case "declared order wins" declared_order;
-    case "strict mode" strict_mode;
     case "constraint indexes" indexes;
     case "trivial constraints dropped" trivial_dropped;
     case "total size S" total_size;

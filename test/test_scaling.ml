@@ -44,9 +44,9 @@ let compile_linear () =
    shape of a serve delta) within a few hundred, so no buffer is sized for
    more than the text it reads.  [Parse.parse_resolve] allocates 21.2
    words per constraint (27.2 before the one-pass scanner shared its name
-   table and one-member lhs lists), [Parse.rows] 18.6 (23.4 when it
-   hashed every attribute again into a second table); each bound is its
-   figure plus 10%. *)
+   table and one-member lhs lists), [Parse.rows] 16.5 (18.6 when it
+   also filled a constraint store, 23.4 when it hashed every attribute
+   again into a second table); each bound is its figure plus 10%. *)
 let parse_lean () =
   let level_of_string = Minup_lattice.Total.level_of_string ladder in
   let parse text = Parse.parse_resolve ~level_of_string text in
@@ -60,8 +60,8 @@ let parse_lean () =
   if per_cst > 23.3 then
     Alcotest.failf "Parse.parse_resolve: %.1f words per constraint (bound 23.3)" per_cst;
   let per_cst = words (fun () -> Parse.rows ~level_of_string text) /. n_csts in
-  if per_cst > 20.5 then
-    Alcotest.failf "Parse.rows: %.1f words per constraint (bound 20.5)" per_cst;
+  if per_cst > 18.1 then
+    Alcotest.failf "Parse.rows: %.1f words per constraint (bound 18.1)" per_cst;
   List.iter
     (fun line ->
       let w = words (fun () -> parse line) in
@@ -355,8 +355,8 @@ let session_structural_lean () =
     (let s, l = Lazy.force inputs in
      [ s; l ])
 
-(* A rebuild flattens the session's rows into a store and indexes it
-   ([Problem.of_rows]): both, and the whole rebuild resolve, allocate
+(* A rebuild flattens the session's lines into a store and indexes it
+   ([Problem.of_lines]): both, and the whole rebuild resolve, allocate
    linearly from 2k to 8k attributes. *)
 let session_rebuild_linear () =
   let rebuild (attrs, csts) =
@@ -364,15 +364,21 @@ let session_rebuild_linear () =
     ignore (Session.add_constraint sess (Cst.simple (List.nth attrs 3) (Cst.Level 9)));
     words (fun () -> Session.resolve sess)
   in
-  let of_rows (attrs, csts) =
-    let p = Problem.compile_exn ~attrs csts in
+  let of_lines (attrs, csts) =
+    let text =
+      Parse.render ~level_to_string:(Minup_lattice.Total.level_to_string ladder)
+        { Parse.attrs; csts; upper_bounds = [] }
+    in
+    let r =
+      Result.get_ok (Parse.rows ~level_of_string:(Minup_lattice.Total.level_of_string ladder) text)
+    in
     words (fun () ->
-        Problem.of_rows ~attr_names:p.Problem.attr_names ~attr_index:p.Problem.attr_index
-          p.Problem.store)
+        Problem.of_lines ~attr_names:r.Parse.attr_names ~attr_index:r.Parse.attr_index
+          r.Parse.lines)
   in
   let s, l = Lazy.force inputs in
   check_growth "a rebuild resolve" ~small:(rebuild s) ~large:(rebuild l);
-  check_growth "Problem.of_rows" ~small:(of_rows s) ~large:(of_rows l)
+  check_growth "Problem.of_lines" ~small:(of_lines s) ~large:(of_lines l)
 
 (* A new attribute makes the session's name array grow past its count,
    so a rebuild indexes an exact copy of it.  The copy is kept while no
@@ -478,11 +484,11 @@ let open_line (attrs, csts) =
 (* A serve [open] — the request's JSON, the lattice, the policy text to
    rows and the session over them — allocates a constant number of words
    per constraint: at most 10% more at 8k attributes than at 2k, and at
-   most 29.3 at 8k (26.6 measured; 31.4 while the scan and the session
-   each hashed every name into a table of its own, 33.5 when the rows
-   were boxed records and the session copied them, 47.6 when the open
-   built a constraint list and the session registered every name of
-   it). *)
+   most 26.7 at 8k (24.3 measured; 26.6 while [Parse.rows] also filled
+   a constraint store, 31.4 while the scan and the session each hashed
+   every name into a table of its own, 33.5 when the rows were boxed
+   records and the session copied them, 47.6 when the open built a
+   constraint list and the session registered every name of it). *)
 let serve_open_linear () =
   let module Serve = Minup_session.Serve in
   let per_cst ((_, csts) as input) =
@@ -497,8 +503,8 @@ let serve_open_linear () =
   let w_small = per_cst s and w_large = per_cst l in
   check_growth ~ratio:1 ~bound:1.1 "serve open words per constraint" ~small:w_small
     ~large:w_large;
-  if w_large > 29.3 then
-    Alcotest.failf "serve open: %.1f words per constraint at 8k (bound 29.3)" w_large
+  if w_large > 26.7 then
+    Alcotest.failf "serve open: %.1f words per constraint at 8k (bound 26.7)" w_large
 
 (* A serve solution reply: the session escapes each name and level once,
    at its first reply, and keeps that reply as runs of attributes with

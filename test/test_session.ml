@@ -935,9 +935,11 @@ let serve_reply_runs =
    Serve's [open] builds its session from the policy text's rows
    ([Parse.rows], then [Session.of_rows]); [Session.create] builds one
    from [Parse.parse_resolve]'s constraints.  On random policies, with
-   every lhs written in a shuffled order, a trivial line and an
-   rhs-only attribute, the two sessions and a serve connection that
-   opened the same text are driven by the same deltas.  The two sessions
+   every lhs written in a shuffled order, trivial lines (the first, two
+   adjacent ones at a random place, the last) and an rhs-only attribute,
+   the two sessions and a serve connection that opened the same text are
+   driven by the same deltas, the first of which removes the first
+   line.  The two sessions
    must agree on every name, snapshot, resolve (levels and counters) and
    [stats], and the serve replies on every level; each session's first
    resolve is bit-identical to compiling and solving its snapshot. *)
@@ -955,12 +957,22 @@ let text_policy rng lat =
     Prng.shuffle rng lhs;
     Cst.make_exn ~lhs:(Array.to_list lhs) ~rhs:c.Cst.rhs
   in
+  let trivial () =
+    let lhs = Prng.sample rng (1 + Prng.int rng 3) attrs in
+    Cst.make_exn ~lhs ~rhs:(Cst.Attr (Prng.pick rng lhs))
+  in
+  let csts = List.map shuffled csts in
+  let at = Prng.int rng (List.length csts + 1) in
+  let csts =
+    (trivial () :: List.filteri (fun i _ -> i < at) csts)
+    @ [ trivial (); trivial () ]
+    @ List.filteri (fun i _ -> i >= at) csts
+  in
   let policy =
-    { Parse.attrs = (if Prng.bool rng then attrs else []); csts = List.map shuffled csts;
-      upper_bounds = [] }
+    { Parse.attrs = (if Prng.bool rng then attrs else []); csts; upper_bounds = [] }
   in
   Parse.render ~level_to_string:(Explicit.level_to_string lat) policy
-  ^ "{A1, A0} >= A1\nA2 >= rhs_only\n"
+  ^ "A2 >= rhs_only\n{A1, A0} >= A1\n"
 
 let same_solution ~ctx lat (a : SS.solution) (b : SS.solution) =
   if not (Array.length a.SS.levels = Array.length b.SS.levels
@@ -1025,6 +1037,13 @@ let opened_from_text seed =
   let names () = fst (Session.snapshot a) in
   let levels = Explicit.all lat in
   let fresh = ref 0 in
+  let remove id =
+    ids := List.filter (( <> ) id) !ids;
+    Alcotest.(check bool) (ctx ^ ": remove") true (Session.remove_constraint a id);
+    Alcotest.(check bool) (ctx ^ ": remove") true (Session.remove_constraint b id);
+    check_status (ctx ^ ": remove") "ok"
+      (req [ ("op", Json.Str "remove_constraint"); ("id", Json.Num (float_of_int id)) ])
+  in
   let delta () =
     match Prng.int rng 7 with
     | 0 ->
@@ -1046,13 +1065,7 @@ let opened_from_text seed =
         ids := id :: !ids;
         check_status (ctx ^ ": add") "ok"
           (req [ ("op", Json.Str "add_constraint"); ("constraint", Json.Str line) ])
-    | 1 when !ids <> [] ->
-        let id = Prng.pick rng !ids in
-        ids := List.filter (( <> ) id) !ids;
-        Alcotest.(check bool) (ctx ^ ": remove") true (Session.remove_constraint a id);
-        Alcotest.(check bool) (ctx ^ ": remove") true (Session.remove_constraint b id);
-        check_status (ctx ^ ": remove") "ok"
-          (req [ ("op", Json.Str "remove_constraint"); ("id", Json.Num (float_of_int id)) ])
+    | 1 when !ids <> [] -> remove (Prng.pick rng !ids)
     | 2 | 3 ->
         (* A first bound, a re-tightened one or a cleared one. *)
         let x = Prng.pick rng (names ()) in
@@ -1090,6 +1103,7 @@ let opened_from_text seed =
   in
   agree 0;
   resolve 0;
+  remove 0;
   for step = 1 to 12 do
     for _ = 0 to Prng.int rng 3 do
       delta ()
