@@ -33,14 +33,10 @@ let () =
     ]
   in
   print_endline "== impact of the proposed change ==";
-  (match Impact.of_added_constraints ~lattice ~base ~added () with
-  | Error e -> Format.printf "error: %a@." Minup_constraints.Problem.pp_error e
-  | Ok report ->
-      Format.printf "%a@." (Impact.pp_report lattice) report;
-      print_endline "\n== justification of the new classification ==";
-      let problem =
-        Solver.compile_exn ~lattice (base @ added)
-      in
-      print_string (Explain.report problem report.Impact.solution.Solver.levels);
-      Printf.printf "\nminimal: %b\n"
-        (Explain.is_locally_minimal problem report.Impact.solution.Solver.levels))
+  let report = Impact.of_added_constraints ~lattice ~base ~added () in
+  Format.printf "%a@." (Impact.pp_report lattice) report;
+  print_endline "\n== justification of the new classification ==";
+  let problem = Solver.compile_exn ~lattice (base @ added) in
+  print_string (Explain.report problem report.Impact.solution.Solver.levels);
+  Printf.printf "\nminimal: %b\n"
+    (Explain.is_locally_minimal problem report.Impact.solution.Solver.levels)

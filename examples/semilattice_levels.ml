@@ -23,21 +23,19 @@ let () =
   let lvl n = Cst.Level (Explicit.of_name_exn semi.Semilattice.lattice n) in
   let run label csts =
     Printf.printf "== %s ==\n" label;
-    match Semis.solve semi csts with
-    | Error e -> Format.printf "error: %a@." Minup_constraints.Problem.pp_error e
-    | Ok outcome ->
-        List.iter
-          (fun (attr, l) ->
-            Printf.printf "  %-10s %s\n" attr
-              (Explicit.level_to_string semi.Semilattice.lattice l))
-          outcome.Semis.solution.Semis.Solve.assignment;
-        if outcome.Semis.unsatisfiable <> [] then
-          Printf.printf "  UNSATISFIABLE within real levels: %s\n"
-            (String.concat ", " outcome.Semis.unsatisfiable);
-        if outcome.Semis.unconstrained <> [] then
-          Printf.printf "  unconstrained (at dummy bottom): %s\n"
-            (String.concat ", " outcome.Semis.unconstrained);
-        print_newline ()
+    let outcome = Semis.solve semi csts in
+    List.iter
+      (fun (attr, l) ->
+        Printf.printf "  %-10s %s\n" attr
+          (Explicit.level_to_string semi.Semilattice.lattice l))
+      outcome.Semis.solution.Semis.Solve.assignment;
+    if outcome.Semis.unsatisfiable <> [] then
+      Printf.printf "  UNSATISFIABLE within real levels: %s\n"
+        (String.concat ", " outcome.Semis.unsatisfiable);
+    if outcome.Semis.unconstrained <> [] then
+      Printf.printf "  unconstrained (at dummy bottom): %s\n"
+        (String.concat ", " outcome.Semis.unconstrained);
+    print_newline ()
   in
   (* Fine: each attribute fits inside one branch. *)
   run "branch-local requirements"

@@ -1,9 +1,3 @@
-type ast = {
-  decls : string list;
-  lowers : (int * string list * string) list;
-  uppers : (int * string * string) list;
-}
-
 type error = { line : int; message : string }
 
 let pp_error ppf e = Format.fprintf ppf "line %d: %s" e.line e.message
@@ -305,17 +299,6 @@ let rec names_of names v s e acc =
 
 let lhs_start sc k = if k = 0 then 0 else field sc.lowers (k - 1) 1
 let lhs_names sc names k = names_of names sc.lhs (lhs_start sc k) (field sc.lowers k 1) []
-
-let parse text =
-  Result.map
-    (fun sc ->
-      let names = Problem.Names.names sc.names in
-      let name v k j = names.(field v k j) in
-      let lower k acc = (field sc.lowers k 0, lhs_names sc names k, name sc.lowers k 2) :: acc in
-      let upper k acc = (field sc.uppers k 0, name sc.uppers k 1, name sc.uppers k 2) :: acc in
-      let decls = names_of names sc.decls 0 sc.decls.len [] in
-      { decls; lowers = back lower (sc.lowers.len / 3) []; uppers = back upper (sc.uppers.len / 3) [] })
-    (scan text)
 
 type 'lvl resolved = {
   attrs : string list;

@@ -16,7 +16,7 @@
     attributes.  This lets level syntaxes as rich as compartmented classes
     ([TS:{Army,Nuclear}]) appear on the right-hand side.
 
-    Cost: {!parse}, {!parse_resolve} and {!rows} share one scan of the
+    Cost: {!parse_resolve} and {!rows} share one scan of the
     text: one pass over each line's bytes, which classifies each byte
     through a table, follows the grammar, and hashes and interns each
     name as it reads it, into a {!Problem.Names} table that copies each
@@ -35,16 +35,6 @@
     at a size read off the text's length, so a one-line policy allocates
     a few hundred words and an [n]-line one O(n). *)
 
-type ast = {
-  decls : string list;  (** attributes declared via [attrs] lines *)
-  lowers : (int * string list * string) list;
-      (** [(line, lhs, raw_rhs)] per [>=] line, in file order; the source
-          line number is threaded through so {!parse_resolve} errors point
-          at the offending line *)
-  uppers : (int * string * string) list;
-      (** [(line, attr, raw_level)] per [<=] line *)
-}
-
 type error = { line : int; message : string }
 
 (** [is_ident name] — [name] is an attribute name the syntax can express:
@@ -59,7 +49,6 @@ val is_ident_char : char -> bool
 val is_space : char -> bool
 
 val pp_error : Format.formatter -> error -> unit
-val parse : string -> (ast, error) result
 
 type 'lvl resolved = {
   attrs : string list;  (** the attribute universe, declaration order *)

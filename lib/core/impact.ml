@@ -33,24 +33,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       after
 
   let of_added_constraints ~lattice ?attrs ?upgrade_preference ~base ~added () =
-    match S.compile ~lattice ?attrs base with
-    | Error _ as e -> e
-    | Ok p0 -> (
-        match S.compile ~lattice ?attrs (base @ added) with
-        | Error _ as e -> e
-        | Ok p1 ->
-            let config = S.Config.make ?upgrade_preference () in
-            let s0 = S.solve ~config p0 in
-            let s1 = S.solve ~config p1 in
-            let changes =
-              diff lattice ~before:s0.S.assignment ~after:s1.S.assignment
-            in
-            Ok
-              {
-                changes;
-                unchanged = List.length s1.S.assignment - List.length changes;
-                solution = s1;
-              })
+    let config = S.Config.make ?upgrade_preference () in
+    let solve csts = S.solve ~config (S.compile_exn ~lattice ?attrs csts) in
+    let s0 = solve base in
+    let s1 = solve (base @ added) in
+    let changes = diff lattice ~before:s0.S.assignment ~after:s1.S.assignment in
+    { changes; unchanged = List.length s1.S.assignment - List.length changes; solution = s1 }
 
   let pp_report lat ppf r =
     Format.fprintf ppf "@[<v>";

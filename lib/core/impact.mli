@@ -46,7 +46,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
     base:L.level Minup_constraints.Cst.t list ->
     added:L.level Minup_constraints.Cst.t list ->
     unit ->
-    (report, Minup_constraints.Problem.error) result
+    report
 
   val pp_report : L.t -> Format.formatter -> report -> unit
 end

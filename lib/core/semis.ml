@@ -8,21 +8,13 @@ type outcome = {
 }
 
 let solve (semi : Semilattice.t) ?attrs csts =
-  match Solve.compile ~lattice:semi.lattice ?attrs csts with
-  | Error _ as e -> e
-  | Ok problem ->
-      let solution = Solve.solve problem in
-      let at dummy =
-        match dummy with
-        | None -> []
-        | Some d ->
-            List.filter_map
-              (fun (a, l) -> if l = d then Some a else None)
-              solution.Solve.assignment
-      in
-      Ok
-        {
-          solution;
-          unsatisfiable = at semi.dummy_top;
-          unconstrained = at semi.dummy_bottom;
-        }
+  let solution = Solve.solve (Solve.compile_exn ~lattice:semi.lattice ?attrs csts) in
+  let at dummy =
+    match dummy with
+    | None -> []
+    | Some d ->
+        List.filter_map
+          (fun (a, l) -> if l = d then Some a else None)
+          solution.Solve.assignment
+  in
+  { solution; unsatisfiable = at semi.dummy_top; unconstrained = at semi.dummy_bottom }

@@ -23,4 +23,4 @@ val solve :
   Semilattice.t ->
   ?attrs:string list ->
   Explicit.level Minup_constraints.Cst.t list ->
-  (outcome, Minup_constraints.Problem.error) result
+  outcome

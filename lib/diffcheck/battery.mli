@@ -46,40 +46,23 @@ type mutation =
   | Overclassify  (** raise the first non-top attribute to ⊤ *)
   | Underclassify  (** drop the first non-bottom attribute to ⊥ *)
 
-(** How many times each property was actually checked (oracles and
-    baselines only run when the case is small enough, bounds only when
-    present), accumulated across cases with {!add}. *)
-type counters = {
-  mutable cases : int;
-  mutable compile : int;
-  mutable satisfies : int;
-  mutable minimal : int;
-  mutable oracle : int;
-  mutable backtrack : int;
-  mutable qian : int;
-  mutable batch : int;
-  mutable supervised : int;
-  mutable parse_rt : int;
-  mutable json_rt : int;
-  mutable bounded_ok : int;
-  mutable bounded_infeasible : int;
-  mutable session : int;
-  mutable wire : int;
-}
-
-val zero : unit -> counters
-
-(** [add into c] accumulates [c] into [into]. *)
-val add : counters -> counters -> unit
-
-(** [(label, count)] pairs in a fixed order, for summaries. *)
-val to_alist : counters -> (string * int) list
-
 type failure = { property : string; detail : string }
 
 module Make (L : Minup_lattice.Lattice_intf.S) : sig
+  (** The properties' names, in the order {!run} checks them and the
+      summary's [checks:] line lists them.  A failure's
+      [property] is its property's name, except that bounded mode's two
+      outcomes, [bounded_ok] and [bounded_infeasible], share the label
+      [bounded].  [minimal], [oracle], [backtrack] and [qian] judge only a
+      solution that satisfies its constraints. *)
+  val checks : string array
+
   (** Run the full battery on one case.  Returns the disagreements found
-      (empty = the case passed); bumps [counters] per executed check.
+      (empty = the case passed), in the order of {!checks}, and adds one
+      to [counts.(i)] when property [checks.(i)] applied to the case
+      (oracles and baselines apply only when the case is small enough,
+      bounded mode only when it has bounds, the supervised and session
+      properties only when it has attributes).
 
       [fault] plants an extra, {e unexpected} runtime fault (of the given
       kind) into the supervised-batch property, which must then fail —
@@ -88,7 +71,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
   val run :
     ?mutation:mutation ->
     ?fault:Minup_faultsim.kind ->
-    counters:counters ->
+    ?counts:int array ->
     lat:L.t ->
     attrs:string list ->
     csts:L.level Minup_constraints.Cst.t list ->

@@ -1,43 +1,26 @@
 open Minup_lattice
-module Cst = Minup_constraints.Cst
 module Wire = Minup_core.Wire
 module Json = Minup_obs.Json
 module Prng = Minup_workload.Prng
 module Gen = Minup_workload.Gen_constraints
 module Gen_lattice = Minup_workload.Gen_lattice
 
-module B_explicit = Battery.Make (Explicit)
-module B_compartment = Battery.Make (Compartment)
-module B_powerset = Battery.Make (Powerset)
-module M_explicit = Instance.Materialize (Explicit)
-module M_compartment = Instance.Materialize (Compartment)
-module M_powerset = Instance.Materialize (Powerset)
-
 (* --- case generation ------------------------------------------------- *)
 
-type payload =
-  | P_explicit of
-      Explicit.t
-      * string list
-      * Explicit.level Cst.t list
-      * (string * Explicit.level) list
-  | P_compartment of
-      Compartment.t
-      * string list
-      * Compartment.level Cst.t list
-      * (string * Compartment.level) list
-  | P_powerset of
-      Powerset.t
-      * string list
-      * Powerset.level Cst.t list
-      * (string * Powerset.level) list
-
+(* One generated case; [run] is the battery and [materialize] the durable
+   form of it on its backend. *)
 type case = {
   id : int;
   backend : string;
   shape : string;
   bounded : bool;
-  payload : payload;
+  run :
+    ?mutation:Battery.mutation ->
+    ?fault:Minup_faultsim.kind ->
+    ?counts:int array ->
+    unit ->
+    Battery.failure list;
+  materialize : unit -> Instance.t;
 }
 
 (* Sizes are deliberately small: the exhaustive oracle and the
@@ -60,26 +43,40 @@ let gen_policy rng ~constants =
   | 1 -> ("single_scc", Gen.single_scc rng spec)
   | _ -> ("mixed", Gen.mixed rng spec ~n_islands:2 ~island_size:2)
 
-(* Per-backend generation, sharing [gen_policy] over the level pool. *)
-module Gen_case (L : Lattice_intf.S) = struct
-  let policy rng lat =
+module Backend (L : Lattice_intf.S) = struct
+  module B = Battery.Make (L)
+  module M = Instance.Materialize (L)
+
+  (* Case [id] over [lat]: its policy from [gen_policy] over the level
+     pool, then, for odd ids, its bounds.  Bounds lean high (⊤ half the
+     time) so both the feasible and the infeasible branch of bounded
+     solving get regular exercise. *)
+  let case rng ~id ~backend lat =
     let pool = List.of_seq (Seq.take 64 (L.levels lat)) in
     let shape, (attrs, csts) = gen_policy rng ~constants:pool in
-    (shape, attrs, csts, pool)
-
-  (* Bounds lean high (⊤ half the time) so both the feasible and the
-     infeasible branch of bounded solving get regular exercise. *)
-  let bounds rng lat ~attrs ~pool =
-    let chosen = Prng.sample rng (1 + Prng.int rng 2) attrs in
-    List.map
-      (fun a ->
-        (a, if Prng.bool rng then L.top lat else Prng.pick rng pool))
-      chosen
+    let bounded = id land 1 = 1 in
+    let bounds =
+      if not bounded then []
+      else
+        List.map
+          (fun a -> (a, if Prng.bool rng then L.top lat else Prng.pick rng pool))
+          (Prng.sample rng (1 + Prng.int rng 2) attrs)
+    in
+    {
+      id;
+      backend;
+      shape;
+      bounded;
+      run = B.run ~lat ~attrs ~csts ~bounds;
+      materialize = (fun () -> M.instance lat ~attrs ~csts ~bounds);
+    }
 end
 
-module GE = Gen_case (Explicit)
-module GC = Gen_case (Compartment)
-module GP = Gen_case (Powerset)
+module Explicit_backend = Backend (Explicit)
+module Compartment_backend = Backend (Compartment)
+module Powerset_backend = Backend (Powerset)
+
+let checks = Explicit_backend.B.checks
 
 let explicit_lattice rng =
   match Prng.int rng 4 with
@@ -103,66 +100,15 @@ let powerset_lattice rng =
 let gen_case seed id =
   (* Each case draws from its own stream: splitmix64 decorrelates even
      adjacent seeds, so deriving from (seed, id) keeps cases independent
-     of each other and of the worker that happens to claim them. *)
+     of each other and of the worker that happens to claim them.  The
+     lattice is drawn first, then the policy, then the bounds. *)
   let rng = Prng.create (seed lxor ((id + 1) * 0x9E3779B9)) in
-  let bounded = id land 1 = 1 in
   match id mod 3 with
-  | 0 ->
-      let lat = explicit_lattice rng in
-      let shape, attrs, csts, pool = GE.policy rng lat in
-      let bounds = if bounded then GE.bounds rng lat ~attrs ~pool else [] in
-      {
-        id;
-        backend = "explicit";
-        shape;
-        bounded;
-        payload = P_explicit (lat, attrs, csts, bounds);
-      }
+  | 0 -> Explicit_backend.case rng ~id ~backend:"explicit" (explicit_lattice rng)
   | 1 ->
-      let lat = compartment_lattice rng in
-      let shape, attrs, csts, pool = GC.policy rng lat in
-      let bounds = if bounded then GC.bounds rng lat ~attrs ~pool else [] in
-      {
-        id;
-        backend = "compartment";
-        shape;
-        bounded;
-        payload = P_compartment (lat, attrs, csts, bounds);
-      }
-  | _ ->
-      let lat = powerset_lattice rng in
-      let shape, attrs, csts, pool = GP.policy rng lat in
-      let bounds = if bounded then GP.bounds rng lat ~attrs ~pool else [] in
-      {
-        id;
-        backend = "powerset";
-        shape;
-        bounded;
-        payload = P_powerset (lat, attrs, csts, bounds);
-      }
-
-let run_case ?mutation ?fault case =
-  let counters = Battery.zero () in
-  let failures =
-    match case.payload with
-    | P_explicit (lat, attrs, csts, bounds) ->
-        B_explicit.run ?mutation ?fault ~counters ~lat ~attrs ~csts ~bounds ()
-    | P_compartment (lat, attrs, csts, bounds) ->
-        B_compartment.run ?mutation ?fault ~counters ~lat ~attrs ~csts ~bounds
-          ()
-    | P_powerset (lat, attrs, csts, bounds) ->
-        B_powerset.run ?mutation ?fault ~counters ~lat ~attrs ~csts ~bounds ()
-  in
-  (counters, failures)
-
-let materialize case =
-  match case.payload with
-  | P_explicit (lat, attrs, csts, bounds) ->
-      M_explicit.instance lat ~attrs ~csts ~bounds
-  | P_compartment (lat, attrs, csts, bounds) ->
-      M_compartment.instance lat ~attrs ~csts ~bounds
-  | P_powerset (lat, attrs, csts, bounds) ->
-      M_powerset.instance lat ~attrs ~csts ~bounds
+      Compartment_backend.case rng ~id ~backend:"compartment"
+        (compartment_lattice rng)
+  | _ -> Powerset_backend.case rng ~id ~backend:"powerset" (powerset_lattice rng)
 
 (* --- shrinking ------------------------------------------------------- *)
 
@@ -176,9 +122,8 @@ let instance_fails ?mutation ?fault (inst : Instance.t) =
       match Instance.resolve inst lat with
       | None -> false
       | Some (csts, bounds) ->
-          let counters = Battery.zero () in
-          B_explicit.run ?mutation ?fault ~counters ~lat
-            ~attrs:inst.Instance.attrs ~csts ~bounds ()
+          Explicit_backend.B.run ?mutation ?fault ~lat ~attrs:inst.Instance.attrs
+            ~csts ~bounds ()
           <> [])
 
 (* --- the harness ----------------------------------------------------- *)
@@ -228,28 +173,24 @@ let run ?mutation ?fault ?repro_dir ~seed ~cases ~jobs () =
       if i >= cases then continue := false
       else begin
         let case = gen_case seed i in
-        let result =
+        let counts = Array.make (Array.length checks) 0 in
+        let failures =
           (* An exception out of any implementation is itself a finding,
-             not a harness crash. *)
-          match run_case ?mutation ?fault case with
-          | counters, failures -> (counters, failures)
+             not a harness crash; its case counts no check. *)
+          match case.run ?mutation ?fault ~counts () with
+          | failures -> failures
           | exception e ->
-              ( Battery.zero (),
-                [
-                  {
-                    Battery.property = "exception";
-                    detail = Printexc.to_string e;
-                  };
-                ] )
+              Array.fill counts 0 (Array.length counts) 0;
+              [ { Battery.property = "exception"; detail = Printexc.to_string e } ]
         in
-        outcomes.(i) <- Some (case, result)
+        outcomes.(i) <- Some (case, counts, failures)
       end
     done
   in
   Minup_core.Pool.run jobs worker;
   (* Aggregation is sequential and in case order, so the summary is a pure
      function of (seed, cases) — never of the parallel schedule. *)
-  let totals = Battery.zero () in
+  let totals = Array.make (Array.length checks) 0 in
   let tally tbl key =
     Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
   in
@@ -259,8 +200,8 @@ let run ?mutation ?fault ?repro_dir ~seed ~cases ~jobs () =
   Array.iter
     (function
       | None -> assert false
-      | Some ((case : case), (counters, failures)) ->
-          Battery.add totals counters;
+      | Some ((case : case), counts, failures) ->
+          Array.iteri (fun k n -> totals.(k) <- totals.(k) + n) counts;
           tally backends_tbl case.backend;
           tally shapes_tbl case.shape;
           if case.bounded then incr bounded;
@@ -277,7 +218,7 @@ let run ?mutation ?fault ?repro_dir ~seed ~cases ~jobs () =
     List.map
       (fun ((case : case), fs) ->
         let f = List.hd fs in
-        let inst0 = materialize case in
+        let inst0 = case.materialize () in
         let mirrored = instance_fails ?mutation ?fault inst0 in
         let inst =
           if mirrored then
@@ -344,7 +285,7 @@ let run ?mutation ?fault ?repro_dir ~seed ~cases ~jobs () =
       List.sort compare
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) shapes_tbl []);
     bounded = !bounded;
-    checks = Battery.to_alist totals;
+    checks = List.combine (Array.to_list checks) (Array.to_list totals);
     total_failures;
     failures;
   }
@@ -390,9 +331,8 @@ let replay ?mutation ?fault ~lat ~cst () =
       | Error e ->
           Error (Format.asprintf "constraints: %a" Minup_constraints.Parse.pp_error e)
       | Ok r ->
-          let counters = Battery.zero () in
           Ok
-            (B_explicit.run ?mutation ?fault ~counters ~lat:lattice
+            (Explicit_backend.B.run ?mutation ?fault ~lat:lattice
                ~attrs:r.Minup_constraints.Parse.attrs
                ~csts:r.Minup_constraints.Parse.csts
                ~bounds:r.Minup_constraints.Parse.upper_bounds ()))

@@ -1,19 +1,15 @@
 module Cst = Minup_constraints.Cst
 
-let remove_nth n xs = List.filteri (fun i _ -> i <> n) xs
-
-(* Drop elements of [get inst] one at a time, keeping every removal that
-   preserves [predicate].  The index does not advance after a successful
-   removal (the next element slides into place). *)
-let shrink_list ~get ~set ~predicate inst =
-  let rec go inst i =
-    let xs = get inst in
-    if i >= List.length xs then inst
+let list ~predicate xs =
+  let rec go xs i =
+    if i >= List.length xs then xs
     else
-      let candidate = set inst (remove_nth i xs) in
-      if predicate candidate then go candidate i else go inst (i + 1)
+      (* The index does not advance after a removal: the next element
+         slides into place. *)
+      let candidate = List.filteri (fun j _ -> j <> i) xs in
+      if predicate candidate then go candidate i else go xs (i + 1)
   in
-  go inst 0
+  go xs 0
 
 let mentioned_attrs (inst : Instance.t) =
   List.concat_map Cst.attrs inst.csts @ List.map fst inst.bounds
@@ -34,18 +30,15 @@ let drop_level (inst : Instance.t) nm =
 
 let pass ~predicate (inst : Instance.t) =
   let inst =
-    shrink_list ~predicate
-      ~get:(fun (i : Instance.t) -> i.csts)
-      ~set:(fun i csts -> { i with Instance.csts })
-      inst
+    { inst with csts = list ~predicate:(fun csts -> predicate { inst with csts }) inst.csts }
   in
   let inst =
-    shrink_list ~predicate
-      ~get:(fun (i : Instance.t) -> i.bounds)
-      ~set:(fun i bounds -> { i with Instance.bounds })
-      inst
+    {
+      inst with
+      bounds = list ~predicate:(fun bounds -> predicate { inst with bounds }) inst.bounds;
+    }
   in
-  (* Unreferenced attributes.  [shrink_list] over the full attribute list
+  (* Unreferenced attributes.  [list] over the full attribute list
      would also try referenced ones; restricting the move keeps the
      instance internally consistent (every lhs attribute stays declared). *)
   let inst =

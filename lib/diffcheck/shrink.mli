@@ -19,3 +19,12 @@
     maintained as an invariant; the result is the smallest instance
     reached. *)
 val shrink : predicate:(Instance.t -> bool) -> Instance.t -> Instance.t
+
+(** [list ~predicate xs] — the greedy drop-one shrinker behind the first two
+    moves above: drop the elements of [xs] one at a time, front to back,
+    keeping each removal after which [predicate] still holds.
+    [predicate xs] must hold on entry.  The result keeps the order of
+    [xs]; each element in it stays because removing it broke [predicate]
+    at its turn, so for a [predicate] that holds on every superset of a
+    list it holds on, removing any one element of the result breaks it. *)
+val list : predicate:('a list -> bool) -> 'a list -> 'a list

@@ -2,10 +2,11 @@
    cursor scanner replaced, kept unchanged as the reference the
    differential property in [test_parse] compares the scanner against:
    same results, same error texts, same error lines.  It shares [Parse]'s
-   types so results compare with [=]. *)
+   error and result types so results compare with [=]; [ast] is its own
+   intermediate form. *)
 open Minup_constraints
 
-type ast = Parse.ast = {
+type ast = {
   decls : string list;
   lowers : (int * string list * string) list;
   uppers : (int * string * string) list;

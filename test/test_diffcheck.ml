@@ -6,6 +6,7 @@
 module Selfcheck = Minup_diffcheck.Selfcheck
 module Battery = Minup_diffcheck.Battery
 module Instance = Minup_diffcheck.Instance
+module Shrink = Minup_diffcheck.Shrink
 
 let case = Helpers.case
 
@@ -120,6 +121,23 @@ let mutation_shrinks name mutation () =
     (try Sys.readdir dir with Sys_error _ -> [||]);
   try Sys.rmdir dir with Sys_error _ -> ()
 
+(* The list shrinker the instance moves and the session property share:
+   it keeps exactly what the predicate needs, in order, and counts no
+   more calls than one per removal tried. *)
+let list_shrinker () =
+  let holds xs = List.mem 3 xs && List.mem 7 xs in
+  let calls = ref 0 in
+  let got =
+    Shrink.list ~predicate:(fun xs -> incr calls; holds xs) (List.init 10 (fun i -> i + 1))
+  in
+  Alcotest.(check (list int)) "shrunk" [ 3; 7 ] got;
+  List.iteri
+    (fun i _ ->
+      if holds (List.filteri (fun j _ -> j <> i) got) then
+        Alcotest.failf "removing element %d keeps the predicate" i)
+    got;
+  Alcotest.(check int) "one call per removal tried" 10 !calls
+
 let suite =
   [
     case "clean run: 60 cases, all backends, no failures" clean_run;
@@ -128,4 +146,5 @@ let suite =
       (mutation_shrinks "over" Battery.Overclassify);
     case "injected underclassify bug is caught and shrunk"
       (mutation_shrinks "under" Battery.Underclassify);
+    case "the list shrinker keeps what the predicate needs" list_shrinker;
   ]

@@ -18,25 +18,25 @@ name <= Secret
 
 let ladder = Total.create [ "Unclassified"; "Confidential"; "Secret"; "TopSecret" ]
 
+let resolve = Parse.parse_resolve ~level_of_string:(Total.level_of_string ladder)
+
 let parse_ok () =
-  match Parse.parse sample with
+  match resolve sample with
   | Error e -> Alcotest.failf "parse error: %a" Parse.pp_error e
-  | Ok ast ->
-      Alcotest.(check (list string)) "decls" [ "name"; "salary" ] ast.Parse.decls;
-      Alcotest.(check int) "3 lowers" 3 (List.length ast.Parse.lowers);
-      Alcotest.(check (list (triple int string string)))
-        "uppers"
-        [ (8, "name", "Secret") ]
-        ast.Parse.uppers;
-      let lhss = List.map (fun (_, lhs, _) -> lhs) ast.Parse.lowers in
+  | Ok r ->
+      Alcotest.(check (list string))
+        "declared first" [ "name"; "salary" ]
+        (List.filteri (fun i _ -> i < 2) r.Parse.attrs);
       Alcotest.(check (list (list string)))
         "lhss"
         [ [ "salary" ]; [ "name"; "salary" ]; [ "rank"; "department" ] ]
-        lhss;
-      (* Source lines survive parsing (the sample starts with a blank line). *)
-      Alcotest.(check (list int))
-        "lower lines" [ 5; 6; 7 ]
-        (List.map (fun (l, _, _) -> l) ast.Parse.lowers)
+        (List.map (fun (c : _ Cst.t) -> c.Cst.lhs) r.Parse.csts);
+      Alcotest.(check (list (pair string int))) "uppers" [ ("name", 2) ] r.Parse.upper_bounds;
+      (* Source lines survive parsing (the sample starts with a blank
+         line and ends with line 8). *)
+      match resolve (sample ^ "x <= Nope\n") with
+      | Error { line; _ } -> Alcotest.(check int) "error line" 9 line
+      | Ok _ -> Alcotest.fail "accepted an unknown upper-bound level"
 
 let resolve_ok () =
   match Parse.parse_resolve ~level_of_string:(Total.level_of_string ladder) sample with
@@ -81,25 +81,20 @@ let compartment_rhs () =
       | Cst.Attr _ -> Alcotest.fail "expected level")
 
 let errors () =
-  (match Parse.parse "salary >=\n" with
+  (match resolve "salary >=\n" with
   | Error { line = 1; _ } -> ()
   | _ -> Alcotest.fail "accepted empty rhs");
-  (match Parse.parse "x\n{a,b} >= c\ngarbage line here\n" with
+  (match resolve "x\n{a,b} >= c\ngarbage line here\n" with
   | Error { line = 1; _ } -> ()
   | _ -> Alcotest.fail "accepted garbage");
-  (match Parse.parse "{a, b} <= Secret\n" with
+  (match resolve "{a, b} <= Secret\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted multi-attr upper bound");
-  (match Parse.parse "{a,, b} >= c\n" with
+  (match resolve "{a,, b} >= c\n" with
   (* empty entries are skipped; this parses *)
-  | Ok ast ->
-      let _, lhs, _ = List.hd ast.Parse.lowers in
-      Alcotest.(check int) "lhs size" 2 (List.length lhs)
+  | Ok r -> Alcotest.(check (list string)) "lhs" [ "a"; "b" ] (List.hd r.Parse.csts).Cst.lhs
   | Error _ -> Alcotest.fail "comma tolerance");
-  match
-    Parse.parse_resolve ~level_of_string:(Total.level_of_string ladder)
-      "a <= NotALevel\n"
-  with
+  match resolve "a <= NotALevel\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted unknown upper bound level"
 
@@ -108,21 +103,19 @@ let errors () =
    an identifier that merely starts with "attrs" is an ordinary
    constraint line, not a mis-lexed declaration list. *)
 let attrs_keyword () =
-  (match Parse.parse "attrs\n" with
-  | Ok ast -> Alcotest.(check (list string)) "bare attrs" [] ast.Parse.decls
+  (match resolve "attrs\n" with
+  | Ok r -> Alcotest.(check (list string)) "bare attrs" [] r.Parse.attrs
   | Error e -> Alcotest.failf "bare attrs rejected: %a" Parse.pp_error e);
-  (match Parse.parse "attrs\ta, b\n" with
-  | Ok ast ->
-      Alcotest.(check (list string)) "tab after attrs" [ "a"; "b" ] ast.Parse.decls
+  (match resolve "attrs\ta, b\n" with
+  | Ok r -> Alcotest.(check (list string)) "tab after attrs" [ "a"; "b" ] r.Parse.attrs
   | Error e -> Alcotest.failf "tab-separated attrs rejected: %a" Parse.pp_error e);
-  (match Parse.parse "attrset >= x\n" with
-  | Ok ast -> (
-      Alcotest.(check (list string)) "no decls" [] ast.Parse.decls;
-      match ast.Parse.lowers with
-      | [ (1, [ "attrset" ], "x") ] -> ()
+  match resolve "attrset >= x\n" with
+  | Ok r -> (
+      Alcotest.(check (list string)) "no decls" [ "attrset"; "x" ] r.Parse.attrs;
+      match r.Parse.csts with
+      | [ { Cst.lhs = [ "attrset" ]; rhs = Cst.Attr "x" } ] -> ()
       | _ -> Alcotest.fail "attrset >= x should be one constraint")
-  | Error e ->
-      Alcotest.failf "attrset >= x mis-lexed as declaration: %a" Parse.pp_error e)
+  | Error e -> Alcotest.failf "attrset >= x mis-lexed as declaration: %a" Parse.pp_error e
 
 (* Regression: resolve-stage errors carry the source line of the offending
    constraint, not a fabricated line 0. *)
@@ -156,9 +149,10 @@ let resolve_line_numbers () =
   | Ok _ -> Alcotest.fail "accepted a garbage line"
 
 let comments_and_blanks () =
-  match Parse.parse "\n  \n# only comments\n" with
-  | Ok ast ->
-      Alcotest.(check int) "no constraints" 0 (List.length ast.Parse.lowers)
+  match resolve "\n  \n# only comments\n" with
+  | Ok r ->
+      Alcotest.(check int) "no constraints" 0 (List.length r.Parse.csts);
+      Alcotest.(check (list string)) "no attributes" [] r.Parse.attrs
   | Error e -> Alcotest.failf "error: %a" Parse.pp_error e
 
 
@@ -317,7 +311,6 @@ let oracle_hostile_cases () =
   in
   List.iter
     (fun text ->
-      if Parse.parse text <> Parse_oracle.parse text then Alcotest.failf "parse differs on %S" text;
       if
         Parse.parse_resolve ~level_of_string text
         <> Parse_oracle.parse_resolve ~level_of_string text
@@ -365,9 +358,8 @@ let scanner_matches_oracle =
     (fun seed ->
       let text = oracle_policy seed in
       let level_of_string = Compartment.level_of_string Compartment.fig1a in
-      Parse.parse text = Parse_oracle.parse text
-      && Parse.parse_resolve ~level_of_string text
-         = Parse_oracle.parse_resolve ~level_of_string text)
+      Parse.parse_resolve ~level_of_string text
+      = Parse_oracle.parse_resolve ~level_of_string text)
 
 (* [Parse.rows] is [Problem.compile ~attrs] of [Parse.parse_resolve]'s
    result: the problem [Problem.of_lines] builds from its lines equals
@@ -471,10 +463,10 @@ let hostile_shapes () =
   let k = 32_000 in
   let names = List.init k (Printf.sprintf "x%d") in
   let one_per_line = String.concat "" (List.map (fun a -> "attrs " ^ a ^ "\n") names) in
-  (match Parse.parse one_per_line with
-  | Ok ast -> Alcotest.(check (list string)) "declaration order" names ast.Parse.decls
+  (match resolve one_per_line with
+  | Ok r -> Alcotest.(check (list string)) "declaration order" names r.Parse.attrs
   | Error e -> Alcotest.failf "%a" Parse.pp_error e);
-  (match Parse.parse (one_per_line ^ "attrs ok, b@d\n") with
+  (match resolve (one_per_line ^ "attrs ok, b@d\n") with
   | Error { line; message } ->
       Alcotest.(check int) "error line" (k + 1) line;
       Alcotest.(check string) "error text" "invalid identifier \"b@d\"" message

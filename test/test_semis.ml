@@ -15,42 +15,36 @@ let semi =
 let lx name = Explicit.of_name_exn semi.Semilattice.lattice name
 
 let satisfiable_case () =
-  match
+  let outcome =
     Semis.solve semi
       [ Cst.simple "a" (Cst.Level (lx "Army")); Cst.simple "b" (Cst.Attr "a") ]
-  with
-  | Error e -> Alcotest.failf "compile: %a" Minup_constraints.Problem.pp_error e
-  | Ok outcome ->
-      Alcotest.(check (list string)) "nothing unsatisfiable" []
-        outcome.Semis.unsatisfiable;
-      let l a = List.assoc a outcome.Semis.solution.Semis.Solve.assignment in
-      Alcotest.(check string) "a at Army" "Army"
-        (Explicit.level_to_string semi.Semilattice.lattice (l "a"));
-      Alcotest.(check string) "b at Army" "Army"
-        (Explicit.level_to_string semi.Semilattice.lattice (l "b"))
+  in
+  Alcotest.(check (list string)) "nothing unsatisfiable" []
+    outcome.Semis.unsatisfiable;
+  let l a = List.assoc a outcome.Semis.solution.Semis.Solve.assignment in
+  Alcotest.(check string) "a at Army" "Army"
+    (Explicit.level_to_string semi.Semilattice.lattice (l "a"));
+  Alcotest.(check string) "b at Army" "Army"
+    (Explicit.level_to_string semi.Semilattice.lattice (l "b"))
 
 let unsatisfiable_case () =
   (* a must dominate both Army and Navy — only the dummy top does. *)
-  match
+  let outcome =
     Semis.solve semi
       [
         Cst.simple "a" (Cst.Level (lx "Army"));
         Cst.simple "a" (Cst.Level (lx "Navy"));
       ]
-  with
-  | Error e -> Alcotest.failf "compile: %a" Minup_constraints.Problem.pp_error e
-  | Ok outcome ->
-      Alcotest.(check (list string)) "a unsatisfiable" [ "a" ]
-        outcome.Semis.unsatisfiable
+  in
+  Alcotest.(check (list string)) "a unsatisfiable" [ "a" ]
+    outcome.Semis.unsatisfiable
 
 let unconstrained_case () =
   (* The order has a real bottom (Conf), so no dummy bottom exists and an
      unconstrained attribute lands on Conf without a flag. *)
-  match Semis.solve semi ~attrs:[ "free" ] [] with
-  | Error e -> Alcotest.failf "compile: %a" Minup_constraints.Problem.pp_error e
-  | Ok outcome ->
-      Alcotest.(check (list string)) "no unconstrained flag" []
-        outcome.Semis.unconstrained
+  let outcome = Semis.solve semi ~attrs:[ "free" ] [] in
+  Alcotest.(check (list string)) "no unconstrained flag" []
+    outcome.Semis.unconstrained
 
 let dummy_bottom_flagged () =
   (* No real bottom: the unconstrained attribute is flagged. *)
@@ -59,16 +53,14 @@ let dummy_bottom_flagged () =
       ~names:[ "x"; "y"; "top" ]
       ~order:[ ("x", "top"); ("y", "top") ]
   in
-  match
+  let outcome =
     Semis.solve semi2 ~attrs:[ "free"; "used" ]
       [ Cst.simple "used" (Cst.Level (Explicit.of_name_exn semi2.Semilattice.lattice "x")) ]
-  with
-  | Error e -> Alcotest.failf "compile: %a" Minup_constraints.Problem.pp_error e
-  | Ok outcome ->
-      Alcotest.(check (list string)) "free flagged" [ "free" ]
-        outcome.Semis.unconstrained;
-      Alcotest.(check (list string)) "used not flagged" []
-        outcome.Semis.unsatisfiable
+  in
+  Alcotest.(check (list string)) "free flagged" [ "free" ]
+    outcome.Semis.unconstrained;
+  Alcotest.(check (list string)) "used not flagged" []
+    outcome.Semis.unsatisfiable
 
 let suite =
   [
