@@ -57,6 +57,23 @@ echo "$peer_out" | grep -Eq '^A5 +sc$' || {
 }
 echo "ci: capped complex peer OK (A5 = sc)"
 
+# A lattice declared out of topological order: fig1b.lat with its levels
+# line reversed is renumbered before it is validated, and the employee
+# policy must still solve to a solution the CLI verifies as minimal.
+rev_lat="$obs_tmp/fig1b-reversed.lat"
+sed 's/^levels .*/levels L6, L5, L4, L3, L2, L1/' test/cli.t/fig1b.lat > "$rev_lat"
+rev_out=$(dune exec -- mlsclassify solve -l "$rev_lat" -c test/cli.t/employee.cst \
+  --check-minimal 2>&1) || {
+  echo "ci: the top-down fig1b.lat did not solve (exit $?)" >&2
+  exit 1
+}
+echo "$rev_out" | grep -qx 'verified: pointwise minimal' || {
+  echo "ci: the top-down fig1b.lat gave no verified minimal solution:" >&2
+  echo "$rev_out" >&2
+  exit 1
+}
+echo "ci: top-down lattice declaration OK (renumbered, verified minimal)"
+
 # Pinned solver counters: Instr totals on acyclic, cyclic and N5
 # instances, and in the bounds, incremental and preference modes (the
 # last with a digest of its schedule), must equal their recorded values

@@ -7,24 +7,18 @@ let escape s =
     s;
   Buffer.contents buf
 
-let render ~name_of ~cardinal ~covers_of =
+let of_poset p =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "digraph lattice {\n  rankdir=BT;\n";
-  for i = 0 to cardinal - 1 do
-    Buffer.add_string buf (Printf.sprintf "  n%d [label=\"%s\"];\n" i (escape (name_of i)))
+  for i = 0 to Poset.cardinal p - 1 do
+    Buffer.add_string buf (Printf.sprintf "  n%d [label=\"%s\"];\n" i (escape (Poset.name p i)))
   done;
-  for hi = 0 to cardinal - 1 do
+  for hi = 0 to Poset.cardinal p - 1 do
     List.iter
       (fun lo -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" lo hi))
-      (covers_of hi)
+      (Poset.covers_below p hi)
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let of_explicit lat =
-  render ~name_of:(Explicit.name lat) ~cardinal:(Explicit.cardinal lat)
-    ~covers_of:(Explicit.covers_below lat)
-
-let of_poset p =
-  render ~name_of:(Poset.name p) ~cardinal:(Poset.cardinal p)
-    ~covers_of:(Poset.covers_below p)
+let of_explicit lat = of_poset (Explicit.poset lat)

@@ -1,19 +1,18 @@
 type level = int
 
+(* One bound operation over the order: lub searches the up-sets from the
+   bottom, glb the down-sets from the top. *)
+type op = {
+  sets : Bitset.t array; (* the order's up-sets (lub) or down-sets (glb) *)
+  from_top : bool;
+  table : int array; (* flat n*n for small lattices, else empty *)
+  memo : int array; (* direct-mapped cache for the table-less case *)
+}
+
 type t = {
-  names : string array; (* indexed by internal (topological) level id *)
-  index : (string, int) Hashtbl.t;
-  up : Bitset.t array; (* up.(i) = { j | i ⊑ j }, reflexive *)
-  down : Bitset.t array;
-  covers_lo : int list array; (* immediate predecessors, ascending *)
-  covers_hi : int list array; (* immediate successors, ascending *)
-  lub_table : int array option; (* flat n*n, present for small lattices *)
-  glb_table : int array option;
-  lub_memo : int array; (* direct-mapped cache for the table-less case *)
-  glb_memo : int array;
-  top : int;
-  bottom : int;
-  height : int;
+  order : Poset.t; (* its elements are the levels, numbered topologically *)
+  joins : op;
+  meets : op;
 }
 
 type error =
@@ -62,132 +61,96 @@ let memo_mask = memo_size - 1
 
 exception Err of error
 
-let build_index names =
-  let index = Hashtbl.create (List.length names) in
-  List.iteri
-    (fun i n ->
-      if Hashtbl.mem index n then raise (Err (Duplicate_name n));
-      Hashtbl.add index n i)
-    names;
-  index
+let of_poset_error : Poset.error -> error = function
+  | Poset.Empty -> Empty
+  | Poset.Duplicate_name n -> Duplicate_name n
+  | Poset.Unknown_name n -> Unknown_name n
+  | Poset.Cyclic_order -> Cyclic_order
 
-(* lub of internal ids a b: minimal element of up(a) ∩ up(b), checked unique.
-   Internal ids are topological, so the smallest id in the intersection is a
-   minimal element; it is the lub iff the whole intersection sits above it. *)
-let lub_of_upsets ~names up a b =
-  let s = Bitset.inter up.(a) up.(b) in
-  match Bitset.min_elt s with
-  | None -> raise (Err (No_upper_bound (names.(a), names.(b))))
-  | Some m ->
-      if Bitset.subset s up.(m) then m
-      else
-        let other =
-          Bitset.fold
-            (fun x acc ->
-              match acc with
-              | Some _ -> acc
-              | None -> if x <> m && not (Bitset.mem up.(m) x) then Some x else acc)
-            s None
-        in
-        let m2 = match other with Some x -> x | None -> m in
-        raise
-          (Err (No_least_upper_bound (names.(a), names.(b), names.(m), names.(m2))))
+(* lub (glb) of a and b: the first common bound from the bottom (top) is a
+   minimal (maximal) one, because ids are topological; it is the answer iff
+   every common bound lies beyond it.  Otherwise the witness is the first
+   common bound, ascending, that does not. *)
+let search order op a b =
+  let s = Bitset.inter op.sets.(a) op.sets.(b) in
+  match if op.from_top then Bitset.max_elt s else Bitset.min_elt s with
+  | Some m when Bitset.subset s op.sets.(m) -> m
+  | found ->
+      let name = Poset.name order in
+      raise
+        (Err
+           (match found with
+           | None when op.from_top -> No_lower_bound (name a, name b)
+           | None -> No_upper_bound (name a, name b)
+           | Some m ->
+               let m2 = Option.get (Bitset.min_elt (Bitset.diff s op.sets.(m))) in
+               if op.from_top then
+                 No_greatest_lower_bound (name a, name b, name m, name m2)
+               else No_least_upper_bound (name a, name b, name m, name m2)))
 
-let glb_of_downsets ~names down a b =
-  let s = Bitset.inter down.(a) down.(b) in
-  match Bitset.max_elt s with
-  | None -> raise (Err (No_lower_bound (names.(a), names.(b))))
-  | Some m ->
-      if Bitset.subset s down.(m) then m
-      else
-        let other =
-          Bitset.fold
-            (fun x acc ->
-              match acc with
-              | Some _ -> acc
-              | None -> if x <> m && not (Bitset.mem down.(m) x) then Some x else acc)
-            s None
-        in
-        let m2 = match other with Some x -> x | None -> m in
-        raise
-          (Err
-             (No_greatest_lower_bound (names.(a), names.(b), names.(m), names.(m2))))
+(* The table path is kept apart from the memo's so that [lookup] stays
+   small enough to inline into [lub] and [glb]. *)
+let memo_lookup order op a b =
+  let n = Array.length op.sets in
+  let key = if a <= b then (a * n) + b else (b * n) + a in
+  let slot = op.memo.(key land memo_mask) in
+  if slot <> 0 && (slot - 1) / n = key then (slot - 1) mod n
+  else begin
+    let v = search order op a b in
+    op.memo.(key land memo_mask) <- (key * n) + v + 1;
+    v
+  end
+
+let[@inline] lookup order op a b =
+  if Array.length op.table > 0 then op.table.((a * Array.length op.sets) + b)
+  else memo_lookup order op a b
+
+(* Level ids must be topological for [search].  When the declared names
+   already list a linear extension, the poset is numbered so; otherwise it
+   is built once more over its names in Kahn's smallest-position-first
+   order, which leaves a linear extension as it is. *)
+let topological p =
+  let below hi = List.for_all (fun lo -> lo < hi) (Poset.covers_below p hi) in
+  if List.for_all below (Poset.all p) then p
+  else
+    let name = Poset.name p and covers = Poset.cover_pairs p in
+    Poset.create_exn
+      ~names:(List.map name (Hasse.topological_order (Poset.cardinal p) covers))
+      ~order:(List.map (fun (lo, hi) -> (name lo, name hi)) covers)
 
 let create ~names ~order =
-  try
-    if names = [] then raise (Err Empty);
-    let names0 = Array.of_list names in
-    let n = Array.length names0 in
-    let index0 = build_index names in
-    let edge (lo, hi) =
-      let find x =
-        match Hashtbl.find_opt index0 x with
-        | Some i -> i
-        | None -> raise (Err (Unknown_name x))
+  match Poset.create ~names ~order with
+  | Error e -> Error (of_poset_error e)
+  | Ok p -> (
+      let p = topological p in
+      let n = Poset.cardinal p in
+      (* Validate lattice-hood by computing every lub and glb; only a small
+         lattice keeps them, so a large one allocates no n² table. *)
+      let keep_tables = n <= table_threshold in
+      let op sets from_top =
+        {
+          sets;
+          from_top;
+          table = (if keep_tables then Array.make (n * n) 0 else [||]);
+          memo = (if keep_tables then [||] else Array.make memo_size 0);
+        }
       in
-      (find lo, find hi)
-    in
-    (* Reflexive pairs are trivially true statements; drop them. *)
-    let edges0 =
-      List.filter (fun (lo, hi) -> lo <> hi) (List.map edge order)
-    in
-    let topo =
-      match Hasse.topological_order n edges0 with
-      | l -> Array.of_list l
-      | exception Invalid_argument _ -> raise (Err Cyclic_order)
-    in
-    (* rank.(old_id) = new (topological) id *)
-    let rank = Array.make n 0 in
-    Array.iteri (fun pos old_id -> rank.(old_id) <- pos) topo;
-    let names = Array.init n (fun i -> names0.(topo.(i))) in
-    let index = build_index (Array.to_list names) in
-    let edges = List.map (fun (lo, hi) -> (rank.(lo), rank.(hi))) edges0 in
-    let covers = Hasse.transitive_reduction n edges in
-    let up = Hasse.transitive_closure n covers in
-    let down = Array.init n (fun _ -> Bitset.create n) in
-    for i = 0 to n - 1 do
-      Bitset.iter (fun j -> Bitset.set down.(j) i) up.(i)
-    done;
-    let covers_lo = Array.make n [] and covers_hi = Array.make n [] in
-    List.iter
-      (fun (lo, hi) ->
-        covers_lo.(hi) <- lo :: covers_lo.(hi);
-        covers_hi.(lo) <- hi :: covers_hi.(lo))
-      (List.rev covers);
-    (* Validate lattice-hood by computing every lub and glb; only a small
-       lattice keeps them, so a large one allocates no n² table. *)
-    let keep_tables = n <= table_threshold in
-    let table () = if keep_tables then Array.make (n * n) 0 else [||] in
-    let lub_tab = table () and glb_tab = table () in
-    for a = 0 to n - 1 do
-      for b = a to n - 1 do
-        let l = lub_of_upsets ~names up a b in
-        let g = glb_of_downsets ~names down a b in
+      let joins = op p.up false and meets = op p.down true in
+      let fill op a b v =
         if keep_tables then begin
-          lub_tab.((a * n) + b) <- l;
-          lub_tab.((b * n) + a) <- l;
-          glb_tab.((a * n) + b) <- g;
-          glb_tab.((b * n) + a) <- g
+          op.table.((a * n) + b) <- v;
+          op.table.((b * n) + a) <- v
         end
-      done
-    done;
-    Ok
-      {
-        names;
-        index;
-        up;
-        down;
-        covers_lo;
-        covers_hi;
-        lub_table = (if keep_tables then Some lub_tab else None);
-        glb_table = (if keep_tables then Some glb_tab else None);
-        lub_memo = (if keep_tables then [||] else Array.make memo_size 0);
-        glb_memo = (if keep_tables then [||] else Array.make memo_size 0);
-        top = n - 1;
-        bottom = 0;
-        height = Hasse.longest_path n covers;
-      }
-  with Err e -> Error e
+      in
+      try
+        for a = 0 to n - 1 do
+          for b = a to n - 1 do
+            fill joins a b (search p joins a b);
+            fill meets a b (search p meets a b)
+          done
+        done;
+        Ok { order = p; joins; meets }
+      with Err e -> Error e)
 
 let create_exn ~names ~order =
   match create ~names ~order with
@@ -201,66 +164,32 @@ let chain names =
   in
   create_exn ~names ~order:(pairs names)
 
-let cardinal t = Array.length t.names
-let all t = List.init (cardinal t) Fun.id
-let of_name t s = Hashtbl.find_opt t.index s
+let poset t = t.order
+let cardinal t = Array.length t.order.names
+let all t = Poset.all t.order
+let of_name t s = Hashtbl.find_opt t.order.index s
 
 let of_name_exn t s =
   match of_name t s with
   | Some l -> l
   | None -> invalid_arg (Printf.sprintf "Explicit.of_name_exn: unknown level %S" s)
 
-let name t l = t.names.(l)
-
-let cover_pairs t =
-  let acc = ref [] in
-  for hi = cardinal t - 1 downto 0 do
-    List.iter (fun lo -> acc := (lo, hi) :: !acc) (List.rev t.covers_lo.(hi))
-  done;
-  List.sort compare !acc
-
+let name t l = t.order.names.(l)
+let cover_pairs t = Poset.cover_pairs t.order
 let equal _ (a : level) b = a = b
 let compare_level _ = Int.compare
-let leq t a b = Bitset.mem t.up.(a) b
+let leq t a b = Bitset.mem t.order.up.(a) b
+let lub t a b = lookup t.order t.joins a b
+let glb t a b = lookup t.order t.meets a b
+let top t = cardinal t - 1
+let bottom _ = 0
 
-let lub t a b =
-  match t.lub_table with
-  | Some tab -> tab.((a * cardinal t) + b)
-  | None ->
-      let n = cardinal t in
-      let key = if a <= b then (a * n) + b else (b * n) + a in
-      let slot = t.lub_memo.(key land memo_mask) in
-      if slot <> 0 && (slot - 1) / n = key then (slot - 1) mod n
-      else begin
-        let v = lub_of_upsets ~names:t.names t.up a b in
-        t.lub_memo.(key land memo_mask) <- (key * n) + v + 1;
-        v
-      end
-
-let glb t a b =
-  match t.glb_table with
-  | Some tab -> tab.((a * cardinal t) + b)
-  | None ->
-      let n = cardinal t in
-      let key = if a <= b then (a * n) + b else (b * n) + a in
-      let slot = t.glb_memo.(key land memo_mask) in
-      if slot <> 0 && (slot - 1) / n = key then (slot - 1) mod n
-      else begin
-        let v = glb_of_downsets ~names:t.names t.down a b in
-        t.glb_memo.(key land memo_mask) <- (key * n) + v + 1;
-        v
-      end
-
-let top t = t.top
-let bottom t = t.bottom
-
-(* Already O(1): immediate predecessors are precomputed at [create] time
-   (the [covers_lo] array), so the solver's cover-descent loop never
-   recomputes the Hasse diagram. *)
-let covers_below t l = t.covers_lo.(l)
-let height t = t.height
+(* O(1): the poset precomputes each level's immediate predecessors, so the
+   solver's cover-descent loop never recomputes the Hasse diagram. *)
+let covers_below t l = t.order.covers_lo.(l)
+let height t = t.order.height
 let levels t = Seq.init (cardinal t) Fun.id
 let size t = Some (cardinal t)
-let pp_level t ppf l = Format.pp_print_string ppf t.names.(l)
-let level_to_string t l = t.names.(l)
+let pp_level t ppf l = Format.pp_print_string ppf (name t l)
+let level_to_string = name
 let level_of_string = of_name

@@ -7,10 +7,11 @@
     really is a lattice, as required by the paper (§2, §6).  Non-lattice
     inputs are rejected with a precise witness.
 
-    Internally, levels are renumbered in topological order and each level
-    carries the bit sets of its up-set and down-set, so dominance tests are
-    O(1) amortized and lub/glb are either table lookups (small lattices) or
-    word-parallel bit-set scans. *)
+    A lattice is its order, a {!Poset.t} whose levels are numbered in
+    topological order, plus lub/glb tables.  The poset carries each level's
+    up-set and down-set as bit sets, so dominance tests are O(1) amortized
+    and lub/glb are either table lookups (small lattices) or word-parallel
+    bit-set scans. *)
 
 type t
 type level = int
@@ -30,7 +31,10 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 (** [create ~names ~order] builds and validates the lattice.  [order] pairs
-    need not be covers; the transitive reduction is computed internally. *)
+    need not be covers; the transitive reduction is computed internally.
+    Levels keep the declared order when every pair's low level is declared
+    before its high one; otherwise they are sorted topologically, the
+    earliest-declared ready level first. *)
 val create : names:string list -> order:(string * string) list -> (t, error) result
 
 (** Like {!create} but raises [Invalid_argument] with a rendered error. *)
@@ -50,6 +54,9 @@ val of_name : t -> string -> level option
 
 val of_name_exn : t -> string -> level
 val name : t -> level -> string
+
+(** The lattice's order; its elements are the lattice's levels. *)
+val poset : t -> Poset.t
 
 (** Cover pairs [(lo, hi)] of the validated lattice, sorted. *)
 val cover_pairs : t -> (level * level) list

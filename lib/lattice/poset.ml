@@ -95,6 +95,10 @@ let equal _ (a : elt) b = a = b
 let covers_below t e = t.covers_lo.(e)
 let covers_above t e = t.covers_hi.(e)
 
+let cover_pairs t =
+  List.concat_map (fun hi -> List.map (fun lo -> (lo, hi)) t.covers_lo.(hi)) (all t)
+  |> List.sort compare
+
 let maximal_elements t =
   List.filter (fun e -> t.covers_hi.(e) = []) (all t)
 
@@ -108,17 +112,14 @@ let upper_bounds t = function
       List.iter (fun x -> Bitset.inter_into acc t.up.(x)) rest;
       Bitset.to_list acc
 
+(* In a finite order a set's unique minimal element is its least one: the
+   member whose up-set holds the whole set. *)
 let lub_opt t a b =
   let ubs = Bitset.inter t.up.(a) t.up.(b) in
-  let minimal =
-    Bitset.fold
-      (fun x acc ->
-        if Bitset.fold (fun y strict -> strict || (y <> x && leq t y x)) ubs false
-        then acc
-        else x :: acc)
-      ubs []
-  in
-  match minimal with [ m ] -> Some m | _ -> None
+  Bitset.fold
+    (fun x least ->
+      if least = None && Bitset.subset ubs t.up.(x) then Some x else least)
+    ubs None
 
 let strict_below t e =
   List.filter (fun x -> x <> e) (Bitset.to_list t.down.(e))

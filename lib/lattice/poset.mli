@@ -6,11 +6,23 @@
     4-element "butterfly" poset, and the backtracking solver in
     {!Minup_poset.Minposet} all live on top of it.
 
-    Unlike {!Explicit}, creation only validates that the order pairs are
-    acyclic; lubs/glbs need not exist. *)
+    Creation only validates that the order pairs are acyclic; lubs/glbs
+    need not exist.  {!Explicit} builds every explicit lattice on this
+    module: a lattice is a poset plus its lub/glb tables. *)
 
-type t
 type elt = int
+
+(** Read-only: {!Explicit} reads the fields on its hot paths, where a call
+    per lookup would cost more than the lookup. *)
+type t = private {
+  names : string array;  (** indexed by element *)
+  index : (string, elt) Hashtbl.t;
+  up : Bitset.t array;  (** [up.(e)]: the elements above [e], [e] included *)
+  down : Bitset.t array;  (** [down.(e)]: the elements below [e], [e] included *)
+  covers_lo : elt list array;  (** immediate predecessors, ascending *)
+  covers_hi : elt list array;  (** immediate successors, ascending *)
+  height : int;
+}
 
 type error = Empty | Duplicate_name of string | Unknown_name of string | Cyclic_order
 
@@ -37,6 +49,9 @@ val equal : t -> elt -> elt -> bool
 val covers_below : t -> elt -> elt list
 
 val covers_above : t -> elt -> elt list
+
+(** Cover pairs [(lo, hi)], sorted. *)
+val cover_pairs : t -> (elt * elt) list
 
 (** Elements with nothing strictly above/below. *)
 val maximal_elements : t -> elt list

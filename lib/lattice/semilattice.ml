@@ -7,24 +7,19 @@ type t = {
 let dummy_top_name = "__top__"
 let dummy_bottom_name = "__bot__"
 
-(* Maximal/minimal elements of the order generated by [order] over [names]. *)
-let extremes names order =
-  let has_above = Hashtbl.create 16 and has_below = Hashtbl.create 16 in
-  List.iter
-    (fun (lo, hi) ->
-      if lo <> hi then begin
-        Hashtbl.replace has_above lo ();
-        Hashtbl.replace has_below hi ()
-      end)
-    order;
-  let maximal = List.filter (fun n -> not (Hashtbl.mem has_above n)) names in
-  let minimal = List.filter (fun n -> not (Hashtbl.mem has_below n)) names in
-  (maximal, minimal)
-
+(* The dummies go above the order's maximal levels and below its minimal
+   ones.  An input that is not even a partial order gets none, so that
+   [Explicit.create] reports what is wrong with it as written. *)
 let complete ~names ~order =
-  let maximal, minimal = extremes names order in
-  let need_top = match maximal with [ _ ] -> false | _ -> true in
-  let need_bottom = match minimal with [ _ ] -> false | _ -> true in
+  let maximal, minimal =
+    match Poset.create ~names ~order with
+    | Ok p ->
+        let named = List.map (Poset.name p) in
+        (named (Poset.maximal_elements p), named (Poset.minimal_elements p))
+    | Error _ -> ([], [])
+  in
+  let need_top = List.compare_length_with maximal 1 > 0 in
+  let need_bottom = List.compare_length_with minimal 1 > 0 in
   let names' =
     (if need_bottom then [ dummy_bottom_name ] else [])
     @ names
@@ -40,12 +35,12 @@ let complete ~names ~order =
   match Explicit.create ~names:names' ~order:order' with
   | Error _ as e -> e
   | Ok lattice ->
-      let find n = if need_top || need_bottom then Explicit.of_name lattice n else None in
+      let find need n = if need then Explicit.of_name lattice n else None in
       Ok
         {
           lattice;
-          dummy_top = (if need_top then find dummy_top_name else None);
-          dummy_bottom = (if need_bottom then find dummy_bottom_name else None);
+          dummy_top = find need_top dummy_top_name;
+          dummy_bottom = find need_bottom dummy_bottom_name;
         }
 
 let complete_exn ~names ~order =

@@ -40,14 +40,21 @@ let rejects_non_lattice () =
       ~order:[ ("bot", "x"); ("bot", "y"); ("x", "t1"); ("y", "t1"); ("x", "t2"); ("y", "t2") ]
   in
   (match r with
-  | Error (Explicit.No_least_upper_bound _) -> ()
+  | Error (Explicit.No_least_upper_bound ("x", "y", "t1", "t2")) -> ()
   | Error e -> Alcotest.failf "wrong error: %a" Explicit.pp_error e
   | Ok _ -> Alcotest.fail "accepted a non-lattice");
   (* No common upper bound at all. *)
-  match
-    Explicit.create ~names:[ "a"; "b"; "c" ] ~order:[ ("a", "b"); ("a", "c") ]
-  with
+  (match
+     Explicit.create ~names:[ "a"; "b"; "c" ] ~order:[ ("a", "b"); ("a", "c") ]
+   with
   | Error (Explicit.No_upper_bound _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %a" Explicit.pp_error e
+  | Ok _ -> Alcotest.fail "accepted a non-lattice");
+  (* The dual, through the same least-bound search: no common lower bound. *)
+  match
+    Explicit.create ~names:[ "a"; "b"; "t" ] ~order:[ ("a", "t"); ("b", "t") ]
+  with
+  | Error (Explicit.No_lower_bound ("a", "b")) -> ()
   | Error e -> Alcotest.failf "wrong error: %a" Explicit.pp_error e
   | Ok _ -> Alcotest.fail "accepted a non-lattice"
 
@@ -90,6 +97,40 @@ let cover_pairs () =
   in
   Alcotest.(check bool) "L3-L5 present" true (List.mem ("L3", "L5") named);
   Alcotest.(check bool) "no transitive L1-L4" false (List.mem ("L1", "L4") named)
+
+(* Fig. 1(b) declared top-down is renumbered topologically, smallest
+   declared position first among the ready levels, and is the same lattice
+   as the bottom-up declaration when compared by name. *)
+let top_down_declaration () =
+  let lat =
+    Explicit.create_exn
+      ~names:[ "L6"; "L5"; "L4"; "L3"; "L2"; "L1" ]
+      ~order:(List.map (fun (lo, hi) -> (Explicit.name fig1b lo, Explicit.name fig1b hi))
+                (Explicit.cover_pairs fig1b))
+  in
+  Alcotest.(check (list string)) "topological numbering"
+    [ "L1"; "L3"; "L5"; "L2"; "L4"; "L6" ]
+    (List.map (Explicit.name lat) (Explicit.all lat));
+  let names l ls = List.sort compare (List.map (Explicit.name l) ls) in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let a' = Explicit.of_name_exn lat a and b' = Explicit.of_name_exn lat b in
+          let pair = a ^ " " ^ b in
+          Alcotest.(check bool) ("leq " ^ pair) (Explicit.leq fig1b (lvl a) (lvl b))
+            (Explicit.leq lat a' b');
+          Alcotest.(check string) ("lub " ^ pair)
+            (Explicit.name fig1b (Explicit.lub fig1b (lvl a) (lvl b)))
+            (Explicit.name lat (Explicit.lub lat a' b'));
+          Alcotest.(check string) ("glb " ^ pair)
+            (Explicit.name fig1b (Explicit.glb fig1b (lvl a) (lvl b)))
+            (Explicit.name lat (Explicit.glb lat a' b')))
+        (names fig1b (Explicit.all fig1b));
+      Alcotest.(check (list string)) ("covers below " ^ a)
+        (names fig1b (Explicit.covers_below fig1b (lvl a)))
+        (names lat (Explicit.covers_below lat (Explicit.of_name_exn lat a))))
+    (names fig1b (Explicit.all fig1b))
 
 let singleton () =
   let l = Explicit.create_exn ~names:[ "only" ] ~order:[] in
@@ -185,6 +226,7 @@ let suite =
     case "reflexive pairs tolerated" reflexive_pairs_ok;
     case "name round-trips" names_roundtrip;
     case "cover pairs" cover_pairs;
+    case "top-down declaration is renumbered" top_down_declaration;
     case "singleton lattice" singleton;
     Helpers.qcheck lub_brute_prop;
   ]

@@ -45,7 +45,8 @@ let errors () =
   | _ -> Alcotest.fail "accepted cycle"
 
 (* Property: lub_opt, when defined, is a common upper bound below all
-   common upper bounds. *)
+   common upper bounds — with the elements declared bottom-up, and
+   top-down so that ids are not topological. *)
 let lub_opt_prop =
   QCheck.Test.make ~count:100 ~name:"poset lub_opt is the least upper bound"
     Helpers.seed_arb
@@ -63,28 +64,24 @@ let lub_opt_prop =
                    else None)
                  (List.init n Fun.id)))
       in
-      let p = Poset.create_exn ~names ~order in
+      let is_lub p a c =
+        let ubs = Poset.upper_bounds p [ a; c ] in
+        match Poset.lub_opt p a c with
+        | Some l -> List.mem l ubs && List.for_all (fun u -> Poset.leq p l u) ubs
+        | None ->
+            (* Either no upper bound, or several minimal ones. *)
+            ubs = []
+            || List.length
+                 (List.filter
+                    (fun u -> List.for_all (fun v -> v = u || not (Poset.leq p v u)) ubs)
+                    ubs)
+               > 1
+      in
       List.for_all
-        (fun a ->
-          List.for_all
-            (fun c ->
-              let ubs = Poset.upper_bounds p [ a; c ] in
-              match Poset.lub_opt p a c with
-              | Some l ->
-                  List.mem l ubs && List.for_all (fun u -> Poset.leq p l u) ubs
-              | None ->
-                  (* Either no upper bound, or several minimal ones. *)
-                  ubs = []
-                  || List.length
-                       (List.filter
-                          (fun u ->
-                            List.for_all
-                              (fun v -> v = u || not (Poset.leq p v u))
-                              ubs)
-                          ubs)
-                     > 1)
-            (Poset.all p))
-        (Poset.all p))
+        (fun names ->
+          let p = Poset.create_exn ~names ~order in
+          List.for_all (fun a -> List.for_all (is_lub p a) (Poset.all p)) (Poset.all p))
+        [ names; List.rev names ])
 
 let suite =
   [

@@ -58,6 +58,19 @@ let still_not_lattice () =
   | Error e -> Alcotest.failf "wrong error: %a" Explicit.pp_error e
   | Ok _ -> Alcotest.fail "accepted the butterfly"
 
+(* No levels at all is reported as such, not as a missing bound between
+   dummies the input never named. *)
+let empty () =
+  (match Semilattice.complete ~names:[] ~order:[] with
+  | Error Explicit.Empty -> ()
+  | Error e -> Alcotest.failf "wrong error: %a" Explicit.pp_error e
+  | Ok _ -> Alcotest.fail "completed an empty order");
+  match Lattice_file.parse_semilattice "" with
+  | Error { line = 0; message } ->
+      Alcotest.(check string) "message" "lattice has no levels" message
+  | Error e -> Alcotest.failf "wrong error: %a" Lattice_file.pp_error e
+  | Ok _ -> Alcotest.fail "completed an empty file"
+
 let suite =
   [
     case "missing top" no_top;
@@ -65,4 +78,5 @@ let suite =
     case "already complete" neither;
     case "missing both" both;
     case "butterfly still rejected" still_not_lattice;
+    case "empty input reports Empty" empty;
   ]
