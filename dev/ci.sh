@@ -74,6 +74,52 @@ echo "$rev_out" | grep -qx 'verified: pointwise minimal' || {
 }
 echo "ci: top-down lattice declaration OK (renumbered, verified minimal)"
 
+# Pinned lattice builds: bench fig1 prints Fig. 1's lattices, covers and
+# bounds, and fig4's decision counts follow the element numbering of the
+# poset the Fig. 4 reduction builds (the min-poset search tries each
+# domain in Poset.all order), so a change to how Poset numbers or reduces
+# an order moves these lines.  fig1 is pinned whole; fig4 on its
+# deterministic columns (vars, clauses, result, dpll and poset
+# decisions), not its timings.
+fig1_want=$(cat <<'EOF'
+
+=== FIG1: the security lattices of Figure 1 ===
+Fig. 1(a): compartmented lattice, 2 classifications x 2^2 categories = 8 access classes, height 3
+  lub(S:{Army}, TS:{Nuclear}) = TS:{Army,Nuclear}
+  lub(S:{Army}, S:{Nuclear}) = S:{Army,Nuclear}
+
+Fig. 1(b): 6 levels, height 3, cover relation:
+  L1 < L2
+  L1 < L3
+  L2 < L4
+  L3 < L4
+  L3 < L5
+  L4 < L6
+  L5 < L6
+  glb(L4, L5) = L3   lub(L2, L3) = L4
+EOF
+)
+fig1_got=$(dune exec bench/main.exe -- fig1)
+test "$fig1_got" = "$fig1_want" || {
+  echo "ci: bench fig1 drifted from its pin:" >&2
+  echo "$fig1_got" >&2
+  exit 1
+}
+fig4_want='4 16 SAT 3 24
+6 25 SAT 2 1203
+8 33 SAT 5 10385
+10 42 SAT 5 64896
+12 50 SAT 9 57413
+14 58 SAT 5 37807'
+fig4_got=$(dune exec bench/main.exe -- fig4 |
+  awk '$3 == "SAT" || $3 == "UNSAT" { print $1, $2, $3, $4, $5 }')
+test "$fig4_got" = "$fig4_want" || {
+  echo "ci: bench fig4's vars/clauses/result/decisions drifted from their pin:" >&2
+  echo "$fig4_got" >&2
+  exit 1
+}
+echo "ci: lattice builds OK (fig1 and fig4's counts equal their pins)"
+
 # Pinned solver counters: Instr totals on acyclic, cyclic and N5
 # instances, and in the bounds, incremental and preference modes (the
 # last with a digest of its schedule), must equal their recorded values

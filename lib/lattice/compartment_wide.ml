@@ -7,15 +7,11 @@ type t = {
 }
 
 let create ~classifications ~categories =
-  let cat_names = Array.of_list categories in
-  let cat_index = Hashtbl.create (Array.length cat_names) in
-  Array.iteri
-    (fun i c ->
-      if Hashtbl.mem cat_index c then
-        invalid_arg (Printf.sprintf "Compartment_wide.create: duplicate category %S" c);
-      Hashtbl.add cat_index c i)
-    cat_names;
-  { ladder = Total.create classifications; cat_names; cat_index }
+  match Name_index.create categories with
+  | Ok (cat_names, cat_index) ->
+      { ladder = Total.create classifications; cat_names; cat_index }
+  | Error c ->
+      invalid_arg (Printf.sprintf "Compartment_wide.create: duplicate category %S" c)
 
 let dod ~n_categories =
   create

@@ -105,18 +105,19 @@ let[@inline] lookup order op a b =
   if Array.length op.table > 0 then op.table.((a * Array.length op.sets) + b)
   else memo_lookup order op a b
 
-(* Level ids must be topological for [search].  When the declared names
-   already list a linear extension, the poset is numbered so; otherwise it
-   is built once more over its names in Kahn's smallest-position-first
-   order, which leaves a linear extension as it is. *)
-let topological p =
-  let below hi = List.for_all (fun lo -> lo < hi) (Poset.covers_below p hi) in
-  if List.for_all below (Poset.all p) then p
+(* Level ids must be topological for [search].  The poset's Kahn order
+   (smallest declared position first) leaves a linear extension as it is,
+   so when it is the identity the poset is numbered so; otherwise it is
+   built once more over its names in that order. *)
+let topological (p : Poset.t) =
+  let ids = p.topological in
+  let rec identity i = i = Array.length ids || (ids.(i) = i && identity (i + 1)) in
+  if identity 0 then p
   else
-    let name = Poset.name p and covers = Poset.cover_pairs p in
+    let name = Poset.name p in
     Poset.create_exn
-      ~names:(List.map name (Hasse.topological_order (Poset.cardinal p) covers))
-      ~order:(List.map (fun (lo, hi) -> (name lo, name hi)) covers)
+      ~names:(List.map name (Array.to_list ids))
+      ~order:(List.map (fun (lo, hi) -> (name lo, name hi)) (Poset.cover_pairs p))
 
 let create ~names ~order =
   match Poset.create ~names ~order with

@@ -21,7 +21,11 @@ let parse_raw text =
     in
     let line = String.trim line in
     if line <> "" then
-      if String.length line > 6 && String.sub line 0 6 = "levels" then
+      (* [levels] is a keyword only when white space follows it: a level
+         may be named [levelsA]. *)
+      if String.length line > 6 && String.starts_with ~prefix:"levels" line
+         && (line.[6] = ' ' || line.[6] = '\t')
+      then
         let declared = split_commas (String.sub line 6 (String.length line - 6)) in
         names := List.rev_append declared !names
       else

@@ -8,6 +8,7 @@ type t = {
   covers_lo : int list array;
   covers_hi : int list array;
   height : int;
+  topological : int array;
 }
 
 type error = Empty | Duplicate_name of string | Unknown_name of string | Cyclic_order
@@ -20,53 +21,96 @@ let pp_error ppf = function
 
 exception Err of error
 
+(* One pass: a Kahn sort of the pairs, one sweep down that order that
+   closes each up-set over its successors' and reads the covers off the
+   closed sets, and one sweep up it over the covers for the down-sets and
+   the height.  The transitive reduction of an acyclic relation is read
+   off its closure (Aho, Garey & Ullman 1972). *)
 let create ~names ~order =
   try
     if names = [] then raise (Err Empty);
-    let arr = Array.of_list names in
-    let n = Array.length arr in
-    let index = Hashtbl.create n in
-    Array.iteri
-      (fun i nm ->
-        if Hashtbl.mem index nm then raise (Err (Duplicate_name nm));
-        Hashtbl.add index nm i)
-      arr;
-    let edge (lo, hi) =
-      let find x =
-        match Hashtbl.find_opt index x with
-        | Some i -> i
-        | None -> raise (Err (Unknown_name x))
-      in
-      (find lo, find hi)
+    let names, index =
+      match Name_index.create names with
+      | Ok ni -> ni
+      | Error nm -> raise (Err (Duplicate_name nm))
     in
-    let edges =
-      List.filter (fun (lo, hi) -> lo <> hi) (List.map edge order)
+    let n = Array.length names in
+    let id x =
+      match Hashtbl.find_opt index x with
+      | Some i -> i
+      | None -> raise (Err (Unknown_name x))
     in
-    let covers =
-      match Hasse.transitive_reduction n edges with
-      | c -> c
-      | exception Invalid_argument _ -> raise (Err Cyclic_order)
-    in
-    let up = Hasse.transitive_closure n covers in
-    let down = Array.init n (fun _ -> Bitset.create n) in
-    for i = 0 to n - 1 do
-      Bitset.iter (fun j -> Bitset.set down.(j) i) up.(i)
-    done;
-    let covers_lo = Array.make n [] and covers_hi = Array.make n [] in
+    (* Every pair is resolved before any cycle is looked for; within a
+       pair the high name is looked up first, so a pair naming two
+       unknown elements reports its high one. *)
+    let succ = Array.make n [] in
     List.iter
       (fun (lo, hi) ->
-        covers_lo.(hi) <- lo :: covers_lo.(hi);
-        covers_hi.(lo) <- hi :: covers_hi.(lo))
-      (List.rev covers);
+        let hi = id hi in
+        let lo = id lo in
+        if lo <> hi then succ.(lo) <- hi :: succ.(lo))
+      order;
+    let succ = Array.map (List.sort_uniq Int.compare) succ in
+    (* Kahn, taking the smallest declared position among the ready. *)
+    let indeg = Array.make n 0 in
+    Array.iter (List.iter (fun j -> indeg.(j) <- indeg.(j) + 1)) succ;
+    let ready = Bitset.create n in
+    Array.iteri (fun i d -> if d = 0 then Bitset.set ready i) indeg;
+    let topological = Array.make n 0 in
+    let rec sort k =
+      match Bitset.min_elt ready with
+      | None -> if k < n then raise (Err Cyclic_order)
+      | Some i ->
+          Bitset.clear ready i;
+          topological.(k) <- i;
+          List.iter
+            (fun j ->
+              indeg.(j) <- indeg.(j) - 1;
+              if indeg.(j) = 0 then Bitset.set ready j)
+            succ.(i);
+          sort (k + 1)
+    in
+    sort 0;
+    (* From the top down, so every successor's up-set is closed: a
+       successor is a cover iff no other successor reaches it. *)
+    let up = Array.init n (fun _ -> Bitset.create n) in
+    let covers_hi = Array.make n [] in
+    for k = n - 1 downto 0 do
+      let i = topological.(k) in
+      Bitset.set up.(i) i;
+      List.iter (fun j -> Bitset.union_into up.(i) up.(j)) succ.(i);
+      let cover j =
+        List.for_all (fun m -> m = j || not (Bitset.mem up.(m) j)) succ.(i)
+      in
+      covers_hi.(i) <- List.filter cover succ.(i)
+    done;
+    let covers_lo = Array.make n [] in
+    for i = n - 1 downto 0 do
+      List.iter (fun j -> covers_lo.(j) <- i :: covers_lo.(j)) covers_hi.(i)
+    done;
+    (* From the bottom up over the covers: the down-sets, and [depth.(i)],
+       the longest chain of covers below [i]. *)
+    let down = Array.init n (fun _ -> Bitset.create n) in
+    let depth = Array.make n 0 in
+    Array.iter
+      (fun i ->
+        Bitset.set down.(i) i;
+        List.iter
+          (fun c ->
+            Bitset.union_into down.(i) down.(c);
+            depth.(i) <- max depth.(i) (depth.(c) + 1))
+          covers_lo.(i))
+      topological;
     Ok
       {
-        names = arr;
+        names;
         index;
         up;
         down;
         covers_lo;
         covers_hi;
-        height = Hasse.longest_path n covers;
+        height = Array.fold_left max 0 depth;
+        topological;
       }
   with Err e -> Error e
 
@@ -96,8 +140,7 @@ let covers_below t e = t.covers_lo.(e)
 let covers_above t e = t.covers_hi.(e)
 
 let cover_pairs t =
-  List.concat_map (fun hi -> List.map (fun lo -> (lo, hi)) t.covers_lo.(hi)) (all t)
-  |> List.sort compare
+  List.concat_map (fun lo -> List.map (fun hi -> (lo, hi)) t.covers_hi.(lo)) (all t)
 
 let maximal_elements t =
   List.filter (fun e -> t.covers_hi.(e) = []) (all t)

@@ -4,18 +4,13 @@ type t = { elems : string array; index : (string, int) Hashtbl.t }
 let max_arity = Sys.int_size - 1 (* 62: keep masks positive *)
 
 let create elements =
-  let arr = Array.of_list elements in
-  if Array.length arr > max_arity then
+  if List.compare_length_with elements max_arity > 0 then
     invalid_arg
       (Printf.sprintf "Powerset.create: more than %d elements" max_arity);
-  let index = Hashtbl.create (Array.length arr) in
-  Array.iteri
-    (fun i n ->
-      if Hashtbl.mem index n then
-        invalid_arg (Printf.sprintf "Powerset.create: duplicate element %S" n);
-      Hashtbl.add index n i)
-    arr;
-  { elems = arr; index }
+  match Name_index.create elements with
+  | Ok (elems, index) -> { elems; index }
+  | Error n ->
+      invalid_arg (Printf.sprintf "Powerset.create: duplicate element %S" n)
 
 let arity t = Array.length t.elems
 

@@ -3,15 +3,9 @@ type t = { names : string array; index : (string, int) Hashtbl.t }
 
 let create names =
   if names = [] then invalid_arg "Total.create: empty";
-  let arr = Array.of_list names in
-  let index = Hashtbl.create (Array.length arr) in
-  Array.iteri
-    (fun i n ->
-      if Hashtbl.mem index n then
-        invalid_arg (Printf.sprintf "Total.create: duplicate name %S" n);
-      Hashtbl.add index n i)
-    arr;
-  { names = arr; index }
+  match Name_index.create names with
+  | Ok (names, index) -> { names; index }
+  | Error n -> invalid_arg (Printf.sprintf "Total.create: duplicate name %S" n)
 
 let anonymous n =
   if n <= 0 then invalid_arg "Total.anonymous: nonpositive size";

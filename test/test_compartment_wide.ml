@@ -93,9 +93,23 @@ let solver_over_wide () =
   Alcotest.(check bool) "fast = plain" true
     (Array.for_all2 (Compartment_wide.equal big) plain.SW.levels fast.SW.levels)
 
+(* Categories are checked first, each name list reporting its first
+   duplicate in its own words. *)
+let duplicates () =
+  Alcotest.check_raises "category"
+    (Invalid_argument "Compartment_wide.create: duplicate category \"N\"")
+    (fun () ->
+      ignore
+        (Compartment_wide.create ~classifications:[ "S"; "S" ]
+           ~categories:[ "A"; "N"; "N"; "A" ]));
+  Alcotest.check_raises "classification"
+    (Invalid_argument "Total.create: duplicate name \"S\"") (fun () ->
+      ignore (Compartment_wide.create ~classifications:[ "S"; "S" ] ~categories:[ "A" ]))
+
 let suite =
   [
     case "lattice laws" laws;
+    case "duplicate names" duplicates;
     case "agrees with single-word compartment" agrees_with_narrow;
     case "beyond one machine word" beyond_machine_word;
     case "string round-trips" roundtrip;

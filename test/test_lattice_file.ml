@@ -52,6 +52,27 @@ let errors () =
       Alcotest.(check bool) "mentions upper bound" true (String.length message > 0)
   | _ -> Alcotest.fail "accepted non-lattice"
 
+(* [levels] opens a declaration only when white space follows it, so a
+   level may be named [levelsA]; a tab separates a declaration too. *)
+let levels_keyword () =
+  let parse text =
+    match Lattice_file.parse text with
+    | Ok lat -> lat
+    | Error e -> Alcotest.failf "parse: %a" Lattice_file.pp_error e
+  in
+  let lat = parse "levels lo, levelsA, hi\nlo < levelsA\nlevelsA < hi\n" in
+  Alcotest.(check (list string)) "levels" [ "lo"; "levelsA"; "hi" ]
+    (List.map (Explicit.name lat) (Explicit.all lat));
+  Alcotest.(check (list (pair string string)))
+    "covers"
+    [ ("lo", "levelsA"); ("levelsA", "hi") ]
+    (List.map
+       (fun (lo, hi) -> (Explicit.name lat lo, Explicit.name lat hi))
+       (Explicit.cover_pairs lat));
+  let lat = parse "levels\ta, b\na < b\n" in
+  Alcotest.(check (list string)) "tab-separated" [ "a"; "b" ]
+    (List.map (Explicit.name lat) (Explicit.all lat))
+
 let semilattice () =
   match Lattice_file.parse_semilattice "levels a, b, c\na < b\na < c\n" with
   | Error e -> Alcotest.failf "semilattice: %a" Lattice_file.pp_error e
@@ -82,6 +103,7 @@ let suite =
     case "parse" parse_ok;
     case "round-trip" roundtrip;
     case "errors" errors;
+    case "levels is a keyword before white space" levels_keyword;
     case "semilattice completion" semilattice;
     case "levels lines parse in linear allocation" levels_linear;
   ]
