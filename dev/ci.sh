@@ -121,10 +121,10 @@ test "$fig4_got" = "$fig4_want" || {
 echo "ci: lattice builds OK (fig1 and fig4's counts equal their pins)"
 
 # Pinned solver counters: Instr totals on acyclic, cyclic and N5
-# instances, and in the bounds, incremental and preference modes (the
-# last with a digest of its schedule), must equal their recorded values
-# (exit 1 on any drift), so a change of data layout cannot silently
-# change what the solver computes.
+# instances, and in the bounds, incremental, patch, epochs and
+# preference modes (the last with a digest of its schedule), must equal
+# their recorded values (exit 1 on any drift), so a change of data
+# layout cannot silently change what the solver computes.
 dune exec dev/counters_check.exe
 
 # Differential self-check: a pinned-seed bounded run of the property

@@ -4,14 +4,14 @@
    instance over the pentagon lattice N5 where, inside one [Try], an
    attribute's pending lowering is replaced by a glb and the attribute
    re-enters Tocheck; and triangles over N5 where one [Try] pushes 19
-   attributes at once.  Four more pin the solver's other entry modes:
+   attributes at once.  Five more pin the solver's other entry modes:
    upper bounds (§6) on the acyclic instance, an incremental re-solve of
    a cyclic instance, a re-tightened bound re-solved incrementally on the
-   acyclic instance (a session's patch path), and an upgrade preference
-   over many priority sets (with a digest of the order the Bigloop
-   considers attributes in).  Each of these also pins an MD5 of the
-   final levels.  The
-   last pins a session: a digest of the levels after each step of a
+   acyclic instance (a session's patch path), four re-tightened bounds
+   whose sets are labeled apart (complex rows rebuilt in several
+   epochs), and an upgrade preference over many priority sets (with a
+   digest of the order the Bigloop considers attributes in).  Each of
+   these also pins an MD5 of the final levels.  The last pins a session: a digest of the levels after each step of a
    fixed delta script on the cyclic and preference instances.  Any
    drift means a change altered what the solver computes or how it
    counts.  Prints every line; exits 1 if any differs from its pin. *)
@@ -179,6 +179,35 @@ let patch (attrs, csts) =
   let s = ST.solve_incremental ~workspace:(ST.workspace ()) ~prev:(p, full) ~dirty:[ a ] p in
   total_pin s.ST.stats s.ST.levels
 
+(* A patch resolve whose labeled sets lie apart: [acyclic]'s shape at
+   300 attributes, bounds on four attributes spread over the order and
+   two complex rows across them, all four bounds re-tightened at once.
+   The dirty sets are labeled between runs of reused sets, so a row
+   across them is rebuilt in each of their epochs.  Pins the reused
+   count too. *)
+let epochs =
+  let attrs, csts =
+    Gen.acyclic (Prng.create 23)
+      { Gen.n_attrs = 300; n_simple = 500; n_complex = 120; max_lhs = 3;
+        n_constants = 60; constants = List.init 16 Fun.id }
+  in
+  let a = Printf.sprintf "A%d" and bounded = [ 7; 95; 180; 260 ] in
+  let rows =
+    [
+      Cst.make_exn ~lhs:[ a 7; a 180 ] ~rhs:(Cst.Level 9);
+      Cst.make_exn ~lhs:[ a 40; a 95; a 260 ] ~rhs:(Cst.Level 10);
+    ]
+  in
+  let bounds = List.map (fun i -> Cst.simple (a i) (Cst.Level 2)) bounded in
+  let p = ST.compile_exn ~lattice:ladder16 ~attrs (csts @ rows @ bounds) in
+  let prob = p.ST.prob in
+  let full = ST.solve p in
+  let first = Problem.n_csts prob - List.length bounded in
+  List.iteri (fun i l -> Problem.set_rlevel prob (first + i) l) [ 5; 12; 3; 8 ];
+  let dirty = List.map (fun i -> Problem.attr_id_exn prob (a i)) bounded in
+  let s = ST.solve_incremental ~workspace:(ST.workspace ()) ~prev:(p, full) ~dirty p in
+  Printf.sprintf "%s reused=%d" (total_pin s.ST.stats s.ST.levels) s.ST.reused
+
 (* Islands of cycles wired acyclically, solved under a preference that
    reorders both the sets and the members within a set. *)
 let preference_instance =
@@ -277,6 +306,7 @@ let pins =
     ("bounds", bounds acyclic, "lub=6471 glb=0 leq=3504 minlevel=2987 try=0 try_iters=0 checks=0 levels=bc3ac080a8c3cab437dc880d678b47c9");
     ("incremental", incremental cyclic, "lub=2875 glb=0 leq=7637 minlevel=70 try=656 try_iters=2429 checks=6252 levels=4529a3a5d7783492fa4d9e62cb407108");
     ("patch", patch acyclic, "lub=2134 glb=0 leq=662 minlevel=451 try=0 try_iters=0 checks=0 levels=2d479dd1876937cac1032eb84ea652b0");
+    ("epochs", epochs, "lub=34 glb=0 leq=14 minlevel=8 try=0 try_iters=0 checks=0 levels=9a9efd29f62a88cb7dd22a238f20cdb6 reused=289");
     ("preference", preference,
      "lub=1863 glb=1628 leq=5559 minlevel=84 try=51 try_iters=554 checks=3601 levels=f5c494b6d46650211691e9a421eb14e2 order=15b31f1daf5c89f2bf2c3ffc14b2ca97");
     ("session", session, "cyclic=f45fa6480a3cfbf1ab9dec38af10f32d preference=0eefddbec49158ac96a43bed2175858c");

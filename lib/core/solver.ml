@@ -172,19 +172,31 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     config : Config.t;
     bottom : L.level;
     top : L.level;
+    lam_top : L.level;  (* the ⊤ an unlabeled attribute's λ holds, see [start] *)
+    n : int;  (* attributes; an incremental solve's arrays may be longer *)
     bounds_mode : bool;  (* Minlevel runs before a lhs is all labeled *)
     stats : Instr.t;
     lam : L.level array;  (* λ *)
-    done_ : bool array;  (* λ(A) final *)
+    done_ : bool array;  (* λ(A) final; in incremental mode, read through [final] *)
     unlabeled : int array;  (* per complex constraint: lhs members unvisited *)
     agg : L.level array;  (* per complex constraint: see [finalize] *)
     pref : int array option;  (* upgrade preference per attribute *)
-    prev : L.level array option;  (* incremental mode: the earlier levels *)
-    stale : bool array;  (* incremental mode: the set must be labeled again *)
-    stamp : int array;  (* incremental mode: per complex constraint, see [rebuild] *)
-    mutable epoch : int;  (* incremental mode: opened by each reused set *)
-    mutable reused : int;  (* attributes that took [prev]'s level *)
-    mutable relabeled : int;  (* incremental mode: sets labeled again *)
+    (* Incremental mode ([prev] is [Some]): the turn walk of [bigloop] *)
+    prev : L.level array option;  (* the earlier levels *)
+    serial : int;  (* this solve's number in its workspace *)
+    queued : int array;  (* per set: the [serial] of the last solve that pushed it *)
+    heap : int array;  (* the turns of the sets pushed and not visited yet *)
+    mutable heap_len : int;
+    mutable order : int array option;  (* [schedule]'s order: the set at each turn *)
+    mutable pos : int array option;  (* per set: its turn in [order] *)
+    mutable cur : int;  (* the set being labeled *)
+    mutable cur_turn : int;  (* its turn *)
+    stamp : int array;  (* per complex constraint, see [rebuild] *)
+    mutable epoch : int;  (* opened by each gap in the visited turns *)
+    mutable relabeled : int;  (* sets labeled again *)
+    mutable visited : int;  (* their members *)
+    mutable last_changed : int;  (* the last id whose level is not [prev]'s, or -1 *)
+    mutable synced : L.level array;  (* the levels λ holds once the solve completes *)
     (* [try_lower]'s and [dset]'s scratch; the three per-attribute arrays
        are allocated at the first [Try], which an acyclic solve never
        calls *)
@@ -215,6 +227,24 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let workspace () = { last = None }
 
   let attr_name st a = Problem.attr_name st.prob a
+
+  (* Incremental mode walks the sets in the same order as a scratch solve
+     but visits only those it pushes ([bigloop]): a set it skips keeps
+     [prev]'s levels, which λ already holds, with no write at all.  So
+     [done_] is kept for the set being labeled only, and an attribute of
+     any other set is final iff its set's turn — its place in the order,
+     decreasing priority or [schedule]'s — comes before the current one.
+     A scratch solve keeps [done_] for every attribute and reads it. *)
+  let turn_in pos p = match pos with None -> -p | Some pos -> pos.(p)
+  let turn st p = turn_in st.pos p
+  let set_at st t = match st.order with None -> -t | Some order -> order.(t)
+
+  let final st x =
+    match st.prev with
+    | None -> st.done_.(x)
+    | Some _ ->
+        let q = st.prio.Priorities.priority.(x) in
+        if q = st.cur then st.done_.(x) else turn st q < st.cur_turn
 
   (* Instrumented lattice operations.  ⊥ is the identity of lub and ⊤ the
      identity of glb, so those cases skip the lattice operation (and the
@@ -260,8 +290,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      [stats]). *)
   let cancel st reason =
     let partial = ref [] in
-    for a = Array.length st.lam - 1 downto 0 do
-      if st.done_.(a) then partial := (attr_name st a, st.lam.(a)) :: !partial
+    for a = st.n - 1 downto 0 do
+      if final st a then partial := (attr_name st a, st.lam.(a)) :: !partial
     done;
     raise
       (Cancelled
@@ -271,7 +301,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
              {
                partial = !partial;
                n_finalized = List.length !partial;
-               n_attrs = Array.length st.lam;
+               n_attrs = st.n;
                steps = st.budget.steps;
              };
          })
@@ -328,7 +358,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let rhs_level st r =
     if is_attr r then st.lam.(r) else st.prob.Problem.store.Problem.levels.(level_index r)
 
-  let rhs_done st r = (not (is_attr r)) || st.done_.(r)
+  let rhs_done st r = (not (is_attr r)) || final st r
 
   (* The Bigloop turns to [a] (one scheduling step, [Consider]) ... *)
   let visit st p a =
@@ -488,8 +518,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let { Problem.lhs = { Problem.off = loff; tgt = ltgt }; rhs; levels; _ } =
       st.prob.Problem.store
     in
-    let stats = st.stats and lam = st.lam and done_ = st.done_ in
+    let stats = st.stats and lam = st.lam and priority = st.prio.Priorities.priority in
     let pend = st.pend and pend_lvl = st.pend_lvl in
+    (* An attribute of a later set is at ⊤ in a scratch solve's λ; an
+       incremental one's λ holds [prev]'s level there, so the fold reads
+       ⊤ for it. *)
+    let incremental = Option.is_some st.prev in
     stats.Instr.try_calls <- stats.Instr.try_calls + 1;
     st.n_touched <- 0;
     st.fifo_len <- 0;
@@ -514,14 +548,16 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
                 let a'' = ltgt.(j) in
                 level :=
                   lub st !level
-                    (if pend.(a'') = To_lower then pend_lvl.(a'') else lam.(a''))
+                    (if pend.(a'') = To_lower then pend_lvl.(a'')
+                     else if incremental && turn st priority.(a'') > st.cur_turn then st.lam_top
+                     else lam.(a''))
               done;
               let level = !level and b = rhs.(ci) in
               if not (is_attr b) then begin
                 if not (leq st levels.(level_index b) level) then raise Try_failed
               end
               else if not (leq st lam.(b) level) then begin
-                if done_.(b) then raise Try_failed;
+                if final st b then raise Try_failed;
                 let newlevel = glb st lam.(b) level in
                 if pend.(b) = Idle then to_check st b newlevel
                 else begin
@@ -674,39 +710,24 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     | Some pref -> (
         match Int.compare pref.(a) pref.(b) with 0 -> Int.compare a b | c -> c)
 
-  (* Incremental mode, a set with no stale member: its inputs — the
-     levels of the sets labeled before it and its own constraints — are
-     those of [prev]'s solve, so it takes [prev]'s levels, with no step,
-     span or event.  Two writes per member: the complex rows it is in
-     are left as they were, neither counted down in [unlabeled] nor
-     folded into [agg], and the set opens a new epoch, so that [rebuild]
-     brings a row up to date before a set labeled later reads it. *)
-  let reuse st prev members lo hi =
-    for j = lo to hi - 1 do
-      let a = members.(j) in
-      st.lam.(a) <- prev.(a);
-      st.done_.(a) <- true
-    done;
-    st.epoch <- st.epoch + 1;
-    st.reused <- st.reused + (hi - lo)
-
   (* Incremental mode, before a set [members.(lo .. hi - 1)] is labeled:
      each complex row of a member that has not been rebuilt in this
-     epoch gets [unlabeled] and [agg] from its lhs members done now — the
-     state a solve that reused nothing has at this turn, since there
-     every member labeled so far was counted down at its visit and folded
-     in at its finish, and none of this set's members is done yet.
-     Within an epoch no set is reused, so a rebuilt row is kept up to
-     date by the labeled sets' own visits and finishes; a row is rebuilt
-     at most once per epoch (once per run of reused sets that precedes a
-     labeled set reading it), and before any of its members finishes in
-     it.  The first epoch, before any reuse, starts every row from its
+     epoch gets [unlabeled] and [agg] from its lhs members final now —
+     the state a scratch solve has at this turn, since there every member
+     labeled so far was counted down at its visit and folded in at its
+     finish, and none of this set's members is final yet.  A new epoch
+     opens at every gap in the visited turns, where a scratch solve would
+     have labeled a set this one skips, so within an epoch the visited
+     sets' own visits and finishes keep a rebuilt row up to date; a row
+     is rebuilt at most once per epoch (once per run of skipped sets that
+     precedes a visited set reading it), and before any of its members
+     finishes in it.  The first epoch starts every row it reads from its
      empty state this way. *)
   let rebuild st members lo hi =
     let { Problem.off; tgt } = st.prob.Problem.constr_of in
     let { Problem.off = loff; tgt = ltgt } = st.prob.Problem.store.Problem.lhs in
     let complex_idx = st.prob.Problem.complex_idx and stamp = st.stamp in
-    let lam = st.lam and done_ = st.done_ and epoch = st.epoch in
+    let lam = st.lam and epoch = st.epoch in
     for j = lo to hi - 1 do
       let a = members.(j) in
       for i = off.(a) to off.(a + 1) - 1 do
@@ -717,7 +738,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           let unlabeled = ref 0 and agg = ref st.bottom in
           for i' = loff.(ci) to loff.(ci + 1) - 1 do
             let x = ltgt.(i') in
-            if done_.(x) then agg := lub st !agg lam.(x) else incr unlabeled
+            if final st x then agg := lub st !agg lam.(x) else incr unlabeled
           done;
           st.unlabeled.(k) <- !unlabeled;
           st.agg.(k) <- !agg
@@ -725,48 +746,101 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       done
     done
 
+  (* A binary min-heap of ints in [heap.(0 .. len - 1)] under [less]:
+     [heap_push] puts [p] in at [len], [heap_pop] takes the least of the
+     [len] entries out; the caller keeps the length. *)
+  let heap_push heap len less p =
+    let i = ref len in
+    while !i > 0 && less p heap.((!i - 1) / 2) do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- p
+
+  let heap_pop heap len less =
+    let top = heap.(0) and len = len - 1 in
+    let last = heap.(len) and i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < len && less heap.(l + 1) heap.(l) then l + 1 else l in
+      if c < len && less heap.(c) last then begin
+        heap.(!i) <- heap.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    heap.(!i) <- last;
+    top
+
+  let before (t : int) u = t < u
+
+  (* Incremental mode: [x]'s set is visited at its turn, once per solve,
+     unless that turn has passed — a set read by an earlier one is never
+     labeled again.  The heap holds turns. *)
+  let push_set st x =
+    let p = st.prio.Priorities.priority.(x) in
+    let t = turn st p in
+    if st.queued.(p) <> st.serial && t > st.cur_turn then begin
+      st.queued.(p) <- st.serial;
+      heap_push st.heap st.heap_len before t;
+      st.heap_len <- st.heap_len + 1
+    end
+
   (* Incremental mode, after a set is labeled: a member whose level is not
-     [prev]'s — or that [prev] lacks — makes stale every attribute whose
-     labeling reads it: the lhs of each constraint it is the rhs of, and
-     its peers in each complex lhs.  The comparison is uncounted. *)
+     [prev]'s ([L.equal], uncounted) — or that [prev] lacks — pushes the
+     set of every attribute whose labeling reads it: the lhs of each
+     constraint it is the rhs of, and its peers in each complex lhs.  A
+     member whose level is not physically [prev]'s is a changed id. *)
   let mark_stale st prev members lo hi =
     let prob = st.prob in
-    let mark ci = Problem.iter_lhs prob ci (fun x -> st.stale.(x) <- true) in
+    let push = push_set st in
+    let mark ci = Problem.iter_lhs prob ci push in
     for j = lo to hi - 1 do
       let a = members.(j) in
-      if a >= Array.length prev || not (L.equal st.lat st.lam.(a) prev.(a)) then begin
+      let fresh = a >= Array.length prev in
+      if fresh || st.lam.(a) != prev.(a) then st.last_changed <- max st.last_changed a;
+      if fresh || not (L.equal st.lat st.lam.(a) prev.(a)) then begin
         Problem.iter_incoming prob a mark;
         Problem.iter_constr_of prob a (fun ci ->
             if prob.Problem.complex_idx.(ci) >= 0 then mark ci)
       end
     done
 
-  let rec any_stale stale members j hi =
-    j < hi && (stale.(members.(j)) || any_stale stale members (j + 1) hi)
-
-  (* Priority set [p]'s turn, its members in (preference, id) order, or
-     [reuse] of [prev]'s levels if nothing it reads has changed.  The set
-     is [members.(lo .. hi - 1)] of the priorities' CSR; a cyclic one is
+  (* Priority set [p], its members in (preference, id) order.  The set is
+     [members.(lo .. hi - 1)] of the priorities' CSR; a cyclic one is
      sorted in a copy. *)
-  let bigloop_set st p =
+  let label_turn st p =
     let { Priorities.members; starts; _ } = st.prio in
     let lo = starts.(p - 1) and hi = starts.(p) in
-    match st.prev with
-    | Some prev when not (any_stale st.stale members lo hi) -> reuse st prev members lo hi
-    | prev -> (
-        if Option.is_some prev then begin
-          rebuild st members lo hi;
-          st.relabeled <- st.relabeled + 1
-        end;
-        if hi - lo > 1 then begin
-          let sorted = Array.sub members lo (hi - lo) in
-          Array.sort (by_pref st) sorted;
-          if p <= Array.length st.simple_only && st.simple_only.(p - 1) then
-            collapse st p sorted
-          else label_set st p sorted 0 (hi - lo)
-        end
-        else label_set st p members lo hi;
-        match prev with Some prev -> mark_stale st prev members lo hi | None -> ())
+    if hi - lo > 1 then begin
+      let sorted = Array.sub members lo (hi - lo) in
+      Array.sort (by_pref st) sorted;
+      if p <= Array.length st.simple_only && st.simple_only.(p - 1) then collapse st p sorted
+      else label_set st p sorted 0 (hi - lo)
+    end
+    else label_set st p members lo hi
+
+  (* Incremental mode, turn [t]: its set's members start unlabeled (⊤, not
+     final), its rows are rebuilt if the turn opens an epoch, and it is
+     labeled as a scratch solve would, with no dirty or stale member left
+     out; then its changed members push the sets they feed. *)
+  let relabel st prev t =
+    let p = set_at st t in
+    let { Priorities.members; starts; _ } = st.prio in
+    let lo = starts.(p - 1) and hi = starts.(p) in
+    if t <> st.cur_turn + 1 then st.epoch <- st.epoch + 1;
+    st.cur <- p;
+    st.cur_turn <- t;
+    for j = lo to hi - 1 do
+      let a = members.(j) in
+      st.lam.(a) <- st.lam_top;
+      st.done_.(a) <- false
+    done;
+    rebuild st members lo hi;
+    st.relabeled <- st.relabeled + 1;
+    st.visited <- st.visited + (hi - lo);
+    label_turn st p;
+    mark_stale st prev members lo hi
 
   (* The order Bigloop takes [prio]'s sets of [prob] in: any sink-first
      topological order of the condensation labels every right-hand side
@@ -812,43 +886,22 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           !k
         in
         let key = Array.init np (fun k -> least (k + 1)) in
-        (* The available sets, a binary min-heap on their keys in
-           [heap.(0 .. !avail - 1)]: each set enters once, when its last
-           dependency is labeled, and leaves once, so picking the next
-           set allocates nothing. *)
+        (* The available sets, a heap on their keys: each set enters once,
+           when its last dependency is labeled, and leaves once, so
+           picking the next set allocates nothing. *)
         let heap = Array.make np 0 and avail = ref 0 in
         let less p q = by_pref st key.(p - 1) key.(q - 1) < 0 in
         let add p =
-          let i = ref !avail in
-          incr avail;
-          while !i > 0 && less p heap.((!i - 1) / 2) do
-            heap.(!i) <- heap.((!i - 1) / 2);
-            i := (!i - 1) / 2
-          done;
-          heap.(!i) <- p
-        in
-        let take () =
-          let top = heap.(0) in
-          decr avail;
-          let last = heap.(!avail) and i = ref 0 and sifting = ref true in
-          while !sifting do
-            let l = (2 * !i) + 1 in
-            let c = if l + 1 < !avail && less heap.(l + 1) heap.(l) then l + 1 else l in
-            if c < !avail && less heap.(c) last then begin
-              heap.(!i) <- heap.(c);
-              i := c
-            end
-            else sifting := false
-          done;
-          heap.(!i) <- last;
-          top
+          heap_push heap !avail less p;
+          incr avail
         in
         for p = 1 to np do
           if deps.(p) = 0 then add p
         done;
         let order = Array.make np 0 in
         for i = 0 to np - 1 do
-          let p = take () in
+          let p = heap_pop heap !avail less in
+          decr avail;
           order.(i) <- p;
           (* Labeling [p] discharges every edge into it. *)
           edges_into p (fun q ->
@@ -857,18 +910,25 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         done;
         Some order
 
-  (* BIGLOOP: every priority set in [schedule]'s order, then a last look
-     at the budget — a clock warp (or hook charge) landing after the last
-     amortized poll must still cancel the solve rather than let it return
-     a full solution. *)
+  (* BIGLOOP: every priority set in [schedule]'s order — in incremental
+     mode, every set pushed, taken from the heap in that order, the
+     others skipped — then a last look at the budget: a clock warp (or
+     hook charge) landing after the last amortized poll must still cancel
+     the solve rather than let it return a full solution. *)
   let bigloop st order =
     if st.tracing then Trace.begin_span ~cat:"solver" "bigloop";
-    (match order with
-    | None ->
-        for p = st.prio.Priorities.max_priority downto 1 do
-          bigloop_set st p
+    (match (st.prev, order) with
+    | Some prev, _ ->
+        while st.heap_len > 0 do
+          let t = heap_pop st.heap st.heap_len before in
+          st.heap_len <- st.heap_len - 1;
+          relabel st prev t
         done
-    | Some order -> Array.iter (bigloop_set st) order);
+    | None, None ->
+        for p = st.prio.Priorities.max_priority downto 1 do
+          label_turn st p
+        done
+    | None, Some order -> Array.iter (label_turn st) order);
     check st ~poll:true;
     if st.tracing then Trace.end_span ~cat:"solver" "bigloop"
 
@@ -890,18 +950,23 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      registry is updated once, when the solve ends.  Every site is guarded
      by [tracing] or [metering], so the disabled path costs one branch per
      site: no clock reads, no allocation, and no effect on the [Instr]
-     counters.
+     counters.  λ's ⊤ is [L.top] called again, not [top]: for a boxed
+     lattice, sharing [top]'s box would let [glb]'s physical shortcut
+     fire on λ's ⊤ and change the counters.
 
      An incremental solve takes the arrays of the last one that completed
-     with its workspace, if they are long enough, and allocates only λ,
-     the levels it returns.  It fills [done_] and [stale] over its
-     attributes; [unlabeled] and [agg] need no reset, since its first
-     epoch is past every [stamp] the last one wrote, so [rebuild] brings
-     each row up to date before it is read; and [Try]'s scratch is all
-     [Idle] once a solve completes.  Arrays it must make are of exact
-     size. *)
+     with its workspace, if they are long enough, and writes only what
+     its walk visits: nothing is filled.  λ already holds [prev]'s levels
+     when [prev] is what that solve returned ([synced]), and is copied
+     from them otherwise; [done_] is reset set by set as [relabel] reaches
+     it; [queued] and [stamp] are read against this solve's [serial] and
+     epochs, which are past every one the last solve wrote; and [Try]'s
+     scratch is all [Idle] once a solve completes.  Arrays it must make
+     are of exact size. *)
   let start ?prev ?ub ~(config : Config.t) ({ lat; prob; prio; simple_only } : problem) =
     let n = Problem.n_attrs prob and nc = prob.Problem.n_complex in
+    let np = prio.Priorities.max_priority in
+    let lam_top = L.top lat in
     let held =
       match prev with
       | None -> None
@@ -912,28 +977,22 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           let last = ws.last in
           ws.last <- None;
           match last with
-          | Some h when Array.length h.done_ >= n && Array.length h.stamp >= nc -> last
+          | Some h
+            when Array.length h.done_ >= n
+                 && Array.length h.stamp >= nc
+                 && Array.length h.queued > np ->
+              last
           | _ -> None)
     in
-    (* [held]'s flags [a], cleared over the attributes, or new ones. *)
-    let flags a =
-      match held with
-      | Some h ->
-          let a = a h in
-          Array.fill a 0 n false;
-          a
-      | None -> Array.make n false
-    in
-    let stale =
-      match prev with
-      | None -> [||]
-      | Some ((pp : problem), _, dirty, _) ->
-          (* Rule (a): an attribute [prev] lacks has no level to reuse. *)
-          let stale = flags (fun h -> h.stale) in
-          let n0 = Problem.n_attrs pp.prob in
-          Array.fill stale n0 (n - n0) true;
-          List.iter (fun a -> stale.(a) <- true) dirty;
-          stale
+    let lam =
+      match (ub, prev, held) with
+      | Some ub, _, _ -> ub
+      | None, None, _ -> Array.make n lam_top
+      | None, Some (_, sol, _, _), Some h when h.synced == sol.levels -> h.lam
+      | None, Some (_, sol, _, _), held ->
+          let lam = match held with Some h -> h.lam | None -> Array.make n lam_top in
+          Array.blit sol.levels 0 lam 0 (Array.length sol.levels);
+          lam
     in
     let incremental = Option.is_some prev in
     let tracing = Trace.enabled () and metering = Metrics.enabled () in
@@ -969,14 +1028,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       config;
       bottom;
       top = L.top lat;
+      lam_top;
+      n;
       bounds_mode;
       stats = Instr.create ();
-      lam =
-        (* [L.top] again, not [top]: for a boxed lattice, sharing [top]'s
-           box would let [glb]'s physical shortcut fire on λ's ⊤ and
-           change the counters. *)
-        (match ub with Some ub -> ub | None -> Array.make n (L.top lat));
-      done_ = flags (fun h -> h.done_);
+      lam;
+      done_ = (match held with Some h -> h.done_ | None -> Array.make n false);
       (* An incremental solve [rebuild]s each row before it reads it. *)
       unlabeled =
         (match held with
@@ -988,14 +1045,29 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           (fun f -> Array.init n (fun a -> f (Problem.attr_name prob a)))
           config.Config.upgrade_preference;
       prev = Option.map (fun (_, sol, _, _) -> sol.levels) prev;
-      stale;
+      serial = (match held with Some h -> h.serial + 1 | None -> 1);
+      queued =
+        (match held with
+        | Some h -> h.queued
+        | None -> if incremental then Array.make (np + 1) 0 else [||]);
+      heap =
+        (match held with
+        | Some h -> h.heap
+        | None -> if incremental then Array.make np 0 else [||]);
+      heap_len = 0;
+      order = None;
+      pos = None;
+      cur = 0;
+      cur_turn = -np - 1  (* before every set's turn, in either order *);
       stamp =
         (match held with
         | Some h -> h.stamp
         | None -> if incremental then Array.make nc 0 else [||]);
       epoch = (match held with Some h -> h.epoch + 1 | None -> 1);
-      reused = 0;
       relabeled = 0;
+      visited = 0;
+      last_changed = -1;
+      synced = [||];
       pend;
       pend_lvl;
       fifo = (match held with Some h -> h.fifo | None -> Array.make 16 0);
@@ -1015,6 +1087,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       collapsed = 0;
     }
 
+  (* The attributes an incremental solve took [prev]'s levels for: those
+     of every set it did not visit. *)
+  let reused st = if Option.is_some st.prev then st.n - st.visited else 0
+
   (* The registry's one update per solve; a cancelled solve records
      nothing. *)
   let publish st =
@@ -1025,7 +1101,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     Metrics.add (Metrics.counter "solver/back_assigned") st.back_assigned;
     Metrics.add (Metrics.counter "solver/forward_lowered") st.forward_lowered;
     Metrics.add (Metrics.counter "solver/collapsed_sets") st.collapsed;
-    Metrics.add (Metrics.counter "solver/reused_attrs") st.reused;
+    Metrics.add (Metrics.counter "solver/reused_attrs") (reused st);
+    if Option.is_some st.prev then
+      Metrics.add (Metrics.counter "solver/visited_sets") st.relabeled;
     let h = Metrics.histogram "solver/try_iters_per_scc" in
     List.iter (Metrics.observe h) st.set_iters;
     Instr.to_metrics st.stats
@@ -1052,9 +1130,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         Array.iteri (fun i p -> pos.(p) <- i) order;
         Some pos
 
-  let turn pos priority a =
-    match pos with None -> -priority.(a) | Some pos -> pos.(priority.(a))
-
   (* The last-labeled member of the lhs [ltgt.(lo .. hi - 1)] under
      [priority] and the set turns [pos]: the latest turn, then the last
      in the set's (preference, id) order. *)
@@ -1062,28 +1137,23 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let last = ref ltgt.(lo) in
     for j = lo + 1 to hi - 1 do
       let a = ltgt.(j) and b = !last in
-      let c = Int.compare (turn pos priority a) (turn pos priority b) in
+      let c = Int.compare (turn_in pos priority.(a)) (turn_in pos priority.(b)) in
       if c > 0 || (c = 0 && by_pref st a b > 0) then last := a
     done;
     !last
 
-  let mark_all stale a lo hi =
-    for j = lo to hi - 1 do
-      stale.(a.(j)) <- true
-    done
-
   (* Incremental mode across two problems: [pp], the one [prev] solved,
-     has a prefix of [st]'s attributes.  [start] made stale every
-     attribute [pp] lacks (rule (a): its set is labeled whole).  This
-     adds every member of a set whose attributes [pp] has are not exactly
-     one of [pp]'s sets, a merged or split component (rule (b)), and the
-     lhs of every complex constraint whose last-labeled member (the one
-     that runs [Minlevel]) differs between the two problems' Bigloop
-     orders: [order] here, [pp]'s own schedule there (rule (c)).  A
-     constraint with a member [pp] lacks has no such member in [pp], so
-     its lhs is marked too. *)
-  let widen st (pp : problem) order =
-    let n0 = Problem.n_attrs pp.prob and stale = st.stale in
+     has a prefix of [st]'s attributes.  Besides the sets [run] pushes
+     for every attribute [pp] lacks (rule (a): its set is labeled whole),
+     this pushes every set whose attributes [pp] has are not exactly one
+     of [pp]'s sets, a merged or split component (rule (b)), and the sets
+     of the lhs of every complex constraint whose last-labeled member
+     (the one that runs [Minlevel]) differs between the two problems'
+     Bigloop orders: [st]'s here, [pp]'s own schedule there (rule (c)).
+     A constraint with a member [pp] lacks has no such member in [pp], so
+     its lhs is pushed too. *)
+  let widen st (pp : problem) =
+    let n0 = Problem.n_attrs pp.prob in
     let { Priorities.priority; members; starts; max_priority = np } = st.prio
     and old = pp.prio.Priorities.priority in
     for p = 1 to np do
@@ -1098,10 +1168,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         end
       done;
       if !kept > 0 && not (!same && Priorities.size pp.prio !q = !kept) then
-        mark_all stale members lo hi
+        push_set st members.(lo)
     done;
-    let pos = set_positions st.prio order
-    and old_pos = set_positions pp.prio (schedule st pp.prob pp.prio) in
+    let old_pos = set_positions pp.prio (schedule st pp.prob pp.prio) in
     let { Problem.off; tgt } = st.prob.Problem.store.Problem.lhs
     and complex_idx = st.prob.Problem.complex_idx in
     for ci = 0 to Problem.n_csts st.prob - 1 do
@@ -1113,34 +1182,37 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         done;
         if
           !fresh
-          || last_labeled st priority pos tgt lo hi
+          || last_labeled st priority st.pos tgt lo hi
              <> last_labeled st old old_pos tgt lo hi
-        then mark_all stale tgt lo hi
+        then
+          for j = lo to hi - 1 do
+            push_set st tgt.(j)
+          done
       end
     done
 
-  (* An incremental solve's assignment: pairs built up to [last], the
-     last attribute whose level is not physically [prev]'s (or that
-     [prev] lacks), then [prev]'s own list from [last + 1] on, whose pairs
-     hold the same names (the problems share their first ids) and, past
-     [last], the same levels. *)
-  let assignment st (prev : solution) =
-    let lam = st.lam and old = prev.levels in
-    let n = Array.length lam in
-    let last = ref (n - 1) in
-    if Array.length old = n then
-      while !last >= 0 && lam.(!last) == old.(!last) do
-        decr last
-      done;
-    let rec drop k l = match l with _ :: rest when k > 0 -> drop (k - 1) rest | l -> l in
-    let rec pairs a acc = if a < 0 then acc else pairs (a - 1) ((attr_name st a, lam.(a)) :: acc) in
-    pairs !last (if !last < n - 1 then drop (!last + 1) prev.assignment else [])
+  (* An incremental solve's result.  With no changed id it is [prev]
+     itself: its levels array and assignment list.  Otherwise its levels
+     are one copy of λ, which the workspace keeps writing, and its
+     assignment has pairs built up to [last_changed] and [prev]'s own list
+     from [last_changed + 1] on, whose pairs hold the same names (the
+     problems share their first ids) and the same levels. *)
+  let incremental_result st (prev : solution) =
+    let last = st.last_changed in
+    if last < 0 then (prev.levels, prev.assignment)
+    else
+      let lam = st.lam in
+      let rec drop k l = match l with _ :: rest when k > 0 -> drop (k - 1) rest | l -> l in
+      let rec pairs a acc = if a < 0 then acc else pairs (a - 1) ((attr_name st a, lam.(a)) :: acc) in
+      (Array.sub lam 0 st.n, pairs last (drop (last + 1) prev.assignment))
 
   (* MAIN after [compile]'s priorities, the one entry path of every mode:
      [prev] is the problem an earlier solution solved, that solution, the
      attributes whose constraints changed since (see {!solve_incremental})
      and the workspace a completed solve leaves its state in for the
-     next; [ub] starts every attribute at its upper bound (§6). *)
+     next; [ub] starts every attribute at its upper bound (§6).  An
+     incremental solve pushes the sets of the dirty attributes, of those
+     [pp] lacks and of those [widen] finds before its walk. *)
   let run ?prev ?ub ~config problem =
     with_balanced_spans @@ fun () ->
     let st = start ?prev ?ub ~config problem in
@@ -1150,8 +1222,15 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       else schedule st st.prob st.prio
     in
     (match prev with
-    | Some (pp, _, _, _) when pp != problem -> widen st pp order
-    | _ -> ());
+    | None -> ()
+    | Some (pp, _, dirty, _) ->
+        st.order <- order;
+        st.pos <- set_positions st.prio order;
+        List.iter (push_set st) dirty;
+        for a = Problem.n_attrs pp.prob to st.n - 1 do
+          push_set st a
+        done;
+        if pp != problem then widen st pp);
     bigloop st order;
     let stats = st.stats in
     if st.tracing then
@@ -1167,21 +1246,19 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           match prev with
           | None -> []
           | Some _ ->
-              [ ("reused", Trace.Int st.reused); ("relabeled_sets", Trace.Int st.relabeled) ])
+              [ ("reused", Trace.Int (reused st)); ("relabeled_sets", Trace.Int st.relabeled) ])
         "solve";
     if st.metering then publish st;
-    let lam = st.lam in
-    {
-      levels = lam;
-      assignment =
-        (match prev with
-        | Some (_, sol, _, ws) ->
-            ws.last <- Some st;
-            assignment st sol
-        | None -> List.init (Array.length lam) (fun a -> (attr_name st a, lam.(a))));
-      stats;
-      reused = st.reused;
-    }
+    let levels, assignment =
+      match prev with
+      | Some (_, sol, _, ws) ->
+          let levels, _ as result = incremental_result st sol in
+          st.synced <- levels;
+          ws.last <- Some st;
+          result
+      | None -> (st.lam, List.init st.n (fun a -> (attr_name st a, st.lam.(a))))
+    in
+    { levels; assignment; stats; reused = reused st }
 
   let solve ?(config = Config.default) problem = run ~config problem
 

@@ -118,7 +118,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
         (** (name, level) of each attribute, in attribute id order.  An
             {!solve_incremental} builds pairs only up to the last id whose
             level is not physically its [prev]'s (or that [prev] lacks) and
-            shares [prev]'s own list after it. *)
+            shares [prev]'s own list after it; with no such id, it is
+            [prev]'s list itself. *)
     stats : Instr.t;
     reused : int;
         (** attributes whose level {!solve_incremental} took from its
@@ -223,7 +224,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       that completes adds its [solver/*] and [instr/*] metrics to the
       registry once, at its end ([solver/collapsed_sets] counts the
       simple-only sets, [solver/try_iters_per_scc] samples the others,
-      [solver/reused_attrs] adds {!solution.reused}). *)
+      [solver/reused_attrs] adds {!solution.reused}, and an incremental
+      solve adds the sets it visited to [solver/visited_sets]). *)
   val solve : ?config:Config.t -> problem -> solution
 
   (** The solve state one caller's incremental solves hand on to each
@@ -256,7 +258,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       other set is labeled as in {!solve}; then every member whose new
       level differs from [sol]'s ([L.equal], uncounted), or that [pp]
       lacks, makes stale the lhs members of the constraints whose rhs it
-      is and its peers in every complex lhs it is in.
+      is and its peers in every complex lhs it is in.  Only the sets
+      with a dirty or stale member are visited, in that order (a heap of
+      their turns): a skipped set costs nothing at all.
 
       When [pp] is not [problem] (physically), the solve first widens
       [dirty] with
@@ -282,14 +286,18 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
       solve that returned [sol] built: the result shares its tail (see
       {!solution}).
 
-      The solve takes the per-attribute and per-complex-row arrays the
-      last solve that completed with [workspace] left there, when they
-      are long enough, resets what it reads of them without allocating,
-      and leaves its own there when it completes: then its only O(n)
-      allocation is the returned [levels] (and [assignment]'s pairs up to
-      the last changed level).  Arrays it must make, it makes of exact
-      size.  A solve that raises leaves the workspace empty, so the next
-      one makes its arrays anew.
+      The solve takes the per-attribute, per-set and per-complex-row
+      arrays the last solve that completed with [workspace] left there,
+      when they are long enough, fills none of them, and leaves its own
+      there when it completes.  Its λ is the workspace's, which holds
+      the levels the last solve returned: when [sol] is that solution no
+      level is copied.  A solve that changes no level returns [sol]'s
+      [levels] and [assignment] themselves and allocates no O(n) array;
+      one that changes levels returns one copy of λ and [assignment]'s
+      pairs up to the last changed id.  A returned [levels] array is
+      never written again.  Arrays the solve must make, it makes of
+      exact size.  A solve that raises leaves the workspace empty, so
+      the next one makes its arrays anew.
       Results do not depend on the workspace.  Raises [Invalid_argument]
       if [sol] has another number of attributes than [pp], or [pp] more
       than [problem]. *)

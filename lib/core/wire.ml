@@ -11,7 +11,7 @@ let run_size = 64
    commas; the last render rendered [fresh] of them again.  [reply] is
    the last reply whose runs were all reused or rendered, with no stats,
    under the envelope of [head_of]; [head] is that envelope's opening, up
-   to the solution's brace. *)
+   to the solution's brace.  [last] is the levels array rendered last. *)
 type runs = {
   mutable keys : string array;
   mutable n_keys : int;
@@ -23,6 +23,7 @@ type runs = {
   mutable head_of : (int * string option) option;
   mutable head : string;
   mutable reply : string;
+  mutable last : int array;
 }
 
 type body =
@@ -65,6 +66,7 @@ let runs levels =
     head_of = None;
     head = "";
     reply = "";
+    last = [||];
   }
 
 let n_names r = r.n_keys
@@ -146,7 +148,7 @@ let grow a len fill =
    joined into one exact-size string — or, when the reply has the last
    one's attributes, every run was reused and the envelope is the last
    reply's, with no stats, that reply is returned. *)
-let levels_json t runs levels stats =
+let render_levels t runs levels stats envelope =
   let n = Array.length levels in
   if n > runs.n_keys then invalid_arg "Wire.to_json: a Levels body has more levels than names";
   let n_runs = n_runs n in
@@ -163,7 +165,7 @@ let levels_json t runs levels stats =
   done;
   runs.n_rendered <- n;
   runs.fresh <- !fresh;
-  let envelope = Some (t.v, t.problem) in
+  runs.last <- levels;
   if !fresh = 0 && same_n && stats = None && runs.reply <> "" && runs.head_of = envelope then
     runs.reply
   else begin
@@ -187,6 +189,16 @@ let levels_json t runs levels stats =
     runs.reply <- (if stats = None then reply else "");
     reply
   end
+
+(* The levels array rendered last, under the same envelope with no
+   stats, is that reply's, with no run compared. *)
+let levels_json t runs levels stats =
+  let envelope = Some (t.v, t.problem) in
+  if levels == runs.last && stats = None && runs.reply <> "" && runs.head_of = envelope then begin
+    runs.fresh <- 0;
+    runs.reply
+  end
+  else render_levels t runs levels stats envelope
 
 (* A small envelope, as a tree. *)
 let envelope t fields =

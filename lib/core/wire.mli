@@ -24,9 +24,11 @@
     only the runs whose attributes or levels differ from the cached ones,
     then joins the envelope and all runs into one string of exact size;
     when no run differs and the envelope is the last reply's, with no
-    stats, it returns that reply's string itself.  Names are append-only,
-    so a cached run stays exact as long as its levels do.  Mutable and
-    single-domain: render one body at a time through it. *)
+    stats, it returns that reply's string itself — without comparing the
+    runs when the body's levels are the very array rendered last, since a
+    producer never writes a levels array it has rendered.  Names are
+    append-only, so a cached run stays exact as long as its levels do.
+    Mutable and single-domain: render one body at a time through it. *)
 type runs
 
 (** [runs levels] — an empty cache over the level strings [levels]: level

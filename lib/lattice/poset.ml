@@ -8,6 +8,7 @@ type t = {
   covers_lo : int list array;
   covers_hi : int list array;
   height : int;
+  depth : int array;
   topological : int array;
 }
 
@@ -110,6 +111,7 @@ let create ~names ~order =
         covers_lo;
         covers_hi;
         height = Array.fold_left max 0 depth;
+        depth;
         topological;
       }
   with Err e -> Error e

@@ -23,6 +23,7 @@ type t = private {
   covers_lo : elt list array;  (** immediate predecessors, ascending *)
   covers_hi : elt list array;  (** immediate successors, ascending *)
   height : int;
+  depth : int array;  (** [depth.(e)]: the longest chain of covers below [e] *)
   topological : elt array;
       (** a linear extension: Kahn's order, the smallest declared position
           first among the elements whose predecessors are all placed *)
@@ -41,7 +42,8 @@ val pp_error : Format.formatter -> error -> unit
     One pass: one Kahn sort of the pairs; one sweep down that order that
     closes the up-sets, with the covers read off the closure (a successor
     is a cover iff no other successor reaches it); one sweep up it over
-    the covers that closes the down-sets and measures the height.  Time
+    the covers that closes the down-sets and measures each element's
+    depth and the height.  Time
     O((n + p)·n/w + Σ s²) for n elements, p distinct pairs, s successors
     per element and w-bit words; n² bits for each of the up- and
     down-sets. *)

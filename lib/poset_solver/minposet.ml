@@ -16,7 +16,7 @@ type problem = {
   attr_index : (string, int) Hashtbl.t;
   domains : Poset.elt list array;
       (* per attribute: elements compatible with its unary constraints,
-         in ascending height order (low elements tried first) *)
+         in ascending [Poset] depth (low elements tried first) *)
   csts : ccst array;
   csts_of : int list array; (* constraint indices touching each attribute *)
 }
@@ -58,26 +58,14 @@ let compile poset attrs csts =
               Some (CLub_geq (Array.of_list (List.map id lhs), id a)))
         csts
     in
-    let heights =
-      (* length of the longest chain below each element, for the
-         low-first value ordering *)
-      let h = Array.make (Poset.cardinal poset) 0 in
-      List.iter
-        (fun e ->
-          h.(e) <-
-            List.fold_left
-              (fun acc c -> max acc (1 + h.(c)))
-              0 (Poset.covers_below poset e))
-        (Poset.all poset);
-      h
-    in
+    let depth = poset.Poset.depth in
     let domains =
       Array.init n (fun a ->
           Poset.all poset
           |> List.filter (fun e ->
                  List.for_all (fun l -> Poset.leq poset l e) lower.(a)
                  && List.for_all (fun l -> Poset.leq poset e l) upper.(a))
-          |> List.stable_sort (fun e1 e2 -> compare heights.(e1) heights.(e2)))
+          |> List.stable_sort (fun e1 e2 -> Int.compare depth.(e1) depth.(e2)))
     in
     let csts = Array.of_list compiled in
     (* Arc consistency over the binary order constraints: for [a ⊒ b],

@@ -47,7 +47,11 @@
     made at the session's first solution reply, not at [open], and a
     later reply escapes only the names added since and renders again
     only the runs whose attributes or levels changed; a reply whose
-    levels all match the last one's is that reply's string.  Names are
+    levels all match the last one's is that reply's string.  A resolve
+    that changes no level returns the session's previous levels array
+    itself, so its reply is the last string with no run compared: such
+    a patch transaction ([set_lower_bound] lines, then [resolve]) costs
+    the same at any number of attributes.  Names are
     append-only (an id never changes name, and no delta removes one), so
     a cached key or run stays valid for the session's life while its
     levels do.  The reply's bytes are those of the

@@ -73,29 +73,28 @@
     - the first {!Make.resolve}: the rebuild path's indexing, then a
       scratch solve;
     - the patch path: no compile and no copy; O(1) per queued bound
-      change (an in-place write), then the incremental solve, whose cost
-      is O(what changed) apart from the dense walk over the priority
-      sets (two writes per member of a reused set) and a few O(n)
-      passes that allocate nothing;
+      change (an in-place write), then the incremental solve;
     - the rebuild path: linear in the attributes, the live rows' size
       and the ids ever handed out (the indexing and the two priority
       DFS passes, no name lookup; the name array is copied only after a
       name was added since the last copy), then the incremental solve;
-    - the incremental solve: linear in the attributes (two writes per
-      member of a reused set, whose constraint rows it never reads, and
-      a fill of two per-attribute flag arrays), plus the solve of the
-      sets labeled again, each of which first rebuilds the counts and
-      aggregates of its members' complex rows (O(lhs) per row, at most
-      once per run of reused sets).  The session keeps the solve state
-      ({!Minup_core.Solver.Make.type-workspace}) from one resolve to the
-      next, so a solve allocates its new levels and, of its
+    - the incremental solve: O(what changed), with no pass over all
+      attributes or sets.  It visits only the priority sets that are
+      dirty or read a changed level, each of which first rebuilds the
+      counts and aggregates of its members' complex rows (O(lhs) per
+      row, at most once per run of skipped sets), plus O(log s) per
+      visited set of s pushed to order them.  The session keeps the
+      solve state ({!Minup_core.Solver.Make.type-workspace}) from one
+      resolve to the next.  A solve that changes no level returns the
+      previous solution's levels and assignment themselves; one that
+      changes levels copies the levels once and builds, of its
       assignment, only the pairs up to the last attribute whose level
-      changed: the rest is shared with the previous solution's.  A
-      re-tighten that changes no level counts the same lattice
-      operations at 2k and 8k attributes and allocates n words plus a
-      constant.  On 2k and 8k attributes a rebuild resolve allocates
-      about two fifths of a scratch compile and solve of the snapshot:
-      its priorities and its solve state. *)
+      changed, sharing the rest with the previous solution's.  A
+      re-tighten that changes no level visits one set, counts the same
+      lattice operations and allocates the same few hundred words at
+      2k, 8k and 32k attributes.  On 2k and 8k attributes a rebuild
+      resolve allocates about two fifths of a scratch compile and
+      solve of the snapshot: its priorities and its solve state. *)
 
 module Make (L : Minup_lattice.Lattice_intf.S) : sig
   (** The session's own solver instance.  Exposed so callers can name the

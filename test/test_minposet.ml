@@ -118,6 +118,21 @@ let satisfiable_equals_enumeration =
       | Ok sols -> (bt <> None) = (sols <> [])
       | Error `Too_large -> true)
 
+(* The low-first order reads each element's depth in the order, not its
+   declared position: for a < b < c and a < x, [w ⊒ b] is first satisfied
+   at b, however the elements are declared. *)
+let low_first_any_declaration () =
+  List.iter
+    (fun names ->
+      let p = Poset.create_exn ~names ~order:[ ("a", "b"); ("b", "c"); ("a", "x") ] in
+      let e = Poset.of_name_exn p in
+      let m = Minposet.compile_exn p [ "w" ] [ Minposet.Geq_elt ("w", e "b") ] in
+      match Minposet.satisfiable m with
+      | Some sol ->
+          Alcotest.(check string) (String.concat ", " names ^ ": w") "b" (Poset.name p sol.(0))
+      | None -> Alcotest.fail "satisfiable")
+    [ [ "a"; "b"; "x"; "c" ]; [ "c"; "x"; "b"; "a" ] ]
+
 let suite =
   [
     case "butterfly forces a choice" butterfly_choice;
@@ -125,6 +140,7 @@ let suite =
     case "attribute chain" attr_chain;
     case "lub constraint" lub_constraint;
     case "minimize descends" minimize_descends;
+    case "low-first on any declaration order" low_first_any_declaration;
     case "compile errors" errors;
     Helpers.qcheck satisfiable_equals_enumeration;
   ]

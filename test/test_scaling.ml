@@ -435,30 +435,100 @@ let session_patch_counts_flat () =
       "a no-op patch resolve: lub + leq + minlevel = %d at %d attrs, %d at %d (bound +10%%)"
       c_large large c_small small
 
-(* The same no-op re-tighten of R0 allocates only its levels: the
-   session keeps the solve state between resolves (the first incremental
-   resolve makes it), and the assignment shares the previous one whole,
-   since no level changed.  At most one word per attribute plus 256, at
-   2k and at 8k attributes (n + 225 measured); 21 190 words at 2k and
-   84 184 at 8k when every solve made its state and its assignment
-   afresh. *)
-let session_patch_words_flat () =
-  let per_resolve (attrs, csts) =
+(* The Thm. 5.2 shape at 32k attributes, with n/64 complex constraints
+   instead of n/2: the generator samples each complex lhs in O(n). *)
+let input_32k =
+  lazy
+    (Minup_workload.Gen_constraints.acyclic (Minup_workload.Prng.create 5)
+       {
+         Minup_workload.Gen_constraints.n_attrs = 32_000;
+         n_simple = 64_000;
+         n_complex = 500;
+         max_lhs = 4;
+         n_constants = 8_000;
+         constants = List.init 16 Fun.id;
+       })
+
+let three_sizes () =
+  let s, l = Lazy.force inputs in
+  [ s; l; Lazy.force input_32k ]
+
+(* [f ()] with the metrics registry on, and the counter [name] after it. *)
+let metered name f =
+  let module Metrics = Minup_obs.Metrics in
+  Metrics.enable ();
+  Metrics.clear ();
+  Fun.protect ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.clear ())
+  @@ fun () ->
+  f ();
+  Metrics.counter_value (Metrics.counter name)
+
+(* The same no-op re-tighten of R0 allocates a constant: the session
+   keeps the solve state between resolves (the first incremental resolve
+   makes it), the walk visits R0's set alone and writes nothing else, and
+   a solve that changes no level returns the previous solution's levels
+   and assignment themselves.  At most 256 words at 2k, 8k and 32k
+   attributes (241 measured at each).  The sets it visits, read from
+   [solver/visited_sets], are as many at every size. *)
+let session_patch_noop_flat () =
+  let noop (attrs, csts) =
     let sess, _ = bounded_session (with_simple_ring (attrs, csts)) in
     let retighten () =
       Session.set_lower_bound sess "R0" (Some 2);
-      words (fun () -> Session.resolve sess)
+      Session.resolve sess
     in
-    ignore (retighten ());
-    (List.length attrs + 3, retighten ())
+    let first = retighten () in
+    let second = ref first in
+    let w = words (fun () -> second := retighten ()) in
+    if !second.Solver.levels != first.Solver.levels then
+      Alcotest.failf "%d attrs: a no-op re-tighten returned new levels" (List.length attrs);
+    let visited = metered "solver/visited_sets" (fun () -> ignore (retighten ())) in
+    (List.length attrs + 3, w, visited)
   in
-  let s, l = Lazy.force inputs in
+  let runs = List.map noop (three_sizes ()) in
   List.iter
-    (fun (n, w) ->
+    (fun (n, w, _) ->
+      if w > 256. then
+        Alcotest.failf "a no-op re-tighten's resolve allocated %.0f words at %d attrs (bound 256)"
+          w n)
+    runs;
+  match runs with
+  | (_, _, v) :: rest ->
+      if v < 1 then Alcotest.fail "a no-op re-tighten visited no set";
+      List.iter
+        (fun (n, _, v') ->
+          if v' <> v then
+            Alcotest.failf "a no-op re-tighten visited %d sets at %d attrs, %d at the smallest" v'
+              n v)
+        rest
+  | [] -> ()
+
+(* A re-tighten that changes one level copies the levels once and builds
+   the assignment's pairs only up to that attribute: at most one word
+   per attribute plus 256 (n + 209 measured at 2k, 8k and 32k).  [F],
+   the first attribute, has no row but its bound, so its level is the
+   bound and no other level moves. *)
+let session_patch_change_words () =
+  List.iter
+    (fun (attrs, csts) ->
+      let n = List.length attrs + 1 in
+      let sess, bounded = bounded_session ("F" :: attrs, csts) in
+      if bounded.(0) <> "F" then Alcotest.fail "F is not bounded";
+      let retighten l =
+        Session.set_lower_bound sess "F" (Some l);
+        words (fun () -> Session.resolve sess)
+      in
+      ignore (retighten 9);
+      let w = retighten 3 in
+      let levels = (Session.resolve sess).Solver.levels in
+      Alcotest.(check int) (Printf.sprintf "%d attrs: F's level" n) 3 levels.(0);
       if w > float_of_int n +. 256. then
-        Alcotest.failf "a no-op re-tighten's resolve allocated %.0f words at %d attrs (bound %d)"
-          w n (n + 256))
-    [ per_resolve s; per_resolve l ]
+        Alcotest.failf
+          "a level-changing re-tighten's resolve allocated %.0f words at %d attrs (bound %d)" w n
+          (n + 256))
+    (three_sizes ())
 
 (* Serve requests on problem [p] over the 16-level ladder, as lines. *)
 let serve_lattice =
@@ -564,8 +634,10 @@ let suite =
     case "a rebuild copies the grown name array once" session_names_copied_once;
     case "a no-op patch resolve's lattice operations do not grow with n"
       session_patch_counts_flat;
-    case "a no-op re-tighten's resolve allocates <= 1 word per attribute plus a constant"
-      session_patch_words_flat;
+    case "a no-op re-tighten's resolve allocates <= 256 words and visits as many sets at any n"
+      session_patch_noop_flat;
+    case "a level-changing re-tighten's resolve allocates <= 1 word per attribute plus 256"
+      session_patch_change_words;
     case "a serve solution reply allocates <= 0.126 words per attribute" serve_reply_lean;
     case "a serve open allocates linearly" serve_open_linear;
   ]

@@ -22,19 +22,21 @@ let lvl = Helpers.lvl
 
 (* Scratch oracle: compile + solve the session's snapshot with the
    session's own solver instance. *)
-let scratch lat sess =
+let scratch ?config lat sess =
   let attrs, csts = Session.snapshot sess in
   let p = SS.compile_exn ~lattice:lat ~attrs csts in
-  SS.solve p
+  SS.solve ?config p
 
-let check_matches ~ctx lat sess =
-  let sol = Session.resolve sess in
-  let ref_sol = scratch lat sess in
-  if
-    not
-      (Array.length sol.SS.levels = Array.length ref_sol.SS.levels
-      && Array.for_all2 (Explicit.equal lat) sol.SS.levels ref_sol.SS.levels)
-  then Alcotest.failf "%s: incremental resolve diverges from scratch solve" ctx
+let same_levels lat a b = Array.length a = Array.length b && Array.for_all2 (Explicit.equal lat) a b
+
+(* A resolve under [config], which must equal a scratch solve under it. *)
+let resolve_matches ?config ~ctx lat sess =
+  let sol = Session.resolve ?config sess in
+  if not (same_levels lat sol.SS.levels (scratch ?config lat sess).SS.levels) then
+    Alcotest.failf "%s: incremental resolve diverges from scratch solve" ctx;
+  sol
+
+let check_matches ~ctx lat sess = ignore (resolve_matches ~ctx lat sess)
 
 let base_csts () =
   [
@@ -99,8 +101,11 @@ let stats_classify_paths () =
   Alcotest.(check int) "incremental: patch and rebuild" 2 st.Session.incremental;
   Alcotest.(check bool) "frozen some work" true (st.Session.frozen > 0)
 
-let zero_steps () =
-  { SS.Config.default with budget = Some (Minup_core.Solver.budget ~max_steps:0 ()) }
+(* [config] with a zero-step budget. *)
+let stepless (config : SS.Config.t) =
+  { config with budget = Some (Minup_core.Solver.budget ~max_steps:0 ()) }
+
+let zero_steps () = stepless SS.Config.default
 
 (* A zero-step budget cancels a rebuild resolve (here an added
    constraint and a re-tighten behind it): the deltas stay queued and the
@@ -296,10 +301,8 @@ type edit = Noop | Retighten | Structural
 
 (* A zero-step budget must cancel a patch-path resolve and leave its
    deltas queued. *)
-let cancel_patch ~ctx sess =
-  let config =
-    { SS.Config.default with budget = Some (Minup_core.Solver.budget ~max_steps:0 ()) }
-  in
+let cancel_patch ~config ~ctx sess =
+  let config = stepless config in
   let patched = (Session.stats sess).Session.patched in
   (match Session.resolve ~config sess with
   | _ -> Alcotest.failf "%s: a zero-step patch resolve was not cancelled" ctx
@@ -311,13 +314,14 @@ let cancel_patch ~ctx sess =
 
 (* A zero-step budget on a structural batch's resolve: cancelled, it
    leaves the deltas queued; a rebuild that relabels nothing takes no
-   step, completes and must match scratch. *)
-let cancel_rebuild ~ctx lat sess =
+   step, completes, goes to [keep] and must match scratch. *)
+let cancel_rebuild ~config ~keep ~ctx lat sess =
   let before = Session.stats sess in
-  (match Session.resolve ~config:(zero_steps ()) sess with
+  (match Session.resolve ~config:(stepless config) sess with
   | sol ->
-      if not (Array.for_all2 (Explicit.equal lat) sol.SS.levels (scratch lat sess).SS.levels)
-      then Alcotest.failf "%s: a stepless rebuild diverges from scratch" ctx
+      keep sol;
+      if not (same_levels lat sol.SS.levels (scratch ~config lat sess).SS.levels) then
+        Alcotest.failf "%s: a stepless rebuild diverges from scratch" ctx
   | exception SS.Cancelled _ ->
       if Option.is_some (Session.solution sess) then
         Alcotest.failf "%s: the cancelled rebuild consumed its deltas" ctx);
@@ -329,9 +333,21 @@ let cancel_rebuild ~ctx lat sess =
 
 (* A random editing session: 1–3 deltas between resolves, and every
    resolve must match the scratch solve of the snapshot.  Once per
-   session a patch-path resolve is cancelled first. *)
+   session a patch-path resolve is cancelled first.  A third of the
+   seeds, of every shape, solve under an upgrade preference, the session
+   and the scratch solve alike.  Every solution the session returns is
+   kept with a copy of its levels, and none may have changed by the end:
+   a later resolve never writes an array an earlier one returned. *)
 let random_session seed =
   let rng = Prng.create seed in
+  let config =
+    if seed / 3 mod 3 = 0 then
+      SS.Config.make ~upgrade_preference:(fun a -> Hashtbl.hash (seed, a) mod 5) ()
+    else SS.Config.default
+  in
+  let held = ref [] in
+  let keep (sol : SS.solution) = held := (sol.SS.levels, Array.copy sol.SS.levels) :: !held in
+  let check_matches ~ctx lat sess = keep (resolve_matches ~config ~ctx lat sess) in
   let lat =
     Gen_lattice.random_closure_exn rng ~universe:5 ~n_generators:4 ~max_size:40
   in
@@ -391,11 +407,11 @@ let random_session seed =
     let retighten_only = List.mem Retighten edits && not (List.mem Structural edits) in
     if (not !cancelled) && retighten_only then begin
       cancelled := true;
-      cancel_patch ~ctx sess
+      cancel_patch ~config ~ctx sess
     end;
     if (not !cancelled_rebuild) && List.mem Structural edits then begin
       cancelled_rebuild := true;
-      cancel_rebuild ~ctx lat sess
+      cancel_rebuild ~config ~keep ~ctx lat sess
     end;
     let before = Session.stats sess in
     check_matches ~ctx lat sess;
@@ -415,9 +431,14 @@ let random_session seed =
     ignore (set_bound a (Some (List.nth levels 1)));
     ignore (set_bound a (Some (List.hd levels)));
     let ctx = Printf.sprintf "seed %d re-tighten" seed in
-    cancel_patch ~ctx sess;
+    cancel_patch ~config ~ctx sess;
     check_matches ~ctx lat sess
-  end
+  end;
+  List.iteri
+    (fun i (levels, copy) ->
+      if not (same_levels lat levels copy) then
+        Alcotest.failf "seed %d: the solution of resolve %d from the end was written since" seed i)
+    !held
 
 let random_sessions () =
   for seed = 0 to 24 do
