@@ -257,8 +257,11 @@ echo "ci: serve escaped names OK (valid JSON replies, grown = fresh session)"
 # the pairs `mlsclassify solve` prints for the same files.  The files are
 # employee.cst, whose <= line serve takes as resolve bounds instead, and
 # a policy with a trivial constraint, a level-named rhs and an rhs-only
-# attribute.  json_text turns a file into the body of a JSON string.
-json_text() { sed 's/\\/\\\\/g; s/"/\\"/g; s/	/\\t/g' "$1" | awk '{ printf "%s\\n", $0 }'; }
+# attribute; then the front-end smoke's CRLF/tab/comment rewrite of
+# employee.cst, served and held to what solve prints for the original.
+# json_text turns a file into the body of a JSON string; serve_vs_solve
+# solves its third argument, if given, instead of the served file.
+json_text() { sed 's/\\/\\\\/g; s/"/\\"/g; s/	/\\t/g; s/\r/\\r/g' "$1" | awk '{ printf "%s\\n", $0 }'; }
 printf '%s\n' '{a, b} >= a' 'b >= L3' '{c, a} >= L5' 'c >= d' > "$obs_tmp/edge.cst"
 serve_vs_solve() {
   grep -v '<=' "$1" > "$obs_tmp/lower.cst"
@@ -266,7 +269,7 @@ serve_vs_solve() {
   sv_got=$(printf '%s\n' "$sv_open" "{\"op\":\"resolve\",\"problem\":\"p\"$2}" \
     | dune exec -- mlsclassify serve | tail -n 1 \
     | sed 's/.*"solution":{//; s/}}$//' | tr ',' '\n' | sed 's/^"\(.*\)":"\(.*\)"$/\1 \2/')
-  sv_want=$(dune exec -- mlsclassify solve -l test/cli.t/fig1b.lat -c "$1" | awk '{ print $1, $2 }')
+  sv_want=$(dune exec -- mlsclassify solve -l test/cli.t/fig1b.lat -c "${3:-$1}" | awk '{ print $1, $2 }')
   test -n "$sv_want" && test "$sv_got" = "$sv_want" || {
     echo "ci: serve answered $1 with other levels than solve" >&2
     echo "$sv_got" >&2
@@ -276,6 +279,8 @@ serve_vs_solve() {
 serve_vs_solve test/cli.t/employee.cst ',"bounds":{"name":"L4"}'
 serve_vs_solve "$obs_tmp/edge.cst" ''
 echo "ci: serve = solve OK (employee.cst; trivial, level and rhs-only lines)"
+serve_vs_solve "$fe_policy" ',"bounds":{"name":"L4"}' test/cli.t/employee.cst
+echo "ci: front-end smoke through serve OK (the CRLF/tab/comment rewrite opens as solve reads the original)"
 
 # Trivial lines over serve: every line of an opened policy keeps its
 # constraint id, trivially satisfied ones (rhs ∈ lhs) included.  The

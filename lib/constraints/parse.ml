@@ -32,7 +32,7 @@ let grow a fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* A growable int array; [lowers] and [uppers] hold triples. *)
+(* A growable int array; [uppers] holds triples. *)
 type ints = { mutable a : int array; mutable len : int }
 
 let ints cap = { a = Array.make (max 4 cap) 0; len = 0 }
@@ -51,8 +51,12 @@ type scan = {
   text : string;
   names : Problem.Names.t;
   decls : ints;  (** declared ids, repeats kept *)
-  lowers : ints;  (** per [>=] line: line, end of its members in [lhs], rhs id *)
+  ends : ints;
+      (** [>=] line [k]'s members end at [ends.(k + 1)] in [lhs], after a
+          first entry 0: the lines' compressed-row offsets *)
   lhs : ints;  (** the [>=] lines' lhs member ids, line after line *)
+  rhs_ids : ints;  (** per [>=] line: its right-hand side's id *)
+  linenos : ints;  (** per [>=] line: its line in the text *)
   uppers : ints;  (** per [<=] line: line, attribute id, rhs id *)
   mutable seen : int array;  (** id -> the last line whose lhs set listed it *)
   mutable repeat : int;  (** the first [>=] line, by index, whose lhs repeats a member; -1 *)
@@ -178,7 +182,11 @@ let rhs sc lineno t n o k =
   let e = sc.last in
   if e = r then fail "empty right-hand side";
   let id = Problem.Names.add_slice sc.names t r e sc.h in
-  if String.unsafe_get t o = '>' then push3 sc.lowers lineno sc.lhs.len id
+  if String.unsafe_get t o = '>' then begin
+    push sc.ends sc.lhs.len;
+    push sc.rhs_ids id;
+    push sc.linenos lineno
+  end
   else if k <> 1 then fail "upper-bound constraints take a single attribute"
   else begin
     sc.lhs.len <- sc.lhs.len - 1;
@@ -194,7 +202,7 @@ let member sc lineno id =
     Array.blit sc.seen 0 seen 0 (Array.length sc.seen);
     sc.seen <- seen
   end;
-  if sc.seen.(id) = lineno && sc.repeat < 0 then sc.repeat <- sc.lowers.len / 3;
+  if sc.seen.(id) = lineno && sc.repeat < 0 then sc.repeat <- sc.rhs_ids.len;
   sc.seen.(id) <- lineno;
   push sc.lhs id
 
@@ -278,9 +286,10 @@ let scan text =
   let lines = (n / 16) + 1 in
   let sc =
     { text; names = Problem.Names.create (lines / 3); decls = ints (lines / 3);
-      lowers = ints (3 * lines); lhs = ints (2 * lines); uppers = ints 3; seen = [||];
-      repeat = -1; h = 0; last = 0 }
+      ends = ints (lines + 1); lhs = ints (2 * lines); rhs_ids = ints lines;
+      linenos = ints lines; uppers = ints 3; seen = [||]; repeat = -1; h = 0; last = 0 }
   in
+  push sc.ends 0;
   let rec go lineno s =
     if s > n then Ok sc
     else
@@ -297,8 +306,7 @@ let rec back f k acc = if k = 0 then acc else back f (k - 1) (f (k - 1) acc)
 let rec names_of names v s e acc =
   if e = s then acc else names_of names v s (e - 1) (names.(v.a.(e - 1)) :: acc)
 
-let lhs_start sc k = if k = 0 then 0 else field sc.lowers (k - 1) 1
-let lhs_names sc names k = names_of names sc.lhs (lhs_start sc k) (field sc.lowers k 1) []
+let lhs_names sc names k = names_of names sc.lhs sc.ends.a.(k) sc.ends.a.(k + 1) []
 
 type 'lvl resolved = {
   attrs : string list;
@@ -325,8 +333,8 @@ let universe ~level_of_string sc names ~unset ~attr ~level =
   for i = 0 to sc.decls.len - 1 do declare sc.decls.a.(i) done;
   for i = 0 to sc.lhs.len - 1 do declare sc.lhs.a.(i) done;
   for k = 0 to (sc.uppers.len / 3) - 1 do declare (field sc.uppers k 1) done;
-  for k = 0 to (sc.lowers.len / 3) - 1 do
-    let id = field sc.lowers k 2 in
+  for k = 0 to sc.rhs_ids.len - 1 do
+    let id = sc.rhs_ids.a.(k) in
     if rhs.(id) == unset then
       match level_of_string names.(id) with
       | Some l -> rhs.(id) <- level l
@@ -337,7 +345,7 @@ let universe ~level_of_string sc names ~unset ~attr ~level =
 (* The error of the [>=] line [k] the scan found repeating a member. *)
 let repeat_error sc names k =
   match Cst.make ~lhs:(lhs_names sc names k) ~rhs:(Cst.Attr "") with
-  | Error e -> { line = field sc.lowers k 0; message = Format.asprintf "%a" Cst.pp_error e }
+  | Error e -> { line = sc.linenos.a.(k); message = Format.asprintf "%a" Cst.pp_error e }
   | Ok _ -> invalid_arg "Parse: a repeated lhs member went unseen"
 
 (* The [<=] lines' bounds in file order, or the first one whose bound is
@@ -373,15 +381,15 @@ let parse_resolve ~level_of_string text =
       (* A one-member lhs is one list per name, shared by its lines. *)
       let single = Array.make (Problem.Names.length sc.names) [] in
       let lhs k =
-        let s = lhs_start sc k in
-        if field sc.lowers k 1 - s > 1 then lhs_names sc names k
+        let s = sc.ends.a.(k) in
+        if sc.ends.a.(k + 1) - s > 1 then lhs_names sc names k
         else
           let id = sc.lhs.a.(s) in
           if single.(id) = [] then single.(id) <- [ names.(id) ];
           single.(id)
       in
-      let cst k acc = Cst.of_distinct ~lhs:(lhs k) ~rhs:rhs.(field sc.lowers k 2) :: acc in
-      let csts = back cst (sc.lowers.len / 3) [] in
+      let cst k acc = Cst.of_distinct ~lhs:(lhs k) ~rhs:rhs.(sc.rhs_ids.a.(k)) :: acc in
+      let csts = back cst sc.rhs_ids.len [] in
       Result.map
         (fun upper_bounds -> { attrs = names_of names order 0 order.len []; csts; upper_bounds })
         (upper_bounds ~level_of_string sc names)
@@ -393,14 +401,16 @@ type 'lvl rows = {
   upper_bounds : (string * 'lvl) list;
 }
 
-let rec mem (w : int array) a i = i >= 0 && (w.(i) = a || mem w a (i - 1))
+(* [a] is among [w.(s .. i)]. *)
+let rec mem (w : int array) a s i = i >= s && (w.(i) = a || mem w a s (i - 1))
 
 (* The second emitter: scanner ids map straight to attribute ids, the
    position of each name in [order], and the scan's own table becomes
    the attribute index, renumbered in place: no name is hashed again.
    Each distinct right-hand side resolves to its code once, a level name
-   to one entry of [levels], so lines with the same level share it.  A
-   [>=] line's lhs is read off [sc.lhs] in written order. *)
+   to one entry of [levels], so lines with the same level share it.  The
+   scan's [ends], [lhs] and [rhs_ids] arrays become the lines' [off],
+   [tgt] and [rhs], the ids renumbered in place: no array per line. *)
 let rows ~level_of_string text =
   Minup_obs.Trace.with_span ~cat:"constraints" "parse.rows" @@ fun () ->
   match scan text with
@@ -428,27 +438,23 @@ let rows ~level_of_string text =
             attr_of.(id) <- i;
             attr_names.(i) <- names.(id)
           done;
-          let m = sc.lowers.len / 3 in
-          let rhs = Array.make m 0 and kept = Array.make m true in
-          let written =
-            Array.init m (fun k ->
-                let s = lhs_start sc k in
-                let w = Array.make (field sc.lowers k 1 - s) 0 in
-                for i = 0 to Array.length w - 1 do
-                  w.(i) <- attr_of.(sc.lhs.a.(s + i))
-                done;
-                let r = code_of.(field sc.lowers k 2) in
-                rhs.(k) <- r;
-                kept.(k) <- not (Problem.rhs_is_attr r && mem w r (Array.length w - 1));
-                w)
-          in
+          let m = sc.rhs_ids.len and off = sc.ends.a and tgt = sc.lhs.a and rhs = sc.rhs_ids.a in
+          for i = 0 to sc.lhs.len - 1 do
+            tgt.(i) <- attr_of.(tgt.(i))
+          done;
+          let kept = Array.make m true in
+          for k = 0 to m - 1 do
+            let r = code_of.(rhs.(k)) in
+            rhs.(k) <- r;
+            kept.(k) <- not (Problem.rhs_is_attr r && mem tgt r off.(k) (off.(k + 1) - 1))
+          done;
           Problem.Names.renumber sc.names attr_of attr_names;
           let levels = Array.of_list (List.rev !levels) in
           Ok
             {
               attr_names;
               attr_index = sc.names;
-              lines = { Problem.written; rhs; levels; kept };
+              lines = { Problem.off; tgt; rhs; levels; kept };
               upper_bounds;
             })
 

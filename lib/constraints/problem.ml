@@ -1,13 +1,14 @@
 type 'lvl rhs = Rlevel of 'lvl | Rattr of int
 
-type csr = { off : int array; tgt : int array }
-
 type 'lvl lines = {
-  written : int array array;
+  off : int array;
+  tgt : int array;
   rhs : int array;
   levels : 'lvl array;
   kept : bool array;
 }
+
+type csr = { off : int array; tgt : int array }
 
 type 'lvl store = { rows : int; lhs : csr; rhs : int array; levels : 'lvl array }
 
@@ -69,15 +70,17 @@ module Names = struct
 
   let slot t text s len h = probe t.slots t.keys text s len (home h (Array.length t.slots - 1))
 
+  let rec free slots mask i = if slots.(i) = 0 then i else free slots mask ((i + 1) land mask)
+
   (* Double the slots and place every id again.  Names are distinct, so
-     each goes in the first free slot its hash probes to. *)
+     each goes in the first free slot its hash probes to; the loop makes
+     no closure per id. *)
   let reslot t =
     let slots = Array.make (2 * Array.length t.slots) 0 in
     let mask = Array.length slots - 1 in
     for id = 0 to t.length - 1 do
       let k = t.keys.(id) in
-      let rec free i = if slots.(i) = 0 then i else free ((i + 1) land mask) in
-      slots.(free (home (hash_from k 0 (String.length k) basis) mask)) <- id + 1
+      slots.(free slots mask (home (hash_from k 0 (String.length k) basis) mask)) <- id + 1
     done;
     t.slots <- slots;
     t.used <- t.length
@@ -159,30 +162,6 @@ let fit ~spare old len = if Array.length old >= len then old else Array.make (ca
 let recycled = function Reuse p -> Some p | Exact | Spare -> None
 let spare = function Exact -> false | Spare | Reuse _ -> true
 
-(* [csr ~spare old n each] — the CSR index over [n] rows of the
-   (row, target) pairs [each f] enumerates (it calls [f row target] once
-   per pair, the same sequence on both of the two calls), in [old]'s
-   arrays where they are long enough.  Row [r] lists its targets in
-   enumeration order.  Counts go to [off.(r+1)], prefix sums turn them
-   into row ends, the fill advances [off.(r)] as each row's cursor, and a
-   final shift restores the row starts: no scratch array. *)
-let csr ~spare old n each =
-  let off = fit ~spare old.off (n + 1) in
-  Array.fill off 0 (n + 1) 0;
-  each (fun r _ -> off.(r + 1) <- off.(r + 1) + 1);
-  for r = 1 to n do
-    off.(r) <- off.(r) + off.(r - 1)
-  done;
-  let tgt = fit ~spare old.tgt off.(n) in
-  each (fun r x ->
-      tgt.(off.(r)) <- x;
-      off.(r) <- off.(r) + 1);
-  for r = n downto 1 do
-    off.(r) <- off.(r - 1)
-  done;
-  off.(0) <- 0;
-  { off; tgt }
-
 let csr_iter c r f =
   for i = c.off.(r) to c.off.(r + 1) - 1 do
     f c.tgt.(i)
@@ -256,13 +235,14 @@ let push_lhs b a =
 
 let end_lhs b = sort_range b.b_tgt b.b_off.(b.ci) b.hi
 
-(* A copy loop, since [Array.blit] is a C call per row. *)
-let add_lhs b w =
+(* Line [s .. e - 1] of [src], sorted into the open row.  A copy loop,
+   since [Array.blit] is a C call per row. *)
+let add_lhs b src s e =
   let tgt = b.b_tgt and hi = b.hi in
-  for i = 0 to Array.length w - 1 do
-    tgt.(hi + i) <- w.(i)
+  for i = s to e - 1 do
+    tgt.(hi + i - s) <- src.(i)
   done;
-  b.hi <- hi + Array.length w;
+  b.hi <- hi + e - s;
   end_lhs b
 
 let close b r =
@@ -285,9 +265,13 @@ let finish b =
 (* The indexing half of [compile]: a dense numbering of the complex
    constraints (the solver keeps one incremental lhs-lub aggregate and
    one unlabeled count per *complex* constraint, indexed by
-   [complex_idx], -1 for simple ones), and the three CSR indexes, which
-   enumerate constraints in ascending index, so every row is
-   ascending. *)
+   [complex_idx], -1 for simple ones), and the three CSR indexes.  One
+   pass over the store numbers the complex rows and counts every index
+   row into [off.(a + 1)]; prefix sums turn the counts into row ends;
+   one more pass fills all three, in ascending constraint index, each
+   [off.(a)] advancing as its row's cursor, so every row is ascending;
+   a final shift restores the row starts.  No closure and no scratch
+   array. *)
 let build ~room ~attr_names ~attr_index store =
   let n = Array.length attr_names and m = store.rows in
   let { off; tgt } = store.lhs and rhs = store.rhs in
@@ -299,40 +283,74 @@ let build ~room ~attr_names ~attr_index store =
     | None -> ([||], empty, empty, empty)
   in
   let complex_idx = fit ~spare old_idx m in
+  let c_off = fit ~spare old_c.off (n + 1)
+  and cc_off = fit ~spare old_cc.off (n + 1)
+  and in_off = fit ~spare old_in.off (n + 1) in
+  Array.fill c_off 0 (n + 1) 0;
+  Array.fill cc_off 0 (n + 1) 0;
+  Array.fill in_off 0 (n + 1) 0;
   let n_complex = ref 0 in
   for ci = 0 to m - 1 do
-    if off.(ci + 1) - off.(ci) > 1 then begin
+    let s = off.(ci) and e = off.(ci + 1) in
+    let complex = e - s > 1 in
+    if complex then begin
       complex_idx.(ci) <- !n_complex;
       incr n_complex
     end
-    else complex_idx.(ci) <- -1
+    else complex_idx.(ci) <- -1;
+    for i = s to e - 1 do
+      let r = tgt.(i) + 1 in
+      c_off.(r) <- c_off.(r) + 1;
+      if complex then cc_off.(r) <- cc_off.(r) + 1
+    done;
+    let b = rhs.(ci) in
+    if rhs_is_attr b then in_off.(b + 1) <- in_off.(b + 1) + 1
   done;
-  let each_lhs only_complex f =
-    for ci = 0 to m - 1 do
-      let k = complex_idx.(ci) in
-      if k >= 0 || not only_complex then begin
-        let x = if only_complex then k else ci in
-        for i = off.(ci) to off.(ci + 1) - 1 do
-          f tgt.(i) x
-        done
+  for r = 1 to n do
+    c_off.(r) <- c_off.(r) + c_off.(r - 1);
+    cc_off.(r) <- cc_off.(r) + cc_off.(r - 1);
+    in_off.(r) <- in_off.(r) + in_off.(r - 1)
+  done;
+  let c_tgt = fit ~spare old_c.tgt c_off.(n)
+  and cc_tgt = fit ~spare old_cc.tgt cc_off.(n)
+  and in_tgt = fit ~spare old_in.tgt in_off.(n) in
+  for ci = 0 to m - 1 do
+    let k = complex_idx.(ci) in
+    for i = off.(ci) to off.(ci + 1) - 1 do
+      let a = tgt.(i) in
+      let p = c_off.(a) in
+      c_tgt.(p) <- ci;
+      c_off.(a) <- p + 1;
+      if k >= 0 then begin
+        let p = cc_off.(a) in
+        cc_tgt.(p) <- k;
+        cc_off.(a) <- p + 1
       end
-    done
-  in
-  let each_rhs f =
-    for ci = 0 to m - 1 do
-      let b = rhs.(ci) in
-      if rhs_is_attr b then f b ci
-    done
-  in
+    done;
+    let b = rhs.(ci) in
+    if rhs_is_attr b then begin
+      let p = in_off.(b) in
+      in_tgt.(p) <- ci;
+      in_off.(b) <- p + 1
+    end
+  done;
+  for r = n downto 1 do
+    c_off.(r) <- c_off.(r - 1);
+    cc_off.(r) <- cc_off.(r - 1);
+    in_off.(r) <- in_off.(r - 1)
+  done;
+  c_off.(0) <- 0;
+  cc_off.(0) <- 0;
+  in_off.(0) <- 0;
   {
     attr_names;
     attr_index;
     store;
     complex_idx;
     n_complex = !n_complex;
-    constr_of = csr ~spare old_c n (each_lhs false);
-    complex_constr_of = csr ~spare old_cc n (each_lhs true);
-    incoming = csr ~spare old_in n each_rhs;
+    constr_of = { off = c_off; tgt = c_tgt };
+    complex_constr_of = { off = cc_off; tgt = cc_tgt };
+    incoming = { off = in_off; tgt = in_tgt };
   }
 
 (* The kept lines in line order, then the bound rows: one pass counts
@@ -340,13 +358,13 @@ let build ~room ~attr_names ~attr_index store =
    the store, whose levels are numbered in row order. *)
 let of_lines ?(room = Exact) ~attr_names ~attr_index ?count ?(bounds = ignore) lines =
   Minup_obs.Trace.with_span ~cat:"constraints" "problem.of_rows" @@ fun () ->
-  let { written; rhs; levels; kept } = lines in
-  let count = Option.value count ~default:(Array.length written) in
+  let { off; tgt; rhs; levels; kept } = lines in
+  let count = Option.value count ~default:(Array.length kept) in
   let m = ref 0 and size = ref 0 and n_levels = ref 0 in
   for i = 0 to count - 1 do
     if kept.(i) then begin
       incr m;
-      size := !size + Array.length written.(i);
+      size := !size + off.(i + 1) - off.(i);
       if not (rhs_is_attr rhs.(i)) then incr n_levels
     end
   done;
@@ -355,7 +373,7 @@ let of_lines ?(room = Exact) ~attr_names ~attr_index ?count ?(bounds = ignore) l
   for i = 0 to count - 1 do
     if kept.(i) then begin
       let r = rhs.(i) in
-      add_lhs b written.(i);
+      add_lhs b tgt off.(i) off.(i + 1);
       if rhs_is_attr r then close b r else close_level b levels.(rhs_level_index r)
     end
   done;

@@ -10,6 +10,26 @@
 (** A right-hand side, decoded ({!rhs}). *)
 type 'lvl rhs = Rlevel of 'lvl | Rattr of int
 
+(** A policy's [>=] lines over attribute ids, as {!Parse.rows} reads them
+    and a session keeps them, flat: line [i] has the lhs ids
+    [tgt.(off.(i)) .. tgt.(off.(i+1) - 1)], in written order and
+    duplicate-free (compressed rows like {!csr}'s, but unsorted), and the
+    right-hand side code [rhs.(i)] ({!rhs_is_attr}, or {!level_code}[ j]
+    for [levels.(j)]).  It is a constraint of the problem built from them
+    iff [kept.(i)]: not for a trivially satisfied line (rhs ∈ lhs, §3),
+    nor for a line a session removed; a line that is not kept is never
+    read.  There are [Array.length kept] lines unless {!of_lines} is told
+    a [count]: [off], [tgt] and [rhs] may be longer than they need (the
+    scanner's own arrays, or a session's room to grow).  Lines may share
+    a level entry, and [levels] may hold entries no kept line reads. *)
+type 'lvl lines = {
+  off : int array;
+  tgt : int array;
+  rhs : int array;
+  levels : 'lvl array;
+  kept : bool array;
+}
+
 (** A compressed-sparse-row array of int rows: row [r] is
     [tgt.(off.(r)) .. tgt.(off.(r+1) - 1)], with [off.(0) = 0].  Every
     row is in ascending order.  Over [k] rows, [off] has at least [k + 1]
@@ -17,21 +37,6 @@ type 'lvl rhs = Rlevel of 'lvl | Rattr of int
     to spare there ({!room}); anything past the last row is not part of
     the index.  A {!compile}d problem's arrays are exact. *)
 type csr = { off : int array; tgt : int array }
-
-(** A policy's [>=] lines over attribute ids, as {!Parse.rows} reads them
-    and a session keeps them: line [i] has the lhs ids [written.(i)], in
-    written order and duplicate-free, and the right-hand side code
-    [rhs.(i)] ({!rhs_is_attr}, or {!level_code}[ j] for [levels.(j)]).
-    It is a constraint of the problem built from them iff [kept.(i)]:
-    not for a trivially satisfied line (rhs ∈ lhs, §3), nor for a line a
-    session removed.  Lines may share a level entry, and [levels] may
-    hold entries no kept line reads. *)
-type 'lvl lines = {
-  written : int array array;
-  rhs : int array;
-  levels : 'lvl array;
-  kept : bool array;
-}
 
 (** The constraints themselves, flat: no record or box per constraint.
     There are [rows] of them; constraint [ci < rows] is
@@ -120,11 +125,12 @@ type 'lvl t = private {
           constraints *)
   incoming : csr;  (** row [a] — indices of constraints whose rhs is [a] *)
 }
-(** The three indexes are flat int arrays, built in two linear sweeps over
-    the store (count, then fill) in ascending constraint index, so each
-    of their rows is ascending too.  Building a problem allocates a
-    constant number of words per constraint and per attribute, all of it
-    in a fixed number of arrays: no block per constraint. *)
+(** The three indexes are flat int arrays, built together in two linear
+    sweeps over the store — one counts every index row, one fills them
+    all — in ascending constraint index, so each of their rows is
+    ascending too.  Building a problem allocates a constant number of
+    words per constraint and per attribute, all of it in a fixed number
+    of arrays: no block per constraint. *)
 
 (** [compile] cannot fail: every [Cst.t] compiles. *)
 type error = |
@@ -152,18 +158,19 @@ type 'lvl room = Exact | Spare | Reuse of 'lvl t
 (** [of_lines ?room ~attr_names ~attr_index ?count ?bounds lines] — the
     problem over the universe [attr_names] (id [i] is [attr_names.(i)])
     whose constraints are the kept lines among the first [count]
-    (default: all of [written]) in line order, each lhs sorted, then one
-    row [{a} >= l] per call [f a l] that [bounds f] makes (default none;
-    it is called twice and must make the same calls both times).  It is
-    what {!compile} builds from those lines' constraints, and from bound
-    constraints after them, over the same [attrs]: the same store and
-    indexes, its levels numbered in row order.  Every id must be below
-    [Array.length attr_names].  The store and indexes go where [room]
-    says (default [Exact]).  Linear in the attributes plus the lines'
-    size; nothing is looked up by name.  [attr_index] maps every name of
-    [attr_names] to its id and is shared, not copied: it may also hold
-    names interned later, with larger ids, which {!attr_id} does not
-    report.  Traced as [problem.of_rows] (category [constraints]). *)
+    (default: [Array.length kept]) in line order, each lhs range copied
+    and sorted, then one row [{a} >= l] per call [f a l] that [bounds f]
+    makes (default none; it is called twice and must make the same
+    calls both times).  It is what {!compile} builds from those lines'
+    constraints, and from bound constraints after them, over the same
+    [attrs]: the same store and indexes, its levels numbered in row
+    order.  Every id must be below [Array.length attr_names].  The store
+    and indexes go where [room] says (default [Exact]).  Linear in the
+    attributes, the lines and the kept lines' size; nothing is looked up
+    by name.  [attr_index] maps every name of [attr_names] to its id and
+    is shared, not copied: it may also hold names interned later, with
+    larger ids, which {!attr_id} does not report.  Traced as
+    [problem.of_rows] (category [constraints]). *)
 val of_lines :
   ?room:'lvl room ->
   attr_names:string array ->

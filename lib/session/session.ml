@@ -71,12 +71,15 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     mutable exact_names : string array;
         (** the names of [index] exactly, once a problem has needed them:
             still the session's while [index] has as many *)
-    mutable written : int array array;
-        (** user constraint id ↦ its lhs ids as written, [n_ids] of them,
-            and [[||]] once removed (an lhs is never empty) *)
+    mutable off : int array;
+        (** user constraint id [i] ↦ its lhs ids as written,
+            [tgt.(off.(i)) .. tgt.(off.(i+1) - 1)]: [n_ids + 1] offsets *)
+    mutable tgt : int array;
+    mutable dead : int;  (** entries of [tgt] that removed ids still hold *)
     mutable rhs : int array;
         (** id ↦ its rhs code, as a store encodes it
-            ([Problem.rhs_is_attr]), into [levels] *)
+            ([Problem.rhs_is_attr]), into [levels]; [removed] once
+            removed *)
     mutable levels : L.level array;  (** level right-hand sides, [n_levels] of them *)
     mutable n_levels : int;
     mutable kept : bool array;
@@ -106,13 +109,21 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     match t.pending with Rebuild _ -> () | Clean | Patch -> t.pending <- Rebuild (d, x)
 
   let touch t a = t.dirty <- a :: t.dirty
-  let touch_lhs t id = Array.iter (touch t) t.written.(id)
 
-  let rec fill t w j = function
+  let touch_lhs t id =
+    for i = t.off.(id) to t.off.(id + 1) - 1 do
+      touch t t.tgt.(i)
+    done
+
+  (* A removed line's rhs code: neither an attribute nor a level. *)
+  let removed = min_int
+
+  (* The ids of [names], interned into [tgt] from [i]. *)
+  let rec fill t i = function
     | [] -> ()
     | a :: rest ->
-        w.(j) <- intern t a;
-        fill t w (j + 1) rest
+        t.tgt.(i) <- intern t a;
+        fill t (i + 1) rest
 
   (* [a], full at [len] entries, doubled (16 at least), [fill] beyond. *)
   let grow a len fill =
@@ -127,16 +138,59 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     t.n_levels <- t.n_levels + 1;
     Problem.level_code (t.n_levels - 1)
 
-  (* The next constraint id, for the lhs [written] and the rhs code [rhs],
-     [kept] or not: the id-indexed arrays double when full. *)
-  let push_row t written rhs kept =
+  (* Move the live lines' lhs entries, in id order, to the front of
+     [dst] ([t.tgt] itself, or a larger array: entries only move down),
+     a removed id keeping an empty range, and the level entries they
+     read to the front of a fresh [levels]: ids do not change. *)
+  let repack t dst =
+    let moved = Array.make t.n_levels (-1) and levels = ref [||] in
+    let fill = ref 0 and j = ref 0 in
+    for id = 0 to t.n_ids - 1 do
+      let s = t.off.(id) and e = t.off.(id + 1) and r = t.rhs.(id) in
+      t.off.(id) <- !fill;
+      if r <> removed then begin
+        Array.blit t.tgt s dst !fill (e - s);
+        fill := !fill + e - s;
+        if not (Problem.rhs_is_attr r) then begin
+          let l = Problem.rhs_level_index r in
+          if moved.(l) < 0 then begin
+            if !j = 0 then levels := Array.make t.n_levels t.levels.(l);
+            !levels.(!j) <- t.levels.(l);
+            moved.(l) <- !j;
+            incr j
+          end;
+          t.rhs.(id) <- Problem.level_code moved.(l)
+        end
+      end
+    done;
+    t.off.(t.n_ids) <- !fill;
+    t.tgt <- dst;
+    t.dead <- 0;
+    t.levels <- !levels;
+    t.n_levels <- !j
+
+  (* Room in [tgt] for [k] more lhs entries.  When it is full, the live
+     entries are repacked, in place if they fill at most half of it
+     (then the dead ones outnumber them), else into an array twice their
+     size: [tgt] never grows past twice the live entries, plus a
+     constant. *)
+  let reserve t k =
+    let fill = t.off.(t.n_ids) in
+    if fill + k > Array.length t.tgt then begin
+      let want = (2 * (fill - t.dead + k)) + 16 in
+      repack t (if want <= Array.length t.tgt then t.tgt else Array.make want 0)
+    end
+
+  (* The next constraint id, its lhs the [k] entries just written past
+     the last line in [tgt], its rhs code [rhs], [kept] or not: each
+     id-indexed array doubles when full (a parsed policy's may differ in
+     length). *)
+  let push_row t k rhs kept =
     let id = t.n_ids in
-    if id = Array.length t.written then begin
-      t.written <- grow t.written id [||];
-      t.rhs <- grow t.rhs id (-1);
-      t.kept <- grow t.kept id false
-    end;
-    t.written.(id) <- written;
+    if id + 2 > Array.length t.off then t.off <- grow t.off (id + 1) 0;
+    if id = Array.length t.rhs then t.rhs <- grow t.rhs id (-1);
+    if id = Array.length t.kept then t.kept <- grow t.kept id false;
+    t.off.(id + 1) <- t.off.(id) + k;
     t.rhs.(id) <- rhs;
     t.kept.(id) <- kept;
     t.n_ids <- id + 1;
@@ -145,12 +199,13 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   (* [c] interned under the next id, its names registered in [Cst.attrs]
      order. *)
   let push_cst t (c : _ Cst.t) =
-    let written = Array.make (List.length c.lhs) 0 in
-    fill t written 0 c.lhs;
+    let k = List.length c.lhs in
+    reserve t k;
+    fill t t.off.(t.n_ids) c.lhs;
     let kept = not (Cst.is_trivial c) in
     match c.rhs with
-    | Cst.Level l -> push_row t written (push_level t l) kept
-    | Cst.Attr a -> push_row t written (intern t a) kept
+    | Cst.Level l -> push_row t k (push_level t l) kept
+    | Cst.Attr a -> push_row t k (intern t a) kept
 
   (* Every constraint is interned when added; only once a resolve has
      compiled do its lhs count as dirty. *)
@@ -161,12 +216,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     id
 
   (* A session over [lines], its first [n_ids] the user constraints. *)
-  let empty ~lattice ~index ~n_ids { Problem.written; rhs; levels; kept } =
+  let empty ~lattice ~index ~n_ids { Problem.off; tgt; rhs; levels; kept } =
     {
       lattice;
       index;
       exact_names = [||];
-      written;
+      off;
+      tgt;
+      dead = 0;
       rhs;
       levels;
       n_levels = Array.length levels;
@@ -183,10 +240,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   let create ~lattice ?(attrs = []) csts =
     let m = List.length csts in
+    let size = List.fold_left (fun n (c : _ Cst.t) -> n + List.length c.lhs) 0 csts in
     let t =
       empty ~lattice ~index:(Names.create (max 64 (List.length attrs))) ~n_ids:0
-        { Problem.written = Array.make m [||]; rhs = Array.make m (-1); levels = [||];
-          kept = Array.make m false }
+        { Problem.off = Array.make (m + 1) 0; tgt = Array.make size 0; rhs = Array.make m (-1);
+          levels = [||]; kept = Array.make m false }
     in
     List.iter (fun a -> ignore (intern t a)) attrs;
     List.iter (fun c -> ignore (add_constraint t c)) csts;
@@ -195,14 +253,15 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   (* The session adopts [r]'s names, index and lines whole: it copies
      nothing and looks up no name. *)
   let of_rows ~lattice (r : L.level Parse.rows) =
-    empty ~lattice ~index:r.attr_index ~n_ids:(Array.length r.lines.written) r.lines
+    empty ~lattice ~index:r.attr_index ~n_ids:(Array.length r.lines.kept) r.lines
 
   let remove_constraint t id =
-    if id < 0 || id >= t.n_ids || Array.length t.written.(id) = 0 then false
+    if id < 0 || id >= t.n_ids || t.rhs.(id) = removed then false
     else begin
       if t.kept.(id) && Option.is_some t.compiled then touch_lhs t id;
       t.kept.(id) <- false;
-      t.written.(id) <- [||];
+      t.rhs.(id) <- removed;
+      t.dead <- t.dead + t.off.(id + 1) - t.off.(id);
       structural t Remove id;
       true
     end
@@ -244,14 +303,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let name a = names.(a) in
     let rec users id acc =
       if id < 0 then acc
-      else if Array.length t.written.(id) = 0 then users (id - 1) acc
+      else if t.rhs.(id) = removed then users (id - 1) acc
       else
         let r = t.rhs.(id) in
         let rhs =
           if Problem.rhs_is_attr r then Cst.Attr (name r)
           else Cst.Level t.levels.(Problem.rhs_level_index r)
         in
-        let lhs = Array.fold_right (fun a acc -> name a :: acc) t.written.(id) [] in
+        let lhs = List.init (t.off.(id + 1) - t.off.(id)) (fun i -> name t.tgt.(t.off.(id) + i)) in
         users (id - 1) (Cst.make_exn ~lhs ~rhs :: acc)
     in
     ( List.init (Names.length t.index) name,
@@ -287,6 +346,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     t.stats <- { t.stats with frozen = t.stats.frozen + solution.Solver.reused };
     solution
 
+  let view t = { Problem.off = t.off; tgt = t.tgt; rhs = t.rhs; levels = t.levels; kept = t.kept }
+
   (* The live rows — user rows in id order, then the bound rows, as
      compile lays out the snapshot — as a problem over the session's
      attributes, so its priorities are a scratch compile's; and each
@@ -307,7 +368,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let prob =
       Problem.of_lines ~room ~attr_names ~attr_index:t.index ~count:t.n_ids
         ~bounds:(fun f -> iter_live (fun _ (a, l) -> f a l) t.bounds)
-        { Problem.written = t.written; rhs = t.rhs; levels = t.levels; kept = t.kept }
+        (view t)
     in
     let bound_ci = Array.make t.bounds.len (-1) and ci = ref (Problem.n_csts prob) in
     for slot = t.bounds.len - 1 downto 0 do
@@ -411,4 +472,5 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     Solver.solve_with_bounds ~config problem ubounds
 
   let stats t = t.stats
+  let lines t = (view t, t.n_ids)
 end

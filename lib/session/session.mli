@@ -53,17 +53,25 @@
 
     {b Costs.}  The editor state is flat: attribute names live in a
     growable array indexed by id plus a name ↦ id table, user
-    constraints as {!Minup_constraints.Problem.lines} (each with its
-    interned lhs as written, its rhs code and whether its row is kept)
-    and bounds (attribute id and level) in id-addressed append-only
-    arrays where removal leaves a tombstone.  With [k] the size of the
-    constraint involved:
+    constraints as flat {!Minup_constraints.Problem.lines} — one array
+    of every constraint's interned lhs as written, addressed by id
+    through an offsets array, plus its rhs code and whether its row is
+    kept — and bounds (attribute id and level) in id-addressed
+    append-only arrays where removal leaves a tombstone.  A removed
+    constraint's lhs entries stay in the lines until the lhs array
+    fills; then the live entries are repacked (ids unchanged, a removed
+    id keeping an empty range), in place when they fill at most half of
+    it (the dead ones then outnumber them), else into an array twice
+    their size, so the array holds at most twice the live entries plus a
+    constant; the level entries removed lines held are dropped with
+    them.  With [k] the size of the constraint involved:
     - {!Make.create}: linear in its input (attributes plus total
       constraint size), one name lookup per mention;
     - {!Make.of_rows}: O(1): it adopts the parsed lines, names and name
       index whole, trivial lines included, and builds no store;
     - {!Make.add_constraint}: O(k) amortized (the row is interned at
-      once);
+      once, into the lines' arrays), plus, when the lhs array is full, a
+      repack linear in the ids handed out and the entries it holds;
     - {!Make.remove_constraint}: O(k) (the removed row's lhs is noted
       dirty);
     - {!Make.set_lower_bound}, {!Make.add_attribute}: O(1) amortized;
@@ -75,9 +83,11 @@
     - the patch path: no compile and no copy; O(1) per queued bound
       change (an in-place write), then the incremental solve;
     - the rebuild path: linear in the attributes, the live rows' size
-      and the ids ever handed out (the indexing and the two priority
-      DFS passes, no name lookup; the name array is copied only after a
-      name was added since the last copy), then the incremental solve;
+      and the ids ever handed out (the indexing — each kept line's
+      range copied into the store, then one counting and one filling
+      pass for the three indexes — and the two priority DFS passes, no
+      name lookup; the name array is copied only after a name was added
+      since the last copy), then the incremental solve;
     - the incremental solve: O(what changed), with no pass over all
       attributes or sets.  It visits only the priority sets that are
       dirty or read a changed level, each of which first rebuilds the
@@ -203,4 +213,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
   val solution : t -> Solver.solution option
 
   val stats : t -> stats
+
+  (** [lines t] — the session's user constraints as it holds them, and
+      the number of ids handed out: line [id] is constraint [id], not
+      [kept] if it is trivially satisfied or removed (a removed line's
+      range is empty once its entries are reclaimed).  These are the
+      session's own arrays, not a copy, and the next edit may replace or
+      rewrite them. *)
+  val lines : t -> L.level Minup_constraints.Problem.lines * int
 end

@@ -380,9 +380,13 @@ let rows_mismatch ~level_of_string text =
           r.Parse.lines
       in
       let names = r.Parse.attr_names and lines = r.Parse.lines in
-      let written = Array.to_list lines.Problem.written in
+      let off = lines.Problem.off and tgt = lines.Problem.tgt in
+      let m = Array.length lines.Problem.kept in
+      let written = List.init m (fun i -> Array.sub tgt off.(i) (off.(i + 1) - off.(i))) in
       let kept = List.filteri (fun i _ -> lines.Problem.kept.(i)) written in
-      if names <> p.Problem.attr_names || q.Problem.attr_names != names then Some "attr_names"
+      if off.(0) <> 0 || List.exists (fun i -> off.(i + 1) < off.(i)) (List.init m Fun.id) then
+        Some "off"
+      else if names <> p.Problem.attr_names || q.Problem.attr_names != names then Some "attr_names"
       else if
         q.Problem.store <> p.Problem.store
         || q.Problem.complex_idx <> p.Problem.complex_idx

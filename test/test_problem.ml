@@ -214,9 +214,14 @@ let reuse_matches_fresh =
             levels := l :: !levels;
             Problem.level_code (List.length !levels - 1))
     done;
+    let off = Array.make (m + 1) 0 in
+    for ci = 0 to m - 1 do
+      off.(ci + 1) <- off.(ci) + Problem.lhs_size p ci
+    done;
     Problem.of_lines ~room ~attr_names:p.Problem.attr_names ~attr_index:p.Problem.attr_index
       {
-        Problem.written = Array.init m (Problem.lhs p);
+        Problem.off;
+        tgt = Array.concat (List.init m (Problem.lhs p));
         rhs;
         levels = Array.of_list (List.rev !levels);
         kept = Array.make m true;
@@ -254,6 +259,101 @@ let reuse_matches_fresh =
           same p (copy ~room:(Problem.Reuse host) p)
       | _ -> true)
 
+(* The one-pass index against a reference read off the store with
+   lists: on random lines over [n] attributes (simple and complex rows,
+   level and attribute right-hand sides, attributes no row mentions,
+   lines left out), [complex_idx], [n_complex] and the three indexes of
+   [of_lines] are what the store's rows say, and the store holds the
+   kept lines, each sorted.  Checked under [Exact], [Spare], and [Reuse]
+   of a larger problem built first, whose stale entries past the new
+   rows must not show. *)
+let index_matches_reference =
+  let lines rng ~n ~m =
+    let off = Array.make (m + 1) 0 and tgt = Array.make (4 * m) 0 in
+    let rhs = Array.make m 0 and kept = Array.make m true and n_levels = ref 0 in
+    for i = 0 to m - 1 do
+      let k = 1 + Random.State.int rng (min 4 n) in
+      let s = off.(i) in
+      let rec fresh () =
+        let a = Random.State.int rng n in
+        if Array.exists (( = ) a) (Array.sub tgt s (off.(i + 1) - s)) then fresh () else a
+      in
+      off.(i + 1) <- s;
+      for j = 0 to k - 1 do
+        tgt.(s + j) <- fresh ();
+        off.(i + 1) <- s + j + 1
+      done;
+      rhs.(i) <-
+        (if Random.State.bool rng then Random.State.int rng n
+         else begin
+           incr n_levels;
+           Problem.level_code (!n_levels - 1)
+         end);
+      kept.(i) <-
+        Random.State.int rng 6 > 0
+        && not (rhs.(i) >= 0 && Array.mem rhs.(i) (Array.sub tgt s k))
+    done;
+    let attr_names = Array.init n (Printf.sprintf "x%d") in
+    let attr_index = Problem.Names.create n in
+    Array.iter (fun a -> ignore (Problem.Names.add attr_index a)) attr_names;
+    ( attr_names,
+      attr_index,
+      { Problem.off; tgt; rhs; levels = Array.init !n_levels (fun j -> j mod 7); kept } )
+  in
+  let row (c : Problem.csr) a =
+    Array.to_list (Array.sub c.tgt c.off.(a) (c.off.(a + 1) - c.off.(a)))
+  in
+  let matches (p : int Problem.t) (l : int Problem.lines) =
+    let n = Problem.n_attrs p and m = Problem.n_csts p in
+    let rows = List.init m Fun.id and attrs = List.init n Fun.id in
+    let complex = List.filter (fun ci -> Problem.lhs_size p ci > 1) rows in
+    let dense ci =
+      let rec at k = function
+        | [] -> -1
+        | c :: rest -> if c = ci then k else at (k + 1) rest
+      in
+      at 0 complex
+    in
+    let has a ci = Array.mem a (Problem.lhs p ci) in
+    let kept = List.filter (fun i -> l.kept.(i)) (List.init (Array.length l.kept) Fun.id) in
+    List.length kept = m
+    && List.for_all2
+         (fun i ci ->
+           let w = Array.sub l.tgt l.off.(i) (l.off.(i + 1) - l.off.(i)) in
+           Array.sort compare w;
+           Problem.lhs p ci = w
+           && Problem.rhs p ci
+              = if l.rhs.(i) >= 0 then Problem.Rattr l.rhs.(i)
+                else Problem.Rlevel l.levels.(Problem.rhs_level_index l.rhs.(i)))
+         kept rows
+    && List.for_all (fun ci -> p.complex_idx.(ci) = dense ci) rows
+    && p.n_complex = List.length complex
+    && p.constr_of.off.(0) = 0
+    && p.complex_constr_of.off.(0) = 0
+    && p.incoming.off.(0) = 0
+    && List.for_all
+         (fun a ->
+           row p.constr_of a = List.filter (has a) rows
+           && row p.complex_constr_of a = List.map dense (List.filter (has a) complex)
+           && row p.incoming a = List.filter (fun ci -> Problem.rhs p ci = Problem.Rattr a) rows)
+         attrs
+  in
+  QCheck.Test.make ~count:300 ~name:"the one-pass index = a reference off the store"
+    (QCheck.make ~print:string_of_int (QCheck.get_gen Helpers.seed_arb))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int rng 12 in
+      let m = Random.State.int rng 20 in
+      let attr_names, attr_index, l = lines rng ~n ~m in
+      let build room = Problem.of_lines ~room ~attr_names ~attr_index l in
+      let host =
+        let names, index, big = lines rng ~n:(n + 8) ~m:(m + 20) in
+        Problem.of_lines ~room:Problem.Spare ~attr_names:names ~attr_index:index big
+      in
+      matches (build Problem.Exact) l
+      && matches (build Problem.Spare) l
+      && matches (build (Problem.Reuse host)) l)
+
 let suite =
   [
     case "attribute interning" interning;
@@ -266,4 +366,5 @@ let suite =
     case "source round-trip" roundtrip;
     Helpers.qcheck store_matches_source;
     Helpers.qcheck reuse_matches_fresh;
+    Helpers.qcheck index_matches_reference;
   ]

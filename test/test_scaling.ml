@@ -44,9 +44,10 @@ let compile_linear () =
    shape of a serve delta) within a few hundred, so no buffer is sized for
    more than the text it reads.  [Parse.parse_resolve] allocates 21.2
    words per constraint (27.2 before the one-pass scanner shared its name
-   table and one-member lhs lists), [Parse.rows] 16.5 (18.6 when it
-   also filled a constraint store, 23.4 when it hashed every attribute
-   again into a second table); each bound is its figure plus 10%. *)
+   table and one-member lhs lists), [Parse.rows] 12.1 (16.5 when it
+   made an array per line, 18.6 when it also filled a constraint store,
+   23.4 when it hashed every attribute again into a second table); each
+   bound is its figure plus 10%. *)
 let parse_lean () =
   let level_of_string = Minup_lattice.Total.level_of_string ladder in
   let parse text = Parse.parse_resolve ~level_of_string text in
@@ -60,8 +61,8 @@ let parse_lean () =
   if per_cst > 23.3 then
     Alcotest.failf "Parse.parse_resolve: %.1f words per constraint (bound 23.3)" per_cst;
   let per_cst = words (fun () -> Parse.rows ~level_of_string text) /. n_csts in
-  if per_cst > 18.1 then
-    Alcotest.failf "Parse.rows: %.1f words per constraint (bound 18.1)" per_cst;
+  if per_cst > 13.3 then
+    Alcotest.failf "Parse.rows: %.1f words per constraint (bound 13.3)" per_cst;
   List.iter
     (fun line ->
       let w = words (fun () -> parse line) in
@@ -554,8 +555,9 @@ let open_line (attrs, csts) =
 (* A serve [open] — the request's JSON, the lattice, the policy text to
    rows and the session over them — allocates a constant number of words
    per constraint: at most 10% more at 8k attributes than at 2k, and at
-   most 26.7 at 8k (24.3 measured; 26.6 while [Parse.rows] also filled
-   a constraint store, 31.4 while the scan and the session each hashed
+   most 21.6 at 8k (19.6 measured; 24.0 while each line had an array
+   of its own, 26.6 while [Parse.rows] also filled a constraint store,
+   31.4 while the scan and the session each hashed
    every name into a table of its own, 33.5 when the rows were boxed
    records and the session copied them, 47.6 when the open built a
    constraint list and the session registered every name of it). *)
@@ -573,8 +575,8 @@ let serve_open_linear () =
   let w_small = per_cst s and w_large = per_cst l in
   check_growth ~ratio:1 ~bound:1.1 "serve open words per constraint" ~small:w_small
     ~large:w_large;
-  if w_large > 26.7 then
-    Alcotest.failf "serve open: %.1f words per constraint at 8k (bound 26.7)" w_large
+  if w_large > 21.6 then
+    Alcotest.failf "serve open: %.1f words per constraint at 8k (bound 21.6)" w_large
 
 (* A serve solution reply: the session escapes each name and level once,
    at its first reply, and keeps that reply as runs of attributes with

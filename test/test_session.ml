@@ -8,6 +8,7 @@ module Session = Minup_session.Session.Make (Explicit)
 module SS = Session.Solver
 module Serve = Minup_session.Serve
 module Parse = Minup_constraints.Parse
+module Problem = Minup_constraints.Problem
 module Wire = Minup_core.Wire
 module Fault = Minup_core.Fault
 module Json = Minup_obs.Json
@@ -230,6 +231,59 @@ let indexed_rows_are_sorted () =
       ("of_rows", Session.of_rows ~lattice:fig1b (Result.get_ok (Parse.rows ~level_of_string text)));
       ("create", Session.create ~lattice:fig1b ~attrs:pr.Parse.attrs pr.Parse.csts);
     ]
+
+(* Removed rows are reclaimed and ids stay stable: on a session opened
+   from text (whose lines share level entries), 10 000 cycles that add a
+   two-member constraint and remove a random live id keep [tgt] within
+   twice the live lhs entries plus a constant, and [levels] too; a
+   removed id cannot be removed again, and every resolve equals a scratch
+   solve of the snapshot. *)
+let removed_rows_are_reclaimed () =
+  let rng = Random.State.make [| 31 |] in
+  let levels = Explicit.all fig1b in
+  let attr () = Printf.sprintf "a%d" (Random.State.int rng 24) in
+  let rec pair () =
+    let a = attr () and b = attr () in
+    if a = b then pair () else [ a; b ]
+  in
+  let cst () =
+    let lhs = pair () in
+    Cst.make_exn ~lhs
+      ~rhs:
+        (match Random.State.int rng 4 with
+        | 0 -> Cst.Attr (List.hd lhs)
+        | 1 -> Cst.Attr (attr ())
+        | _ -> Cst.Level (List.nth levels (Random.State.int rng (List.length levels))))
+  in
+  let text =
+    "attrs a0, a1\n{a0, a1} >= L3\n{a2, a3, a4} >= a5\na5 >= L3\n{a6, a7} >= a6\n{a8, a9} >= L3\n"
+  in
+  let r = Result.get_ok (Parse.rows ~level_of_string:(Explicit.level_of_string fig1b) text) in
+  let sess = Session.of_rows ~lattice:fig1b r in
+  let live = ref [ 0; 1; 2; 3; 4 ] in
+  check_matches ~ctx:"opened" fig1b sess;
+  for cycle = 1 to 10_000 do
+    live := Session.add_constraint sess (cst ()) :: !live;
+    let victim = List.nth !live (Random.State.int rng (List.length !live)) in
+    live := List.filter (fun id -> id <> victim) !live;
+    if not (Session.remove_constraint sess victim) then
+      Alcotest.failf "cycle %d: #%d not removed" cycle victim;
+    if Session.remove_constraint sess victim then
+      Alcotest.failf "cycle %d: #%d removed twice" cycle victim;
+    let lines, n_ids = Session.lines sess in
+    let entries =
+      List.fold_left (fun n id -> n + lines.Problem.off.(id + 1) - lines.Problem.off.(id)) 0 !live
+    in
+    if n_ids <> cycle + 5 then Alcotest.failf "cycle %d: %d ids" cycle n_ids;
+    if Array.length lines.Problem.tgt > (2 * entries) + 32 then
+      Alcotest.failf "cycle %d: tgt holds %d entries for %d live ones" cycle
+        (Array.length lines.Problem.tgt) entries;
+    if Array.length lines.Problem.levels > (2 * entries) + 32 then
+      Alcotest.failf "cycle %d: %d level entries for %d live lhs entries" cycle
+        (Array.length lines.Problem.levels) entries;
+    check_matches ~ctx:(Printf.sprintf "cycle %d" cycle) fig1b sess
+  done;
+  Alcotest.(check bool) "an id never handed out" false (Session.remove_constraint sess 10_005)
 
 let untouched_subgraph_is_frozen () =
   (* Two disconnected chains; re-tightening the bound on one must reuse
@@ -1234,6 +1288,7 @@ let suite =
     case "a cleared bound on an unseen attribute registers it" clear_unknown_bound;
     case "bounded catch-up obeys budget" bounded_catch_up_obeys_budget;
     case "indexed rows are sorted as a compile sorts them" indexed_rows_are_sorted;
+    case "removed rows are reclaimed; ids stay stable" removed_rows_are_reclaimed;
     case "untouched subgraph is frozen" untouched_subgraph_is_frozen;
     case "a split component's untouched piece is labeled again" split_component_is_relabeled;
     case "random sessions match scratch" random_sessions;
