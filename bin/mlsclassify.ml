@@ -71,8 +71,7 @@ let load_policy lattice path =
   match Parse.rows ~level_of_string:(Explicit.level_of_string lattice) (read_file path) with
   | Error e -> or_die (Error (Format.asprintf "%s: %a" path Parse.pp_error e))
   | Ok r ->
-      ( Minup_constraints.Problem.of_lines ~attr_names:r.Parse.attr_names
-          ~attr_index:r.Parse.attr_index r.Parse.lines,
+      ( Minup_constraints.Problem.of_lines ~attr_index:r.Parse.attr_index r.Parse.lines,
         r.Parse.upper_bounds )
 
 (* The policy at [path] with its priorities, for solve, batch and check. *)
@@ -360,16 +359,17 @@ let check_cmd lattice_path policy_path assignment_path =
     print_endline
       "OVERCLASSIFIED: satisfies the constraints but some attributes can be \
        lowered:";
-    Array.iteri
-      (fun a name ->
-        List.iter
-          (fun { Explain.to_level; reason } ->
-            if reason = Explain.At_bottom then
-              Printf.printf "  %s: %s -> %s possible\n" name
-                (Explicit.level_to_string lattice levels.(a))
-                (Explicit.level_to_string lattice to_level))
-          (Explain.binding_constraints problem levels name))
-      problem.Solver.prob.Minup_constraints.Problem.attr_names;
+    let prob = problem.Solver.prob in
+    for a = 0 to Minup_constraints.Problem.n_attrs prob - 1 do
+      let name = Minup_constraints.Problem.attr_name prob a in
+      List.iter
+        (fun { Explain.to_level; reason } ->
+          if reason = Explain.At_bottom then
+            Printf.printf "  %s: %s -> %s possible\n" name
+              (Explicit.level_to_string lattice levels.(a))
+              (Explicit.level_to_string lattice to_level))
+        (Explain.binding_constraints problem levels name)
+    done;
     exit 3
   end
 

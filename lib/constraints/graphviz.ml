@@ -11,9 +11,9 @@ let render ~pp_level (p : _ Problem.t) =
   let buf = Buffer.create 512 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   out "digraph constraints {\n  rankdir=TB;\n";
-  Array.iteri
-    (fun i name -> out "  a%d [label=\"%s\" shape=circle];\n" i (escape name))
-    p.Problem.attr_names;
+  for i = 0 to Problem.n_attrs p - 1 do
+    out "  a%d [label=\"%s\" shape=circle];\n" i (escape (Problem.attr_name p i))
+  done;
   (* Deduplicated level nodes, named by their rendering. *)
   let levels = Hashtbl.create 8 in
   let level_node l =

@@ -395,7 +395,6 @@ let parse_resolve ~level_of_string text =
         (upper_bounds ~level_of_string sc names)
 
 type 'lvl rows = {
-  attr_names : string array;
   attr_index : Problem.Names.t;
   lines : 'lvl Problem.lines;
   upper_bounds : (string * 'lvl) list;
@@ -452,7 +451,6 @@ let rows ~level_of_string text =
           let levels = Array.of_list (List.rev !levels) in
           Ok
             {
-              attr_names;
               attr_index = sc.names;
               lines = { Problem.off; tgt; rhs; levels; kept };
               upper_bounds;

@@ -73,10 +73,11 @@ val parse_resolve :
     [Problem.compile ~attrs csts] reads of [parse_resolve]'s
     [{attrs; csts; _}], without building the [Cst.t] list. *)
 type 'lvl rows = {
-  attr_names : string array;
-      (** the attribute universe, {!parse_resolve}'s [attrs] order: id [i]
-          is [attr_names.(i)] *)
-  attr_index : Problem.Names.t;  (** name ↔ id, every attribute *)
+  attr_index : Problem.Names.t;
+      (** name ↔ id, every attribute: the scan's own table, renumbered in
+          place into {!parse_resolve}'s [attrs] order, so id [i] is name
+          [i] of its {!Problem.Names.names} and it has exactly the
+          universe's names *)
   lines : 'lvl Problem.lines;
       (** one line per [>=] line, in file order: its lhs ids as written,
           its right-hand side code, and [kept] false iff it is trivially

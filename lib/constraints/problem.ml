@@ -134,13 +134,12 @@ module Names = struct
 end
 
 type 'lvl t = {
-  attr_names : string array;
   attr_index : Names.t;
+  n_attrs : int;
   store : 'lvl store;
   complex_idx : int array;
   n_complex : int;
   constr_of : csr;
-  complex_constr_of : csr;
   incoming : csr;
 }
 
@@ -265,67 +264,53 @@ let finish b =
 (* The indexing half of [compile]: a dense numbering of the complex
    constraints (the solver keeps one incremental lhs-lub aggregate and
    one unlabeled count per *complex* constraint, indexed by
-   [complex_idx], -1 for simple ones), and the three CSR indexes.  One
+   [complex_idx], -1 for simple ones), and the two CSR indexes.  One
    pass over the store numbers the complex rows and counts every index
    row into [off.(a + 1)]; prefix sums turn the counts into row ends;
-   one more pass fills all three, in ascending constraint index, each
+   one more pass fills both, in ascending constraint index, each
    [off.(a)] advancing as its row's cursor, so every row is ascending;
    a final shift restores the row starts.  No closure and no scratch
    array. *)
-let build ~room ~attr_names ~attr_index store =
-  let n = Array.length attr_names and m = store.rows in
+let build ~room ~attr_index store =
+  let n = Names.length attr_index and m = store.rows in
   let { off; tgt } = store.lhs and rhs = store.rhs in
   let spare = spare room in
   let empty = { off = [||]; tgt = [||] } in
-  let old_idx, old_c, old_cc, old_in =
+  let old_idx, old_c, old_in =
     match recycled room with
-    | Some p -> (p.complex_idx, p.constr_of, p.complex_constr_of, p.incoming)
-    | None -> ([||], empty, empty, empty)
+    | Some p -> (p.complex_idx, p.constr_of, p.incoming)
+    | None -> ([||], empty, empty)
   in
   let complex_idx = fit ~spare old_idx m in
-  let c_off = fit ~spare old_c.off (n + 1)
-  and cc_off = fit ~spare old_cc.off (n + 1)
-  and in_off = fit ~spare old_in.off (n + 1) in
+  let c_off = fit ~spare old_c.off (n + 1) and in_off = fit ~spare old_in.off (n + 1) in
   Array.fill c_off 0 (n + 1) 0;
-  Array.fill cc_off 0 (n + 1) 0;
   Array.fill in_off 0 (n + 1) 0;
   let n_complex = ref 0 in
   for ci = 0 to m - 1 do
     let s = off.(ci) and e = off.(ci + 1) in
-    let complex = e - s > 1 in
-    if complex then begin
+    if e - s > 1 then begin
       complex_idx.(ci) <- !n_complex;
       incr n_complex
     end
     else complex_idx.(ci) <- -1;
     for i = s to e - 1 do
       let r = tgt.(i) + 1 in
-      c_off.(r) <- c_off.(r) + 1;
-      if complex then cc_off.(r) <- cc_off.(r) + 1
+      c_off.(r) <- c_off.(r) + 1
     done;
     let b = rhs.(ci) in
     if rhs_is_attr b then in_off.(b + 1) <- in_off.(b + 1) + 1
   done;
   for r = 1 to n do
     c_off.(r) <- c_off.(r) + c_off.(r - 1);
-    cc_off.(r) <- cc_off.(r) + cc_off.(r - 1);
     in_off.(r) <- in_off.(r) + in_off.(r - 1)
   done;
-  let c_tgt = fit ~spare old_c.tgt c_off.(n)
-  and cc_tgt = fit ~spare old_cc.tgt cc_off.(n)
-  and in_tgt = fit ~spare old_in.tgt in_off.(n) in
+  let c_tgt = fit ~spare old_c.tgt c_off.(n) and in_tgt = fit ~spare old_in.tgt in_off.(n) in
   for ci = 0 to m - 1 do
-    let k = complex_idx.(ci) in
     for i = off.(ci) to off.(ci + 1) - 1 do
       let a = tgt.(i) in
       let p = c_off.(a) in
       c_tgt.(p) <- ci;
-      c_off.(a) <- p + 1;
-      if k >= 0 then begin
-        let p = cc_off.(a) in
-        cc_tgt.(p) <- k;
-        cc_off.(a) <- p + 1
-      end
+      c_off.(a) <- p + 1
     done;
     let b = rhs.(ci) in
     if rhs_is_attr b then begin
@@ -336,27 +321,24 @@ let build ~room ~attr_names ~attr_index store =
   done;
   for r = n downto 1 do
     c_off.(r) <- c_off.(r - 1);
-    cc_off.(r) <- cc_off.(r - 1);
     in_off.(r) <- in_off.(r - 1)
   done;
   c_off.(0) <- 0;
-  cc_off.(0) <- 0;
   in_off.(0) <- 0;
   {
-    attr_names;
     attr_index;
+    n_attrs = n;
     store;
     complex_idx;
     n_complex = !n_complex;
     constr_of = { off = c_off; tgt = c_tgt };
-    complex_constr_of = { off = cc_off; tgt = cc_tgt };
     incoming = { off = in_off; tgt = in_tgt };
   }
 
 (* The kept lines in line order, then the bound rows: one pass counts
    the rows, their lhs ids and their level right-hand sides, one fills
    the store, whose levels are numbered in row order. *)
-let of_lines ?(room = Exact) ~attr_names ~attr_index ?count ?(bounds = ignore) lines =
+let of_lines ?(room = Exact) ~attr_index ?count ?(bounds = ignore) lines =
   Minup_obs.Trace.with_span ~cat:"constraints" "problem.of_rows" @@ fun () ->
   let { off; tgt; rhs; levels; kept } = lines in
   let count = Option.value count ~default:(Array.length kept) in
@@ -381,7 +363,7 @@ let of_lines ?(room = Exact) ~attr_names ~attr_index ?count ?(bounds = ignore) l
       push_lhs b a;
       end_lhs b;
       close_level b l);
-  build ~room ~attr_names ~attr_index (finish b)
+  build ~room ~attr_index (finish b)
 
 let rec add_names b intern = function
   | [] -> ()
@@ -427,12 +409,11 @@ let compile ?(attrs = []) source : (_ t, error) result =
   (* Intern attributes of dropped constraints too: they are part of the
      universe and must still receive a (default ⊥) classification. *)
   List.iter (fun (c : _ Cst.t) -> List.iter (fun a -> ignore (intern a)) c.lhs) dropped;
-  let attr_names = Array.sub (Names.names index) 0 (Names.length index) in
-  Ok (build ~room:Exact ~attr_names ~attr_index:index (finish b))
+  Ok (build ~room:Exact ~attr_index:index (finish b))
 
 let compile_exn ?attrs csts = match compile ?attrs csts with Ok p -> p | Error _ -> .
 
-let n_attrs p = Array.length p.attr_names
+let n_attrs p = p.n_attrs
 let n_csts p = p.store.rows
 let iter_constr_of p a f = csr_iter p.constr_of a f
 let iter_incoming p a f = csr_iter p.incoming a f
@@ -457,12 +438,15 @@ let rhs p ci =
 
 let total_size p = p.store.lhs.off.(n_csts p) + n_csts p
 
-let attr_name p a = p.attr_names.(a)
 (* A session shares one growing index among the problems it builds, so
    a name interned after [p] was built has an id beyond [p]'s universe. *)
+let attr_name p a =
+  if a < 0 || a >= p.n_attrs then invalid_arg "Problem.attr_name: unknown attribute id";
+  (Names.names p.attr_index).(a)
+
 let attr_id p a =
   match Names.find p.attr_index a with
-  | i when i < Array.length p.attr_names -> Some i
+  | i when i < p.n_attrs -> Some i
   | _ | (exception Not_found) -> None
 
 let attr_id_exn p a =

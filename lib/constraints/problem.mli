@@ -107,30 +107,29 @@ module Names : sig
 end
 
 type 'lvl t = private {
-  attr_names : string array;
   attr_index : Names.t;
+      (** name ↔ id; attribute [i < n_attrs] is named by entry [i] of
+          its {!Names.names}, the one copy of the names *)
+  n_attrs : int;  (** the universe: ids [0 .. n_attrs - 1] *)
   store : 'lvl store;  (** the kept constraints *)
   complex_idx : int array;
       (** dense numbering of the complex constraints (lhs of two or more
           attributes): [complex_idx.(ci)] is a dense id in
-          [0 .. n_complex-1], or [-1] if [ci] is simple *)
+          [0 .. n_complex-1], or [-1] if [ci] is simple.  The solver's
+          incremental lhs-lub aggregates walk [constr_of] and skip the
+          (typically dominant) simple rows by it *)
   n_complex : int;  (** number of complex constraints *)
   constr_of : csr;
       (** row [a] — indices of constraints with [a] in their lhs
           ([Constr[A]] in the paper): the transpose of [store.lhs] *)
-  complex_constr_of : csr;
-      (** row [a] — dense ids ([complex_idx]) of the complex constraints
-          with [a] in their lhs; the solver's incremental lhs-lub
-          aggregates walk this, skipping the (typically dominant) simple
-          constraints *)
   incoming : csr;  (** row [a] — indices of constraints whose rhs is [a] *)
 }
-(** The three indexes are flat int arrays, built together in two linear
+(** The two indexes are flat int arrays, built together in two linear
     sweeps over the store — one counts every index row, one fills them
-    all — in ascending constraint index, so each of their rows is
+    both — in ascending constraint index, so each of their rows is
     ascending too.  Building a problem allocates a constant number of
     words per constraint and per attribute, all of it in a fixed number
-    of arrays: no block per constraint. *)
+    of arrays: no block per constraint, and no copy of the names. *)
 
 (** [compile] cannot fail: every [Cst.t] compiles. *)
 type error = |
@@ -155,25 +154,24 @@ val compile_exn : ?attrs:string list -> 'lvl Cst.t list -> 'lvl t
     [p] must not be read afterwards. *)
 type 'lvl room = Exact | Spare | Reuse of 'lvl t
 
-(** [of_lines ?room ~attr_names ~attr_index ?count ?bounds lines] — the
-    problem over the universe [attr_names] (id [i] is [attr_names.(i)])
-    whose constraints are the kept lines among the first [count]
-    (default: [Array.length kept]) in line order, each lhs range copied
-    and sorted, then one row [{a} >= l] per call [f a l] that [bounds f]
-    makes (default none; it is called twice and must make the same
-    calls both times).  It is what {!compile} builds from those lines'
-    constraints, and from bound constraints after them, over the same
-    [attrs]: the same store and indexes, its levels numbered in row
-    order.  Every id must be below [Array.length attr_names].  The store
+(** [of_lines ?room ~attr_index ?count ?bounds lines] — the problem over
+    the universe of [attr_index]'s [Names.length attr_index] names (id
+    [i] is its name [i]) whose constraints are the kept lines among the
+    first [count] (default: [Array.length kept]) in line order, each lhs
+    range copied and sorted, then one row [{a} >= l] per call [f a l]
+    that [bounds f] makes (default none; it is called twice and must make
+    the same calls both times).  It is what {!compile} builds from those
+    lines' constraints, and from bound constraints after them, over the
+    same [attrs]: the same store and indexes, its levels numbered in row
+    order.  Every id must be below [Names.length attr_index].  The store
     and indexes go where [room] says (default [Exact]).  Linear in the
     attributes, the lines and the kept lines' size; nothing is looked up
-    by name.  [attr_index] maps every name of [attr_names] to its id and
-    is shared, not copied: it may also hold names interned later, with
-    larger ids, which {!attr_id} does not report.  Traced as
-    [problem.of_rows] (category [constraints]). *)
+    by name, and no name is copied.  [attr_index] is shared, not copied:
+    a name interned into it later has an id past the problem's universe,
+    which {!attr_id} does not report.  Traced as [problem.of_rows]
+    (category [constraints]). *)
 val of_lines :
   ?room:'lvl room ->
-  attr_names:string array ->
   attr_index:Names.t ->
   ?count:int ->
   ?bounds:((int -> 'lvl -> unit) -> unit) ->
@@ -205,7 +203,10 @@ val rhs : 'lvl t -> int -> 'lvl rhs
 (** Total constraint size [S = Σ (|lhs| + 1)] from the complexity analysis. *)
 val total_size : 'lvl t -> int
 
+(** [attr_name p a] — [a]'s name, read from [p.attr_index]'s own array.
+    Raises [Invalid_argument] if [a] is not below [n_attrs p]. *)
 val attr_name : 'lvl t -> int -> string
+
 val attr_id : 'lvl t -> string -> int option
 val attr_id_exn : 'lvl t -> string -> int
 

@@ -111,8 +111,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      the input, which is what makes fail-fast deterministic: the
      lowest-index error in that prefix is the same in every
      interleaving. *)
-  let solve_batch ?residual ?upgrade_preference ?(policy = default_policy)
-      ?instrument ?jobs problems =
+  let solve_batch ?(policy = default_policy) ?instrument ?jobs problems =
     let n = Array.length problems in
     let jobs =
       match jobs with
@@ -195,11 +194,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             Some (fun _ev -> h ~charge ~warp_ms)
       in
       match
-        Solver.solve
-          ~config:
-            (Solver.Config.make ?on_event ?residual ?upgrade_preference
-               ?budget ())
-          problems.(i)
+        Solver.solve ~config:(Solver.Config.make ?on_event ?budget ()) problems.(i)
       with
       | s ->
           finish ();

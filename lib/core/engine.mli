@@ -111,17 +111,17 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
         naming the first failed index if any task faulted. *)
   val ok_exn : report -> Solver.solution array
 
-  (** [solve_batch ?residual ?upgrade_preference ?policy ?instrument ?jobs
-      problems] solves every problem under [policy] (default
-      {!default_policy}) and returns the per-task outcomes in input order.
-      [jobs] defaults to {!default_jobs}[ ()] and is clamped to the batch
-      size; [jobs = 1] solves inline on the calling domain and takes no
-      helper.  Larger [jobs] take [jobs - 1] parked helpers, spawning
-      only those the pool lacks (see {e Domains} above); a fail-fast or
-      [Sys.Break] exception from a task on a helper is re-raised here once
-      every worker of the batch has finished.  [residual]
-      and [upgrade_preference] are passed to every solve (see
-      {!Solver.Make.solve}).
+  (** [solve_batch ?policy ?instrument ?jobs problems] solves every
+      problem under [policy] (default {!default_policy}) and returns the
+      per-task outcomes in input order.  [jobs] defaults to
+      {!default_jobs}[ ()] and is clamped to the batch size; [jobs = 1]
+      solves inline on the calling domain and takes no helper.  Larger
+      [jobs] take [jobs - 1] parked helpers, spawning only those the pool
+      lacks (see {e Domains} above); a fail-fast or [Sys.Break] exception
+      from a task on a helper is re-raised here once every worker of the
+      batch has finished.  Every solve runs under
+      {!Solver.Config.default} plus the attempt's budget and hook: a
+      batch has no residual or upgrade preference.
 
       [instrument i] is consulted once per {e attempt} of task [i]; a
       [Some hook] plants the hook on that attempt's solver event stream
@@ -136,8 +136,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
         if [jobs < 1], [policy.retries < 0] or a backoff field is
         negative. *)
   val solve_batch :
-    ?residual:(L.t -> target:L.level -> others:L.level -> L.level) ->
-    ?upgrade_preference:(string -> int) ->
     ?policy:policy ->
     ?instrument:(int -> hook option) ->
     ?jobs:int ->

@@ -82,33 +82,33 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     let lat = problem.lat in
     let prob = problem.prob in
     let buf = Buffer.create 512 in
-    Array.iteri
-      (fun a name ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s = %s\n" name (L.level_to_string lat levels.(a)));
-        let blocked = binding_constraints problem levels name in
-        if blocked = [] then
-          Buffer.add_string buf "  at bottom: no constraint holds it up\n"
-        else
-          List.iter
-            (fun { to_level; reason } ->
-              let render c prefix =
+    for a = 0 to Problem.n_attrs prob - 1 do
+      let name = Problem.attr_name prob a in
+      Buffer.add_string buf
+        (Printf.sprintf "%s = %s\n" name (L.level_to_string lat levels.(a)));
+      let blocked = binding_constraints problem levels name in
+      if blocked = [] then
+        Buffer.add_string buf "  at bottom: no constraint holds it up\n"
+      else
+        List.iter
+          (fun { to_level; reason } ->
+            let render c prefix =
+              Buffer.add_string buf
+                (Format.asprintf "  cannot lower to %s: %s%a\n"
+                   (L.level_to_string lat to_level)
+                   prefix
+                   (Cst.pp (L.pp_level lat))
+                   c)
+            in
+            match reason with
+            | Direct c -> render c ""
+            | Propagated c -> render c "via propagation, "
+            | At_bottom ->
                 Buffer.add_string buf
-                  (Format.asprintf "  cannot lower to %s: %s%a\n"
-                     (L.level_to_string lat to_level)
-                     prefix
-                     (Cst.pp (L.pp_level lat))
-                     c)
-              in
-              match reason with
-              | Direct c -> render c ""
-              | Propagated c -> render c "via propagation, "
-              | At_bottom ->
-                  Buffer.add_string buf
-                    (Printf.sprintf
-                       "  lowering to %s possible?! (non-minimal input)\n"
-                       (L.level_to_string lat to_level)))
-            blocked)
-      prob.Problem.attr_names;
+                  (Printf.sprintf
+                     "  lowering to %s possible?! (non-minimal input)\n"
+                     (L.level_to_string lat to_level)))
+          blocked
+    done;
     Buffer.contents buf
 end

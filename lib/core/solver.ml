@@ -46,26 +46,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     lat : L.t;
     prob : L.level Problem.t;
     prio : Priorities.t;
-    simple_only : bool array;
   }
 
-  (* [simple_only.(p - 1)]: priority set [p] has two or more members and
-     none of them is in the lhs of a complex constraint, so the Bigloop
-     solves it with one lub instead of [Try].  The array exists only if
-     one set qualifies: it is empty otherwise. *)
-  let simple_only_sets prob (prio : Priorities.t) =
-    let off = prob.Problem.complex_constr_of.Problem.off in
-    let { Priorities.members; starts; max_priority = np; _ } = prio in
-    let rec simple j e =
-      j = e || (let a = members.(j) in off.(a) = off.(a + 1) && simple (j + 1) e)
-    in
-    let simple_only p = Priorities.size prio p > 1 && simple starts.(p - 1) starts.(p) in
-    let rec exists p = p <= np && (simple_only p || exists (p + 1)) in
-    if exists 1 then Array.init np (fun k -> simple_only (k + 1)) else [||]
-
-  let prepare ~lattice prob =
-    let prio = Priorities.compute prob in
-    { lat = lattice; prob; prio; simple_only = simple_only_sets prob prio }
+  let prepare ~lattice prob = { lat = lattice; prob; prio = Priorities.compute prob }
 
   let compile ~lattice ?attrs csts =
     Trace.with_span ~cat:"solver" "compile" @@ fun () ->
@@ -168,7 +151,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     lat : L.t;
     prob : L.level Problem.t;
     prio : Priorities.t;
-    simple_only : bool array;
     config : Config.t;
     bottom : L.level;
     top : L.level;
@@ -339,10 +321,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let finalize st a =
     let la = st.lam.(a) in
     if la != st.bottom then begin
-      let { Problem.off; tgt } = st.prob.Problem.complex_constr_of in
+      let { Problem.off; tgt } = st.prob.Problem.constr_of in
+      let complex_idx = st.prob.Problem.complex_idx and agg = st.agg in
       for i = off.(a) to off.(a + 1) - 1 do
-        let k = tgt.(i) in
-        st.agg.(k) <- lub st st.agg.(k) la
+        let k = complex_idx.(tgt.(i)) in
+        if k >= 0 then agg.(k) <- lub st agg.(k) la
       done
     end
 
@@ -666,8 +649,14 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      of the set can have lowered it, and a final rhs can cap it there
      (DESIGN.md §9). *)
   let open_row st a =
-    let { Problem.off; tgt } = st.prob.Problem.complex_constr_of in
-    let rec from i = i < off.(a + 1) && (st.unlabeled.(tgt.(i)) > 0 || from (i + 1)) in
+    let { Problem.off; tgt } = st.prob.Problem.constr_of in
+    let complex_idx = st.prob.Problem.complex_idx and unlabeled = st.unlabeled in
+    let rec from i =
+      i < off.(a + 1)
+      && ((let k = complex_idx.(tgt.(i)) in
+           k >= 0 && unlabeled.(k) > 0)
+         || from (i + 1))
+    in
     from off.(a)
 
   (* The Bigloop body for any other set: back-propagation for a member
@@ -806,16 +795,30 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       end
     done
 
+  (* Some constraint of [tgt.(i .. e - 1)] is complex. *)
+  let rec any_complex complex_idx tgt i e =
+    i < e && (complex_idx.(tgt.(i)) >= 0 || any_complex complex_idx tgt (i + 1) e)
+
+  (* No member of [members.(j .. hi - 1)] is in the lhs of a complex
+     constraint. *)
+  let rec simple_only st members j hi =
+    j = hi
+    ||
+    let { Problem.off; tgt } = st.prob.Problem.constr_of and a = members.(j) in
+    (not (any_complex st.prob.Problem.complex_idx tgt off.(a) off.(a + 1)))
+    && simple_only st members (j + 1) hi
+
   (* Priority set [p], its members in (preference, id) order.  The set is
      [members.(lo .. hi - 1)] of the priorities' CSR; a cyclic one is
-     sorted in a copy. *)
+     sorted in a copy, and gets one lub ([collapse]) if it is
+     simple-only, [Try] if not. *)
   let label_turn st p =
     let { Priorities.members; starts; _ } = st.prio in
     let lo = starts.(p - 1) and hi = starts.(p) in
     if hi - lo > 1 then begin
       let sorted = Array.sub members lo (hi - lo) in
       Array.sort (by_pref st) sorted;
-      if p <= Array.length st.simple_only && st.simple_only.(p - 1) then collapse st p sorted
+      if simple_only st members lo hi then collapse st p sorted
       else label_set st p sorted 0 (hi - lo)
     end
     else label_set st p members lo hi
@@ -963,7 +966,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      epochs, which are past every one the last solve wrote; and [Try]'s
      scratch is all [Idle] once a solve completes.  Arrays it must make
      are of exact size. *)
-  let start ?prev ?ub ~(config : Config.t) ({ lat; prob; prio; simple_only } : problem) =
+  let start ?prev ?ub ~(config : Config.t) ({ lat; prob; prio } : problem) =
     let n = Problem.n_attrs prob and nc = prob.Problem.n_complex in
     let np = prio.Priorities.max_priority in
     let lam_top = L.top lat in
@@ -1024,7 +1027,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       lat;
       prob;
       prio;
-      simple_only;
       config;
       bottom;
       top = L.top lat;

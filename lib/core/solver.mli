@@ -70,14 +70,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
     lat : L.t;
     prob : L.level Minup_constraints.Problem.t;
     prio : Minup_constraints.Priorities.t;
-    simple_only : bool array;
-        (** [simple_only.(p - 1)]: priority set [p] is cyclic and no
-            member is in the lhs of a complex constraint, so the solver
-            gives it one lub instead of [Try]; empty if no set is *)
   }
 
   (** [prepare ~lattice prob] — [prob] with its priorities
-      ({!Minup_constraints.Priorities.compute}) and simple-only sets. *)
+      ({!Minup_constraints.Priorities.compute}).  Whether a cyclic
+      priority set is simple-only is decided at its turn, from
+      [prob]'s [constr_of] and [complex_idx]. *)
   val prepare : lattice:L.t -> L.level Minup_constraints.Problem.t -> problem
 
   (** Compile constraints into an indexed problem (see

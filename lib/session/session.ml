@@ -16,13 +16,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     frozen : int;
   }
 
-  type compiled = {
-    problem : Solver.problem;
-    bound_ci : int array;
-        (** bound slot ↦ compiled index of its row; a slot past the end
-            was first set after this compile *)
-    solution : Solver.solution;
-  }
+  type compiled = { problem : Solver.problem; solution : Solver.solution }
 
   (* A structural delta's kind, as a traced resolve names it; it comes
      with a constraint id (add, remove) or an attribute id. *)
@@ -35,42 +29,69 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      everything queued after it. *)
   type pending = Clean | Patch | Rebuild of delta * int
 
-  (* Id-addressed append-only slots: [items.(i)] for [i < len] is the
-     value pushed as the [i]-th, or [None] once removed (a tombstone).
-     Push is amortized O(1), removal O(1), and a walk visits the live
-     values in push order in time linear in [len]. *)
-  type 'a slots = { mutable items : 'a option array; mutable len : int }
+  (* The lower bounds, keyed by attribute id.  [a] is bounded iff
+     [next.(a) <> unbound] (or [a] is past the arrays), and then
+     [level.(a)] is its bound.  The bounded attributes form one list in
+     first-set order, from [first] through [next] and back from [last]
+     through [prev] (-1 past either end): clearing a bound unlinks it,
+     setting it again appends it at [last], and re-tightening it keeps
+     its place.  [row.(a)] is the index of [a]'s bound row in the
+     problem the last indexing built, which is the compiled one whenever
+     a patch reads it: a resolve that fails after indexing leaves its
+     rebuild queued. *)
+  type 'l bounds = {
+    mutable level : 'l array;
+    mutable next : int array;
+    mutable prev : int array;
+    mutable row : int array;
+    mutable first : int;
+    mutable last : int;
+  }
 
-  let slots () = { items = [||]; len = 0 }
+  let unbound = -2
+  let bounded b a = a < Array.length b.next && b.next.(a) <> unbound
 
-  let push s x =
-    if s.len = Array.length s.items then begin
-      let items = Array.make (max 16 (2 * s.len)) None in
-      Array.blit s.items 0 items 0 s.len;
-      s.items <- items
+  (* [a, l] at the end of the list, each array doubled (16 at least)
+     first if [a] is past it. *)
+  let append b a l =
+    let len = Array.length b.next in
+    if a >= len then begin
+      let size = max 16 (2 * (a + 1)) in
+      let widen arr fill =
+        let w = Array.make size fill in
+        Array.blit arr 0 w 0 len;
+        w
+      in
+      b.level <- widen b.level l;
+      b.next <- widen b.next unbound;
+      b.prev <- widen b.prev (-1);
+      b.row <- widen b.row (-1)
     end;
-    s.items.(s.len) <- Some x;
-    s.len <- s.len + 1;
-    s.len - 1
+    b.level.(a) <- l;
+    b.next.(a) <- -1;
+    b.prev.(a) <- b.last;
+    if b.last < 0 then b.first <- a else b.next.(b.last) <- a;
+    b.last <- a
 
-  let fold_live f s init =
-    let acc = ref init in
-    for i = s.len - 1 downto 0 do
-      match s.items.(i) with Some x -> acc := f i x !acc | None -> ()
-    done;
-    !acc
+  let unlink b a =
+    let p = b.prev.(a) and q = b.next.(a) in
+    if p < 0 then b.first <- q else b.next.(p) <- q;
+    if q < 0 then b.last <- p else b.prev.(q) <- p;
+    b.next.(a) <- unbound
 
-  let iter_live f s =
-    for i = 0 to s.len - 1 do
-      match s.items.(i) with Some x -> f i x | None -> ()
-    done
+  (* [f a l] for each bound, in first-set order. *)
+  let iter_bounds f b =
+    let rec from a =
+      if a >= 0 then begin
+        f a b.level.(a);
+        from b.next.(a)
+      end
+    in
+    from b.first
 
   type t = {
     lattice : L.t;
     index : Names.t;  (** name ↔ attribute id: registration order *)
-    mutable exact_names : string array;
-        (** the names of [index] exactly, once a problem has needed them:
-            still the session's while [index] has as many *)
     mutable off : int array;
         (** user constraint id [i] ↦ its lhs ids as written,
             [tgt.(off.(i)) .. tgt.(off.(i+1) - 1)]: [n_ids + 1] offsets *)
@@ -86,8 +107,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         (** id ↦ its row is in the problem: neither trivially satisfied
             (rhs ∈ lhs) nor removed *)
     mutable n_ids : int;
-    bounds : (int * L.level) slots;  (** (attribute id, level), first-set order *)
-    bound_slot : (int, int) Hashtbl.t;  (** bounded attribute id ↦ slot *)
+    bounds : L.level bounds;
     mutable pending : pending;
     mutable dirty : int list;
         (** attributes whose own rows changed since the last resolve *)
@@ -220,7 +240,6 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     {
       lattice;
       index;
-      exact_names = [||];
       off;
       tgt;
       dead = 0;
@@ -229,8 +248,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       n_levels = Array.length levels;
       kept;
       n_ids;
-      bounds = slots ();
-      bound_slot = Hashtbl.create 16;
+      bounds = { level = [||]; next = [||]; prev = [||]; row = [||]; first = -1; last = -1 };
       pending = Clean;
       dirty = [];
       compiled = None;
@@ -277,20 +295,19 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let add_attribute t a = ignore (attribute t a)
 
   let set_lower_bound t attr lvl =
-    let a = attribute t attr in
-    match (lvl, Hashtbl.find_opt t.bound_slot a) with
-    | None, None -> ()
-    | None, Some slot ->
-        Hashtbl.remove t.bound_slot a;
-        t.bounds.items.(slot) <- None;
+    let a = attribute t attr and b = t.bounds in
+    match (lvl, bounded b a) with
+    | None, false -> ()
+    | None, true ->
+        unlink b a;
         touch t a;
         structural t Cleared_bound a
-    | Some l, Some slot ->
-        t.bounds.items.(slot) <- Some (a, l);
+    | Some l, true ->
+        b.level.(a) <- l;
         touch t a;
         (match t.pending with Clean -> t.pending <- Patch | Patch | Rebuild _ -> ())
-    | Some l, None ->
-        Hashtbl.replace t.bound_slot a (push t.bounds (a, l));
+    | Some l, false ->
+        append b a l;
         touch t a;
         structural t First_bound a
 
@@ -313,11 +330,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         let lhs = List.init (t.off.(id + 1) - t.off.(id)) (fun i -> name t.tgt.(t.off.(id) + i)) in
         users (id - 1) (Cst.make_exn ~lhs ~rhs :: acc)
     in
-    ( List.init (Names.length t.index) name,
-      users (t.n_ids - 1)
-        (fold_live
-           (fun _ (a, l) acc -> Cst.make_exn ~lhs:[ name a ] ~rhs:(Cst.Level l) :: acc)
-           t.bounds []) )
+    let b = t.bounds in
+    let rec bounds a acc =
+      if a < 0 then acc
+      else bounds b.prev.(a) (Cst.make_exn ~lhs:[ name a ] ~rhs:(Cst.Level b.level.(a)) :: acc)
+    in
+    (List.init (Names.length t.index) name, users (t.n_ids - 1) (bounds b.last []))
 
   let finish t compiled =
     (* Deltas are consumed only here, on success: a cancelled solve leaves
@@ -350,40 +368,30 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   (* The live rows — user rows in id order, then the bound rows, as
      compile lays out the snapshot — as a problem over the session's
-     attributes, so its priorities are a scratch compile's; and each
-     bound slot's index among the rows.  [room] is where the arrays go:
-     [Spare] or [Reuse] of the problem being replaced. *)
+     attributes, so its priorities are a scratch compile's; each bound's
+     row index goes into [row].  [room] is where the arrays go: [Spare]
+     or [Reuse] of the problem being replaced. *)
   let index ~room t =
-    (* The index's names are append-only, and a full array of them is
-       never written again, so it can be shared; an exact copy stays exact
-       until a name is added. *)
-    let attr_names =
-      let names = Names.names t.index and n = Names.length t.index in
-      if Array.length names = n then names
-      else begin
-        if Array.length t.exact_names <> n then t.exact_names <- Array.sub names 0 n;
-        t.exact_names
-      end
-    in
+    let b = t.bounds in
     let prob =
-      Problem.of_lines ~room ~attr_names ~attr_index:t.index ~count:t.n_ids
-        ~bounds:(fun f -> iter_live (fun _ (a, l) -> f a l) t.bounds)
+      Problem.of_lines ~room ~attr_index:t.index ~count:t.n_ids
+        ~bounds:(fun f -> iter_bounds f b)
         (view t)
     in
-    let bound_ci = Array.make t.bounds.len (-1) and ci = ref (Problem.n_csts prob) in
-    for slot = t.bounds.len - 1 downto 0 do
-      if Option.is_some t.bounds.items.(slot) then begin
-        decr ci;
-        bound_ci.(slot) <- !ci
+    let rec rows a ci =
+      if a >= 0 then begin
+        b.row.(a) <- ci;
+        rows b.prev.(a) (ci - 1)
       end
-    done;
-    (Solver.prepare ~lattice:t.lattice prob, bound_ci)
+    in
+    rows b.last (Problem.n_csts prob - 1);
+    Solver.prepare ~lattice:t.lattice prob
 
   (* The first resolve: index the rows and solve from scratch. *)
   let scratch ~config t =
-    let problem, bound_ci = index ~room:Problem.Spare t in
+    let problem = index ~room:Problem.Spare t in
     t.stats <- { t.stats with full = t.stats.full + 1 };
-    finish t { problem; bound_ci; solution = Solver.solve ~config problem }
+    finish t { problem; solution = Solver.solve ~config problem }
 
   (* Every pending delta re-tightens a bound the compiled problem already
      has: write the new Rlevel right-hand sides into it in place (a level
@@ -391,14 +399,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      then re-solve with the previous levels, which every priority set whose
      inputs kept their levels takes unchanged at its turn. *)
   let patch ~config t (old : compiled) =
-    let prob = old.problem.Solver.prob in
-    List.iter
-      (fun a ->
-        let slot = Hashtbl.find t.bound_slot a in
-        match t.bounds.items.(slot) with
-        | Some (_, l) -> Problem.set_rlevel prob old.bound_ci.(slot) l
-        | None -> assert false)
-      t.dirty;
+    let prob = old.problem.Solver.prob and b = t.bounds in
+    List.iter (fun a -> Problem.set_rlevel prob b.row.(a) b.level.(a)) t.dirty;
     finish t { old with solution = resolve_from ~config t old ~patch:true old.problem }
 
   (* Any other delta: index the live rows into a new problem and re-solve
@@ -416,9 +418,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     in
     let room = if reuse then Problem.Reuse old.problem.Solver.prob else Problem.Spare in
     match
-      let problem, bound_ci = index ~room t in
+      let problem = index ~room t in
       let solution = resolve_from ~config t old ~patch:false problem in
-      finish t { problem; bound_ci; solution }
+      finish t { problem; solution }
     with
     | solution -> solution
     | exception e when reuse ->

@@ -51,13 +51,16 @@
 
     Sessions are single-domain values: no internal locking.
 
-    {b Costs.}  The editor state is flat: attribute names live in a
-    growable array indexed by id plus a name ↦ id table, user
+    {b Costs.}  The editor state is flat: attribute names live only in
+    one name ↔ id table ({!Minup_constraints.Problem.Names}), which the
+    session's problems share and read their names from; user
     constraints as flat {!Minup_constraints.Problem.lines} — one array
     of every constraint's interned lhs as written, addressed by id
     through an offsets array, plus its rhs code and whether its row is
-    kept — and bounds (attribute id and level) in id-addressed
-    append-only arrays where removal leaves a tombstone.  A removed
+    kept — and bounds in arrays keyed by attribute id: each bound's
+    level and row, and the links of one list of the bounded attributes
+    in first-set order, which a cleared bound leaves and a bound set
+    again rejoins at the end.  A removed
     constraint's lhs entries stay in the lines until the lhs array
     fills; then the live entries are repacked (ids unchanged, a removed
     id keeping an empty range), in place when they fill at most half of
@@ -67,27 +70,26 @@
     them.  With [k] the size of the constraint involved:
     - {!Make.create}: linear in its input (attributes plus total
       constraint size), one name lookup per mention;
-    - {!Make.of_rows}: O(1): it adopts the parsed lines, names and name
-      index whole, trivial lines included, and builds no store;
+    - {!Make.of_rows}: O(1): it adopts the parsed lines and name index
+      whole, trivial lines included, and builds no store;
     - {!Make.add_constraint}: O(k) amortized (the row is interned at
       once, into the lines' arrays), plus, when the lhs array is full, a
       repack linear in the ids handed out and the entries it holds;
     - {!Make.remove_constraint}: O(k) (the removed row's lhs is noted
       dirty);
     - {!Make.set_lower_bound}, {!Make.add_attribute}: O(1) amortized;
-    - {!Make.snapshot}: linear in the attributes, the constraint size
-      and the number of constraint ids and bounded attributes ever handed
-      out (tombstones included);
+    - {!Make.snapshot}: linear in the attributes, the constraint size,
+      the constraint ids handed out and the bounds set now;
     - the first {!Make.resolve}: the rebuild path's indexing, then a
       scratch solve;
     - the patch path: no compile and no copy; O(1) per queued bound
       change (an in-place write), then the incremental solve;
     - the rebuild path: linear in the attributes, the live rows' size
-      and the ids ever handed out (the indexing — each kept line's
-      range copied into the store, then one counting and one filling
-      pass for the three indexes — and the two priority DFS passes, no
-      name lookup; the name array is copied only after a name was added
-      since the last copy), then the incremental solve;
+      and the constraint ids handed out (the indexing — each kept
+      line's range copied into the store, then one counting and one
+      filling pass for the two indexes, and one walk of the bounds to
+      note their rows — and the two priority DFS passes; no name is
+      looked up or copied), then the incremental solve;
     - the incremental solve: O(what changed), with no pass over all
       attributes or sets.  It visits only the priority sets that are
       dirty or read a changed level, each of which first rebuilds the

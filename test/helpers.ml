@@ -100,3 +100,15 @@ let words f =
   let w0 = total () in
   ignore (Sys.opaque_identity (f ()));
   total () -. w0
+
+(* [f ()] with the metrics registry on, and the counter [name] after it. *)
+let metered name f =
+  let module Metrics = Minup_obs.Metrics in
+  Metrics.enable ();
+  Metrics.clear ();
+  Fun.protect ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.clear ())
+  @@ fun () ->
+  f ();
+  Metrics.counter_value (Metrics.counter name)

@@ -152,6 +152,10 @@ let edge_cases () =
 
 exception Boom
 
+(* An [instrument] whose hook raises [Boom] at every task's first solver
+   event. *)
+let boom _ = Some (fun ~charge:_ ~warp_ms:_ -> raise Boom)
+
 let ff = { E0.default_policy with E0.fail_fast = true }
 
 module Trace = Minup_obs.Trace
@@ -187,11 +191,10 @@ let check_balanced_spans events =
 let traced_exn_balanced () =
   let rng = Minup_workload.Prng.create 31 in
   let problems = Array.init 3 (fun i -> random_problem rng i) in
-  let residual _ ~target:_ ~others:_ = raise Boom in
   Trace.start ();
   Fun.protect ~finally:Trace.stop (fun () ->
       Alcotest.check_raises "inline-path exception resurfaces" Boom (fun () ->
-          ignore (Engine.solve_batch ~residual ~policy:ff ~jobs:1 problems)));
+          ignore (Engine.solve_batch ~instrument:boom ~policy:ff ~jobs:1 problems)));
   check_balanced_spans (Trace.events ());
   Alcotest.(check bool) "a worker span was traced" true
     (List.exists
@@ -203,9 +206,8 @@ let traced_exn_balanced () =
 let exn_propagates () =
   let rng = Minup_workload.Prng.create 99 in
   let problems = Array.init 6 (fun i -> random_problem rng i) in
-  let residual _ ~target:_ ~others:_ = raise Boom in
   Alcotest.check_raises "worker exception resurfaces" Boom (fun () ->
-      ignore (Engine.solve_batch ~residual ~policy:ff ~jobs:3 problems))
+      ignore (Engine.solve_batch ~instrument:boom ~policy:ff ~jobs:3 problems))
 
 (* The helper pool.  A batch runs [jobs - 1] workers on parked helper
    domains that outlive it; these cases pin that the steady state spawns
@@ -251,7 +253,6 @@ let pool_steady_state () =
 let pool_after_raise () =
   let rng = Minup_workload.Prng.create 99 in
   let problems = Array.init 6 (fun i -> random_problem rng i) in
-  let residual _ ~target:_ ~others:_ = raise Boom in
   let plan = [ { Faultsim.task = 1; at_event = 0; kind = Faultsim.Raise } ] in
   (match
      Engine.solve_batch ~policy:ff ~instrument:(Faultsim.instrument plan) ~jobs:3 problems
@@ -261,7 +262,7 @@ let pool_after_raise () =
   sequential_parity "after a fail-fast re-raise" problems
     (Engine.solve_batch ~jobs:3 problems);
   Alcotest.check_raises "worker exception resurfaces" Boom (fun () ->
-      ignore (Engine.solve_batch ~residual ~policy:ff ~jobs:3 problems));
+      ignore (Engine.solve_batch ~instrument:boom ~policy:ff ~jobs:3 problems));
   sequential_parity "after Boom" problems (Engine.solve_batch ~jobs:3 problems)
 
 (* Two domains batching at once each take their own helper. *)
@@ -294,14 +295,13 @@ let pool_nested_selfcheck () =
   if tids < 2 || tids > 4 then
     Alcotest.failf "nested batch workers on %d tids (expected 2 to 4)" tids
 
-(* Keep-going (the default policy): the same universally-raising residual
+(* Keep-going (the default policy): the same universally-raising hook
    yields a full report — every task its own [Error], nothing raised, and
    no completed work discarded. *)
 let keep_going_isolates () =
   let rng = Minup_workload.Prng.create 99 in
   let problems = Array.init 6 (fun i -> random_problem rng i) in
-  let residual _ ~target:_ ~others:_ = raise Boom in
-  let report = Engine.solve_batch ~residual ~jobs:3 problems in
+  let report = Engine.solve_batch ~instrument:boom ~jobs:3 problems in
   Alcotest.(check int) "all failed" 6 report.Engine.failed;
   Array.iter
     (function
@@ -691,32 +691,6 @@ let fault_json_roundtrip () =
   | Ok _ -> Alcotest.fail "non-object accepted"
   | Error _ -> ()
 
-(* Options must reach every worker: an upgrade preference changes which
-   minimal solution is returned, and batch runs must match sequential ones
-   option-for-option. *)
-let options_forwarded =
-  QCheck.Test.make ~count:30
-    ~name:"batch = sequential under an upgrade preference" Helpers.seed_arb
-    (fun seed ->
-      let rng = Minup_workload.Prng.create seed in
-      let problems =
-        Array.init 8 (fun i -> random_problem rng (i + (seed mod 5)))
-      in
-      let pref name = -String.length name in
-      let seq =
-        Array.map
-          (fun p ->
-            S.solve ~config:(S.Config.make ~upgrade_preference:pref ()) p)
-          problems
-      in
-      let report =
-        Engine.solve_batch ~upgrade_preference:pref ~jobs:4 problems
-      in
-      Array.for_all2
-        (fun (a : S.solution) (b : S.solution) ->
-          a.S.levels = b.S.levels && fields a.S.stats = fields b.S.stats)
-        seq (Engine.ok_exn report))
-
 let suite =
   [
     case "jobs=4 parity on 60 random workloads" parity_jobs4;
@@ -737,5 +711,4 @@ let suite =
     case "solver budget cancels with partial progress" solver_budget_cancels;
     case "loose budget leaves solve bit-identical" budget_transparent;
     case "fault JSON round-trips" fault_json_roundtrip;
-    Helpers.qcheck options_forwarded;
   ]

@@ -375,24 +375,24 @@ let rows_mismatch ~level_of_string text =
   | Ok _, Error _ | Error _, Ok _ -> Some "one side failed"
   | Ok r, Ok pr ->
       let p = Problem.compile_exn ~attrs:pr.Parse.attrs pr.Parse.csts in
-      let q =
-        Problem.of_lines ~attr_names:r.Parse.attr_names ~attr_index:r.Parse.attr_index
-          r.Parse.lines
-      in
-      let names = r.Parse.attr_names and lines = r.Parse.lines in
+      let q = Problem.of_lines ~attr_index:r.Parse.attr_index r.Parse.lines in
+      let names_of p = Array.init (Problem.n_attrs p) (Problem.attr_name p) in
+      let index = r.Parse.attr_index and lines = r.Parse.lines in
+      let names = Array.sub (Problem.Names.names index) 0 (Problem.Names.length index) in
       let off = lines.Problem.off and tgt = lines.Problem.tgt in
       let m = Array.length lines.Problem.kept in
       let written = List.init m (fun i -> Array.sub tgt off.(i) (off.(i + 1) - off.(i))) in
       let kept = List.filteri (fun i _ -> lines.Problem.kept.(i)) written in
       if off.(0) <> 0 || List.exists (fun i -> off.(i + 1) < off.(i)) (List.init m Fun.id) then
         Some "off"
-      else if names <> p.Problem.attr_names || q.Problem.attr_names != names then Some "attr_names"
+      else if
+        names <> names_of p || names_of q <> names || q.Problem.attr_index != index
+      then Some "names"
       else if
         q.Problem.store <> p.Problem.store
         || q.Problem.complex_idx <> p.Problem.complex_idx
         || q.Problem.n_complex <> p.Problem.n_complex
         || q.Problem.constr_of <> p.Problem.constr_of
-        || q.Problem.complex_constr_of <> p.Problem.complex_constr_of
         || q.Problem.incoming <> p.Problem.incoming
       then Some "problem"
       else if
@@ -520,7 +520,11 @@ let word_boundary_names () =
            r.Parse.csts));
   match Parse.rows ~level_of_string text with
   | Error e -> Alcotest.failf "rows error: %a" Parse.pp_error e
-  | Ok r -> Alcotest.(check (array string)) "attr_names" (Array.of_list names) r.Parse.attr_names
+  | Ok r ->
+      let index = r.Parse.attr_index in
+      Alcotest.(check (array string))
+        "names" (Array.of_list names)
+        (Array.sub (Problem.Names.names index) 0 (Problem.Names.length index))
 
 let suite =
   [

@@ -110,8 +110,8 @@ let roundtrip () =
    - row [ci] holds the sorted, interned lhs and the rhs of the [ci]-th
      kept constraint, and the level right-hand sides are numbered in
      constraint order;
-   - [constr_of], [complex_constr_of] and [incoming] are exactly the
-     transposes of the store;
+   - [constr_of] and [incoming] are exactly the transposes of the
+     store;
    - [set_rlevel] on a level row changes that row's level and nothing
      else;
    - [cst_to_source] round-trips: compiling its constraints again gives
@@ -148,9 +148,6 @@ let store_matches_source =
     && List.for_all (fun ci -> p.Problem.complex_idx.(ci) = if List.mem ci complex then dense ci else -1) (rows p)
     && p.Problem.n_complex = List.length complex
     && List.init n (csr_row p.Problem.constr_of) = transpose (fun ci a -> mem a ci)
-    && List.init n (csr_row p.Problem.complex_constr_of)
-       = List.map (List.filter_map (fun ci -> if List.mem ci complex then Some (dense ci) else None))
-           (transpose (fun ci a -> mem a ci))
     && List.init n (csr_row p.Problem.incoming)
        = transpose (fun ci a -> Problem.rhs p ci = Problem.Rattr a)
     && List.for_all
@@ -168,7 +165,7 @@ let store_matches_source =
            (match old with Problem.Rlevel l0 -> Problem.set_rlevel p ci l0 | Problem.Rattr _ -> ());
            ok)
          level_rows
-    && (Problem.compile_exn ~attrs:(Array.to_list p.Problem.attr_names)
+    && (Problem.compile_exn ~attrs:(List.init n (Problem.attr_name p))
           (List.map (Problem.cst_to_source p) (rows p))).Problem.store
        = st
   in
@@ -218,7 +215,7 @@ let reuse_matches_fresh =
     for ci = 0 to m - 1 do
       off.(ci + 1) <- off.(ci) + Problem.lhs_size p ci
     done;
-    Problem.of_lines ~room ~attr_names:p.Problem.attr_names ~attr_index:p.Problem.attr_index
+    Problem.of_lines ~room ~attr_index:p.Problem.attr_index
       {
         Problem.off;
         tgt = Array.concat (List.init m (Problem.lhs p));
@@ -230,10 +227,6 @@ let reuse_matches_fresh =
   let same p q =
     let m = Problem.n_csts p and n = Problem.n_attrs p in
     let row f a = List.rev (let acc = ref [] in f a (fun x -> acc := x :: !acc); !acc) in
-    let complex (q : _ Problem.t) a =
-      let { Problem.off; tgt } = q.Problem.complex_constr_of in
-      Array.to_list (Array.sub tgt off.(a) (off.(a + 1) - off.(a)))
-    in
     Problem.n_csts q = m
     && Problem.total_size q = Problem.total_size p
     && List.for_all
@@ -246,8 +239,7 @@ let reuse_matches_fresh =
     && List.for_all
          (fun a ->
            row (Problem.iter_constr_of q) a = row (Problem.iter_constr_of p) a
-           && row (Problem.iter_incoming q) a = row (Problem.iter_incoming p) a
-           && complex q a = complex p a)
+           && row (Problem.iter_incoming q) a = row (Problem.iter_incoming p) a)
          (List.init n Fun.id)
   in
   QCheck.Test.make ~count:300 ~name:"a problem rebuilt in reused arrays = a fresh one"
@@ -262,7 +254,7 @@ let reuse_matches_fresh =
 (* The one-pass index against a reference read off the store with
    lists: on random lines over [n] attributes (simple and complex rows,
    level and attribute right-hand sides, attributes no row mentions,
-   lines left out), [complex_idx], [n_complex] and the three indexes of
+   lines left out), [complex_idx], [n_complex] and the two indexes of
    [of_lines] are what the store's rows say, and the store holds the
    kept lines, each sorted.  Checked under [Exact], [Spare], and [Reuse]
    of a larger problem built first, whose stale entries past the new
@@ -293,11 +285,11 @@ let index_matches_reference =
         Random.State.int rng 6 > 0
         && not (rhs.(i) >= 0 && Array.mem rhs.(i) (Array.sub tgt s k))
     done;
-    let attr_names = Array.init n (Printf.sprintf "x%d") in
     let attr_index = Problem.Names.create n in
-    Array.iter (fun a -> ignore (Problem.Names.add attr_index a)) attr_names;
-    ( attr_names,
-      attr_index,
+    for a = 0 to n - 1 do
+      ignore (Problem.Names.add attr_index (Printf.sprintf "x%d" a))
+    done;
+    ( attr_index,
       { Problem.off; tgt; rhs; levels = Array.init !n_levels (fun j -> j mod 7); kept } )
   in
   let row (c : Problem.csr) a =
@@ -329,12 +321,10 @@ let index_matches_reference =
     && List.for_all (fun ci -> p.complex_idx.(ci) = dense ci) rows
     && p.n_complex = List.length complex
     && p.constr_of.off.(0) = 0
-    && p.complex_constr_of.off.(0) = 0
     && p.incoming.off.(0) = 0
     && List.for_all
          (fun a ->
            row p.constr_of a = List.filter (has a) rows
-           && row p.complex_constr_of a = List.map dense (List.filter (has a) complex)
            && row p.incoming a = List.filter (fun ci -> Problem.rhs p ci = Problem.Rattr a) rows)
          attrs
   in
@@ -344,11 +334,11 @@ let index_matches_reference =
       let rng = Random.State.make [| seed |] in
       let n = 1 + Random.State.int rng 12 in
       let m = Random.State.int rng 20 in
-      let attr_names, attr_index, l = lines rng ~n ~m in
-      let build room = Problem.of_lines ~room ~attr_names ~attr_index l in
+      let attr_index, l = lines rng ~n ~m in
+      let build room = Problem.of_lines ~room ~attr_index l in
       let host =
-        let names, index, big = lines rng ~n:(n + 8) ~m:(m + 20) in
-        Problem.of_lines ~room:Problem.Spare ~attr_names:names ~attr_index:index big
+        let index, big = lines rng ~n:(n + 8) ~m:(m + 20) in
+        Problem.of_lines ~room:Problem.Spare ~attr_index:index big
       in
       matches (build Problem.Exact) l
       && matches (build Problem.Spare) l

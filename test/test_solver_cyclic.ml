@@ -280,7 +280,7 @@ module Simple_only (L : Lattice_intf.S) = struct
         in
         let p = SL.compile_exn ~lattice:lat ~attrs csts in
         let sol = SL.solve p in
-        Array.length p.SL.simple_only > 0
+        Helpers.metered "solver/collapsed_sets" (fun () -> ignore (SL.solve p)) > 0
         && sol.SL.stats.Minup_core.Instr.try_calls = 0
         &&
         match VL.minimal_solutions p with
@@ -298,6 +298,65 @@ let simple_only_props =
     E.prop "pentagon" pentagon;
   ]
 
+(* The solver decides at each cyclic set's turn whether it is
+   simple-only: on random single-component and island instances, with
+   and without complex constraints, it collapses exactly the cyclic
+   components — found by [Scc], apart from the priorities — none of
+   whose members is in the lhs of a complex constraint.  Island
+   instances get their complex rows from an island into the acyclic
+   rest, so some islands keep a complex member and others do not. *)
+let collapsed_counted =
+  let module Gen = Minup_workload.Gen_constraints in
+  let module Prng = Minup_workload.Prng in
+  let module Scc = Minup_constraints.Scc in
+  QCheck.Test.make ~count:200
+    ~name:"collapsed sets = the cyclic components with no complex member" Helpers.seed_arb
+    (fun seed ->
+      let rng = Prng.create seed in
+      let complex = seed mod 2 = 1 and islands = seed / 2 mod 2 = 1 in
+      let spec =
+        {
+          Gen.n_attrs = 12;
+          n_simple = 6;
+          n_complex = (if complex && not islands then 2 else 0);
+          max_lhs = 3;
+          n_constants = 3;
+          constants = Explicit.all fig1b;
+        }
+      in
+      let attrs, csts =
+        if not islands then Gen.single_scc rng spec
+        else
+          let attrs, csts = Gen.mixed rng spec ~n_islands:3 ~island_size:3 in
+          let outward _ =
+            let a = Prng.int rng 9 and b = Prng.int rng 9 and c = 9 + Prng.int rng 3 in
+            if a = b then None
+            else
+              Some
+                (Cst.make_exn
+                   ~lhs:[ Printf.sprintf "A%d" a; Printf.sprintf "A%d" b ]
+                   ~rhs:(Cst.Attr (Printf.sprintf "A%d" c)))
+          in
+          (attrs, csts @ if complex then List.filter_map outward [ 1; 2 ] else [])
+      in
+      let p = S.compile_exn ~lattice:fig1b ~attrs csts in
+      let prob = p.S.prob in
+      let scc = Scc.compute prob in
+      let in_complex a =
+        let found = ref false in
+        Problem.iter_constr_of prob a (fun ci -> if Problem.lhs_size prob ci > 1 then found := true);
+        !found
+      in
+      let expected =
+        List.length
+          (List.filter
+             (fun c ->
+               Scc.is_cyclic_component scc prob c
+               && not (Array.exists in_complex scc.Scc.members.(c)))
+             (List.init scc.Scc.n_components Fun.id))
+      in
+      Helpers.metered "solver/collapsed_sets" (fun () -> ignore (S.solve p)) = expected)
+
 (* §6 on a simple-only cycle: a cap below the cycle's floor is the same
    [Unsatisfiable] inconsistency [Try] met, and a cap above it leaves the
    levels where the unbounded solve puts them. *)
@@ -307,7 +366,7 @@ let floor_cycle =
 let bounded_simple_only () =
   let p = S.compile_exn ~lattice:fig1b floor_cycle in
   Alcotest.(check int) "one simple-only set" 1
-    (Array.fold_left (fun n b -> if b then n + 1 else n) 0 p.S.simple_only);
+    (Helpers.metered "solver/collapsed_sets" (fun () -> ignore (S.solve p)));
   (match S.solve_with_bounds p [ ("a", lvl "L2") ] with
   | Error e ->
       Alcotest.(check string)
@@ -787,4 +846,4 @@ let suite =
     case "bounded simple-only cycle" bounded_simple_only;
     case "simple-only cycle events" simple_only_events;
   ]
-  @ List.map Helpers.qcheck simple_only_props
+  @ List.map Helpers.qcheck (collapsed_counted :: simple_only_props)
