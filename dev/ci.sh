@@ -127,6 +127,12 @@ echo "ci: lattice builds OK (fig1 and fig4's counts equal their pins)"
 # layout cannot silently change what the solver computes.
 dune exec dev/counters_check.exe
 
+# Priority carry: over 20 000 seeded edit batches of small policies of
+# the three generator shapes, every batch whose edge changes all keep
+# the carry must carry priorities equal to a scratch pass over the
+# rebuilt problem, and some must be carried (exit 1 otherwise).
+dune exec dev/carry_sweep.exe
+
 # Differential self-check: a pinned-seed bounded run of the property
 # harness (solver vs oracle/baselines/round-trips across all backends),
 # in which every property on the summary's checks: line must run at least

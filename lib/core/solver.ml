@@ -48,7 +48,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     prio : Priorities.t;
   }
 
-  let prepare ~lattice prob = { lat = lattice; prob; prio = Priorities.compute prob }
+  let prepare ?priorities ~lattice prob =
+    let prio = match priorities with Some prio -> prio | None -> Priorities.compute prob in
+    { lat = lattice; prob; prio }
 
   let compile ~lattice ?attrs csts =
     Trace.with_span ~cat:"solver" "compile" @@ fun () ->
@@ -859,7 +861,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     match st.pref with
     | None -> None
     | Some _ ->
-        let { Priorities.priority; members; starts; max_priority = np } = prio in
+        let { Priorities.priority; members; starts; max_priority = np; _ } = prio in
         let { Problem.off = loff; tgt = ltgt } = prob.Problem.store.Problem.lhs in
         let { Problem.off; tgt } = prob.Problem.incoming in
         (* [f q] for every cross-set edge into set [p], from set [q]. *)
@@ -1153,10 +1155,12 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      (the one that runs [Minlevel]) differs between the two problems'
      Bigloop orders: [st]'s here, [pp]'s own schedule there (rule (c)).
      A constraint with a member [pp] lacks has no such member in [pp], so
-     its lhs is pushed too. *)
+     its lhs is pushed too.  Neither rule can fire when [st] carries
+     [pp]'s own priorities ({!Priorities.carry}) and no upgrade
+     preference reorders a set: [run] then does not call this. *)
   let widen st (pp : problem) =
     let n0 = Problem.n_attrs pp.prob in
-    let { Priorities.priority; members; starts; max_priority = np } = st.prio
+    let { Priorities.priority; members; starts; max_priority = np; _ } = st.prio
     and old = pp.prio.Priorities.priority in
     for p = 1 to np do
       let lo = starts.(p - 1) and hi = starts.(p) in
@@ -1232,7 +1236,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
         for a = Problem.n_attrs pp.prob to st.n - 1 do
           push_set st a
         done;
-        if pp != problem then widen st pp);
+        if pp != problem && not (problem.prio == pp.prio && Option.is_none st.pref) then
+          widen st pp);
     bigloop st order;
     let stats = st.stats in
     if st.tracing then

@@ -72,11 +72,17 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
     prio : Minup_constraints.Priorities.t;
   }
 
-  (** [prepare ~lattice prob] — [prob] with its priorities
-      ({!Minup_constraints.Priorities.compute}).  Whether a cyclic
-      priority set is simple-only is decided at its turn, from
+  (** [prepare ?priorities ~lattice prob] — [prob] with its priorities:
+      [priorities], which must be what
+      {!Minup_constraints.Priorities.compute} returns for [prob] (a
+      {!Minup_constraints.Priorities.carry}), else computed.  Whether a
+      cyclic priority set is simple-only is decided at its turn, from
       [prob]'s [constr_of] and [complex_idx]. *)
-  val prepare : lattice:L.t -> L.level Minup_constraints.Problem.t -> problem
+  val prepare :
+    ?priorities:Minup_constraints.Priorities.t ->
+    lattice:L.t ->
+    L.level Minup_constraints.Problem.t ->
+    problem
 
   (** Compile constraints into an indexed problem (see
       {!Minup_constraints.Problem.compile}) and {!prepare} it. *)
@@ -273,7 +279,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) : sig
         schedule included.
       The priorities of the two problems may order their sets
       differently; only such a swap of two sets that share a complex lhs
-      can move a level, and (c) catches it.
+      can move a level, and (c) catches it.  When [problem] has [pp]'s
+      own priorities (physically: {!Minup_constraints.Priorities.carry}
+      kept them) and no upgrade preference schedules the sets, (b) and
+      (c) add nothing and the widening pass is skipped.
 
       Every counter, aggregate and unlabeled count is then what a scratch
       solve has at the same step, so the same member runs [Minlevel] and

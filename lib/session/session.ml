@@ -1,6 +1,8 @@
 module Cst = Minup_constraints.Cst
 module Parse = Minup_constraints.Parse
 module Problem = Minup_constraints.Problem
+module Priorities = Minup_constraints.Priorities
+module Metrics = Minup_obs.Metrics
 module Trace = Minup_obs.Trace
 module Names = Problem.Names
 
@@ -28,6 +30,13 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      rebuild, named by the first structural delta, which absorbs
      everything queued after it. *)
   type pending = Clean | Patch | Rebuild of delta * int
+
+  (* The first edge change since the last successful resolve whose
+     [Priorities.added] or [Priorities.removed] verdict, against the
+     compiled problem's priorities, refuses to carry them into the next
+     rebuild: the delta ([Add] or [Remove]), its constraint id, the edge
+     [tail → head] and the verdict. *)
+  type refusal = { kind : delta; id : int; tail : int; head : int; why : Priorities.verdict }
 
   (* The lower bounds, keyed by attribute id.  [a] is bounded iff
      [next.(a) <> unbound] (or [a] is past the arrays), and then
@@ -109,8 +118,13 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     mutable n_ids : int;
     bounds : L.level bounds;
     mutable pending : pending;
+    mutable refused : refusal option;
+        (** [None]: the next rebuild carries the compiled problem's
+            priorities ([Priorities.carry]) *)
     mutable dirty : int list;
-        (** attributes whose own rows changed since the last resolve *)
+        (** attributes whose own rows changed since the last resolve,
+            each once *)
+    mutable marked : Bytes.t;  (** attribute ↦ ['\001'] iff it is on [dirty] *)
     mutable compiled : compiled option;
     workspace : Solver.workspace;  (** the last incremental solve's state *)
     mutable stats : stats;
@@ -128,12 +142,41 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let structural t d x =
     match t.pending with Rebuild _ -> () | Clean | Patch -> t.pending <- Rebuild (d, x)
 
-  let touch t a = t.dirty <- a :: t.dirty
+  let touch t a =
+    let len = Bytes.length t.marked in
+    if a >= len then begin
+      let marked = Bytes.make (max 64 (2 * (a + 1))) '\000' in
+      Bytes.blit t.marked 0 marked 0 len;
+      t.marked <- marked
+    end;
+    if Bytes.get t.marked a = '\000' then begin
+      Bytes.set t.marked a '\001';
+      t.dirty <- a :: t.dirty
+    end
 
-  let touch_lhs t id =
-    for i = t.off.(id) to t.off.(id + 1) - 1 do
-      touch t t.tgt.(i)
-    done
+  (* The edges [a → b] of user constraint [id] from [i] on, each checked
+     with [verdict] against [prio] until one refuses the carry. *)
+  let rec check_edges t verdict prio kind id b i =
+    if i < t.off.(id + 1) then
+      let a = t.tgt.(i) in
+      match verdict prio a b with
+      | Priorities.Keeps -> check_edges t verdict prio kind id b (i + 1)
+      | why -> t.refused <- Some { kind; id; tail = a; head = b; why }
+
+  (* User constraint [id]'s row is added or removed ([kind]): once a
+     resolve has compiled, its lhs attributes are dirty, and its edges are
+     checked with [verdict] unless the carry is refused already.  A
+     removed row is read before its rhs is overwritten. *)
+  let edit_row t kind verdict id =
+    match t.compiled with
+    | Some c when t.kept.(id) ->
+        for i = t.off.(id) to t.off.(id + 1) - 1 do
+          touch t t.tgt.(i)
+        done;
+        let b = t.rhs.(id) in
+        if Option.is_none t.refused && Problem.rhs_is_attr b then
+          check_edges t verdict c.problem.Solver.prio kind id b t.off.(id)
+    | _ -> ()
 
   (* A removed line's rhs code: neither an attribute nor a level. *)
   let removed = min_int
@@ -231,7 +274,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      compiled do its lhs count as dirty. *)
   let add_constraint t c =
     let id = push_cst t c in
-    if t.kept.(id) && Option.is_some t.compiled then touch_lhs t id;
+    edit_row t Add Priorities.added id;
     structural t Add id;
     id
 
@@ -250,7 +293,9 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       n_ids;
       bounds = { level = [||]; next = [||]; prev = [||]; row = [||]; first = -1; last = -1 };
       pending = Clean;
+      refused = None;
       dirty = [];
+      marked = Bytes.empty;
       compiled = None;
       workspace = Solver.workspace ();
       stats = { resolves = 0; cached = 0; patched = 0; incremental = 0; full = 0; frozen = 0 };
@@ -276,7 +321,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let remove_constraint t id =
     if id < 0 || id >= t.n_ids || t.rhs.(id) = removed then false
     else begin
-      if t.kept.(id) && Option.is_some t.compiled then touch_lhs t id;
+      edit_row t Remove Priorities.removed id;
       t.kept.(id) <- false;
       t.rhs.(id) <- removed;
       t.dead <- t.dead + t.off.(id + 1) - t.off.(id);
@@ -342,6 +387,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
        them queued, so the next resolve retries instead of serving the
        stale cached solution. *)
     t.pending <- Clean;
+    t.refused <- None;
+    List.iter (fun a -> Bytes.set t.marked a '\000') t.dirty;
     t.dirty <- [];
     t.compiled <- Some compiled;
     compiled.solution
@@ -368,10 +415,15 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   (* The live rows — user rows in id order, then the bound rows, as
      compile lays out the snapshot — as a problem over the session's
-     attributes, so its priorities are a scratch compile's; each bound's
-     row index goes into [row].  [room] is where the arrays go: [Spare]
-     or [Reuse] of the problem being replaced. *)
+     attributes, so its priorities are a scratch compile's, whether
+     computed or carried from the compiled problem's when no delta
+     refused it; each bound's row index goes into [row].  [room] is
+     where the arrays go: [Spare] or [Reuse] of the problem being
+     replaced, whose priorities are not part of it. *)
   let index ~room t =
+    let carried =
+      match (t.compiled, t.refused) with Some c, None -> Some c.problem.Solver.prio | _ -> None
+    in
     let b = t.bounds in
     let prob =
       Problem.of_lines ~room ~attr_index:t.index ~count:t.n_ids
@@ -385,7 +437,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       end
     in
     rows b.last (Problem.n_csts prob - 1);
-    Solver.prepare ~lattice:t.lattice prob
+    let priorities = Option.map (fun prio -> Priorities.carry prio prob) carried in
+    Solver.prepare ?priorities ~lattice:t.lattice prob
 
   (* The first resolve: index the rows and solve from scratch. *)
   let scratch ~config t =
@@ -417,12 +470,17 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       && Option.is_none config.Solver.Config.upgrade_preference
     in
     let room = if reuse then Problem.Reuse old.problem.Solver.prob else Problem.Spare in
+    let counter =
+      if Option.is_none t.refused then "session/priorities_kept" else "session/priorities_computed"
+    in
     match
       let problem = index ~room t in
       let solution = resolve_from ~config t old ~patch:false problem in
       finish t { problem; solution }
     with
-    | solution -> solution
+    | solution ->
+        if Metrics.enabled () then Metrics.incr (Metrics.counter counter);
+        solution
     | exception e when reuse ->
         t.compiled <- None;
         raise e
@@ -431,22 +489,38 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
      arguments; built only when tracing. *)
   let path_args t =
     let name a = (Names.names t.index).(a) in
+    let describe d x =
+      match d with
+      | Add -> Printf.sprintf "add #%d" x
+      | Remove -> Printf.sprintf "remove #%d" x
+      | New_attribute -> "new attribute " ^ name x
+      | First_bound -> "first bound on " ^ name x
+      | Cleared_bound -> "cleared bound on " ^ name x
+    in
     let path, reason =
       match (t.compiled, t.pending) with
       | None, _ -> ("scratch", "first resolve")
       | Some _, Clean -> ("cached", "no delta")
       | Some _, Patch ->
           ("patch", "re-tightened " ^ name (List.nth t.dirty (List.length t.dirty - 1)))
-      | Some _, Rebuild (d, x) ->
-          ( "rebuild",
-            match d with
-            | Add -> Printf.sprintf "add #%d" x
-            | Remove -> Printf.sprintf "remove #%d" x
-            | New_attribute -> "new attribute " ^ name x
-            | First_bound -> "first bound on " ^ name x
-            | Cleared_bound -> "cleared bound on " ^ name x )
+      | Some _, Rebuild (d, x) -> ("rebuild", describe d x)
     in
-    [ ("path", Trace.Str path); ("reason", Trace.Str reason) ]
+    let priorities =
+      match (t.compiled, t.pending, t.refused) with
+      | Some c, Rebuild _, None ->
+          let n = Problem.n_attrs c.problem.Solver.prob in
+          [ ("priorities", Trace.Str (if Names.length t.index > n then "shifted" else "kept")) ]
+      | Some _, Rebuild _, Some r ->
+          [
+            ("priorities", Trace.Str "computed");
+            ( "refused",
+              Trace.Str
+                (describe r.kind r.id ^ ": " ^ Priorities.describe r.why (name r.tail) (name r.head))
+            );
+          ]
+      | _ -> []
+    in
+    ("path", Trace.Str path) :: ("reason", Trace.Str reason) :: priorities
 
   let resolve ?(config = Solver.Config.default) t =
     let args = if Trace.enabled () then Some (path_args t) else None in

@@ -20,8 +20,13 @@
       the session's interned lines, flattened into a store and indexed
       ({!Minup_constraints.Problem.of_lines}: user rows in id order, then
       the bound rows, as a compile of
-      {!Make.snapshot} lays them out) and its priorities are computed
-      afresh, so they are exactly a scratch compile's.  No name is looked
+      {!Make.snapshot} lays them out) and its priorities are exactly a
+      scratch compile's: carried over from the compiled problem
+      ({!Minup_constraints.Priorities.carry}) when every edge the deltas
+      added or removed was checked, as it was queued, to leave them
+      unchanged — always so for rows with a level right-hand side, first
+      and cleared bounds and new attributes with no row from an old
+      attribute into them — else computed afresh.  No name is looked
       up and no snapshot is built.  The session's problems keep an eighth
       more room than they need, and a rebuild whose solve has no budget
       and no upgrade preference writes the new problem into the old
@@ -41,7 +46,13 @@
     scratch solve.  Traced, each resolve's [session.resolve] span names
     its path and, as [reason], the delta that chose it ([first resolve],
     [no delta], [re-tightened x], [add #17], [remove #3],
-    [new attribute y], [first bound on x], [cleared bound on x]).
+    [new attribute y], [first bound on x], [cleared bound on x]).  A
+    rebuild's also says, as [priorities], whether they were [kept],
+    [shifted] past new attributes or [computed], and when computed, as
+    [refused], the first delta that refused the carry and why
+    ([add #12: A7 finishes after A3]).  With metrics on, completed
+    rebuilds count in [session/priorities_kept] (kept or shifted) and
+    [session/priorities_computed].
 
     Incrementality is {e never} visible in results: every resolve returns
     exactly (bit-identical levels) what a from-scratch
@@ -73,10 +84,11 @@
     - {!Make.of_rows}: O(1): it adopts the parsed lines and name index
       whole, trivial lines included, and builds no store;
     - {!Make.add_constraint}: O(k) amortized (the row is interned at
-      once, into the lines' arrays), plus, when the lhs array is full, a
-      repack linear in the ids handed out and the entries it holds;
+      once, into the lines' arrays, and each of its edges checked for
+      the carry), plus, when the lhs array is full, a repack linear in
+      the ids handed out and the entries it holds;
     - {!Make.remove_constraint}: O(k) (the removed row's lhs is noted
-      dirty);
+      dirty, each attribute once per resolve, and its edges checked);
     - {!Make.set_lower_bound}, {!Make.add_attribute}: O(1) amortized;
     - {!Make.snapshot}: linear in the attributes, the constraint size,
       the constraint ids handed out and the bounds set now;
@@ -88,8 +100,13 @@
       and the constraint ids handed out (the indexing — each kept
       line's range copied into the store, then one counting and one
       filling pass for the two indexes, and one walk of the bounds to
-      note their rows — and the two priority DFS passes; no name is
-      looked up or copied), then the incremental solve;
+      note their rows — and, unless carried, the two priority DFS
+      passes; no name is looked up or copied), then the incremental
+      solve.  Carried priorities cost nothing when the universe is the
+      same, and a copy of their arrays plus the passes over the new
+      attributes alone when it grew; a solve over carried, unchanged
+      priorities skips the pass over every set and complex row that
+      compares them with the old ones;
     - the incremental solve: O(what changed), with no pass over all
       attributes or sets.  It visits only the priority sets that are
       dirty or read a changed level, each of which first rebuilds the
@@ -105,8 +122,9 @@
       re-tighten that changes no level visits one set, counts the same
       lattice operations and allocates the same few hundred words at
       2k, 8k and 32k attributes.  On 2k and 8k attributes a rebuild
-      resolve allocates about two fifths of a scratch compile and
-      solve of the snapshot: its priorities and its solve state. *)
+      resolve that computes its priorities allocates about two fifths
+      of a scratch compile and solve of the snapshot: its priorities
+      and its solve state; one that keeps them, only the latter. *)
 
 module Make (L : Minup_lattice.Lattice_intf.S) : sig
   (** The session's own solver instance.  Exposed so callers can name the

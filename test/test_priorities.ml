@@ -129,10 +129,58 @@ let invariants_prop =
       in
       ok1 && ok2 && ok3 && ok4)
 
+(* A carry across a random edit batch ({!Minup_diffcheck.Carry}: the
+   three generator shapes, constraints with attribute and level
+   right-hand sides added and removed, bounds set and cleared, new
+   attributes with rows into old ones) equals a scratch pass over the
+   rebuilt problem: its priorities, members, used starts, finish
+   positions and DFS parents. *)
+let carry_prop =
+  QCheck.Test.make ~count:200 ~name:"a carry across an edit batch = a scratch pass"
+    Helpers.seed_arb (fun seed ->
+      match Minup_diffcheck.Carry.sweep ~seed ~batches:20 with
+      | _, None -> true
+      | _, Some (i, field) -> QCheck.Test.fail_reportf "batch %d: the carried %s differs" i field)
+
+(* The verdicts let a fair share of the batches through: a third at
+   least of 2 000 (about a half is measured). *)
+let carry_share () =
+  match Minup_diffcheck.Carry.sweep ~seed:7 ~batches:2_000 with
+  | carried, None ->
+      if 3 * carried < 2_000 then Alcotest.failf "only %d of 2000 batches carried" carried
+  | _, Some (i, field) -> Alcotest.failf "batch %d: the carried %s differs" i field
+
+(* A new attribute with a row into the Fig. 2 graph: its set is numbered
+   first, every old set shifts by one, and the carry equals a scratch
+   pass.  A row from an old attribute into it refuses the carry. *)
+let carry_new_attribute () =
+  let p = fig2_problem () in
+  let prio = Priorities.compute p in
+  let id = Problem.attr_id_exn p in
+  let attrs = Minup_core.Paper.fig2_attrs @ [ "Z" ] in
+  let p' =
+    Problem.compile_exn ~attrs
+      (Minup_core.Paper.fig2_constraints @ [ Cst.simple "Z" (Cst.Attr "B") ])
+  in
+  let carried = Priorities.carry prio p' and want = Priorities.compute p' in
+  Alcotest.(check int) "one more set" (prio.Priorities.max_priority + 1)
+    carried.Priorities.max_priority;
+  Alcotest.(check int) "Z's set is first" 1 carried.Priorities.priority.(Problem.n_attrs p);
+  Alcotest.(check (array int)) "priority" want.Priorities.priority carried.Priorities.priority;
+  Alcotest.(check (array int)) "members" want.Priorities.members carried.Priorities.members;
+  Alcotest.(check (array int)) "finish" want.Priorities.finish carried.Priorities.finish;
+  Alcotest.(check (array int)) "parent" want.Priorities.parent carried.Priorities.parent;
+  Alcotest.(check bool) "an edge into Z refuses" true
+    (Priorities.added prio (id "B") (Problem.n_attrs p) = Priorities.Into_new);
+  Alcotest.(check bool) "no attribute: the same priorities" true (Priorities.carry prio p == prio)
+
 let suite =
   [
     case "paper priorities (Fig. 2(b))" paper_priorities;
     case "cycle membership" cycle_detection;
     case "hypernode cycles" self_loop_via_hypernode;
     Helpers.qcheck invariants_prop;
+    Helpers.qcheck carry_prop;
+    case "a share of the edit batches is carried" carry_share;
+    case "a new attribute's set is numbered first" carry_new_attribute;
   ]

@@ -314,7 +314,10 @@ let session_patch_stops ~size:expected shape () =
    interned rows and re-solves incrementally: the resolve counts in
    [stats.incremental], not [stats.full], opens no [problem.compile] span
    and allocates at most 0.6x a from-scratch compile and solve of the
-   same snapshot outside the session. *)
+   same snapshot outside the session.  A row with a level right-hand
+   side, a first or cleared bound and a new attribute change no edge
+   between old attributes: their rebuilds carry the priorities, and
+   traced, open no [priorities.compute] span. *)
 let session_structural_lean () =
   let module Trace = Minup_obs.Trace in
   List.iter
@@ -345,17 +348,30 @@ let session_structural_lean () =
           ("first bound", fun () -> Session.set_lower_bound sess (List.nth attrs 1) (Some 5));
           ("cleared bound", fun () -> Session.set_lower_bound sess bounded.(3) None);
         ];
-      (* Traced, a structural resolve compiles nothing. *)
-      ignore (Session.add_constraint sess (Cst.simple (List.nth attrs 5) (Cst.Level 7)));
-      Trace.start ();
-      let sol = Fun.protect ~finally:Trace.stop (fun () -> Session.resolve sess) in
+      (* Traced, a structural resolve compiles nothing, and these compute
+         no priorities. *)
       List.iter
-        (fun (e : Trace.event) ->
-          if e.name = "problem.compile" then
-            Alcotest.failf "%d attrs: a structural resolve emitted a %s span" n e.name)
-        (Trace.events ());
-      Alcotest.(check (array int)) "rebuild resolve = scratch" (scratch sess ()).Solver.levels
-        sol.Session.Solver.levels)
+        (fun (kind, edit) ->
+          edit ();
+          Trace.start ();
+          let sol = Fun.protect ~finally:Trace.stop (fun () -> Session.resolve sess) in
+          List.iter
+            (fun (e : Trace.event) ->
+              if e.name = "problem.compile" || e.name = "priorities.compute" then
+                Alcotest.failf "%d attrs: %s resolve emitted a %s span" n kind e.name)
+            (Trace.events ());
+          Alcotest.(check (array int))
+            (kind ^ " rebuild resolve = scratch")
+            (scratch sess ()).Solver.levels sol.Session.Solver.levels)
+        [
+          ( "a level row's",
+            fun () ->
+              ignore (Session.add_constraint sess (Cst.simple (List.nth attrs 5) (Cst.Level 7)))
+          );
+          ("a first bound's", fun () -> Session.set_lower_bound sess (List.nth attrs 2) (Some 4));
+          ("a cleared bound's", fun () -> Session.set_lower_bound sess bounded.(4) None);
+          ("a new attribute's", fun () -> Session.add_attribute sess "fresh2");
+        ])
     (let s, l = Lazy.force inputs in
      [ s; l ])
 

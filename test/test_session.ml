@@ -94,6 +94,8 @@ let stats_classify_paths () =
     "session.resolve reason arguments"
     [ "first resolve"; "no delta"; "re-tightened salary"; "add #3" ]
     (arg "reason");
+  Alcotest.(check (list string)) "a level row's rebuild keeps the priorities" [ "kept" ]
+    (arg "priorities");
   let st = Session.stats sess in
   Alcotest.(check int) "resolves" 4 st.Session.resolves;
   Alcotest.(check int) "cached" 1 st.Session.cached;
@@ -101,6 +103,39 @@ let stats_classify_paths () =
   Alcotest.(check int) "patched" 1 st.Session.patched;
   Alcotest.(check int) "incremental: patch and rebuild" 2 st.Session.incremental;
   Alcotest.(check bool) "frozen some work" true (st.Session.frozen > 0)
+
+(* A rebuild carries the compiled problem's priorities unless a delta's
+   edge change refuses them; traced, it says which it did, and names the
+   first refusing delta and why.  Every resolve matches scratch. *)
+let priorities_carried_or_computed () =
+  let sess = Session.create ~lattice:fig1b (base_csts ()) in
+  ignore (Session.resolve sess);
+  let traced edit =
+    edit ();
+    Trace.start ();
+    Fun.protect ~finally:Trace.stop (fun () -> check_matches ~ctx:"carry" fig1b sess);
+    List.concat_map
+      (fun (e : Trace.event) ->
+        if e.ph = 'B' && e.name = "session.resolve" then
+          List.filter_map
+            (fun k ->
+              match List.assoc_opt k e.args with Some (Trace.Str v) -> Some v | _ -> None)
+            [ "priorities"; "refused" ]
+        else [])
+      (Trace.events ())
+  in
+  let check what want got = Alcotest.(check (list string)) what want got in
+  check "a cycle closed" [ "computed"; "add #3: name finishes after salary" ]
+    (traced (fun () -> ignore (Session.add_constraint sess (Helpers.attr_cst "salary" "name"))));
+  check "the cycle opened" [ "computed"; "remove #3: name was reached from salary" ]
+    (traced (fun () -> assert (Session.remove_constraint sess 3)));
+  check "an edge into a later set" [ "kept" ]
+    (traced (fun () -> ignore (Session.add_constraint sess (Helpers.attr_cst "rank" "salary"))));
+  check "a new attribute above an old one" [ "shifted" ]
+    (traced (fun () -> ignore (Session.add_constraint sess (Helpers.attr_cst "extra" "salary"))));
+  check "an old attribute above a new one"
+    [ "computed"; "add #6: name gains an edge into the new fresh" ]
+    (traced (fun () -> ignore (Session.add_constraint sess (Helpers.attr_cst "name" "fresh"))))
 
 (* [config] with a zero-step budget. *)
 let stepless (config : SS.Config.t) =
@@ -301,10 +336,17 @@ let bound_churn_leaves_nothing () =
     sess
   in
   let churned = session () and fresh = session () in
-  for _ = 1 to 100_000 do
-    Session.set_lower_bound churned "x" (Some (lvl "L4"));
-    Session.set_lower_bound churned "x" None
-  done;
+  let l4 = Some (lvl "L4") in
+  (* Each cycle dirties x once more: it is on the dirty list once. *)
+  let w_cycles =
+    Helpers.words (fun () ->
+        for _ = 1 to 100_000 do
+          Session.set_lower_bound churned "x" l4;
+          Session.set_lower_bound churned "x" None
+        done)
+  in
+  if w_cycles >= 3. *. 100_000. then
+    Alcotest.failf "100 000 bound cycles allocated %.0f words, a cons a cycle at least" w_cycles;
   List.iter (fun sess -> Session.set_lower_bound sess "x" (Some (lvl "L5"))) [ churned; fresh ];
   Alcotest.(check bool) "same snapshot" true (Session.snapshot churned = Session.snapshot fresh);
   let w_fresh = Helpers.words (fun () -> Session.resolve fresh) in
@@ -523,10 +565,19 @@ let random_session seed =
         Alcotest.failf "seed %d: the solution of resolve %d from the end was written since" seed i)
     !held
 
+(* Their rebuilds carry the priorities, or compute them, both. *)
 let random_sessions () =
-  for seed = 0 to 24 do
-    random_session seed
-  done
+  let carried = ref 0 in
+  let computed =
+    Helpers.metered "session/priorities_computed" (fun () ->
+        for seed = 0 to 24 do
+          random_session seed
+        done;
+        carried :=
+          Minup_obs.Metrics.(counter_value (counter "session/priorities_kept")))
+  in
+  if !carried = 0 || computed = 0 then
+    Alcotest.failf "rebuilds: %d carried, %d computed; some of each expected" !carried computed
 
 (* {2 State model}
 
@@ -1336,4 +1387,5 @@ let suite =
     case "a traced open and rebuild span their parse and indexing" serve_spans_its_layers;
     case "serve LRU eviction" serve_lru_eviction;
     case "serve evicts in recency order at max_sessions" serve_lru_order;
+    case "a rebuild carries its priorities or says why not" priorities_carried_or_computed;
   ]
