@@ -365,6 +365,232 @@ let of_lines ?(room = Exact) ~attr_index ?count ?(bounds = ignore) lines =
       close_level b l);
   build ~room ~attr_index (finish b)
 
+(* {2 Editing a problem in place} *)
+
+type 'lvl edit =
+  | Insert of { src : int array; lo : int; hi : int; rhs : 'lvl rhs }
+  | Bound of int * 'lvl
+  | Delete of int
+
+(* The first index in [lo, hi) of the ascending [a] whose entry is at
+   least [v]. *)
+let rec lower_bound a v lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) < v then lower_bound a v (mid + 1) hi else lower_bound a v lo mid
+
+(* The level rows before row [r]: one past the last one's level index. *)
+let rec levels_before rhs r =
+  if r = 0 then 0
+  else
+    let c = rhs.(r - 1) in
+    if rhs_is_attr c then levels_before rhs (r - 1) else rhs_level_index c + 1
+
+(* Index row [a]'s entry [v] becomes [w]; the row stays ascending as
+   long as no entry lies between them. *)
+let renumber c a v w = c.tgt.(lower_bound c.tgt v c.off.(a) c.off.(a + 1)) <- w
+
+(* [v] into each index row [src.(lo) < … < src.(hi - 1)] of [c], over [n]
+   rows, at its ascending place: one pass from the end moves every entry
+   after an insertion point right by the insertions before it. *)
+let csr_insert c n src lo hi v =
+  let { off; tgt } = c in
+  let e = ref off.(n) in
+  for j = hi - 1 downto lo do
+    let a = src.(j) and d = j - lo + 1 in
+    let p = lower_bound tgt v off.(a) off.(a + 1) in
+    Array.blit tgt p tgt (p + d) (!e - p);
+    tgt.(p + d - 1) <- v;
+    e := p
+  done;
+  for j = lo to hi - 1 do
+    let stop = if j + 1 < hi then src.(j + 1) else n in
+    for a = src.(j) + 1 to stop do
+      off.(a) <- off.(a) + (j - lo + 1)
+    done
+  done
+
+(* [v] out of each index row [src.(lo) < … < src.(hi - 1)] of [c]: one
+   pass from the front moves every entry after a deletion left by the
+   deletions before it. *)
+let csr_delete c n src lo hi v =
+  let { off; tgt } = c in
+  let prev = ref 0 in
+  for j = lo to hi - 1 do
+    let a = src.(j) in
+    let p = lower_bound tgt v off.(a) off.(a + 1) in
+    if j > lo then Array.blit tgt (!prev + 1) tgt (!prev + 1 - (j - lo)) (p - !prev - 1);
+    prev := p
+  done;
+  if hi > lo then
+    Array.blit tgt (!prev + 1) tgt (!prev + 1 - (hi - lo)) (off.(n) - !prev - 1);
+  for j = lo to hi - 1 do
+    let stop = if j + 1 < hi then src.(j + 1) else n in
+    for a = src.(j) + 1 to stop do
+      off.(a) <- off.(a) - (j - lo + 1)
+    done
+  done
+
+let fits p edits =
+  let s = p.store and n = Names.length p.attr_index in
+  let m = s.rows in
+  let rows = ref m and size = ref s.lhs.off.(m) and levels = ref 0 in
+  let c_size = ref p.constr_of.off.(p.n_attrs) and in_size = ref p.incoming.off.(p.n_attrs) in
+  let row k attr_rhs =
+    incr rows;
+    size := !size + k;
+    c_size := !c_size + k;
+    if attr_rhs then incr in_size else incr levels
+  in
+  List.iter
+    (function
+      | Insert { lo; hi; rhs = Rattr _; _ } -> row (hi - lo) true
+      | Insert { lo; hi; rhs = Rlevel _; _ } -> row (hi - lo) false
+      | Bound _ -> row 1 false
+      | Delete _ -> ())
+    edits;
+  Array.length s.lhs.off > !rows
+  && Array.length s.lhs.tgt >= !size
+  && Array.length s.rhs >= !rows
+  && Array.length p.complex_idx >= !rows
+  && Array.length p.constr_of.off > n
+  && Array.length p.incoming.off > n
+  && Array.length p.constr_of.tgt >= !c_size
+  && Array.length p.incoming.tgt >= !in_size
+  && (!levels = 0 || Array.length s.levels >= levels_before s.rhs m + !levels)
+
+(* A problem being edited: its arrays, and the counts that change. *)
+type 'lvl editing = {
+  e : 'lvl t;
+  n : int;
+  mutable m : int;
+  mutable nc : int;
+  mutable bound_rows : int;
+}
+
+(* Rows [r ..] move to [r + 1 ..] to make room for a row of [k] lhs ids
+   with a level right-hand side iff [level], complex iff [k > 1]: their
+   index entries are renumbered, last row first so that each index row
+   stays ascending, and their level codes and complex ids shift.  The
+   new row's lhs range is left to fill; returns its level index and
+   complex id. *)
+let open_row ed r k ~level =
+  let { lhs = { off; tgt }; rhs; levels; _ } = ed.e.store and complex_idx = ed.e.complex_idx in
+  let complex = k > 1 in
+  let later_complex = ref 0 and first_level = ref (-1) in
+  for ci = ed.m - 1 downto r do
+    for i = off.(ci) to off.(ci + 1) - 1 do
+      renumber ed.e.constr_of tgt.(i) ci (ci + 1)
+    done;
+    let b = rhs.(ci) in
+    if rhs_is_attr b then renumber ed.e.incoming b ci (ci + 1)
+    else begin
+      let j = rhs_level_index b in
+      first_level := j;
+      if level then begin
+        levels.(j + 1) <- levels.(j);
+        rhs.(ci) <- level_code (j + 1)
+      end
+    end;
+    let x = complex_idx.(ci) in
+    if x >= 0 then begin
+      incr later_complex;
+      if complex then complex_idx.(ci) <- x + 1
+    end
+  done;
+  let e = off.(ed.m) in
+  Array.blit tgt off.(r) tgt (off.(r) + k) (e - off.(r));
+  for i = ed.m downto r do
+    off.(i + 1) <- off.(i) + k
+  done;
+  Array.blit rhs r rhs (r + 1) (ed.m - r);
+  Array.blit complex_idx r complex_idx (r + 1) (ed.m - r);
+  ed.m <- ed.m + 1;
+  let j = if !first_level >= 0 then !first_level else levels_before rhs r in
+  (j, ed.nc - !later_complex)
+
+(* Row [r], its lhs range filled: sort it, write its right-hand side and
+   complex id, and enter it in the index rows of its attributes. *)
+let close_row ed r (j, x) rhs_of =
+  let { lhs = { off; tgt }; rhs; levels; _ } = ed.e.store and complex_idx = ed.e.complex_idx in
+  sort_range tgt off.(r) off.(r + 1);
+  (match rhs_of with
+  | Rattr b -> rhs.(r) <- b
+  | Rlevel l ->
+      levels.(j) <- l;
+      rhs.(r) <- level_code j);
+  if off.(r + 1) - off.(r) > 1 then begin
+    complex_idx.(r) <- x;
+    ed.nc <- ed.nc + 1
+  end
+  else complex_idx.(r) <- -1;
+  csr_insert ed.e.constr_of ed.n tgt off.(r) off.(r + 1) r;
+  if rhs_is_attr rhs.(r) then csr_insert ed.e.incoming ed.n rhs r (r + 1) r
+
+let delete_row ed r =
+  let { lhs = { off; tgt }; rhs; levels; _ } = ed.e.store and complex_idx = ed.e.complex_idx in
+  let k = off.(r + 1) - off.(r) and b = rhs.(r) in
+  let level = not (rhs_is_attr b) and complex = complex_idx.(r) >= 0 in
+  csr_delete ed.e.constr_of ed.n tgt off.(r) off.(r + 1) r;
+  if not level then csr_delete ed.e.incoming ed.n rhs r (r + 1) r;
+  let m = ed.m in
+  Array.blit tgt off.(r + 1) tgt off.(r) (off.(m) - off.(r + 1));
+  for i = r + 1 to m - 1 do
+    off.(i) <- off.(i + 1) - k
+  done;
+  Array.blit rhs (r + 1) rhs r (m - r - 1);
+  Array.blit complex_idx (r + 1) complex_idx r (m - r - 1);
+  (* The later rows, each one down: first row first, so that each index
+     row stays ascending. *)
+  for ci = r to m - 2 do
+    for i = off.(ci) to off.(ci + 1) - 1 do
+      renumber ed.e.constr_of tgt.(i) (ci + 1) ci
+    done;
+    let c = rhs.(ci) in
+    if rhs_is_attr c then renumber ed.e.incoming c (ci + 1) ci
+    else if level then begin
+      let j = rhs_level_index c in
+      levels.(j - 1) <- levels.(j);
+      rhs.(ci) <- level_code (j - 1)
+    end;
+    if complex && complex_idx.(ci) >= 0 then complex_idx.(ci) <- complex_idx.(ci) - 1
+  done;
+  if complex then ed.nc <- ed.nc - 1;
+  if r >= m - ed.bound_rows then ed.bound_rows <- ed.bound_rows - 1;
+  ed.m <- m - 1
+
+let edit p ~bounds edits =
+  if not (fits p edits) then invalid_arg "Problem.edit: no room for the edits";
+  Minup_obs.Trace.with_span ~cat:"constraints" "problem.edit" @@ fun () ->
+  let n = Names.length p.attr_index in
+  List.iter
+    (fun c ->
+      for a = p.n_attrs + 1 to n do
+        c.off.(a) <- c.off.(p.n_attrs)
+      done)
+    [ p.constr_of; p.incoming ];
+  let ed = { e = p; n; m = p.store.rows; nc = p.n_complex; bound_rows = bounds } in
+  let level = function Rlevel _ -> true | Rattr _ -> false in
+  List.iter
+    (function
+      | Insert { src; lo; hi; rhs } ->
+          let r = ed.m - ed.bound_rows and k = hi - lo in
+          let at = open_row ed r k ~level:(level rhs) in
+          Array.blit src lo p.store.lhs.tgt p.store.lhs.off.(r) k;
+          close_row ed r at rhs
+      | Bound (a, l) ->
+          let r = ed.m in
+          let at = open_row ed r 1 ~level:true in
+          p.store.lhs.tgt.(p.store.lhs.off.(r)) <- a;
+          close_row ed r at (Rlevel l);
+          ed.bound_rows <- ed.bound_rows + 1
+      | Delete r ->
+          if r < 0 || r >= ed.m then invalid_arg "Problem.edit: no such row";
+          delete_row ed r)
+    edits;
+  { p with n_attrs = n; store = { p.store with rows = ed.m }; n_complex = ed.nc }
+
 let rec add_names b intern = function
   | [] -> ()
   | a :: rest ->

@@ -178,6 +178,44 @@ val of_lines :
   'lvl lines ->
   'lvl t
 
+(** One row edit of {!edit}.  A problem a session builds holds user
+    rows, then [bounds] bound rows [{a} >= l] at the end. *)
+type 'lvl edit =
+  | Insert of { src : int array; lo : int; hi : int; rhs : 'lvl rhs }
+      (** a user row, lhs ids [src.(lo) .. src.(hi - 1)] (any order,
+          duplicate-free, rhs not among them), inserted just before the
+          bound rows *)
+  | Bound of int * 'lvl  (** a bound row [{a} >= l], appended after the last row *)
+  | Delete of int  (** row [r], a user or a bound row *)
+
+(** [fits p edits] — [p]'s arrays have room for the rows, lhs ids, index
+    entries and level entries [edits] insert (deletions are not netted
+    against them) and for a row in each index for every attribute of
+    [p]'s name table.  O(the edits), plus, when one inserts a level right-hand
+    side, a walk back from the last row to the last level row. *)
+val fits : 'lvl t -> 'lvl edit list -> bool
+
+(** [edit p ~bounds edits] — [p], its last [bounds] rows bound rows, with
+    [edits] applied in list order (each row index names a row of the
+    problem the edits before it left) over the universe of [p]'s name
+    table, new attributes with no row: field for field (counts, the used
+    part of each array, levels up to their count) what {!of_lines} builds
+    from the lines so edited, user rows in order, then the bound rows,
+    level right-hand sides numbered in row order.  Each edit writes in
+    place what lies at or after its row — store rows, level codes and
+    entries, complex ids, and every index entry that names a later row,
+    each found by binary search in its index row — and inserts or
+    deletes the row's own entries in its lhs attributes' [constr_of] rows
+    and its rhs's [incoming] row, moving the entries and offsets after
+    them (one move per index and edit).  [p] must not be read afterwards:
+    the result shares and rewrites its arrays.  Cost per edit: the rows
+    after it (O(lhs · log degree) each), plus one move of each index's
+    entries and offsets past its first touched row; nothing is
+    allocated but the result's two records.  Raises [Invalid_argument]
+    unless [fits p edits], or for a [Delete] past the last row.  Traced
+    as [problem.edit] (category [constraints]). *)
+val edit : 'lvl t -> bounds:int -> 'lvl edit list -> 'lvl t
+
 val n_attrs : 'lvl t -> int
 val n_csts : 'lvl t -> int
 

@@ -1297,49 +1297,82 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   exception Inconsistent of inconsistency
 
+  (* Push the bounds through the graph to the greatest fixpoint: across
+     a constraint, the rhs can be no higher than the lub of the lhs
+     bounds.  A row whose lhs members are all at ⊤ computes
+     [glb(ub(b), ⊤) = ub(b)], so only the attribute-rhs rows of an
+     attribute below ⊤ are pushed: at first those of the bounded ones,
+     then those of each attribute a row lowers.  Inconsistencies surface
+     at security-level nodes: a level-rhs row whose lhs, even at its
+     bounds, cannot reach its level — only a row whose lhs members all
+     lie below ⊤ can, so those alone are checked, the first failing one
+     in row order reported, as a check of every row would. *)
   let derive_upper_bounds ({ lat; prob; _ } : problem) bounds =
-    let { Problem.rhs; levels; _ } = prob.Problem.store in
-    let ub = Array.make (Problem.n_attrs prob) (L.top lat) in
+    Trace.with_span ~cat:"solver" "upper_bounds" @@ fun () ->
+    let { Problem.rhs; levels; lhs; _ } = prob.Problem.store in
+    let { Problem.off; tgt } = prob.Problem.constr_of in
+    let top = L.top lat in
+    let ub = Array.make (Problem.n_attrs prob) top in
     (* The highest level the lhs of [ci] can reach: its members' bounds. *)
     let lhs_bound ci = Problem.fold_lhs prob ci (fun acc a -> L.lub lat acc ub.(a)) (L.bottom lat) in
+    let stack = ref (Array.make 16 0) and len = ref 0 and below = ref [] in
+    let push ci =
+      if !len = Array.length !stack then begin
+        let grown = Array.make (2 * !len) 0 in
+        Array.blit !stack 0 grown 0 !len;
+        stack := grown
+      end;
+      !stack.(!len) <- ci;
+      incr len
+    in
+    let push_rows a =
+      for i = off.(a) to off.(a + 1) - 1 do
+        if rhs.(tgt.(i)) >= 0 then push tgt.(i)
+      done
+    in
+    (* [a]'s bound becomes [l]; [a] is noted once it is below ⊤. *)
+    let set a l =
+      if L.equal lat ub.(a) top && not (L.equal lat l top) then below := a :: !below;
+      ub.(a) <- l
+    in
     try
       List.iter
         (fun (name, l) ->
           match Problem.attr_id prob name with
-          | Some a -> ub.(a) <- L.glb lat ub.(a) l
+          | Some a -> set a (L.glb lat ub.(a) l)
           | None -> raise (Inconsistent (Unknown_attr name)))
         bounds;
-      (* Push bounds through the graph to the greatest fixpoint: across a
-         constraint, the rhs can be no higher than the lub of the lhs
-         bounds.  Only a constraint with an attribute rhs can lower a
-         bound, so only those are queued. *)
-      let queue = Queue.create () in
-      let enqueue ci = if Problem.rhs_is_attr rhs.(ci) then Queue.push ci queue in
-      for ci = 0 to Problem.n_csts prob - 1 do
-        enqueue ci
-      done;
-      while not (Queue.is_empty queue) do
-        let ci = Queue.pop queue in
+      List.iter push_rows !below;
+      while !len > 0 do
+        decr len;
+        let ci = !stack.(!len) in
         let b = rhs.(ci) in
         let nb = L.glb lat ub.(b) (lhs_bound ci) in
         if not (L.equal lat nb ub.(b)) then begin
-          ub.(b) <- nb;
-          Problem.iter_constr_of prob b enqueue
+          set b nb;
+          push_rows b
         end
       done;
-      (* Inconsistencies surface at security-level nodes: a level-rhs
-         constraint whose lhs, even at its bounds, cannot reach the
-         target. *)
-      for ci = 0 to Problem.n_csts prob - 1 do
-        let r = rhs.(ci) in
-        if not (Problem.rhs_is_attr r) then begin
-          let bound = lhs_bound ci in
-          if not (L.leq lat levels.(Problem.rhs_level_index r) bound) then
-            raise
-              (Inconsistent
-                 (Unsatisfiable { cst = Problem.cst_to_source prob ci; bound }))
-        end
-      done;
+      (* Each candidate row once, from its first lhs member. *)
+      let first = ref max_int in
+      List.iter
+        (fun a ->
+          for i = off.(a) to off.(a + 1) - 1 do
+            let ci = tgt.(i) in
+            let r = rhs.(ci) in
+            if
+              ci < !first && r < 0
+              && lhs.Problem.tgt.(lhs.Problem.off.(ci)) = a
+              && not (L.leq lat levels.(Problem.rhs_level_index r) (lhs_bound ci))
+            then first := ci
+          done)
+        !below;
+      if !first < max_int then begin
+        let ci = !first in
+        raise
+          (Inconsistent
+             (Unsatisfiable { cst = Problem.cst_to_source prob ci; bound = lhs_bound ci }))
+      end;
       Ok ub
     with Inconsistent i -> Error i
 

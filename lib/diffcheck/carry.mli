@@ -10,17 +10,31 @@
     added or removed edge is checked against the old problem's
     priorities, as a session checks its deltas; when every edge keeps
     the carry, the carried priorities of the rebuilt problem must equal
-    its computed ones in every field. *)
+    its computed ones in every field.  The same deltas, as row edits
+    ({!Minup_constraints.Problem.edit}), are applied in place to the old
+    problem built with [Spare] room; when it has room for them, the
+    edited problem must equal the rebuilt one in every field
+    ({!problem_difference}). *)
 
 type outcome =
-  | Refused  (** some edge change refused the carry *)
-  | Carried  (** carried, and equal to the scratch priorities *)
-  | Differs of string  (** carried, and the named field differs *)
+  | Checked of { carried : bool; edited : bool }
+      (** [carried]: no edge change refused the carry, and the carried
+          priorities equal the scratch ones; [edited]: the old problem had
+          room for the edits, and the edited problem equals the rebuilt
+          one *)
+  | Differs of string  (** the named field of the carried priorities or edited problem differs *)
+
+(** [problem_difference want got] — the first field of [got] that differs
+    from [want]'s, each compared over its used part: [n_attrs], [rows],
+    the lhs CSR, [rhs], the levels up to the number of level rows,
+    [complex_idx], [n_complex], [constr_of] and [incoming]. *)
+val problem_difference :
+  'l Minup_constraints.Problem.t -> 'l Minup_constraints.Problem.t -> string option
 
 (** One batch, drawn from [rng]. *)
 val batch : Minup_workload.Prng.t -> outcome
 
 (** [sweep ~seed ~batches] — [batches] batches from one generator seeded
-    with [seed]: how many were carried, and the first that differs, as
-    its index and field. *)
-val sweep : seed:int -> batches:int -> int * (int * string) option
+    with [seed]: how many were carried, how many edited, and the first
+    that differs, as its index and field. *)
+val sweep : seed:int -> batches:int -> int * int * (int * string) option

@@ -77,6 +77,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       b.row <- widen b.row (-1)
     end;
     b.level.(a) <- l;
+    b.row.(a) <- -1;
     b.next.(a) <- -1;
     b.prev.(a) <- b.last;
     if b.last < 0 then b.first <- a else b.next.(b.last) <- a;
@@ -126,6 +127,13 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
             each once *)
     mutable marked : Bytes.t;  (** attribute ↦ ['\001'] iff it is on [dirty] *)
     mutable compiled : compiled option;
+    mutable editable : bool;
+        (** the compiled problem is the one the last indexing built, and
+            the four fields below describe it, so a rebuild may edit it *)
+    mutable row_ids : int array;  (** user row ↦ its constraint id, ascending *)
+    mutable n_rows : int;  (** the compiled problem's user rows *)
+    mutable indexed_ids : int;  (** the ids handed out when it was indexed *)
+    mutable gone : int list;  (** its rows removed since: constraints and cleared bounds *)
     workspace : Solver.workspace;  (** the last incremental solve's state *)
     mutable stats : stats;
   }
@@ -297,6 +305,11 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
       dirty = [];
       marked = Bytes.empty;
       compiled = None;
+      editable = false;
+      row_ids = [||];
+      n_rows = 0;
+      indexed_ids = 0;
+      gone = [];
       workspace = Solver.workspace ();
       stats = { resolves = 0; cached = 0; patched = 0; incremental = 0; full = 0; frozen = 0 };
     }
@@ -318,10 +331,22 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
   let of_rows ~lattice (r : L.level Parse.rows) =
     empty ~lattice ~index:r.attr_index ~n_ids:(Array.length r.lines.kept) r.lines
 
+  (* The compiled problem's row of user constraint [id], which it holds:
+     a binary search of [row_ids]. *)
+  let row_of_id t id =
+    let rec search lo hi =
+      let mid = (lo + hi) / 2 in
+      let x = t.row_ids.(mid) in
+      if x = id then mid else if x < id then search (mid + 1) hi else search lo mid
+    in
+    search 0 t.n_rows
+
   let remove_constraint t id =
     if id < 0 || id >= t.n_ids || t.rhs.(id) = removed then false
     else begin
       edit_row t Remove Priorities.removed id;
+      if t.editable && id < t.indexed_ids && t.kept.(id) then
+        t.gone <- row_of_id t id :: t.gone;
       t.kept.(id) <- false;
       t.rhs.(id) <- removed;
       t.dead <- t.dead + t.off.(id + 1) - t.off.(id);
@@ -345,6 +370,10 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     | None, false -> ()
     | None, true ->
         unlink b a;
+        if b.row.(a) >= 0 then begin
+          if t.editable then t.gone <- b.row.(a) :: t.gone;
+          b.row.(a) <- -1
+        end;
         touch t a;
         structural t Cleared_bound a
     | Some l, true ->
@@ -390,6 +419,8 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     t.refused <- None;
     List.iter (fun a -> Bytes.set t.marked a '\000') t.dirty;
     t.dirty <- [];
+    t.gone <- [];
+    t.editable <- true;
     t.compiled <- Some compiled;
     compiled.solution
 
@@ -413,32 +444,114 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   let view t = { Problem.off = t.off; tgt = t.tgt; rhs = t.rhs; levels = t.levels; kept = t.kept }
 
-  (* The live rows — user rows in id order, then the bound rows, as
-     compile lays out the snapshot — as a problem over the session's
-     attributes, so its priorities are a scratch compile's, whether
-     computed or carried from the compiled problem's when no delta
-     refused it; each bound's row index goes into [row].  [room] is
-     where the arrays go: [Spare] or [Reuse] of the problem being
-     replaced, whose priorities are not part of it. *)
-  let index ~room t =
+  (* [id] as the next user row of [row_ids], which doubles when full. *)
+  let push_row_id t id =
+    if t.n_rows = Array.length t.row_ids then t.row_ids <- grow t.row_ids t.n_rows 0;
+    t.row_ids.(t.n_rows) <- id;
+    t.n_rows <- t.n_rows + 1
+
+  (* The problem [prob] holds the live rows — user rows in id order, then
+     the bound rows, as compile lays out the snapshot: note each bound's
+     row and level, the ids indexed, and hand [Solver.prepare] the
+     compiled problem's priorities carried, unless a delta refused them,
+     so they are a scratch compile's either way. *)
+  let prepare t prob =
     let carried =
       match (t.compiled, t.refused) with Some c, None -> Some c.problem.Solver.prio | _ -> None
     in
     let b = t.bounds in
-    let prob =
-      Problem.of_lines ~room ~attr_index:t.index ~count:t.n_ids
-        ~bounds:(fun f -> iter_bounds f b)
-        (view t)
-    in
     let rec rows a ci =
       if a >= 0 then begin
         b.row.(a) <- ci;
+        Problem.set_rlevel prob ci b.level.(a);
         rows b.prev.(a) (ci - 1)
       end
     in
     rows b.last (Problem.n_csts prob - 1);
+    t.indexed_ids <- t.n_ids;
     let priorities = Option.map (fun prio -> Priorities.carry prio prob) carried in
     Solver.prepare ?priorities ~lattice:t.lattice prob
+
+  (* Index the live rows into a new problem over the session's
+     attributes.  [room] is where the arrays go: [Spare] or [Reuse] of
+     the problem being replaced, whose priorities are not part of it.
+     Until a resolve commits it, the compiled problem is not what the
+     row bookkeeping describes. *)
+  let index ~room t =
+    t.editable <- false;
+    let prob =
+      Problem.of_lines ~room ~attr_index:t.index ~count:t.n_ids
+        ~bounds:(fun f -> iter_bounds f t.bounds)
+        (view t)
+    in
+    t.n_rows <- 0;
+    for id = 0 to t.n_ids - 1 do
+      if t.kept.(id) then push_row_id t id
+    done;
+    prepare t prob
+
+  (* How a rebuild gets its problem: by editing the compiled one in place
+     ([Edit], with its row edits), or by indexing every live row again
+     ([Reindex], and why). *)
+  type indexing = Edit of L.level Problem.edit list | Reindex of string
+
+  (* The compiled problem's rows gone since it was indexed, last first,
+     then each user row added since, just before the bound rows, then
+     each bound set since, at the end.  Edited if no budget or upgrade
+     preference keeps the old problem alive, the bookkeeping describes
+     it, the edits shift at most its [Problem.total_size] entries (each
+     deleted row all rows after it, each inserted user row the bound
+     rows) and its arrays have room. *)
+  let plan ~config t (old : compiled) =
+    if Option.is_some config.Solver.Config.budget then Reindex "budget"
+    else if Option.is_some config.Solver.Config.upgrade_preference then Reindex "preference"
+    else if not t.editable then Reindex "cancelled"
+    else begin
+      let p = old.problem.Solver.prob in
+      let m = Problem.n_csts p and off = p.Problem.store.Problem.lhs.Problem.off in
+      let after r = off.(m) - off.(r + 1) + (m - r - 1) in
+      let gone = List.sort (fun x y -> Int.compare y x) t.gone in
+      let shifted = ref (List.fold_left (fun k r -> k + after r) 0 gone) in
+      let users = ref [] in
+      for id = t.n_ids - 1 downto t.indexed_ids do
+        if t.kept.(id) then begin
+          let r = t.rhs.(id) in
+          let rhs =
+            if Problem.rhs_is_attr r then Problem.Rattr r
+            else Problem.Rlevel t.levels.(Problem.rhs_level_index r)
+          in
+          shifted := !shifted + after (t.n_rows - 1);
+          users :=
+            Problem.Insert { src = t.tgt; lo = t.off.(id); hi = t.off.(id + 1); rhs } :: !users
+        end
+      done;
+      let b = t.bounds in
+      let rec set_since a acc =
+        if a >= 0 && b.row.(a) < 0 then set_since b.prev.(a) (Problem.Bound (a, b.level.(a)) :: acc)
+        else acc
+      in
+      let edits = List.map (fun r -> Problem.Delete r) gone @ !users @ set_since b.last [] in
+      if !shifted > Problem.total_size p then
+        Reindex (Printf.sprintf "%d edits" (List.length edits))
+      else if not (Problem.fits p edits) then Reindex "no room"
+      else Edit edits
+    end
+
+  (* Apply [edits] to the compiled problem [p] in place, and to the user
+     rows' ids: the gone rows first, last first, then the added ids. *)
+  let edit t p edits =
+    let prob = Problem.edit p ~bounds:(Problem.n_csts p - t.n_rows) edits in
+    List.iter
+      (function
+        | Problem.Delete r when r < t.n_rows ->
+            Array.blit t.row_ids (r + 1) t.row_ids r (t.n_rows - r - 1);
+            t.n_rows <- t.n_rows - 1
+        | _ -> ())
+      edits;
+    for id = t.indexed_ids to t.n_ids - 1 do
+      if t.kept.(id) then push_row_id t id
+    done;
+    prepare t prob
 
   (* The first resolve: index the rows and solve from scratch. *)
   let scratch ~config t =
@@ -456,30 +569,41 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
     List.iter (fun a -> Problem.set_rlevel prob b.row.(a) b.level.(a)) t.dirty;
     finish t { old with solution = resolve_from ~config t old ~patch:true old.problem }
 
-  (* Any other delta: index the live rows into a new problem and re-solve
-     it from the old problem's solution.  A solve that nothing can stop
-     (no budget) and that reads nothing of the old problem but its
-     priorities (no upgrade preference, which schedules the old problem
-     again) builds the new problem in the old one's arrays; should it
-     fail all the same, the old problem is gone and the next resolve
-     starts from scratch.  Otherwise the old problem is not touched: a
-     cancelled rebuild leaves it as it was, with the deltas queued. *)
-  let rebuild ~config t (old : compiled) =
+  (* Any other delta: a new problem of the live rows, re-solved from the
+     old problem's solution.  A solve that nothing can stop (no budget)
+     and that reads nothing of the old problem but its priorities (no
+     upgrade preference, which schedules the old problem again) edits
+     the old problem in place, or, as [indexing] says, indexes the rows
+     into its arrays; should it fail all the same, the old problem is
+     gone and the next resolve starts from scratch.  Otherwise the old
+     problem is not touched: a cancelled rebuild leaves it as it was,
+     with the deltas queued. *)
+  let rebuild ~config t (old : compiled) indexing =
     let reuse =
       Option.is_none config.Solver.Config.budget
       && Option.is_none config.Solver.Config.upgrade_preference
     in
-    let room = if reuse then Problem.Reuse old.problem.Solver.prob else Problem.Spare in
-    let counter =
-      if Option.is_none t.refused then "session/priorities_kept" else "session/priorities_computed"
+    let old_prob = old.problem.Solver.prob in
+    let counters =
+      [
+        (if Option.is_none t.refused then "session/priorities_kept"
+         else "session/priorities_computed");
+        (match indexing with
+        | Edit _ -> "session/index_edited"
+        | Reindex _ -> "session/index_rebuilt");
+      ]
     in
     match
-      let problem = index ~room t in
+      let problem =
+        match indexing with
+        | Edit edits -> edit t old_prob edits
+        | Reindex _ -> index ~room:(if reuse then Problem.Reuse old_prob else Problem.Spare) t
+      in
       let solution = resolve_from ~config t old ~patch:false problem in
       finish t { problem; solution }
     with
     | solution ->
-        if Metrics.enabled () then Metrics.incr (Metrics.counter counter);
+        if Metrics.enabled () then List.iter (fun c -> Metrics.incr (Metrics.counter c)) counters;
         solution
     | exception e when reuse ->
         t.compiled <- None;
@@ -487,7 +611,7 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
 
   (* The path a resolve takes and the delta that chose it, as span
      arguments; built only when tracing. *)
-  let path_args t =
+  let path_args t indexing =
     let name a = (Names.names t.index).(a) in
     let describe d x =
       match d with
@@ -520,19 +644,30 @@ module Make (L : Minup_lattice.Lattice_intf.S) = struct
           ]
       | _ -> []
     in
-    ("path", Trace.Str path) :: ("reason", Trace.Str reason) :: priorities
+    let index =
+      match indexing with
+      | Some (Edit _) -> [ ("index", Trace.Str "edited") ]
+      | Some (Reindex why) -> [ ("index", Trace.Str "rebuilt"); ("why", Trace.Str why) ]
+      | None -> []
+    in
+    ("path", Trace.Str path) :: ("reason", Trace.Str reason) :: (priorities @ index)
 
   let resolve ?(config = Solver.Config.default) t =
-    let args = if Trace.enabled () then Some (path_args t) else None in
+    let indexing =
+      match (t.compiled, t.pending) with
+      | Some old, Rebuild _ -> Some (plan ~config t old)
+      | _ -> None
+    in
+    let args = if Trace.enabled () then Some (path_args t indexing) else None in
     Trace.with_span ?args ~cat:"session" "session.resolve" @@ fun () ->
     t.stats <- { t.stats with resolves = t.stats.resolves + 1 };
-    match (t.compiled, t.pending) with
-    | None, _ -> scratch ~config t
-    | Some c, Clean ->
+    match (t.compiled, t.pending, indexing) with
+    | None, _, _ -> scratch ~config t
+    | Some old, _, Some indexing -> rebuild ~config t old indexing
+    | Some old, Patch, None -> patch ~config t old
+    | Some c, _, None ->
         t.stats <- { t.stats with cached = t.stats.cached + 1 };
         c.solution
-    | Some old, Patch -> patch ~config t old
-    | Some old, Rebuild _ -> rebuild ~config t old
 
   let solution t =
     match (t.compiled, t.pending) with Some c, Clean -> Some c.solution | _ -> None

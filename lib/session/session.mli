@@ -16,11 +16,15 @@
       ({!Minup_constraints.Problem.set_rlevel}) and the priority
       assignment is kept — no copy, no re-interning, no DFS;
     - any other delta — a constraint added or removed, a new attribute,
-      a first or cleared bound ([rebuild]): a new problem is built from
-      the session's interned lines, flattened into a store and indexed
-      ({!Minup_constraints.Problem.of_lines}: user rows in id order, then
-      the bound rows, as a compile of
-      {!Make.snapshot} lays them out) and its priorities are exactly a
+      a first or cleared bound ([rebuild]): the problem of the live rows
+      — user rows in id order, then the bound rows, as a compile of
+      {!Make.snapshot} lays them out — is made by editing the compiled
+      one in place ({!Minup_constraints.Problem.edit}: the rows removed
+      since deleted, each user row added since inserted before the bound
+      rows, each bound set since appended, re-tightened bounds written)
+      or, when the edit rule below says so, built from the session's
+      interned lines, flattened into a store and indexed
+      ({!Minup_constraints.Problem.of_lines}); its priorities are exactly a
       scratch compile's: carried over from the compiled problem
       ({!Minup_constraints.Priorities.carry}) when every edge the deltas
       added or removed was checked, as it was queued, to leave them
@@ -50,9 +54,25 @@
     rebuild's also says, as [priorities], whether they were [kept],
     [shifted] past new attributes or [computed], and when computed, as
     [refused], the first delta that refused the carry and why
-    ([add #12: A7 finishes after A3]).  With metrics on, completed
-    rebuilds count in [session/priorities_kept] (kept or shifted) and
-    [session/priorities_computed].
+    ([add #12: A7 finishes after A3]), and, as [index], whether it
+    [edited] the compiled problem or [rebuilt] it from the lines, with
+    [why] for the latter: [budget], [preference], [cancelled] (a
+    cancelled rebuild indexed the rows since the compiled problem was
+    built), [N edits] (the rule's cost was over its bound) or [no room].
+    With metrics on, completed rebuilds count in
+    [session/priorities_kept] (kept or shifted) and
+    [session/priorities_computed], and in [session/index_edited] or
+    [session/index_rebuilt].
+
+    {b The edit rule.}  A rebuild edits the compiled problem unless its
+    solve has a budget or an upgrade preference (the old problem must
+    then survive it), a cancelled rebuild indexed the rows since the
+    compiled problem was built, the problem's arrays have no room for
+    the rows the edits insert, or the edits would shift more than a
+    re-index touches: summed over the edits, the lhs ids and right-hand
+    sides of the compiled problem's rows after a removed row, and of its
+    bound rows for each inserted user row, must not exceed its
+    {!Minup_constraints.Problem.total_size}.
 
     Incrementality is {e never} visible in results: every resolve returns
     exactly (bit-identical levels) what a from-scratch
@@ -96,9 +116,17 @@
       scratch solve;
     - the patch path: no compile and no copy; O(1) per queued bound
       change (an in-place write), then the incremental solve;
-    - the rebuild path: linear in the attributes, the live rows' size
-      and the constraint ids handed out (the indexing — each kept
-      line's range copied into the store, then one counting and one
+    - the rebuild path, edited: O(the edits plus the rows after them)
+      — a binary search per removed constraint for its row when it is
+      removed, the ids handed out since the last resolve, each edit's
+      rows after it in the store (their index entries found by binary
+      search) and one move of each index's entries and offsets past the
+      rows it touches, and one walk of the bounds to note their rows and
+      levels — and, unless carried, the two priority DFS passes; then
+      the incremental solve;
+    - the rebuild path, re-indexed: linear in the attributes, the live
+      rows' size and the constraint ids handed out (the indexing — each
+      kept line's range copied into the store, then one counting and one
       filling pass for the two indexes, and one walk of the bounds to
       note their rows — and, unless carried, the two priority DFS
       passes; no name is looked up or copied), then the incremental

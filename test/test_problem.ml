@@ -344,6 +344,91 @@ let index_matches_reference =
       && matches (build Problem.Spare) l
       && matches (build (Problem.Reuse host)) l)
 
+(* The in-place editor against [of_lines]: random lines over a few
+   attributes (simple and complex rows, level and attribute right-hand
+   sides, lhs ids in any order) with bound rows after them, built with
+   [Spare] room; a random batch of edits — user rows inserted before the
+   bound rows, bound rows appended, rows of either kind deleted, new
+   attributes — applied in place equals [of_lines] over the edited lines
+   in every field ({!Minup_diffcheck.Carry.problem_difference}).  A
+   batch the arrays have no room for is not applied. *)
+let edit_matches_of_lines =
+  let module Prng = Minup_workload.Prng in
+  let build index users bounds room =
+    let k = List.length users in
+    let off = Array.make (k + 1) 0 and rhs = Array.make k 0 and levels = ref [] in
+    List.iteri
+      (fun i (lhs, r) ->
+        off.(i + 1) <- off.(i) + List.length lhs;
+        rhs.(i) <-
+          (match r with
+          | Problem.Rattr b -> b
+          | Problem.Rlevel l ->
+              levels := l :: !levels;
+              Problem.level_code (List.length !levels - 1)))
+      users;
+    Problem.of_lines ~room ~attr_index:index
+      ~bounds:(fun f -> List.iter (fun (a, l) -> f a l) bounds)
+      {
+        Problem.off;
+        tgt = Array.of_list (List.concat_map fst users);
+        rhs;
+        levels = Array.of_list (List.rev !levels);
+        kept = Array.make k true;
+      }
+  in
+  QCheck.Test.make ~count:2000 ~name:"a problem edited in place = of_lines of the edited lines"
+    (QCheck.make ~print:string_of_int (QCheck.get_gen Helpers.seed_arb))
+    (fun seed ->
+      let rng = Prng.create seed in
+      let index = Problem.Names.create 8 in
+      let fresh () =
+        ignore (Problem.Names.add index (Printf.sprintf "a%d" (Problem.Names.length index)))
+      in
+      for _ = 1 to 2 + Prng.int rng 8 do
+        fresh ()
+      done;
+      let ids () = List.init (Problem.Names.length index) Fun.id in
+      let row () =
+        let lhs = Prng.sample rng (1 + Prng.int rng 3) (ids ()) in
+        let rest = List.filter (fun a -> not (List.mem a lhs)) (ids ()) in
+        if rest <> [] && Prng.bool rng then (lhs, Problem.Rattr (Prng.pick rng rest))
+        else (lhs, Problem.Rlevel (Prng.int rng 5))
+      in
+      let bound () = (Prng.pick rng (ids ()), Prng.int rng 5) in
+      let users = ref (List.init (Prng.int rng 12) (fun _ -> row ())) in
+      let bounds = ref (List.init (Prng.int rng 4) (fun _ -> bound ())) in
+      let p = build index !users !bounds Problem.Spare in
+      let n_bounds = List.length !bounds in
+      let edits = ref [] in
+      for _ = 1 to 1 + Prng.int rng 5 do
+        let nu = List.length !users and nb = List.length !bounds in
+        match Prng.int rng 4 with
+        | 0 ->
+            let (lhs, rhs) as r = row () in
+            let src = Array.of_list lhs in
+            edits := Problem.Insert { src; lo = 0; hi = Array.length src; rhs } :: !edits;
+            users := !users @ [ r ]
+        | 1 ->
+            let a, l = bound () in
+            edits := Problem.Bound (a, l) :: !edits;
+            bounds := !bounds @ [ (a, l) ]
+        | 2 when nu + nb > 0 ->
+            let r = Prng.int rng (nu + nb) in
+            edits := Problem.Delete r :: !edits;
+            if r < nu then users := List.filteri (fun i _ -> i <> r) !users
+            else bounds := List.filteri (fun i _ -> i <> r - nu) !bounds
+        | _ -> fresh ()
+      done;
+      let edits = List.rev !edits in
+      (not (Problem.fits p edits))
+      ||
+      let want = build index !users !bounds Problem.Exact in
+      let got = Problem.edit p ~bounds:n_bounds edits in
+      match Minup_diffcheck.Carry.problem_difference want got with
+      | None -> true
+      | Some field -> QCheck.Test.fail_reportf "the edited problem's %s differs" field)
+
 let suite =
   [
     case "attribute interning" interning;
@@ -357,4 +442,5 @@ let suite =
     Helpers.qcheck store_matches_source;
     Helpers.qcheck reuse_matches_fresh;
     Helpers.qcheck index_matches_reference;
+    Helpers.qcheck edit_matches_of_lines;
   ]

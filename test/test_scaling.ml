@@ -314,10 +314,12 @@ let session_patch_stops ~size:expected shape () =
    interned rows and re-solves incrementally: the resolve counts in
    [stats.incremental], not [stats.full], opens no [problem.compile] span
    and allocates at most 0.6x a from-scratch compile and solve of the
-   same snapshot outside the session.  A row with a level right-hand
-   side, a first or cleared bound and a new attribute change no edge
-   between old attributes: their rebuilds carry the priorities, and
-   traced, open no [priorities.compute] span. *)
+   same snapshot outside the session.  Traced, six single-delta
+   rebuilds — an attribute-rhs row added, a level row added, a row
+   removed, a first bound, a cleared bound and a new attribute — edit
+   the compiled problem in place: none opens a [problem.of_rows] span.
+   The last four change no edge between old attributes: their rebuilds
+   carry the priorities, and open no [priorities.compute] span. *)
 let session_structural_lean () =
   let module Trace = Minup_obs.Trace in
   List.iter
@@ -348,29 +350,42 @@ let session_structural_lean () =
           ("first bound", fun () -> Session.set_lower_bound sess (List.nth attrs 1) (Some 5));
           ("cleared bound", fun () -> Session.set_lower_bound sess bounded.(3) None);
         ];
-      (* Traced, a structural resolve compiles nothing, and these compute
-         no priorities. *)
+      (* Traced, a structural resolve compiles nothing and indexes no
+         row again, and the carrying ones compute no priorities. *)
+      let added = ref 0 in
       List.iter
-        (fun (kind, edit) ->
+        (fun (kind, carries, edit) ->
           edit ();
           Trace.start ();
           let sol = Fun.protect ~finally:Trace.stop (fun () -> Session.resolve sess) in
           List.iter
             (fun (e : Trace.event) ->
-              if e.name = "problem.compile" || e.name = "priorities.compute" then
-                Alcotest.failf "%d attrs: %s resolve emitted a %s span" n kind e.name)
+              if
+                e.name = "problem.compile" || e.name = "problem.of_rows"
+                || (carries && e.name = "priorities.compute")
+              then Alcotest.failf "%d attrs: %s resolve emitted a %s span" n kind e.name)
             (Trace.events ());
           Alcotest.(check (array int))
             (kind ^ " rebuild resolve = scratch")
             (scratch sess ()).Solver.levels sol.Session.Solver.levels)
         [
+          ( "an attribute-rhs row's",
+            false,
+            fun () ->
+              added :=
+                Session.add_constraint sess
+                  (Cst.simple (List.nth attrs 7) (Cst.Attr (List.nth attrs 9))) );
+          ("a removed row's", false, fun () -> assert (Session.remove_constraint sess !added));
           ( "a level row's",
+            true,
             fun () ->
               ignore (Session.add_constraint sess (Cst.simple (List.nth attrs 5) (Cst.Level 7)))
           );
-          ("a first bound's", fun () -> Session.set_lower_bound sess (List.nth attrs 2) (Some 4));
-          ("a cleared bound's", fun () -> Session.set_lower_bound sess bounded.(4) None);
-          ("a new attribute's", fun () -> Session.add_attribute sess "fresh2");
+          ( "a first bound's",
+            true,
+            fun () -> Session.set_lower_bound sess (List.nth attrs 2) (Some 4) );
+          ("a cleared bound's", true, fun () -> Session.set_lower_bound sess bounded.(4) None);
+          ("a new attribute's", true, fun () -> Session.add_attribute sess "fresh2");
         ])
     (let s, l = Lazy.force inputs in
      [ s; l ])

@@ -565,19 +565,24 @@ let random_session seed =
         Alcotest.failf "seed %d: the solution of resolve %d from the end was written since" seed i)
     !held
 
-(* Their rebuilds carry the priorities, or compute them, both. *)
+(* Their rebuilds carry the priorities, or compute them, both; and they
+   edit the compiled problem in place, or index the rows again, both. *)
 let random_sessions () =
-  let carried = ref 0 in
+  let carried = ref 0 and edited = ref 0 and rebuilt = ref 0 in
   let computed =
     Helpers.metered "session/priorities_computed" (fun () ->
         for seed = 0 to 24 do
           random_session seed
         done;
-        carried :=
-          Minup_obs.Metrics.(counter_value (counter "session/priorities_kept")))
+        let value name = Minup_obs.Metrics.(counter_value (counter name)) in
+        carried := value "session/priorities_kept";
+        edited := value "session/index_edited";
+        rebuilt := value "session/index_rebuilt")
   in
   if !carried = 0 || computed = 0 then
-    Alcotest.failf "rebuilds: %d carried, %d computed; some of each expected" !carried computed
+    Alcotest.failf "rebuilds: %d carried, %d computed; some of each expected" !carried computed;
+  if !edited = 0 || !rebuilt = 0 then
+    Alcotest.failf "rebuilds: %d edited, %d re-indexed; some of each expected" !edited !rebuilt
 
 (* {2 State model}
 
@@ -1273,9 +1278,10 @@ let opened_from_text_sessions () =
   done
 
 (* Traced, an [open] shows its policy parse as a [parse.rows] span
-   inside [serve.open], and the first and every rebuild resolve their
-   indexing as [problem.of_rows] inside [session.resolve]; nothing
-   compiles from names. *)
+   inside [serve.open], the first resolve its indexing as
+   [problem.of_rows] inside [session.resolve], and a rebuild that edits
+   the compiled problem as [problem.edit] there; nothing compiles from
+   names. *)
 let serve_spans_its_layers () =
   let conn = Serve.create () in
   let req fields = serve_req conn (("problem", Json.Str "p") :: fields) in
@@ -1300,8 +1306,9 @@ let serve_spans_its_layers () =
   in
   let within name = List.filter_map (fun (n, p) -> if n = name then Some p else None) nested in
   Alcotest.(check (list string)) "parse.rows in" [ "serve.open" ] (within "parse.rows");
-  Alcotest.(check (list string)) "problem.of_rows in"
-    [ "session.resolve"; "session.resolve" ] (within "problem.of_rows");
+  Alcotest.(check (list string)) "problem.of_rows in" [ "session.resolve" ]
+    (within "problem.of_rows");
+  Alcotest.(check (list string)) "problem.edit in" [ "session.resolve" ] (within "problem.edit");
   Alcotest.(check (list string)) "problem.compile in" [] (within "problem.compile");
   Alcotest.(check (list string)) "compile in" [] (within "compile")
 
@@ -1358,6 +1365,105 @@ let serve_lru_order () =
         (serve_req conn [ ("op", Json.Str "resolve"); ("problem", Json.Str name) ]))
     [ "b"; "c"; "d" ]
 
+(* The [index] and [why] arguments of each traced [session.resolve]
+   span of [f ()]'s resolves. *)
+let indexing f =
+  Trace.start ();
+  Fun.protect ~finally:Trace.stop f;
+  List.concat_map
+    (fun (e : Trace.event) ->
+      if e.ph = 'B' && e.name = "session.resolve" then
+        List.filter_map
+          (fun k -> match List.assoc_opt k e.args with Some (Trace.Str v) -> Some v | _ -> None)
+          [ "index"; "why" ]
+      else [])
+    (Trace.events ())
+
+(* A rebuild edits the compiled problem in place unless a budget or an
+   upgrade preference keeps it alive, a cancelled rebuild indexed the
+   rows since it was built, the edits would shift more than a re-index
+   touches, or its arrays have no room; traced, it says which, and every
+   resolve matches scratch.  Completed rebuilds count in
+   [session/index_edited] or [session/index_rebuilt]. *)
+let rebuild_says_how_it_indexed () =
+  let sess = Session.create ~lattice:fig1b (base_csts ()) in
+  Session.set_lower_bound sess "dept" (Some (lvl "L1"));
+  ignore (Session.resolve sess);
+  let check what want edit =
+    Alcotest.(check (list string)) what want
+      (indexing (fun () ->
+           edit ();
+           check_matches ~ctx:what fig1b sess))
+  in
+  let budget =
+    { SS.Config.default with budget = Some (Minup_core.Solver.budget ~max_steps:1_000_000 ()) }
+  in
+  let edited =
+    Helpers.metered "session/index_edited" (fun () ->
+        check "an add" [ "edited" ] (fun () ->
+            ignore (Session.add_constraint sess (Helpers.attr_cst "dept" "rank")));
+        check "a remove and a first bound" [ "edited" ] (fun () ->
+            assert (Session.remove_constraint sess 1);
+            Session.set_lower_bound sess "name" (Some (lvl "L2")));
+        check "a cleared bound and a new attribute" [ "edited" ] (fun () ->
+            Session.set_lower_bound sess "dept" None;
+            Session.add_attribute sess "fresh"));
+  in
+  Alcotest.(check int) "three edited" 3 edited;
+  Alcotest.(check (list string)) "under a budget" [ "rebuilt"; "budget" ]
+    (indexing (fun () ->
+         ignore (Session.add_constraint sess (Helpers.level_cst "fresh" "L2"));
+         ignore (resolve_matches ~config:budget ~ctx:"budget" fig1b sess)));
+  check "two removes from the front" [ "rebuilt"; "2 edits" ] (fun () ->
+      assert (Session.remove_constraint sess 0);
+      assert (Session.remove_constraint sess 2));
+  (* With no bound row, an added row shifts nothing, but a problem of
+     two rows has room for 16 more. *)
+  let sparse = Session.create ~lattice:fig1b [ Helpers.level_cst "salary" "L3" ] in
+  ignore (Session.resolve sparse);
+  let rebuilt =
+    Helpers.metered "session/index_rebuilt" (fun () ->
+        Alcotest.(check (list string)) "forty adds" [ "rebuilt"; "no room" ]
+          (indexing (fun () ->
+               for i = 1 to 40 do
+                 ignore
+                   (Session.add_constraint sparse (Helpers.level_cst (Printf.sprintf "x%d" i) "L1"))
+               done;
+               check_matches ~ctx:"forty adds" fig1b sparse)))
+  in
+  Alcotest.(check int) "one re-indexed" 1 rebuilt;
+  ignore (Session.add_constraint sess (Helpers.level_cst "x1" "L4"));
+  (match Session.resolve ~config:(zero_steps ()) sess with
+  | _ -> Alcotest.fail "a zero-step rebuild was not cancelled"
+  | exception SS.Cancelled _ -> ());
+  check "after a cancelled rebuild" [ "rebuilt"; "cancelled" ] ignore
+
+(* 100 000 pairs that add a constraint and remove it, taken in by one
+   resolve; then an add and a remove of an old row: that rebuild edits
+   the compiled problem, finding the removed row by binary search (no
+   walk of the ids handed out, no [problem.of_rows] span), and equals
+   scratch. *)
+let churned_rebuild_is_edited () =
+  let sess = Session.create ~lattice:fig1b (base_csts ()) in
+  Session.set_lower_bound sess "dept" (Some (lvl "L1"));
+  ignore (Session.resolve sess);
+  for _ = 1 to 100_000 do
+    let id = Session.add_constraint sess (Helpers.attr_cst "rank" "salary") in
+    assert (Session.remove_constraint sess id)
+  done;
+  check_matches ~ctx:"after the pairs" fig1b sess;
+  Trace.start ();
+  Fun.protect ~finally:Trace.stop (fun () ->
+      ignore (Session.add_constraint sess (Helpers.level_cst "rank" "L3"));
+      assert (Session.remove_constraint sess 1);
+      check_matches ~ctx:"edited after the pairs" fig1b sess);
+  let spans name =
+    List.length
+      (List.filter (fun (e : Trace.event) -> e.ph = 'B' && e.name = name) (Trace.events ()))
+  in
+  Alcotest.(check int) "no problem.of_rows span" 0 (spans "problem.of_rows");
+  Alcotest.(check int) "one problem.edit span" 1 (spans "problem.edit")
+
 let suite =
   [
     case "delta sequence matches scratch" delta_sequence_matches_scratch;
@@ -1388,4 +1494,6 @@ let suite =
     case "serve LRU eviction" serve_lru_eviction;
     case "serve evicts in recency order at max_sessions" serve_lru_order;
     case "a rebuild carries its priorities or says why not" priorities_carried_or_computed;
+    case "a rebuild says how it indexed its problem" rebuild_says_how_it_indexed;
+    case "a rebuild after 100 000 add/remove pairs edits in place" churned_rebuild_is_edited;
   ]

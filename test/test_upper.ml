@@ -152,6 +152,95 @@ let random_bounded_prop =
           S.satisfies p sol.S.levels
           && Explicit.leq lat sol.S.levels.(id) bound_level)
 
+(* [S.derive_upper_bounds] as it was before it pushed only what the
+   bounds reach: every attribute-rhs row queued once, a FIFO to the
+   greatest fixpoint, then every level-rhs row checked in row order. *)
+exception Inconsistent of S.inconsistency
+
+let all_rows_upper_bounds ({ S.lat; prob; _ } : S.problem) bounds =
+  let module P = Minup_constraints.Problem in
+  let { P.rhs; levels; _ } = prob.P.store in
+  let ub = Array.make (P.n_attrs prob) (Explicit.top lat) in
+  let lhs_bound ci =
+    P.fold_lhs prob ci (fun acc a -> Explicit.lub lat acc ub.(a)) (Explicit.bottom lat)
+  in
+  match
+    List.iter
+      (fun (name, l) ->
+        match P.attr_id prob name with
+        | Some a -> ub.(a) <- Explicit.glb lat ub.(a) l
+        | None -> raise (Inconsistent (S.Unknown_attr name)))
+      bounds;
+    let queue = Queue.create () in
+    let enqueue ci = if P.rhs_is_attr rhs.(ci) then Queue.push ci queue in
+    for ci = 0 to P.n_csts prob - 1 do
+      enqueue ci
+    done;
+    while not (Queue.is_empty queue) do
+      let ci = Queue.pop queue in
+      let b = rhs.(ci) in
+      let nb = Explicit.glb lat ub.(b) (lhs_bound ci) in
+      if not (Explicit.equal lat nb ub.(b)) then begin
+        ub.(b) <- nb;
+        P.iter_constr_of prob b enqueue
+      end
+    done;
+    for ci = 0 to P.n_csts prob - 1 do
+      let r = rhs.(ci) in
+      if not (P.rhs_is_attr r) then begin
+        let bound = lhs_bound ci in
+        if not (Explicit.leq lat levels.(P.rhs_level_index r) bound) then
+          raise (Inconsistent (S.Unsatisfiable { cst = P.cst_to_source prob ci; bound }))
+      end
+    done
+  with
+  | () -> Ok ub
+  | exception Inconsistent i -> Error i
+
+(* The worklist seeded from the bounded attributes reaches the same
+   fixpoint, and reports the same inconsistency, as the all-rows one: on
+   random [acyclic], [single_scc] and [mixed] problems under one to four
+   bounds drawn from ⊥ to ⊤, equal [ub] arrays, or the same [Error]
+   naming the same constraint and bound. *)
+let upper_bounds_oracle =
+  QCheck.Test.make ~count:500 ~name:"derive_upper_bounds = the all-rows fixpoint"
+    Helpers.seed_arb
+    (fun seed ->
+      let module Prng = Minup_workload.Prng in
+      let module Gen = Minup_workload.Gen_constraints in
+      let rng = Prng.create seed in
+      let lat =
+        Minup_workload.Gen_lattice.random_closure_exn rng ~universe:4 ~n_generators:3
+          ~max_size:12
+      in
+      let levels = Explicit.all lat in
+      let spec =
+        {
+          Gen.n_attrs = 6 + Prng.int rng 10;
+          n_simple = 4 + Prng.int rng 12;
+          n_complex = Prng.int rng 5;
+          max_lhs = 3;
+          n_constants = 1 + Prng.int rng 4;
+          constants = levels;
+        }
+      in
+      let attrs, csts =
+        match seed mod 3 with
+        | 0 -> Gen.acyclic rng spec
+        | 1 -> Gen.single_scc rng spec
+        | _ -> Gen.mixed rng spec ~n_islands:2 ~island_size:3
+      in
+      let p = S.compile_exn ~lattice:lat ~attrs csts in
+      let bounds =
+        List.init (1 + Prng.int rng 4) (fun _ -> (Prng.pick rng attrs, Prng.pick rng levels))
+      in
+      match (S.derive_upper_bounds p bounds, all_rows_upper_bounds p bounds) with
+      | Ok got, Ok want -> Array.for_all2 (Explicit.equal lat) got want
+      | Error (S.Unsatisfiable g), Error (S.Unsatisfiable w) ->
+          g.cst = w.cst && Explicit.equal lat g.bound w.bound
+      | Error (S.Unknown_attr g), Error (S.Unknown_attr w) -> g = w
+      | _ -> QCheck.Test.fail_reportf "seed %d: one result is Ok, the other an Error" seed)
+
 let suite =
   [
     case "trivial inconsistency" trivial_inconsistency;
@@ -164,4 +253,5 @@ let suite =
     case "bounds on cycles" bounds_on_cycles;
     case "no bounds = plain solve" no_bounds_equals_plain_solve;
     Helpers.qcheck random_bounded_prop;
+    Helpers.qcheck upper_bounds_oracle;
   ]
